@@ -58,7 +58,7 @@ fn main() {
             .collect();
         let index =
             search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::UnionSubtraction);
-        let store = Arc::new(PredictionStore::new());
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
         store.publish(truths.iter().map(|layer| layer[0].clone()).collect());
         let server = RegionServer::new(index, store);
 
@@ -72,10 +72,9 @@ fn main() {
                 let (_, timing) = server.query_timed(mask);
                 total += timing.total();
                 max = max.max(timing.total());
-                terms +=
-                    o4a_core::server::query_combination(server.hierarchy(), server.index(), mask)
-                        .terms
-                        .len();
+                terms += o4a_core::server::query_combination(&hier, server.index(), mask)
+                    .terms
+                    .len();
             }
             println!(
                 "{:<28} {:>6} {:>12.1} {:>12.1} {:>10.1}",

@@ -28,9 +28,11 @@
 //! Usage: `cargo run -p o4a-bench --release --bin kernels [-- --quick] [--out PATH]`
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
+use o4a_core::frames::FrameView;
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, RegionServer};
+use o4a_core::server::{interpret, PredictionStore, RegionServer};
 use o4a_data::synthetic::DatasetKind;
+use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
 use o4a_nn::blocks::ResBlock;
@@ -245,29 +247,36 @@ fn main() {
         },
     ));
 
-    // Batched region queries on a 32x32, K = 2 pyramid. Two servers share
-    // one published store: the default one answers through compiled plans
-    // (arena gather — a dispatched kernel), the `O4A_COMPILED=0` one runs
-    // the interpreted lookup + `term_value` path the compiled row must be
-    // bit-identical to (asserted before any timing).
+    // Batched region queries on a 32x32, K = 2 pyramid: the engine
+    // answers through compiled plans (arena gather — a dispatched
+    // kernel); the interpreted row fans the oracle's index lookups +
+    // `term_value` math out over the same pool, on memoized
+    // decompositions. The two must be bit-identical (asserted before any
+    // timing).
     let hier = Hierarchy::new(32, 32, 2, 6).expect("hierarchy");
     let flow = DatasetKind::TaxiNycLike.config(32, 32, 24, 1).generate();
     let slots: Vec<usize> = (16..24).collect();
     let truths = truth_pyramid(&hier, &flow, &slots);
     let index = search_optimal_combinations(&hier, &truths, &truths, SearchStrategy::Union);
-    let store = Arc::new(PredictionStore::new());
-    store.publish(truths.iter().map(|layer| layer[0].clone()).collect());
-    std::env::set_var("O4A_COMPILED", "0");
-    let interp_server = RegionServer::new(index.clone(), store.clone());
-    std::env::remove_var("O4A_COMPILED");
-    let server = RegionServer::new(index, store);
+    let frames: Vec<Vec<f32>> = truths.iter().map(|layer| layer[0].clone()).collect();
+    let store = Arc::new(PredictionStore::for_hierarchy(&hier));
+    store.publish(frames.clone());
     let mut qrng = SeededRng::new(4);
     let masks = task_queries(32, 32, TaskSpec::standard_tasks(150.0)[3], false, &mut qrng);
-    for (got, want) in server
-        .query_many(&masks)
-        .iter()
-        .zip(interp_server.query_many(&masks))
-    {
+    let groups: Vec<Vec<DecomposedGroup>> = masks.iter().map(|m| decompose(&hier, m)).collect();
+    let interp_many = || -> Vec<f32> {
+        let view = [FrameView::F32(&frames)];
+        let mut out = vec![0.0f32; groups.len()];
+        let out_ptr = parallel::SendPtr(out.as_mut_ptr());
+        parallel::run(groups.len(), 8192, |i| {
+            // SAFETY: task `i` writes only slot `i`; `out` outlives the
+            // blocking `run` call.
+            unsafe { out_ptr.slice_mut(i, 1)[0] = interpret(&index, &view, &groups[i]) };
+        });
+        out
+    };
+    let server = RegionServer::new(index.clone(), store);
+    for (got, want) in server.query_many(&masks).iter().zip(interp_many()) {
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
@@ -291,7 +300,7 @@ fn main() {
         prev_t1("query_many_interpreted"),
         IsaPath::None,
         || {
-            black_box(interp_server.query_many(&masks));
+            black_box(interp_many());
         },
     ));
 

@@ -4,20 +4,19 @@
 //! index, published truth pyramid), resolves a **hot working set** of
 //! paper-task masks, and times the same aggregation work two ways:
 //!
-//! * **interpreted** — `predict_query_decomposed_view`: per-group index
-//!   lookups (`HashMap` probes, `Cow` plans) and per-term `term_value`
-//!   coordinate math, exactly what the server ran before query
-//!   compilation;
+//! * **interpreted** — `server::interpret`, the oracle: per-group index
+//!   lookups (quad-tree probes) and per-term `term_value` coordinate math,
+//!   what serving ran before query compilation;
 //! * **compiled** — `CompiledPlan::execute_sum` over the pre-resolved
 //!   offset/sign arena (what a plan-cache *hit* executes).
 //!
 //! Before any timing, every mask's compiled answer is asserted
 //! bit-identical to the interpreted answer on both storage precisions —
 //! a diverging plan makes the process abort, so a recorded speedup
-//! implies identity held. The end-to-end `RegionServer::query_many` pair
-//! (compiled-enabled vs `O4A_COMPILED=0`) is also timed as a
-//! server-level row; both servers share one decomposition fixture so the
-//! comparison isolates the lookup + aggregation stages.
+//! implies identity held. The end-to-end `RegionServer::query_many` row
+//! is also timed against the oracle over memoized decompositions (what
+//! an interpreting server with a decomposition memo would run), so the
+//! pair isolates the lookup + aggregation stages.
 //!
 //! `--gate R` exits non-zero if the hot-mask aggregate speedup falls
 //! below `R` (check.sh uses 1.3). `--merge PATH` splices the result into
@@ -33,7 +32,7 @@ use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::compiled::{compile_groups, with_scratch, CompiledPlan};
 use o4a_core::frames::FrameSet;
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{predict_query_decomposed_view, PredictionStore, RegionServer};
+use o4a_core::server::{interpret, PredictionStore, QueryBackend, RegionServer};
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::queries::{task_queries, TaskSpec};
@@ -43,9 +42,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hot working set size: small enough that the default 256-entry plan
-/// cache and decomposition memo hold every mask, so the steady state this
-/// bench times is the all-hits regime the cache is for.
+/// Hot working set size: small enough that the engine's plan cache holds
+/// every mask, so the steady state this bench times is the all-hits
+/// regime the cache is for.
 const HOT_MASKS: usize = 64;
 
 const WARMUP: usize = 2;
@@ -104,7 +103,7 @@ fn main() {
     // --- bit-identity proof BEFORE any timing, both precisions ---
     for (fs, what) in [(&full, "f32"), (&half, "f16")] {
         for (i, (g, plan)) in groups.iter().zip(&plans).enumerate() {
-            let want = predict_query_decomposed_view(&hier, &index, &fs.view(), g);
+            let want = interpret(&index, &[fs.view()], g);
             let got = with_scratch(|s| plan.execute_sum(&[fs], s))
                 .expect("plan layout must match the fixture snapshot");
             assert_eq!(
@@ -125,7 +124,7 @@ fn main() {
     let view = full.view();
     let interp_f32 = time_it(iters, || {
         for g in &groups {
-            black_box(predict_query_decomposed_view(&hier, &index, &view, g));
+            black_box(interpret(&index, &[view], g));
         }
     });
     let compiled_f32 = time_it(iters, || {
@@ -136,7 +135,7 @@ fn main() {
     let hview = half.view();
     let interp_f16 = time_it(iters, || {
         for g in &groups {
-            black_box(predict_query_decomposed_view(&hier, &index, &hview, g));
+            black_box(interpret(&index, &[hview], g));
         }
     });
     let compiled_f16 = time_it(iters, || {
@@ -145,15 +144,20 @@ fn main() {
         }
     });
 
-    // --- server-level pair: identical fixture, compiled toggled by env ---
+    // --- server-level pair: the engine vs the oracle over memoized
+    // decompositions of the same snapshot ---
     let store = Arc::new(PredictionStore::for_hierarchy(&hier));
     store.publish_checked(frames).expect("fixture snapshot");
-    std::env::set_var("O4A_COMPILED", "0");
-    let interp_server = RegionServer::new(index.clone(), store.clone());
-    std::env::remove_var("O4A_COMPILED");
     let compiled_server = RegionServer::new(index.clone(), store.clone());
-    assert!(compiled_server.compiled_enabled() && !interp_server.compiled_enabled());
-    let want = interp_server.query_many(&masks);
+    let interp_many = || -> Vec<f32> {
+        let snap = store.snapshot();
+        let view = snap.view();
+        groups
+            .iter()
+            .map(|g| interpret(&index, std::slice::from_ref(&view), g))
+            .collect()
+    };
+    let want = interp_many();
     let got = compiled_server.query_many(&masks);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(
@@ -163,7 +167,7 @@ fn main() {
         );
     }
     let serve_interp = time_it(iters, || {
-        black_box(interp_server.query_many(&masks));
+        black_box(interp_many());
     });
     let serve_compiled = time_it(iters, || {
         black_box(compiled_server.query_many(&masks));

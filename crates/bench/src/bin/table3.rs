@@ -9,8 +9,9 @@
 
 use o4a_bench::{build_index, ExpConfig, Experiment, MAPE_THRESHOLD};
 use o4a_core::combination::{CombinationIndex, SearchStrategy};
+use o4a_core::frames::FrameView;
 use o4a_core::one4all::One4AllSt;
-use o4a_core::server::{predict_query_decomposed, query_combination};
+use o4a_core::server::{interpret, query_combination};
 use o4a_data::metrics::MetricAccumulator;
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::decompose::decompose;
@@ -31,7 +32,7 @@ fn rmse_on(
         for (s, &t) in exp.test_slots.iter().enumerate() {
             let frames: Vec<Vec<f32>> = pyramid.iter().map(|l| l[s].clone()).collect();
             acc.push(
-                predict_query_decomposed(&exp.hier, index, &frames, &groups),
+                interpret(index, &[FrameView::F32(&frames)], &groups),
                 exp.flow.region_flow(t, mask),
             );
         }

@@ -26,8 +26,9 @@
 //! P = {1, 2, 4, 8, 16, 32}).
 
 use o4a_core::combination::{search_optimal_combinations_margin, CombinationIndex, SearchStrategy};
+use o4a_core::frames::FrameView;
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::predict_query_decomposed;
+use o4a_core::server::interpret;
 use o4a_data::features::{chronological_split, Split, TemporalConfig};
 use o4a_data::flow::FlowSeries;
 use o4a_data::metrics::MetricAccumulator;
@@ -219,7 +220,7 @@ pub fn eval_with_index(
     for (mask, groups) in masks.iter().zip(&decomposed) {
         for (s, &t) in exp.test_slots.iter().enumerate() {
             let frames: Vec<Vec<f32>> = pyramid.iter().map(|layer| layer[s].clone()).collect();
-            let pred = predict_query_decomposed(&exp.hier, index, &frames, groups);
+            let pred = interpret(index, &[FrameView::F32(&frames)], groups);
             acc.push(pred, exp.flow.region_flow(t, mask));
         }
     }

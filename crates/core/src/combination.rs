@@ -69,27 +69,16 @@ impl Combination {
     }
 
     /// Evaluates the combination against per-layer flat frames
-    /// (`frames[layer]` has `h_l * w_l` values).
+    /// (`frames[layer]` has `h_l * w_l` values), reducing through
+    /// [`signed_sum`] over [`term_value`] contributions — the chain the
+    /// ensemble planner's `ModelCombination::evaluate` shares, so the two
+    /// stay bit-identical.
     pub fn evaluate(&self, hier: &Hierarchy, frames: &[Vec<f32>]) -> f32 {
-        self.evaluate_frames(hier, &crate::frames::FrameView::F32(frames))
-    }
-
-    /// Evaluates the combination against a snapshot in either storage
-    /// precision ([`crate::frames::FrameView`]). With f32 frames this is
-    /// exactly [`Combination::evaluate`]; with f16 frames each term is
-    /// widened (losslessly) on read, so the only difference from the f32
-    /// answer is the storage narrowing bound in `o4a_tensor::half`.
-    ///
-    /// Both entry points reduce through [`signed_sum`] over [`term_value`]
-    /// contributions — the one accumulation chain every aggregation path in
-    /// the workspace (including the ensemble planner's
-    /// `ModelCombination::evaluate`) shares, so answers stay bit-identical
-    /// across them.
-    pub fn evaluate_frames(&self, hier: &Hierarchy, frames: &crate::frames::FrameView<'_>) -> f32 {
+        let view = crate::frames::FrameView::F32(frames);
         signed_sum(
             self.terms
                 .iter()
-                .map(|t| term_value(hier, frames, t.cell, t.sign)),
+                .map(|t| term_value(hier, &view, t.cell, t.sign)),
         )
     }
 
@@ -125,11 +114,10 @@ pub fn term_value(
     sign as f32 * frames.value(cell.layer, cell.row * lw + cell.col)
 }
 
-/// The single signed-accumulation chain: a plain left-to-right f32 sum of
-/// term contributions, in iteration order. Keeping every evaluation path
-/// (single-model and ensemble, f32 and f16 storage, serial and parallel
-/// fan-out) on this one reduction is what makes their answers
-/// bit-comparable.
+/// The combination-evaluation chain the offline search and the ensemble
+/// planner share: a plain left-to-right f32 sum of term contributions, in
+/// iteration order. (The online query path folds explicitly from `0.0`;
+/// see [`crate::compiled`].)
 #[inline]
 pub fn signed_sum(values: impl Iterator<Item = f32>) -> f32 {
     values.sum()

@@ -1,29 +1,26 @@
 //! Compiled query plans: arena-packed index resolution with precomputed
 //! frame offsets, executed by ISA-dispatched gather kernels.
 //!
-//! The interpreted query path re-derives, per term per query, the layer
-//! base and row-major offset of every combination cell
-//! ([`crate::combination::term_value`]: a `layer_dims` call, a multiply,
-//! an add, and an enum-dispatched `FrameView::value`) and re-walks the
-//! index's hash maps / quad-tree. A [`CompiledPlan`] does all of that
-//! once: the full decomposition is resolved against the index into one
-//! contiguous arena of `(flat frame offset, sign)` terms, so answering
-//! the same mask again is a single streaming pass — gather the addressed
-//! snapshot values, multiply by the signs
-//! ([`o4a_tensor::gather`]), and run the same left-to-right reduction
-//! chain the interpreter uses.
+//! A [`Resolver`] (a combination index, or an ensemble plan) says how one
+//! decomposed group resolves to *runs* of `(cell, sign, member)` terms —
+//! one run per combination evaluated. [`compile_groups`] walks that
+//! resolution once and packs every term into one contiguous arena of
+//! `(flat frame offset, sign)` pairs, so answering the same query again is
+//! a single streaming pass: gather the addressed snapshot values, multiply
+//! by the signs ([`o4a_tensor::gather`]), and run the fold below. The
+//! interpreted oracle ([`crate::server::interpret`]) walks the very same
+//! resolution term by term.
 //!
 //! # Bit-identity
 //!
-//! Compiled execution is **bit-identical** to the interpreted path, not
+//! Compiled execution is **bit-identical** to the interpreted oracle, not
 //! merely close. Two properties make that hold:
 //!
 //! * The gather + sign-multiply phase is per-element — no reduction, no
 //!   reassociation — so any SIMD lane width produces the same bits. The
 //!   sign is the *left* multiplicand, matching `sign as f32 * value`.
-//! * The reduction phase replays the interpreter's exact fold structure,
-//!   recorded at compile time as *runs* (one per
-//!   combination-evaluation) nested in *groups* (one per decomposed
+//! * The reduction phase replays one fixed fold structure, recorded at
+//!   compile time as *runs* nested in *groups* (one per decomposed
 //!   group): a multi-grid group's value is its single run's fold
 //!   `0.0 + t_0 + t_1 + …` emitted directly, while a cells group folds
 //!   its runs' values into a fresh `0.0` accumulator first — the
@@ -35,42 +32,159 @@
 //! The hardware gather tiers cannot bounds-check. Soundness is enforced
 //! in two layers: the builder derives every offset from the hierarchy's
 //! own layer geometry (so `offset < total cells` by construction), and
-//! [`CompiledPlan::execute_groups`] refuses any snapshot whose
-//! [`layout_signature`] differs from the hierarchy the plan was compiled
-//! against **and** re-checks `required_len <= data.len()` with a plain
-//! integer compare — the gathers stay in bounds even under a signature
-//! collision. A refused snapshot returns `None` and the caller falls
-//! back to the interpreted path (same answer, slower).
+//! every execute entry point refuses (returns `None` for) any snapshot
+//! whose [`layout_signature`] differs from the hierarchy the plan was
+//! compiled against **and** re-checks `required_len <= data.len()` with a
+//! plain integer compare — the gathers stay in bounds even under a
+//! signature collision. The engine never meets a refusal: it only serves
+//! stores built for its resolver's hierarchy, checked at construction.
 //!
 //! # Caching and invalidation
 //!
-//! Plans depend on the mask (or pre-decomposed group list), the
-//! combination index, and the snapshot *layout* — but not on snapshot
-//! *values*. [`PlanCache`] keys entries by mask/groups plus an `epoch`
-//! (the ensemble plan revision; `0` for a single-model server): an entry
-//! whose epoch no longer matches is dropped on lookup, so an index swap
-//! can never serve a stale plan. Value refreshes (`publish_checked`)
+//! Plans depend on the mask (or decomposed group), the resolver and the
+//! snapshot *layout* — but not on snapshot *values*. The engine caches
+//! them in a [`crate::cache::ClockCache`] under the resolver's epoch (the
+//! ensemble plan revision; `0` for a combination index), so a resolver
+//! swap can never serve a stale plan. Value refreshes (`publish_checked`)
 //! don't touch the cache at all — execution re-reads the current
-//! snapshot every time, and a layout-changing publish is caught by the
-//! signature check above.
+//! snapshot every time.
 
 use crate::combination::{Combination, CombinationIndex};
 use crate::frames::{layout_signature, FrameData, FrameSet};
 use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
-use o4a_grid::mask::Mask;
-use parking_lot::Mutex;
+use o4a_obs::Histogram;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One resolved term: `sign ×` member `member`'s snapshot value at `cell`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Term {
+    /// The grid cell read.
+    pub cell: LayerCell,
+    /// `+1` or `-1`.
+    pub sign: i8,
+    /// The member store read (always `0` for a single-model index).
+    pub member: u16,
+}
+
+/// Receives one group's resolution: its terms in evaluation order, each
+/// run (one combination's terms) closed by [`TermSink::end_run`].
+pub trait TermSink {
+    /// The next term of the current run.
+    fn term(&mut self, t: Term);
+    /// Closes the current run.
+    fn end_run(&mut self);
+}
+
+/// Collects the terms alone, dropping the run structure.
+impl TermSink for Vec<Term> {
+    fn term(&mut self, t: Term) {
+        self.push(t);
+    }
+
+    fn end_run(&mut self) {}
+}
+
+/// What the query engine resolves decomposed groups through: a
+/// single-model [`CombinationIndex`], or an ensemble plan whose terms
+/// each name the member store they read.
+pub trait Resolver: Send + Sync {
+    /// One index entry: a combination of signed terms.
+    type Entry;
+
+    /// The hierarchy queries are decomposed against.
+    fn hierarchy(&self) -> &Hierarchy;
+
+    /// Member stores the terms read from (`1` for a single model).
+    fn members(&self) -> usize;
+
+    /// Cache epoch of the resolver's entries: compiled plans cached under
+    /// another epoch are never served (`0` for a combination index, the
+    /// plan revision for an ensemble).
+    fn epoch(&self) -> u64;
+
+    /// The entry of a single grid, if the index has one.
+    fn cell_entry(&self, cell: LayerCell) -> Option<&Self::Entry>;
+
+    /// The entry of a multi-grid (a same-parent 2–3 cell group at
+    /// `layer`), if the index has one.
+    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Self::Entry>;
+
+    /// An entry's terms, in evaluation order.
+    fn entry_terms(entry: &Self::Entry) -> impl Iterator<Item = Term> + '_;
+
+    /// Registers the resolver's own gauges and returns one served-terms
+    /// histogram per member for the engine to sample per query; empty
+    /// (the default) records none.
+    fn register_metrics(&self) -> Vec<Arc<Histogram>> {
+        Vec::new()
+    }
+
+    /// Resolves one decomposed group into `sink`, returning whether it hit
+    /// a multi-grid entry (whose single run *is* the group value).
+    /// Otherwise each member cell contributes one run — its entry, or the
+    /// direct prediction (member 0) when the index has none, which only
+    /// happens on a foreign index.
+    fn resolve_group(&self, group: &DecomposedGroup, sink: &mut impl TermSink) -> bool {
+        if group.cells.len() >= 2 && self.hierarchy().k() == 2 {
+            if let Some(entry) = self.multi_entry(group.layer, &group.cells) {
+                Self::entry_terms(entry).for_each(|t| sink.term(t));
+                sink.end_run();
+                return true;
+            }
+        }
+        for &(r, c) in &group.cells {
+            let cell = LayerCell::new(group.layer, r, c);
+            match self.cell_entry(cell) {
+                Some(entry) => Self::entry_terms(entry).for_each(|t| sink.term(t)),
+                None => sink.term(Term {
+                    cell,
+                    sign: 1,
+                    member: 0,
+                }),
+            }
+            sink.end_run();
+        }
+        false
+    }
+}
+
+impl Resolver for CombinationIndex {
+    type Entry = Combination;
+
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
+    }
+
+    fn members(&self) -> usize {
+        1
+    }
+
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    fn cell_entry(&self, cell: LayerCell) -> Option<&Combination> {
+        self.for_cell(cell)
+    }
+
+    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
+        self.for_multi(layer, cells)
+    }
+
+    fn entry_terms(entry: &Combination) -> impl Iterator<Item = Term> + '_ {
+        entry.terms.iter().map(|t| Term {
+            cell: t.cell,
+            sign: t.sign,
+            member: 0,
+        })
+    }
+}
 
 /// A fully resolved query: every combination term the index produces for
 /// one decomposition, packed as flat frame offsets and signs, plus the
-/// run/group fold structure needed to replay the interpreter's exact
-/// accumulation order.
+/// run/group fold structure that fixes the accumulation order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     /// Flat arena offset of each term (layer base + row-major cell).
@@ -78,7 +192,7 @@ pub struct CompiledPlan {
     /// `sign as f32` of each term (±1.0), the gather's left multiplicand.
     signs: Vec<f32>,
     /// Exclusive end index into `offsets` of each run (one run per
-    /// combination evaluation in the interpreted path).
+    /// combination the resolver walk reports).
     run_ends: Vec<u32>,
     /// `(exclusive end index into run_ends, is_multi)` per decomposed
     /// group. A multi group has exactly one run whose fold *is* the group
@@ -106,16 +220,6 @@ impl CompiledPlan {
         self.offsets.len()
     }
 
-    /// Decomposed groups the plan evaluates.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Layout signature the plan requires of every executed snapshot.
-    pub fn layout_sig(&self) -> u64 {
-        self.sig
-    }
-
     /// Terms addressed per member store.
     pub fn member_terms(&self) -> &[u32] {
         &self.member_terms
@@ -123,8 +227,7 @@ impl CompiledPlan {
 
     /// Checks every member snapshot and runs the gather phase into
     /// `scratch`. `false` means the plan cannot run against these
-    /// snapshots (layout mismatch or short arena) and the caller must
-    /// interpret instead.
+    /// snapshots (layout mismatch or short arena).
     fn gather(&self, snaps: &[&FrameSet], scratch: &mut Vec<f32>) -> bool {
         if snaps.len() < self.members as usize {
             return false;
@@ -161,8 +264,8 @@ impl CompiledPlan {
         true
     }
 
-    /// Replays the interpreter's fold structure over gathered terms,
-    /// feeding each group's value to `emit` in decompose order.
+    /// Replays the fold structure over gathered terms, feeding each
+    /// group's value to `emit` in decompose order.
     fn reduce_each(&self, scratch: &[f32], mut emit: impl FnMut(f32)) {
         let mut run_i = 0usize;
         let mut term_i = 0usize;
@@ -195,23 +298,11 @@ impl CompiledPlan {
         }
     }
 
-    /// Evaluates the plan to one value per decomposed group (the sharded
-    /// scatter leg). `None` when the snapshots don't match the plan's
-    /// layout — fall back to the interpreted path.
-    pub fn execute_groups(&self, snaps: &[&FrameSet], scratch: &mut Vec<f32>) -> Option<Vec<f32>> {
-        if !self.gather(snaps, scratch) {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.groups.len());
-        self.reduce_each(scratch, |v| out.push(v));
-        Some(out)
-    }
-
-    /// Evaluates a single-group plan to its group value — exactly the
-    /// interpreted `evaluate_group` fold, with no outer `0.0 +` (the
-    /// shard scatter leg caches and executes one plan per group, since a
-    /// shard slice is a batch-dependent concatenation whose whole-slice
-    /// key would never repeat). `None` on layout mismatch.
+    /// Evaluates a single-group plan to its group value, with no outer
+    /// `0.0 +` (the shard scatter leg caches and executes one plan per
+    /// group, since a shard slice is a batch-dependent concatenation
+    /// whose whole-slice key would never repeat). `None` on layout
+    /// mismatch.
     ///
     /// # Panics
     /// Panics if the plan holds more than one group.
@@ -229,9 +320,8 @@ impl CompiledPlan {
         Some(out)
     }
 
-    /// Evaluates the plan to the query's scalar answer (the fold of group
-    /// values starting at `0.0`, exactly as the interpreted
-    /// `groups.map(evaluate_group).sum()`). `None` on layout mismatch.
+    /// Evaluates the plan to the query's scalar answer: the fold of its
+    /// group values, starting at `0.0`. `None` on layout mismatch.
     pub fn execute_sum(&self, snaps: &[&FrameSet], scratch: &mut Vec<f32>) -> Option<f32> {
         if !self.gather(snaps, scratch) {
             return None;
@@ -246,7 +336,7 @@ impl CompiledPlan {
 /// (one per combination evaluation), close groups (one per decomposed
 /// group). Layer bases and widths are precomputed from the hierarchy so
 /// each term costs one multiply-add.
-pub struct PlanBuilder {
+struct PlanBuilder {
     bases: Vec<u32>,
     lws: Vec<u32>,
     sig: u64,
@@ -265,7 +355,7 @@ impl PlanBuilder {
     /// # Panics
     /// Panics if the hierarchy's total cell count exceeds the `i32::MAX`
     /// flat-offset budget of the 32-bit gather kernels.
-    pub fn new(hier: &Hierarchy) -> Self {
+    fn new(hier: &Hierarchy) -> Self {
         let lens: Vec<usize> = (0..hier.num_layers()).map(|l| hier.layer_len(l)).collect();
         let total: usize = lens.iter().sum();
         assert!(
@@ -295,7 +385,7 @@ impl PlanBuilder {
     }
 
     /// Appends one signed term reading `member`'s snapshot at `cell`.
-    pub fn push_term(&mut self, cell: LayerCell, sign: i8, member: u16) {
+    fn push_term(&mut self, cell: LayerCell, sign: i8, member: u16) {
         let off = self.bases[cell.layer] + cell.row as u32 * self.lws[cell.layer] + cell.col as u32;
         debug_assert!((off as usize) < self.required_len);
         self.offsets.push(off);
@@ -311,14 +401,14 @@ impl PlanBuilder {
     }
 
     /// Closes the current run (one combination's evaluation).
-    pub fn end_run(&mut self) {
+    fn end_run(&mut self) {
         self.run_ends.push(self.offsets.len() as u32);
     }
 
-    /// Closes the current group. `multi` records that the interpreted
-    /// path returns the run's fold directly (the multi-grid index hit);
-    /// such a group must hold exactly one run.
-    pub fn end_group(&mut self, multi: bool) {
+    /// Closes the current group. `multi` records that the group value is
+    /// the run's fold itself (the multi-grid index hit); such a group must
+    /// hold exactly one run.
+    fn end_group(&mut self, multi: bool) {
         let prev = self.groups.last().map_or(0, |&(e, _)| e);
         let runs = self.run_ends.len() as u32 - prev;
         assert!(!multi || runs == 1, "multi group must hold exactly one run");
@@ -326,7 +416,7 @@ impl PlanBuilder {
     }
 
     /// Finalizes the plan.
-    pub fn finish(self) -> CompiledPlan {
+    fn finish(self) -> CompiledPlan {
         let members = self.members.max(1);
         let mut member_terms = vec![0u32; members as usize];
         let mut s = 0u32;
@@ -348,281 +438,26 @@ impl PlanBuilder {
     }
 }
 
-/// Compiles a decomposition against a single-model [`CombinationIndex`],
-/// mirroring `evaluate_group`'s branch structure exactly: the multi-grid
-/// entry when the coding rule applies, otherwise the member cells'
-/// combinations in cell order, with the direct-prediction fallback for
-/// cells a foreign index is missing.
-pub fn compile_groups(index: &CombinationIndex, groups: &[DecomposedGroup]) -> CompiledPlan {
-    let hier = &index.hier;
-    let mut b = PlanBuilder::new(hier);
+impl TermSink for PlanBuilder {
+    fn term(&mut self, t: Term) {
+        self.push_term(t.cell, t.sign, t.member);
+    }
+
+    fn end_run(&mut self) {
+        PlanBuilder::end_run(self);
+    }
+}
+
+/// Compiles a decomposition against a resolver: every group's resolution
+/// ([`Resolver::resolve_group`]) packed into one plan, each term's arena
+/// segment tagged with the member store it gathers from.
+pub fn compile_groups<R: Resolver>(resolver: &R, groups: &[DecomposedGroup]) -> CompiledPlan {
+    let mut b = PlanBuilder::new(resolver.hierarchy());
     for group in groups {
-        if group.cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-                for t in &comb.terms {
-                    b.push_term(t.cell, t.sign, 0);
-                }
-                b.end_run();
-                b.end_group(true);
-                continue;
-            }
-        }
-        for &(r, c) in &group.cells {
-            let cell = LayerCell::new(group.layer, r, c);
-            match index.for_cell(cell) {
-                Some(comb) => {
-                    for t in &comb.terms {
-                        b.push_term(t.cell, t.sign, 0);
-                    }
-                }
-                None => {
-                    // foreign index: direct prediction, as the interpreter
-                    let single = Combination::single(cell);
-                    for t in &single.terms {
-                        b.push_term(t.cell, t.sign, 0);
-                    }
-                }
-            }
-            b.end_run();
-        }
-        b.end_group(false);
+        let multi = resolver.resolve_group(group, &mut b);
+        b.end_group(multi);
     }
     b.finish()
-}
-
-/// Compiled plans a cache may key on: a raw mask (the region-server entry
-/// points) or a pre-decomposed group list (the sharded scatter leg, where
-/// decomposition happened at the router).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PlanKey {
-    /// Keyed by the query mask.
-    Mask(Mask),
-    /// Keyed by the exact decomposed-group list.
-    Groups(Box<[DecomposedGroup]>),
-}
-
-enum KeyRef<'a> {
-    Mask(&'a Mask),
-    Groups(&'a [DecomposedGroup]),
-}
-
-impl KeyRef<'_> {
-    /// Bucket hash; a discriminant byte keeps mask and group keyspaces
-    /// apart.
-    fn hash64(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        match self {
-            KeyRef::Mask(m) => {
-                h.write_u8(0);
-                m.hash(&mut h);
-            }
-            KeyRef::Groups(g) => {
-                h.write_u8(1);
-                g.hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    fn matches(&self, key: &PlanKey) -> bool {
-        match (self, key) {
-            (KeyRef::Mask(a), PlanKey::Mask(b)) => **a == *b,
-            (KeyRef::Groups(a), PlanKey::Groups(b)) => **a == **b,
-            _ => false,
-        }
-    }
-
-    fn to_owned(&self) -> PlanKey {
-        match self {
-            KeyRef::Mask(m) => PlanKey::Mask((*m).clone()),
-            KeyRef::Groups(g) => PlanKey::Groups((*g).to_vec().into_boxed_slice()),
-        }
-    }
-}
-
-struct PlanEntry {
-    key: PlanKey,
-    epoch: u64,
-    stamp: u64,
-    plan: Arc<CompiledPlan>,
-}
-
-/// Default compiled plans retained. Larger than the decomposition
-/// memo's 256: the unsharded entry points cache one plan per hot *mask*,
-/// but the shard scatter leg caches one plan per decomposed *group*, and
-/// a mask working set fans out to roughly an order of magnitude more
-/// distinct groups (the serve fixture's 138-mask pool yields ~1.4k).
-/// Single-group plans are a few hundred bytes, so the headroom costs
-/// ~1-2 MB while an undersized LRU over a scanning working set evicts on
-/// every miss.
-const PLAN_CACHE_CAP: usize = 4096;
-
-/// A snapshot-versioned LRU of compiled plans, bucketed by key hash with
-/// full key equality inside a bucket (a lookup hit allocates nothing).
-///
-/// Every entry carries the `epoch` it was compiled under (the ensemble
-/// plan revision; `0` for a single-model server). A lookup with a
-/// different epoch drops the entry and reports a miss — `publish_checked`
-/// index swaps can never serve a stale plan. Capacity comes from
-/// `O4A_PLAN_CACHE` (default 4096); inserts past capacity evict the
-/// least-recently-used entry.
-pub struct PlanCache {
-    /// `(hash -> entries, LRU clock)`.
-    map: Mutex<(HashMap<u64, Vec<PlanEntry>>, u64)>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PlanCache {
-    /// Creates a cache with capacity from `O4A_PLAN_CACHE` (default 4096).
-    pub fn new() -> Self {
-        let cap = std::env::var("O4A_PLAN_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(PLAN_CACHE_CAP);
-        Self::with_capacity(cap)
-    }
-
-    /// Creates a cache holding at most `cap` plans.
-    pub fn with_capacity(cap: usize) -> Self {
-        PlanCache {
-            map: Mutex::new((HashMap::new(), 0)),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses, evictions)` since the cache was created.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Plans currently cached.
-    pub fn len(&self) -> usize {
-        self.map.lock().0.values().map(|v| v.len()).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cached plan for `mask` under `epoch`, compiling (outside the
-    /// lock) and inserting on a miss or an epoch mismatch.
-    pub fn get_or_compile_mask(
-        &self,
-        mask: &Mask,
-        epoch: u64,
-        compile: impl FnOnce() -> CompiledPlan,
-    ) -> Arc<CompiledPlan> {
-        self.get_or_compile(KeyRef::Mask(mask), epoch, compile)
-    }
-
-    /// Cached plan for a pre-decomposed group list under `epoch`,
-    /// compiling (outside the lock) and inserting on a miss or an epoch
-    /// mismatch.
-    pub fn get_or_compile_groups(
-        &self,
-        groups: &[DecomposedGroup],
-        epoch: u64,
-        compile: impl FnOnce() -> CompiledPlan,
-    ) -> Arc<CompiledPlan> {
-        self.get_or_compile(KeyRef::Groups(groups), epoch, compile)
-    }
-
-    fn get_or_compile(
-        &self,
-        key: KeyRef<'_>,
-        epoch: u64,
-        compile: impl FnOnce() -> CompiledPlan,
-    ) -> Arc<CompiledPlan> {
-        let hash = key.hash64();
-        {
-            let mut guard = self.map.lock();
-            let (map, clock) = &mut *guard;
-            if let Some(bucket) = map.get_mut(&hash) {
-                if let Some(i) = bucket.iter().position(|e| key.matches(&e.key)) {
-                    if bucket[i].epoch == epoch {
-                        *clock += 1;
-                        bucket[i].stamp = *clock;
-                        let plan = bucket[i].plan.clone();
-                        drop(guard);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        o4a_obs::counter!(
-                            "o4a_plan_cache_hits_total",
-                            "compiled-plan cache hits across all query backends"
-                        )
-                        .inc();
-                        return plan;
-                    }
-                    // stale epoch: the index was swapped; never serve it
-                    bucket.remove(i);
-                    if bucket.is_empty() {
-                        map.remove(&hash);
-                    }
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        o4a_obs::counter!(
-            "o4a_plan_cache_misses_total",
-            "compiled-plan cache misses across all query backends"
-        )
-        .inc();
-        let plan = Arc::new(compile());
-        let mut guard = self.map.lock();
-        let (map, clock) = &mut *guard;
-        let total: usize = map.values().map(|v| v.len()).sum();
-        if total >= self.cap {
-            // evict the least-recently-used entry across all buckets
-            if let Some((stale_hash, stale_i)) = map
-                .iter()
-                .flat_map(|(h, b)| b.iter().enumerate().map(move |(i, e)| (*h, i, e.stamp)))
-                .min_by_key(|&(_, _, stamp)| stamp)
-                .map(|(h, i, _)| (h, i))
-            {
-                let bucket = map.get_mut(&stale_hash).unwrap();
-                bucket.remove(stale_i);
-                if bucket.is_empty() {
-                    map.remove(&stale_hash);
-                }
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                o4a_obs::counter!(
-                    "o4a_plan_cache_evictions_total",
-                    "compiled plans evicted by the LRU cap"
-                )
-                .inc();
-            }
-        }
-        *clock += 1;
-        let entry = PlanEntry {
-            key: key.to_owned(),
-            epoch,
-            stamp: *clock,
-            plan: plan.clone(),
-        };
-        map.entry(hash).or_default().push(entry);
-        let entries: usize = map.values().map(|v| v.len()).sum();
-        drop(guard);
-        o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached")
-            .set(entries as f64);
-        plan
-    }
 }
 
 /// Runs `f` with this thread's reusable gather scratch buffer, so
@@ -676,20 +511,23 @@ mod tests {
         assert_eq!(plan.run_ends, vec![2, 3, 4]);
         assert_eq!(plan.groups, vec![(1, true), (3, false)]);
         assert_eq!(plan.num_terms(), 4);
-        assert_eq!(plan.num_groups(), 2);
         assert_eq!(plan.member_terms(), &[4]);
     }
 
     #[test]
     fn execute_matches_hand_computation() {
-        let plan = builder_plan();
         let fs = frames4();
         let mut scratch = Vec::new();
-        let groups = plan.execute_groups(&[&fs], &mut scratch).unwrap();
         // multi: 0 + 100 - 2; cells: 0 + (0 + 15) + (0 - 1000)
-        assert_eq!(groups, vec![98.0, -985.0]);
-        let sum = plan.execute_sum(&[&fs], &mut scratch).unwrap();
+        let sum = builder_plan().execute_sum(&[&fs], &mut scratch).unwrap();
         assert_eq!(sum, 98.0 - 985.0);
+        let hier = hier4();
+        let mut b = PlanBuilder::new(&hier);
+        b.push_term(LayerCell::new(1, 0, 0), 1, 0);
+        b.push_term(LayerCell::new(0, 0, 2), -1, 0);
+        b.end_run();
+        b.end_group(true);
+        assert_eq!(b.finish().execute_one(&[&fs], &mut scratch), Some(98.0));
     }
 
     #[test]
@@ -717,73 +555,56 @@ mod tests {
         b.end_group(true);
     }
 
+    /// Compiling through the resolver walk packs exactly the terms and
+    /// runs the walk reports, for both group shapes and the foreign-index
+    /// fallback.
     #[test]
-    fn plan_cache_hits_misses_and_epoch_invalidation() {
-        let cache = PlanCache::with_capacity(4);
+    fn compile_groups_follows_the_resolution() {
+        use crate::combination::{search_optimal_combinations, SearchStrategy};
         let hier = hier4();
-        let mask = Mask::rect(4, 4, 0, 0, 2, 2);
-        let compile = || {
-            let mut b = PlanBuilder::new(&hier);
-            b.push_term(LayerCell::new(0, 0, 0), 1, 0);
-            b.end_run();
-            b.end_group(false);
-            b.finish()
-        };
-        let p1 = cache.get_or_compile_mask(&mask, 0, compile);
-        assert_eq!(cache.stats(), (0, 1, 0));
-        let p2 = cache.get_or_compile_mask(&mask, 0, || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(cache.stats(), (1, 1, 0));
-        // an epoch bump (index swap) must recompile, never serve stale
-        let p3 = cache.get_or_compile_mask(&mask, 1, compile);
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(cache.stats(), (1, 2, 0));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn plan_cache_groups_key_is_distinct_from_mask_key() {
-        let cache = PlanCache::with_capacity(4);
-        let hier = hier4();
-        let compile = || {
-            let mut b = PlanBuilder::new(&hier);
-            b.push_term(LayerCell::new(0, 1, 1), -1, 0);
-            b.end_run();
-            b.end_group(false);
-            b.finish()
-        };
-        let groups = vec![DecomposedGroup {
-            layer: 0,
-            cells: vec![(1, 1)],
-        }];
-        let g1 = cache.get_or_compile_groups(&groups, 0, compile);
-        let g2 = cache.get_or_compile_groups(&groups, 0, || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&g1, &g2));
-        assert_eq!(cache.stats(), (1, 1, 0));
-    }
-
-    #[test]
-    fn plan_cache_evicts_least_recently_used() {
-        let cache = PlanCache::with_capacity(2);
-        let hier = hier4();
-        let compile = || {
-            let mut b = PlanBuilder::new(&hier);
-            b.push_term(LayerCell::new(0, 0, 0), 1, 0);
-            b.end_run();
-            b.end_group(false);
-            b.finish()
-        };
-        let masks: Vec<Mask> = (0..3).map(|i| Mask::rect(4, 4, 0, i, 1, i + 1)).collect();
-        let _ = cache.get_or_compile_mask(&masks[0], 0, compile);
-        let _ = cache.get_or_compile_mask(&masks[1], 0, compile);
-        // touch mask 0 so mask 1 is the LRU victim
-        let _ = cache.get_or_compile_mask(&masks[0], 0, || unreachable!());
-        let _ = cache.get_or_compile_mask(&masks[2], 0, compile);
-        assert_eq!(cache.len(), 2);
-        let (h, m, e) = cache.stats();
-        assert_eq!((h, m, e), (1, 3, 1));
-        // mask 0 must still be resident
-        let _ = cache.get_or_compile_mask(&masks[0], 0, || unreachable!());
+        let frames: Vec<Vec<f32>> = (0..3).map(|l| vec![1.0; hier.layer_len(l)]).collect();
+        let preds: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
+        let index =
+            search_optimal_combinations(&hier, &preds, &preds, SearchStrategy::UnionSubtraction);
+        let mut foreign = index.clone();
+        foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new();
+        let groups = vec![
+            DecomposedGroup {
+                layer: 0,
+                cells: vec![(0, 0), (0, 1)],
+            },
+            DecomposedGroup {
+                layer: 1,
+                cells: vec![(1, 1)],
+            },
+        ];
+        for r in [&index, &foreign] {
+            let mut terms: Vec<Term> = Vec::new();
+            for g in &groups {
+                r.resolve_group(g, &mut terms);
+            }
+            let plan = compile_groups(r, &groups);
+            assert_eq!(plan.num_terms(), terms.len());
+            assert_eq!(plan.member_terms(), &[terms.len() as u32]);
+        }
+        // a foreign index resolves every cell to its direct prediction
+        let mut direct: Vec<Term> = Vec::new();
+        assert!(!foreign.resolve_group(&groups[0], &mut direct));
+        assert_eq!(
+            direct,
+            vec![
+                Term {
+                    cell: LayerCell::new(0, 0, 0),
+                    sign: 1,
+                    member: 0
+                },
+                Term {
+                    cell: LayerCell::new(0, 0, 1),
+                    sign: 1,
+                    member: 0
+                },
+            ]
+        );
     }
 
     #[test]

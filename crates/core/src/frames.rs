@@ -20,9 +20,9 @@
 //!
 //! Every snapshot carries a [`layout_signature`] over its layer lengths.
 //! Compiled plans record the signature of the hierarchy they were built
-//! against and refuse (fall back to the interpreted path) when a snapshot
-//! disagrees — that check, plus an exact `required_len <= data.len()`
-//! comparison, is what makes the unchecked hardware gathers sound.
+//! against and refuse to execute when a snapshot disagrees — that check,
+//! plus an exact `required_len <= data.len()` comparison, is what makes
+//! the unchecked hardware gathers sound.
 //!
 //! [`FrameView`] is the borrowed form the evaluation paths consume; the
 //! legacy `FrameView::F32(&[Vec<f32>])` variant keeps the f32 public APIs
@@ -179,11 +179,6 @@ impl FrameSet {
         &self.data
     }
 
-    /// The layer offset table (`num_layers + 1` entries, sentinel last).
-    pub fn bases(&self) -> &[u32] {
-        &self.bases
-    }
-
     /// Bytes of frame payload held (the storage-mode win made measurable).
     pub fn payload_bytes(&self) -> usize {
         match &self.data {
@@ -193,9 +188,8 @@ impl FrameSet {
     }
 }
 
-/// A borrowed prediction snapshot — what
-/// [`crate::combination::Combination::evaluate_frames`] and the region
-/// server's aggregation paths read from.
+/// A borrowed prediction snapshot — what the interpreted oracle
+/// ([`crate::server::interpret`]) and combination evaluation read from.
 #[derive(Debug, Clone, Copy)]
 pub enum FrameView<'a> {
     /// Borrowed nested full-precision frames (caller-owned `Vec<Vec<f32>>`
@@ -281,7 +275,7 @@ mod tests {
     fn flat_arena_matches_nested_addressing() {
         let frames = vec![vec![1.0f32, 2.0, 3.0, 4.0], vec![10.0, 20.0], vec![100.0]];
         let fs = FrameSet::from_f32(frames.clone());
-        assert_eq!(fs.bases(), &[0, 4, 6, 7]);
+        assert_eq!(fs.bases, vec![0, 4, 6, 7]);
         let flat = fs.view();
         let nested = FrameView::F32(&frames);
         for (layer, frame) in frames.iter().enumerate() {

@@ -32,6 +32,7 @@
 //! and depth) under a parameter budget when the query-scale distribution is
 //! known in advance.
 
+pub mod cache;
 pub mod codec;
 pub mod combination;
 pub mod compiled;
@@ -45,7 +46,4 @@ pub mod structure;
 pub use combination::{Combination, CombinationIndex, SearchStrategy, SignedCell};
 pub use network::{NetworkConfig, One4AllNet};
 pub use one4all::One4AllSt;
-pub use server::{
-    DecompCache, ModelServer, PredictionStore, PublishError, QueryBackend, QueryTiming,
-    RegionServer,
-};
+pub use server::{Engine, PredictionStore, PublishError, QueryBackend, QueryTiming, RegionServer};

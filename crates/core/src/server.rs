@@ -8,179 +8,105 @@
 //!
 //! Answering a region query costs *decomposition + index lookups +
 //! aggregation* and never re-runs the model, which is what keeps response
-//! times in the low milliseconds (Fig. 15).
+//! times in the low milliseconds (Fig. 15). One [`Engine`] runs that path
+//! for every backend: a [`RegionServer`] resolves groups through a
+//! [`CombinationIndex`], an ensemble server through a per-region model
+//! plan (any [`Resolver`]). Either way a query is a compiled plan
+//! ([`crate::compiled`]) fetched from — or compiled into — the engine's
+//! one [`ClockCache`], then executed against the member snapshots.
 
-use crate::combination::{Combination, CombinationIndex};
-use crate::compiled::{compile_groups, with_scratch, CompiledPlan, PlanCache};
+use crate::cache::{CacheKey, CacheMetrics, ClockCache};
+use crate::combination::{term_value, Combination, CombinationIndex, SignedCell};
+use crate::compiled::{compile_groups, with_scratch, CompiledPlan, Resolver, Term, TermSink};
 use crate::frames::{FrameSet, FrameView};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
-use o4a_grid::hierarchy::{Hierarchy, LayerCell};
+use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
-use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use o4a_obs::trace::{self, SpanEvent, SpanKind};
+use o4a_obs::Histogram;
+use parking_lot::RwLock;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Evaluates one decomposed group against per-layer frames using the
-/// index: multi-grids hit their own entry (if the coding rule applies),
-/// everything else unions its member cells' optimal combinations.
-fn evaluate_group(
-    hier: &Hierarchy,
-    index: &CombinationIndex,
-    frames: &FrameView<'_>,
-    group: &DecomposedGroup,
+/// The interpreted oracle: evaluates decomposed groups term by term
+/// through the resolver's own walk ([`Resolver::resolve_group`]), reading
+/// member `m`'s terms from `views[m]`.
+///
+/// It folds exactly as a compiled plan executes — each run from `0.0`, a
+/// multi-grid group as its run, a cells group as `0.0 +` its runs, the
+/// query as `0.0 +` its groups — so the two agree bit for bit. Tests and
+/// the paper-experiment bins compare against it; the engine never
+/// interprets.
+pub fn interpret<R: Resolver>(
+    resolver: &R,
+    views: &[FrameView<'_>],
+    groups: &[DecomposedGroup],
 ) -> f32 {
-    if group.cells.len() >= 2 && hier.k() == 2 {
-        if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-            return comb.evaluate_frames(hier, frames);
+    struct Fold<'a, 'v> {
+        hier: &'a Hierarchy,
+        views: &'a [FrameView<'v>],
+        run: f32,
+        runs: f32,
+        last: f32,
+    }
+    impl TermSink for Fold<'_, '_> {
+        fn term(&mut self, t: Term) {
+            let view = &self.views[t.member as usize];
+            self.run += term_value(self.hier, view, t.cell, t.sign);
+        }
+
+        fn end_run(&mut self) {
+            self.runs += self.run;
+            self.last = self.run;
+            self.run = 0.0;
         }
     }
-    group
-        .cells
-        .iter()
-        .map(|&(r, c)| {
-            let cell = LayerCell::new(group.layer, r, c);
-            match index.for_cell(cell) {
-                Some(comb) => comb.evaluate_frames(hier, frames),
-                // a missing entry can only happen on a foreign index; fall
-                // back to the direct prediction
-                None => Combination::single(cell).evaluate_frames(hier, frames),
-            }
-        })
-        .sum()
-}
-
-/// One decomposed group's resolved index lookups, separated from their
-/// evaluation so the timed query paths can report the lookup and
-/// aggregation stages individually. Evaluating a plan reproduces
-/// [`evaluate_group`]'s accumulation order exactly — the multi-grid entry
-/// when the coding rule applies, otherwise the member cells' combinations
-/// in cell order (owned fallback for cells a foreign index is missing).
-enum GroupPlan<'a> {
-    Multi(&'a Combination),
-    Cells(Vec<Cow<'a, Combination>>),
-}
-
-fn lookup_group<'a>(
-    hier: &Hierarchy,
-    index: &'a CombinationIndex,
-    group: &DecomposedGroup,
-) -> GroupPlan<'a> {
-    if group.cells.len() >= 2 && hier.k() == 2 {
-        if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-            return GroupPlan::Multi(comb);
-        }
+    let mut total = 0.0f32;
+    for group in groups {
+        let mut fold = Fold {
+            hier: resolver.hierarchy(),
+            views,
+            run: 0.0,
+            runs: 0.0,
+            last: 0.0,
+        };
+        let multi = resolver.resolve_group(group, &mut fold);
+        total += if multi { fold.last } else { fold.runs };
     }
-    GroupPlan::Cells(
-        group
-            .cells
-            .iter()
-            .map(|&(r, c)| {
-                let cell = LayerCell::new(group.layer, r, c);
-                match index.for_cell(cell) {
-                    Some(comb) => Cow::Borrowed(comb),
-                    None => Cow::Owned(Combination::single(cell)),
-                }
-            })
-            .collect(),
-    )
+    total
 }
 
-fn evaluate_plan(hier: &Hierarchy, frames: &FrameView<'_>, plan: &GroupPlan<'_>) -> f32 {
-    match plan {
-        GroupPlan::Multi(comb) => comb.evaluate_frames(hier, frames),
-        GroupPlan::Cells(combs) => combs.iter().map(|c| c.evaluate_frames(hier, frames)).sum(),
-    }
-}
-
-/// Records one query's per-stage wall times into the global metrics
-/// registry (nanosecond histograms scraped through the serve layer's
-/// `METRICS` verb).
-fn record_query_stages(decompose: Duration, lookup: Duration, aggregate: Duration) {
-    o4a_obs::histogram!(
-        "o4a_query_decompose_ns",
-        "per-query hierarchical decomposition time (memo lookup on a cache hit)"
-    )
-    .record(decompose.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_query_lookup_ns",
-        "per-query combination-index lookup time"
-    )
-    .record(lookup.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_query_aggregate_ns",
-        "per-query signed aggregation time over the prediction snapshot"
-    )
-    .record(aggregate.as_nanos() as u64);
-}
-
-/// Predicts a region query from per-layer frames: hierarchical
-/// decomposition (Algorithm 1), index lookups, signed aggregation.
+/// Predicts a region query from per-layer frames through the interpreted
+/// oracle: hierarchical decomposition (Algorithm 1), index lookups,
+/// signed aggregation.
 pub fn predict_query(
     hier: &Hierarchy,
     index: &CombinationIndex,
     frames: &[Vec<f32>],
     mask: &Mask,
 ) -> f32 {
-    let view = FrameView::F32(frames);
-    decompose(hier, mask)
-        .iter()
-        .map(|g| evaluate_group(hier, index, &view, g))
-        .sum()
-}
-
-/// Like [`predict_query`] but over an already-decomposed query — use when
-/// evaluating the same region against many prediction snapshots (the
-/// decomposition depends only on the mask).
-pub fn predict_query_decomposed(
-    hier: &Hierarchy,
-    index: &CombinationIndex,
-    frames: &[Vec<f32>],
-    groups: &[DecomposedGroup],
-) -> f32 {
-    predict_query_decomposed_view(hier, index, &FrameView::F32(frames), groups)
-}
-
-/// [`predict_query_decomposed`] over a snapshot in either storage
-/// precision — the region server's inner loop.
-pub fn predict_query_decomposed_view(
-    hier: &Hierarchy,
-    index: &CombinationIndex,
-    frames: &FrameView<'_>,
-    groups: &[DecomposedGroup],
-) -> f32 {
-    groups
-        .iter()
-        .map(|g| evaluate_group(hier, index, frames, g))
-        .sum()
+    interpret(index, &[FrameView::F32(frames)], &decompose(hier, mask))
 }
 
 /// The full signed combination a query resolves to under an index
 /// (concatenation over its decomposed groups). Lets experiments compare
 /// how different strategies decompose the same query (Table III).
 pub fn query_combination(hier: &Hierarchy, index: &CombinationIndex, mask: &Mask) -> Combination {
-    let mut terms = Vec::new();
+    let mut terms: Vec<Term> = Vec::new();
     for group in decompose(hier, mask) {
-        let mut matched_multi = false;
-        if group.cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = index.for_multi(group.layer, &group.cells) {
-                terms.extend_from_slice(&comb.terms);
-                matched_multi = true;
-            }
-        }
-        if !matched_multi {
-            for &(r, c) in &group.cells {
-                let cell = LayerCell::new(group.layer, r, c);
-                match index.for_cell(cell) {
-                    Some(comb) => terms.extend_from_slice(&comb.terms),
-                    None => terms.push(crate::combination::SignedCell { cell, sign: 1 }),
-                }
-            }
-        }
+        index.resolve_group(&group, &mut terms);
     }
-    Combination { terms }
+    Combination {
+        terms: terms
+            .into_iter()
+            .map(|t| SignedCell {
+                cell: t.cell,
+                sign: t.sign,
+            })
+            .collect(),
+    }
 }
 
 /// Timing breakdown of one online query (Fig. 15 reports decomposition +
@@ -238,18 +164,22 @@ impl std::fmt::Display for PublishError {
 impl std::error::Error for PublishError {}
 
 /// A shared snapshot of the latest multi-scale predictions. The model
-/// server refreshes it at preset intervals; region servers read it
+/// server refreshes it at preset intervals; query engines read it
 /// lock-free-ish via an `Arc` swap.
+///
+/// A store is built for one hierarchy and only accepts snapshots shaped
+/// like it, so every snapshot an [`Engine`] reads matches the layout its
+/// compiled plans address.
 ///
 /// Snapshots default to f32 storage. [`PredictionStore::set_half_storage`]
 /// switches subsequent publishes to IEEE binary16 frames — half the
 /// resident bytes, values widened per read during aggregation, with the
 /// per-term error bound documented in [`crate::frames`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PredictionStore {
     frames: RwLock<Arc<FrameSet>>,
-    /// Expected flat length per layer; `None` for an unchecked store.
-    expected: Option<Vec<usize>>,
+    /// Expected flat length per layer.
+    expected: Vec<usize>,
     /// When set, publishes narrow the snapshot to f16 storage.
     half: AtomicBool,
     /// Optional name (typically the member model served), included in the
@@ -259,25 +189,21 @@ pub struct PredictionStore {
 }
 
 impl PredictionStore {
-    /// Creates an empty store that accepts snapshots of any shape.
-    pub fn new() -> Self {
-        PredictionStore {
-            frames: RwLock::new(Arc::new(FrameSet::default())),
-            expected: None,
-            half: AtomicBool::new(false),
-            label: None,
-        }
-    }
-
     /// Creates a store that only accepts snapshots shaped like `hier`
     /// (one frame per layer, each with that layer's cell count).
     pub fn for_hierarchy(hier: &Hierarchy) -> Self {
         PredictionStore {
             frames: RwLock::new(Arc::new(FrameSet::default())),
-            expected: Some((0..hier.num_layers()).map(|l| hier.layer_len(l)).collect()),
+            expected: (0..hier.num_layers()).map(|l| hier.layer_len(l)).collect(),
             half: AtomicBool::new(false),
             label: None,
         }
+    }
+
+    /// Whether the store was built for `hier`'s layer geometry.
+    pub fn built_for(&self, hier: &Hierarchy) -> bool {
+        self.expected.len() == hier.num_layers()
+            && (0..hier.num_layers()).all(|l| self.expected[l] == hier.layer_len(l))
     }
 
     /// [`PredictionStore::for_hierarchy`] with a label naming the store
@@ -311,9 +237,7 @@ impl PredictionStore {
 
     /// Checks a snapshot against the expected shape without publishing.
     pub fn validate(&self, frames: &[Vec<f32>]) -> Result<(), PublishError> {
-        let Some(expected) = &self.expected else {
-            return Ok(());
-        };
+        let expected = &self.expected;
         if frames.len() != expected.len() {
             return Err(PublishError::LayerCount {
                 got: frames.len(),
@@ -347,10 +271,9 @@ impl PredictionStore {
         Ok(())
     }
 
-    /// Publishes a new multi-scale snapshot (`frames[layer]` flat). On a
-    /// checked store ([`PredictionStore::for_hierarchy`]) a malformed
-    /// snapshot is error-logged and dropped — readers keep the previous
-    /// snapshot instead of serving garbage.
+    /// Publishes a new multi-scale snapshot (`frames[layer]` flat). A
+    /// malformed snapshot is error-logged and dropped — readers keep the
+    /// previous snapshot instead of serving garbage.
     pub fn publish(&self, frames: Vec<Vec<f32>>) {
         if let Err(e) = self.publish_checked(frames) {
             o4a_obs::counter!(
@@ -386,642 +309,339 @@ impl PredictionStore {
     }
 }
 
-/// The model-server side of the online phase (Fig. 4): wraps a trained
-/// pyramid predictor and pushes fresh multi-scale snapshots into a
-/// [`PredictionStore`] at every prediction interval — the stand-in for the
-/// paper's "deployed ST model continuously synchronizes multi-scale
-/// predictions with HBase at preset intervals".
-pub struct ModelServer<P> {
-    model: P,
-    store: Arc<PredictionStore>,
-}
-
-impl<P: o4a_models::multiscale::PyramidPredictor> ModelServer<P> {
-    /// Creates a model server over a trained predictor.
-    pub fn new(model: P, store: Arc<PredictionStore>) -> Self {
-        ModelServer { model, store }
-    }
-
-    /// The shared store region servers read from.
-    pub fn store(&self) -> Arc<PredictionStore> {
-        self.store.clone()
-    }
-
-    /// Predicts slot `t` at every scale and publishes the snapshot.
-    pub fn publish_slot(
-        &mut self,
-        flow: &o4a_data::flow::FlowSeries,
-        cfg: &o4a_data::features::TemporalConfig,
-        t: usize,
-    ) {
-        let frames: Vec<Vec<f32>> = self
-            .model
-            .predict_pyramid(flow, cfg, &[t])
-            .into_iter()
-            .map(|mut per_t| per_t.remove(0))
-            .collect();
-        self.store.publish(frames);
-    }
-
-    /// Access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut P {
-        &mut self.model
-    }
-}
-
-/// Masks the decomposition memo retains. Serving workloads query a small
-/// working set of regions over and over (every snapshot refresh re-answers
-/// the same masks), so a few hundred entries cover the common case while
-/// bounding memory for adversarial mask streams.
-const DECOMP_CACHE_CAP: usize = 256;
-
-/// Whether the compiled query path is enabled for new servers:
-/// `O4A_COMPILED=0` turns it off (every query interprets), anything else
-/// leaves it on. Results are bit-identical either way; the knob exists
-/// for A/B benchmarking and incident bisection.
-fn compiled_path_enabled() -> bool {
-    std::env::var("O4A_COMPILED").map_or(true, |v| v != "0")
-}
-
-/// An LRU memo of mask → hierarchical decomposition.
-///
-/// Decomposition depends only on the mask (never on the snapshot), so a
-/// repeated region query — the serving common case — can skip Algorithm 1
-/// entirely. Entries carry a last-use stamp from a shared clock; inserts
-/// past capacity evict the stalest entry. Hit/miss counters are surfaced
-/// through the serving layer's STATS verb.
-///
-/// Public so other query backends (the ensemble server) reuse the exact
-/// memo the [`RegionServer`] runs; internals stay private.
-#[derive(Debug)]
-pub struct DecompCache {
-    /// `(entries keyed by mask -> (groups, last-use stamp), clock)`.
-    map: Mutex<(HashMap<Mask, DecompEntry>, u64)>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Cached decomposition plus its last-use stamp.
-type DecompEntry = (Arc<Vec<DecomposedGroup>>, u64);
-
-impl Default for DecompCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DecompCache {
-    /// Creates an empty memo with capacity from the `O4A_DECOMP_CACHE`
-    /// environment variable (default 256 — see [`DECOMP_CACHE_CAP`]'s
-    /// working-set argument; the serve binary's `--decomp-cache` flag
-    /// sets the variable).
-    pub fn new() -> Self {
-        let cap = std::env::var("O4A_DECOMP_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DECOMP_CACHE_CAP);
-        Self::with_capacity(cap)
-    }
-
-    /// Creates an empty memo holding at most `cap` decompositions.
-    pub fn with_capacity(cap: usize) -> Self {
-        DecompCache {
-            map: Mutex::new((HashMap::new(), 0)),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses)` since the memo was created.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Decompositions currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.lock().0.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured entry cap.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Returns the cached decomposition, computing (outside the lock) and
-    /// inserting it on a miss.
-    pub fn get(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        {
-            let mut guard = self.map.lock();
-            let (map, clock) = &mut *guard;
-            if let Some((groups, stamp)) = map.get_mut(mask) {
-                *clock += 1;
-                *stamp = *clock;
-                let groups = groups.clone();
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                o4a_obs::counter!(
-                    "o4a_decomp_cache_hits_total",
-                    "decomposition-memo hits across all region servers"
-                )
-                .inc();
-                return groups;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "decomposition-memo misses across all region servers"
-        )
-        .inc();
-        let groups = Arc::new(decompose(hier, mask));
-        let mut guard = self.map.lock();
-        let (map, clock) = &mut *guard;
-        if map.len() >= self.cap && !map.contains_key(mask) {
-            if let Some(stale) = map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(m, _)| m.clone())
-            {
-                map.remove(&stale);
-            }
-        }
-        *clock += 1;
-        map.insert(mask.clone(), (groups.clone(), *clock));
-        let entries = map.len();
-        drop(guard);
-        o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized"
-        )
-        .set(entries as f64);
-        groups
-    }
-}
-
-/// The online region-query server: decomposition + quad-tree index +
-/// prediction store, with an LRU memo of mask decompositions and a
-/// snapshot-versioned cache of compiled query plans
-/// ([`crate::compiled`]). Setting `O4A_COMPILED=0` disables the compiled
-/// path (every query interprets), for A/B benchmarking — results are
-/// bit-identical either way.
-pub struct RegionServer {
-    hier: Hierarchy,
-    index: CombinationIndex,
-    store: Arc<PredictionStore>,
-    decomp_cache: DecompCache,
-    plan_cache: PlanCache,
-    compiled_terms: AtomicU64,
-    compiled_enabled: bool,
-}
+/// Compiled plans one engine retains. The unsharded entry points cache
+/// one plan per hot *mask*, the shard leg one per decomposed *group*, and
+/// a mask working set fans out to roughly an order of magnitude more
+/// distinct groups (the serve fixture's 138-mask pool yields ~1.4k).
+/// Single-group plans are a few hundred bytes, so the headroom costs
+/// ~1-2 MB.
+const PLAN_CACHE_CAP: usize = 4096;
 
 /// Estimated pool-cost units (~scalar flop equivalents) of answering one
-/// mask: decomposition plus index lookups and aggregation, a few
-/// microseconds of work. Threaded into [`o4a_tensor::parallel::run`] so
-/// small batches (fewer than `PARALLEL_CUTOFF / QUERY_COST` ≈ 64 masks)
-/// take the serial path instead of paying the pool wake-up — the fix for
-/// the `query_many_batch` regression in BENCH_kernels.json.
+/// mask: a plan-cache lookup plus execution, a few microseconds of work.
+/// Threaded into [`o4a_tensor::parallel::run`] so small batches (fewer
+/// than `PARALLEL_CUTOFF / QUERY_COST` ≈ 64 masks) take the serial path
+/// instead of paying the pool wake-up.
 const QUERY_COST: usize = 8192;
 
-impl RegionServer {
-    /// Creates a server over a searched index and a prediction store.
-    pub fn new(index: CombinationIndex, store: Arc<PredictionStore>) -> Self {
-        // Resolve the kernel ISA dispatch now so the o4a_isa_* gauges are
-        // registered before the first scrape (and the choice is logged
-        // during server bring-up rather than mid-query).
-        let _ = o4a_tensor::isa::active();
-        // Pre-register the query-path metrics so a scrape before the
-        // first query already exposes the stage histograms and memo
-        // counters at zero (no samples are recorded here).
-        let _ = o4a_obs::histogram!(
-            "o4a_query_decompose_ns",
-            "per-query hierarchical decomposition time (memo lookup on a cache hit)"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_query_lookup_ns",
-            "per-query combination-index lookup time"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_query_aggregate_ns",
-            "per-query signed aggregation time over the prediction snapshot"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_hits_total",
-            "decomposition-memo hits across all region servers"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_decomp_cache_misses_total",
-            "decomposition-memo misses across all region servers"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_hits_total",
-            "compiled-plan cache hits across all query backends"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_misses_total",
-            "compiled-plan cache misses across all query backends"
-        );
-        let _ = o4a_obs::counter!(
-            "o4a_plan_cache_evictions_total",
-            "compiled plans evicted by the LRU cap"
-        );
-        let _ = o4a_obs::gauge!("o4a_plan_cache_entries", "compiled plans currently cached");
-        let _ = o4a_obs::gauge!(
-            "o4a_decomp_cache_entries",
-            "decompositions currently memoized"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_compiled_terms",
-            "resolved terms per compiled query execution"
-        );
-        RegionServer {
-            hier: index.hier.clone(),
-            index,
-            store,
-            decomp_cache: DecompCache::new(),
-            plan_cache: PlanCache::new(),
-            compiled_terms: AtomicU64::new(0),
-            compiled_enabled: compiled_path_enabled(),
+/// What a compiled plan is cached under: the query mask (the unsharded
+/// entry points), or one decomposed group (the shard leg, whose masks
+/// the router decomposed).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PlanKey {
+    Mask(Mask),
+    Group(DecomposedGroup),
+}
+
+/// The borrowed form of a [`PlanKey`] that lookups hash and compare, so a
+/// cache hit never builds one.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Mask(&'a Mask),
+    Group(&'a DecomposedGroup),
+}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // a discriminant byte keeps the two keyspaces apart
+        match self {
+            Key::Mask(m) => {
+                h.write_u8(0);
+                m.hash(h);
+            }
+            Key::Group(g) => {
+                h.write_u8(1);
+                g.hash(h);
+            }
+        }
+    }
+}
+
+impl CacheKey<PlanKey> for Key<'_> {
+    fn matches(&self, key: &PlanKey) -> bool {
+        match (self, key) {
+            (Key::Mask(a), PlanKey::Mask(b)) => *a == b,
+            (Key::Group(a), PlanKey::Group(b)) => *a == b,
+            _ => false,
         }
     }
 
-    /// `(hits, misses)` of the decomposition memo since the server was
-    /// created. Surfaced by the serving layer's STATS verb.
-    pub fn decomp_cache_stats(&self) -> (u64, u64) {
-        self.decomp_cache.stats()
+    fn to_key(&self) -> PlanKey {
+        match *self {
+            Key::Mask(m) => PlanKey::Mask(m.clone()),
+            Key::Group(g) => PlanKey::Group(g.clone()),
+        }
     }
+}
 
-    /// `(hits, misses, evictions)` of the compiled-plan cache since the
-    /// server was created. Surfaced by the serving layer's STATS verb.
-    pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        self.plan_cache.stats()
-    }
+/// Per-stage wall times of one answered unit: a mask, or one shard call's
+/// groups.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stages {
+    decompose: Duration,
+    lookup: Duration,
+    aggregate: Duration,
+}
 
-    /// Total terms answered through the compiled path since start.
-    pub fn compiled_terms(&self) -> u64 {
-        self.compiled_terms.load(Ordering::Relaxed)
-    }
-
-    /// Whether the compiled query path is active (`O4A_COMPILED` unset or
-    /// not `0`).
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled_enabled
-    }
-
-    /// Bumps the compiled-terms counter and histogram after a successful
-    /// compiled execution.
-    fn note_compiled(&self, terms: usize) {
-        self.compiled_terms
-            .fetch_add(terms as u64, Ordering::Relaxed);
+/// The query-stage histograms (registered on first use): decompose,
+/// lookup, aggregate, then terms per execution.
+fn stage_histograms() -> [&'static Histogram; 4] {
+    [
+        o4a_obs::histogram!(
+            "o4a_query_decompose_ns",
+            "per-query hierarchical decomposition time (zero on a plan-cache hit)"
+        ),
+        o4a_obs::histogram!(
+            "o4a_query_lookup_ns",
+            "per-query plan-cache lookup time (including the compile on a miss)"
+        ),
+        o4a_obs::histogram!(
+            "o4a_query_aggregate_ns",
+            "per-query signed aggregation time over the prediction snapshots"
+        ),
         o4a_obs::histogram!(
             "o4a_compiled_terms",
             "resolved terms per compiled query execution"
-        )
-        .record(terms as u64);
-    }
+        ),
+    ]
+}
 
-    /// Answers one decomposed query against `frames` without stage
-    /// timing: the compiled path when it's enabled and the plan matches
-    /// the snapshot layout, the interpreter otherwise — bit-identical
-    /// either way.
-    fn answer_value(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        frames: &FrameSet,
-        view: &FrameView<'_>,
-    ) -> f32 {
-        if self.compiled_enabled {
-            let plan = match mask {
-                Some(m) => self
-                    .plan_cache
-                    .get_or_compile_mask(m, 0, || compile_groups(&self.index, groups)),
-                None => self
-                    .plan_cache
-                    .get_or_compile_groups(groups, 0, || compile_groups(&self.index, groups)),
-            };
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&[frames], s)) {
-                self.note_compiled(plan.num_terms());
-                return v;
-            }
-        }
-        predict_query_decomposed_view(&self.hier, &self.index, view, groups)
-    }
-
-    /// [`RegionServer::answer_value`] with per-stage durations: returns
-    /// `(value, lookup, aggregate)` where lookup covers plan-cache
-    /// get-or-compile (or interpreted index lookups) and aggregate covers
-    /// execution — so `lookup + aggregate` is the exact index time.
-    fn answer_timed(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        frames: &FrameSet,
-        view: &FrameView<'_>,
-    ) -> (f32, Duration, Duration) {
-        let mut lookup_acc = Duration::ZERO;
-        if self.compiled_enabled {
-            let t1 = Instant::now();
-            let plan = match mask {
-                Some(m) => self
-                    .plan_cache
-                    .get_or_compile_mask(m, 0, || compile_groups(&self.index, groups)),
-                None => self
-                    .plan_cache
-                    .get_or_compile_groups(groups, 0, || compile_groups(&self.index, groups)),
-            };
-            lookup_acc += t1.elapsed();
-            let t2 = Instant::now();
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&[frames], s)) {
-                self.note_compiled(plan.num_terms());
-                return (v, lookup_acc, t2.elapsed());
-            }
-            // snapshot layout drifted from the hierarchy (loose store):
-            // the failed attempt counts toward lookup, then interpret
-            lookup_acc += t2.elapsed();
-        }
-        let t1 = Instant::now();
-        let plans: Vec<GroupPlan<'_>> = groups
-            .iter()
-            .map(|g| lookup_group(&self.hier, &self.index, g))
-            .collect();
-        lookup_acc += t1.elapsed();
-        let t2 = Instant::now();
-        let v: f32 = plans
-            .iter()
-            .map(|p| evaluate_plan(&self.hier, view, p))
-            .sum();
-        (v, lookup_acc, t2.elapsed())
-    }
-
-    fn decomposed(&self, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        self.decomp_cache.get(&self.hier, mask)
-    }
-
-    /// The hierarchy served.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hier
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &CombinationIndex {
-        &self.index
-    }
-
-    /// The prediction store queries are answered from (the serving layer
-    /// polls its readiness before admitting traffic).
-    pub fn store(&self) -> &Arc<PredictionStore> {
-        &self.store
-    }
-
-    /// Answers a region query against the latest published snapshot.
-    ///
-    /// # Panics
-    /// Panics if no snapshot has been published yet.
-    pub fn query(&self, mask: &Mask) -> f32 {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let groups = self.decomposed(mask);
-        let view = frames.view();
-        self.answer_value(Some(mask), &groups, &frames, &view)
-    }
-
-    /// Answers a query and reports the timing breakdown. The decomposition
-    /// stage reports the memo lookup time — near zero on a cache hit. The
-    /// three internal stages (decompose, index lookup, aggregation) are
-    /// also recorded into the global metrics registry; `QueryTiming.index`
-    /// stays the exact sum of the lookup and aggregation stages.
-    pub fn query_timed(&self, mask: &Mask) -> (f32, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        let t0 = Instant::now();
-        let groups = self.decomposed(mask);
-        let decompose_t = t0.elapsed();
-        let (value, lookup_t, aggregate_t) = self.answer_timed(Some(mask), &groups, &frames, &view);
-        record_query_stages(decompose_t, lookup_t, aggregate_t);
-        (
-            value,
-            QueryTiming {
-                decompose: decompose_t,
-                index: lookup_t + aggregate_t,
-            },
-        )
-    }
-
-    /// Answers a batch of queries.
-    ///
-    /// Takes **one** snapshot up front — the whole batch is answered
-    /// against a consistent set of predictions even if the model server
-    /// publishes mid-batch (per-mask [`RegionServer::query`] could mix two
-    /// snapshots across the batch) — then fans the masks out across the
-    /// compute pool in [`o4a_tensor::parallel`]. Each task decomposes,
-    /// looks up and aggregates one mask into its own output slot, so the
-    /// result vector is identical to the serial loop. The per-mask
-    /// [`QUERY_COST`] estimate keeps small batches on the caller thread:
-    /// below the pool's adaptive cutoff the wake-up would cost more than
-    /// the whole batch.
-    ///
-    /// # Panics
-    /// Panics if no snapshot has been published yet.
-    pub fn query_many(&self, masks: &[Mask]) -> Vec<f32> {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        let mut out = vec![0.0f32; masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let groups = self.decomposed(&masks[i]);
-            let v = self.answer_value(Some(&masks[i]), &groups, &frames, &view);
-            // SAFETY: task `i` writes only slot `i`; `out` outlives the
-            // blocking `run` call.
-            unsafe { out_ptr.slice_mut(i, 1)[0] = v };
-        });
-        out
-    }
-
-    /// Like [`RegionServer::query_many`] but also reports the aggregate
-    /// timing breakdown over the batch: the per-mask decomposition and
-    /// lookup/aggregation times are measured inside each parallel task and
-    /// summed, so the result is total CPU time spent in each stage (wall
-    /// time is lower when the fan-out runs on several workers).
-    ///
-    /// # Panics
-    /// Panics if no snapshot has been published yet.
-    pub fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        let mut out = vec![0.0f32; masks.len()];
-        let mut dec_ns = vec![0u64; masks.len()];
-        let mut idx_ns = vec![0u64; masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        let dec_ptr = o4a_tensor::parallel::SendPtr(dec_ns.as_mut_ptr());
-        let idx_ptr = o4a_tensor::parallel::SendPtr(idx_ns.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let t0 = Instant::now();
-            let groups = self.decomposed(&masks[i]);
-            let decompose_t = t0.elapsed();
-            let (v, lookup_t, aggregate_t) =
-                self.answer_timed(Some(&masks[i]), &groups, &frames, &view);
-            // Stage histograms are lock-free atomics, safe to bump from
-            // inside pool tasks.
-            record_query_stages(decompose_t, lookup_t, aggregate_t);
-            // SAFETY: task `i` writes only slot `i` of each vector; all
-            // three outlive the blocking `run` call.
-            unsafe {
-                out_ptr.slice_mut(i, 1)[0] = v;
-                dec_ptr.slice_mut(i, 1)[0] = decompose_t.as_nanos() as u64;
-                idx_ptr.slice_mut(i, 1)[0] = (lookup_t + aggregate_t).as_nanos() as u64;
-            }
-        });
-        let timing = QueryTiming {
-            decompose: Duration::from_nanos(dec_ns.iter().sum()),
-            index: Duration::from_nanos(idx_ns.iter().sum()),
-        };
-        (out, timing)
-    }
-
-    /// Evaluates already-decomposed groups against one consistent
-    /// snapshot, returning one value per group — the shard-serving entry
-    /// point. A shard router splits a mask's decomposition by ownership,
-    /// calls this on each shard, and folds the per-group values back in
-    /// decompose order; because each group's accumulation is
-    /// self-contained (see [`evaluate_group`]) the merged sum is
-    /// bit-identical to the unsharded [`RegionServer::query`].
-    /// `QueryTiming.decompose` is zero — decomposition happened at the
-    /// router.
-    ///
-    /// # Panics
-    /// Panics if no snapshot has been published yet.
-    pub fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        let frames = self.store.snapshot();
-        assert!(!frames.is_empty(), "no prediction snapshot published");
-        let view = frames.view();
-        // this runs on the caller's thread, so a sharded request's trace
-        // id (set by the executor) is visible here for stage spans
-        let tid = o4a_obs::trace::current();
-        let t1 = Instant::now();
-        let t1_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        // lookup stage: per-group plan-cache get-or-compile on the
-        // compiled path — a shard's slice is a batch-dependent
-        // concatenation of many masks' groups, so a whole-slice key would
-        // almost never repeat, while individual groups recur across
-        // batches — per-group index lookups on the interpreted one
-        let compiled: Option<Vec<Arc<CompiledPlan>>> = if self.compiled_enabled {
-            Some(
-                groups
-                    .iter()
-                    .map(|g| {
-                        let one = std::slice::from_ref(g);
-                        self.plan_cache
-                            .get_or_compile_groups(one, 0, || compile_groups(&self.index, one))
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut plans: Vec<GroupPlan<'_>> = Vec::new();
-        if compiled.is_none() {
-            plans = groups
-                .iter()
-                .map(|g| lookup_group(&self.hier, &self.index, g))
-                .collect();
-        }
-        let lookup_t = t1.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Lookup as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t1_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
-        let t2 = Instant::now();
-        let t2_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        let mut values: Option<Vec<f32>> = None;
-        if let Some(cplans) = &compiled {
-            let mut out = Vec::with_capacity(cplans.len());
-            let mut terms = 0usize;
-            let ok = with_scratch(|s| {
-                for plan in cplans {
-                    match plan.execute_one(&[&*frames], s) {
-                        Some(v) => {
-                            out.push(v);
-                            terms += plan.num_terms();
-                        }
-                        None => return false,
-                    }
-                }
-                true
-            });
-            if ok {
-                self.note_compiled(terms);
-                values = Some(out);
-            }
-        }
-        let values: Vec<f32> = values.unwrap_or_else(|| {
-            // interpreted fallback (compiled disabled, or the snapshot's
-            // layout drifted from the hierarchy on a loose store)
-            if plans.is_empty() && !groups.is_empty() {
-                plans = groups
-                    .iter()
-                    .map(|g| lookup_group(&self.hier, &self.index, g))
-                    .collect();
-            }
-            plans
-                .iter()
-                .map(|p| evaluate_plan(&self.hier, &view, p))
-                .collect()
-        });
-        let aggregate_t = t2.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Aggregate as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t2_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
-        (
-            values,
-            QueryTiming {
-                decompose: Duration::ZERO,
-                index: lookup_t + aggregate_t,
-            },
-        )
+/// Start time of a trace span, or 0 when the call is untraced.
+fn span_start(tid: u64) -> u64 {
+    if tid != 0 {
+        trace::now_ns()
+    } else {
+        0
     }
 }
 
-/// What the serving layer needs from a query engine: the [`RegionServer`]
-/// (one model, one index) and the ensemble server (a persisted
-/// [(model, Combination)] plan over several member stores) both answer
-/// region queries as pure lookup + aggregate, so `o4a_serve` runs either
+/// Emits a shard-leg stage span (a no-op when untraced).
+fn emit_span(tid: u64, span: SpanKind, t_start_ns: u64, items: usize) {
+    if tid != 0 {
+        trace::emit(&SpanEvent {
+            trace_id: tid,
+            span: span as u16,
+            parent: SpanKind::ShardScatter as u16,
+            lane: 0,
+            t_start_ns,
+            t_end_ns: trace::now_ns(),
+            bytes: items as u64,
+        });
+    }
+}
+
+/// The prediction stores an [`Engine`] answers from, one per resolver
+/// member: a single store for a [`RegionServer`], a list for an ensemble.
+pub struct MemberStores(Vec<Arc<PredictionStore>>);
+
+impl From<Arc<PredictionStore>> for MemberStores {
+    fn from(store: Arc<PredictionStore>) -> Self {
+        MemberStores(vec![store])
+    }
+}
+
+impl From<Vec<Arc<PredictionStore>>> for MemberStores {
+    fn from(stores: Vec<Arc<PredictionStore>>) -> Self {
+        MemberStores(stores)
+    }
+}
+
+/// The online query engine: a [`Resolver`] over one [`PredictionStore`]
+/// per member, answering every query through compiled plans kept in one
+/// [`ClockCache`] (keyed by mask, or by group on the shard leg, under the
+/// resolver's epoch).
+pub struct Engine<R> {
+    resolver: R,
+    stores: Vec<Arc<PredictionStore>>,
+    plans: ClockCache<PlanKey, Arc<CompiledPlan>>,
+    compiled_terms: AtomicU64,
+    /// Per member: terms read from that member per query (empty when the
+    /// resolver registers none). Per-member *time* cannot be measured
+    /// without splitting the accumulation by member, which would change
+    /// the reduction order — term counts are the per-member signal.
+    member_terms: Vec<Arc<Histogram>>,
+}
+
+/// The single-model query engine: one combination index over one store.
+pub type RegionServer = Engine<CombinationIndex>;
+
+impl<R: Resolver> Engine<R> {
+    /// Creates an engine over a resolver and its member stores
+    /// (`stores[m]` backs member `m`).
+    ///
+    /// # Panics
+    /// Panics unless there is one store per member and every store was
+    /// built for the resolver's hierarchy
+    /// ([`PredictionStore::for_hierarchy`]) — so a snapshot whose layout
+    /// the compiled plans do not address can never reach a query.
+    pub fn new(resolver: R, stores: impl Into<MemberStores>) -> Self {
+        let stores = stores.into().0;
+        assert!(resolver.members() > 0, "resolver has no members");
+        assert_eq!(
+            stores.len(),
+            resolver.members(),
+            "one prediction store per plan member"
+        );
+        assert!(
+            stores.iter().all(|s| s.built_for(resolver.hierarchy())),
+            "a prediction store was built for another hierarchy"
+        );
+        // Resolve the kernel ISA dispatch now so the o4a_isa_* gauges are
+        // registered before the first scrape (and the choice is logged
+        // during bring-up rather than mid-query), and pre-register the
+        // stage histograms so a scrape before the first query exposes
+        // them at zero.
+        let _ = o4a_tensor::isa::active();
+        let _ = stage_histograms();
+        let reg = o4a_obs::global();
+        let metrics = CacheMetrics {
+            hits: reg.counter(
+                "o4a_plan_cache_hits_total",
+                "compiled-plan cache hits across all query engines",
+            ),
+            misses: reg.counter(
+                "o4a_plan_cache_misses_total",
+                "compiled-plan cache misses across all query engines",
+            ),
+            evictions: reg.counter(
+                "o4a_plan_cache_evictions_total",
+                "compiled plans evicted by the CLOCK cap",
+            ),
+            entries: reg.gauge("o4a_plan_cache_entries", "compiled plans currently cached"),
+        };
+        Engine {
+            member_terms: resolver.register_metrics(),
+            resolver,
+            stores,
+            plans: ClockCache::new(PLAN_CACHE_CAP, metrics),
+            compiled_terms: AtomicU64::new(0),
+        }
+    }
+
+    /// The plan queries resolve through: a [`RegionServer`]'s
+    /// combination index, or an ensemble's per-region model plan.
+    pub fn plan(&self) -> &R {
+        &self.resolver
+    }
+
+    /// Answers a region query against the latest published snapshots.
+    ///
+    /// # Panics
+    /// Panics if a member store has no published snapshot yet.
+    pub fn query(&self, mask: &Mask) -> f32 {
+        self.query_timed(mask).0
+    }
+
+    /// [`Engine::query`] with its timing breakdown.
+    pub fn query_timed(&self, mask: &Mask) -> (f32, QueryTiming) {
+        let (values, timing) = self.query_many_timed(std::slice::from_ref(mask));
+        (values[0], timing)
+    }
+
+    /// [`QueryBackend::query_many_timed`] without the timing.
+    pub fn query_many(&self, masks: &[Mask]) -> Vec<f32> {
+        self.query_many_timed(masks).0
+    }
+
+    /// One consistent snapshot per member, taken up front.
+    fn snapshots(&self) -> Vec<Arc<FrameSet>> {
+        let snaps: Vec<Arc<FrameSet>> = self.stores.iter().map(|s| s.snapshot()).collect();
+        assert!(
+            snaps.iter().all(|s| !s.is_empty()),
+            "no prediction snapshot published"
+        );
+        snaps
+    }
+
+    /// Get-or-compile → execute → record: the one path every query takes.
+    ///
+    /// Fetches each key's plan from the cache — decomposing a mask and
+    /// compiling only on a miss — then executes the plans against
+    /// `snaps`, writing one value per key into `out`: a mask's answer or
+    /// a group's value. Stage times and term counts are recorded here and
+    /// nowhere else, and so — on the shard leg, under the caller's
+    /// shard-scatter span — are the lookup and aggregate trace spans.
+    fn answer(
+        &self,
+        keys: &[Key<'_>],
+        snaps: &[&FrameSet],
+        out: &mut [f32],
+        shard_leg: bool,
+    ) -> Stages {
+        // the shard leg runs on the caller's thread, so a sharded
+        // request's trace id (set by the executor) is visible here
+        let tid = if shard_leg { trace::current() } else { 0 };
+        let epoch = self.resolver.epoch();
+        let mut st = Stages::default();
+
+        let lookup_ns = span_start(tid);
+        let t0 = Instant::now();
+        let plans: Vec<Arc<CompiledPlan>> = keys
+            .iter()
+            .map(|key| {
+                self.plans.get_or_insert_with(key, epoch, || {
+                    Arc::new(match *key {
+                        Key::Mask(mask) => {
+                            let t = Instant::now();
+                            let groups = decompose(self.resolver.hierarchy(), mask);
+                            st.decompose += t.elapsed();
+                            compile_groups(&self.resolver, &groups)
+                        }
+                        Key::Group(group) => {
+                            compile_groups(&self.resolver, std::slice::from_ref(group))
+                        }
+                    })
+                })
+            })
+            .collect();
+        st.lookup = t0.elapsed().saturating_sub(st.decompose);
+        emit_span(tid, SpanKind::Lookup, lookup_ns, keys.len());
+
+        let aggregate_ns = span_start(tid);
+        let t1 = Instant::now();
+        with_scratch(|s| {
+            for ((key, plan), value) in keys.iter().zip(&plans).zip(out.iter_mut()) {
+                let v = match key {
+                    Key::Mask(_) => plan.execute_sum(snaps, s),
+                    Key::Group(_) => plan.execute_one(snaps, s),
+                };
+                // stores are checked against the hierarchy at construction
+                *value = v.expect("snapshot layout matches the compiled plan");
+            }
+        });
+        st.aggregate = t1.elapsed();
+        emit_span(tid, SpanKind::Aggregate, aggregate_ns, keys.len());
+
+        let [decompose_h, lookup_h, aggregate_h, terms_h] = stage_histograms();
+        decompose_h.record(st.decompose.as_nanos() as u64);
+        lookup_h.record(st.lookup.as_nanos() as u64);
+        aggregate_h.record(st.aggregate.as_nanos() as u64);
+        let terms: u64 = plans.iter().map(|p| p.num_terms() as u64).sum();
+        self.compiled_terms.fetch_add(terms, Ordering::Relaxed);
+        terms_h.record(terms);
+        for (m, hist) in self.member_terms.iter().enumerate() {
+            hist.record(
+                plans
+                    .iter()
+                    .map(|p| p.member_terms().get(m).map_or(0, |&n| n as u64))
+                    .sum(),
+            );
+        }
+        st
+    }
+}
+
+impl Engine<CombinationIndex> {
+    /// The underlying index ([`Engine::plan`] under its single-model
+    /// name).
+    pub fn index(&self) -> &CombinationIndex {
+        &self.resolver
+    }
+}
+
+/// What the serving layer needs from a query backend: an [`Engine`] over
+/// either resolver, or a shard router over engines, all answer region
+/// queries as pure lookup + aggregate, so `o4a_serve` runs any of them
 /// behind this trait without knowing which.
 pub trait QueryBackend: Send + Sync {
     /// The hierarchy queries are decomposed against.
@@ -1045,8 +665,12 @@ pub trait QueryBackend: Send + Sync {
     /// (decomposition happened at the router).
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming);
 
-    /// `(hits, misses)` of the backend's decomposition memo.
-    fn decomp_cache_stats(&self) -> (u64, u64);
+    /// `(hits, misses)` of the backend's mask → decomposition memo; zeros
+    /// for a backend without one (an engine keys its plans by mask and
+    /// decomposes only on a miss, so only a shard router keeps a memo).
+    fn decomp_cache_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
 
     /// `(hits, misses, evictions)` of the backend's compiled-plan cache;
     /// all zeros for a backend without one.
@@ -1054,8 +678,8 @@ pub trait QueryBackend: Send + Sync {
         (0, 0, 0)
     }
 
-    /// Total terms answered through the compiled path since start; `0`
-    /// for a backend without one.
+    /// Total terms answered through compiled plans since start; `0` for a
+    /// backend without them.
     fn compiled_terms(&self) -> u64 {
         0
     }
@@ -1074,33 +698,74 @@ pub trait QueryBackend: Send + Sync {
     }
 }
 
-impl QueryBackend for RegionServer {
+/// The batch path takes **one** snapshot per member up front — the whole
+/// batch is answered against a consistent snapshot set even if a model
+/// server publishes mid-batch — then fans the masks out across the
+/// compute pool in [`o4a_tensor::parallel`]. Each task answers one mask
+/// into its own output slot, so the result vector is identical to the
+/// serial loop; the per-mask `QUERY_COST` estimate keeps small batches
+/// on the caller thread, where the pool wake-up would cost more than the
+/// whole batch. Stage times are measured inside each task and summed, so
+/// they are total CPU time. Both entry points panic if a member store has
+/// no published snapshot yet.
+impl<R: Resolver> QueryBackend for Engine<R> {
     fn hierarchy(&self) -> &Hierarchy {
-        RegionServer::hierarchy(self)
+        self.resolver.hierarchy()
     }
 
+    /// Whether every member store has published a snapshot, so a query
+    /// never mixes a real member snapshot with an empty one.
     fn is_ready(&self) -> bool {
-        self.store.is_ready()
+        self.stores.iter().all(|s| s.is_ready())
     }
 
     fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        RegionServer::query_many_timed(self, masks)
+        let snaps = self.snapshots();
+        let snaps: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
+        let mut out = vec![0.0f32; masks.len()];
+        let mut stages = vec![Stages::default(); masks.len()];
+        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
+        let stages_ptr = o4a_tensor::parallel::SendPtr(stages.as_mut_ptr());
+        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
+            // SAFETY: task `i` writes only slot `i` of each vector; both
+            // outlive the blocking `run` call.
+            let (value, st) = unsafe { (out_ptr.slice_mut(i, 1), stages_ptr.slice_mut(i, 1)) };
+            st[0] = self.answer(&[Key::Mask(&masks[i])], &snaps, value, false);
+        });
+        let timing = QueryTiming {
+            decompose: stages.iter().map(|s| s.decompose).sum(),
+            index: stages.iter().map(|s| s.lookup + s.aggregate).sum(),
+        };
+        (out, timing)
     }
 
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        RegionServer::query_groups_timed(self, groups)
-    }
-
-    fn decomp_cache_stats(&self) -> (u64, u64) {
-        RegionServer::decomp_cache_stats(self)
+        let snaps = self.snapshots();
+        let snaps: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
+        // one key per group: a shard's slice is a batch-dependent
+        // concatenation of many masks' groups, so a whole-slice key would
+        // almost never repeat, while individual groups recur across
+        // batches
+        let keys: Vec<Key<'_>> = groups.iter().map(Key::Group).collect();
+        let mut out = vec![0.0f32; groups.len()];
+        let st = self.answer(&keys, &snaps, &mut out, true);
+        let timing = QueryTiming {
+            decompose: st.decompose,
+            index: st.lookup + st.aggregate,
+        };
+        (out, timing)
     }
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        RegionServer::plan_cache_stats(self)
+        self.plans.stats()
     }
 
     fn compiled_terms(&self) -> u64 {
-        RegionServer::compiled_terms(self)
+        self.compiled_terms.load(Ordering::Relaxed)
+    }
+
+    fn plan_revision(&self) -> u64 {
+        self.resolver.epoch()
     }
 }
 
@@ -1137,6 +802,14 @@ mod tests {
         (hier, index, frames)
     }
 
+    /// A region server over the exact setup with its snapshot published.
+    fn exact_server() -> RegionServer {
+        let (hier, index, frames) = exact_setup();
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
+        store.publish(frames);
+        RegionServer::new(index, store)
+    }
+
     #[test]
     fn exact_predictions_give_exact_region_sums() {
         let (hier, index, frames) = exact_setup();
@@ -1157,41 +830,39 @@ mod tests {
 
     #[test]
     fn store_publish_snapshot() {
-        let store = PredictionStore::new();
+        let store = PredictionStore::for_hierarchy(&hier4());
         assert!(!store.is_ready());
-        store.publish(vec![vec![1.0, 2.0]]);
+        store.publish(vec![vec![1.0; 16], vec![2.0; 4], vec![3.0]]);
         assert!(store.is_ready());
-        assert_eq!(store.snapshot().layer_to_f32(0), vec![1.0, 2.0]);
+        assert_eq!(store.snapshot().layer_to_f32(2), vec![3.0]);
         // publishing again swaps the snapshot
-        store.publish(vec![vec![3.0]]);
-        assert_eq!(store.snapshot().layer_to_f32(0), vec![3.0]);
+        store.publish(vec![vec![1.0; 16], vec![2.0; 4], vec![4.0]]);
+        assert_eq!(store.snapshot().layer_to_f32(2), vec![4.0]);
     }
 
     #[test]
     fn half_storage_narrows_subsequent_publishes() {
-        let store = PredictionStore::new();
+        let store = PredictionStore::for_hierarchy(&hier4());
+        let frames = || vec![vec![1.5; 16], vec![-2.25; 4], vec![4.0]];
         assert!(!store.half_storage());
-        store.publish(vec![vec![1.5, -2.25]]);
+        store.publish(frames());
         assert!(!store.snapshot().is_half());
         store.set_half_storage(true);
         // the already-published snapshot is untouched until the next swap
         assert!(!store.snapshot().is_half());
-        store.publish(vec![vec![1.5, -2.25]]);
+        store.publish(frames());
         let snap = store.snapshot();
         assert!(snap.is_half());
         // these values are f16-exact, so storage is lossless here
-        assert_eq!(snap.layer_to_f32(0), vec![1.5, -2.25]);
+        assert_eq!(snap.layer_to_f32(1), vec![-2.25; 4]);
         store.set_half_storage(false);
-        store.publish(vec![vec![4.0]]);
+        store.publish(frames());
         assert!(!store.snapshot().is_half());
     }
 
     #[test]
     fn server_query_and_timing() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
+        let server = exact_server();
         let mask = Mask::rect(4, 4, 0, 0, 2, 4);
         let (v, timing) = server.query_timed(&mask);
         let expected: f32 = mask.iter_set().map(|(r, c)| (r * 4 + c) as f32).sum();
@@ -1199,49 +870,6 @@ mod tests {
         assert!(timing.total() >= timing.decompose);
         assert_eq!(server.query(&mask), v);
         assert_eq!(server.query_many(std::slice::from_ref(&mask)), vec![v]);
-    }
-
-    #[test]
-    fn model_server_publishes_snapshots() {
-        use o4a_data::features::TemporalConfig;
-        use o4a_data::flow::FlowSeries;
-        use o4a_models::hm::HistoryMean;
-        use o4a_models::multiscale::AggregatingPyramid;
-
-        let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
-        let mut flow = FlowSeries::zeros(40, 4, 4);
-        for t in 0..40 {
-            for r in 0..4 {
-                for c in 0..4 {
-                    flow.set(t, r, c, (t % 4) as f32 + r as f32);
-                }
-            }
-        }
-        let cfg = TemporalConfig {
-            closeness: 1,
-            period: 1,
-            trend: 1,
-            steps_per_day: 4,
-            days_per_week: 2,
-        };
-        let store = Arc::new(PredictionStore::new());
-        let mut server = ModelServer::new(
-            AggregatingPyramid::new(HistoryMean::new(1, 1, 1), hier.clone()),
-            store.clone(),
-        );
-        assert!(!store.is_ready());
-        server.publish_slot(&flow, &cfg, 20);
-        assert!(store.is_ready());
-        let snap = store.snapshot();
-        assert_eq!(snap.num_layers(), 3);
-        assert_eq!(snap.layer_len(0), 16);
-        assert_eq!(snap.layer_len(2), 1);
-        // the coarsest frame is the sum of the atomic frame (aggregating
-        // pyramid invariant), proving the published pyramid is coherent
-        let total: f32 = snap.layer_to_f32(0).iter().sum();
-        assert!((snap.layer_to_f32(2)[0] - total).abs() < 1e-4);
-        let _ = server.model_mut();
-        let _ = server.store();
     }
 
     #[test]
@@ -1270,10 +898,10 @@ mod tests {
             .publish_checked(vec![vec![2.0; 16], vec![2.0; 4], vec![2.0; 1]])
             .unwrap();
         assert!(store.is_ready());
-        // an unchecked store still accepts anything (back-compat)
-        let loose = PredictionStore::new();
-        loose.publish_checked(vec![vec![0.0; 5]]).unwrap();
-        assert!(loose.is_ready());
+        // the store knows which geometry it was built for
+        assert!(store.built_for(&hier));
+        assert!(!store.built_for(&Hierarchy::new(4, 4, 2, 2).unwrap()));
+        assert!(!store.built_for(&Hierarchy::new(8, 8, 2, 3).unwrap()));
     }
 
     #[test]
@@ -1293,70 +921,50 @@ mod tests {
 
     #[test]
     fn region_server_is_a_query_backend() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
+        let server = exact_server();
         let backend: &dyn QueryBackend = &server;
         assert!(backend.is_ready());
         assert_eq!(backend.plan_revision(), 0);
         let mask = Mask::rect(4, 4, 0, 0, 2, 2);
         let (vals, _) = backend.query_many_timed(std::slice::from_ref(&mask));
         assert_eq!(vals, vec![server.query(&mask)]);
-        assert_eq!(backend.decomp_cache_stats().1, 1);
+        // the engine keeps no decomposition memo: one cache, keyed by mask
+        assert_eq!(backend.decomp_cache_stats(), (0, 0));
+        assert_eq!(backend.plan_cache_stats(), (1, 1, 0));
         assert_eq!(backend.hierarchy().h(), 4);
     }
 
     #[test]
-    fn query_many_timed_matches_query_many() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
-        let masks = vec![
-            Mask::rect(4, 4, 0, 0, 2, 2),
-            Mask::rect(4, 4, 1, 1, 3, 4),
-            Mask::rect(4, 4, 0, 0, 4, 4),
-        ];
-        let plain = server.query_many(&masks);
-        let (timed, timing) = server.query_many_timed(&masks);
-        assert_eq!(plain, timed);
-        assert!(timing.total() >= timing.decompose);
-        assert!(server.store().is_ready());
-    }
-
-    #[test]
-    fn decomp_cache_counts_hits_and_misses() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
+    fn plan_cache_counts_hits_and_misses() {
+        let server = exact_server();
         let a = Mask::rect(4, 4, 0, 0, 2, 2);
         let b = Mask::rect(4, 4, 1, 1, 3, 4);
-        assert_eq!(server.decomp_cache_stats(), (0, 0));
+        assert_eq!(server.plan_cache_stats(), (0, 0, 0));
         let va = server.query(&a);
-        assert_eq!(server.decomp_cache_stats(), (0, 1));
-        // repeat queries hit; results are identical to the uncached path
-        assert_eq!(server.query(&a), va);
-        let (vt, _) = server.query_timed(&a);
+        assert_eq!(server.plan_cache_stats(), (0, 1, 0));
+        // repeat queries hit and skip decomposition entirely
+        let (vt, timing) = server.query_timed(&a);
         assert_eq!(vt, va);
-        assert_eq!(server.decomp_cache_stats(), (2, 1));
-        // a new mask misses; a batch mixing both counts one hit + one hit
+        assert_eq!(timing.decompose, Duration::ZERO);
+        assert_eq!(server.query(&a), va);
+        assert_eq!(server.plan_cache_stats(), (2, 1, 0));
+        // a new mask misses; a batch mixing both counts two hits
         let _ = server.query(&b);
-        assert_eq!(server.decomp_cache_stats(), (2, 2));
+        assert_eq!(server.plan_cache_stats(), (2, 2, 0));
         let batch = server.query_many(&[a.clone(), b.clone()]);
         assert_eq!(batch[0], va);
-        assert_eq!(server.decomp_cache_stats(), (4, 2));
+        assert_eq!(server.plan_cache_stats(), (4, 2, 0));
+        // the shard leg keys by group, apart from the mask keys
+        let groups = decompose(server.hierarchy(), &a);
+        let (values, timing) = server.query_groups_timed(&groups);
+        assert_eq!(values.iter().fold(0.0f32, |acc, v| acc + v), va);
+        assert_eq!(timing.decompose, Duration::ZERO);
+        assert_eq!(server.plan_cache_stats().1, 2 + groups.len() as u64);
     }
 
     #[test]
-    fn decomp_cache_evicts_at_capacity() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
-        store.publish(frames);
-        let server = RegionServer::new(index, store);
-        // 4x4 raster has 100 distinct rectangles — cycle enough distinct
-        // masks to exceed any plausible cap; the map must stay bounded.
+    fn plan_cache_stays_bounded() {
+        let server = exact_server();
         for round in 0..4 {
             for r in 0..4 {
                 for c in 0..4 {
@@ -1366,37 +974,35 @@ mod tests {
                 }
             }
         }
-        let len = server.decomp_cache.map.lock().0.len();
-        assert!(len <= DECOMP_CACHE_CAP, "cache grew unbounded: {len}");
+        assert!(server.plans.len() <= PLAN_CACHE_CAP);
         // 16 distinct masks, 4 rounds: first round misses, rest hit
-        assert_eq!(server.decomp_cache_stats(), (48, 16));
+        assert_eq!(server.plan_cache_stats(), (48, 16, 0));
     }
 
     #[test]
     #[should_panic(expected = "no prediction snapshot")]
     fn query_before_publish_panics() {
-        let (_, index, _) = exact_setup();
-        let server = RegionServer::new(index, Arc::new(PredictionStore::new()));
+        let (hier, index, _) = exact_setup();
+        let server = RegionServer::new(index, Arc::new(PredictionStore::for_hierarchy(&hier)));
         server.query(&Mask::rect(4, 4, 0, 0, 1, 1));
     }
 
     #[test]
+    #[should_panic(expected = "one prediction store per plan member")]
+    fn store_count_must_match_the_members() {
+        let (hier, index, _) = exact_setup();
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
+        RegionServer::new(index, vec![store.clone(), store]);
+    }
+
+    #[test]
     fn concurrent_publish_and_query() {
-        let (_, index, frames) = exact_setup();
-        let store = Arc::new(PredictionStore::new());
+        let (hier, index, frames) = exact_setup();
+        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
         store.publish(frames.clone());
         let server = Arc::new(RegionServer::new(index, store.clone()));
         let mask = Mask::rect(4, 4, 0, 0, 2, 2);
-        crossbeam_scope(&server, &store, &mask, frames);
-    }
-
-    fn crossbeam_scope(
-        server: &Arc<RegionServer>,
-        store: &Arc<PredictionStore>,
-        mask: &Mask,
-        frames: Vec<Vec<f32>>,
-    ) {
-        // model server refreshes while region servers answer queries
+        // model server refreshes while query engines answer
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let server = server.clone();

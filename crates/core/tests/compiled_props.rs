@@ -2,7 +2,7 @@
 //!
 //! A [`o4a_core::compiled::CompiledPlan`] is a pure re-expression of the
 //! interpreted query path — same terms, same signs, same fold order — so
-//! its answers must equal `predict_query_decomposed_view` **bit for bit**
+//! its answers must equal the `interpret` oracle **bit for bit**
 //! on every storage precision and every ISA tier, and the plan cache must
 //! never let a compiled plan outlive the snapshot layout or values it was
 //! proven against.
@@ -10,7 +10,7 @@
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::compiled::{compile_groups, with_scratch};
 use o4a_core::frames::FrameSet;
-use o4a_core::server::{predict_query_decomposed_view, PredictionStore, RegionServer};
+use o4a_core::server::{interpret, PredictionStore, QueryBackend, RegionServer};
 use o4a_core::CombinationIndex;
 use o4a_grid::decompose::decompose;
 use o4a_grid::quadtree::ExtendedQuadTree;
@@ -69,13 +69,12 @@ fn seeded_frames(hier: &Hierarchy, seed: u32) -> Vec<Vec<f32>> {
 /// Executes `plan` over `fs` on one forced ISA tier and asserts the bit
 /// pattern equals the interpreted answer over the very same view.
 fn assert_identical_on_all_tiers(
-    hier: &Hierarchy,
     index: &CombinationIndex,
     fs: &FrameSet,
     groups: &[o4a_grid::decompose::DecomposedGroup],
 ) -> Result<(), TestCaseError> {
     let plan = compile_groups(index, groups);
-    let want = predict_query_decomposed_view(hier, index, &fs.view(), groups);
+    let want = interpret(index, &[fs.view()], groups);
     for tier in isa::available() {
         isa::force(Some(tier));
         let got = with_scratch(|s| plan.execute_sum(&[fs], s));
@@ -113,11 +112,11 @@ proptest! {
         let frames = seeded_frames(hier, seed);
 
         let full = FrameSet::from_f32(frames.clone());
-        assert_identical_on_all_tiers(hier, index, &full, &groups)?;
+        assert_identical_on_all_tiers(index, &full, &groups)?;
 
         let half = FrameSet::narrow(frames);
         prop_assert!(half.is_half());
-        assert_identical_on_all_tiers(hier, index, &half, &groups)?;
+        assert_identical_on_all_tiers(index, &half, &groups)?;
     }
 
     /// A foreign index (no entry for any cell) forces the per-cell direct
@@ -134,7 +133,7 @@ proptest! {
         let mask = Mask::rect(SIDE, SIDE, 1, 1, 7, 6);
         let groups = decompose(hier, &mask);
         let fs = FrameSet::from_f32(seeded_frames(hier, seed));
-        assert_identical_on_all_tiers(hier, &foreign, &fs, &groups)?;
+        assert_identical_on_all_tiers(&foreign, &fs, &groups)?;
     }
 }
 
@@ -159,13 +158,10 @@ fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
     let after = server.query(&mask);
     let (h1, m1, _) = server.plan_cache_stats();
 
-    if server.compiled_enabled() {
-        assert_eq!(m1, m0, "same mask + layout must not recompile");
-        assert_eq!(h1, h0 + 1, "second query must hit the plan cache");
-        assert!(server.compiled_terms() > 0, "compiled path must have run");
-    }
-    let want =
-        predict_query_decomposed_view(hier, index, &FrameSet::from_f32(frames2).view(), &groups);
+    assert_eq!(m1, m0, "same mask + layout must not recompile");
+    assert_eq!(h1, h0 + 1, "second query must hit the plan cache");
+    assert!(server.compiled_terms() > 0, "compiled path must have run");
+    let want = interpret(index, &[FrameSet::from_f32(frames2).view()], &groups);
     assert_eq!(
         after.to_bits(),
         want.to_bits(),
@@ -178,46 +174,16 @@ fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
     );
 }
 
-/// A loose (`PredictionStore::new`) store may publish a snapshot whose
-/// layer layout differs from the compiling hierarchy; the cached plan's
-/// layout signature then mismatches and execution must fall back to the
-/// interpreter rather than gather through stale offsets.
+/// The engine serves only stores built for its index's hierarchy, so a
+/// snapshot whose layout the compiled plans do not address can never
+/// reach a query: a store built for another hierarchy is refused at
+/// construction.
 #[test]
-fn layout_change_on_a_loose_store_falls_back_to_interpreted() {
+#[should_panic(expected = "built for another hierarchy")]
+fn engine_rejects_a_store_built_for_another_hierarchy() {
     let (hier, index) = fixture();
-    let frames = seeded_frames(hier, 3);
-    let store = Arc::new(PredictionStore::new());
-    store.publish(frames.clone());
-    let server = RegionServer::new(index.clone(), store.clone());
-    let mask = Mask::rect(SIDE, SIDE, 2, 0, 8, 5);
-
-    let before = server.query(&mask);
-    let terms_before = server.compiled_terms();
-
-    // same values, each layer padded with trailing zeros: every index the
-    // interpreter reads is unchanged, but the layout signature is not
-    let padded: Vec<Vec<f32>> = frames
-        .iter()
-        .map(|l| {
-            let mut l = l.clone();
-            l.push(0.0);
-            l
-        })
-        .collect();
-    store.publish(padded);
-    let after = server.query(&mask);
-
-    assert_eq!(
-        after.to_bits(),
-        before.to_bits(),
-        "interpreted fallback must read the same cells as before padding"
-    );
-    if server.compiled_enabled() {
-        assert!(terms_before > 0, "pre-padding query must have compiled");
-        assert_eq!(
-            server.compiled_terms(),
-            terms_before,
-            "a mismatched layout signature must not execute compiled"
-        );
-    }
+    let other = Hierarchy::new(SIDE, SIDE, 2, hier.num_layers() - 1).unwrap();
+    let store = Arc::new(PredictionStore::for_hierarchy(&other));
+    store.publish_checked(seeded_frames(&other, 3)).unwrap();
+    RegionServer::new(index.clone(), store);
 }

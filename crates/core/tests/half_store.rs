@@ -79,7 +79,7 @@ fn half_storage_queries_stay_within_documented_bound() {
     let index =
         search_optimal_combinations(&hier, &preds, &preds, SearchStrategy::UnionSubtraction);
 
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&hier));
     store.publish(frames.clone());
     let server = RegionServer::new(index, store.clone());
 

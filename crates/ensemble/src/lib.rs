@@ -22,8 +22,8 @@
 //!   never-panicking decoder.
 //! * [`server::EnsembleServer`] answers region queries from the plan and
 //!   one [`o4a_core::server::PredictionStore`] snapshot per member —
-//!   online work stays pure lookup + aggregate, through the same signed
-//!   accumulation chain as the single-model region server.
+//!   online work stays pure lookup + aggregate, on the same query engine
+//!   as the single-model region server.
 //! * [`synthetic::HotspotExpert`] provides deterministic, cheaply
 //!   reconstructible member models for tests, benches and the serve
 //!   binary's synthetic ensemble mode.

@@ -6,9 +6,10 @@
 //! names the member model whose prediction snapshot it reads from.
 //! Evaluation reduces through the same
 //! [`o4a_core::combination::signed_sum`] /
-//! [`o4a_core::combination::term_value`] chain as the single-model path,
-//! so a plan whose terms all name one member answers bit-identically to
-//! that member's own [`o4a_core::server::RegionServer`].
+//! [`o4a_core::combination::term_value`] chain as
+//! [`o4a_core::combination::Combination::evaluate`], so a combination whose
+//! terms all name one member evaluates bit-identically to that member's
+//! own.
 
 use o4a_core::combination::{signed_sum, term_value, Combination, SearchStrategy};
 use o4a_core::frames::FrameView;

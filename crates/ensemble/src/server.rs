@@ -1,162 +1,30 @@
-//! The online ensemble query engine.
+//! The ensemble as a query-engine resolver.
 //!
-//! Mirrors [`o4a_core::server::RegionServer`] exactly — hierarchical
-//! decomposition (through the same [`DecompCache`] memo), plan lookups,
-//! signed aggregation — except that lookups resolve each decomposition
-//! tile through the [`EnsemblePlan`] and each term reads from *its own
-//! member's* [`PredictionStore`] snapshot. Batch queries grab **one**
-//! snapshot per member up front, so a whole batch is answered against a
-//! consistent cross-member snapshot set even while member model servers
-//! publish concurrently.
+//! An [`EnsemblePlan`] resolves each decomposition tile to a
+//! [`crate::plan::ModelCombination`] whose terms each name the member
+//! store they read. Implementing [`Resolver`] for it puts the ensemble on
+//! the one online path every backend runs — compiled plans, the plan
+//! cache keyed under the plan revision, batch fan-out over one consistent
+//! snapshot per member, the shard leg — so [`EnsembleServer`] is just
+//! [`Engine`] over a plan. What stays here are the plan's own metrics.
 //!
-//! Because evaluation reduces through the same signed-accumulation chain
-//! as the single-model path (see `o4a_core::combination::signed_sum`), a
-//! plan whose entries all name one member answers queries bit-identically
-//! to that member's own `RegionServer`.
+//! A plan whose entries all name one member resolves to exactly the terms
+//! of that member's own index, in the same order, so it answers
+//! bit-identically to the member's [`o4a_core::server::RegionServer`].
 
 use crate::plan::{EnsemblePlan, ModelCombination};
-use o4a_core::compiled::{with_scratch, CompiledPlan, PlanBuilder, PlanCache};
-use o4a_core::frames::{FrameSet, FrameView};
-use o4a_core::server::{DecompCache, PredictionStore, QueryBackend, QueryTiming};
-use o4a_grid::decompose::DecomposedGroup;
+use o4a_core::compiled::{Resolver, Term};
+use o4a_core::server::Engine;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
-use o4a_grid::mask::Mask;
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use o4a_obs::Histogram;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Same per-mask pool-cost estimate as the region server's (private)
-/// constant: keeps small batches on the caller thread where the pool
-/// wake-up would dominate.
-const QUERY_COST: usize = 8192;
+pub use o4a_core::compiled::compile_groups as compile_egroups;
 
-/// One decomposed group's resolved plan lookups, mirroring the region
-/// server's `GroupPlan`: the multi-grid entry when the coding rule
-/// applies, otherwise the member cells' combinations in cell order (a
-/// foreign plan's missing cell falls back to member 0's direct
-/// prediction).
-enum EGroupPlan<'a> {
-    Multi(&'a ModelCombination),
-    Cells(Vec<Cow<'a, ModelCombination>>),
-}
-
-fn lookup_group<'a>(plan: &'a EnsemblePlan, group: &DecomposedGroup) -> EGroupPlan<'a> {
-    if group.cells.len() >= 2 && plan.hier.k() == 2 {
-        if let Some(comb) = plan.for_multi(group.layer, &group.cells) {
-            return EGroupPlan::Multi(comb);
-        }
-    }
-    EGroupPlan::Cells(
-        group
-            .cells
-            .iter()
-            .map(|&(r, c)| {
-                let cell = LayerCell::new(group.layer, r, c);
-                match plan.for_cell(cell) {
-                    Some(comb) => Cow::Borrowed(comb),
-                    None => Cow::Owned(ModelCombination::single(0, cell)),
-                }
-            })
-            .collect(),
-    )
-}
-
-fn evaluate_plan(hier: &Hierarchy, views: &[FrameView<'_>], plan: &EGroupPlan<'_>) -> f32 {
-    match plan {
-        EGroupPlan::Multi(comb) => comb.evaluate(hier, views),
-        EGroupPlan::Cells(combs) => combs.iter().map(|c| c.evaluate(hier, views)).sum(),
-    }
-}
-
-/// Fused lookup + evaluation of one decomposed group, mirroring the region
-/// server's allocation-free hot path (the untimed query paths go through
-/// this; the timed paths materialize an [`EGroupPlan`] so the lookup and
-/// aggregation stages can be reported separately). The accumulation order
-/// is identical to `lookup_group` + `evaluate_plan`.
-fn evaluate_group(plan: &EnsemblePlan, views: &[FrameView<'_>], group: &DecomposedGroup) -> f32 {
-    if group.cells.len() >= 2 && plan.hier.k() == 2 {
-        if let Some(comb) = plan.for_multi(group.layer, &group.cells) {
-            return comb.evaluate(&plan.hier, views);
-        }
-    }
-    group
-        .cells
-        .iter()
-        .map(|&(r, c)| {
-            let cell = LayerCell::new(group.layer, r, c);
-            match plan.for_cell(cell) {
-                Some(comb) => comb.evaluate(&plan.hier, views),
-                // a missing entry can only happen on a foreign plan; fall
-                // back to member 0's direct prediction
-                None => ModelCombination::single(0, cell).evaluate(&plan.hier, views),
-            }
-        })
-        .sum()
-}
-
-/// Compiles a decomposition against an [`EnsemblePlan`], mirroring
-/// [`evaluate_group`]'s branch structure exactly — the multi-grid entry
-/// when the coding rule applies, otherwise the member cells' combinations
-/// in cell order, with member 0's direct prediction for cells a foreign
-/// plan is missing. Each term's arena segment carries its `ModelTerm`
-/// member, so execution gathers from the right member store.
-pub fn compile_egroups(plan: &EnsemblePlan, groups: &[DecomposedGroup]) -> CompiledPlan {
-    let hier = &plan.hier;
-    let mut b = PlanBuilder::new(hier);
-    for group in groups {
-        if group.cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = plan.for_multi(group.layer, &group.cells) {
-                for t in &comb.terms {
-                    b.push_term(t.cell, t.sign, t.model);
-                }
-                b.end_run();
-                b.end_group(true);
-                continue;
-            }
-        }
-        for &(r, c) in &group.cells {
-            let cell = LayerCell::new(group.layer, r, c);
-            match plan.for_cell(cell) {
-                Some(comb) => {
-                    for t in &comb.terms {
-                        b.push_term(t.cell, t.sign, t.model);
-                    }
-                }
-                None => {
-                    let single = ModelCombination::single(0, cell);
-                    for t in &single.terms {
-                        b.push_term(t.cell, t.sign, t.model);
-                    }
-                }
-            }
-            b.end_run();
-        }
-        b.end_group(false);
-    }
-    b.finish()
-}
-
-/// Records one ensemble query's per-stage wall times (the ensemble
-/// namespace keeps single-model and ensemble latency distributions
-/// separable on one scrape endpoint).
-fn record_query_stages(decompose: Duration, lookup: Duration, aggregate: Duration) {
-    o4a_obs::histogram!(
-        "o4a_ensemble_decompose_ns",
-        "per-query hierarchical decomposition time in the ensemble server"
-    )
-    .record(decompose.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_ensemble_lookup_ns",
-        "per-query ensemble-plan lookup time"
-    )
-    .record(lookup.as_nanos() as u64);
-    o4a_obs::histogram!(
-        "o4a_ensemble_aggregate_ns",
-        "per-query signed aggregation time over the member snapshots"
-    )
-    .record(aggregate.as_nanos() as u64);
-}
+/// The online ensemble server: an [`EnsemblePlan`] over one
+/// [`o4a_core::server::PredictionStore`] per member (`stores[m]` backs
+/// member `m`), answering region queries as pure lookup + aggregate.
+pub type EnsembleServer = Engine<EnsemblePlan>;
 
 /// Lowercases a member name and maps every non-`[a-z0-9_]` byte to `_` so
 /// it is a valid Prometheus metric-name suffix.
@@ -169,514 +37,77 @@ fn sanitize_metric_suffix(name: &str) -> String {
         .collect()
 }
 
-/// The online ensemble server: an [`EnsemblePlan`] over one
-/// [`PredictionStore`] per member, answering region queries as pure
-/// lookup + aggregate.
-pub struct EnsembleServer {
-    plan: EnsemblePlan,
-    stores: Vec<Arc<PredictionStore>>,
-    decomp_cache: DecompCache,
-    plan_cache: PlanCache,
-    compiled_terms: AtomicU64,
-    compiled_enabled: bool,
-    /// Per member: terms read from that member per query (histograms named
-    /// `o4a_ensemble_model_terms_<member>`). Per-member *time* cannot be
-    /// measured without splitting the accumulation by member, which would
-    /// change the reduction order and break bit-identity with the
-    /// single-model path — term counts are the per-member stage signal
-    /// instead.
-    model_term_hists: Vec<Arc<o4a_obs::Histogram>>,
-}
+impl Resolver for EnsemblePlan {
+    type Entry = ModelCombination;
 
-impl EnsembleServer {
-    /// Creates a server over a plan and its member stores (`stores[m]`
-    /// backs member `m` of the plan).
-    ///
-    /// # Panics
-    /// Panics when the store count disagrees with the plan's member list.
-    pub fn new(plan: EnsemblePlan, stores: Vec<Arc<PredictionStore>>) -> Self {
-        assert!(!plan.members.is_empty(), "plan has no members");
-        assert_eq!(
-            plan.members.len(),
-            stores.len(),
-            "one prediction store per plan member"
-        );
-        // Resolve the kernel ISA dispatch during bring-up, same as the
-        // region server.
-        let _ = o4a_tensor::isa::active();
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
+    }
+
+    fn members(&self) -> usize {
+        self.members.len()
+    }
+
+    /// A re-plan bumps the revision, so a compiled plan cached under the
+    /// previous plan is never served.
+    fn epoch(&self) -> u64 {
+        self.revision as u64
+    }
+
+    fn cell_entry(&self, cell: LayerCell) -> Option<&ModelCombination> {
+        self.for_cell(cell)
+    }
+
+    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&ModelCombination> {
+        self.for_multi(layer, cells)
+    }
+
+    fn entry_terms(entry: &ModelCombination) -> impl Iterator<Item = Term> + '_ {
+        entry.terms.iter().map(|t| Term {
+            cell: t.cell,
+            sign: t.sign,
+            member: t.model,
+        })
+    }
+
+    /// Publishes the plan gauges (`o4a_ensemble_members`, `_plan_cost`,
+    /// `_plan_revision`, `_plan_cells_<member>`) and returns the
+    /// `o4a_ensemble_model_terms_<member>` histograms: terms served from
+    /// each member per query. A one-member plan gets none — its split is
+    /// the total, which `o4a_compiled_terms` already samples.
+    fn register_metrics(&self) -> Vec<Arc<Histogram>> {
         let reg = o4a_obs::global();
         reg.gauge(
             "o4a_ensemble_members",
             "member models in the active ensemble plan",
         )
-        .set(plan.members.len() as f64);
+        .set(self.members.len() as f64);
         reg.gauge(
             "o4a_ensemble_plan_cost",
             "validation SSE of the active ensemble plan",
         )
-        .set(plan.report.plan_cost);
+        .set(self.report.plan_cost);
         reg.gauge(
             "o4a_ensemble_plan_revision",
             "revision of the active ensemble plan",
         )
-        .set(plan.revision as f64);
-        let cells = plan.cells_per_model();
-        let mut model_term_hists = Vec::with_capacity(plan.members.len());
-        for (name, &count) in plan.members.iter().zip(&cells) {
+        .set(self.revision as f64);
+        let mut term_hists = Vec::new();
+        for (name, &count) in self.members.iter().zip(&self.cells_per_model()) {
             let suffix = sanitize_metric_suffix(name);
             reg.gauge(
                 &format!("o4a_ensemble_plan_cells_{suffix}"),
                 "single-grid plan entries reading from this member",
             )
             .set(count as f64);
-            model_term_hists.push(reg.histogram(
-                &format!("o4a_ensemble_model_terms_{suffix}"),
-                "combination terms served from this member per query",
-            ));
-        }
-        // Pre-register the stage histograms so a scrape before the first
-        // query already exposes them at zero.
-        let _ = o4a_obs::histogram!(
-            "o4a_ensemble_decompose_ns",
-            "per-query hierarchical decomposition time in the ensemble server"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_ensemble_lookup_ns",
-            "per-query ensemble-plan lookup time"
-        );
-        let _ = o4a_obs::histogram!(
-            "o4a_ensemble_aggregate_ns",
-            "per-query signed aggregation time over the member snapshots"
-        );
-        EnsembleServer {
-            plan,
-            stores,
-            decomp_cache: DecompCache::new(),
-            plan_cache: PlanCache::new(),
-            compiled_terms: AtomicU64::new(0),
-            compiled_enabled: std::env::var("O4A_COMPILED").map_or(true, |v| v != "0"),
-            model_term_hists,
-        }
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> &EnsemblePlan {
-        &self.plan
-    }
-
-    /// The member stores, in plan order.
-    pub fn stores(&self) -> &[Arc<PredictionStore>] {
-        &self.stores
-    }
-
-    /// The hierarchy served.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.plan.hier
-    }
-
-    /// `(hits, misses)` of the decomposition memo.
-    pub fn decomp_cache_stats(&self) -> (u64, u64) {
-        self.decomp_cache.stats()
-    }
-
-    /// `(hits, misses, evictions)` of the compiled-plan cache.
-    pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        self.plan_cache.stats()
-    }
-
-    /// Total terms answered through the compiled path since start.
-    pub fn compiled_terms(&self) -> u64 {
-        self.compiled_terms.load(Ordering::Relaxed)
-    }
-
-    /// Whether every member store has published a snapshot — the serving
-    /// layer admits traffic only once the *whole* ensemble is live, so a
-    /// query never mixes a real member snapshot with an empty one.
-    pub fn is_ready(&self) -> bool {
-        !self.stores.is_empty() && self.stores.iter().all(|s| s.is_ready())
-    }
-
-    /// One consistent snapshot per member, taken up front.
-    fn snapshots(&self) -> Vec<Arc<FrameSet>> {
-        let snaps: Vec<Arc<FrameSet>> = self.stores.iter().map(|s| s.snapshot()).collect();
-        assert!(
-            snaps.iter().all(|s| !s.is_empty()),
-            "an ensemble member has no published snapshot"
-        );
-        snaps
-    }
-
-    /// Cached (or freshly compiled) plan for one decomposition, keyed
-    /// under the ensemble plan's revision — a plan swap bumps the
-    /// revision, so a stale compiled plan can never be served.
-    fn compiled_plan(&self, mask: Option<&Mask>, groups: &[DecomposedGroup]) -> Arc<CompiledPlan> {
-        let epoch = self.plan.revision as u64;
-        match mask {
-            Some(m) => self
-                .plan_cache
-                .get_or_compile_mask(m, epoch, || compile_egroups(&self.plan, groups)),
-            None => self
-                .plan_cache
-                .get_or_compile_groups(groups, epoch, || compile_egroups(&self.plan, groups)),
-        }
-    }
-
-    /// Bumps the compiled-terms counters after a successful compiled
-    /// execution.
-    fn note_compiled(&self, plan: &CompiledPlan) {
-        self.compiled_terms
-            .fetch_add(plan.num_terms() as u64, Ordering::Relaxed);
-        o4a_obs::histogram!(
-            "o4a_compiled_terms",
-            "resolved terms per compiled query execution"
-        )
-        .record(plan.num_terms() as u64);
-    }
-
-    /// The per-member served-term histogram samples a compiled execution
-    /// contributes — precomputed per plan, identical to what
-    /// [`EnsembleServer::record_model_terms`] counts on the interpreted
-    /// path.
-    fn record_model_terms_compiled(&self, plan: &CompiledPlan) {
-        let mt = plan.member_terms();
-        for (i, hist) in self.model_term_hists.iter().enumerate() {
-            hist.record(mt.get(i).map_or(0, |&n| n as u64));
-        }
-    }
-
-    /// Answers one decomposed query against the member snapshots without
-    /// stage timing: the compiled path when enabled and layout-matched,
-    /// the interpreter otherwise — bit-identical either way.
-    fn answer_value(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        snaps: &[Arc<FrameSet>],
-        views: &[FrameView<'_>],
-    ) -> f32 {
-        if self.compiled_enabled {
-            let plan = self.compiled_plan(mask, groups);
-            let refs: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&refs, s)) {
-                self.note_compiled(&plan);
-                return v;
+            if self.members.len() > 1 {
+                term_hists.push(reg.histogram(
+                    &format!("o4a_ensemble_model_terms_{suffix}"),
+                    "combination terms served from this member per query",
+                ));
             }
         }
-        groups
-            .iter()
-            .map(|g| evaluate_group(&self.plan, views, g))
-            .sum()
-    }
-
-    /// [`EnsembleServer::answer_value`] with `(value, lookup, aggregate)`
-    /// stage durations; also samples the per-member term histograms (the
-    /// timed paths' contract).
-    fn answer_timed(
-        &self,
-        mask: Option<&Mask>,
-        groups: &[DecomposedGroup],
-        snaps: &[Arc<FrameSet>],
-        views: &[FrameView<'_>],
-    ) -> (f32, Duration, Duration) {
-        let mut lookup_acc = Duration::ZERO;
-        if self.compiled_enabled {
-            let t1 = Instant::now();
-            let plan = self.compiled_plan(mask, groups);
-            lookup_acc += t1.elapsed();
-            let t2 = Instant::now();
-            let refs: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
-            if let Some(v) = with_scratch(|s| plan.execute_sum(&refs, s)) {
-                self.note_compiled(&plan);
-                self.record_model_terms_compiled(&plan);
-                return (v, lookup_acc, t2.elapsed());
-            }
-            // a member snapshot's layout drifted from the hierarchy: the
-            // failed attempt counts toward lookup, then interpret
-            lookup_acc += t2.elapsed();
-        }
-        let t1 = Instant::now();
-        let plans: Vec<EGroupPlan<'_>> =
-            groups.iter().map(|g| lookup_group(&self.plan, g)).collect();
-        lookup_acc += t1.elapsed();
-        let t2 = Instant::now();
-        let v: f32 = plans
-            .iter()
-            .map(|p| evaluate_plan(&self.plan.hier, views, p))
-            .sum();
-        let aggregate_t = t2.elapsed();
-        self.record_model_terms(&plans);
-        (v, lookup_acc, aggregate_t)
-    }
-
-    /// Bumps the per-member served-term histograms for one query's plans.
-    fn record_model_terms(&self, plans: &[EGroupPlan<'_>]) {
-        let mut counts = vec![0u64; self.stores.len()];
-        for p in plans {
-            let terms: &mut dyn Iterator<Item = &crate::plan::ModelTerm> = match p {
-                EGroupPlan::Multi(c) => &mut c.terms.iter(),
-                EGroupPlan::Cells(cs) => &mut cs.iter().flat_map(|c| c.terms.iter()),
-            };
-            for t in terms {
-                counts[t.model as usize] += 1;
-            }
-        }
-        for (hist, &n) in self.model_term_hists.iter().zip(&counts) {
-            hist.record(n);
-        }
-    }
-
-    /// Answers a region query against the latest member snapshots.
-    ///
-    /// # Panics
-    /// Panics if any member store has no published snapshot.
-    pub fn query(&self, mask: &Mask) -> f32 {
-        let snaps = self.snapshots();
-        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
-        let groups = self.decomp_cache.get(&self.plan.hier, mask);
-        self.answer_value(Some(mask), &groups, &snaps, &views)
-    }
-
-    /// Answers a query with the per-stage timing breakdown, mirroring
-    /// [`o4a_core::server::RegionServer::query_timed`].
-    pub fn query_timed(&self, mask: &Mask) -> (f32, QueryTiming) {
-        let snaps = self.snapshots();
-        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
-        let t0 = Instant::now();
-        let groups = self.decomp_cache.get(&self.plan.hier, mask);
-        let decompose_t = t0.elapsed();
-        let (value, lookup_t, aggregate_t) = self.answer_timed(Some(mask), &groups, &snaps, &views);
-        record_query_stages(decompose_t, lookup_t, aggregate_t);
-        (
-            value,
-            QueryTiming {
-                decompose: decompose_t,
-                index: lookup_t + aggregate_t,
-            },
-        )
-    }
-
-    /// Answers a batch of queries against one consistent snapshot per
-    /// member, fanned out across the compute pool exactly like
-    /// [`o4a_core::server::RegionServer::query_many`].
-    ///
-    /// # Panics
-    /// Panics if any member store has no published snapshot.
-    pub fn query_many(&self, masks: &[Mask]) -> Vec<f32> {
-        let snaps = self.snapshots();
-        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
-        let mut out = vec![0.0f32; masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let groups = self.decomp_cache.get(&self.plan.hier, &masks[i]);
-            let v = self.answer_value(Some(&masks[i]), &groups, &snaps, &views);
-            // SAFETY: task `i` writes only slot `i`; `out` outlives the
-            // blocking `run` call.
-            unsafe { out_ptr.slice_mut(i, 1)[0] = v };
-        });
-        out
-    }
-
-    /// [`EnsembleServer::query_many`] with the aggregate per-stage CPU
-    /// timing, mirroring the region server's batch-timed path.
-    pub fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        let snaps = self.snapshots();
-        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
-        let mut out = vec![0.0f32; masks.len()];
-        let mut dec_ns = vec![0u64; masks.len()];
-        let mut idx_ns = vec![0u64; masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        let dec_ptr = o4a_tensor::parallel::SendPtr(dec_ns.as_mut_ptr());
-        let idx_ptr = o4a_tensor::parallel::SendPtr(idx_ns.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            let t0 = Instant::now();
-            let groups = self.decomp_cache.get(&self.plan.hier, &masks[i]);
-            let decompose_t = t0.elapsed();
-            let (v, lookup_t, aggregate_t) =
-                self.answer_timed(Some(&masks[i]), &groups, &snaps, &views);
-            record_query_stages(decompose_t, lookup_t, aggregate_t);
-            // SAFETY: task `i` writes only slot `i` of each vector; all
-            // three outlive the blocking `run` call.
-            unsafe {
-                out_ptr.slice_mut(i, 1)[0] = v;
-                dec_ptr.slice_mut(i, 1)[0] = decompose_t.as_nanos() as u64;
-                idx_ptr.slice_mut(i, 1)[0] = (lookup_t + aggregate_t).as_nanos() as u64;
-            }
-        });
-        let timing = QueryTiming {
-            decompose: Duration::from_nanos(dec_ns.iter().sum()),
-            index: Duration::from_nanos(idx_ns.iter().sum()),
-        };
-        (out, timing)
-    }
-
-    /// Evaluates already-decomposed groups against one consistent
-    /// snapshot per member, one value per group — the shard-serving
-    /// entry point, mirroring
-    /// [`o4a_core::server::RegionServer::query_groups_timed`]. Each
-    /// group's accumulation is self-contained, so a router folding the
-    /// per-group values back in decompose order reproduces the
-    /// unsharded [`EnsembleServer::query`] bit-identically.
-    /// `QueryTiming.decompose` is zero — decomposition happened at the
-    /// router.
-    ///
-    /// # Panics
-    /// Panics if any member store has no published snapshot.
-    pub fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        let snaps = self.snapshots();
-        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
-        // this runs on the caller's thread, so a sharded request's trace
-        // id (set by the executor) is visible here for stage spans
-        let tid = o4a_obs::trace::current();
-        let t1 = Instant::now();
-        let t1_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        // lookup stage: per-group plan-cache get-or-compile on the
-        // compiled path — a shard's slice is a batch-dependent
-        // concatenation whose whole-slice key would almost never repeat,
-        // while individual groups recur across batches — per-group plan
-        // lookups on the interpreted one
-        let compiled: Option<Vec<Arc<CompiledPlan>>> = if self.compiled_enabled {
-            let epoch = self.plan.revision as u64;
-            Some(
-                groups
-                    .iter()
-                    .map(|g| {
-                        let one = std::slice::from_ref(g);
-                        self.plan_cache
-                            .get_or_compile_groups(one, epoch, || compile_egroups(&self.plan, one))
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mut plans: Vec<EGroupPlan<'_>> = Vec::new();
-        if compiled.is_none() {
-            plans = groups.iter().map(|g| lookup_group(&self.plan, g)).collect();
-        }
-        let lookup_t = t1.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Lookup as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t1_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
-        let t2 = Instant::now();
-        let t2_ns = if tid != 0 {
-            o4a_obs::trace::now_ns()
-        } else {
-            0
-        };
-        let mut values: Option<Vec<f32>> = None;
-        if let Some(cplans) = &compiled {
-            let refs: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
-            let mut out = Vec::with_capacity(cplans.len());
-            let mut terms = 0u64;
-            let mut counts = vec![0u64; self.stores.len()];
-            let ok = with_scratch(|s| {
-                for plan in cplans {
-                    match plan.execute_one(&refs, s) {
-                        Some(v) => {
-                            out.push(v);
-                            terms += plan.num_terms() as u64;
-                            for (i, &n) in plan.member_terms().iter().enumerate() {
-                                counts[i] += n as u64;
-                            }
-                        }
-                        None => return false,
-                    }
-                }
-                true
-            });
-            if ok {
-                // mirror the interpreted slice accounting: one
-                // compiled-terms sample and one per-member sample per call
-                self.compiled_terms.fetch_add(terms, Ordering::Relaxed);
-                o4a_obs::histogram!(
-                    "o4a_compiled_terms",
-                    "resolved terms per compiled query execution"
-                )
-                .record(terms);
-                for (hist, &n) in self.model_term_hists.iter().zip(&counts) {
-                    hist.record(n);
-                }
-                values = Some(out);
-            }
-        }
-        let values: Vec<f32> = values.unwrap_or_else(|| {
-            // interpreted fallback (compiled disabled, or a member
-            // snapshot's layout drifted from the hierarchy)
-            if plans.is_empty() && !groups.is_empty() {
-                plans = groups.iter().map(|g| lookup_group(&self.plan, g)).collect();
-            }
-            let out = plans
-                .iter()
-                .map(|p| evaluate_plan(&self.plan.hier, &views, p))
-                .collect();
-            self.record_model_terms(&plans);
-            out
-        });
-        let aggregate_t = t2.elapsed();
-        if tid != 0 {
-            o4a_obs::trace::emit(&o4a_obs::trace::SpanEvent {
-                trace_id: tid,
-                span: o4a_obs::trace::SpanKind::Aggregate as u16,
-                parent: o4a_obs::trace::SpanKind::ShardScatter as u16,
-                lane: 0,
-                t_start_ns: t2_ns,
-                t_end_ns: o4a_obs::trace::now_ns(),
-                bytes: groups.len() as u64,
-            });
-        }
-        (
-            values,
-            QueryTiming {
-                decompose: Duration::ZERO,
-                index: lookup_t + aggregate_t,
-            },
-        )
-    }
-}
-
-impl QueryBackend for EnsembleServer {
-    fn hierarchy(&self) -> &Hierarchy {
-        EnsembleServer::hierarchy(self)
-    }
-
-    fn is_ready(&self) -> bool {
-        EnsembleServer::is_ready(self)
-    }
-
-    fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
-        EnsembleServer::query_many_timed(self, masks)
-    }
-
-    fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
-        EnsembleServer::query_groups_timed(self, groups)
-    }
-
-    fn decomp_cache_stats(&self) -> (u64, u64) {
-        EnsembleServer::decomp_cache_stats(self)
-    }
-
-    fn plan_revision(&self) -> u64 {
-        self.plan.revision as u64
-    }
-
-    fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        EnsembleServer::plan_cache_stats(self)
-    }
-
-    fn compiled_terms(&self) -> u64 {
-        EnsembleServer::compiled_terms(self)
+        term_hists
     }
 }
 
@@ -685,7 +116,8 @@ mod tests {
     use super::*;
     use crate::planner::{plan_ensemble, MemberProfile, PlanOptions};
     use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
-    use o4a_core::server::RegionServer;
+    use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
+    use o4a_grid::mask::Mask;
 
     fn hier4() -> Hierarchy {
         Hierarchy::new(4, 4, 2, 3).unwrap()
@@ -815,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_agree_and_memo_counts() {
+    fn batch_paths_agree_and_plan_cache_counts() {
         let hier = hier4();
         let frames = exact_frames(&hier);
         let preds: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
@@ -836,7 +268,7 @@ mod tests {
         let plain = server.query_many(&masks);
         let (timed, _) = server.query_many_timed(&masks);
         assert_eq!(plain, timed);
-        assert_eq!(server.decomp_cache_stats(), (3, 3));
+        assert_eq!(server.plan_cache_stats(), (3, 3, 0));
         let backend: &dyn QueryBackend = &server;
         assert_eq!(backend.plan_revision(), 1);
         assert_eq!(backend.hierarchy().w(), 4);
@@ -876,6 +308,21 @@ mod tests {
             &PlanOptions::default(),
         );
         EnsembleServer::new(plan, vec![]);
+    }
+
+    /// Per-member term histograms split a query's terms across members;
+    /// a one-member plan's split is its total, so it registers none.
+    #[test]
+    fn only_multi_member_plans_sample_member_terms() {
+        let hier = hier4();
+        let frames = exact_frames(&hier);
+        let preds: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
+        let plan = |names: &[&str]| {
+            let profiles: Vec<_> = names.iter().map(|n| profile(n, preds.clone())).collect();
+            plan_ensemble(&hier, &profiles, &preds, &PlanOptions::default())
+        };
+        assert!(plan(&["solo"]).register_metrics().is_empty());
+        assert_eq!(plan(&["a", "b"]).register_metrics().len(), 2);
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     // Backward re-unrolls a cached copy of the input. Retaining the packed
-    // im2col panels instead (`conv2d_into_caching`) is bit-identical but
-    // measured slower here: the panels are ~9x the input and the extra
-    // DRAM traffic outweighs the skipped re-unroll on a memory-bound core.
+    // im2col panels instead is bit-identical but measured slower: the
+    // panels are ~9x the input and the extra DRAM traffic outweighs the
+    // skipped re-unroll on a memory-bound core.
     cache: Tensor,
     primed: bool,
     grads: Conv2dGrads,

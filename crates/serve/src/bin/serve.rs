@@ -32,14 +32,13 @@
 //!     [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \
 //!     [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \
 //!     [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \
-//!     [--decomp-cache N] [--trace-every N] [--trace-slow-us US]
+//!     [--trace-every N] [--trace-slow-us US]
 //!
 //! `--trace-every N` samples every Nth query into the trace flight
 //! recorder (drained by the `TRACE` verb; equivalent to `O4A_TRACE=N`),
 //! and `--trace-slow-us US` logs a structured stage breakdown for any
 //! request slower than `US` microseconds (equivalent to
-//! `O4A_TRACE_SLOW_US=US`). `--decomp-cache N` sizes the per-backend
-//! decomposition memo (equivalent to `O4A_DECOMP_CACHE=N`; default 256).
+//! `O4A_TRACE_SLOW_US=US`).
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::{truth_pyramid, One4AllSt};
@@ -77,7 +76,6 @@ struct Args {
     shards: usize,
     loops: usize,
     run_secs: Option<f64>,
-    decomp_cache: Option<usize>,
     trace_every: Option<u64>,
     trace_slow_us: Option<u64>,
 }
@@ -99,7 +97,6 @@ fn parse_args() -> Args {
         shards: 1,
         loops: 1,
         run_secs: None,
-        decomp_cache: None,
         trace_every: None,
         trace_slow_us: None,
     };
@@ -125,9 +122,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = value("--shards").parse().expect("--shards"),
             "--loops" => args.loops = value("--loops").parse().expect("--loops"),
             "--run-secs" => args.run_secs = Some(value("--run-secs").parse().expect("--run-secs")),
-            "--decomp-cache" => {
-                args.decomp_cache = Some(value("--decomp-cache").parse().expect("--decomp-cache"))
-            }
             "--trace-every" => {
                 args.trace_every = Some(value("--trace-every").parse().expect("--trace-every"))
             }
@@ -278,11 +272,6 @@ fn sharded(
 
 fn main() {
     let args = parse_args();
-    if let Some(n) = args.decomp_cache {
-        // every backend (and each router shard) constructed below reads
-        // this at DecompCache::new time
-        std::env::set_var("O4A_DECOMP_CACHE", n.to_string());
-    }
     if let Some(n) = args.trace_every {
         o4a_obs::trace::set_sample_every(n);
     }

@@ -18,7 +18,7 @@
 //!   event-loop threads own the sockets and per-connection frame
 //!   reassembly, executor threads run the query work, and requests
 //!   arriving while every executor is busy **coalesce** into a single
-//!   [`o4a_core::server::RegionServer::query_many_timed`] call
+//!   [`o4a_core::server::QueryBackend::query_many_timed`] call
 //!   (exercising the PR-1 parallel fan-out under real traffic); load
 //!   beyond the **bounded admission queue** is shed with an explicit
 //!   `BUSY` response instead of unbounded latency; with `O4A_TRACE`

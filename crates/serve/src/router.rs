@@ -23,14 +23,21 @@
 //! rather than the whole group keeps assignment stable when neighboring
 //! masks decompose into overlapping group sets.
 
-use o4a_core::server::{DecompCache, QueryBackend, QueryTiming};
-use o4a_grid::decompose::DecomposedGroup;
+use o4a_core::cache::{CacheMetrics, ClockCache};
+use o4a_core::server::{QueryBackend, QueryTiming};
+use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Masks the router's decomposition memo retains. Serving workloads
+/// query a small working set of regions over and over (every snapshot
+/// refresh re-answers the same masks), so a few hundred entries cover the
+/// common case while bounding memory for adversarial mask streams.
+const DECOMP_CACHE_CAP: usize = 256;
 
 /// Virtual nodes per shard on the hash ring. 32 left arc lengths lumpy
 /// enough that K=2 deployments measured a ~4x per-shard load skew; 128
@@ -92,9 +99,10 @@ pub struct ShardRouter {
     shards: Vec<Arc<dyn QueryBackend>>,
     /// Sorted (hash point, shard) ring.
     ring: Vec<(u64, usize)>,
-    /// The router decomposes masks itself (the shards only ever see
-    /// groups), so the STATS memo counters come from here.
-    decomp_cache: DecompCache,
+    /// Mask → decomposition memo: the router decomposes masks itself
+    /// (the shards only ever see groups), so the STATS memo counters come
+    /// from here.
+    decompositions: ClockCache<Mask, Arc<Vec<DecomposedGroup>>>,
     /// Groups routed to each shard since start.
     loads: Vec<AtomicU64>,
     /// The same counts mirrored into the metrics registry as
@@ -134,18 +142,32 @@ impl ShardRouter {
                 )
             })
             .collect();
+        let reg = o4a_obs::metrics::global();
+        let memo_metrics = CacheMetrics {
+            hits: reg.counter(
+                "o4a_decomp_cache_hits_total",
+                "decomposition-memo hits across all shard routers",
+            ),
+            misses: reg.counter(
+                "o4a_decomp_cache_misses_total",
+                "decomposition-memo misses across all shard routers",
+            ),
+            evictions: reg.counter(
+                "o4a_decomp_cache_evictions_total",
+                "decompositions evicted by the CLOCK cap",
+            ),
+            entries: reg.gauge(
+                "o4a_decomp_cache_entries",
+                "decompositions currently memoized",
+            ),
+        };
         ShardRouter {
             shards,
             ring,
-            decomp_cache: DecompCache::new(),
+            decompositions: ClockCache::new(DECOMP_CACHE_CAP, memo_metrics),
             loads,
             routed_metrics,
         }
-    }
-
-    /// Number of shards behind the router.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Which shard owns a decomposed group: successor of the anchor
@@ -233,7 +255,10 @@ impl QueryBackend for ShardRouter {
         let t0 = Instant::now();
         let decomps: Vec<Arc<Vec<DecomposedGroup>>> = masks
             .iter()
-            .map(|m| self.decomp_cache.get(hier, m))
+            .map(|m| {
+                self.decompositions
+                    .get_or_insert_with(m, 0, || Arc::new(decompose(hier, m)))
+            })
             .collect();
         let decompose_t = t0.elapsed();
         // flatten every mask's groups, remembering each mask's span
@@ -274,7 +299,8 @@ impl QueryBackend for ShardRouter {
     }
 
     fn decomp_cache_stats(&self) -> (u64, u64) {
-        self.decomp_cache.stats()
+        let (hits, misses, _) = self.decompositions.stats();
+        (hits, misses)
     }
 
     fn plan_revision(&self) -> u64 {

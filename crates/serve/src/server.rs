@@ -232,9 +232,9 @@ struct Shared {
 
 impl Shared {
     /// Serving counters merged with the backend's decomposition-memo
-    /// hit/miss counters, its active plan revision (`0` for a
-    /// single-model backend), its per-shard load counters (empty
-    /// unsharded) and its compiled-plan cache counters.
+    /// hit/miss counters (zeros unless it is a shard router), its active
+    /// plan revision (`0` for a single-model backend), its per-shard load
+    /// counters (empty unsharded) and its compiled-plan cache counters.
     fn stats_snapshot(&self) -> StatsSnapshot {
         let mut s = self.stats.snapshot();
         let (hits, misses) = self.region.decomp_cache_stats();

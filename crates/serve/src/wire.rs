@@ -214,9 +214,10 @@ pub struct StatsSnapshot {
     pub decompose_ns: u64,
     /// Total lookup + aggregation CPU time (ns).
     pub index_ns: u64,
-    /// Region-server decomposition memo hits.
+    /// Decomposition memo hits (a shard router's mask memo; `0` for an
+    /// unsharded engine, which keys its plans by mask and keeps no memo).
     pub decomp_cache_hits: u64,
-    /// Region-server decomposition memo misses.
+    /// Decomposition memo misses (`0` for an unsharded engine).
     pub decomp_cache_misses: u64,
     /// Revision of the active ensemble plan; `0` for a single-model
     /// backend. Appended in revision 2 of the STATS payload — a revision-1
@@ -233,8 +234,7 @@ pub struct StatsSnapshot {
     pub plan_cache_hits: u64,
     /// Compiled-plan cache misses (each miss compiles a plan). Revision 4.
     pub plan_cache_misses: u64,
-    /// Compiled plans evicted from the cache under LRU pressure.
-    /// Revision 4.
+    /// Compiled plans evicted by the cache's CLOCK cap. Revision 4.
     pub plan_cache_evictions: u64,
     /// Total index terms executed through compiled plans. Revision 4.
     pub compiled_terms: u64,

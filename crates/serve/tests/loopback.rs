@@ -4,12 +4,14 @@
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, RegionServer};
+use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::{Hierarchy, Mask};
 use o4a_serve::wire::{encode_frame, encode_request, read_frame, Verb, DEFAULT_MAX_PAYLOAD};
-use o4a_serve::{serve, Client, ClientConfig, Request, Response, ServeConfig, ServerHandle};
+use o4a_serve::{
+    serve, Client, ClientConfig, Request, Response, ServeConfig, ServerHandle, ShardRouter,
+};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -135,7 +137,7 @@ fn single_mask_served_latency_does_not_regress() {
         median(samples)
     };
 
-    // warmup (fills the decomposition memo for this mask)
+    // warmup (fills the plan cache for this mask)
     for _ in 0..50 {
         let _ = region.query(&mask);
         let _ = region.query_many(std::slice::from_ref(&mask));
@@ -176,11 +178,20 @@ fn single_mask_served_latency_does_not_regress() {
     handle.shutdown();
 }
 
-/// STATS surfaces the region server's decomposition-memo counters: a
+/// STATS surfaces the decomposition-memo counters of the backend that
+/// keeps the memo — a shard router (here K=1 over the region server): a
 /// repeated mask hits, a fresh one misses.
 #[test]
 fn stats_surface_decomp_cache_counters() {
-    let (_region, handle) = start(|_| {});
+    let router = ShardRouter::new(vec![region_fixture() as Arc<dyn QueryBackend>]);
+    let handle = serve(
+        Arc::new(router),
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
     let a = Mask::rect(SIDE, SIDE, 1, 1, 5, 5);
     let b = Mask::rect(SIDE, SIDE, 4, 4, 12, 10);

@@ -9,11 +9,11 @@
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, RegionServer};
+use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::{Hierarchy, Mask};
-use o4a_serve::{serve, Client, ClientConfig, ServeConfig};
+use o4a_serve::{serve, Client, ClientConfig, ServeConfig, ShardRouter};
 use o4a_tensor::{conv2d, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -126,7 +126,7 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
 
     let region = region_fixture();
     let handle = serve(
-        Arc::clone(&region) as Arc<dyn o4a_core::server::QueryBackend>,
+        Arc::clone(&region) as Arc<dyn QueryBackend>,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             ..ServeConfig::default()
@@ -170,8 +170,6 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         "o4a_query_decompose_ns_count",
         "o4a_query_lookup_ns_count",
         "o4a_query_aggregate_ns_count",
-        "o4a_decomp_cache_hits_total",
-        "o4a_decomp_cache_misses_total",
         "o4a_kernel_gemm_ns_count",
         "o4a_kernel_conv2d_ns_count",
         "o4a_serve_request_ns_count",
@@ -206,9 +204,27 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         lookup_sum + aggregate_sum,
         "lookup+aggregate stage sums diverged from STATS index total"
     );
-    // Cache counters travel both roads too: STATS (per-server atomics)
-    // and the registry (global counters). One region server exists here,
-    // so they must agree.
+    handle.shutdown();
+
+    // Cache counters travel both roads too: STATS (per-router atomics)
+    // and the registry (global counters). The decomposition memo lives in
+    // the shard router; one router exists here, so they must agree.
+    let router = ShardRouter::new(vec![region as Arc<dyn QueryBackend>]);
+    let handle = serve(
+        Arc::new(router),
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
+    client.query_batch(&masks).unwrap();
+    for mask in &masks[..8] {
+        client.query(mask).unwrap();
+    }
+    let samples = validate_exposition(&client.metrics().unwrap());
+    let stats = client.stats().unwrap();
     assert_eq!(
         stats.decomp_cache_hits,
         samples["o4a_decomp_cache_hits_total"] as u64

@@ -370,24 +370,7 @@ pub fn conv2d_into(
     pad: usize,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv2d_fwd_impl(input, weight, bias, stride, pad, out, None)
-}
-
-/// [`conv2d_into`] that additionally retains the per-sample packed im2col
-/// panels in `col_cache` (resized as needed), for
-/// [`conv2d_bwd_into_cached`] to consume. The forward result is
-/// bit-identical to [`conv2d_into`]; the cache holds sample `b`'s unrolled
-/// windows at `col_cache[b * packed_b_len(c_in*kh*kw, out_h*out_w)..]`.
-pub fn conv2d_into_caching(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-    out: &mut Tensor,
-    col_cache: &mut Vec<f32>,
-) -> Result<()> {
-    conv2d_fwd_impl(input, weight, bias, stride, pad, out, Some(col_cache))
+    conv2d_fwd_impl(input, weight, bias, stride, pad, out)
 }
 
 /// [`conv2d_into`] with the weight held in f16 storage.
@@ -411,7 +394,7 @@ pub fn conv2d_f16w_into(
         let mut wt = cell.borrow_mut();
         wt.reset_uninit(weight.shape());
         (crate::isa::dispatch().widen_f16)(weight.bits(), wt.data_mut());
-        conv2d_fwd_impl(input, &wt, bias, stride, pad, out, None)
+        conv2d_fwd_impl(input, &wt, bias, stride, pad, out)
     })
 }
 
@@ -428,7 +411,6 @@ fn conv2d_fwd_impl(
     stride: usize,
     pad: usize,
     out: &mut Tensor,
-    col_cache: Option<&mut Vec<f32>>,
 ) -> Result<()> {
     let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input.shape(), weight, bias, stride)?;
     let out_h = conv_out_size(h, kh, stride, pad);
@@ -460,44 +442,28 @@ fn conv2d_fwd_impl(
 
     // Batch samples are independent: each task owns one sample's disjoint
     // output slice, with the unrolled windows written straight into the
-    // GEMM panel layout — no materialized column matrix, no separate
-    // packing sweep. The panel lands either in a per-worker scratch or,
-    // when the caller wants the panels back for the backward pass, in its
-    // disjoint slice of `col_cache`. Each output element is seeded with
-    // its bias and accumulates its k products in ascending order — exactly
-    // the serial loop — so results are bit-identical at any thread count.
+    // GEMM panel layout in a per-worker scratch — no materialized column
+    // matrix, no separate packing sweep. Each output element is seeded
+    // with its bias and accumulates its k products in ascending order —
+    // exactly the serial loop — so results are bit-identical at any
+    // thread count.
     let panel_len = gemm::packed_b_len(krows, cols);
-    let body = |b: usize, pcol: &mut [f32]| {
-        let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
-        // SAFETY: batch index `b` owns `out[b * c_out * cols ..]` alone,
-        // and `out` outlives the blocking `run` call.
-        let out_b = unsafe { out_ptr.slice_mut(b * c_out * cols, c_out * cols) };
-        im2col_packed_b(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, pcol);
-        // out_b = bias broadcast + W x col
-        for oc in 0..c_out {
-            for v in out_b[oc * cols..(oc + 1) * cols].iter_mut() {
-                *v = bdata[oc];
+    parallel::run(n, 2 * c_out * krows * cols, |b| {
+        with_scratch(&PACK_RHS_SCRATCH, panel_len, |pcol| {
+            let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
+            // SAFETY: batch index `b` owns `out[b * c_out * cols ..]`
+            // alone, and `out` outlives the blocking `run` call.
+            let out_b = unsafe { out_ptr.slice_mut(b * c_out * cols, c_out * cols) };
+            im2col_packed_b(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, pcol);
+            // out_b = bias broadcast + W x col
+            for oc in 0..c_out {
+                for v in out_b[oc * cols..(oc + 1) * cols].iter_mut() {
+                    *v = bdata[oc];
+                }
             }
-        }
-        gemm::gemm_packed(packed_w, pcol, out_b, c_out, krows, cols);
-    };
-    match col_cache {
-        Some(cache) => {
-            // One resize on first use (or batch growth); steady state is
-            // allocation-free. `im2col_packed_b` fully writes each panel.
-            cache.resize(n * panel_len, 0.0);
-            let cache_ptr = SendPtr(cache.as_mut_ptr());
-            parallel::run(n, 2 * c_out * krows * cols, |b| {
-                // SAFETY: batch index `b` owns its panel slice alone, and
-                // the cache outlives the blocking `run` call.
-                let pcol = unsafe { cache_ptr.slice_mut(b * panel_len, panel_len) };
-                body(b, pcol);
-            });
-        }
-        None => parallel::run(n, 2 * c_out * krows * cols, |b| {
-            with_scratch(&PACK_RHS_SCRATCH, panel_len, |pcol| body(b, pcol));
-        }),
-    }
+            gemm::gemm_packed(packed_w, pcol, out_b, c_out, krows, cols);
+        });
+    });
     Ok(())
 }
 
@@ -531,61 +497,7 @@ pub fn conv2d_bwd_into(
     grad_output: &Tensor,
     grads: &mut Conv2dGrads,
 ) -> Result<()> {
-    conv2d_bwd_impl(
-        input.shape(),
-        Some(input.data()),
-        weight,
-        bias,
-        stride,
-        pad,
-        grad_output,
-        grads,
-        None,
-    )
-}
-
-/// [`conv2d_bwd_into`] consuming the packed im2col panels retained by
-/// [`conv2d_into_caching`] instead of re-unrolling the input: the weight
-/// gradient reads the forward pass's panels directly (the input tensor
-/// itself is no longer needed — only its shape). Gradients are
-/// bit-identical to the uncached form.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_bwd_into_cached(
-    input_shape: &[usize],
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-    grad_output: &Tensor,
-    grads: &mut Conv2dGrads,
-    col_cache: &[f32],
-) -> Result<()> {
-    conv2d_bwd_impl(
-        input_shape,
-        None,
-        weight,
-        bias,
-        stride,
-        pad,
-        grad_output,
-        grads,
-        Some(col_cache),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_bwd_impl(
-    input_shape: &[usize],
-    input_data: Option<&[f32]>,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-    grad_output: &Tensor,
-    grads: &mut Conv2dGrads,
-    col_cache: Option<&[f32]>,
-) -> Result<()> {
-    let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input_shape, weight, bias, stride)?;
+    let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input.shape(), weight, bias, stride)?;
     let out_h = conv_out_size(h, kh, stride, pad);
     let out_w = conv_out_size(w, kw, stride, pad);
     if grad_output.shape() != [n, c_out, out_h, out_w] {
@@ -609,24 +521,12 @@ fn conv2d_bwd_impl(
     grads.grad_input.reset_zeroed(&[n, c_in, h, w]);
     // Per-sample partials for the cross-sample reductions; folded serially
     // in batch order below, reproducing the serial accumulation order
-    // exactly (gradients stay bit-identical at any thread count). The
-    // weight partials are `[c_out, krows]` on the uncached path and
-    // transposed (`[krows, c_out]`, as the colpanel gw^T GEMM produces) on
-    // the cached path — either way each element is the same ascending-
-    // column dot product, so the folded gradient is bit-identical. Both
+    // exactly (gradients stay bit-identical at any thread count). Both
     // partial buffers are fully overwritten; dirty pool scratch is safe.
-    let panel_len = gemm::packed_b_len(krows, cols);
-    if let Some(cache) = col_cache {
-        assert_eq!(
-            cache.len(),
-            n * panel_len,
-            "col cache does not match this conv geometry (stale forward?)"
-        );
-    }
     let mut gw_partial = crate::pool::scratch(n * c_out * krows);
     let mut gb_partial = crate::pool::scratch(n * c_out);
     let wdata = weight.data();
-    let idata = input_data.unwrap_or(&[]);
+    let idata = input.data();
     let godata = grad_output.data();
     let gi_ptr = SendPtr(grads.grad_input.data_mut().as_mut_ptr());
     let gw_ptr = SendPtr(gw_partial.as_mut_ptr());
@@ -651,52 +551,26 @@ fn conv2d_bwd_impl(
         for (oc, gb) in gb_b.iter_mut().enumerate() {
             *gb = go[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
         }
-        // Weight-gradient GEMM. Either orientation sums each gw element
-        // over the output-column index in strictly ascending order — the
-        // exact serial accumulation — so the two paths produce bit-equal
-        // partials (modulo the transposed storage the fold untangles).
-        match col_cache {
-            Some(cache) => {
-                // gw_b^T = col x go^T: [krows, cols] x [cols, c_out]. The
-                // unrolled windows are read straight back from the forward
-                // pass's packed panels (zero unrolling work); the colpanel
-                // kernel consumes that layout as its left operand, and the
-                // small go^T operand packs via strides.
-                let pcol = &cache[b * panel_len..(b + 1) * panel_len];
-                with_scratch(&PACK_RHS_SCRATCH, gemm::packed_b_len(cols, c_out), |pgot| {
-                    gemm::pack_b_strided(go, pgot, cols, c_out, 1, cols);
-                    gemm::gemm_a_colpanel_overwrite(pcol, pgot, gw_b, krows, cols, c_out);
-                });
-            }
-            None => {
-                // gw_b = go x col^T: [c_out, cols] x [cols, krows],
-                // written directly in grad_weight's layout. The column
-                // matrix is re-unrolled in plain form and packed through
-                // its transposed view — cheaper than unrolling into panel
-                // layout and re-repacking strips inside the kernel.
-                let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
-                with_scratch(&PACK_LHS_SCRATCH, krows * cols, |col| {
-                    im2col(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, col);
-                    with_scratch(
-                        &COL_GRAD_SCRATCH,
-                        gemm::packed_b_len(cols, krows),
-                        |pcolt| {
-                            gemm::pack_b_strided(col, pcolt, cols, krows, 1, cols);
-                            with_scratch(
-                                &PACK_RHS_SCRATCH,
-                                gemm::packed_a_len(c_out, cols),
-                                |pgo| {
-                                    gemm::pack_a_strided(go, pgo, c_out, cols, cols, 1);
-                                    gemm::gemm_packed_overwrite(
-                                        pgo, pcolt, gw_b, c_out, cols, krows,
-                                    );
-                                },
-                            );
-                        },
-                    );
-                });
-            }
-        }
+        // gw_b = go x col^T: [c_out, cols] x [cols, krows], written
+        // directly in grad_weight's layout. The column matrix is unrolled
+        // in plain form and packed through its transposed view — cheaper
+        // than unrolling into panel layout and re-repacking strips inside
+        // the kernel.
+        let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
+        with_scratch(&PACK_LHS_SCRATCH, krows * cols, |col| {
+            im2col(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, col);
+            with_scratch(
+                &COL_GRAD_SCRATCH,
+                gemm::packed_b_len(cols, krows),
+                |pcolt| {
+                    gemm::pack_b_strided(col, pcolt, cols, krows, 1, cols);
+                    with_scratch(&PACK_RHS_SCRATCH, gemm::packed_a_len(c_out, cols), |pgo| {
+                        gemm::pack_a_strided(go, pgo, c_out, cols, cols, 1);
+                        gemm::gemm_packed_overwrite(pgo, pcolt, gw_b, c_out, cols, krows);
+                    });
+                },
+            );
+        });
         // col_grad = W^T x go: [krows, c_out] x [c_out, cols], with the
         // packed W^T panel shared across all samples. The overwrite GEMM
         // seeds its register tile at zero, so the scratch needs no
@@ -715,26 +589,15 @@ fn conv2d_bwd_impl(
     });
 
     // Fold the per-sample partials serially, in batch index order — the
-    // exact order the serial loop accumulated them. Cached-path weight
-    // partials are read back through their transpose so each
-    // `grad_weight` element receives the same per-sample addends in the
-    // same order either way.
+    // exact order the serial loop accumulated them.
     grads.grad_weight.reset_zeroed(&[c_out, c_in, kh, kw]);
     grads.grad_bias.reset_zeroed(&[c_out]);
     let grad_weight = grads.grad_weight.data_mut();
     let grad_bias = grads.grad_bias.data_mut();
     for b in 0..n {
         let gw_b = &gw_partial[b * c_out * krows..(b + 1) * c_out * krows];
-        if col_cache.is_some() {
-            for (oc, gw_row) in grad_weight.chunks_exact_mut(krows).enumerate() {
-                for (r, gw) in gw_row.iter_mut().enumerate() {
-                    *gw += gw_b[r * c_out + oc];
-                }
-            }
-        } else {
-            for (gw, &p) in grad_weight.iter_mut().zip(gw_b) {
-                *gw += p;
-            }
+        for (gw, &p) in grad_weight.iter_mut().zip(gw_b) {
+            *gw += p;
         }
         let gb_b = &gb_partial[b * c_out..(b + 1) * c_out];
         for (gb, &p) in grad_bias.iter_mut().zip(gb_b) {
@@ -1018,45 +881,6 @@ mod tests {
         }
     }
 
-    /// Backward through the forward pass's cached panels must produce the
-    /// exact bits of the self-contained backward (which re-unrolls the
-    /// input), and the caching forward must not perturb the output.
-    #[test]
-    fn cached_backward_matches_uncached() {
-        use crate::init::SeededRng;
-        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
-        for &(n, c_in, c_out, hw, k, stride, pad) in &[
-            (2usize, 3usize, 4usize, 6usize, 3usize, 1usize, 1usize),
-            (3, 2, 5, 8, 2, 2, 0),
-            (1, 4, 2, 5, 1, 1, 0),
-            (2, 17, 3, 6, 3, 1, 1), // ragged MR strip in krows
-        ] {
-            let mut rng = SeededRng::new(19);
-            let x = rng.uniform_tensor(&[n, c_in, hw, hw], -1.0, 1.0);
-            let w = rng.uniform_tensor(&[c_out, c_in, k, k], -0.5, 0.5);
-            let b = rng.uniform_tensor(&[c_out], -0.5, 0.5);
-
-            let plain = conv2d(&x, &w, &b, stride, pad).unwrap();
-            let mut cached_out = Tensor::empty();
-            let mut cache = Vec::new();
-            conv2d_into_caching(&x, &w, &b, stride, pad, &mut cached_out, &mut cache).unwrap();
-            assert_eq!(
-                bits(&plain),
-                bits(&cached_out),
-                "forward perturbed by caching"
-            );
-
-            let go = rng.uniform_tensor(plain.shape(), -1.0, 1.0);
-            let uncached = conv2d_backward(&x, &w, &b, stride, pad, &go).unwrap();
-            let mut cached = Conv2dGrads::default();
-            conv2d_bwd_into_cached(x.shape(), &w, &b, stride, pad, &go, &mut cached, &cache)
-                .unwrap();
-            assert_eq!(bits(&uncached.grad_input), bits(&cached.grad_input));
-            assert_eq!(bits(&uncached.grad_weight), bits(&cached.grad_weight));
-            assert_eq!(bits(&uncached.grad_bias), bits(&cached.grad_bias));
-        }
-    }
-
     /// Finite-difference check of the backward pass through a
     /// stride-2 scale-merging conv (`kernel = stride = 2`, no padding) —
     /// the geometry the fused packing paths don't share with the
@@ -1106,7 +930,7 @@ mod tests {
 
     // Micro-timing of the conv pipeline pieces (unrolling, packing, the
     // three GEMMs, col2im) at the 16-channel 32x32 training shape — the
-    // numbers behind the path choices documented on `conv2d_bwd_impl`.
+    // numbers behind the path choices documented on `conv2d_bwd_into`.
     // Run with: `cargo test --release -p o4a-tensor --lib --
     // --ignored conv_piece_timings --nocapture`
     #[test]
@@ -1126,13 +950,11 @@ mod tests {
         let mut col = vec![0.0f32; krows * cols];
         let mut pb = vec![0.0f32; gemm::packed_b_len(krows, cols)];
         let mut pgo_b = vec![0.0f32; gemm::packed_b_len(c_out, cols)];
-        let mut pgot = vec![0.0f32; gemm::packed_b_len(cols, c_out)];
         let mut pw = vec![0.0f32; gemm::packed_a_len(c_out, krows)];
         let mut pwt = vec![0.0f32; gemm::packed_a_len(krows, c_out)];
         gemm::pack_a_strided(&wgt, &mut pw, c_out, krows, krows, 1);
         gemm::pack_a_strided(&wgt, &mut pwt, krows, c_out, 1, krows);
         let mut out = vec![0.0f32; c_out * cols];
-        let mut gwt = vec![0.0f32; krows * c_out];
         let mut col_grad = vec![0.0f32; krows * cols];
         let mut gi = vec![0.0f32; c_in * h * w];
 
@@ -1163,14 +985,8 @@ mod tests {
         time("pack_b(go)", &mut || {
             gemm::pack_b_strided(&go, &mut pgo_b, c_out, cols, cols, 1)
         });
-        time("pack_b(go^T) strided", &mut || {
-            gemm::pack_b_strided(&go, &mut pgot, cols, c_out, 1, cols)
-        });
         time("gemm fwd W*col", &mut || {
             gemm::gemm_packed(&pw, &pb, &mut out, c_out, krows, cols)
-        });
-        time("gemm gw^T colpanel*go^T", &mut || {
-            gemm::gemm_a_colpanel_overwrite(&pb, &pgot, &mut gwt, krows, cols, c_out)
         });
         let mut pcolt = vec![0.0f32; gemm::packed_b_len(cols, krows)];
         let mut pgo_a = vec![0.0f32; gemm::packed_a_len(c_out, cols)];

@@ -71,9 +71,6 @@ thread_local! {
     // Per-worker packed-A scratch for matmul row bands, reused across
     // calls so the parallel band loop allocates nothing per task.
     static BAND_PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    // Per-worker strip scratch for [`gemm_a_colpanel_overwrite`]'s
-    // panel-to-strip repack (`k * MR` floats).
-    static COLPANEL_STRIP_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     // Two-strip f32 window (`2 * k * NR` floats) that [`matmul_f16b_into`]
     // widens each pair of f16 B strips into before driving the kernel —
     // cache-resident, so the only DRAM-sized stream stays half-width.
@@ -336,117 +333,6 @@ pub(crate) fn gemm_panel_scalar_over(
     gemm_packed_impl::<false>(pa, pb, out, rows, k, n);
 }
 
-/// `out[rows x n] = A_panel[rows x k] * B_packed[k x n]`, serial, where the
-/// *left* operand is stored in **packed-B layout** (`NR`-wide strips over
-/// its `k` columns, i.e. `pack_b_strided(a, panel, rows, k, k, 1)`).
-///
-/// This is the layout [`crate::conv2d_into`]'s fused im2col produces for
-/// the unrolled-window matrix, so the backward weight-gradient GEMM
-/// (`gw^T = col x go^T`) can consume the forward pass's cached panels
-/// directly — the same matrix never gets re-unrolled. Element `(r, p)` of
-/// the panel lives at `(p/NR)*(rows*NR) + r*NR + p%NR`; each `MR`-row
-/// strip is repacked into the kernel's A layout through a small
-/// cache-resident scratch, which costs one pass over the matrix in L1
-/// instead of the full-size strided packing sweep.
-///
-/// The accumulator tile starts at zero (overwrite form: `out` may hold
-/// garbage) and every element accumulates in strictly ascending `p` order —
-/// bit-identical to [`matmul_naive_into`] over zeros.
-pub(crate) fn gemm_a_colpanel_overwrite(
-    apanel: &[f32],
-    pb: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(apanel.len(), packed_b_len(rows, k));
-    debug_assert_eq!(pb.len(), packed_b_len(k, n));
-    debug_assert_eq!(out.len(), rows * n);
-    // Repack one MR-row strip at a time from the panel layout into the
-    // packed-A strip layout, then hand it to the regular micro-kernel. The
-    // strip scratch is `k * MR` floats (L1/L2-resident), so the transpose
-    // scatter never leaves cache — unlike packing the whole matrix — and
-    // the kernel loop stays the one the compiler already turns into a
-    // register-resident FMA tile.
-    COLPANEL_STRIP_SCRATCH.with(|cell| {
-        let mut strip = cell.borrow_mut();
-        if strip.len() < k * MR {
-            strip.resize(k * MR, 0.0);
-        }
-        let strip = &mut strip[..k * MR];
-        for si in 0..rows.div_ceil(MR) {
-            let r0 = si * MR;
-            let rows_v = MR.min(rows - r0);
-            if rows_v < MR {
-                // dead lanes of the ragged strip: `0 * b`, never stored
-                strip.fill(0.0);
-            }
-            colpanel_repack_strip(apanel, strip, rows, k, r0, rows_v);
-            colpanel_strip_pass(strip, pb, out, r0, k, n, rows_v);
-        }
-    });
-}
-
-/// Scatters one `MR`-row strip of the panel-layout left operand into the
-/// kernel's packed-A strip layout.
-#[inline(never)]
-fn colpanel_repack_strip(
-    apanel: &[f32],
-    strip: &mut [f32],
-    rows: usize,
-    k: usize,
-    r0: usize,
-    rows_v: usize,
-) {
-    for (jb, ablock) in apanel.chunks_exact(rows * NR).enumerate() {
-        let p0 = jb * NR;
-        let pv = NR.min(k - p0);
-        let ablk = &ablock[r0 * NR..(r0 + rows_v) * NR];
-        let dst = &mut strip[p0 * MR..];
-        for (r, arow) in ablk.chunks_exact(NR).enumerate() {
-            for (pp, &v) in arow.iter().take(pv).enumerate() {
-                dst[pp * MR + r] = v;
-            }
-        }
-    }
-}
-
-/// Drives the micro-kernel across every column strip for one packed A
-/// strip, through the active dispatch tier.
-#[inline(never)]
-fn colpanel_strip_pass(
-    strip: &[f32],
-    pb: &[f32],
-    out: &mut [f32],
-    r0: usize,
-    k: usize,
-    n: usize,
-    rows_v: usize,
-) {
-    (crate::isa::dispatch().strip_pass_over)(strip, pb, out, r0, k, n, rows_v);
-}
-
-/// Scalar-tier single-strip pass (dispatch table entry). Kept out-of-line
-/// so the tile loop compiles in the same clean context as
-/// [`gemm_packed_impl`]'s.
-#[inline(never)]
-pub(crate) fn strip_pass_scalar_over(
-    strip: &[f32],
-    pb: &[f32],
-    out: &mut [f32],
-    r0: usize,
-    k: usize,
-    n: usize,
-    rows_v: usize,
-) {
-    for (sj, pb_strip) in pb.chunks_exact(k * NR).enumerate() {
-        let c0 = sj * NR;
-        let cols_v = NR.min(n - c0);
-        micro_tile::<false>(strip, pb_strip, out, r0 * n + c0, n, rows_v, cols_v);
-    }
-}
-
 /// Scalar-tier column-window drive (dispatch table entry): a window of
 /// one or two B strips starting at output column `c0`, across every A
 /// strip, overwrite form.
@@ -661,71 +547,6 @@ mod tests {
             let ob: Vec<u32> = over.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, ob, "overwrite != accumulate for ({m},{k},{n})");
         }
-    }
-
-    #[test]
-    fn colpanel_kernel_matches_naive() {
-        // Left operand supplied in packed-B layout (as the fused im2col
-        // writes it) must reproduce the naive loop bit for bit, across
-        // ragged row strips, ragged k blocks and ragged output strips.
-        for &(m, k, n) in &[
-            (MR, NR, NR),
-            (11, 33, 5),
-            (1, 1, 1),
-            (MR + 3, 2 * NR + 7, NR - 1),
-            (24, 40, NR + 2),
-        ] {
-            let a = seq(m * k, 0.43);
-            let b = seq(k * n, 0.61);
-            let mut apanel = vec![f32::NAN; packed_b_len(m, k)];
-            let mut pb = vec![f32::NAN; packed_b_len(k, n)];
-            pack_b_strided(&a, &mut apanel, m, k, k, 1);
-            pack_b_strided(&b, &mut pb, k, n, n, 1);
-            let mut out = vec![f32::NAN; m * n];
-            gemm_a_colpanel_overwrite(&apanel, &pb, &mut out, m, k, n);
-            let mut naive = vec![0.0f32; m * n];
-            matmul_naive_into(&a, &b, &mut naive, m, k, n);
-            let ob: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let nb: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ob, nb, "colpanel != naive for ({m},{k},{n})");
-        }
-    }
-
-    // Micro-timing for the colpanel kernel vs the pre-packed kernel it
-    // wraps (the gap is the per-strip repack cost). Run with:
-    // `cargo test --release -p o4a-tensor --lib -- --ignored colpanel_timing --nocapture`
-    #[test]
-    #[ignore]
-    fn colpanel_timing() {
-        use std::time::Instant;
-        let (m, k, n) = (144usize, 1024usize, 16usize);
-        let a = seq(m * k, 0.37);
-        let b = seq(k * n, 0.53);
-        let mut apanel = vec![0.0f32; packed_b_len(m, k)];
-        let mut pa = vec![0.0f32; packed_a_len(m, k)];
-        let mut pb = vec![0.0f32; packed_b_len(k, n)];
-        pack_b_strided(&a, &mut apanel, m, k, k, 1);
-        pack_a_strided(&a, &mut pa, m, k, k, 1);
-        pack_b_strided(&b, &mut pb, k, n, n, 1);
-        let mut out = vec![0.0f32; m * n];
-        let reps = 200u32;
-        let time = |label: &str, f: &mut dyn FnMut()| {
-            let mut best = f64::MAX;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    f();
-                }
-                best = best.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
-            }
-            println!("{label:26} {best:9.1} us");
-        };
-        time("gemm_packed pre-packed A", &mut || {
-            gemm_packed_overwrite(&pa, &pb, &mut out, m, k, n)
-        });
-        time("colpanel full", &mut || {
-            gemm_a_colpanel_overwrite(&apanel, &pb, &mut out, m, k, n)
-        });
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl Isa {
 pub(crate) type GemmPanelFn =
     fn(pa: &[f32], pb: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize);
 
-/// Drives the micro-kernel across every B strip for **one** packed A strip
-/// whose first output row is `r0` (overwrite form; used by the colpanel
-/// repack path).
-pub(crate) type StripPassFn =
-    fn(strip: &[f32], pb: &[f32], out: &mut [f32], r0: usize, k: usize, n: usize, rows_v: usize);
-
 /// Drives the micro-kernel for a window of one or two adjacent B strips
 /// (packed contiguously in `pbw`, first output column `c0`) across every
 /// packed A strip — overwrite form. The streaming f16 GEMM uses this to
@@ -142,8 +136,6 @@ pub(crate) struct Dispatch {
     pub gemm_panel_acc: GemmPanelFn,
     /// Overwriting GEMM panel drive (`out = A*B`, `out` may be garbage).
     pub gemm_panel_over: GemmPanelFn,
-    /// Single-strip overwrite pass (colpanel repack path).
-    pub strip_pass_over: StripPassFn,
     /// One/two-strip column-window overwrite drive (streaming f16 GEMM).
     pub colwindow_over: ColWindowFn,
     /// Strided A packer.
@@ -180,7 +172,6 @@ static SCALAR: Dispatch = Dispatch {
     isa: Isa::Scalar,
     gemm_panel_acc: crate::gemm::gemm_panel_scalar_acc,
     gemm_panel_over: crate::gemm::gemm_panel_scalar_over,
-    strip_pass_over: crate::gemm::strip_pass_scalar_over,
     colwindow_over: crate::gemm::colwindow_scalar_over,
     pack_a: crate::gemm::pack_a_strided_scalar,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
@@ -207,7 +198,6 @@ static AVX2: Dispatch = Dispatch {
     isa: Isa::Avx2,
     gemm_panel_acc: crate::simd::avx2::gemm_panel_acc,
     gemm_panel_over: crate::simd::avx2::gemm_panel_over,
-    strip_pass_over: crate::simd::avx2::strip_pass_over,
     colwindow_over: crate::simd::avx2::colwindow_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
@@ -230,7 +220,6 @@ static AVX512: Dispatch = Dispatch {
     isa: Isa::Avx512,
     gemm_panel_acc: crate::simd::avx512::gemm_panel_acc,
     gemm_panel_over: crate::simd::avx512::gemm_panel_over,
-    strip_pass_over: crate::simd::avx512::strip_pass_over,
     colwindow_over: crate::simd::avx512::colwindow_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::simd::avx512::pack_b_strip,
@@ -389,8 +378,11 @@ pub fn available() -> Vec<Isa> {
 /// The active kernel table.
 #[inline]
 pub(crate) fn dispatch() -> &'static Dispatch {
-    let t = table(active());
-    debug_assert_eq!(t.isa, active());
+    // One read of the tier: a concurrent `force()` between two reads
+    // would pair a table with a different tier than the one it serves.
+    let isa = active();
+    let t = table(isa);
+    debug_assert_eq!(t.isa, isa);
     t
 }
 

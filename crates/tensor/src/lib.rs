@@ -63,8 +63,8 @@ mod simd;
 pub mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_bwd_into_cached, conv2d_f16w_into,
-    conv2d_into, conv2d_into_caching, upsample_nearest, upsample_nearest_backward, Conv2dGrads,
+    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_f16w_into, conv2d_into, upsample_nearest,
+    upsample_nearest_backward, Conv2dGrads,
 };
 pub use half::HalfTensor;
 pub use init::{glorot_uniform, he_normal, SeededRng};

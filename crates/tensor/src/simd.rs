@@ -222,27 +222,6 @@ pub(crate) mod avx2 {
         unsafe { panel::<false>(pa, pb, out, rows, k, n) }
     }
 
-    pub(crate) fn strip_pass_over(
-        strip: &[f32],
-        pb: &[f32],
-        out: &mut [f32],
-        r0: usize,
-        k: usize,
-        n: usize,
-        rows_v: usize,
-    ) {
-        for (sj, pb_strip) in pb.chunks_exact(k * NR).enumerate() {
-            let c0 = sj * NR;
-            let cols_v = NR.min(n - c0);
-            if rows_v == MR && cols_v == NR {
-                // SAFETY: full tile; avx2+fma detected (dispatch table).
-                unsafe { tile::<false>(strip, pb_strip, out, r0 * n + c0, n, k) };
-            } else {
-                micro_tile::<false>(strip, pb_strip, out, r0 * n + c0, n, rows_v, cols_v);
-            }
-        }
-    }
-
     pub(crate) fn colwindow_over(
         pa: &[f32],
         pbw: &[f32],
@@ -746,56 +725,6 @@ pub(crate) mod avx512 {
         n: usize,
     ) {
         unsafe { panel::<false>(pa, pb, out, rows, k, n) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn strip_pass(
-        strip: &[f32],
-        pb: &[f32],
-        out: &mut [f32],
-        r0: usize,
-        k: usize,
-        n: usize,
-        rows_v: usize,
-    ) {
-        let nstrips = n.div_ceil(NR);
-        let full_cols = n / NR;
-        let strip_b = |sj: usize| &pb[sj * k * NR..(sj + 1) * k * NR];
-        if rows_v == MR {
-            let mut sj = 0usize;
-            while sj + 2 <= full_cols {
-                let c0 = sj * NR;
-                tile_x2::<false>(strip, strip_b(sj), strip_b(sj + 1), out, r0 * n + c0, n, k);
-                sj += 2;
-            }
-            if sj < full_cols {
-                tile_x1::<false>(strip, strip_b(sj), out, r0 * n + sj * NR, n, k);
-                sj += 1;
-            }
-            for sjr in full_cols.max(sj)..nstrips {
-                let c0 = sjr * NR;
-                micro_tile::<false>(strip, strip_b(sjr), out, r0 * n + c0, n, MR, n - c0);
-            }
-        } else {
-            for sjr in 0..nstrips {
-                let c0 = sjr * NR;
-                let cols_v = NR.min(n - c0);
-                micro_tile::<false>(strip, strip_b(sjr), out, r0 * n + c0, n, rows_v, cols_v);
-            }
-        }
-    }
-
-    pub(crate) fn strip_pass_over(
-        strip: &[f32],
-        pb: &[f32],
-        out: &mut [f32],
-        r0: usize,
-        k: usize,
-        n: usize,
-        rows_v: usize,
-    ) {
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { strip_pass(strip, pb, out, r0, k, n, rows_v) }
     }
 
     #[target_feature(enable = "avx512f")]

@@ -100,7 +100,7 @@ fn main() {
         .into_iter()
         .map(|mut v| v.remove(0))
         .collect();
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&index.hier));
     store.publish(frames);
     let server = RegionServer::new(index, store);
     let downtown = Mask::rect(h, w, 8, 4, 14, 10);

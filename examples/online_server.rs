@@ -32,7 +32,7 @@ fn main() {
         hier.num_layers()
     );
 
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&index.hier));
     store.publish(truths.iter().map(|layer| layer[0].clone()).collect());
     let server = Arc::new(RegionServer::new(index, store.clone()));
 

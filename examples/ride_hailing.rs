@@ -54,7 +54,7 @@ fn main() {
         .into_iter()
         .map(|mut per_t| per_t.remove(0))
         .collect();
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&index.hier));
     store.publish(frames);
     let server = RegionServer::new(index, store);
 

@@ -13,6 +13,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Parallel test threads force ISA tiers while other threads dispatch
+# kernels. These two suites used to fail intermittently on a racy
+# double read of the active tier; rerun each 20x to prove the dispatch
+# is deterministic.
+echo "==> compiled_props + gather_props x20 (dispatch determinism)"
+for run in $(seq 20); do
+    out=$(cargo test -q -p o4a-core --test compiled_props 2>&1) \
+        || { echo "$out"; echo "FAIL: compiled_props run $run"; exit 1; }
+    out=$(cargo test -q -p o4a-tensor --test gather_props 2>&1) \
+        || { echo "$out"; echo "FAIL: gather_props run $run"; exit 1; }
+done
+
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
 # every host (the O4A_ISA contract). Re-run the kernel identity proptests
 # with the env override so the resolved-at-startup path itself is pinned,
@@ -260,6 +272,13 @@ for shard in 0 1; do
     grep -q "^o4a_shard_routed_total{shard=\"$shard\"}" "$SMOKE_DIR/smetrics.prom" \
         || { echo "smetrics.prom is missing o4a_shard_routed_total{shard=\"$shard\"}"; exit 1; }
 done
+# The mask -> decomposition memo lives in the shard router (an unsharded
+# engine keys its plans by mask and keeps no memo).
+for metric in o4a_decomp_cache_hits_total o4a_decomp_cache_misses_total \
+    o4a_decomp_cache_entries; do
+    grep -q "^$metric" "$SMOKE_DIR/smetrics.prom" \
+        || { echo "smetrics.prom is missing $metric"; exit 1; }
+done
 
 # METRICS smoke: the scrape from the live server must be a well-formed
 # exposition containing the serving counters and query-stage histograms.
@@ -267,8 +286,7 @@ echo "==> METRICS exposition smoke"
 for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_serve_protocol_errors_total o4a_query_decompose_ns_bucket \
     o4a_query_lookup_ns_count o4a_query_aggregate_ns_sum \
-    o4a_decomp_cache_hits_total o4a_decomp_cache_misses_total \
-    o4a_decomp_cache_entries o4a_plan_cache_hits_total \
+    o4a_plan_cache_hits_total \
     o4a_plan_cache_misses_total o4a_plan_cache_evictions_total \
     o4a_plan_cache_entries o4a_compiled_terms_bucket \
     o4a_isa_active o4a_isa_feature_avx2 \
@@ -281,7 +299,7 @@ done
 
 # Ensemble serve smoke: cold-start a 2-member ensemble from its O4AENS01
 # artifact, drive it with the load generator, and require the ensemble
-# plan gauges and stage histograms in the scrape.
+# plan gauges and the (shared) query-stage histograms in the scrape.
 echo "==> ensemble serve smoke (serve --ensemble 2 + loadgen, ~2s)"
 ./target/release/serve --ensemble 2 --addr 127.0.0.1:0 \
     --addr-file "$SMOKE_DIR/eaddr" --side 16 \
@@ -296,8 +314,8 @@ test -f "$SMOKE_DIR/ens-artifacts/plan.o4aens" \
     || { echo "ensemble serve did not persist plan.o4aens"; exit 1; }
 for metric in o4a_ensemble_members o4a_ensemble_plan_cost \
     o4a_ensemble_plan_revision o4a_ensemble_plan_cells_stripe0 \
-    o4a_ensemble_decompose_ns_bucket o4a_ensemble_lookup_ns_count \
-    o4a_ensemble_aggregate_ns_sum o4a_ensemble_model_terms_stripe1; do
+    o4a_query_decompose_ns_bucket o4a_query_lookup_ns_count \
+    o4a_query_aggregate_ns_sum o4a_ensemble_model_terms_stripe1; do
     grep -q "^$metric" "$SMOKE_DIR/emetrics.prom" \
         || { echo "emetrics.prom is missing $metric"; exit 1; }
 done

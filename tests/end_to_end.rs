@@ -67,7 +67,7 @@ fn build_pipeline() -> Pipeline {
         .map(|mut v| v.remove(0))
         .collect();
     let layer_totals: Vec<f32> = frames.iter().map(|f| f.iter().sum()).collect();
-    let store = Arc::new(PredictionStore::new());
+    let store = Arc::new(PredictionStore::for_hierarchy(&index.hier));
     store.publish(frames.clone());
     Pipeline {
         flow,
