@@ -32,8 +32,8 @@ fn main() {
         hier.scales()
     );
     println!(
-        "{:<28} {:>6} {:>12} {:>12} {:>10}",
-        "Dataset / Task", "#query", "avg (us)", "max (us)", "avg terms"
+        "{:<28} {:>6} {:>12} {:>12} {:>10} {:>8}",
+        "Dataset / Task", "#query", "avg (us)", "max (us)", "avg terms", "terms"
     );
 
     for kind in [DatasetKind::TaxiNycLike, DatasetKind::FreightLike] {
@@ -77,12 +77,13 @@ fn main() {
                     .len();
             }
             println!(
-                "{:<28} {:>6} {:>12.1} {:>12.1} {:>10.1}",
+                "{:<28} {:>6} {:>12.1} {:>12.1} {:>10.1} {:>8}",
                 format!("{} Task {}", kind.name(), ti + 1),
                 masks.len(),
                 total.as_micros() as f64 / masks.len() as f64,
                 max.as_micros() as f64,
-                terms as f64 / masks.len() as f64
+                terms as f64 / masks.len() as f64,
+                terms
             );
         }
     }
