@@ -19,7 +19,9 @@
 //! (message).
 //!
 //! A mask travels as `h u16 | w u16 | packed bits` (row-major, LSB-first
-//! within each byte; padding bits in the last byte must be zero). The
+//! within each byte; padding bits in the last byte must be zero): the
+//! bytes of [`Mask`]'s packed words in little-endian order, so encoding
+//! and decoding a mask are copies. The
 //! decoder is total: any truncated, oversized, or bit-flipped frame
 //! yields a [`WireError`] — never a panic — with single-bit corruption
 //! guaranteed detectable by the payload checksum plus strict header
@@ -329,13 +331,13 @@ fn put_f32(buf: &mut Vec<u8>, v: f32) {
 fn encode_mask(buf: &mut Vec<u8>, mask: &Mask) {
     put_u16(buf, mask.h() as u16);
     put_u16(buf, mask.w() as u16);
-    let cells = mask.h() * mask.w();
-    let mut packed = vec![0u8; cells.div_ceil(8)];
-    for (r, c) in mask.iter_set() {
-        let i = r * mask.w() + c;
-        packed[i / 8] |= 1 << (i % 8);
+    // the packed words are the wire bytes, little-endian; the bytes past
+    // the last cell's are zero padding and dropped
+    let end = buf.len() + (mask.h() * mask.w()).div_ceil(8);
+    for word in mask.words() {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    buf.extend_from_slice(&packed);
+    buf.truncate(end);
 }
 
 fn decode_mask(r: &mut Rd<'_>) -> Result<Mask, WireError> {
@@ -349,15 +351,15 @@ fn decode_mask(r: &mut Rd<'_>) -> Result<Mask, WireError> {
         return Err(WireError::Corrupt("mask exceeds cell cap"));
     }
     let packed = r.take(cells.div_ceil(8))?;
+    let mut words = vec![0u64; cells.div_ceil(64)];
+    for (word, bytes) in words.iter_mut().zip(packed.chunks(8)) {
+        let mut le = [0u8; 8];
+        le[..bytes.len()].copy_from_slice(bytes);
+        *word = u64::from_le_bytes(le);
+    }
     // trailing padding bits must be zero so every mask has one canonical
     // wire form (and a flipped padding bit is caught as corruption)
-    if !cells.is_multiple_of(8) && packed[cells / 8] >> (cells % 8) != 0 {
-        return Err(WireError::Corrupt("non-zero mask padding bits"));
-    }
-    let bits: Vec<bool> = (0..cells)
-        .map(|i| packed[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
-    Ok(Mask::from_bits(h, w, bits))
+    Mask::from_words(h, w, words).ok_or(WireError::Corrupt("non-zero mask padding bits"))
 }
 
 // ---------------------------------------------------------------------------

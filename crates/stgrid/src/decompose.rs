@@ -8,9 +8,22 @@
 //! that no subset of the produced grids can be merged into a coarser grid,
 //! which is the precondition of Theorem 4.1 (the optimal combination of the
 //! region is the sum of the optimal combinations of the decomposed grids).
+//!
+//! A cell is fully covered by the *remaining* region at its layer exactly
+//! when the region covers it and does not cover its parent: a covered
+//! parent, or its covered coarsest ancestor, was matched first and took the
+//! cell with it. [`decompose`] therefore never rescans the remaining
+//! region. It builds the full-coverage pyramid bottom-up over packed `u64`
+//! rows, ANDing the `K` child rows of each parent row word by word, and
+//! clears every covered parent's children as it finds it. What stays set
+//! is what Algorithm 1 matches; a flood fill inside each `K x K` block then
+//! groups it, with the bitmap itself as the visited set. Only the rows
+//! between the region's first and last cell are read, so the cost is at
+//! most `O(H * W / 64)` words plus the covered cells, where Algorithm 1
+//! reads every cell of every layer however small the query.
 
 use crate::hierarchy::{Hierarchy, LayerCell};
-use crate::mask::Mask;
+use crate::mask::{spans, Mask};
 
 /// One decomposed unit: a set of (connected, same-parent) cells at a single
 /// layer. A group with one cell is a *single grid*; larger groups are the
@@ -54,7 +67,9 @@ impl DecomposedGroup {
 /// Decomposes `region` into hierarchical grids (Algorithm 1).
 ///
 /// The returned groups are disjoint, cover the region exactly, and no
-/// subset of them merges into a coarser hierarchical grid.
+/// subset of them merges into a coarser hierarchical grid. Layers run
+/// coarse to fine; within a layer, groups run in row-major order of their
+/// first cell.
 ///
 /// # Panics
 /// Panics if the region's dimensions do not match the hierarchy's raster.
@@ -67,90 +82,186 @@ pub fn decompose(hier: &Hierarchy, region: &Mask) -> Vec<DecomposedGroup> {
         hier.h(),
         hier.w()
     );
-    let mut remaining = region.clone();
-    let mut out = Vec::new();
-    for layer in (0..hier.num_layers()).rev() {
-        // Match(R, S): cells of this layer fully covered by the remaining
-        // region.
-        let covered = match_layer(hier, layer, &remaining);
-        if covered.is_empty() {
-            continue;
-        }
-        // Connected components among covered cells that share a parent.
-        let groups = group_cells(hier, layer, &covered);
-        for cells in groups {
-            for &(r, c) in &cells {
-                let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(layer, r, c));
-                remaining.clear_rect(r0, c0, r1, c1);
+    let k = hier.k();
+    let top = hier.num_layers() - 1;
+    // matched[l]: the cells of layer l that Algorithm 1 matches
+    let mut matched = Vec::with_capacity(top + 1);
+    matched.push(Rows::atomic(region));
+    for layer in 1..=top {
+        let children = &mut matched[layer - 1];
+        // a covered parent has all K child rows inside the children's span
+        let (lo, hi) = (children.lo.div_ceil(k), children.hi / k);
+        let mut parents = Rows::empty(lo, hi, hier.layer_dims(layer).1);
+        let mut and = vec![0u64; children.stride];
+        let mut taken = vec![0u64; children.stride];
+        for pr in lo..hi {
+            and.copy_from_slice(children.row(pr * k));
+            for dr in 1..k {
+                for (a, &b) in and.iter_mut().zip(children.row(pr * k + dr)) {
+                    *a &= b;
+                }
             }
-            out.push(DecomposedGroup { layer, cells });
-        }
-    }
-    debug_assert!(remaining.is_empty(), "decomposition must cover the region");
-    out
-}
-
-/// The `Match` step: all cells of `layer` fully covered by `remaining`.
-fn match_layer(hier: &Hierarchy, layer: usize, remaining: &Mask) -> Vec<(usize, usize)> {
-    let (rows, cols) = hier.layer_dims(layer);
-    let mut covered = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(layer, r, c));
-            if remaining.covers_rect(r0, c0, r1, c1) {
-                covered.push((r, c));
-            }
-        }
-    }
-    covered
-}
-
-/// Groups covered cells into connected components where an edge exists
-/// between cells that are 4-adjacent *and* share the same parent grid.
-/// Cells of the coarsest layer have no parent, so they always form
-/// singleton groups.
-fn group_cells(
-    hier: &Hierarchy,
-    layer: usize,
-    covered: &[(usize, usize)],
-) -> Vec<Vec<(usize, usize)>> {
-    use std::collections::HashMap;
-    if layer + 1 >= hier.num_layers() {
-        return covered.iter().map(|&c| vec![c]).collect();
-    }
-    let index: HashMap<(usize, usize), usize> =
-        covered.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut visited = vec![false; covered.len()];
-    let mut groups = Vec::new();
-    for start in 0..covered.len() {
-        if visited[start] {
-            continue;
-        }
-        visited[start] = true;
-        let mut comp = vec![covered[start]];
-        let mut stack = vec![covered[start]];
-        while let Some((r, c)) = stack.pop() {
-            let cell = LayerCell::new(layer, r, c);
-            let neighbours = [
-                (r.wrapping_sub(1), c),
-                (r + 1, c),
-                (r, c.wrapping_sub(1)),
-                (r, c + 1),
-            ];
-            for (nr, nc) in neighbours {
-                if let Some(&ni) = index.get(&(nr, nc)) {
-                    if !visited[ni] && hier.same_parent(cell, LayerCell::new(layer, nr, nc)) {
-                        visited[ni] = true;
-                        comp.push((nr, nc));
-                        stack.push((nr, nc));
+            // a parent is covered iff its K-bit run of the AND is all set
+            taken.fill(0);
+            let parent_row = parents.row_mut(pr);
+            // `pc` is the parent whose run starts at `from`; dividing only
+            // after a gap keeps runs of covered parents division-free
+            let (mut pc, mut from) = (0, 0);
+            while let Some(pos) = next_set(&and, from) {
+                if pos >= from + k {
+                    pc = pos / k;
+                }
+                let start = pc * k;
+                if spans(start, start + k).all(|(wi, bits)| and[wi] & bits == bits) {
+                    parent_row[pc / 64] |= 1 << (pc % 64);
+                    for (wi, bits) in spans(start, start + k) {
+                        taken[wi] |= bits;
                     }
+                }
+                pc += 1;
+                from = start + k;
+            }
+            // the covered parent takes its children with it
+            for dr in 0..k {
+                for (c, &t) in children.row_mut(pr * k + dr).iter_mut().zip(&taken) {
+                    *c &= !t;
                 }
             }
         }
-        comp.sort_unstable();
-        groups.push(comp);
+        matched.push(parents);
     }
-    groups
+    let mut out = Vec::new();
+    for (layer, cells) in matched.iter_mut().enumerate().rev() {
+        cells.drain_groups(layer, (layer < top).then_some(k), &mut out);
+    }
+    out
+}
+
+/// A bitmap over the rows `[lo, hi)` of one layer, each row padded to
+/// whole words; the layer's other rows hold no set cell.
+struct Rows {
+    lo: usize,
+    hi: usize,
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl Rows {
+    fn empty(lo: usize, hi: usize, cols: usize) -> Self {
+        let (hi, stride) = (hi.max(lo), cols.div_ceil(64));
+        Rows {
+            lo,
+            hi,
+            stride,
+            words: vec![0; (hi - lo) * stride],
+        }
+    }
+
+    /// The mask's rows from its first to its last set cell, re-packed so
+    /// every row starts on a word.
+    fn atomic(mask: &Mask) -> Self {
+        let (h, w) = (mask.h(), mask.w());
+        let packed = mask.words();
+        let (Some(first), Some(last)) = (
+            packed.iter().position(|&x| x != 0),
+            packed.iter().rposition(|&x| x != 0),
+        ) else {
+            return Rows::empty(0, 0, w);
+        };
+        let lo = (first * 64 + packed[first].trailing_zeros() as usize) / w;
+        let hi = (last * 64 + 63 - packed[last].leading_zeros() as usize) / w + 1;
+        let mut out = Rows::empty(lo, hi.min(h), w);
+        for r in out.lo..out.hi {
+            for (j, word) in out.row_mut(r).iter_mut().enumerate() {
+                let pos = r * w + 64 * j;
+                let (wi, s) = (pos / 64, pos % 64);
+                let mut bits = packed[wi] >> s;
+                if s > 0 {
+                    bits |= packed.get(wi + 1).map_or(0, |&x| x << (64 - s));
+                }
+                let n = (w - 64 * j).min(64);
+                *word = bits & (u64::MAX >> (64 - n));
+            }
+        }
+        out
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        let at = (r - self.lo) * self.stride;
+        &self.words[at..at + self.stride]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        let at = (r - self.lo) * self.stride;
+        &mut self.words[at..at + self.stride]
+    }
+
+    /// Clears cell `(r, c)`; returns whether it was set.
+    fn take(&mut self, r: usize, c: usize) -> bool {
+        if !(self.lo..self.hi).contains(&r) {
+            return false;
+        }
+        let word = &mut self.row_mut(r)[c / 64];
+        let bit = 1 << (c % 64);
+        let was = *word & bit != 0;
+        *word &= !bit;
+        was
+    }
+
+    /// Appends the set cells as groups in row-major order of their first
+    /// cell, clearing them. With `block = Some(K)`, a group is the
+    /// 4-connected component of its first cell inside that cell's `K x K`
+    /// block (same parent); without, every cell is its own group.
+    fn drain_groups(&mut self, layer: usize, block: Option<usize>, out: &mut Vec<DecomposedGroup>) {
+        for r in self.lo..self.hi {
+            for wi in 0..self.stride {
+                loop {
+                    let word = self.row(r)[wi];
+                    if word == 0 {
+                        break;
+                    }
+                    let c = wi * 64 + word.trailing_zeros() as usize;
+                    self.take(r, c);
+                    let mut cells = vec![(r, c)];
+                    if let Some(k) = block {
+                        // the cell list doubles as the flood's queue
+                        let mut next = 0;
+                        while let Some(&(cr, cc)) = cells.get(next) {
+                            next += 1;
+                            let (br, bc) = (cr - cr % k, cc - cc % k);
+                            if cr > br && self.take(cr - 1, cc) {
+                                cells.push((cr - 1, cc));
+                            }
+                            if cr + 1 < br + k && self.take(cr + 1, cc) {
+                                cells.push((cr + 1, cc));
+                            }
+                            if cc > bc && self.take(cr, cc - 1) {
+                                cells.push((cr, cc - 1));
+                            }
+                            if cc + 1 < bc + k && self.take(cr, cc + 1) {
+                                cells.push((cr, cc + 1));
+                            }
+                        }
+                        cells.sort_unstable();
+                    }
+                    out.push(DecomposedGroup { layer, cells });
+                }
+            }
+        }
+    }
+}
+
+/// The first set bit at or after `from`.
+fn next_set(row: &[u64], from: usize) -> Option<usize> {
+    let mut wi = from / 64;
+    let mut word = *row.get(wi)? & (u64::MAX << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(wi * 64 + word.trailing_zeros() as usize);
+        }
+        wi += 1;
+        word = *row.get(wi)?;
+    }
 }
 
 #[cfg(test)]

@@ -5,32 +5,36 @@ use serde::{Deserialize, Serialize};
 /// A binary mask over the atomic raster: the assignment matrix `A^R` of a
 /// rasterized region.
 ///
-/// `Hash` hashes the dimensions and bit vector, consistently with `Eq`, so
-/// masks can key memo tables (the region server's decomposition cache and
-/// the compiled-plan cache).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Cells are packed 64 to a `u64` word in row-major order: cell `(r, c)`
+/// is cell `i = r * w + c`, stored as bit `i % 64` of word `i / 64`. Rows
+/// are not padded, so a row may straddle two words. This is the wire's
+/// packed form (LSB-first bytes, see `o4a-serve`'s `wire`) read as
+/// little-endian words, so a mask crosses the wire by a copy.
+///
+/// The bits past cell `h * w - 1` in the last word are always zero. Every
+/// constructor and operation keeps them so, which makes the derived `Eq`
+/// and `Hash` over the words agree with cell-wise equality: masks key the
+/// compiled-plan cache and the shard router's decomposition memo.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Mask {
     h: usize,
     w: usize,
-    bits: Vec<bool>,
+    words: Vec<u64>,
 }
 
-impl std::hash::Hash for Mask {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Pack 64 cells per hasher word: the derived impl fed the hasher
-        // one byte per cell, which made every mask-keyed memo lookup pay
-        // ~h*w hasher calls. Equal masks have equal (h, w, bits), so any
-        // deterministic packing stays consistent with `Eq`.
-        state.write_usize(self.h);
-        state.write_usize(self.w);
-        for chunk in self.bits.chunks(64) {
-            let mut word = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                word |= (b as u64) << i;
-            }
-            state.write_u64(word);
+/// The word-aligned pieces of the bit range `[start, end)`: each
+/// `(word index, bits)` selects the range's bits within that word.
+pub(crate) fn spans(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+    let mut i = start;
+    std::iter::from_fn(move || {
+        if i >= end {
+            return None;
         }
-    }
+        let (wi, lo) = (i / 64, i % 64);
+        let hi = (end - wi * 64).min(64);
+        i = (wi + 1) * 64;
+        Some((wi, u64::MAX >> (64 - (hi - lo)) << lo))
+    })
 }
 
 impl Mask {
@@ -40,24 +44,47 @@ impl Mask {
         Mask {
             h,
             w,
-            bits: vec![false; h * w],
+            words: vec![0; (h * w).div_ceil(64)],
         }
     }
 
     /// Creates a full (all-one) mask — the matrix `S_1` of the paper.
     pub fn full(h: usize, w: usize) -> Self {
-        assert!(h > 0 && w > 0, "mask dimensions must be positive");
-        Mask {
-            h,
-            w,
-            bits: vec![true; h * w],
+        let mut m = Mask::empty(h, w);
+        for (wi, bits) in spans(0, h * w) {
+            m.words[wi] = bits;
         }
+        m
     }
 
     /// Creates a mask from an explicit bit buffer (row-major).
     pub fn from_bits(h: usize, w: usize, bits: Vec<bool>) -> Self {
         assert_eq!(bits.len(), h * w, "bit buffer does not match dimensions");
-        Mask { h, w, bits }
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        Mask { h, w, words }
+    }
+
+    /// Creates a mask from its packed words (see the type docs for the
+    /// layout). Returns `None` unless `words` holds exactly
+    /// `ceil(h * w / 64)` words with every padding bit zero.
+    pub fn from_words(h: usize, w: usize, words: Vec<u64>) -> Option<Self> {
+        let cells = h.checked_mul(w)?;
+        if words.len() != cells.div_ceil(64) {
+            return None;
+        }
+        if !cells.is_multiple_of(64) && words[cells / 64] >> (cells % 64) != 0 {
+            return None;
+        }
+        Some(Mask { h, w, words })
+    }
+
+    /// The packed words (see the type docs for the layout).
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Creates a rectangular mask covering `[r0, r1) x [c0, c1)`.
@@ -68,8 +95,8 @@ impl Mask {
         );
         let mut m = Mask::empty(h, w);
         for r in r0..r1 {
-            for c in c0..c1 {
-                m.set(r, c, true);
+            for (wi, bits) in spans(r * w + c0, r * w + c1) {
+                m.words[wi] |= bits;
             }
         }
         m
@@ -91,40 +118,52 @@ impl Mask {
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> bool {
         debug_assert!(row < self.h && col < self.w);
-        self.bits[row * self.w + col]
+        let i = row * self.w + col;
+        self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Writes one bit.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: bool) {
         debug_assert!(row < self.h && col < self.w);
-        self.bits[row * self.w + col] = value;
+        let i = row * self.w + col;
+        if value {
+            self.words[i / 64] |= 1 << (i % 64);
+        } else {
+            self.words[i / 64] &= !(1 << (i % 64));
+        }
     }
 
     /// Number of set cells (the region's area in atomic grids).
     pub fn area(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no cell is set.
     pub fn is_empty(&self) -> bool {
-        !self.bits.iter().any(|&b| b)
+        self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterator over the set cells as `(row, col)`.
+    /// Iterator over the set cells as `(row, col)`, in row-major order.
     pub fn iter_set(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let w = self.w;
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(move |(i, _)| (i / w, i % w))
+        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let i = wi * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((i / w, i % w))
+            })
+        })
     }
 
     /// Set union (in place).
     pub fn union_with(&mut self, other: &Mask) {
         self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
     }
@@ -132,7 +171,7 @@ impl Mask {
     /// Set difference (in place): removes `other`'s cells.
     pub fn subtract(&mut self, other: &Mask) {
         self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
     }
@@ -140,7 +179,7 @@ impl Mask {
     /// Set intersection (in place).
     pub fn intersect_with(&mut self, other: &Mask) {
         self.check_dims(other);
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
     }
@@ -148,34 +187,36 @@ impl Mask {
     /// Whether the two masks share any cell.
     pub fn intersects(&self, other: &Mask) -> bool {
         self.check_dims(other);
-        self.bits.iter().zip(&other.bits).any(|(&a, &b)| a && b)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .any(|(&a, &b)| a & b != 0)
     }
 
     /// Whether every set cell of `self` is also set in `other`
     /// (`self ⊆ other`).
     pub fn is_subset_of(&self, other: &Mask) -> bool {
         self.check_dims(other);
-        self.bits.iter().zip(&other.bits).all(|(&a, &b)| !a || b)
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(&a, &b)| a & !b == 0)
     }
 
     /// Whether the rectangle `[r0, r1) x [c0, c1)` is fully covered.
     pub fn covers_rect(&self, r0: usize, c0: usize, r1: usize, c1: usize) -> bool {
         debug_assert!(r1 <= self.h && c1 <= self.w);
-        for r in r0..r1 {
-            let row = &self.bits[r * self.w + c0..r * self.w + c1];
-            if !row.iter().all(|&b| b) {
-                return false;
-            }
-        }
-        true
+        (r0..r1).all(|r| {
+            spans(r * self.w + c0, r * self.w + c1).all(|(wi, bits)| self.words[wi] & bits == bits)
+        })
     }
 
     /// Clears the rectangle `[r0, r1) x [c0, c1)`.
     pub fn clear_rect(&mut self, r0: usize, c0: usize, r1: usize, c1: usize) {
         debug_assert!(r1 <= self.h && c1 <= self.w);
         for r in r0..r1 {
-            for b in &mut self.bits[r * self.w + c0..r * self.w + c1] {
-                *b = false;
+            for (wi, bits) in spans(r * self.w + c0, r * self.w + c1) {
+                self.words[wi] &= !bits;
             }
         }
     }
@@ -195,37 +236,32 @@ impl Mask {
     }
 
     /// 4-connected components of the set cells, each returned as its own
-    /// mask.
+    /// mask, in row-major order of their first cell.
     pub fn connected_components(&self) -> Vec<Mask> {
-        let mut seen = vec![false; self.bits.len()];
+        let (h, w) = (self.h, self.w);
+        // cells not yet claimed by a component
+        let mut left = self.clone();
         let mut out = Vec::new();
-        for start in 0..self.bits.len() {
-            if !self.bits[start] || seen[start] {
+        for (r0, c0) in self.iter_set() {
+            if !left.get(r0, c0) {
                 continue;
             }
-            let mut comp = Mask::empty(self.h, self.w);
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(i) = stack.pop() {
-                comp.bits[i] = true;
-                let (r, c) = (i / self.w, i % self.w);
-                let push = |j: usize, seen: &mut Vec<bool>, stack: &mut Vec<usize>| {
-                    if self.bits[j] && !seen[j] {
-                        seen[j] = true;
-                        stack.push(j);
+            let mut comp = Mask::empty(h, w);
+            let mut stack = vec![(r0, c0)];
+            left.set(r0, c0, false);
+            while let Some((r, c)) = stack.pop() {
+                comp.set(r, c, true);
+                let neighbours = [
+                    (r > 0).then(|| (r - 1, c)),
+                    (r + 1 < h).then_some((r + 1, c)),
+                    (c > 0).then(|| (r, c - 1)),
+                    (c + 1 < w).then_some((r, c + 1)),
+                ];
+                for (nr, nc) in neighbours.into_iter().flatten() {
+                    if left.get(nr, nc) {
+                        left.set(nr, nc, false);
+                        stack.push((nr, nc));
                     }
-                };
-                if r > 0 {
-                    push(i - self.w, &mut seen, &mut stack);
-                }
-                if r + 1 < self.h {
-                    push(i + self.w, &mut seen, &mut stack);
-                }
-                if c > 0 {
-                    push(i - 1, &mut seen, &mut stack);
-                }
-                if c + 1 < self.w {
-                    push(i + 1, &mut seen, &mut stack);
                 }
             }
             out.push(comp);
@@ -353,6 +389,37 @@ mod tests {
         let mut a = Mask::empty(2, 2);
         let b = Mask::empty(3, 3);
         a.union_with(&b);
+    }
+
+    #[test]
+    fn from_words_checks_count_and_padding() {
+        // 5x7 = 35 cells: one word, bits 35..64 are padding
+        let m = Mask::rect(5, 7, 1, 2, 4, 6);
+        assert_eq!(Mask::from_words(5, 7, m.words().to_vec()), Some(m));
+        assert_eq!(Mask::from_words(5, 7, vec![]), None);
+        assert_eq!(Mask::from_words(5, 7, vec![0, 0]), None);
+        assert_eq!(Mask::from_words(5, 7, vec![1 << 35]), None);
+        assert_eq!(Mask::from_words(5, 7, vec![1 << 63]), None);
+        assert!(Mask::from_words(5, 7, vec![(1 << 35) - 1]).is_some());
+        // 8x8 = 64 cells: no padding bits at all
+        assert_eq!(
+            Mask::from_words(8, 8, vec![u64::MAX]),
+            Some(Mask::full(8, 8))
+        );
+        assert_eq!(Mask::from_words(8, 8, vec![u64::MAX, 0]), None);
+    }
+
+    #[test]
+    fn rows_straddle_words() {
+        // 3x27: row 2 spans cells 54..81, across the word boundary at 64
+        let m = Mask::rect(3, 27, 2, 5, 3, 20);
+        assert_eq!(m.words().len(), 2);
+        assert_eq!(m.area(), 15);
+        assert!(m.covers_rect(2, 5, 3, 20));
+        assert!(!m.covers_rect(2, 4, 3, 20));
+        assert_eq!(m.iter_set().next(), Some((2, 5)));
+        assert_eq!(m.iter_set().last(), Some((2, 19)));
+        assert_eq!(Mask::full(3, 27).words(), [u64::MAX, (1 << 17) - 1]);
     }
 
     #[test]
