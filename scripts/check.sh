@@ -37,10 +37,11 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Lint the crates touched by the parallel compute runtime and the
-# serving layer.
-echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble)"
+# serving layer, and the grid crate, whose packed-mask bit manipulation
+# runs on every plan-cache miss.
+echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid)"
 cargo clippy --release -p o4a-tensor -p o4a-nn -p o4a-core -p o4a-bench \
-    -p o4a-serve -p o4a-obs -p o4a-ensemble --all-targets -- -D warnings
+    -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid --all-targets -- -D warnings
 
 # Kernel smoke: quick bench run to a scratch path (the committed
 # BENCH_kernels.json is NOT overwritten), then require that no kernel
