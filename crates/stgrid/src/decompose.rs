@@ -160,7 +160,7 @@ impl Rows {
     /// The mask's rows from its first to its last set cell, re-packed so
     /// every row starts on a word.
     fn atomic(mask: &Mask) -> Self {
-        let (h, w) = (mask.h(), mask.w());
+        let w = mask.w();
         let packed = mask.words();
         let (Some(first), Some(last)) = (
             packed.iter().position(|&x| x != 0),
@@ -170,7 +170,7 @@ impl Rows {
         };
         let lo = (first * 64 + packed[first].trailing_zeros() as usize) / w;
         let hi = (last * 64 + 63 - packed[last].leading_zeros() as usize) / w + 1;
-        let mut out = Rows::empty(lo, hi.min(h), w);
+        let mut out = Rows::empty(lo, hi, w);
         for r in out.lo..out.hi {
             for (j, word) in out.row_mut(r).iter_mut().enumerate() {
                 let pos = r * w + 64 * j;

@@ -11,11 +11,13 @@
 //!   structure)** → [`hierarchy::Hierarchy`]: an atomic `H x W` raster plus
 //!   a pyramid of coarser layers produced by a `K x K` merging window.
 //! * **Definition 4 (Rasterized region)** → [`mask::Mask`]: an assignment
-//!   matrix over atomic grids, with set operations, connected components
-//!   and polygon rasterization ([`geometry`]).
+//!   matrix over atomic grids, packed 64 cells to a word, with word-wise
+//!   set operations, connected components and polygon rasterization
+//!   ([`geometry`]).
 //! * **Algorithm 1 (Hierarchical decomposition)** →
 //!   [`decompose::decompose`]: coarse-to-fine matching of fully-covered
-//!   grids, grouped into within-parent connected components.
+//!   grids, grouped into within-parent connected components, computed as
+//!   a full-coverage pyramid over the packed words.
 //! * **Grid coding rule (Sec. IV-C2, Fig. 11)** → [`coding`]: codes `A`-`D`
 //!   for single child grids and `E`-`L` for 2- and 3-cell multi-grids.
 //! * **Extended quad-tree (Sec. IV-C3, Fig. 12)** →

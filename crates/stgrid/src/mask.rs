@@ -392,29 +392,49 @@ mod tests {
     }
 
     #[test]
-    fn from_words_checks_count_and_padding() {
-        // 5x7 = 35 cells: one word, bits 35..64 are padding
+    fn from_words_rejects_a_wrong_word_count() {
+        // 5x7 = 35 cells in 1 word, 8x8 in 1, 33x65 = 2145 cells in 34
+        assert!(Mask::from_words(5, 7, vec![0]).is_some());
+        assert!(Mask::from_words(5, 7, vec![]).is_none());
+        assert!(Mask::from_words(5, 7, vec![0, 0]).is_none());
+        assert!(Mask::from_words(8, 8, vec![u64::MAX, 0]).is_none());
+        assert!(Mask::from_words(33, 65, vec![0; 34]).is_some());
+        assert!(Mask::from_words(33, 65, vec![0; 33]).is_none());
+        assert!(Mask::from_words(33, 65, vec![0; 35]).is_none());
+    }
+
+    #[test]
+    fn from_words_rejects_a_set_padding_bit() {
         let m = Mask::rect(5, 7, 1, 2, 4, 6);
         assert_eq!(Mask::from_words(5, 7, m.words().to_vec()), Some(m));
-        assert_eq!(Mask::from_words(5, 7, vec![]), None);
-        assert_eq!(Mask::from_words(5, 7, vec![0, 0]), None);
-        assert_eq!(Mask::from_words(5, 7, vec![1 << 35]), None);
-        assert_eq!(Mask::from_words(5, 7, vec![1 << 63]), None);
+        // bits 35..64 pad a 5x7 mask
         assert!(Mask::from_words(5, 7, vec![(1 << 35) - 1]).is_some());
-        // 8x8 = 64 cells: no padding bits at all
+        assert!(Mask::from_words(5, 7, vec![1 << 35]).is_none());
+        assert!(Mask::from_words(5, 7, vec![1 << 63]).is_none());
+        // 8x8 has no padding bit
         assert_eq!(
             Mask::from_words(8, 8, vec![u64::MAX]),
             Some(Mask::full(8, 8))
         );
-        assert_eq!(Mask::from_words(8, 8, vec![u64::MAX, 0]), None);
+        // bits 33..64 of word 33 pad a 33x65 mask
+        let mut words = Mask::full(33, 65).words().to_vec();
+        assert_eq!(words[33], (1 << 33) - 1);
+        for bit in [33, 40, 63] {
+            words[33] |= 1 << bit;
+            assert!(
+                Mask::from_words(33, 65, words.clone()).is_none(),
+                "bit {bit}"
+            );
+            words[33] &= !(1 << bit);
+        }
     }
 
     #[test]
-    fn rows_straddle_words() {
-        // 3x27: row 2 spans cells 54..81, across the word boundary at 64
+    fn words_hold_cells_row_major_lsb_first() {
+        // 3x27: row 2 spans cells 54..81, across the word boundary at 64;
+        // columns 5..20 of it are cells 59..74
         let m = Mask::rect(3, 27, 2, 5, 3, 20);
-        assert_eq!(m.words().len(), 2);
-        assert_eq!(m.area(), 15);
+        assert_eq!(m.words(), [((1 << 5) - 1) << 59, (1 << 10) - 1]);
         assert!(m.covers_rect(2, 5, 3, 20));
         assert!(!m.covers_rect(2, 4, 3, 20));
         assert_eq!(m.iter_set().next(), Some((2, 5)));

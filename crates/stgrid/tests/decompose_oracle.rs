@@ -186,7 +186,7 @@ fn random_masks_128x128() {
 
 #[test]
 fn random_masks_non_square() {
-    // 80-cell rows straddle words; 48 rows end mid-word
+    // 80-cell rows straddle words
     check_random(&Hierarchy::new(48, 80, 2, 5).unwrap(), 100, 4);
 }
 
@@ -233,10 +233,10 @@ fn task_masks_32x32() {
 
 #[test]
 fn task_masks_128x128() {
-    // every 8th mask keeps the debug build's run short
+    // every 4th mask keeps the debug build's run short
     let hier = Hierarchy::new(128, 128, 2, 6).unwrap();
-    check_tasks(&hier, 7, false, 8);
-    check_tasks(&hier, 11, true, 8);
+    check_tasks(&hier, 7, false, 4);
+    check_tasks(&hier, 11, true, 4);
 }
 
 #[test]

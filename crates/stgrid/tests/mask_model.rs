@@ -235,30 +235,3 @@ fn every_dimension_runs() {
         run_ops(h, w, 1000 + i as u64, 60);
     }
 }
-
-#[test]
-fn from_words_rejects_wrong_word_count() {
-    // 5x7 = 35 cells and 33x65 = 2145 cells: 1 and 34 words
-    assert!(Mask::from_words(5, 7, vec![0]).is_some());
-    assert!(Mask::from_words(5, 7, vec![]).is_none());
-    assert!(Mask::from_words(5, 7, vec![0, 0]).is_none());
-    assert!(Mask::from_words(33, 65, vec![0; 34]).is_some());
-    assert!(Mask::from_words(33, 65, vec![0; 33]).is_none());
-    assert!(Mask::from_words(33, 65, vec![0; 35]).is_none());
-}
-
-#[test]
-fn from_words_rejects_a_set_padding_bit() {
-    // 33x65 = 2145 = 33 * 64 + 33 cells: bits 33..64 of word 33 pad
-    let mut words = Mask::full(33, 65).words().to_vec();
-    assert_eq!(words[33], (1 << 33) - 1);
-    assert!(Mask::from_words(33, 65, words.clone()).is_some());
-    for bit in [33, 40, 63] {
-        words[33] |= 1 << bit;
-        assert!(
-            Mask::from_words(33, 65, words.clone()).is_none(),
-            "bit {bit}"
-        );
-        words[33] &= !(1 << bit);
-    }
-}
