@@ -569,7 +569,7 @@ impl<R: Resolver> Engine<R> {
         shard_leg: bool,
     ) -> Stages {
         // the shard leg runs on the caller's thread, so a sharded
-        // request's trace id (set by the executor) is visible here
+        // request's trace id (set by the serving loop) is visible here
         let tid = if shard_leg { trace::current() } else { 0 };
         let epoch = self.resolver.epoch();
         let mut st = Stages::default();

@@ -55,9 +55,10 @@ pub enum SpanKind {
     Request = 1,
     /// Frame reassembly: first byte of the carrying read to parse.
     Assemble = 2,
-    /// Admission to executor pickup (coalescing window + queue wait).
+    /// Admission to the start of the event loop's batch (the rest of the
+    /// wake that parsed it, plus earlier batches of that wake).
     QueueWait = 3,
-    /// One executor batch answering its coalesced jobs.
+    /// One batch an event loop runs to answer its coalesced jobs.
     ExecBatch = 4,
     /// Mask decomposition into combination groups (derived from the
     /// backend's own `QueryTiming`, so sums reconcile with STATS).

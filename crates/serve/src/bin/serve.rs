@@ -24,15 +24,18 @@
 //! behind a [`ShardRouter`]; before the listener opens, the router is
 //! proven bit-identical to the single backend over a sample of paper-task
 //! masks (the process panics on any divergence, so a sharded timing run
-//! implies identity held). `--loops N` runs N epoll event-loop threads.
+//! implies identity held). `--loops N` runs N epoll event-loop threads,
+//! each of which parses, executes and answers its connections' queries.
+//! `--queue-cap`, `--max-batch` and `--loops` override the matching
+//! `ServeConfig` fields; an omitted flag keeps `ServeConfig::default()`
+//! (one loop per core).
 //!
 //! Usage:
 //!   cargo run -p o4a-serve --release --bin serve -- \
 //!     [--addr 127.0.0.1:7474] [--addr-file PATH] [--side 32] [--layers N] \
 //!     [--index PATH] [--model PATH] [--artifacts target/serve-artifacts] \
-//!     [--ensemble N] [--workers 2] [--window-us 500] [--queue-cap 1024] \
-//!     [--max-batch 256] [--shards 1] [--loops 1] [--run-secs S] \
-//!     [--trace-every N] [--trace-slow-us US]
+//!     [--ensemble N] [--queue-cap N] [--max-batch N] [--shards 1] \
+//!     [--loops N] [--run-secs S] [--trace-every N] [--trace-slow-us US]
 //!
 //! `--trace-every N` samples every Nth query into the trace flight
 //! recorder (drained by the `TRACE` verb; equivalent to `O4A_TRACE=N`),
@@ -61,7 +64,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
-    addr: String,
+    /// Bind address and serving knobs, `ServeConfig::default()` unless a
+    /// flag overrides them.
+    serve: ServeConfig,
     addr_file: Option<PathBuf>,
     side: usize,
     layers: Option<usize>,
@@ -69,12 +74,7 @@ struct Args {
     model: Option<PathBuf>,
     artifacts: PathBuf,
     ensemble: Option<usize>,
-    workers: usize,
-    window_us: u64,
-    queue_cap: usize,
-    max_batch: usize,
     shards: usize,
-    loops: usize,
     run_secs: Option<f64>,
     trace_every: Option<u64>,
     trace_slow_us: Option<u64>,
@@ -82,7 +82,10 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        addr: "127.0.0.1:7474".into(),
+        serve: ServeConfig {
+            addr: "127.0.0.1:7474".into(),
+            ..ServeConfig::default()
+        },
         addr_file: None,
         side: 32,
         layers: None,
@@ -90,12 +93,7 @@ fn parse_args() -> Args {
         model: None,
         artifacts: PathBuf::from("target/serve-artifacts"),
         ensemble: None,
-        workers: 2,
-        window_us: 500,
-        queue_cap: 1024,
-        max_batch: 256,
         shards: 1,
-        loops: 1,
         run_secs: None,
         trace_every: None,
         trace_slow_us: None,
@@ -107,7 +105,7 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("missing value for {name}"))
         };
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr"),
+            "--addr" => args.serve.addr = value("--addr"),
             "--addr-file" => args.addr_file = Some(PathBuf::from(value("--addr-file"))),
             "--side" => args.side = value("--side").parse().expect("--side"),
             "--layers" => args.layers = Some(value("--layers").parse().expect("--layers")),
@@ -115,12 +113,14 @@ fn parse_args() -> Args {
             "--model" => args.model = Some(PathBuf::from(value("--model"))),
             "--artifacts" => args.artifacts = PathBuf::from(value("--artifacts")),
             "--ensemble" => args.ensemble = Some(value("--ensemble").parse().expect("--ensemble")),
-            "--workers" => args.workers = value("--workers").parse().expect("--workers"),
-            "--window-us" => args.window_us = value("--window-us").parse().expect("--window-us"),
-            "--queue-cap" => args.queue_cap = value("--queue-cap").parse().expect("--queue-cap"),
-            "--max-batch" => args.max_batch = value("--max-batch").parse().expect("--max-batch"),
+            "--queue-cap" => {
+                args.serve.queue_cap = value("--queue-cap").parse().expect("--queue-cap")
+            }
+            "--max-batch" => {
+                args.serve.max_batch_masks = value("--max-batch").parse().expect("--max-batch")
+            }
             "--shards" => args.shards = value("--shards").parse().expect("--shards"),
-            "--loops" => args.loops = value("--loops").parse().expect("--loops"),
+            "--loops" => args.serve.event_loops = value("--loops").parse().expect("--loops"),
             "--run-secs" => args.run_secs = Some(value("--run-secs").parse().expect("--run-secs")),
             "--trace-every" => {
                 args.trace_every = Some(value("--trace-every").parse().expect("--trace-every"))
@@ -383,19 +383,7 @@ fn main() {
 /// Binds the server on the configured address and blocks until
 /// `--run-secs` elapses (or forever, logging periodic stats).
 fn serve_and_wait(backend: Arc<dyn QueryBackend>, args: &Args) {
-    let handle = serve(
-        backend,
-        ServeConfig {
-            addr: args.addr.clone(),
-            workers: args.workers,
-            coalesce_window: Duration::from_micros(args.window_us),
-            max_batch_masks: args.max_batch,
-            queue_cap: args.queue_cap,
-            event_loops: args.loops,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind server");
+    let handle = serve(backend, args.serve.clone()).expect("bind server");
     println!("listening on {}", handle.addr());
     if let Some(path) = &args.addr_file {
         if let Some(dir) = path.parent() {

@@ -158,11 +158,9 @@ impl Poller {
     /// Blocks until at least one registered fd is ready or `timeout`
     /// elapses (`None` blocks indefinitely), appending the readiness
     /// events to `events` (which is cleared first) and returning how
-    /// many were delivered — `0` means the timeout fired (the caller's
-    /// ready-events-per-wake metric wants this distinction without
-    /// re-measuring the vec). Sub-millisecond timeouts round **up** to
-    /// 1ms so a short coalesce deadline never degenerates into a busy
-    /// spin. EINTR retries transparently.
+    /// many were delivered — `0` means the timeout fired. Sub-millisecond
+    /// timeouts round **up** to 1ms so a short timeout never degenerates
+    /// into a busy spin. EINTR retries transparently.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
         let ms: c_int = match timeout {
@@ -207,8 +205,9 @@ impl Drop for Poller {
 }
 
 /// A nonblocking `eventfd` used to kick an event loop from another
-/// thread (executor completions, shutdown). Cloneable by raw fd: the
-/// owning loop registers it read-side; any thread may [`WakeFd::wake`].
+/// thread (a connection handed to it by the accepting loop, shutdown).
+/// Cloneable by raw fd: the owning loop registers it read-side; any
+/// thread may [`WakeFd::wake`].
 #[derive(Debug)]
 pub struct WakeFd {
     fd: c_int,

@@ -14,17 +14,18 @@
 //! * [`evio`] — a minimal vendored epoll/eventfd readiness layer over
 //!   raw syscalls (no external deps): edge-triggered [`evio::Poller`],
 //!   cross-thread [`evio::WakeFd`], pooled read buffers;
-//! * [`server`] — a **nonblocking epoll event loop** data plane: N
-//!   event-loop threads own the sockets and per-connection frame
-//!   reassembly, executor threads run the query work, and requests
-//!   arriving while every executor is busy **coalesce** into a single
+//! * [`server`] — a **nonblocking epoll event loop** data plane: one
+//!   event-loop thread per core owns its sockets, reassembles their
+//!   frames and answers their queries itself. The queries one wake
+//!   parses **coalesce** into a single
 //!   [`o4a_core::server::QueryBackend::query_many_timed`] call
-//!   (exercising the PR-1 parallel fan-out under real traffic); load
-//!   beyond the **bounded admission queue** is shed with an explicit
-//!   `BUSY` response instead of unbounded latency; with `O4A_TRACE`
-//!   sampling on, requests record full stage trees into the
-//!   `o4a_obs::trace` flight recorder, drained by the `TRACE` verb as
-//!   Chrome trace-event JSON;
+//!   (exercising the PR-1 parallel fan-out under real traffic); beyond
+//!   the loop's **bounded admission backlog** requests are shed with an
+//!   explicit `BUSY` response instead of unbounded latency, and a
+//!   panicking backend call answers `ERROR` without taking the loop
+//!   down; with `O4A_TRACE` sampling on, requests record full stage
+//!   trees into the `o4a_obs::trace` flight recorder, drained by the
+//!   `TRACE` verb as Chrome trace-event JSON;
 //! * [`router`] — [`ShardRouter`], consistent-hash scatter-gather over K
 //!   backend shards with bit-identical merges;
 //! * [`client`] — a blocking client with request framing, timeouts and

@@ -196,7 +196,7 @@ impl ShardRouter {
             })
             .collect();
         // per-shard scatter and gather spans ride on whatever trace the
-        // executor set as current on this thread (0 = untraced)
+        // serving event loop set as current on this thread (0 = untraced)
         let tid = trace::current();
         let mut shard_values: Vec<Vec<f32>> = Vec::with_capacity(k);
         let mut index_total = Duration::ZERO;

@@ -1,46 +1,48 @@
 //! The nonblocking epoll query server.
 //!
-//! Thread model (fixed, no async runtime):
+//! Thread model (fixed, no async runtime): N **event-loop** threads
+//! ([`ServeConfig::event_loops`], one per core by default) each run an
+//! edge-triggered [`crate::evio::Poller`] and answer the queries of their
+//! own connections, so a request is parsed, executed and written on one
+//! thread.
 //!
-//! * N **event-loop** threads ([`ServeConfig::event_loops`]) each run an
-//!   edge-triggered [`crate::evio::Poller`]. Loop 0 owns the listener and
-//!   accepts until `WouldBlock`; every connection lives on exactly one
-//!   loop as a [`Conn`] state machine — an incremental
-//!   [`wire::FrameAssembler`] parsing `O4ARPC01` frames zero-copy out of
-//!   a pooled read buffer, an ordered response-slot window, and a write
-//!   queue with `EPOLLOUT` backpressure;
-//! * `HEALTH`/`STATS`/`METRICS`/`TRACE` are answered inline on the loop;
-//!   `QUERY`/`BATCH` pass a **bounded admission gate** (beyond
-//!   [`ServeConfig::queue_cap`] outstanding jobs the request is shed
-//!   immediately with `BUSY`) into the loop's pending list;
-//! * pending jobs **coalesce adaptively**: while an executor slot is
-//!   free the batch is submitted immediately (an idle server answers a
-//!   lone query without waiting out a window), and while all slots are
-//!   busy arrivals accumulate until a slot frees or
-//!   [`ServeConfig::coalesce_window`] elapses — so the window is a cap
-//!   on added latency, not a tax on every request;
-//! * a fixed pool of **executor** threads pops one batch at a time,
-//!   answers it with a single [`QueryBackend::query_many_timed`] call
-//!   (one snapshot set, parallel fan-out across the PR-1 compute pool),
-//!   encodes the response frames, and hands them back to the owning
-//!   loop through a completion inbox + `eventfd` wake.
+//! * Loop 0 owns the listener, accepts until `WouldBlock` and deals the
+//!   accepted sockets out round-robin. Every connection lives on exactly
+//!   one loop as a [`Conn`] state machine: an incremental
+//!   [`wire::FrameAssembler`] parsing `O4ARPC01` frames zero-copy out of a
+//!   pooled read buffer, an ordered response-slot window, and a write
+//!   queue with `EPOLLOUT` backpressure.
+//! * `HEALTH`/`STATS`/`METRICS`/`TRACE` are answered inline at parse.
+//!   `QUERY`/`BATCH` pass the loop's **admission cap**: with
+//!   [`ServeConfig::queue_cap`] jobs already pending on the loop the
+//!   request is shed at once with `BUSY`; otherwise it joins the pending
+//!   list.
+//! * Once a wake's readiness events are all handled, the loop **runs its
+//!   pending jobs**: everything that wake parsed coalesces into batches of
+//!   at most [`ServeConfig::max_batch_masks`] masks, each answered by one
+//!   [`QueryBackend::query_many_timed`] call (one snapshot set, parallel
+//!   fan-out across the compute pool). The responses fill their slots and
+//!   are flushed before the loop blocks again, so nothing is pending while
+//!   a loop waits. A panicking backend call answers its batch with
+//!   `ERROR` and the loop keeps serving.
 //!
 //! Responses are paired with requests by order, so each connection keeps
 //! a seq-indexed slot window: inline answers fill their slot at parse
-//! time, query answers at completion time, and only the filled prefix is
-//! flushed — pipelined clients always read responses in request order.
+//! time, query answers when their batch has run, and only the filled
+//! prefix is flushed — pipelined clients always read responses in
+//! request order.
 //!
 //! The server is generic over the query engine: a single-model
 //! `RegionServer`, the ensemble server and the sharded
 //! [`crate::router::ShardRouter`] all serve behind the [`QueryBackend`]
 //! trait, so `serve` takes an `Arc<dyn QueryBackend>`.
 //!
-//! Shutdown is cooperative: a flag plus eventfd/condvar wakeups; every
-//! thread is joined before [`ServerHandle::shutdown`] returns.
+//! Shutdown is cooperative: a flag plus an eventfd wake per loop; every
+//! loop is joined before [`ServerHandle::shutdown`] returns.
 //!
 //! When request tracing is sampling (`O4A_TRACE=n` or `--trace-every`),
-//! `QUERY`/`BATCH` requests mint a trace id at parse and every stage —
-//! assemble, queue wait, executor batch, the backend's decompose/index
+//! `QUERY`/`BATCH` requests mint a trace id at admission and every stage —
+//! assemble, queue wait, exec batch, the backend's decompose/index
 //! split (derived from the same `QueryTiming` nanoseconds STATS
 //! accumulates, so a trace's stage sums reconcile bit-exactly with
 //! STATS), per-shard scatter, gather, write flush — lands in the
@@ -55,31 +57,28 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Executor threads popping the admission queue.
-    pub workers: usize,
-    /// Longest a pending job is held for coalescing while every executor
-    /// slot is busy; with a free slot jobs are submitted immediately.
-    pub coalesce_window: Duration,
     /// Cap on masks folded into one `query_many` execution.
     pub max_batch_masks: usize,
-    /// Admission cap on outstanding (admitted, not yet executing) jobs;
-    /// beyond it requests get `BUSY` (`0` sheds every request — a drain
-    /// mode).
+    /// Admission cap on the jobs pending on one loop (admitted, not yet
+    /// executed); beyond it requests get `BUSY` (`0` sheds every request
+    /// — a drain mode).
     pub queue_cap: usize,
     /// Cap on a request frame's payload bytes.
     pub max_payload: usize,
-    /// Event-loop threads. One loop saturates a single core; more loops
-    /// spread connections by accept order for multi-core hosts.
+    /// Event-loop threads. Each parses, executes and answers the queries
+    /// of the connections dealt to it, so the default of one loop per
+    /// core executes in parallel on a multi-core host.
     pub event_loops: usize,
 }
 
@@ -87,12 +86,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 2,
-            coalesce_window: Duration::from_micros(500),
             max_batch_masks: 256,
             queue_cap: 1024,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
-            event_loops: 1,
+            event_loops: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -139,7 +136,8 @@ impl ServerStats {
     }
 }
 
-/// One admitted `QUERY`/`BATCH` request waiting for an executor.
+/// One admitted `QUERY`/`BATCH` request waiting for its loop's next
+/// batch.
 struct ExecJob {
     /// Connection token on the owning loop.
     token: u64,
@@ -156,59 +154,11 @@ struct ExecJob {
     t_parse_ns: u64,
 }
 
-/// A coalesced batch submitted by one event loop.
-struct ExecBatch {
-    loop_id: usize,
-    jobs: Vec<ExecJob>,
-}
-
-/// Encoded response frames an executor hands back to a loop: one entry
-/// per job, `(token, seq, frame, trace_id)` — the trace id (or `0`)
-/// rides along so the loop can emit the write-flush span.
-type BatchDone = Vec<(u64, u64, Vec<u8>, u64)>;
-
-/// MPMC batch queue feeding the executor pool.
-#[derive(Default)]
-struct ExecQueue {
-    state: Mutex<(VecDeque<ExecBatch>, bool)>,
-    cv: Condvar,
-}
-
-impl ExecQueue {
-    fn push(&self, batch: ExecBatch) {
-        self.state
-            .lock()
-            .expect("exec queue poisoned")
-            .0
-            .push_back(batch);
-        self.cv.notify_one();
-    }
-
-    /// Blocks for the next batch; `None` on shutdown with an empty queue.
-    fn pop(&self) -> Option<ExecBatch> {
-        let mut st = self.state.lock().expect("exec queue poisoned");
-        loop {
-            if let Some(b) = st.0.pop_front() {
-                return Some(b);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).expect("exec queue poisoned");
-        }
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("exec queue poisoned").1 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Per-event-loop mailbox: executors push completed batches here and
-/// kick the loop's eventfd.
+/// What other threads hand an event loop: the eventfd that wakes it (on
+/// shutdown and on a hand-off) and the sockets loop 0 accepted for it.
 struct LoopShared {
     wake: WakeFd,
-    completions: Mutex<Vec<BatchDone>>,
+    handoff: Mutex<Vec<TcpStream>>,
 }
 
 struct Shared {
@@ -216,11 +166,7 @@ struct Shared {
     stats: ServerStats,
     shutdown: AtomicBool,
     cfg: ServeConfig,
-    exec_queue: ExecQueue,
-    /// Jobs admitted but not yet popped by an executor (the bounded
-    /// admission gate: at `queue_cap` further queries shed with `BUSY`).
-    admitted: AtomicU64,
-    loops: Vec<Arc<LoopShared>>,
+    loops: Vec<LoopShared>,
     /// Monotonic start instant (uptime reported by `HEALTH`).
     started: Instant,
     /// Start time in seconds since the Unix epoch (reported by `HEALTH`).
@@ -257,7 +203,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     loops: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -275,14 +220,10 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         o4a_obs::info!("serve", "shutting down"; addr = self.addr);
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.exec_queue.shutdown();
         for ls in &self.shared.loops {
             ls.wake.wake();
         }
         for h in self.loops.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.executors.drain(..) {
             let _ = h.join();
         }
     }
@@ -298,14 +239,13 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
         })?)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let workers = cfg.workers.max(1);
     let n_loops = cfg.event_loops.max(1);
-    let loops: Vec<Arc<LoopShared>> = (0..n_loops)
+    let loops: Vec<LoopShared> = (0..n_loops)
         .map(|_| {
-            Ok(Arc::new(LoopShared {
+            Ok(LoopShared {
                 wake: WakeFd::new()?,
-                completions: Mutex::new(Vec::new()),
-            }))
+                handoff: Mutex::new(Vec::new()),
+            })
         })
         .collect::<std::io::Result<_>>()?;
     let shared = Arc::new(Shared {
@@ -313,8 +253,6 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
         stats: ServerStats::default(),
         shutdown: AtomicBool::new(false),
         cfg,
-        exec_queue: ExecQueue::default(),
-        admitted: AtomicU64::new(0),
         loops,
         started: Instant::now(),
         started_unix: std::time::SystemTime::now()
@@ -330,24 +268,15 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
     let _ = requests_counter();
     let _ = busy_counter();
     let _ = protocol_error_counter();
+    let _ = backend_panics_counter();
     let _ = request_ns_histogram();
     let _ = queue_depth_gauge();
     let _ = backpressure_counter();
     let _ = batch_masks_histogram();
-    o4a_obs::info!("serve", "listening"; addr = addr, workers = workers, loops = n_loops);
-
-    let executors: Vec<JoinHandle<()>> = (0..workers)
-        .map(|i| {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("o4a-exec-{i}"))
-                .spawn(move || executor_loop(&shared))
-                .expect("spawn executor")
-        })
-        .collect();
+    o4a_obs::info!("serve", "listening"; addr = addr, loops = n_loops);
 
     let mut listener = Some(listener);
-    let loop_threads: Vec<JoinHandle<()>> = (0..n_loops)
+    let loops: Vec<JoinHandle<()>> = (0..n_loops)
         .map(|i| {
             let shared = shared.clone();
             let listener = listener.take();
@@ -361,8 +290,7 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
     Ok(ServerHandle {
         addr,
         shared,
-        loops: loop_threads,
-        executors,
+        loops,
     })
 }
 
@@ -383,7 +311,7 @@ fn requests_counter() -> &'static o4a_obs::Counter {
 fn busy_counter() -> &'static o4a_obs::Counter {
     o4a_obs::counter!(
         "o4a_serve_busy_total",
-        "requests shed with BUSY because the admission queue was full"
+        "requests shed with BUSY because the admitting loop's backlog was full"
     )
 }
 
@@ -396,10 +324,18 @@ fn protocol_error_counter() -> &'static o4a_obs::Counter {
     )
 }
 
+/// Backend calls that panicked; each answered its batch with `ERROR`.
+fn backend_panics_counter() -> &'static o4a_obs::Counter {
+    o4a_obs::counter!(
+        "o4a_serve_backend_panics_total",
+        "query backend calls that panicked and answered their batch with ERROR"
+    )
+}
+
 /// Parse-to-response latency, the same histogram `span!("serve_request")`
 /// recorded on the thread-per-connection server (kept name-compatible for
-/// dashboards; recorded manually because a request's life now spans the
-/// loop and executor threads).
+/// dashboards; recorded manually because a request's life spans a parse
+/// and a later batch).
 fn request_ns_histogram() -> &'static o4a_obs::Histogram {
     o4a_obs::histogram!(
         "o4a_serve_request_ns",
@@ -407,12 +343,12 @@ fn request_ns_histogram() -> &'static o4a_obs::Histogram {
     )
 }
 
-/// Jobs admitted but not yet popped by an executor — the live depth of
-/// the admission gate, sampled at every admit/pop.
+/// Jobs pending on the loop that last admitted or ran one — its backlog
+/// against the admission cap, sampled at every admit and batch start.
 fn queue_depth_gauge() -> &'static o4a_obs::Gauge {
     o4a_obs::gauge!(
         "o4a_exec_queue_depth",
-        "queries admitted but not yet picked up by an executor"
+        "queries admitted but not yet executed on the admitting event loop"
     )
 }
 
@@ -424,55 +360,23 @@ fn backpressure_counter() -> &'static o4a_obs::Counter {
     )
 }
 
-/// Masks per submitted executor batch (coalescing effectiveness).
+/// Masks per executed batch (coalescing effectiveness).
 fn batch_masks_histogram() -> &'static o4a_obs::Histogram {
     o4a_obs::histogram!(
         "o4a_exec_batch_masks",
-        "masks folded into one executor batch submission"
+        "masks folded into one batch executed by an event loop"
     )
 }
 
-fn executor_loop(shared: &Arc<Shared>) {
-    while let Some(batch) = shared.exec_queue.pop() {
-        let n = batch.jobs.len() as u64;
-        let prev = shared.admitted.fetch_sub(n, Ordering::Relaxed);
-        queue_depth_gauge().set(prev.saturating_sub(n) as f64);
-        let done: BatchDone = if shared.region.is_ready() {
-            run_batch(shared, &batch)
-        } else {
-            batch
-                .jobs
-                .iter()
-                .map(|job| {
-                    let frame = wire::encode_response(&Response::Error(
-                        "no prediction snapshot published".into(),
-                    ));
-                    (job.token, job.seq, frame, job.trace_id)
-                })
-                .collect()
-        };
-        let ls = &shared.loops[batch.loop_id];
-        ls.completions
-            .lock()
-            .expect("completions poisoned")
-            .push(done);
-        ls.wake.wake();
-    }
-}
-
 /// Answers one coalesced batch with a single backend call and encodes the
-/// per-job response frames.
-fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
-    let all: Vec<Mask> = batch
-        .jobs
-        .iter()
-        .flat_map(|j| j.masks.iter().cloned())
-        .collect();
-    // A batch's executor-side spans are attributed to the first sampled
-    // job's trace id (an untraced batch — the common case — skips every
-    // clock read below).
-    let batch_tid = batch
-        .jobs
+/// response frames, one per job in job order. A panicking backend call
+/// answers every job with `ERROR` instead.
+fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> {
+    let all: Vec<Mask> = jobs.iter().flat_map(|j| j.masks.iter().cloned()).collect();
+    // A batch's spans are attributed to the first sampled job's trace id
+    // (an untraced batch — the common case — skips every clock read
+    // below).
+    let batch_tid = jobs
         .iter()
         .map(|j| j.trace_id)
         .find(|&t| t != 0)
@@ -480,13 +384,13 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
     let t_exec = Instant::now();
     let t_exec_ns = if batch_tid != 0 { trace::now_ns() } else { 0 };
     if batch_tid != 0 {
-        for job in &batch.jobs {
+        for job in jobs {
             if job.trace_id != 0 {
                 trace::emit(&SpanEvent {
                     trace_id: job.trace_id,
                     span: SpanKind::QueueWait as u16,
                     parent: SpanKind::Request as u16,
-                    lane: batch.loop_id as u32,
+                    lane: loop_id as u32,
                     t_start_ns: job.t_parse_ns,
                     t_end_ns: t_exec_ns,
                     bytes: job.masks.len() as u64,
@@ -497,7 +401,17 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
         // lookup/aggregate) off the calling thread's current trace id
         trace::set_current(batch_tid);
     }
-    let (values, timing) = shared.region.query_many_timed(&all);
+    let Ok((values, timing)) =
+        catch_unwind(AssertUnwindSafe(|| shared.region.query_many_timed(&all)))
+    else {
+        // the panic hook has already printed the payload
+        trace::set_current(0);
+        backend_panics_counter().inc();
+        o4a_obs::warn_limited!("serve", "query backend panicked, answering its batch with ERROR";
+            jobs = jobs.len(), masks = all.len(), loop_id = loop_id);
+        let frame = wire::encode_response(&Response::Error("query backend panicked".into()));
+        return vec![frame; jobs.len()];
+    };
     let timing = TimingNs {
         decompose_ns: timing.decompose.as_nanos() as u64,
         index_ns: timing.index.as_nanos() as u64,
@@ -509,7 +423,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
             trace_id: batch_tid,
             span: SpanKind::ExecBatch as u16,
             parent: SpanKind::Request as u16,
-            lane: batch.loop_id as u32,
+            lane: loop_id as u32,
             t_start_ns: t_exec_ns,
             t_end_ns: t_done_ns,
             bytes: all.len() as u64,
@@ -523,7 +437,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
             trace_id: batch_tid,
             span: SpanKind::Decompose as u16,
             parent: SpanKind::ExecBatch as u16,
-            lane: batch.loop_id as u32,
+            lane: loop_id as u32,
             t_start_ns: t_exec_ns,
             t_end_ns: t_exec_ns + timing.decompose_ns,
             bytes: all.len() as u64,
@@ -532,7 +446,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
             trace_id: batch_tid,
             span: SpanKind::Index as u16,
             parent: SpanKind::ExecBatch as u16,
-            lane: batch.loop_id as u32,
+            lane: loop_id as u32,
             t_start_ns: t_exec_ns + timing.decompose_ns,
             t_end_ns: t_exec_ns + timing.decompose_ns + timing.index_ns,
             bytes: all.len() as u64,
@@ -543,7 +457,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
         .stats
         .masks_served
         .fetch_add(all.len() as u64, Ordering::Relaxed);
-    if batch.jobs.len() > 1 {
+    if jobs.len() > 1 {
         shared
             .stats
             .coalesced_masks
@@ -559,9 +473,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
         .fetch_add(timing.index_ns, Ordering::Relaxed);
     let slow_ns = trace::slow_threshold_ns();
     let mut off = 0usize;
-    batch
-        .jobs
-        .iter()
+    jobs.iter()
         .map(|job| {
             let slice = &values[off..off + job.masks.len()];
             off += job.masks.len();
@@ -584,7 +496,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
                     trace_id: job.trace_id,
                     span: SpanKind::Request as u16,
                     parent: 0,
-                    lane: batch.loop_id as u32,
+                    lane: loop_id as u32,
                     t_start_ns: job.t_parse_ns,
                     t_end_ns: trace::now_ns(),
                     bytes: job.masks.len() as u64,
@@ -598,17 +510,12 @@ fn run_batch(shared: &Arc<Shared>, batch: &ExecBatch) -> BatchDone {
                     index_us = timing.index_ns / 1_000,
                     masks = job.masks.len(),
                     batch_masks = all.len(),
-                    loop_id = batch.loop_id,
+                    loop_id = loop_id,
                     trace_id = job.trace_id,
                 );
             }
             request_ns_histogram().record(total_ns);
-            (
-                job.token,
-                job.seq,
-                wire::encode_response(&resp),
-                job.trace_id,
-            )
+            wire::encode_response(&resp)
         })
         .collect()
 }
@@ -694,12 +601,10 @@ struct EventLoop<'a> {
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Admitted jobs waiting to be submitted as a batch.
+    /// Connections accepted so far (loop 0 only): the round-robin deal.
+    dealt: usize,
+    /// Jobs admitted during the current wake, run before the loop blocks.
     pending: Vec<ExecJob>,
-    /// When the oldest pending job was admitted (coalesce deadline base).
-    pending_since: Option<Instant>,
-    /// Batches submitted to the executors and not yet completed.
-    in_flight: usize,
     hier: o4a_grid::hierarchy::Hierarchy,
 }
 
@@ -727,14 +632,13 @@ impl EventLoop<'_> {
             poller,
             conns: HashMap::new(),
             next_token: TOK_CONN0,
+            dealt: 0,
             pending: Vec::new(),
-            pending_since: None,
-            in_flight: 0,
             hier: shared.region.hierarchy().clone(),
         };
         // Event-loop internals as first-class metrics, one pair per loop:
         // how long each epoll_wait blocked and how many readiness events
-        // each wake delivered (0 = coalesce-deadline timeout).
+        // each wake delivered.
         let epoll_wait_hist = o4a_obs::metrics::global().histogram(
             &format!("o4a_loop{loop_id}_epoll_wait_ns"),
             "time blocked in epoll_wait per wake on this event loop",
@@ -746,11 +650,8 @@ impl EventLoop<'_> {
         let mut rbuf = PooledBuf::with_capacity(READ_BUF_BYTES);
         let mut events = Vec::new();
         loop {
-            let timeout = el
-                .pending_since
-                .map(|t0| shared.cfg.coalesce_window.saturating_sub(t0.elapsed()));
             let t_wait = Instant::now();
-            let n_ready = match el.poller.wait(&mut events, timeout) {
+            let n_ready = match el.poller.wait(&mut events, None) {
                 Ok(n) => n,
                 Err(_) => break,
             };
@@ -766,19 +667,28 @@ impl EventLoop<'_> {
                             el.accept_ready(l);
                         }
                     }
-                    TOK_WAKE => shared.loops[loop_id].wake.drain(),
+                    TOK_WAKE => {
+                        // drain before taking, so a hand-off racing this
+                        // wake leaves the eventfd readable again
+                        ls.wake.drain();
+                        let streams =
+                            std::mem::take(&mut *ls.handoff.lock().expect("hand-off poisoned"));
+                        for stream in streams {
+                            el.adopt(stream);
+                        }
+                    }
                     token => el.conn_ready(token, ev.readable, ev.writable, &mut rbuf),
                 }
             }
-            el.drain_completions();
-            el.flush_pending();
+            el.run_pending();
         }
         // Cooperative close: dropping the map closes every socket, and
         // dropping the listener (loop 0) makes further connects refuse.
         el.conns.clear();
     }
 
-    /// Accepts until the listener reports `WouldBlock` (edge-triggered).
+    /// Accepts until the listener reports `WouldBlock` (edge-triggered),
+    /// dealing the connections out to the loops round-robin.
     fn accept_ready(&mut self, listener: &TcpListener) {
         loop {
             match listener.accept() {
@@ -786,32 +696,45 @@ impl EventLoop<'_> {
                     if self.shared.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    let target = self.dealt % self.shared.loops.len();
+                    self.dealt += 1;
+                    if target == self.loop_id {
+                        self.adopt(stream);
+                    } else {
+                        let ls = &self.shared.loops[target];
+                        ls.handoff.lock().expect("hand-off poisoned").push(stream);
+                        ls.wake.wake();
                     }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.shared
-                        .stats
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    connections_counter().inc();
-                    self.conns
-                        .insert(token, Conn::new(stream, self.shared.cfg.max_payload));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
         }
+    }
+
+    /// Registers an accepted connection with this loop.
+    fn adopt(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token;
+        self.next_token += 1;
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, Interest::READ)
+            .is_err()
+        {
+            return;
+        }
+        self.shared
+            .stats
+            .connections
+            .fetch_add(1, Ordering::Relaxed);
+        connections_counter().inc();
+        self.conns
+            .insert(token, Conn::new(stream, self.shared.cfg.max_payload));
     }
 
     /// Handles readiness on a connection token.
@@ -970,7 +893,7 @@ impl EventLoop<'_> {
     }
 
     /// Admits a query into the pending list, or answers `Error`/`BUSY`
-    /// inline (wrong raster / admission gate full).
+    /// inline (wrong raster / loop backlog at the admission cap).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_query(
         &mut self,
@@ -1000,22 +923,20 @@ impl EventLoop<'_> {
                 return;
             }
         }
-        let cap = self.shared.cfg.queue_cap as u64;
-        if self.shared.admitted.load(Ordering::Relaxed) >= cap {
+        let cap = self.shared.cfg.queue_cap;
+        if self.pending.len() >= cap {
             self.shared
                 .stats
                 .busy_rejections
                 .fetch_add(1, Ordering::Relaxed);
             busy_counter().inc();
             // rate-limited: an overload sheds thousands of these a second
-            o4a_obs::warn_limited!("serve", "admission queue full, shedding with BUSY";
+            o4a_obs::warn_limited!("serve", "loop backlog full, shedding with BUSY";
                 queue_cap = cap, loop_id = self.loop_id);
             conn.fill(seq, wire::encode_response(&Response::Busy));
             request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
             return;
         }
-        let prev = self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-        queue_depth_gauge().set((prev + 1) as f64);
         // mint here, not at parse: only admitted queries become traces
         let trace_id = trace::mint();
         let t_parse_ns = if trace_id != 0 {
@@ -1044,61 +965,15 @@ impl EventLoop<'_> {
             trace_id,
             t_parse_ns,
         });
-        if self.pending_since.is_none() {
-            self.pending_since = Some(Instant::now());
-        }
+        queue_depth_gauge().set(self.pending.len() as f64);
     }
 
-    /// Routes completed batches back to their connections.
-    fn drain_completions(&mut self) {
-        let done: Vec<BatchDone> = {
-            let mut guard = self.shared.loops[self.loop_id]
-                .completions
-                .lock()
-                .expect("completions poisoned");
-            std::mem::take(&mut *guard)
-        };
-        for batch in done {
-            self.in_flight -= 1;
-            for (token, seq, frame, trace_id) in batch {
-                // the connection may have died while its query ran
-                let Some(mut conn) = self.conns.remove(&token) else {
-                    continue;
-                };
-                let t_fill_ns = if trace_id != 0 { trace::now_ns() } else { 0 };
-                let frame_len = frame.len() as u64;
-                conn.fill(seq, frame);
-                let ok = self.flush_writes(token, &mut conn);
-                if trace_id != 0 {
-                    trace::emit(&SpanEvent {
-                        trace_id,
-                        span: SpanKind::WriteFlush as u16,
-                        parent: SpanKind::Request as u16,
-                        lane: self.loop_id as u32,
-                        t_start_ns: t_fill_ns,
-                        t_end_ns: trace::now_ns(),
-                        bytes: frame_len,
-                    });
-                }
-                if ok && !conn.drained_for_close() {
-                    self.conns.insert(token, conn);
-                } else {
-                    self.teardown(conn);
-                }
-            }
-        }
-    }
-
-    /// Submits pending jobs: immediately while an executor slot is free,
-    /// otherwise only once the coalesce deadline has passed (so arrivals
-    /// during a busy spell merge into fewer, larger batches).
-    fn flush_pending(&mut self) {
-        let workers = self.shared.cfg.workers.max(1);
-        let deadline_passed = self
-            .pending_since
-            .is_some_and(|t0| t0.elapsed() >= self.shared.cfg.coalesce_window);
-        while !self.pending.is_empty() && (self.in_flight < workers || deadline_passed) {
-            let max_masks = self.shared.cfg.max_batch_masks.max(1);
+    /// Runs every pending job in batches of at most `max_batch_masks`
+    /// masks and flushes the answers, so nothing is pending when the loop
+    /// blocks again.
+    fn run_pending(&mut self) {
+        let max_masks = self.shared.cfg.max_batch_masks.max(1);
+        while !self.pending.is_empty() {
             let mut take = 0usize;
             let mut total = 0usize;
             for job in &self.pending {
@@ -1109,15 +984,51 @@ impl EventLoop<'_> {
                 take += 1;
             }
             let jobs: Vec<ExecJob> = self.pending.drain(..take).collect();
+            queue_depth_gauge().set(self.pending.len() as f64);
             batch_masks_histogram().record(total as u64);
-            self.shared.exec_queue.push(ExecBatch {
-                loop_id: self.loop_id,
-                jobs,
-            });
-            self.in_flight += 1;
+            let frames = if self.shared.region.is_ready() {
+                run_batch(self.shared, self.loop_id, &jobs)
+            } else {
+                let frame = wire::encode_response(&Response::Error(
+                    "no prediction snapshot published".into(),
+                ));
+                vec![frame; jobs.len()]
+            };
+            for (job, frame) in jobs.iter().zip(frames) {
+                self.deliver(job, frame);
+            }
         }
-        if self.pending.is_empty() {
-            self.pending_since = None;
+    }
+
+    /// Fills a job's response slot and flushes its connection, which may
+    /// have died while the batch ran.
+    fn deliver(&mut self, job: &ExecJob, frame: Vec<u8>) {
+        let Some(mut conn) = self.conns.remove(&job.token) else {
+            return;
+        };
+        let t_fill_ns = if job.trace_id != 0 {
+            trace::now_ns()
+        } else {
+            0
+        };
+        let frame_len = frame.len() as u64;
+        conn.fill(job.seq, frame);
+        let ok = self.flush_writes(job.token, &mut conn);
+        if job.trace_id != 0 {
+            trace::emit(&SpanEvent {
+                trace_id: job.trace_id,
+                span: SpanKind::WriteFlush as u16,
+                parent: SpanKind::Request as u16,
+                lane: self.loop_id as u32,
+                t_start_ns: t_fill_ns,
+                t_end_ns: trace::now_ns(),
+                bytes: frame_len,
+            });
+        }
+        if ok && !conn.drained_for_close() {
+            self.conns.insert(job.token, conn);
+        } else {
+            self.teardown(conn);
         }
     }
 

@@ -4,8 +4,9 @@
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::truth_pyramid;
-use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
+use o4a_core::server::{PredictionStore, QueryBackend, QueryTiming, RegionServer};
 use o4a_data::synthetic::DatasetKind;
+use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::{Hierarchy, Mask};
 use o4a_serve::wire::{encode_frame, encode_request, read_frame, Verb, DEFAULT_MAX_PAYLOAD};
@@ -121,7 +122,7 @@ fn health_and_stats_roundtrip() {
 /// round-trips dominate it.
 #[test]
 fn single_mask_served_latency_does_not_regress() {
-    let (region, handle) = start(|cfg| cfg.coalesce_window = Duration::from_millis(0));
+    let (region, handle) = start(|_| {});
     let mask = Mask::rect(SIDE, SIDE, 3, 2, 9, 11);
     let median = |mut samples: Vec<Duration>| -> Duration {
         samples.sort();
@@ -293,12 +294,157 @@ fn zero_capacity_queue_sheds_load_with_busy() {
     handle.shutdown();
 }
 
+/// Writes `frames` to a fresh raw connection in one `write_all` (so one
+/// wake parses them all) and reads back one response per frame.
+fn pipeline(handle: &ServerHandle, frames: &[Vec<u8>]) -> Vec<Response> {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&frames.concat()).unwrap();
+    frames
+        .iter()
+        .map(|_| {
+            let (verb, payload) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).unwrap();
+            o4a_serve::wire::decode_response(verb, &payload).unwrap()
+        })
+        .collect()
+}
+
+/// Everything one wake parses runs as one batch: 16 pipelined QUERY
+/// frames come back in order, bit-identical, from fewer executions than
+/// masks.
+#[test]
+fn pipelined_queries_coalesce_in_order() {
+    let (region, handle) = start(|_| {});
+    let masks: Vec<Mask> = query_masks().into_iter().take(16).collect();
+    let frames: Vec<Vec<u8>> = masks
+        .iter()
+        .map(|m| encode_request(&Request::Query(m.clone())))
+        .collect();
+    let responses = pipeline(&handle, &frames);
+    for (mask, resp) in masks.iter().zip(&responses) {
+        match resp {
+            Response::Prediction { value, .. } => {
+                assert_eq!(value.to_bits(), region.query(mask).to_bits())
+            }
+            other => panic!("expected a prediction, got {other:?}"),
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.masks_served, 16);
+    assert!(
+        stats.exec_batches < stats.masks_served,
+        "no coalescing: {} batches for {} masks",
+        stats.exec_batches,
+        stats.masks_served
+    );
+    handle.shutdown();
+}
+
+/// Admission is a per-loop backlog cap: of 10 pipelined queries against
+/// `queue_cap: 4`, the answers stay in request order, each is either the
+/// bit-identical value or `BUSY`, and STATS counts every `BUSY`.
+#[test]
+fn pipelined_queries_beyond_the_backlog_cap_shed_with_busy() {
+    let (region, handle) = start(|cfg| cfg.queue_cap = 4);
+    let masks: Vec<Mask> = query_masks().into_iter().take(10).collect();
+    let frames: Vec<Vec<u8>> = masks
+        .iter()
+        .map(|m| encode_request(&Request::Query(m.clone())))
+        .collect();
+    let responses = pipeline(&handle, &frames);
+    let mut busy = 0u64;
+    for (mask, resp) in masks.iter().zip(&responses) {
+        match resp {
+            Response::Prediction { value, .. } => {
+                assert_eq!(value.to_bits(), region.query(mask).to_bits())
+            }
+            Response::Busy => busy += 1,
+            other => panic!("expected a prediction or BUSY, got {other:?}"),
+        }
+    }
+    assert!(busy >= 1, "10 pipelined queries never hit a cap of 4");
+    let stats = handle.stats();
+    assert_eq!(stats.busy_rejections, busy);
+    assert_eq!(stats.masks_served, 10 - busy);
+    handle.shutdown();
+}
+
+/// Delegates to a region server but panics on one poison mask.
+struct PoisonBackend {
+    inner: Arc<RegionServer>,
+    poison: Mask,
+}
+
+impl QueryBackend for PoisonBackend {
+    fn hierarchy(&self) -> &Hierarchy {
+        self.inner.hierarchy()
+    }
+
+    fn is_ready(&self) -> bool {
+        self.inner.is_ready()
+    }
+
+    fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
+        assert!(!masks.contains(&self.poison), "poison mask");
+        self.inner.query_many_timed(masks)
+    }
+
+    fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
+        self.inner.query_groups_timed(groups)
+    }
+}
+
+/// A panicking backend call answers its request with ERROR, and the loop
+/// keeps serving that connection and its neighbours.
+#[test]
+fn backend_panic_answers_error_and_the_loop_keeps_serving() {
+    let region = region_fixture();
+    let poison = Mask::rect(SIDE, SIDE, 5, 5, 7, 7);
+    let backend = PoisonBackend {
+        inner: Arc::clone(&region),
+        poison: poison.clone(),
+    };
+    let handle = serve(
+        Arc::new(backend),
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            event_loops: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // a short timeout and no redial: an unanswered query fails the test
+    // instead of hanging it
+    let cfg = ClientConfig {
+        io_timeout: Duration::from_secs(2),
+        reconnects: 0,
+        ..ClientConfig::default()
+    };
+    let mut a = Client::connect(handle.addr(), cfg.clone()).unwrap();
+    let mut b = Client::connect(handle.addr(), cfg).unwrap();
+    let good = Mask::rect(SIDE, SIDE, 1, 2, 9, 8);
+    match a.query(&poison) {
+        Err(o4a_serve::ClientError::Remote(_)) => {}
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+    let want = region.query(&good).to_bits();
+    assert_eq!(a.query(&good).unwrap().0.to_bits(), want);
+    assert_eq!(b.query(&good).unwrap().0.to_bits(), want);
+    let metrics = a.metrics().unwrap();
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "o4a_serve_backend_panics_total 1"),
+        "panic counter is not 1:\n{metrics}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_clients_coalesce_and_bit_match() {
-    let (region, handle) = start(|cfg| {
-        cfg.workers = 2;
-        cfg.coalesce_window = Duration::from_millis(2);
-    });
+    let (region, handle) = start(|cfg| cfg.event_loops = 4);
     let masks = query_masks();
     let addr = handle.addr();
     let results: Vec<Vec<(Mask, f32)>> = std::thread::scope(|s| {
@@ -328,11 +474,12 @@ fn concurrent_clients_coalesce_and_bit_match() {
     }
     let stats = handle.stats();
     assert_eq!(stats.masks_served as usize, masks.len());
-    // Coalescing must have merged at least some requests: fewer executor
-    // batches than masks (4 threads + a 2ms window make this robust).
+    // Four connections on four loops run concurrently and need not
+    // coalesce (pipelined_queries_coalesce_in_order pins coalescing);
+    // every executed batch answered at least one mask.
     assert!(
-        stats.exec_batches < stats.masks_served,
-        "no coalescing: {} batches for {} masks",
+        (1..=stats.masks_served).contains(&stats.exec_batches),
+        "{} batches for {} masks",
         stats.exec_batches,
         stats.masks_served
     );

@@ -16,13 +16,17 @@ cargo test -q
 # Parallel test threads force ISA tiers while other threads dispatch
 # kernels. These two suites used to fail intermittently on a racy
 # double read of the active tier; rerun each 20x to prove the dispatch
-# is deterministic.
-echo "==> compiled_props + gather_props x20 (dispatch determinism)"
+# is deterministic. The serving suites ride the same loop: every event
+# loop executes engine work concurrently, so a race between loops would
+# show up as an intermittent failure.
+echo "==> compiled_props + gather_props + serving suites x20 (determinism)"
 for run in $(seq 20); do
     out=$(cargo test -q -p o4a-core --test compiled_props 2>&1) \
         || { echo "$out"; echo "FAIL: compiled_props run $run"; exit 1; }
     out=$(cargo test -q -p o4a-tensor --test gather_props 2>&1) \
         || { echo "$out"; echo "FAIL: gather_props run $run"; exit 1; }
+    out=$(cargo test -q -p o4a-serve --test loopback --test trace_e2e --test metrics_e2e 2>&1) \
+        || { echo "$out"; echo "FAIL: serving suites run $run"; exit 1; }
 done
 
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
@@ -293,7 +297,7 @@ for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_isa_active o4a_isa_feature_avx2 \
     o4a_loop0_epoll_wait_ns_bucket o4a_loop0_ready_events_count \
     o4a_exec_queue_depth o4a_serve_backpressure_total \
-    o4a_exec_batch_masks_sum; do
+    o4a_exec_batch_masks_sum o4a_serve_backend_panics_total; do
     grep -q "^$metric" "$SMOKE_DIR/metrics.prom" \
         || { echo "metrics.prom is missing $metric"; exit 1; }
 done
