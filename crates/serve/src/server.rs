@@ -240,14 +240,21 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let n_loops = cfg.event_loops.max(1);
-    let loops: Vec<LoopShared> = (0..n_loops)
-        .map(|_| {
-            Ok(LoopShared {
-                wake: WakeFd::new()?,
-                handoff: Mutex::new(Vec::new()),
-            })
-        })
-        .collect::<std::io::Result<_>>()?;
+    // Every loop's poller is set up here, so a loop that could not start
+    // fails `serve` instead of stranding the connections dealt to it.
+    let mut loops = Vec::with_capacity(n_loops);
+    let mut pollers = Vec::with_capacity(n_loops);
+    for _ in 0..n_loops {
+        let ls = LoopShared {
+            wake: WakeFd::new()?,
+            handoff: Mutex::new(Vec::new()),
+        };
+        let poller = Poller::new()?;
+        poller.add(ls.wake.raw_fd(), TOK_WAKE, Interest::READ)?;
+        loops.push(ls);
+        pollers.push(poller);
+    }
+    pollers[0].add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
     let shared = Arc::new(Shared {
         region,
         stats: ServerStats::default(),
@@ -276,13 +283,15 @@ pub fn serve(region: Arc<dyn QueryBackend>, cfg: ServeConfig) -> std::io::Result
     o4a_obs::info!("serve", "listening"; addr = addr, loops = n_loops);
 
     let mut listener = Some(listener);
-    let loops: Vec<JoinHandle<()>> = (0..n_loops)
-        .map(|i| {
+    let loops: Vec<JoinHandle<()>> = pollers
+        .into_iter()
+        .enumerate()
+        .map(|(i, poller)| {
             let shared = shared.clone();
             let listener = listener.take();
             std::thread::Builder::new()
                 .name(format!("o4a-loop-{i}"))
-                .spawn(move || EventLoop::run(i, &shared, listener))
+                .spawn(move || EventLoop::run(i, &shared, poller, listener))
                 .expect("spawn event loop")
         })
         .collect();
@@ -609,23 +618,11 @@ struct EventLoop<'a> {
 }
 
 impl EventLoop<'_> {
-    fn run(loop_id: usize, shared: &Arc<Shared>, listener: Option<TcpListener>) {
-        let poller = match Poller::new() {
-            Ok(p) => p,
-            Err(e) => {
-                o4a_obs::warn!("serve", "epoll unavailable, loop {} down: {}", loop_id, e);
-                return;
-            }
-        };
+    /// Serves until shutdown. `poller` already watches this loop's
+    /// eventfd and, on loop 0 (the one given the `listener`), the
+    /// listener.
+    fn run(loop_id: usize, shared: &Arc<Shared>, poller: Poller, listener: Option<TcpListener>) {
         let ls = &shared.loops[loop_id];
-        poller
-            .add(ls.wake.raw_fd(), TOK_WAKE, Interest::READ)
-            .expect("register wakefd");
-        if let Some(l) = &listener {
-            poller
-                .add(l.as_raw_fd(), TOK_LISTENER, Interest::READ)
-                .expect("register listener");
-        }
         let mut el = EventLoop {
             loop_id,
             shared,
