@@ -3,7 +3,10 @@
 //!
 //! The index stores the optimal combination of every single grid and every
 //! multi-grid; this binary reports the serialized bytes contributed by
-//! each scale's entries and the total.
+//! each scale's entries and the total. It also times the offline search
+//! that builds each index, and one retrieval from the quad-tree against a
+//! scan of the same entries held in a linear table (the O(log HW) vs
+//! O(HW) claim of Sec. IV-C3).
 //!
 //! Usage: `cargo run -p o4a-bench --release --bin fig17 [-- --quick]`
 
@@ -11,8 +14,28 @@ use o4a_core::codec::encode_index;
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_core::one4all::truth_pyramid;
 use o4a_data::synthetic::DatasetKind;
-use o4a_grid::Hierarchy;
+use o4a_grid::coding::GridCode;
+use o4a_grid::{Hierarchy, LayerCell};
 use o4a_tensor::SeededRng;
+use std::hint::black_box;
+use std::time::Instant;
+
+const SAMPLES: usize = 5;
+
+/// Median over `SAMPLES` runs of `iters` calls, in nanoseconds per call.
+fn ns_per_call(iters: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[SAMPLES / 2]
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -44,8 +67,10 @@ fn main() {
                     .collect()
             })
             .collect();
+        let t0 = Instant::now();
         let index =
             search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::UnionSubtraction);
+        let search_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // serialized bytes per entry, attributed to the scale of the grid
         // the entry describes (depth of its code path)
@@ -76,6 +101,39 @@ fn main() {
             total as f64 / 1e6,
             index.tree.len()
         );
+
+        // the same entries in a linear table; both must return the same
+        // combination for the probe before either is timed
+        let mut linear = Vec::new();
+        index
+            .tree
+            .for_each(|code, comb| linear.push((code.clone(), comb.clone())));
+        let scan = |probe: &GridCode| {
+            linear
+                .iter()
+                .find(|(c, _)| c == probe)
+                .map(|(_, comb)| comb)
+        };
+        let probe = GridCode::for_cell(&hier, LayerCell::new(0, side / 2, side / 2));
+        assert!(index.tree.get(&probe).is_some(), "centre cell has no entry");
+        assert_eq!(
+            scan(&probe),
+            index.tree.get(&probe),
+            "scan and quad-tree disagree"
+        );
+        let (tree_iters, scan_iters) = if quick { (10_000, 20) } else { (100_000, 200) };
+        let tree_ns = ns_per_call(tree_iters, || {
+            black_box(index.tree.get(black_box(&probe)));
+        });
+        let scan_ns = ns_per_call(scan_iters, || {
+            black_box(scan(black_box(&probe)));
+        });
+        println!(
+            "centre-cell lookup: quad-tree {tree_ns:.0} ns, linear scan of {} entries {:.1} us",
+            linear.len(),
+            scan_ns / 1e3
+        );
+        println!("combination search: {search_ms:.1} ms");
     }
     println!(
         "\nExpected shape (paper): finer scales dominate the index size; totals \

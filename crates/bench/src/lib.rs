@@ -17,8 +17,8 @@
 //! | `fig16`  | Fig. 16 — spatial modeling block |
 //! | `fig17`  | Fig. 17 — index size per scale |
 //!
-//! `benches/micro.rs` holds the Criterion micro-benchmarks (decomposition,
-//! quad-tree vs linear lookup, DP search, conv forward).
+//! `fig17` also times the combination search and a quad-tree lookup
+//! against a linear-table scan; `kernels` times the tensor kernels.
 //!
 //! Every binary accepts `--quick` for a smoke-test-sized run; the default
 //! configuration is the laptop-scale analogue of the paper's setup
@@ -174,19 +174,6 @@ impl Experiment {
             test_slots,
             tasks,
         }
-    }
-
-    /// Ground-truth region flow per `(mask, slot)`.
-    pub fn region_truths(&self, masks: &[Mask]) -> Vec<Vec<f32>> {
-        masks
-            .iter()
-            .map(|m| {
-                self.test_slots
-                    .iter()
-                    .map(|&t| self.flow.region_flow(t, m))
-                    .collect()
-            })
-            .collect()
     }
 }
 

@@ -15,7 +15,6 @@
 //! | GMAN | [`graph_models::GmanLite`] | spatial self-attention |
 //! | STRN | [`strn::StrnLite`] | coarse-assisted fine prediction |
 //! | MC-STGCN | [`mc_stgcn::McStgcnLite`] | bi-scale multi-task prediction |
-//! | MC-STGCN (clusters) | [`mc_stgcn_clustered::McStgcnClustered`] | irregular flow clusters as the coarse scale |
 //! | STMeta | [`stmeta::StMetaLite`] | multi-temporal-view fusion |
 //!
 //! The *enhanced* multi-scale baselines of the paper (M-ST-ResNet, M-STRN)
@@ -30,7 +29,6 @@ pub mod gbdt;
 pub mod graph_models;
 pub mod hm;
 pub mod mc_stgcn;
-pub mod mc_stgcn_clustered;
 pub mod multiscale;
 pub mod predictor;
 pub mod st_resnet;

@@ -185,11 +185,6 @@ impl<P: Predictor> AggregatingPyramid<P> {
     pub fn new(inner: P, hier: Hierarchy) -> Self {
         AggregatingPyramid { inner, hier }
     }
-
-    /// The wrapped predictor.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
 }
 
 impl<P: Predictor> PyramidPredictor for AggregatingPyramid<P> {

@@ -45,32 +45,6 @@ pub fn mae_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Huber (smooth-L1) loss with threshold `delta`.
-pub fn huber_loss(pred: &Tensor, target: &Tensor, delta: f32) -> (f32, Tensor) {
-    pred.check_same_shape(target)
-        .expect("huber_loss shape mismatch");
-    assert!(delta > 0.0, "delta must be positive");
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0f32;
-    let mut grad = Tensor::uninit(pred.shape());
-    for ((g, &p), &t) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(pred.data())
-        .zip(target.data())
-    {
-        let d = p - t;
-        *g = if d.abs() <= delta {
-            loss += 0.5 * d * d;
-            d / n
-        } else {
-            loss += delta * (d.abs() - 0.5 * delta);
-            delta * d.signum() / n
-        };
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,16 +72,6 @@ mod tests {
         let (l, g) = mae_loss(&t(&[3.0, -1.0]), &t(&[1.0, 1.0]));
         assert_eq!(l, 2.0);
         assert_eq!(g.data(), &[0.5, -0.5]);
-    }
-
-    #[test]
-    fn huber_quadratic_inside_linear_outside() {
-        let (l_small, g_small) = huber_loss(&t(&[0.5]), &t(&[0.0]), 1.0);
-        assert!((l_small - 0.125).abs() < 1e-6);
-        assert!((g_small.data()[0] - 0.5).abs() < 1e-6);
-        let (l_big, g_big) = huber_loss(&t(&[3.0]), &t(&[0.0]), 1.0);
-        assert!((l_big - 2.5).abs() < 1e-6);
-        assert!((g_big.data()[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -43,13 +43,6 @@ impl<'a> Span<'a> {
     pub fn inert() -> Span<'static> {
         Span { state: None }
     }
-
-    /// Elapsed nanoseconds so far (`0` for an inert span).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.state
-            .map(|(_, t0)| t0.elapsed().as_nanos() as u64)
-            .unwrap_or(0)
-    }
 }
 
 impl Drop for Span<'_> {
@@ -102,7 +95,6 @@ mod tests {
     #[test]
     fn inert_span_records_nothing() {
         let s = Span::inert();
-        assert_eq!(s.elapsed_ns(), 0);
         drop(s);
     }
 

@@ -23,7 +23,7 @@
 //! first N pool masks, so the server's compiled-plan cache (and, behind
 //! `--shards`, the router's decomposition memo) converge to a steady hit
 //! rate (reported in the JSON as `plan_cache_hit_rate` /
-//! `decomp_cache_hit_rate` from the final revision-4 STATS snapshot).
+//! `decomp_cache_hit_rate` from the final STATS snapshot).
 //!
 //! **Tail reporting.** Bucket percentiles come from the shared
 //! `o4a_obs::Histogram` (√2-geometric buckets: the reported quantile is
@@ -38,7 +38,7 @@
 //! Per-request outcomes (ok / busy / error) are counted into the JSON
 //! report together with the shed rate `busy / (ok + busy + errors)` and,
 //! when the server runs sharded, the per-shard routed-group counts from
-//! revision-3 STATS. Exits non-zero if no request succeeds, so CI can
+//! STATS. Exits non-zero if no request succeeds, so CI can
 //! gate on "the server actually served".
 //!
 //! **Stage breakdown.** With `--trace-sample N` (and a server started
@@ -475,9 +475,7 @@ fn main() {
     );
     println!("  latency max  {max_us:>10} us");
     println!("  outcomes: {ok} ok, {busy} busy, {errors} client errors (shed rate {shed_rate:.4})");
-    // Cache hit rates and shard balance from the final revision-4 STATS
-    // snapshot (0.0 hit rate from a pre-revision-4 server decodes the
-    // counters as zero).
+    // Cache hit rates and shard balance from the final STATS snapshot.
     let hit_rate = |hits: u64, misses: u64| {
         let total = hits + misses;
         if total > 0 {

@@ -29,7 +29,7 @@
 
 use o4a_core::codec::fnv1a32;
 use o4a_grid::mask::Mask;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Protocol magic; the trailing `01` is the protocol version.
 pub const MAGIC: &[u8; 8] = b"O4ARPC01";
@@ -172,11 +172,6 @@ pub struct TimingNs {
 }
 
 /// Readiness and raster geometry reported by `HEALTH`.
-///
-/// Payload revision 2 appends `uptime_secs` and `started_unix` (16 bytes)
-/// to the original 10-byte payload. The decoder accepts both forms —
-/// revision-1 frames from an old server decode with the two new fields at
-/// `0` — so mixed-version client/server pairs keep interoperating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthInfo {
     /// Whether a prediction snapshot has been published.
@@ -187,10 +182,9 @@ pub struct HealthInfo {
     pub w: u32,
     /// Hierarchy layer count.
     pub layers: u8,
-    /// Seconds the server process has been up (0 from a revision-1 peer).
+    /// Seconds the server process has been up.
     pub uptime_secs: u64,
-    /// Server start time, seconds since the Unix epoch (0 from a
-    /// revision-1 peer).
+    /// Server start time, seconds since the Unix epoch.
     pub started_unix: u64,
 }
 
@@ -222,23 +216,19 @@ pub struct StatsSnapshot {
     /// Decomposition memo misses (`0` for an unsharded engine).
     pub decomp_cache_misses: u64,
     /// Revision of the active ensemble plan; `0` for a single-model
-    /// backend. Appended in revision 2 of the STATS payload — a revision-1
-    /// peer's payload ends before it and decodes as `0`.
+    /// backend.
     pub plan_revision: u64,
     /// Decomposed groups routed to each shard since start, in shard
-    /// order; empty for an unsharded backend. Appended in revision 3 of
-    /// the STATS payload (`u16` count + that many `u64`s) — a revision-1
-    /// or revision-2 peer's payload ends before it and decodes as empty.
+    /// order; empty for an unsharded backend. On the wire: a `u16` count
+    /// (at most [`MAX_SHARDS`]) and that many `u64`s.
     pub shard_loads: Vec<u64>,
-    /// Compiled-plan cache hits. Appended (with the three fields below)
-    /// in revision 4 of the STATS payload — an older peer's payload ends
-    /// before it and decodes as `0`.
+    /// Compiled-plan cache hits.
     pub plan_cache_hits: u64,
-    /// Compiled-plan cache misses (each miss compiles a plan). Revision 4.
+    /// Compiled-plan cache misses (each miss compiles a plan).
     pub plan_cache_misses: u64,
-    /// Compiled plans evicted by the cache's CLOCK cap. Revision 4.
+    /// Compiled plans evicted by the cache's CLOCK cap.
     pub plan_cache_evictions: u64,
-    /// Total index terms executed through compiled plans. Revision 4.
+    /// Total index terms executed through compiled plans.
     pub compiled_terms: u64,
 }
 
@@ -603,8 +593,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             p.push(info.layers);
             p.extend_from_slice(&info.h.to_le_bytes());
             p.extend_from_slice(&info.w.to_le_bytes());
-            // payload revision 2: uptime fields appended after the
-            // revision-1 body so old decoders that stop early still work
             put_u64(&mut p, info.uptime_secs);
             put_u64(&mut p, info.started_unix);
             encode_frame(Verb::HealthOk, &p)
@@ -627,16 +615,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             ] {
                 put_u64(&mut p, v);
             }
-            // payload revision 3: per-shard group counts appended after
-            // the revision-2 body so old decoders that stop early still
-            // work
             put_u16(&mut p, s.shard_loads.len() as u16);
             for &v in &s.shard_loads {
                 put_u64(&mut p, v);
             }
-            // payload revision 4: compiled-plan cache counters appended
-            // after the revision-3 body so old decoders that stop early
-            // still work
             for v in [
                 s.plan_cache_hits,
                 s.plan_cache_misses,
@@ -697,67 +679,40 @@ pub fn decode_response(verb: Verb, payload: &[u8]) -> Result<Response, WireError
             }
             let h = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
             let w = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
-            // revision 2 appends uptime fields; a revision-1 payload ends
-            // here and decodes them as zero
-            let (uptime_secs, started_unix) = if r.remaining() == 0 {
-                (0, 0)
-            } else {
-                (r.u64()?, r.u64()?)
-            };
             Response::Health(HealthInfo {
                 ready: ready == 1,
                 h,
                 w,
                 layers,
-                uptime_secs,
-                started_unix,
+                uptime_secs: r.u64()?,
+                started_unix: r.u64()?,
             })
         }
-        Verb::StatsResult => {
-            let mut s = StatsSnapshot {
-                connections: r.u64()?,
-                requests: r.u64()?,
-                masks_served: r.u64()?,
-                exec_batches: r.u64()?,
-                coalesced_masks: r.u64()?,
-                busy_rejections: r.u64()?,
-                protocol_errors: r.u64()?,
-                decompose_ns: r.u64()?,
-                index_ns: r.u64()?,
-                decomp_cache_hits: r.u64()?,
-                decomp_cache_misses: r.u64()?,
-                // revision 2 appends the plan revision; a revision-1
-                // payload ends here and decodes it as zero
-                plan_revision: 0,
-                shard_loads: Vec::new(),
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                compiled_terms: 0,
-            };
-            if r.remaining() > 0 {
-                s.plan_revision = r.u64()?;
-            }
-            // revision 3 appends the per-shard group counts; a revision-2
-            // payload ends here and decodes them as empty
-            if r.remaining() > 0 {
+        Verb::StatsResult => Response::Stats(StatsSnapshot {
+            connections: r.u64()?,
+            requests: r.u64()?,
+            masks_served: r.u64()?,
+            exec_batches: r.u64()?,
+            coalesced_masks: r.u64()?,
+            busy_rejections: r.u64()?,
+            protocol_errors: r.u64()?,
+            decompose_ns: r.u64()?,
+            index_ns: r.u64()?,
+            decomp_cache_hits: r.u64()?,
+            decomp_cache_misses: r.u64()?,
+            plan_revision: r.u64()?,
+            shard_loads: {
                 let count = r.u16()? as usize;
                 if count > MAX_SHARDS {
                     return Err(WireError::Corrupt("shard count exceeds cap"));
                 }
-                s.shard_loads = (0..count).map(|_| r.u64()).collect::<Result<_, _>>()?;
-            }
-            // revision 4 appends the compiled-plan cache counters; a
-            // revision-3 payload ends here and decodes them as zero. A
-            // payload cut mid-way through the four fields is an error.
-            if r.remaining() > 0 {
-                s.plan_cache_hits = r.u64()?;
-                s.plan_cache_misses = r.u64()?;
-                s.plan_cache_evictions = r.u64()?;
-                s.compiled_terms = r.u64()?;
-            }
-            Response::Stats(s)
-        }
+                (0..count).map(|_| r.u64()).collect::<Result<_, _>>()?
+            },
+            plan_cache_hits: r.u64()?,
+            plan_cache_misses: r.u64()?,
+            plan_cache_evictions: r.u64()?,
+            compiled_terms: r.u64()?,
+        }),
         Verb::MetricsResult => {
             let bytes = r.take(r.remaining())?;
             let text = std::str::from_utf8(bytes)
@@ -880,12 +835,6 @@ pub fn read_frame(
     Ok((verb, payload))
 }
 
-/// Writes one already-encoded frame to a blocking stream.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
-    w.write_all(frame)?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,177 +917,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_health_payload_still_decodes() {
-        // A revision-1 HEALTH_OK frame (10-byte payload, no uptime
-        // fields), exactly as an old server would emit it.
-        let mut p = Vec::new();
-        p.push(1u8); // ready
-        p.push(5u8); // layers
-        p.extend_from_slice(&64u32.to_le_bytes());
-        p.extend_from_slice(&32u32.to_le_bytes());
-        let frame = encode_frame(Verb::HealthOk, &p);
-        let resp = parse_response_bytes(&frame).unwrap();
-        assert_eq!(
-            resp,
-            Response::Health(HealthInfo {
-                ready: true,
-                h: 64,
-                w: 32,
-                layers: 5,
-                uptime_secs: 0,
-                started_unix: 0,
-            })
-        );
-    }
-
-    #[test]
-    fn truncated_health_uptime_rejected() {
-        // Revision-2 body cut mid-uptime: neither a valid revision-1 nor
-        // revision-2 payload — must be an error, not a silent partial read.
-        let info = HealthInfo {
+    fn every_proper_prefix_of_health_and_stats_rejected() {
+        let health = Response::Health(HealthInfo {
             ready: true,
             h: 8,
             w: 8,
             layers: 3,
             uptime_secs: 42,
             started_unix: 9,
-        };
-        let frame = encode_response(&Response::Health(info));
-        let payload = &frame[HEADER_LEN..HEADER_LEN + 14];
-        let reframed = encode_frame(Verb::HealthOk, payload);
-        assert!(parse_response_bytes(&reframed).is_err());
-    }
-
-    #[test]
-    fn legacy_stats_payload_still_decodes() {
-        // A revision-1 STATS_RESULT frame (11 u64 fields, no plan
-        // revision), exactly as an old server would emit it.
-        let mut p = Vec::new();
-        for v in 1u64..=11 {
-            put_u64(&mut p, v);
-        }
-        let frame = encode_frame(Verb::StatsResult, &p);
-        let resp = parse_response_bytes(&frame).unwrap();
-        assert_eq!(
-            resp,
-            Response::Stats(StatsSnapshot {
-                connections: 1,
-                requests: 2,
-                masks_served: 3,
-                exec_batches: 4,
-                coalesced_masks: 5,
-                busy_rejections: 6,
-                protocol_errors: 7,
-                decompose_ns: 8,
-                index_ns: 9,
-                decomp_cache_hits: 10,
-                decomp_cache_misses: 11,
-                plan_revision: 0,
-                shard_loads: Vec::new(),
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                compiled_terms: 0,
-            })
-        );
-    }
-
-    #[test]
-    fn truncated_stats_revision_rejected() {
-        // Revision-2 body cut mid-plan-revision: neither a valid
-        // revision-1 nor revision-2 payload — must be an error.
-        let mut p = Vec::new();
-        for v in 1u64..=11 {
-            put_u64(&mut p, v);
-        }
-        put_u64(&mut p, 9); // plan revision
-        p.truncate(p.len() - 3); // cut mid-field
-        let reframed = encode_frame(Verb::StatsResult, &p);
-        assert!(parse_response_bytes(&reframed).is_err());
-    }
-
-    #[test]
-    fn revision2_stats_payload_still_decodes() {
-        // A revision-2 STATS_RESULT frame (12 u64 fields, no shard
-        // loads), exactly as a pre-sharding server would emit it.
-        let mut p = Vec::new();
-        for v in 1u64..=12 {
-            put_u64(&mut p, v);
-        }
-        let frame = encode_frame(Verb::StatsResult, &p);
-        let Response::Stats(s) = parse_response_bytes(&frame).unwrap() else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.plan_revision, 12);
-        assert!(s.shard_loads.is_empty());
-    }
-
-    /// A revision-3 STATS_RESULT payload exactly as a pre-plan-cache
-    /// server would emit it: 12 `u64` fields, then a `u16` shard count
-    /// and that many `u64` loads.
-    fn revision3_payload(loads: &[u64]) -> Vec<u8> {
-        let mut p = Vec::new();
-        for v in 1u64..=12 {
-            put_u64(&mut p, v);
-        }
-        put_u16(&mut p, loads.len() as u16);
-        for &v in loads {
-            put_u64(&mut p, v);
-        }
-        p
-    }
-
-    #[test]
-    fn truncated_stats_shard_loads_rejected() {
-        // Revision-3 body cut mid-shard-entry (and cut mid-count): not a
-        // valid payload at any revision — must be an error.
-        let p = revision3_payload(&[5, 6]);
-        for cut in [3, 9, 17] {
-            let reframed = encode_frame(Verb::StatsResult, &p[..p.len() - cut]);
-            assert!(
-                parse_response_bytes(&reframed).is_err(),
-                "cut of {cut} bytes must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn revision3_stats_payload_still_decodes() {
-        // A revision-3 frame ends after the shard loads; the revision-4
-        // plan-cache counters must decode as zero.
-        let frame = encode_frame(Verb::StatsResult, &revision3_payload(&[7, 8]));
-        let Response::Stats(s) = parse_response_bytes(&frame).unwrap() else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.plan_revision, 12);
-        assert_eq!(s.shard_loads, vec![7, 8]);
-        assert_eq!(s.plan_cache_hits, 0);
-        assert_eq!(s.plan_cache_misses, 0);
-        assert_eq!(s.plan_cache_evictions, 0);
-        assert_eq!(s.compiled_terms, 0);
-    }
-
-    #[test]
-    fn truncated_stats_plan_cache_rejected() {
-        // Revision-4 body cut anywhere inside the four plan-cache
-        // counters: not a valid payload at any revision — must be an
-        // error, not a silent partial read.
-        let s = StatsSnapshot {
+        });
+        let stats = Response::Stats(StatsSnapshot {
             shard_loads: vec![5, 6],
+            plan_revision: 9,
             plan_cache_hits: 100,
-            plan_cache_misses: 4,
-            plan_cache_evictions: 1,
             compiled_terms: 2_000,
             ..StatsSnapshot::default()
-        };
-        let frame = encode_response(&Response::Stats(s));
-        for cut in [1, 8, 15, 24, 31] {
-            let payload = &frame[HEADER_LEN..frame.len() - cut];
-            let reframed = encode_frame(Verb::StatsResult, payload);
-            assert!(
-                parse_response_bytes(&reframed).is_err(),
-                "cut of {cut} bytes must not decode"
-            );
+        });
+        for resp in [health, stats] {
+            let frame = encode_response(&resp);
+            let (verb, payload, _) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).unwrap();
+            assert_eq!(decode_response(verb, payload).unwrap(), resp);
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_response(verb, &payload[..cut]).is_err(),
+                    "{verb:?} payload cut to {cut} of {} bytes decoded",
+                    payload.len()
+                );
+            }
         }
     }
 

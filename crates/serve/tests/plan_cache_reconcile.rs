@@ -1,5 +1,5 @@
-//! The compiled-plan cache counters surface twice — as STATS revision-4
-//! fields (per-backend atomics, summed across shards by the router) and
+//! The compiled-plan cache counters surface twice — as STATS fields
+//! (per-backend atomics, summed across shards by the router) and
 //! as the Prometheus families `o4a_plan_cache_{hits,misses,evictions}_total`
 //! (process-global registry) — and both sides are incremented in
 //! lockstep, so a METRICS scrape must reconcile exactly with the STATS
@@ -83,7 +83,7 @@ fn plan_cache_counters_reconcile_between_stats_and_metrics() {
     let exposition = client.metrics().unwrap();
     handle.shutdown();
 
-    // the revision-4 STATS fields carry the router's per-shard sums
+    // the STATS plan-cache fields carry the router's per-shard sums
     assert!(
         stats.plan_cache_misses > 0,
         "first pass must have compiled plans"

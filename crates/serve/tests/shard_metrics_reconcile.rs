@@ -1,5 +1,5 @@
-//! The per-shard routed-group counters surface twice — as STATS
-//! revision-3 `shard_loads` (per-router atomics) and as the labeled
+//! The per-shard routed-group counters surface twice — as the STATS
+//! `shard_loads` (per-router atomics) and as the labeled
 //! Prometheus family `o4a_shard_routed_total{shard="i"}` (global
 //! registry) — and they are incremented in lockstep, so a METRICS
 //! scrape must reconcile exactly with the STATS payload.

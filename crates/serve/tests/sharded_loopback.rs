@@ -101,7 +101,7 @@ fn stats_surface_per_shard_loads_and_stage_sums() {
         stats.decomp_cache_hits + stats.decomp_cache_misses,
         stats.masks_served
     );
-    // revision-3 STATS: per-shard group counters, every group accounted
+    // STATS per-shard group counters: every group accounted
     // to exactly one shard, visibly spread across both
     assert_eq!(stats.shard_loads.len(), 2);
     assert_eq!(stats.shard_loads.iter().sum::<u64>(), total_groups);

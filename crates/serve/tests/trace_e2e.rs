@@ -68,7 +68,7 @@ fn sampled_span_trees_reconcile_bit_exactly_with_stats() {
     let _ = client.trace().unwrap();
 
     // Sequential single-mask queries: exactly one in flight at a time,
-    // so every executor batch holds exactly one job and every query's
+    // so every event-loop batch holds exactly one job and every query's
     // spans land in the dump.
     let masks = query_masks();
     for mask in &masks {
@@ -137,7 +137,7 @@ fn sampled_span_trees_reconcile_bit_exactly_with_stats() {
     assert_eq!(by_stage["index"].1, stats.index_ns);
 
     // per-shard work is measured for real (wall-clock spans), and the
-    // backend stage spans rode the executor's current-trace id
+    // backend stage spans rode the event loop's current-trace id
     assert!(by_stage["shard_scatter"].1 > 0);
     assert!(by_stage.contains_key("lookup") && by_stage.contains_key("aggregate"));
     assert_eq!(stats.protocol_errors, 0);

@@ -1,13 +1,18 @@
-//! Byte-exact goldens for request frames carrying masks.
+//! Byte-exact goldens for request frames carrying masks, and for the
+//! HEALTH_OK and STATS_RESULT responses.
 //!
 //! The roundtrip properties in `wire_props.rs` cannot see a change made to
-//! encoder and decoder at once, such as packing bits MSB-first; that would
-//! still roundtrip, and break every deployed client. These frames pin the
-//! wire form itself: row-major cells, LSB-first within each byte, zero
-//! padding bits.
+//! encoder and decoder at once, such as packing bits MSB-first or swapping
+//! two counters; that would still roundtrip, and break every deployed
+//! client. These frames pin the wire form itself: row-major cells,
+//! LSB-first within each byte, zero padding bits, and the order and width
+//! of every response field.
 
 use o4a_grid::Mask;
-use o4a_serve::wire::{encode_request, parse_request_bytes, Request};
+use o4a_serve::wire::{
+    encode_request, encode_response, parse_request_bytes, parse_response_bytes, HealthInfo,
+    Request, Response, StatsSnapshot,
+};
 
 /// 5×7 = 35 cells: 5 payload bytes, the last one holding 3 cells and 5
 /// padding bits. Cell (4, 6), the last one, is set.
@@ -52,6 +57,15 @@ fn assert_golden(req: Request, golden: &str) {
     );
 }
 
+fn assert_response_golden(resp: Response, golden: &str) {
+    assert_eq!(hex(&encode_response(&resp)), golden, "encoded bytes moved");
+    assert_eq!(
+        parse_response_bytes(&unhex(golden)).expect("golden decodes"),
+        resp,
+        "golden decodes to a different response"
+    );
+}
+
 #[test]
 fn query_frame_bytes() {
     assert_golden(
@@ -86,6 +100,85 @@ fn batch_frame_bytes() {
             "542a954a2a954aa5954aa5524aa552a9a552a95452a9542aa9542a95542a954a",
             "2a954aa5954aa5524aa552a9a552a95452a9542aa9542a95542a954a2a954aa5",
             "954aa5524aa552a9a552a95452a9542aa9542a95542a954a2a954aa5954aa552",
+        ),
+    );
+}
+
+#[test]
+fn health_ok_frame_bytes() {
+    assert_response_golden(
+        Response::Health(HealthInfo {
+            ready: true,
+            h: 128,
+            w: 64,
+            layers: 6,
+            uptime_secs: 3600,
+            started_unix: 1_700_000_000,
+        }),
+        concat!(
+            "4f34415250433031", // magic "O4ARPC01"
+            "83",               // verb HEALTH_OK
+            "00",               // flags
+            "1a000000",         // payload length
+            "530aa794",         // payload FNV-1a
+            "01",               // ready
+            "06",               // layers
+            "80000000",         // h = 128
+            "40000000",         // w = 64
+            "100e000000000000", // uptime_secs = 3600
+            "00f1536500000000", // started_unix = 1_700_000_000
+        ),
+    );
+}
+
+#[test]
+fn stats_result_frame_bytes() {
+    assert_response_golden(
+        Response::Stats(StatsSnapshot {
+            connections: 5,
+            requests: 1000,
+            masks_served: 4000,
+            exec_batches: 120,
+            coalesced_masks: 3900,
+            busy_rejections: 7,
+            protocol_errors: 2,
+            decompose_ns: 123_456,
+            index_ns: 654_321,
+            decomp_cache_hits: 3950,
+            decomp_cache_misses: 50,
+            plan_revision: 4,
+            shard_loads: vec![1100, 2200, 900],
+            plan_cache_hits: 3800,
+            plan_cache_misses: 200,
+            plan_cache_evictions: 12,
+            compiled_terms: 91_000,
+        }),
+        concat!(
+            "4f34415250433031", // magic "O4ARPC01"
+            "84",               // verb STATS_RESULT
+            "00",               // flags
+            "9a000000",         // payload length
+            "c7b3e8c9",         // payload FNV-1a
+            "0500000000000000", // connections = 5
+            "e803000000000000", // requests = 1000
+            "a00f000000000000", // masks_served = 4000
+            "7800000000000000", // exec_batches = 120
+            "3c0f000000000000", // coalesced_masks = 3900
+            "0700000000000000", // busy_rejections = 7
+            "0200000000000000", // protocol_errors = 2
+            "40e2010000000000", // decompose_ns = 123456
+            "f1fb090000000000", // index_ns = 654321
+            "6e0f000000000000", // decomp_cache_hits = 3950
+            "3200000000000000", // decomp_cache_misses = 50
+            "0400000000000000", // plan_revision = 4
+            "0300",             // 3 shard loads
+            "4c04000000000000", // 1100
+            "9808000000000000", // 2200
+            "8403000000000000", // 900
+            "d80e000000000000", // plan_cache_hits = 3800
+            "c800000000000000", // plan_cache_misses = 200
+            "0c00000000000000", // plan_cache_evictions = 12
+            "7863010000000000", // compiled_terms = 91000
         ),
     );
 }

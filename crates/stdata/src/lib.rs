@@ -26,15 +26,12 @@
 //! * [`norm`] — per-scale normalization (Eq. 11),
 //! * [`metrics`] — RMSE / MAPE / MAE,
 //! * [`acf`] — autocorrelation analysis (Fig. 10),
-//! * [`cluster`] — k-means flow clustering (the feature-based cluster
-//!   generation used by multi-scale baselines like MC-STGCN),
 //! * [`ingest`] — trip-record rasterization (the paper's raw-data path:
 //!   pick-up time + coordinates → citywide crowd flow),
 //! * [`stats`] — paired-bootstrap significance tests for model comparisons,
-//! * [`viz`] — ASCII heatmaps and sparklines for quick terminal looks.
+//! * [`viz`] — ASCII heatmaps for quick terminal looks.
 
 pub mod acf;
-pub mod cluster;
 pub mod features;
 pub mod flow;
 pub mod ingest;

@@ -50,16 +50,6 @@ impl Normalizer {
         let (m, s) = (self.mean, self.std);
         t.map(|v| v * s + m)
     }
-
-    /// Normalizes a scalar.
-    pub fn normalize_scalar(&self, v: f32) -> f32 {
-        (v - self.mean) / self.std
-    }
-
-    /// Denormalizes a scalar.
-    pub fn denormalize_scalar(&self, v: f32) -> f32 {
-        v * self.std + self.mean
-    }
 }
 
 #[cfg(test)]
@@ -103,16 +93,6 @@ mod tests {
     fn identity_is_noop() {
         let t = Tensor::from_slice(&[1.0, 2.0]);
         assert_eq!(Normalizer::identity().normalize(&t), t);
-    }
-
-    #[test]
-    fn scalar_roundtrip() {
-        let n = Normalizer {
-            mean: 3.0,
-            std: 2.0,
-        };
-        assert_eq!(n.normalize_scalar(7.0), 2.0);
-        assert_eq!(n.denormalize_scalar(2.0), 7.0);
     }
 
     /// Scales separated by 1000x in magnitude land on comparable loss

@@ -1,8 +1,5 @@
-//! Terminal visualization: ASCII heatmaps for rasters and sparklines for
-//! series — quick looks at flows, ACF maps and prediction errors without
-//! leaving the terminal.
-
-use crate::flow::FlowSeries;
+//! Terminal visualization: ASCII heatmaps for rasters — quick looks at
+//! flows, ACF maps and prediction errors without leaving the terminal.
 
 const RAMP: &[u8] = b" .:-=+*#%@";
 
@@ -25,29 +22,6 @@ pub fn heatmap(values: &[f32], h: usize, w: usize) -> String {
     out
 }
 
-/// Renders one time slot of a flow series as a heatmap.
-pub fn flow_heatmap(flow: &FlowSeries, t: usize) -> String {
-    heatmap(flow.frame(t), flow.h(), flow.w())
-}
-
-/// Renders a series as a one-line unicode sparkline (`▁▂▃▄▅▆▇█`).
-pub fn sparkline(series: &[f32]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if series.is_empty() {
-        return String::new();
-    }
-    let lo = series.iter().copied().fold(f32::INFINITY, f32::min);
-    let hi = series.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let span = (hi - lo).max(1e-9);
-    series
-        .iter()
-        .map(|&v| {
-            let idx = (((v - lo) / span) * 7.0).round() as usize;
-            BARS[idx.min(7)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,29 +42,6 @@ mod tests {
     fn constant_raster_does_not_panic() {
         let map = heatmap(&[5.0; 9], 3, 3);
         assert_eq!(map.lines().count(), 3);
-    }
-
-    #[test]
-    fn flow_heatmap_renders_frame() {
-        let mut flow = FlowSeries::zeros(2, 2, 2);
-        flow.set(1, 0, 0, 9.0);
-        let map = flow_heatmap(&flow, 1);
-        assert!(map.starts_with('@'));
-    }
-
-    #[test]
-    fn sparkline_monotone_series() {
-        let s = sparkline(&[0.0, 1.0, 2.0, 3.0]);
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars.len(), 4);
-        assert_eq!(chars[0], '▁');
-        assert_eq!(chars[3], '█');
-        assert!(chars.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn sparkline_empty_is_empty() {
-        assert_eq!(sparkline(&[]), "");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! The tree is a forest with one root per coarsest-layer cell. Retrieval
 //! walks the code path, giving `O(log(HW))` lookups versus `O(HW)` for a
-//! linear table scan (benchmarked in `o4a-bench`).
+//! linear table scan (timed by `o4a-bench`'s `fig17`).
 
 use crate::coding::{ChildCode, GridCode};
 use std::collections::HashMap;
@@ -98,39 +98,6 @@ impl<T> ExtendedQuadTree<T> {
     /// Whether a payload exists at the code path.
     pub fn contains(&self, code: &GridCode) -> bool {
         self.get(code).is_some()
-    }
-
-    /// Total number of allocated nodes (for index-size analysis, Fig. 17).
-    pub fn node_count(&self) -> usize {
-        fn count<T>(node: &Node<T>) -> usize {
-            1 + node
-                .children
-                .iter()
-                .flatten()
-                .map(|c| count(c))
-                .sum::<usize>()
-        }
-        self.roots.values().map(count).sum()
-    }
-
-    /// Estimated in-memory size in bytes: node overhead plus payload sizes
-    /// as reported by `payload_size` (Fig. 17 measures index megabytes).
-    pub fn estimated_size_bytes(&self, payload_size: impl Fn(&T) -> usize) -> usize {
-        fn walk<T>(node: &Node<T>, f: &impl Fn(&T) -> usize, acc: &mut usize) {
-            // 12 child slots (pointers) + payload option
-            *acc += 12 * std::mem::size_of::<usize>() + std::mem::size_of::<Option<T>>();
-            if let Some(p) = &node.payload {
-                *acc += f(p);
-            }
-            for c in node.children.iter().flatten() {
-                walk(c, f, acc);
-            }
-        }
-        let mut acc = 0usize;
-        for root in self.roots.values() {
-            walk(root, &payload_size, &mut acc);
-        }
-        acc
     }
 
     /// Visits every stored `(code, payload)` pair in depth-first order.
@@ -266,17 +233,6 @@ mod tests {
         for (code, v) in &seen {
             assert_eq!(tree.get(code), Some(v));
         }
-    }
-
-    #[test]
-    fn node_count_and_size() {
-        let hier = hier8();
-        let mut tree = ExtendedQuadTree::new();
-        let code = GridCode::for_cell(&hier, LayerCell::new(0, 0, 0));
-        tree.insert(&code, 5u64);
-        // path depth 3 => root + 3 nodes
-        assert_eq!(tree.node_count(), 4);
-        assert!(tree.estimated_size_bytes(|_| 8) > 0);
     }
 
     #[test]

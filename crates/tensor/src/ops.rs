@@ -28,25 +28,8 @@ const OPT_CHUNK: usize = 4096;
 
 impl Tensor {
     /// Shared body of the binary `_into` kernels: shape-check, resize the
-    /// workspace, and stream both operands once.
-    #[inline]
-    fn binary_into(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<()> {
-        self.check_same_shape(rhs)?;
-        out.reset_uninit(self.shape());
-        for ((o, &a), &b) in out.data_mut().iter_mut().zip(self.data()).zip(rhs.data()) {
-            *o = f(a, b);
-        }
-        Ok(())
-    }
-
-    /// Shared body of the *dispatched* binary `_into` kernels: same contract
-    /// as [`Tensor::binary_into`], but the whole-slice kernel comes from the
-    /// active ISA tier's table.
+    /// workspace, and run the active ISA tier's whole-slice kernel over
+    /// both operands.
     #[inline]
     fn binary_dispatch_into(
         &self,
@@ -94,13 +77,6 @@ impl Tensor {
     /// Elementwise multiplication into a reusable output workspace.
     pub fn mul_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
         self.binary_dispatch_into(rhs, out, crate::isa::dispatch().mul)
-    }
-
-    /// Elementwise division.
-    pub fn div(&self, rhs: &Tensor) -> Result<Tensor> {
-        let mut out = Tensor::empty();
-        self.binary_into(rhs, &mut out, |a, b| a / b)?;
-        Ok(out)
     }
 
     /// Elementwise ReLU (`max(v, 0)`).
@@ -177,21 +153,6 @@ impl Tensor {
             *a += b;
         }
         Ok(())
-    }
-
-    /// In-place scaled addition (`self += alpha * rhs`), the AXPY kernel used
-    /// by optimizers and gradient accumulation.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) -> Result<()> {
-        self.check_same_shape(rhs)?;
-        for (a, b) in self.data_mut().iter_mut().zip(rhs.data()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
-    /// Adds a scalar to every element, producing a new tensor.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
     }
 
     /// Multiplies every element by a scalar, producing a new tensor.
@@ -323,19 +284,6 @@ impl Tensor {
         Ok(outs)
     }
 
-    /// Mean squared error between two same-shape tensors.
-    pub fn mse(&self, rhs: &Tensor) -> Result<f32> {
-        self.check_same_shape(rhs)?;
-        let n = self.len().max(1) as f32;
-        Ok(self
-            .data()
-            .iter()
-            .zip(rhs.data())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            / n)
-    }
-
     /// Squared L2 norm of the tensor.
     pub fn norm_sq(&self) -> f32 {
         self.data().iter().map(|&v| v * v).sum()
@@ -421,7 +369,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-3.0, -1.0, 1.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 6.0, 6.0, 4.0]);
-        assert_eq!(a.div(&b).unwrap().data(), &[0.25, 2.0 / 3.0, 1.5, 4.0]);
     }
 
     #[test]
@@ -462,17 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = t(&[1.0, 1.0], &[2]);
-        let g = t(&[2.0, 4.0], &[2]);
-        a.axpy(0.5, &g).unwrap();
-        assert_eq!(a.data(), &[2.0, 3.0]);
-    }
-
-    #[test]
     fn scalar_ops() {
         let a = t(&[1.0, 2.0], &[2]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0]);
         assert_eq!(a.scale(3.0).data(), &[3.0, 6.0]);
     }
 
@@ -550,13 +488,5 @@ mod tests {
         assert_eq!(p.data(), &pr[..]);
         assert_eq!(m.data(), &mr[..]);
         assert_eq!(v.data(), &vr[..]);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let a = t(&[1.0, 2.0], &[2]);
-        let b = t(&[3.0, 2.0], &[2]);
-        assert_eq!(a.mse(&b).unwrap(), 2.0);
-        assert_eq!(a.mse(&a).unwrap(), 0.0);
     }
 }

@@ -272,21 +272,6 @@ impl Tensor {
         }
     }
 
-    /// In-place reshape (no data copy).
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
-        let expected: usize = shape.iter().product();
-        match Shape::try_from_slice(shape) {
-            Some(s) if expected == self.len() => {
-                self.shape = s;
-                Ok(())
-            }
-            _ => Err(TensorError::InvalidReshape {
-                len: self.len(),
-                shape: shape.to_vec(),
-            }),
-        }
-    }
-
     /// Transpose of a rank-2 tensor.
     pub fn transpose2(&self) -> Result<Tensor> {
         let mut out = Tensor::empty();

@@ -13,6 +13,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark builds against the workspace crates by path, so a change
+# to the surface it compiles against (QueryBackend's methods,
+# StatsSnapshot's fields) fails this build, and its own tests
+# (wrapper_forwards_every_method among them) run here. A dependency
+# dropped from a workspace crate makes cargo rewrite perfbench/Cargo.lock,
+# which is the benchmark's file: that fails the checksum comparison.
+echo "==> perfbench tests against the tree (perfbench/Cargo.lock unchanged)"
+lock_before=$(cksum < perfbench/Cargo.lock)
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
+[ "$(cksum < perfbench/Cargo.lock)" = "$lock_before" ] \
+    || { echo "FAIL: building perfbench rewrote perfbench/Cargo.lock"; exit 1; }
+
 # Parallel test threads force ISA tiers while other threads dispatch
 # kernels. These two suites used to fail intermittently on a racy
 # double read of the active tier; rerun each 20x to prove the dispatch
@@ -240,7 +253,7 @@ awk '
 # Plan-cache gate: with a 64-mask hot working set the sharded backends'
 # compiled-plan caches must be serving hits by the end of the run (a 0.0
 # hit rate would mean the compiled path silently fell back or the
-# revision-4 STATS fields went missing).
+# STATS plan-cache fields went missing).
 awk '
     /"plan_cache"/ {
         match($0, /"hit_rate": [0-9.]+/)
@@ -255,11 +268,12 @@ awk '
 ' "$SMOKE_DIR/BENCH_sserve.json"
 
 # TRACE smoke against the live K=2 server: the dump must be the Chrome
-# trace-event shape, hold executor + shard-scatter spans from BOTH
-# shard lanes, and the per-stage columns must have landed in the bench
-# JSON. (The bit-exact trace-vs-STATS reconcile runs in the controlled
-# crates/serve/tests/trace_e2e.rs; a mid-run live dump can only witness
-# coverage, since requests keep completing after the pull.)
+# trace-event shape, hold the event loops' exec_batch spans and
+# shard-scatter spans from BOTH shard lanes, and the per-stage columns
+# must have landed in the bench JSON. (The bit-exact trace-vs-STATS
+# reconcile runs in the controlled crates/serve/tests/trace_e2e.rs; a
+# mid-run live dump can only witness coverage, since requests keep
+# completing after the pull.)
 echo "==> TRACE flight-recorder smoke (chrome JSON, both shards, bench columns)"
 head -c 64 "$SMOKE_DIR/trace.json" | grep -q '"displayTimeUnit":"ns"' \
     || { echo "FAIL: trace.json is not chrome trace-event JSON"; exit 1; }
