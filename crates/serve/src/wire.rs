@@ -916,8 +916,44 @@ mod tests {
         }
     }
 
+    /// Checks that `resp` round-trips and that its payload cut to any
+    /// length in `cuts` short of the whole payload is rejected.
+    fn assert_cuts_rejected(resp: &Response, cuts: impl std::ops::RangeBounds<usize>) {
+        let frame = encode_response(resp);
+        let (verb, payload, _) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(&decode_response(verb, payload).unwrap(), resp);
+        let cuts: Vec<usize> = (0..payload.len()).filter(|c| cuts.contains(c)).collect();
+        assert!(!cuts.is_empty());
+        for cut in cuts {
+            assert!(
+                decode_response(verb, &payload[..cut]).is_err(),
+                "{verb:?} payload cut to {cut} of {} bytes decoded",
+                payload.len()
+            );
+        }
+    }
+
+    /// A STATS_RESULT with two shard loads, and the payload offsets where
+    /// its shard count starts and its plan-cache counters start: 12 `u64`
+    /// fields, a `u16` count, the loads, then 4 `u64` counters. The tests
+    /// below split the proper prefixes of this payload between them.
+    fn stats_with_loads() -> (Response, usize, usize) {
+        let s = StatsSnapshot {
+            shard_loads: vec![5, 6],
+            plan_revision: 9,
+            plan_cache_hits: 100,
+            compiled_terms: 2_000,
+            ..StatsSnapshot::default()
+        };
+        let count_at = 12 * 8;
+        let counters_at = count_at + 2 + 8 * s.shard_loads.len();
+        (Response::Stats(s), count_at, counters_at)
+    }
+
     #[test]
-    fn every_proper_prefix_of_health_and_stats_rejected() {
+    fn truncated_health_uptime_rejected() {
+        // Every proper prefix of a current HEALTH_OK payload, including
+        // the 10-byte body that ends before the uptime fields.
         let health = Response::Health(HealthInfo {
             ready: true,
             h: 8,
@@ -926,25 +962,30 @@ mod tests {
             uptime_secs: 42,
             started_unix: 9,
         });
-        let stats = Response::Stats(StatsSnapshot {
-            shard_loads: vec![5, 6],
-            plan_revision: 9,
-            plan_cache_hits: 100,
-            compiled_terms: 2_000,
-            ..StatsSnapshot::default()
-        });
-        for resp in [health, stats] {
-            let frame = encode_response(&resp);
-            let (verb, payload, _) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).unwrap();
-            assert_eq!(decode_response(verb, payload).unwrap(), resp);
-            for cut in 0..payload.len() {
-                assert!(
-                    decode_response(verb, &payload[..cut]).is_err(),
-                    "{verb:?} payload cut to {cut} of {} bytes decoded",
-                    payload.len()
-                );
-            }
-        }
+        assert_cuts_rejected(&health, ..);
+    }
+
+    #[test]
+    fn truncated_stats_revision_rejected() {
+        // Cuts up to the end of the plan revision, including the 11- and
+        // 12-field bodies that end before the shard count.
+        let (stats, count_at, _) = stats_with_loads();
+        assert_cuts_rejected(&stats, ..=count_at);
+    }
+
+    #[test]
+    fn truncated_stats_shard_loads_rejected() {
+        // Cuts mid-count, mid-load, and right after the loads (the body
+        // that ends before the plan-cache counters).
+        let (stats, count_at, counters_at) = stats_with_loads();
+        assert_cuts_rejected(&stats, count_at + 1..=counters_at);
+    }
+
+    #[test]
+    fn truncated_stats_plan_cache_rejected() {
+        // Cuts anywhere inside the four plan-cache counters.
+        let (stats, _, counters_at) = stats_with_loads();
+        assert_cuts_rejected(&stats, counters_at + 1..);
     }
 
     #[test]
