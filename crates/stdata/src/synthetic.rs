@@ -134,28 +134,12 @@ impl SyntheticConfig {
         assert!(self.steps_per_day > 0, "steps_per_day must be positive");
         let mut rng = SeededRng::new(self.seed);
         let hotspots = self.sample_hotspots(&mut rng);
-
-        // Precompute each hotspot's spatial kernel once.
-        let plane = self.h * self.w;
-        let mut kernels: Vec<Vec<f32>> = Vec::with_capacity(hotspots.len());
-        for hs in &hotspots {
-            let mut k = vec![0.0f32; plane];
-            let two_sigma_sq = 2.0 * hs.sigma * hs.sigma;
-            for r in 0..self.h {
-                for c in 0..self.w {
-                    let dr = r as f64 + 0.5 - hs.row;
-                    let dc = c as f64 + 0.5 - hs.col;
-                    let d2 = dr * dr + dc * dc;
-                    k[r * self.w + c] = (hs.peak as f64 * (-d2 / two_sigma_sq).exp()) as f32;
-                }
-            }
-            kernels.push(k);
-        }
-
         let mut out = FlowSeries::zeros(self.steps, self.h, self.w);
+        let rates = self.daily_rates(&hotspots);
+
+        let plane = self.h * self.w;
         let steps_per_week = self.steps_per_day * 7;
         for t in 0..self.steps {
-            let hour = (t % self.steps_per_day) as f64 * 24.0 / self.steps_per_day as f64;
             let weekday = (t % steps_per_week) / self.steps_per_day;
             let week_factor = if weekday >= 5 {
                 self.weekend_factor
@@ -163,17 +147,10 @@ impl SyntheticConfig {
                 1.0
             };
             let trend_factor = 1.0 + self.trend * t as f32 / self.steps.max(1) as f32;
-            // per-hotspot daily profile value at this hour
-            let profiles: Vec<f32> = hotspots
-                .iter()
-                .map(|hs| daily_profile(hour, hs.phase_hours))
-                .collect();
-            for idx in 0..plane {
-                let mut rate = self.base_rate;
-                for (k, &p) in kernels.iter().zip(&profiles) {
-                    rate += k[idx] * p;
-                }
-                rate *= week_factor * trend_factor;
+            let scale = week_factor * trend_factor;
+            let day_rates = &rates[(t % self.steps_per_day) * plane..][..plane];
+            for (idx, &day_rate) in day_rates.iter().enumerate() {
+                let mut rate = day_rate * scale;
                 if self.noise > 0.0 {
                     rate *= (1.0 + self.noise * rng.normal()).max(0.0);
                 }
@@ -182,6 +159,43 @@ impl SyntheticConfig {
             }
         }
         out
+    }
+
+    /// The rate field before the weekly, trend and noise factors, one
+    /// `h * w` plane per slot of the day (only the slots the series
+    /// reaches): `base_rate` plus each hotspot's spatial kernel times its
+    /// daily profile at that hour.
+    ///
+    /// The hotspot part depends on a slot only through its hour of day,
+    /// so it is summed once per slot of the day rather than once per
+    /// slot. Each hotspot's kernel is built once and added into every
+    /// plane before the next one is built, so every cell still adds its
+    /// hotspots in sampling order and rounds exactly as a per-cell sum
+    /// would.
+    fn daily_rates(&self, hotspots: &[Hotspot]) -> Vec<f32> {
+        let plane = self.h * self.w;
+        let slots = self.steps_per_day.min(self.steps);
+        let mut rates = vec![self.base_rate; slots * plane];
+        let mut kernel = vec![0.0f32; plane];
+        for hs in hotspots {
+            let two_sigma_sq = 2.0 * hs.sigma * hs.sigma;
+            for r in 0..self.h {
+                for c in 0..self.w {
+                    let dr = r as f64 + 0.5 - hs.row;
+                    let dc = c as f64 + 0.5 - hs.col;
+                    let d2 = dr * dr + dc * dc;
+                    kernel[r * self.w + c] = (hs.peak as f64 * (-d2 / two_sigma_sq).exp()) as f32;
+                }
+            }
+            for (slot, day_rates) in rates.chunks_exact_mut(plane).enumerate() {
+                let hour = slot as f64 * 24.0 / self.steps_per_day as f64;
+                let p = daily_profile(hour, hs.phase_hours);
+                for (rate, &k) in day_rates.iter_mut().zip(&kernel) {
+                    *rate += k * p;
+                }
+            }
+        }
+        rates
     }
 
     fn sample_hotspots(&self, rng: &mut SeededRng) -> Vec<Hotspot> {
@@ -217,6 +231,105 @@ mod tests {
     use super::*;
     use crate::acf::mean_acf;
     use o4a_grid::Hierarchy;
+
+    /// The generator's per-slot loop as it was before `daily_rates`: every
+    /// slot sums every hotspot's kernel at every cell. Kept as the oracle
+    /// `generate` must match bit for bit.
+    fn per_slot_reference(cfg: &SyntheticConfig) -> FlowSeries {
+        let mut rng = SeededRng::new(cfg.seed);
+        let hotspots = cfg.sample_hotspots(&mut rng);
+        let plane = cfg.h * cfg.w;
+        let mut kernels: Vec<Vec<f32>> = Vec::with_capacity(hotspots.len());
+        for hs in &hotspots {
+            let mut k = vec![0.0f32; plane];
+            let two_sigma_sq = 2.0 * hs.sigma * hs.sigma;
+            for r in 0..cfg.h {
+                for c in 0..cfg.w {
+                    let dr = r as f64 + 0.5 - hs.row;
+                    let dc = c as f64 + 0.5 - hs.col;
+                    let d2 = dr * dr + dc * dc;
+                    k[r * cfg.w + c] = (hs.peak as f64 * (-d2 / two_sigma_sq).exp()) as f32;
+                }
+            }
+            kernels.push(k);
+        }
+        let mut out = FlowSeries::zeros(cfg.steps, cfg.h, cfg.w);
+        let steps_per_week = cfg.steps_per_day * 7;
+        for t in 0..cfg.steps {
+            let hour = (t % cfg.steps_per_day) as f64 * 24.0 / cfg.steps_per_day as f64;
+            let weekday = (t % steps_per_week) / cfg.steps_per_day;
+            let week_factor = if weekday >= 5 {
+                cfg.weekend_factor
+            } else {
+                1.0
+            };
+            let trend_factor = 1.0 + cfg.trend * t as f32 / cfg.steps.max(1) as f32;
+            let profiles: Vec<f32> = hotspots
+                .iter()
+                .map(|hs| daily_profile(hour, hs.phase_hours))
+                .collect();
+            for idx in 0..plane {
+                let mut rate = cfg.base_rate;
+                for (k, &p) in kernels.iter().zip(&profiles) {
+                    rate += k[idx] * p;
+                }
+                rate *= week_factor * trend_factor;
+                if cfg.noise > 0.0 {
+                    rate *= (1.0 + cfg.noise * rng.normal()).max(0.0);
+                }
+                let count = rng.poisson(rate as f64);
+                out.set(t, idx / cfg.w, idx % cfg.w, count as f32);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn generate_matches_the_per_slot_reference() {
+        // Series shorter than, equal to and longer than a day, with and
+        // without noise; 64x64 only once (the reference is slow).
+        let small: &[usize] = &[1, 5, 23, 24, 25, 48, 216];
+        for kind in [DatasetKind::TaxiNycLike, DatasetKind::FreightLike] {
+            for (h, w, all_steps) in [(8, 8, small), (12, 20, small), (64, 64, &[25])] {
+                for &steps in all_steps {
+                    for steps_per_day in [24, 12, 7] {
+                        for noise in [true, false] {
+                            let mut cfg = kind.config(h, w, steps, 3);
+                            cfg.steps_per_day = steps_per_day;
+                            if !noise {
+                                cfg.noise = 0.0;
+                            }
+                            assert!(
+                                cfg.generate() == per_slot_reference(&cfg),
+                                "{cfg:?} differs from the reference"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a 64 over the bit pattern of every value, in `[t][r][c]` order.
+    fn digest(flow: &FlowSeries) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for t in 0..flow.len_t() {
+            for v in flow.frame(t) {
+                for b in v.to_bits().to_le_bytes() {
+                    hash ^= b as u64;
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn the_128x128_serving_flow_is_pinned() {
+        // the flow `serve --side 128` builds
+        let flow = DatasetKind::TaxiNycLike.config(128, 128, 216, 5).generate();
+        assert_eq!(digest(&flow), 0xc33a_50c7_c425_2e3b);
+    }
 
     #[test]
     fn deterministic_given_seed() {
