@@ -13,6 +13,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The vendored rand shim is not a workspace member, so `cargo test` skips
+# its unit tests, which pin the seeded stream every synthetic flow, query
+# set and weight init derives from.
+echo "==> cargo test -q -p rand (vendored shim)"
+cargo test -q -p rand
+
 # The benchmark builds against the workspace crates by path, so a change
 # to the surface it compiles against (QueryBackend's methods,
 # StatsSnapshot's fields) fails this build, and its own tests
@@ -54,11 +60,14 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Lint the crates touched by the parallel compute runtime and the
-# serving layer, and the grid crate, whose packed-mask bit manipulation
-# runs on every plan-cache miss.
-echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid)"
+# serving layer, the grid crate, whose packed-mask bit manipulation runs
+# on every plan-cache miss, and the synthetic-data crate with the rand
+# shim it draws from (`-p rand` lints the shim although it is not a
+# workspace member).
+echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid, data, rand)"
 cargo clippy --release -p o4a-tensor -p o4a-nn -p o4a-core -p o4a-bench \
-    -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid --all-targets -- -D warnings
+    -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid -p o4a-data -p rand \
+    --all-targets -- -D warnings
 
 # Kernel smoke: quick bench run to a scratch path (the committed
 # BENCH_kernels.json is NOT overwritten), then require that no kernel
