@@ -122,15 +122,20 @@ impl One4AllSt {
     }
 }
 
-/// Ground-truth per-layer frames for the given target slots.
+/// Ground-truth per-layer frames for the given target slots: frame `t` of
+/// each layer of `flow.pyramid(hier)`, aggregating only the target frames.
 pub fn truth_pyramid(hier: &Hierarchy, flow: &FlowSeries, targets: &[usize]) -> Vec<Vec<Vec<f32>>> {
-    let pyramid = flow.pyramid(hier);
-    pyramid
-        .iter()
-        .map(|layer_flow| {
+    (0..hier.num_layers())
+        .map(|layer| {
             targets
                 .iter()
-                .map(|&t| layer_flow.frame(t).to_vec())
+                .map(|&t| {
+                    if layer == 0 {
+                        flow.frame(t).to_vec()
+                    } else {
+                        flow.aggregate_frame(hier, layer, t)
+                    }
+                })
                 .collect()
         })
         .collect()
@@ -321,6 +326,29 @@ mod tests {
                 ..TrainConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn truth_pyramid_is_the_pyramid_at_the_targets() {
+        let hier = Hierarchy::new(8, 8, 2, 3).unwrap();
+        // fractional values, so any change in summation order would show
+        let data = (0..12 * 64)
+            .map(|i| (i as f32 * 0.37).sin() * 100.0)
+            .collect();
+        let flow = FlowSeries::from_vec(12, 8, 8, data);
+        let pyramid = flow.pyramid(&hier);
+        // unsorted, repeated and empty target lists
+        for targets in [&[7, 2, 11][..], &[3, 3, 0, 3], &[]] {
+            let truths = truth_pyramid(&hier, &flow, targets);
+            assert_eq!(truths.len(), hier.num_layers());
+            for (layer, frames) in truths.iter().enumerate() {
+                let expect: Vec<Vec<f32>> = targets
+                    .iter()
+                    .map(|&t| pyramid[layer].frame(t).to_vec())
+                    .collect();
+                assert_eq!(frames, &expect, "layer {layer}, targets {targets:?}");
+            }
+        }
     }
 
     #[test]

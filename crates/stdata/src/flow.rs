@@ -90,26 +90,40 @@ impl FlowSeries {
     /// the flows of merged grids (flows are counts, so aggregation is exact
     /// — this realizes `X_t^s` from `X_t^1`).
     pub fn aggregate_to_layer(&self, hier: &Hierarchy, layer: usize) -> FlowSeries {
+        let (lh, lw) = hier.layer_dims(layer);
+        let mut out = FlowSeries::zeros(self.t, lh, lw);
+        for (t, layer_frame) in out.data.chunks_exact_mut(lh * lw).enumerate() {
+            self.add_frame_to_layer(hier, layer, t, layer_frame);
+        }
+        out
+    }
+
+    /// Frame `t` aggregated to `layer` of the hierarchy: the same sums as
+    /// frame `t` of [`FlowSeries::aggregate_to_layer`], without
+    /// aggregating the other frames.
+    pub fn aggregate_frame(&self, hier: &Hierarchy, layer: usize, t: usize) -> Vec<f32> {
+        let (lh, lw) = hier.layer_dims(layer);
+        let mut out = vec![0.0; lh * lw];
+        self.add_frame_to_layer(hier, layer, t, &mut out);
+        out
+    }
+
+    /// Adds frame `t` into `out`, a raster of `layer`, cell by cell in
+    /// row-major order.
+    fn add_frame_to_layer(&self, hier: &Hierarchy, layer: usize, t: usize, out: &mut [f32]) {
         assert_eq!(
             (self.h, self.w),
             (hier.h(), hier.w()),
             "series raster does not match hierarchy"
         );
         let s = hier.scale(layer);
-        let (lh, lw) = hier.layer_dims(layer);
-        let mut out = FlowSeries::zeros(self.t, lh, lw);
-        for t in 0..self.t {
-            let frame = self.frame(t);
-            for r in 0..self.h {
-                let lr = r / s;
-                let row = &frame[r * self.w..(r + 1) * self.w];
-                for (c, &v) in row.iter().enumerate() {
-                    let lc = c / s;
-                    out.data[(t * lh + lr) * lw + lc] += v;
-                }
+        let lw = hier.layer_dims(layer).1;
+        for (r, row) in self.frame(t).chunks_exact(self.w).enumerate() {
+            let out_row = &mut out[(r / s) * lw..][..lw];
+            for (c, &v) in row.iter().enumerate() {
+                out_row[c / s] += v;
             }
         }
-        out
     }
 
     /// Aggregates to every layer of the hierarchy, returning one series per
