@@ -134,6 +134,8 @@ impl SyntheticConfig {
         assert!(self.steps_per_day > 0, "steps_per_day must be positive");
         let mut rng = SeededRng::new(self.seed);
         let hotspots = self.sample_hotspots(&mut rng);
+        // before `daily_rates`, which needs a non-empty raster: `zeros`
+        // rejects an empty one with a clear message
         let mut out = FlowSeries::zeros(self.steps, self.h, self.w);
         let rates = self.daily_rates(&hotspots);
 
@@ -232,9 +234,9 @@ mod tests {
     use crate::acf::mean_acf;
     use o4a_grid::Hierarchy;
 
-    /// The generator's per-slot loop as it was before `daily_rates`: every
-    /// slot sums every hotspot's kernel at every cell. Kept as the oracle
-    /// `generate` must match bit for bit.
+    /// The generator with the rate field summed per slot: every slot sums
+    /// every hotspot's kernel at every cell. `generate` must match it bit
+    /// for bit.
     fn per_slot_reference(cfg: &SyntheticConfig) -> FlowSeries {
         let mut rng = SeededRng::new(cfg.seed);
         let hotspots = cfg.sample_hotspots(&mut rng);
