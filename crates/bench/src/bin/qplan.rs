@@ -5,8 +5,9 @@
 //! paper-task masks, and times the same aggregation work two ways:
 //!
 //! * **interpreted** — `server::interpret`, the oracle: per-group index
-//!   lookups (quad-tree probes) and per-term `term_value` coordinate math,
-//!   what serving ran before query compilation;
+//!   lookups (`O(1)` slot reads in the implicit quad-tree) and per-term
+//!   `term_value` coordinate math, what serving ran before query
+//!   compilation;
 //! * **compiled** — `CompiledPlan::execute_sum` over the pre-resolved
 //!   offset/sign arena (what a plan-cache *hit* executes).
 //!

@@ -1,10 +1,11 @@
-//! Goldens for the model-free paper bins and the query generators.
+//! Goldens for the paper bins and the query generators.
 //!
 //! `fig15`, `fig17` and `fig10` train nothing, so every non-timing column
 //! they print is a pure function of the code: the term counts of the
 //! decomposed region queries, the index entries and bytes per scale, and
 //! the per-scale ACF. The query generators behind Fig. 15 and the
-//! benchmark's mask pools run on `Mask` set operations. A change that
+//! benchmark's mask pools run on `Mask` set operations. `table3 --quick`
+//! trains a model, so its RMSEs carry a stated tolerance. A change that
 //! moves any of these moves an answer, and fails here instead of drifting
 //! unnoticed into the committed `results_*.txt`.
 
@@ -132,6 +133,62 @@ fn fig10_acf_per_scale() {
             "S8 0.447 0.314",
             "S16 0.602 0.000",
         ],
+    );
+}
+
+/// `table3 --quick` trains One4All-ST (16x16, 20 epochs) and compares
+/// the three search strategies. Its search report and the Prop.% columns
+/// (the share of queries whose combination differs from Direct's) are
+/// compared exactly. The Direct, Union and U&S RMSEs are compared within
+/// a relative 0.5%: the seeded flow and weight init pass through libm's
+/// `ln`, `cos` and `exp`, and the network's sigmoid through `exp`, whose
+/// last-place rounding may differ on another host's libm, and training
+/// amplifies such differences. On one host every column is bit-identical
+/// across thread counts and ISA tiers. 0.5% is a third of the smallest
+/// gap between two strategies' RMSEs in the table (Task 4, Direct vs
+/// Union, 1.5%), so swapping or misevaluating a strategy still fails.
+#[test]
+fn table3_search_counts_and_rmses() {
+    let stdout = run_quick(env!("CARGO_BIN_EXE_table3"));
+    // per task: (label and the two Prop.% columns, [Direct, Union, U&S])
+    let want: [(&str, [f64; 3]); 4] = [
+        ("Task 1 26.3% 47.4%", [10.090, 11.373, 10.439]),
+        ("Task 2 75.0% 75.0%", [16.721, 17.012, 17.012]),
+        ("Task 3 100.0% 100.0%", [26.912, 24.534, 24.534]),
+        ("Task 4 100.0% 100.0%", [27.629, 27.201, 27.201]),
+    ];
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .filter(|l| l.starts_with("Task ") && !l.contains("Direct"))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), want.len(), "table3: task rows moved");
+    for (f, (label, rmses)) in rows.iter().zip(want) {
+        // Task N | Direct | Prop.% Imprv.% Union | Prop.% Imprv.% U&S
+        assert_eq!(
+            [f[0], f[1], f[4], f[8]].join(" "),
+            label,
+            "table3: Prop.% moved"
+        );
+        for (got, want) in [f[2], f[6], f[10]].iter().zip(rmses) {
+            let got: f64 = got.parse().expect("an RMSE");
+            assert!(
+                (got - want).abs() <= 5e-3 * want,
+                "table3 {label}: RMSE {got} vs golden {want}"
+            );
+        }
+    }
+    let report: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("search report"))
+        .collect();
+    assert_eq!(
+        report,
+        [
+            "search report (U&S): 60 direct / 25 composed single grids, \
+          73/680 multi-grids use subtraction"
+        ],
+        "table3: search counts moved"
     );
 }
 

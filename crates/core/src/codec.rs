@@ -23,7 +23,7 @@
 use crate::combination::{Combination, CombinationIndex, SearchReport, SearchStrategy, SignedCell};
 use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
-use o4a_grid::quadtree::ExtendedQuadTree;
+use o4a_grid::quadtree::{slot_count, ExtendedQuadTree};
 
 const MAGIC: &[u8; 8] = b"O4AIDX01";
 
@@ -129,7 +129,8 @@ fn strategy_from(tag: u8) -> Result<SearchStrategy, CodecError> {
 /// # Panics
 /// Panics for `K != 2` hierarchies — the on-disk format is keyed by the
 /// grid coding rule, which the paper only defines for a 2x2 window (such
-/// indexes hold their combinations in `flat` instead).
+/// indexes hold their combinations in `flat` instead). [`decode_index`]
+/// rejects a `K != 2` header for the same reason.
 pub fn encode_index(index: &CombinationIndex) -> Vec<u8> {
     assert_eq!(
         index.hier.k(),
@@ -165,7 +166,10 @@ pub fn encode_index(index: &CombinationIndex) -> Vec<u8> {
 }
 
 /// Deserializes an index from bytes. The search report is not persisted
-/// (it is a build-time statistic) and comes back zeroed.
+/// (it is a build-time statistic) and comes back zeroed. A `K != 2`
+/// header, or an entry code outside the header's hierarchy (a root past
+/// the coarsest layer, a path deeper than the layers), is
+/// [`CodecError::Corrupt`].
 pub fn decode_index(bytes: &[u8]) -> Result<CombinationIndex, CodecError> {
     if bytes.len() < 8 || &bytes[..8] != MAGIC {
         return Err(CodecError::BadMagic);
@@ -188,13 +192,30 @@ pub fn decode_index(bytes: &[u8]) -> Result<CombinationIndex, CodecError> {
     let k = r.u8()? as usize;
     let layers = r.u8()? as usize;
     let strategy = strategy_from(r.u8()?)?;
+    if k != 2 {
+        return Err(CodecError::Corrupt("index artifact requires K = 2"));
+    }
     let hier = Hierarchy::new(h, w, k, layers)
         .map_err(|_| CodecError::Corrupt("invalid hierarchy header"))?;
+    // The tree holds a slot for every grid and multi-grid of the header's
+    // hierarchy. A searched index fills every slot, with at least 7 bytes
+    // an entry, so a stream shorter than the slot count is corrupt; the
+    // check keeps a crafted header from forcing a huge allocation.
+    if slot_count(&hier) > body.len() {
+        return Err(CodecError::Corrupt("hierarchy larger than the stream"));
+    }
+    let (top_rows, top_cols) = hier.layer_dims(layers - 1);
     let count = r.u32()? as usize;
-    let mut tree = ExtendedQuadTree::new();
+    let mut tree = ExtendedQuadTree::new(&hier);
     for _ in 0..count {
         let root = (r.u16()? as usize, r.u16()? as usize);
+        if root.0 >= top_rows || root.1 >= top_cols {
+            return Err(CodecError::Corrupt("entry root outside the coarsest layer"));
+        }
         let path_len = r.u8()? as usize;
+        if path_len >= layers {
+            return Err(CodecError::Corrupt("entry path deeper than the hierarchy"));
+        }
         let mut path = Vec::with_capacity(path_len);
         for step in 0..path_len {
             let idx = r.u8()? as usize;

@@ -185,20 +185,17 @@ impl CombinationIndex {
     /// Looks up the optimal combination of a single grid.
     pub fn for_cell(&self, cell: LayerCell) -> Option<&Combination> {
         if self.hier.k() == 2 {
-            self.tree.get(&GridCode::for_cell(&self.hier, cell))
+            self.tree.get_cell(cell)
         } else {
             self.flat.get(&cell)
         }
     }
 
     /// Looks up the optimal combination of a multi-grid (same-parent 2–3
-    /// cell group at `layer`). Always `None` for `K != 2` hierarchies.
+    /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
+    /// whose tree has no slots.
     pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
-        if self.hier.k() != 2 {
-            return None;
-        }
-        let code = GridCode::for_multi_grid(&self.hier, layer, cells)?;
-        self.tree.get(&code)
+        self.tree.get_multi(layer, cells)
     }
 
     /// Number of stored combinations.
@@ -269,7 +266,7 @@ pub fn search_optimal_combinations_margin(
     let n_samples = preds[0].len();
     assert!(n_samples > 0, "search needs at least one validation sample");
 
-    let mut tree = ExtendedQuadTree::new();
+    let mut tree = ExtendedQuadTree::new(hier);
     let mut flat: HashMap<LayerCell, Combination> = HashMap::new();
     let mut report = SearchReport::default();
     let coded = hier.k() == 2;

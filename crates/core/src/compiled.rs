@@ -567,7 +567,7 @@ mod tests {
         let index =
             search_optimal_combinations(&hier, &preds, &preds, SearchStrategy::UnionSubtraction);
         let mut foreign = index.clone();
-        foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new();
+        foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new(&hier);
         let groups = vec![
             DecomposedGroup {
                 layer: 0,

@@ -145,3 +145,85 @@ fn pristine_streams_still_decode() {
     assert!(decode_index(index_bytes()).is_ok());
     assert!(!load_into_target(model_bytes()));
 }
+
+/// One crafted entry: root, path bytes and `(layer, row, col, sign)` terms.
+type Entry<'a> = ((u16, u16), &'a [u8], &'a [(u8, u16, u16, i8)]);
+
+/// A checksum-valid `O4AIDX01` stream (Union strategy) with the given
+/// header and entries, so the decoder reaches its field checks.
+fn crafted_index(h: u32, w: u32, k: u8, layers: u8, entries: &[Entry]) -> Vec<u8> {
+    let mut b = b"O4AIDX01".to_vec();
+    b.extend(h.to_le_bytes());
+    b.extend(w.to_le_bytes());
+    b.extend([k, layers, 1]);
+    b.extend((entries.len() as u32).to_le_bytes());
+    for &((r, c), path, terms) in entries {
+        b.extend(r.to_le_bytes());
+        b.extend(c.to_le_bytes());
+        b.push(path.len() as u8);
+        b.extend(path);
+        b.extend((terms.len() as u16).to_le_bytes());
+        for &(layer, row, col, sign) in terms {
+            b.push(layer);
+            b.extend(row.to_le_bytes());
+            b.extend(col.to_le_bytes());
+            b.push(sign as u8);
+        }
+    }
+    let sum = o4a_core::codec::fnv1a32(&b);
+    b.extend(sum.to_le_bytes());
+    b
+}
+
+/// Child code bytes: singles `A` = 0 .. `D` = 3, multis `E` = 4 .. `L` = 11.
+const A: u8 = 0;
+const E: u8 = 4;
+
+/// Checksum-valid streams whose entry codes leave the hierarchy (or
+/// whose header has no coding rule) are rejected as corrupt, where the
+/// same builder's in-hierarchy entries decode.
+#[test]
+fn crafted_codes_outside_the_hierarchy_are_corrupt() {
+    use o4a_core::codec::CodecError::Corrupt;
+    use o4a_grid::LayerCell;
+    let atomic: &[(u8, u16, u16, i8)] = &[(0, 0, 0, 1)];
+    // controls on a 2x2 raster with 2 layers: one root with four cells
+    let cell = crafted_index(2, 2, 2, 2, &[((0, 0), &[A], atomic)]);
+    let index = decode_index(&cell).expect("in-hierarchy cell decodes");
+    assert_eq!(index.len(), 1);
+    assert!(index.for_cell(LayerCell::new(0, 0, 0)).is_some());
+    let multi = crafted_index(2, 2, 2, 2, &[((0, 0), &[E], atomic)]);
+    let index = decode_index(&multi).expect("in-hierarchy multi-grid decodes");
+    assert!(index.for_multi(0, &[(0, 0), (0, 1)]).is_some());
+
+    let cases: [(&str, Vec<u8>, &str); 5] = [
+        (
+            "K = 3 header",
+            crafted_index(36, 36, 3, 3, &[((0, 0), &[], &[(2, 0, 0, 1)])]),
+            "index artifact requires K = 2",
+        ),
+        (
+            "root beyond the coarsest layer",
+            crafted_index(2, 2, 2, 2, &[((0, 1), &[], atomic)]),
+            "entry root outside the coarsest layer",
+        ),
+        (
+            "path deeper than the layers",
+            crafted_index(2, 2, 2, 2, &[((0, 0), &[A, A], atomic)]),
+            "entry path deeper than the hierarchy",
+        ),
+        (
+            "multi code after L-1 singles",
+            crafted_index(2, 2, 2, 2, &[((0, 0), &[A, E], atomic)]),
+            "entry path deeper than the hierarchy",
+        ),
+        (
+            "65536x65536 raster in a 27-byte stream",
+            crafted_index(1 << 16, 1 << 16, 2, 1, &[]),
+            "hierarchy larger than the stream",
+        ),
+    ];
+    for (what, bytes, why) in cases {
+        assert_eq!(decode_index(&bytes).err(), Some(Corrupt(why)), "{what}");
+    }
+}

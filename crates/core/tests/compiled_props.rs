@@ -126,7 +126,7 @@ proptest! {
     fn foreign_index_fallback_is_bit_identical(seed in any::<u32>()) {
         let (hier, index) = fixture();
         let mut foreign = index.clone();
-        foreign.tree = ExtendedQuadTree::new();
+        foreign.tree = ExtendedQuadTree::new(hier);
         foreign.flat.clear();
         prop_assert!(foreign.is_empty());
 

@@ -31,7 +31,7 @@ use o4a_core::codec::fnv1a32;
 use o4a_core::combination::SearchStrategy;
 use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
-use o4a_grid::quadtree::ExtendedQuadTree;
+use o4a_grid::quadtree::{slot_count, ExtendedQuadTree};
 
 const MAGIC: &[u8; 8] = b"O4AENS01";
 
@@ -178,7 +178,10 @@ pub fn encode_plan(plan: &EnsemblePlan) -> Vec<u8> {
 
 /// Deserializes a plan from bytes. Only `plan_cost` of the report is
 /// persisted; the remaining report counters are build-time statistics and
-/// come back zeroed (sized to the member count).
+/// come back zeroed (sized to the member count). A `K != 2` header, or
+/// an entry code outside the header's hierarchy (a root past the
+/// coarsest layer, a path deeper than the layers), is
+/// [`PlanCodecError::Corrupt`].
 pub fn decode_plan(bytes: &[u8]) -> Result<EnsemblePlan, PlanCodecError> {
     if bytes.len() < 8 || &bytes[..8] != MAGIC {
         return Err(PlanCodecError::BadMagic);
@@ -207,6 +210,13 @@ pub fn decode_plan(bytes: &[u8]) -> Result<EnsemblePlan, PlanCodecError> {
     }
     let hier = Hierarchy::new(h, w, k, layers)
         .map_err(|_| PlanCodecError::Corrupt("invalid hierarchy header"))?;
+    // As in the index decoder: a full plan fills every tree slot with an
+    // entry of at least 7 bytes, so a stream shorter than the slot count
+    // is corrupt, and a crafted header cannot force a huge allocation.
+    if slot_count(&hier) > body.len() {
+        return Err(PlanCodecError::Corrupt("hierarchy larger than the stream"));
+    }
+    let (top_rows, top_cols) = hier.layer_dims(layers - 1);
     let member_count = r.u16()? as usize;
     if member_count == 0 {
         return Err(PlanCodecError::Corrupt("plan has no members"));
@@ -219,10 +229,20 @@ pub fn decode_plan(bytes: &[u8]) -> Result<EnsemblePlan, PlanCodecError> {
         members.push(name.to_string());
     }
     let count = r.u32()? as usize;
-    let mut tree = ExtendedQuadTree::new();
+    let mut tree = ExtendedQuadTree::new(&hier);
     for _ in 0..count {
         let root = (r.u16()? as usize, r.u16()? as usize);
+        if root.0 >= top_rows || root.1 >= top_cols {
+            return Err(PlanCodecError::Corrupt(
+                "entry root outside the coarsest layer",
+            ));
+        }
         let path_len = r.u8()? as usize;
+        if path_len >= layers {
+            return Err(PlanCodecError::Corrupt(
+                "entry path deeper than the hierarchy",
+            ));
+        }
         let mut path = Vec::with_capacity(path_len);
         for step in 0..path_len {
             let idx = r.u8()? as usize;

@@ -13,7 +13,6 @@
 
 use o4a_core::combination::{signed_sum, term_value, Combination, SearchStrategy};
 use o4a_core::frames::FrameView;
-use o4a_grid::coding::GridCode;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::ExtendedQuadTree;
 use std::collections::HashMap;
@@ -188,20 +187,17 @@ impl EnsemblePlan {
     /// Looks up the planned combination of a single grid.
     pub fn for_cell(&self, cell: LayerCell) -> Option<&ModelCombination> {
         if self.hier.k() == 2 {
-            self.tree.get(&GridCode::for_cell(&self.hier, cell))
+            self.tree.get_cell(cell)
         } else {
             self.flat.get(&cell)
         }
     }
 
     /// Looks up the planned combination of a multi-grid (same-parent 2–3
-    /// cell group at `layer`). Always `None` for `K != 2` hierarchies.
+    /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
+    /// whose tree has no slots.
     pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&ModelCombination> {
-        if self.hier.k() != 2 {
-            return None;
-        }
-        let code = GridCode::for_multi_grid(&self.hier, layer, cells)?;
-        self.tree.get(&code)
+        self.tree.get_multi(layer, cells)
     }
 
     /// Number of stored combinations.

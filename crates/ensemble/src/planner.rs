@@ -179,7 +179,7 @@ pub fn plan_ensemble(
     // per-member per-sample frames for combination evaluation
     let frames: Vec<Vec<Vec<Vec<f32>>>> = members.iter().map(|m| sample_frames(&m.preds)).collect();
 
-    let mut tree = ExtendedQuadTree::new();
+    let mut tree = ExtendedQuadTree::new(hier);
     let mut flat: HashMap<LayerCell, ModelCombination> = HashMap::new();
     let mut report = PlanReport {
         direct_cells: vec![0; n_members],

@@ -64,7 +64,7 @@ fn fixture() -> &'static (Hierarchy, CombinationIndex, EnsemblePlan) {
             .collect();
         let index =
             search_optimal_combinations(&hier, &preds, &preds, SearchStrategy::UnionSubtraction);
-        let mut tree = ExtendedQuadTree::new();
+        let mut tree = ExtendedQuadTree::new(&hier);
         index.tree.for_each(|code, comb| {
             let terms = comb
                 .terms

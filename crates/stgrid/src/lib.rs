@@ -21,8 +21,10 @@
 //! * **Grid coding rule (Sec. IV-C2, Fig. 11)** → [`coding`]: codes `A`-`D`
 //!   for single child grids and `E`-`L` for 2- and 3-cell multi-grids.
 //! * **Extended quad-tree (Sec. IV-C3, Fig. 12)** →
-//!   [`quadtree::ExtendedQuadTree`]: up to 12 children per node,
-//!   `O(log(HW))` retrieval by code path.
+//!   [`quadtree::ExtendedQuadTree`]: twelve children per node (singles
+//!   `A`-`D` recurse, multi-grids `E`-`L` are leaves), stored implicitly
+//!   in one slot array laid out by layer, so a grid's or multi-grid's
+//!   entry is found from its coordinates in `O(1)`.
 //! * **Region query workloads (Sec. V-A3, Fig. 13)** → [`queries`]:
 //!   hexagon tilings, road-segmentation partitions and census-tract-like
 //!   irregular partitions with the paper's Task 1–4 target areas.

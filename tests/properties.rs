@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn quadtree_is_a_map(entries in prop::collection::vec((0usize..4, 0usize..16), 1..40)) {
         let hier = hier();
-        let mut tree = one4all_st::grid::ExtendedQuadTree::new();
+        let mut tree = one4all_st::grid::ExtendedQuadTree::new(&hier);
         let mut reference = std::collections::HashMap::new();
         for (i, &(layer, cell)) in entries.iter().enumerate() {
             let (rows, cols) = hier.layer_dims(layer);
