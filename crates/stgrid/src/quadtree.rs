@@ -8,8 +8,8 @@
 //! coarsest-layer cell.
 //!
 //! The combination search fills every node (65,488 entries at 128×128,
-//! P = {1,…,32}), so the tree is stored implicitly rather than as boxed
-//! nodes: one slot array, laid out layer by layer in row-major cell order.
+//! P = {1,…,32}), so the tree is stored implicitly: one slot array, laid
+//! out layer by layer in row-major cell order.
 //! A layer-0 cell owns one slot; a cell of a coarser layer owns nine — its
 //! own payload, then the multi-grids `E`–`L` of its four children. A
 //! [`GridCode`] still addresses every slot, and [`ExtendedQuadTree::get_cell`]
