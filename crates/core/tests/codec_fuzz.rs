@@ -180,8 +180,8 @@ const A: u8 = 0;
 const E: u8 = 4;
 
 /// Checksum-valid streams whose entry codes leave the hierarchy (or
-/// whose header has no coding rule) are rejected as corrupt, where the
-/// same builder's in-hierarchy entries decode.
+/// whose header has no coding rule) are rejected as corrupt, while
+/// in-hierarchy entries crafted the same way decode.
 #[test]
 fn crafted_codes_outside_the_hierarchy_are_corrupt() {
     use o4a_core::codec::CodecError::Corrupt;

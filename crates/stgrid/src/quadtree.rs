@@ -525,10 +525,11 @@ mod tests {
     fn slots_cover_every_grid_and_multi_grid() {
         // 21,840 cells + 8 multi-grids under each of 5,456 parents
         let paper = Hierarchy::new(128, 128, 2, 6).unwrap();
+        let codes = all_codes(&paper);
         assert_eq!(slot_count(&paper), 65_488);
-        assert_eq!(slot_count(&paper), all_codes(&paper).len());
+        assert_eq!(codes.len(), 65_488);
         let mut full = ExtendedQuadTree::new(&paper);
-        for (i, code) in all_codes(&paper).iter().enumerate() {
+        for (i, code) in codes.iter().enumerate() {
             assert!(full.insert(code, i).is_none(), "{code} shares a slot");
         }
         assert_eq!(full.len(), 65_488);
