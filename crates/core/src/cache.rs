@@ -1,29 +1,31 @@
-//! The query path's one cache: a bounded CLOCK cache with epoch-checked
-//! entries.
+//! The query path's one cache: a bounded CLOCK cache from mask to
+//! decomposition.
 //!
-//! Every cache on the online path is an instance of [`ClockCache`]: each
-//! [`crate::server::Engine`] keeps its compiled plans in one (keyed by
-//! mask, or by decomposed group on the shard leg), and a shard router
-//! keeps its mask → decomposition memo in another.
+//! Every [`crate::server::Engine`] keeps one, and so does a shard router;
+//! both build it through [`ClockCache::decompositions`] and probe it
+//! through [`ClockCache::decomposition`], so a probe and a miss cost the
+//! same stages on every backend.
 //!
-//! * **Lookup** hashes the borrowed key once, with a per-cache random
-//!   hasher (masks arrive from clients, so collisions must not be
-//!   craftable), and probes a hash → slot index under one lock. A hit compares the full key, checks the
-//!   entry's epoch, sets the slot's reference bit and clones the value —
-//!   no allocation.
+//! * **Lookup** hashes the key once, with a per-cache random hasher
+//!   (masks arrive from clients, so collisions must not be craftable),
+//!   and probes a hash → slot index under one lock. A hit compares the
+//!   full key, sets the slot's reference bit and clones the value — no
+//!   allocation.
 //! * **Miss** computes the value outside the lock, clones the key once and
 //!   inserts. Once the cache is full the CLOCK hand sweeps the slot ring:
 //!   a referenced slot loses its bit and is passed over, the first
 //!   unreferenced one is evicted. Every swept bit was set by an earlier
 //!   hit or insert, so eviction is O(1) amortized.
-//! * **Epochs** (the ensemble plan revision; `0` for a single-model
-//!   engine) invalidate without a flush: an entry stored under another
-//!   epoch is never served, and the recompiled value overwrites its slot.
 //!
-//! One slot exists per key hash. Two keys whose 64-bit hashes collide
-//! share (and thrash) that slot; the full-key compare keeps the answer
-//! exact.
+//! A decomposition depends only on the mask and the hierarchy, never on
+//! the resolver or the published snapshot, so nothing ever invalidates an
+//! entry. One slot exists per key hash. Two keys whose 64-bit hashes
+//! collide share (and thrash) that slot; the full-key compare keeps the
+//! answer exact.
 
+use o4a_grid::decompose::{decompose, DecomposedGroup};
+use o4a_grid::hierarchy::Hierarchy;
+use o4a_grid::mask::Mask;
 use o4a_obs::metrics::{Counter, Gauge};
 use parking_lot::Mutex;
 use std::collections::hash_map::RandomState;
@@ -32,25 +34,11 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A borrowed lookup key for a cache whose stored keys are `K`: it hashes
-/// the lookup, compares against a stored key, and becomes the stored key
-/// on a miss. Every `K: Hash + Eq + Clone` looks itself up.
-pub trait CacheKey<K>: Hash {
-    /// Whether this lookup names the stored key `key`.
-    fn matches(&self, key: &K) -> bool;
-    /// The owned key stored on a miss.
-    fn to_key(&self) -> K;
-}
-
-impl<K: Hash + Eq + Clone> CacheKey<K> for K {
-    fn matches(&self, key: &K) -> bool {
-        self == key
-    }
-
-    fn to_key(&self) -> K {
-        self.clone()
-    }
-}
+/// Masks a decomposition cache retains. It must hold a whole benchmark
+/// batch: the `ensemble` bench re-answers 412 masks per round, and a
+/// 256-entry cache would turn every one of its hits into a miss. A
+/// 128x128 mask key is 2 KB, so a full cache holds ~10 MB.
+pub const DECOMP_CACHE_CAP: usize = 4096;
 
 /// The registry handles a cache bumps in lockstep with its own counters,
 /// so a METRICS scrape reconciles exactly with [`ClockCache::stats`].
@@ -88,7 +76,6 @@ impl Hasher for Prehashed {
 struct Slot<K, V> {
     hash: u64,
     key: K,
-    epoch: u64,
     value: V,
     referenced: bool,
 }
@@ -102,8 +89,8 @@ struct Ring<K, V> {
     hand: usize,
 }
 
-/// A bounded, thread-safe CLOCK cache of `V` keyed by `K` and versioned
-/// by an epoch (see the module docs).
+/// A bounded, thread-safe CLOCK cache of `V` keyed by `K` (see the module
+/// docs).
 pub struct ClockCache<K, V> {
     ring: Mutex<Ring<K, V>>,
     hasher: RandomState,
@@ -114,7 +101,7 @@ pub struct ClockCache<K, V> {
     metrics: CacheMetrics,
 }
 
-impl<K, V: Clone> ClockCache<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
     /// An empty cache holding at most `cap` entries (at least one).
     pub fn new(cap: usize, metrics: CacheMetrics) -> Self {
         ClockCache {
@@ -147,15 +134,11 @@ impl<K, V: Clone> ClockCache<K, V> {
         self.ring.lock().slots.len()
     }
 
-    /// The value cached for `key` under `epoch`; on a miss (absent, or
-    /// stored under another epoch) computes it with `make` outside the
-    /// lock, caches it and returns it.
-    pub fn get_or_insert_with<Q>(&self, key: &Q, epoch: u64, make: impl FnOnce() -> V) -> V
-    where
-        Q: CacheKey<K> + ?Sized,
-    {
+    /// The value cached for `key`; on a miss computes it with `make`
+    /// outside the lock, caches it and returns it.
+    pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> V) -> V {
         let hash = self.hasher.hash_one(key);
-        if let Some(value) = self.lookup(hash, key, epoch) {
+        if let Some(value) = self.lookup(hash, key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.hits.inc();
             return value;
@@ -165,8 +148,7 @@ impl<K, V: Clone> ClockCache<K, V> {
         let value = make();
         let slot = Slot {
             hash,
-            key: key.to_key(),
-            epoch,
+            key: key.clone(),
             value: value.clone(),
             referenced: false,
         };
@@ -183,14 +165,11 @@ impl<K, V: Clone> ClockCache<K, V> {
         value
     }
 
-    fn lookup<Q>(&self, hash: u64, key: &Q, epoch: u64) -> Option<V>
-    where
-        Q: CacheKey<K> + ?Sized,
-    {
+    fn lookup(&self, hash: u64, key: &K) -> Option<V> {
         let mut ring = self.ring.lock();
         let i = *ring.index.get(&hash)?;
         let slot = &mut ring.slots[i];
-        if slot.epoch != epoch || !key.matches(&slot.key) {
+        if slot.key != *key {
             return None;
         }
         slot.referenced = true;
@@ -198,12 +177,26 @@ impl<K, V: Clone> ClockCache<K, V> {
     }
 }
 
+impl ClockCache<Mask, Arc<Vec<DecomposedGroup>>> {
+    /// An empty mask → decomposition cache of [`DECOMP_CACHE_CAP`] masks,
+    /// reporting through `metrics`.
+    pub fn decompositions(metrics: CacheMetrics) -> Self {
+        Self::new(DECOMP_CACHE_CAP, metrics)
+    }
+
+    /// `mask`'s decomposition against `hier`: cached, or decomposed and
+    /// cached on a miss.
+    pub fn decomposition(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
+        self.get_or_insert_with(mask, || Arc::new(decompose(hier, mask)))
+    }
+}
+
 impl<K, V> Ring<K, V> {
     /// Stores `slot`, returning whether an entry was evicted for it.
     fn insert(&mut self, slot: Slot<K, V>, cap: usize) -> bool {
         if let Some(&i) = self.index.get(&slot.hash) {
-            // the same key (a concurrent miss or a stale epoch) or a hash
-            // collision: overwrite its slot in place
+            // the same key (a concurrent miss) or a hash collision:
+            // overwrite its slot in place
             self.slots[i] = slot;
             return false;
         }
@@ -247,8 +240,8 @@ mod tests {
     #[test]
     fn hits_return_the_cached_value_without_recomputing() {
         let c = cache(4);
-        assert_eq!(c.get_or_insert_with(&7, 0, || 70), 70);
-        assert_eq!(c.get_or_insert_with(&7, 0, || unreachable!("must hit")), 70);
+        assert_eq!(c.get_or_insert_with(&7, || 70), 70);
+        assert_eq!(c.get_or_insert_with(&7, || unreachable!("must hit")), 70);
         assert_eq!(c.stats(), (1, 1, 0));
         assert_eq!(c.len(), 1);
     }
@@ -258,7 +251,7 @@ mod tests {
         let c = cache(8);
         for round in 0..3 {
             for k in 0..100u32 {
-                c.get_or_insert_with(&k, 0, || k + round);
+                c.get_or_insert_with(&k, || k + round);
                 assert!(c.len() <= 8, "cache grew past its cap: {}", c.len());
             }
         }
@@ -269,36 +262,17 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_epoch_is_never_served() {
-        let c = cache(4);
-        c.get_or_insert_with(&1, 0, || 10);
-        // same key under a new epoch: recomputed, not served stale
-        assert_eq!(c.get_or_insert_with(&1, 1, || 11), 11);
-        assert_eq!(c.get_or_insert_with(&1, 1, || unreachable!("must hit")), 11);
-        // and the old epoch's value is gone, not resurrected
-        assert_eq!(c.get_or_insert_with(&1, 0, || 12), 12);
-        assert_eq!(c.stats(), (1, 3, 0));
-        assert_eq!(c.len(), 1, "a recompile reuses the key's slot");
-    }
-
-    #[test]
     fn a_re_referenced_entry_survives_one_sweep() {
         let c = cache(3);
         for k in [1u32, 2, 3] {
-            c.get_or_insert_with(&k, 0, || k);
+            c.get_or_insert_with(&k, || k);
         }
         // touch 1: the hand passes it over once and evicts 2 instead
-        c.get_or_insert_with(&1, 0, || unreachable!("must hit"));
-        c.get_or_insert_with(&4, 0, || 4);
-        assert_eq!(
-            c.get_or_insert_with(&1, 0, || unreachable!("1 survived")),
-            1
-        );
-        assert_eq!(
-            c.get_or_insert_with(&3, 0, || unreachable!("3 survived")),
-            3
-        );
-        assert_eq!(c.get_or_insert_with(&2, 0, || 20), 20, "2 was the victim");
+        c.get_or_insert_with(&1, || unreachable!("must hit"));
+        c.get_or_insert_with(&4, || 4);
+        assert_eq!(c.get_or_insert_with(&1, || unreachable!("1 survived")), 1);
+        assert_eq!(c.get_or_insert_with(&3, || unreachable!("3 survived")), 3);
+        assert_eq!(c.get_or_insert_with(&2, || 20), 20, "2 was the victim");
         assert_eq!(c.stats().2, 2);
     }
 
@@ -307,7 +281,7 @@ mod tests {
         let metrics = detached();
         let c: ClockCache<u32, u32> = ClockCache::new(2, metrics.clone());
         for k in [1u32, 1, 2, 3, 3] {
-            c.get_or_insert_with(&k, 0, || k);
+            c.get_or_insert_with(&k, || k);
         }
         let (h, m, e) = c.stats();
         assert_eq!(
@@ -320,23 +294,5 @@ mod tests {
         );
         assert_eq!((h, m, e), (2, 3, 1));
         assert_eq!(metrics.entries.get(), 2.0);
-    }
-
-    /// A borrowed key type looks up owned entries without building one.
-    #[test]
-    fn borrowed_keys_look_up_owned_entries() {
-        #[derive(Hash)]
-        struct Name<'a>(&'a str);
-        impl CacheKey<String> for Name<'_> {
-            fn matches(&self, key: &String) -> bool {
-                self.0 == key
-            }
-            fn to_key(&self) -> String {
-                self.0.to_string()
-            }
-        }
-        let c: ClockCache<String, usize> = ClockCache::new(4, detached());
-        assert_eq!(c.get_or_insert_with(&Name("abc"), 0, || 3), 3);
-        assert_eq!(c.get_or_insert_with(&Name("abc"), 0, || unreachable!()), 3);
     }
 }

@@ -117,7 +117,7 @@ pub fn term_value(
 /// The combination-evaluation chain the offline search and the ensemble
 /// planner share: a plain left-to-right f32 sum of term contributions, in
 /// iteration order. (The online query path folds explicitly from `0.0`;
-/// see [`crate::compiled`].)
+/// see [`crate::server::interpret`].)
 #[inline]
 pub fn signed_sum(values: impl Iterator<Item = f32>) -> f32 {
     values.sum()
@@ -183,6 +183,7 @@ pub struct CombinationIndex {
 
 impl CombinationIndex {
     /// Looks up the optimal combination of a single grid.
+    #[inline]
     pub fn for_cell(&self, cell: LayerCell) -> Option<&Combination> {
         if self.hier.k() == 2 {
             self.tree.get_cell(cell)
@@ -194,6 +195,7 @@ impl CombinationIndex {
     /// Looks up the optimal combination of a multi-grid (same-parent 2–3
     /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
     /// whose tree has no slots.
+    #[inline]
     pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
         self.tree.get_multi(layer, cells)
     }

@@ -4,25 +4,16 @@
 //! The online phase keeps one value per grid cell per layer. A snapshot
 //! stores **all** layers in one contiguous buffer with a `bases` offset
 //! table (`bases[layer]..bases[layer + 1]` is layer `layer`, row-major),
-//! so a compiled query plan can address any term with a single `u32` flat
-//! offset — no per-term layer indirection, and the SIMD gather kernels in
-//! `o4a_tensor::gather` can stream the whole plan against one base
-//! pointer.
+//! so reading a term costs one table load and one indexed load.
 //!
-//! Half storage ([`FrameData::F16`]) keeps the same arena as IEEE binary16
-//! bit patterns — half the bytes — and widens values back to f32 *per
-//! read* during signed aggregation (widening is exact; see
-//! `o4a_tensor::half` for the narrowing bound). A query summing `T` stored
-//! terms `v_t` therefore answers within `sum_t 2^-11 |v_t| + T * 2^-25` of
-//! the f32-storage answer (each term's storage error, accumulated; plus
-//! f32 summation rounding of the perturbed terms). The end-to-end
-//! assertion lives in `crates/core/tests/half_store.rs`.
-//!
-//! Every snapshot carries a [`layout_signature`] over its layer lengths.
-//! Compiled plans record the signature of the hierarchy they were built
-//! against and refuse to execute when a snapshot disagrees — that check,
-//! plus an exact `required_len <= data.len()` comparison, is what makes
-//! the unchecked hardware gathers sound.
+//! Half storage keeps the same arena as IEEE binary16 bit patterns — half
+//! the bytes — and widens values back to f32 *per read* during signed
+//! aggregation (widening is exact; see `o4a_tensor::half` for the
+//! narrowing bound). A query summing `T` stored terms `v_t` therefore
+//! answers within `sum_t 2^-11 |v_t| + T * 2^-25` of the f32-storage
+//! answer (each term's storage error, accumulated; plus f32 summation
+//! rounding of the perturbed terms). The end-to-end assertion lives in
+//! `crates/core/tests/half_store.rs`.
 //!
 //! [`FrameView`] is the borrowed form the evaluation paths consume; the
 //! legacy `FrameView::F32(&[Vec<f32>])` variant keeps the f32 public APIs
@@ -31,24 +22,9 @@
 
 use o4a_tensor::half::{f16_bits_to_f32, f32_to_f16_bits};
 
-/// FNV-1a over the little-endian bytes of each layer length: a cheap
-/// order-sensitive fingerprint of a snapshot's layer geometry. Compiled
-/// plans match this (plus an exact length bound) before running unchecked
-/// gathers.
-pub fn layout_signature(lens: impl IntoIterator<Item = usize>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for len in lens {
-        for b in (len as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// The value arena of a [`FrameSet`], in either storage precision.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FrameData {
+enum FrameData {
     /// Full-precision storage (the default).
     F32(Vec<f32>),
     /// Half storage: IEEE binary16 bit patterns, widened per read.
@@ -63,7 +39,6 @@ pub struct FrameSet {
     /// the final sentinel entry is the total cell count.
     bases: Vec<u32>,
     data: FrameData,
-    sig: u64,
 }
 
 impl Default for FrameSet {
@@ -72,7 +47,6 @@ impl Default for FrameSet {
         FrameSet {
             bases: vec![0],
             data: FrameData::F32(Vec::new()),
-            sig: layout_signature(std::iter::empty::<usize>()),
         }
     }
 }
@@ -97,7 +71,6 @@ impl FrameSet {
     /// Packs nested per-layer f32 frames into a flat full-precision arena.
     pub fn from_f32(frames: Vec<Vec<f32>>) -> Self {
         let bases = build_bases(frames.iter().map(|l| l.len()));
-        let sig = layout_signature(frames.iter().map(|l| l.len()));
         let mut data = Vec::with_capacity(*bases.last().unwrap() as usize);
         for layer in &frames {
             data.extend_from_slice(layer);
@@ -105,7 +78,6 @@ impl FrameSet {
         FrameSet {
             bases,
             data: FrameData::F32(data),
-            sig,
         }
     }
 
@@ -113,7 +85,6 @@ impl FrameSet {
     /// through the active ISA tier's converter).
     pub fn narrow(frames: Vec<Vec<f32>>) -> Self {
         let bases = build_bases(frames.iter().map(|l| l.len()));
-        let sig = layout_signature(frames.iter().map(|l| l.len()));
         let mut data = vec![0u16; *bases.last().unwrap() as usize];
         for (layer, frame) in frames.iter().enumerate() {
             let start = bases[layer] as usize;
@@ -122,7 +93,6 @@ impl FrameSet {
         FrameSet {
             bases,
             data: FrameData::F16(data),
-            sig,
         }
     }
 
@@ -167,16 +137,6 @@ impl FrameSet {
                 bases: &self.bases,
             },
         }
-    }
-
-    /// The [`layout_signature`] of this snapshot's layer geometry.
-    pub fn layout_sig(&self) -> u64 {
-        self.sig
-    }
-
-    /// The value arena (all layers, `bases`-addressed).
-    pub fn data(&self) -> &FrameData {
-        &self.data
     }
 
     /// Bytes of frame payload held (the storage-mode win made measurable).
@@ -287,21 +247,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn layout_signature_is_order_sensitive_and_layer_count_aware() {
-        let a = layout_signature([4usize, 2]);
-        let b = layout_signature([2usize, 4]);
-        let c = layout_signature([4usize, 2, 0]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        let fs = FrameSet::from_f32(vec![vec![0.0; 4], vec![0.0; 2]]);
-        assert_eq!(fs.layout_sig(), a);
-        assert_eq!(
-            FrameSet::default().layout_sig(),
-            layout_signature(std::iter::empty::<usize>())
-        );
     }
 
     #[test]

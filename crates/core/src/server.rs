@@ -11,49 +11,182 @@
 //! times in the low milliseconds (Fig. 15). One [`Engine`] runs that path
 //! for every backend: a [`RegionServer`] resolves groups through a
 //! [`CombinationIndex`], an ensemble server through a per-region model
-//! plan (any [`Resolver`]). Either way a query is a compiled plan
-//! ([`crate::compiled`]) fetched from — or compiled into — the engine's
-//! one [`ClockCache`], then executed against the member snapshots.
+//! plan (any [`Resolver`]). Either way a query's decomposition comes from
+//! the engine's one [`ClockCache`] (decomposed only on a miss), and
+//! [`interpret`] walks it against the member snapshots.
 
-use crate::cache::{CacheKey, CacheMetrics, ClockCache};
+use crate::cache::{CacheMetrics, ClockCache};
 use crate::combination::{term_value, Combination, CombinationIndex, SignedCell};
-use crate::compiled::{compile_groups, with_scratch, CompiledPlan, Resolver, Term, TermSink};
 use crate::frames::{FrameSet, FrameView};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
-use o4a_grid::hierarchy::Hierarchy;
+use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
 use o4a_obs::Histogram;
 use parking_lot::RwLock;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The interpreted oracle: evaluates decomposed groups term by term
-/// through the resolver's own walk ([`Resolver::resolve_group`]), reading
-/// member `m`'s terms from `views[m]`.
+/// One resolved term: `sign ×` member `member`'s snapshot value at `cell`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Term {
+    /// The grid cell read.
+    pub cell: LayerCell,
+    /// `+1` or `-1`.
+    pub sign: i8,
+    /// The member store read (always `0` for a single-model index).
+    pub member: u16,
+}
+
+/// Receives one group's resolution: its terms in evaluation order, each
+/// run (one combination's terms) closed by [`TermSink::end_run`].
+pub trait TermSink {
+    /// The next term of the current run.
+    fn term(&mut self, t: Term);
+    /// Closes the current run.
+    fn end_run(&mut self);
+}
+
+/// Collects the terms alone, dropping the run structure.
+impl TermSink for Vec<Term> {
+    fn term(&mut self, t: Term) {
+        self.push(t);
+    }
+
+    fn end_run(&mut self) {}
+}
+
+/// What the query engine resolves decomposed groups through: a
+/// single-model [`CombinationIndex`], or an ensemble plan whose terms
+/// each name the member store they read.
+pub trait Resolver: Send + Sync {
+    /// One index entry: a combination of signed terms.
+    type Entry;
+
+    /// The hierarchy queries are decomposed against.
+    fn hierarchy(&self) -> &Hierarchy;
+
+    /// Member stores the terms read from (`1` for a single model).
+    fn members(&self) -> usize;
+
+    /// Revision of the resolver's entries, reported through STATS (`0`
+    /// for a combination index, the plan revision for an ensemble).
+    fn revision(&self) -> u64;
+
+    /// The entry of a single grid, if the index has one.
+    fn cell_entry(&self, cell: LayerCell) -> Option<&Self::Entry>;
+
+    /// The entry of a multi-grid (a same-parent 2–3 cell group at
+    /// `layer`), if the index has one.
+    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Self::Entry>;
+
+    /// An entry's terms, in evaluation order.
+    fn entry_terms(entry: &Self::Entry) -> impl Iterator<Item = Term> + '_;
+
+    /// Registers the resolver's own gauges and returns one served-terms
+    /// histogram per member for the engine to sample per query; empty
+    /// (the default) records none.
+    fn register_metrics(&self) -> Vec<Arc<Histogram>> {
+        Vec::new()
+    }
+
+    /// Resolves one decomposed group into `sink`, returning whether it hit
+    /// a multi-grid entry (whose single run *is* the group value).
+    /// Otherwise each member cell contributes one run — its entry, or the
+    /// direct prediction (member 0) when the index has none, which only
+    /// happens on a foreign index.
+    fn resolve_group(&self, group: &DecomposedGroup, sink: &mut impl TermSink) -> bool {
+        if group.cells.len() >= 2 && self.hierarchy().k() == 2 {
+            if let Some(entry) = self.multi_entry(group.layer, &group.cells) {
+                Self::entry_terms(entry).for_each(|t| sink.term(t));
+                sink.end_run();
+                return true;
+            }
+        }
+        for &(r, c) in &group.cells {
+            let cell = LayerCell::new(group.layer, r, c);
+            match self.cell_entry(cell) {
+                Some(entry) => Self::entry_terms(entry).for_each(|t| sink.term(t)),
+                None => sink.term(Term {
+                    cell,
+                    sign: 1,
+                    member: 0,
+                }),
+            }
+            sink.end_run();
+        }
+        false
+    }
+}
+
+impl Resolver for CombinationIndex {
+    type Entry = Combination;
+
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
+    }
+
+    fn members(&self) -> usize {
+        1
+    }
+
+    fn revision(&self) -> u64 {
+        0
+    }
+
+    fn cell_entry(&self, cell: LayerCell) -> Option<&Combination> {
+        self.for_cell(cell)
+    }
+
+    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
+        self.for_multi(layer, cells)
+    }
+
+    fn entry_terms(entry: &Combination) -> impl Iterator<Item = Term> + '_ {
+        entry.terms.iter().map(|t| Term {
+            cell: t.cell,
+            sign: t.sign,
+            member: 0,
+        })
+    }
+}
+
+/// Evaluates one decomposed group through the resolver's own walk
+/// ([`Resolver::resolve_group`]), reading member `m`'s terms from
+/// `views[m]` and adding each term read to `terms[m]` (when `terms` has
+/// that slot; pass `&mut []` to count nothing).
 ///
-/// It folds exactly as a compiled plan executes — each run from `0.0`, a
-/// multi-grid group as its run, a cells group as `0.0 +` its runs, the
-/// query as `0.0 +` its groups — so the two agree bit for bit. Tests and
-/// the paper-experiment bins compare against it; the engine never
-/// interprets.
-pub fn interpret<R: Resolver>(
+/// Each run folds from `0.0`; a multi-grid group's value is its run, a
+/// cells group's value is `0.0 +` its runs. The distinction shows in IEEE
+/// `-0.0` (`0.0 + -0.0` is `+0.0`), and a shard router depends on it: it
+/// folds per-group values back into the answer [`interpret`] gives.
+pub(crate) fn group_value<R: Resolver>(
     resolver: &R,
     views: &[FrameView<'_>],
-    groups: &[DecomposedGroup],
+    group: &DecomposedGroup,
+    terms: &mut [u64],
 ) -> f32 {
     struct Fold<'a, 'v> {
         hier: &'a Hierarchy,
         views: &'a [FrameView<'v>],
+        terms: &'a mut [u64],
         run: f32,
         runs: f32,
         last: f32,
     }
     impl TermSink for Fold<'_, '_> {
         fn term(&mut self, t: Term) {
-            let view = &self.views[t.member as usize];
+            // with one view every term is member 0's: matching on the
+            // slice shape instead of indexing by `t.member` keeps the
+            // view's loads out of the per-term path
+            let (view, m) = match self.views {
+                [only] => (only, 0),
+                views => (&views[t.member as usize], t.member as usize),
+            };
+            if let Some(n) = self.terms.get_mut(m) {
+                *n += 1;
+            }
             self.run += term_value(self.hier, view, t.cell, t.sign);
         }
 
@@ -63,23 +196,49 @@ pub fn interpret<R: Resolver>(
             self.run = 0.0;
         }
     }
+    let mut fold = Fold {
+        hier: resolver.hierarchy(),
+        views,
+        terms,
+        run: 0.0,
+        runs: 0.0,
+        last: 0.0,
+    };
+    if resolver.resolve_group(group, &mut fold) {
+        fold.last
+    } else {
+        fold.runs
+    }
+}
+
+/// [`interpret`], adding each term read to `terms[member]`.
+fn interpret_counting<R: Resolver>(
+    resolver: &R,
+    views: &[FrameView<'_>],
+    groups: &[DecomposedGroup],
+    terms: &mut [u64],
+) -> f32 {
     let mut total = 0.0f32;
     for group in groups {
-        let mut fold = Fold {
-            hier: resolver.hierarchy(),
-            views,
-            run: 0.0,
-            runs: 0.0,
-            last: 0.0,
-        };
-        let multi = resolver.resolve_group(group, &mut fold);
-        total += if multi { fold.last } else { fold.runs };
+        total += group_value(resolver, views, group, terms);
     }
     total
 }
 
-/// Predicts a region query from per-layer frames through the interpreted
-/// oracle: hierarchical decomposition (Algorithm 1), index lookups,
+/// Answers a decomposed query: `0.0 +` each group's value in decompose
+/// order, reading member `m`'s terms from `views[m]`. Every backend
+/// answers through this walk, so it is also the oracle the tests and the
+/// paper-experiment bins compare against.
+pub fn interpret<R: Resolver>(
+    resolver: &R,
+    views: &[FrameView<'_>],
+    groups: &[DecomposedGroup],
+) -> f32 {
+    interpret_counting(resolver, views, groups, &mut [])
+}
+
+/// Predicts a region query from per-layer frames: hierarchical
+/// decomposition (Algorithm 1), then [`interpret`]'s index lookups and
 /// signed aggregation.
 pub fn predict_query(
     hier: &Hierarchy,
@@ -168,8 +327,8 @@ impl std::error::Error for PublishError {}
 /// lock-free-ish via an `Arc` swap.
 ///
 /// A store is built for one hierarchy and only accepts snapshots shaped
-/// like it, so every snapshot an [`Engine`] reads matches the layout its
-/// compiled plans address.
+/// like it, so every snapshot an [`Engine`] reads has a value for every
+/// cell its resolver can name.
 ///
 /// Snapshots default to f32 storage. [`PredictionStore::set_half_storage`]
 /// switches subsequent publishes to IEEE binary16 frames — half the
@@ -309,125 +468,28 @@ impl PredictionStore {
     }
 }
 
-/// Compiled plans one engine retains. The unsharded entry points cache
-/// one plan per hot *mask*, the shard leg one per decomposed *group*, and
-/// a mask working set fans out to roughly an order of magnitude more
-/// distinct groups (the serve fixture's 138-mask pool yields ~1.4k).
-/// Single-group plans are a few hundred bytes, so the headroom costs
-/// ~1-2 MB.
-const PLAN_CACHE_CAP: usize = 4096;
-
-/// Estimated pool-cost units (~scalar flop equivalents) of answering one
-/// mask: a plan-cache lookup plus execution, a few microseconds of work.
-/// Threaded into [`o4a_tensor::parallel::run`] so small batches (fewer
-/// than `PARALLEL_CUTOFF / QUERY_COST` ≈ 64 masks) take the serial path
-/// instead of paying the pool wake-up.
-const QUERY_COST: usize = 8192;
-
-/// What a compiled plan is cached under: the query mask (the unsharded
-/// entry points), or one decomposed group (the shard leg, whose masks
-/// the router decomposed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PlanKey {
-    Mask(Mask),
-    Group(DecomposedGroup),
-}
-
-/// The borrowed form of a [`PlanKey`] that lookups hash and compare, so a
-/// cache hit never builds one.
-#[derive(Clone, Copy)]
-enum Key<'a> {
-    Mask(&'a Mask),
-    Group(&'a DecomposedGroup),
-}
-
-impl Hash for Key<'_> {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        // a discriminant byte keeps the two keyspaces apart
-        match self {
-            Key::Mask(m) => {
-                h.write_u8(0);
-                m.hash(h);
-            }
-            Key::Group(g) => {
-                h.write_u8(1);
-                g.hash(h);
-            }
-        }
-    }
-}
-
-impl CacheKey<PlanKey> for Key<'_> {
-    fn matches(&self, key: &PlanKey) -> bool {
-        match (self, key) {
-            (Key::Mask(a), PlanKey::Mask(b)) => *a == b,
-            (Key::Group(a), PlanKey::Group(b)) => *a == b,
-            _ => false,
-        }
-    }
-
-    fn to_key(&self) -> PlanKey {
-        match *self {
-            Key::Mask(m) => PlanKey::Mask(m.clone()),
-            Key::Group(g) => PlanKey::Group(g.clone()),
-        }
-    }
-}
-
-/// Per-stage wall times of one answered unit: a mask, or one shard call's
-/// groups.
-#[derive(Debug, Clone, Copy, Default)]
-struct Stages {
-    decompose: Duration,
-    lookup: Duration,
-    aggregate: Duration,
-}
-
 /// The query-stage histograms (registered on first use): decompose,
-/// lookup, aggregate, then terms per execution.
+/// lookup, aggregate, then terms per answer.
 fn stage_histograms() -> [&'static Histogram; 4] {
     [
         o4a_obs::histogram!(
             "o4a_query_decompose_ns",
-            "per-query hierarchical decomposition time (zero on a plan-cache hit)"
+            "per-query decomposition-cache probe, plus the decomposition on a miss"
         ),
         o4a_obs::histogram!(
             "o4a_query_lookup_ns",
-            "per-query plan-cache lookup time (including the compile on a miss)"
+            "takes no samples: index lookups run inside the aggregate walk"
         ),
         o4a_obs::histogram!(
             "o4a_query_aggregate_ns",
-            "per-query signed aggregation time over the prediction snapshots"
+            "per-query index lookups and signed aggregation over the snapshots \
+             (per shard call on the shard leg)"
         ),
         o4a_obs::histogram!(
             "o4a_compiled_terms",
-            "resolved terms per compiled query execution"
+            "resolved terms read per query (per shard call on the shard leg)"
         ),
     ]
-}
-
-/// Start time of a trace span, or 0 when the call is untraced.
-fn span_start(tid: u64) -> u64 {
-    if tid != 0 {
-        trace::now_ns()
-    } else {
-        0
-    }
-}
-
-/// Emits a shard-leg stage span (a no-op when untraced).
-fn emit_span(tid: u64, span: SpanKind, t_start_ns: u64, items: usize) {
-    if tid != 0 {
-        trace::emit(&SpanEvent {
-            trace_id: tid,
-            span: span as u16,
-            parent: SpanKind::ShardScatter as u16,
-            lane: 0,
-            t_start_ns,
-            t_end_ns: trace::now_ns(),
-            bytes: items as u64,
-        });
-    }
 }
 
 /// The prediction stores an [`Engine`] answers from, one per resolver
@@ -447,14 +509,13 @@ impl From<Vec<Arc<PredictionStore>>> for MemberStores {
 }
 
 /// The online query engine: a [`Resolver`] over one [`PredictionStore`]
-/// per member, answering every query through compiled plans kept in one
-/// [`ClockCache`] (keyed by mask, or by group on the shard leg, under the
-/// resolver's epoch).
+/// per member. Each mask's decomposition comes from one [`ClockCache`],
+/// and [`interpret`] answers it.
 pub struct Engine<R> {
     resolver: R,
     stores: Vec<Arc<PredictionStore>>,
-    plans: ClockCache<PlanKey, Arc<CompiledPlan>>,
-    compiled_terms: AtomicU64,
+    decompositions: ClockCache<Mask, Arc<Vec<DecomposedGroup>>>,
+    terms_answered: AtomicU64,
     /// Per member: terms read from that member per query (empty when the
     /// resolver registers none). Per-member *time* cannot be measured
     /// without splitting the accumulation by member, which would change
@@ -472,8 +533,8 @@ impl<R: Resolver> Engine<R> {
     /// # Panics
     /// Panics unless there is one store per member and every store was
     /// built for the resolver's hierarchy
-    /// ([`PredictionStore::for_hierarchy`]) — so a snapshot whose layout
-    /// the compiled plans do not address can never reach a query.
+    /// ([`PredictionStore::for_hierarchy`]) — so a snapshot without a
+    /// value for some cell the resolver names can never reach a query.
     pub fn new(resolver: R, stores: impl Into<MemberStores>) -> Self {
         let stores = stores.into().0;
         assert!(resolver.members() > 0, "resolver has no members");
@@ -497,24 +558,27 @@ impl<R: Resolver> Engine<R> {
         let metrics = CacheMetrics {
             hits: reg.counter(
                 "o4a_plan_cache_hits_total",
-                "compiled-plan cache hits across all query engines",
+                "mask -> decomposition cache hits across all query engines",
             ),
             misses: reg.counter(
                 "o4a_plan_cache_misses_total",
-                "compiled-plan cache misses across all query engines",
+                "mask -> decomposition cache misses across all query engines",
             ),
             evictions: reg.counter(
                 "o4a_plan_cache_evictions_total",
-                "compiled plans evicted by the CLOCK cap",
+                "decompositions the query engines' CLOCK caps evicted",
             ),
-            entries: reg.gauge("o4a_plan_cache_entries", "compiled plans currently cached"),
+            entries: reg.gauge(
+                "o4a_plan_cache_entries",
+                "decompositions the query engines currently cache",
+            ),
         };
         Engine {
             member_terms: resolver.register_metrics(),
             resolver,
             stores,
-            plans: ClockCache::new(PLAN_CACHE_CAP, metrics),
-            compiled_terms: AtomicU64::new(0),
+            decompositions: ClockCache::decompositions(metrics),
+            terms_answered: AtomicU64::new(0),
         }
     }
 
@@ -553,81 +617,15 @@ impl<R: Resolver> Engine<R> {
         snaps
     }
 
-    /// Get-or-compile → execute → record: the one path every query takes.
-    ///
-    /// Fetches each key's plan from the cache — decomposing a mask and
-    /// compiling only on a miss — then executes the plans against
-    /// `snaps`, writing one value per key into `out`: a mask's answer or
-    /// a group's value. Stage times and term counts are recorded here and
-    /// nowhere else, and so — on the shard leg, under the caller's
-    /// shard-scatter span — are the lookup and aggregate trace spans.
-    fn answer(
-        &self,
-        keys: &[Key<'_>],
-        snaps: &[&FrameSet],
-        out: &mut [f32],
-        shard_leg: bool,
-    ) -> Stages {
-        // the shard leg runs on the caller's thread, so a sharded
-        // request's trace id (set by the serving loop) is visible here
-        let tid = if shard_leg { trace::current() } else { 0 };
-        let epoch = self.resolver.epoch();
-        let mut st = Stages::default();
-
-        let lookup_ns = span_start(tid);
-        let t0 = Instant::now();
-        let plans: Vec<Arc<CompiledPlan>> = keys
-            .iter()
-            .map(|key| {
-                self.plans.get_or_insert_with(key, epoch, || {
-                    Arc::new(match *key {
-                        Key::Mask(mask) => {
-                            let t = Instant::now();
-                            let groups = decompose(self.resolver.hierarchy(), mask);
-                            st.decompose += t.elapsed();
-                            compile_groups(&self.resolver, &groups)
-                        }
-                        Key::Group(group) => {
-                            compile_groups(&self.resolver, std::slice::from_ref(group))
-                        }
-                    })
-                })
-            })
-            .collect();
-        st.lookup = t0.elapsed().saturating_sub(st.decompose);
-        emit_span(tid, SpanKind::Lookup, lookup_ns, keys.len());
-
-        let aggregate_ns = span_start(tid);
-        let t1 = Instant::now();
-        with_scratch(|s| {
-            for ((key, plan), value) in keys.iter().zip(&plans).zip(out.iter_mut()) {
-                let v = match key {
-                    Key::Mask(_) => plan.execute_sum(snaps, s),
-                    Key::Group(_) => plan.execute_one(snaps, s),
-                };
-                // stores are checked against the hierarchy at construction
-                *value = v.expect("snapshot layout matches the compiled plan");
-            }
-        });
-        st.aggregate = t1.elapsed();
-        emit_span(tid, SpanKind::Aggregate, aggregate_ns, keys.len());
-
-        let [decompose_h, lookup_h, aggregate_h, terms_h] = stage_histograms();
-        decompose_h.record(st.decompose.as_nanos() as u64);
-        lookup_h.record(st.lookup.as_nanos() as u64);
-        aggregate_h.record(st.aggregate.as_nanos() as u64);
-        let terms: u64 = plans.iter().map(|p| p.num_terms() as u64).sum();
-        self.compiled_terms.fetch_add(terms, Ordering::Relaxed);
-        terms_h.record(terms);
-        for (m, hist) in self.member_terms.iter().enumerate() {
-            hist.record(
-                plans
-                    .iter()
-                    .map(|p| p.member_terms().get(m).map_or(0, |&n| n as u64))
-                    .sum(),
-            );
+    /// Records one answer's term counts (`terms[m]` read from member `m`)
+    /// into the term histograms, returning their total.
+    fn record_terms(&self, terms: &[u64]) -> u64 {
+        let total = terms.iter().sum();
+        stage_histograms()[3].record(total);
+        for (hist, &n) in self.member_terms.iter().zip(terms) {
+            hist.record(n);
         }
-        st
+        total
     }
 }
 
@@ -665,21 +663,21 @@ pub trait QueryBackend: Send + Sync {
     /// (decomposition happened at the router).
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming);
 
-    /// `(hits, misses)` of the backend's mask → decomposition memo; zeros
-    /// for a backend without one (an engine keys its plans by mask and
-    /// decomposes only on a miss, so only a shard router keeps a memo).
+    /// `(hits, misses)` of the backend's mask → decomposition cache;
+    /// zeros for a backend without one.
     fn decomp_cache_stats(&self) -> (u64, u64) {
         (0, 0)
     }
 
-    /// `(hits, misses, evictions)` of the backend's compiled-plan cache;
-    /// all zeros for a backend without one.
+    /// `(hits, misses, evictions)` of the same cache (the STATS plan-cache
+    /// fields, until STATS is revised); all zeros for a backend without
+    /// one.
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
         (0, 0, 0)
     }
 
-    /// Total terms answered through compiled plans since start; `0` for a
-    /// backend without them.
+    /// Total resolved terms read to answer queries since start; `0` for a
+    /// backend that reads none itself.
     fn compiled_terms(&self) -> u64 {
         0
     }
@@ -698,16 +696,12 @@ pub trait QueryBackend: Send + Sync {
     }
 }
 
-/// The batch path takes **one** snapshot per member up front — the whole
-/// batch is answered against a consistent snapshot set even if a model
-/// server publishes mid-batch — then fans the masks out across the
-/// compute pool in [`o4a_tensor::parallel`]. Each task answers one mask
-/// into its own output slot, so the result vector is identical to the
-/// serial loop; the per-mask `QUERY_COST` estimate keeps small batches
-/// on the caller thread, where the pool wake-up would cost more than the
-/// whole batch. Stage times are measured inside each task and summed, so
-/// they are total CPU time. Both entry points panic if a member store has
-/// no published snapshot yet.
+/// Both entry points take **one** snapshot per member up front, so a whole
+/// call is answered against a consistent snapshot set even if a model
+/// server publishes mid-call, and then answer serially on the caller's
+/// thread (the serving event loops are the parallelism). Stage times are
+/// summed per mask, so they are total CPU time. Both panic if a member
+/// store has no published snapshot yet.
 impl<R: Resolver> QueryBackend for Engine<R> {
     fn hierarchy(&self) -> &Hierarchy {
         self.resolver.hierarchy()
@@ -719,53 +713,101 @@ impl<R: Resolver> QueryBackend for Engine<R> {
         self.stores.iter().all(|s| s.is_ready())
     }
 
+    /// Per mask: the cache probe (decomposing on a miss) is the decompose
+    /// stage, [`interpret`] the index stage.
     fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
         let snaps = self.snapshots();
-        let snaps: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
-        let mut out = vec![0.0f32; masks.len()];
-        let mut stages = vec![Stages::default(); masks.len()];
-        let out_ptr = o4a_tensor::parallel::SendPtr(out.as_mut_ptr());
-        let stages_ptr = o4a_tensor::parallel::SendPtr(stages.as_mut_ptr());
-        o4a_tensor::parallel::run(masks.len(), QUERY_COST, |i| {
-            // SAFETY: task `i` writes only slot `i` of each vector; both
-            // outlive the blocking `run` call.
-            let (value, st) = unsafe { (out_ptr.slice_mut(i, 1), stages_ptr.slice_mut(i, 1)) };
-            st[0] = self.answer(&[Key::Mask(&masks[i])], &snaps, value, false);
-        });
-        let timing = QueryTiming {
-            decompose: stages.iter().map(|s| s.decompose).sum(),
-            index: stages.iter().map(|s| s.lookup + s.aggregate).sum(),
+        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
+        let hier = self.resolver.hierarchy();
+        let [decompose_h, _, aggregate_h, _] = stage_histograms();
+        let mut terms = vec![0u64; views.len()];
+        let mut total_terms = 0u64;
+        let mut timing = QueryTiming {
+            decompose: Duration::ZERO,
+            index: Duration::ZERO,
         };
+        let mut out = Vec::with_capacity(masks.len());
+        for mask in masks {
+            let t0 = Instant::now();
+            let groups = self.decompositions.decomposition(hier, mask);
+            let t1 = Instant::now();
+            terms.fill(0);
+            out.push(interpret_counting(
+                &self.resolver,
+                &views,
+                &groups,
+                &mut terms,
+            ));
+            let t2 = Instant::now();
+            decompose_h.record((t1 - t0).as_nanos() as u64);
+            aggregate_h.record((t2 - t1).as_nanos() as u64);
+            timing.decompose += t1 - t0;
+            timing.index += t2 - t1;
+            total_terms += self.record_terms(&terms);
+        }
+        self.terms_answered
+            .fetch_add(total_terms, Ordering::Relaxed);
         (out, timing)
     }
 
+    /// Evaluates each group to its own value and caches nothing: a shard's
+    /// slice is a batch-dependent concatenation of many masks' groups, and
+    /// the router already caches each mask's decomposition. The whole call
+    /// is one aggregate stage, traced under the caller's shard-scatter
+    /// span.
     fn query_groups_timed(&self, groups: &[DecomposedGroup]) -> (Vec<f32>, QueryTiming) {
         let snaps = self.snapshots();
-        let snaps: Vec<&FrameSet> = snaps.iter().map(|s| &**s).collect();
-        // one key per group: a shard's slice is a batch-dependent
-        // concatenation of many masks' groups, so a whole-slice key would
-        // almost never repeat, while individual groups recur across
-        // batches
-        let keys: Vec<Key<'_>> = groups.iter().map(Key::Group).collect();
-        let mut out = vec![0.0f32; groups.len()];
-        let st = self.answer(&keys, &snaps, &mut out, true);
-        let timing = QueryTiming {
-            decompose: st.decompose,
-            index: st.lookup + st.aggregate,
-        };
-        (out, timing)
+        let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
+        // the shard leg runs on the caller's thread, so a sharded
+        // request's trace id (set by the serving loop) is visible here
+        let tid = trace::current();
+        let t_start_ns = if tid != 0 { trace::now_ns() } else { 0 };
+        let t0 = Instant::now();
+        let mut terms = vec![0u64; views.len()];
+        let values = groups
+            .iter()
+            .map(|group| group_value(&self.resolver, &views, group, &mut terms))
+            .collect();
+        let index = t0.elapsed();
+        if tid != 0 {
+            trace::emit(&SpanEvent {
+                trace_id: tid,
+                span: SpanKind::Aggregate as u16,
+                parent: SpanKind::ShardScatter as u16,
+                lane: 0,
+                t_start_ns,
+                t_end_ns: trace::now_ns(),
+                bytes: groups.len() as u64,
+            });
+        }
+        stage_histograms()[2].record(index.as_nanos() as u64);
+        let total_terms = self.record_terms(&terms);
+        self.terms_answered
+            .fetch_add(total_terms, Ordering::Relaxed);
+        (
+            values,
+            QueryTiming {
+                decompose: Duration::ZERO,
+                index,
+            },
+        )
+    }
+
+    fn decomp_cache_stats(&self) -> (u64, u64) {
+        let (hits, misses, _) = self.decompositions.stats();
+        (hits, misses)
     }
 
     fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        self.plans.stats()
+        self.decompositions.stats()
     }
 
     fn compiled_terms(&self) -> u64 {
-        self.compiled_terms.load(Ordering::Relaxed)
+        self.terms_answered.load(Ordering::Relaxed)
     }
 
     fn plan_revision(&self) -> u64 {
-        self.resolver.epoch()
+        self.resolver.revision()
     }
 }
 
@@ -928,8 +970,8 @@ mod tests {
         let mask = Mask::rect(4, 4, 0, 0, 2, 2);
         let (vals, _) = backend.query_many_timed(std::slice::from_ref(&mask));
         assert_eq!(vals, vec![server.query(&mask)]);
-        // the engine keeps no decomposition memo: one cache, keyed by mask
-        assert_eq!(backend.decomp_cache_stats(), (0, 0));
+        // one cache, reported through both methods until STATS is revised
+        assert_eq!(backend.decomp_cache_stats(), (1, 1));
         assert_eq!(backend.plan_cache_stats(), (1, 1, 0));
         assert_eq!(backend.hierarchy().h(), 4);
     }
@@ -942,10 +984,12 @@ mod tests {
         assert_eq!(server.plan_cache_stats(), (0, 0, 0));
         let va = server.query(&a);
         assert_eq!(server.plan_cache_stats(), (0, 1, 0));
-        // repeat queries hit and skip decomposition entirely
-        let (vt, timing) = server.query_timed(&a);
+        let terms = server.compiled_terms();
+        assert!(terms > 0);
+        // repeat queries hit and read the same terms again
+        let (vt, _) = server.query_timed(&a);
         assert_eq!(vt, va);
-        assert_eq!(timing.decompose, Duration::ZERO);
+        assert_eq!(server.compiled_terms(), 2 * terms);
         assert_eq!(server.query(&a), va);
         assert_eq!(server.plan_cache_stats(), (2, 1, 0));
         // a new mask misses; a batch mixing both counts two hits
@@ -954,12 +998,15 @@ mod tests {
         let batch = server.query_many(&[a.clone(), b.clone()]);
         assert_eq!(batch[0], va);
         assert_eq!(server.plan_cache_stats(), (4, 2, 0));
-        // the shard leg keys by group, apart from the mask keys
+        // the shard leg evaluates the groups it is handed and leaves the
+        // cache untouched
         let groups = decompose(server.hierarchy(), &a);
+        let before = server.compiled_terms();
         let (values, timing) = server.query_groups_timed(&groups);
         assert_eq!(values.iter().fold(0.0f32, |acc, v| acc + v), va);
         assert_eq!(timing.decompose, Duration::ZERO);
-        assert_eq!(server.plan_cache_stats().1, 2 + groups.len() as u64);
+        assert_eq!(server.plan_cache_stats(), (4, 2, 0));
+        assert_eq!(server.compiled_terms() - before, terms);
     }
 
     #[test]
@@ -974,9 +1021,43 @@ mod tests {
                 }
             }
         }
-        assert!(server.plans.len() <= PLAN_CACHE_CAP);
+        assert!(server.decompositions.len() <= crate::cache::DECOMP_CACHE_CAP);
         // 16 distinct masks, 4 rounds: first round misses, rest hit
         assert_eq!(server.plan_cache_stats(), (48, 16, 0));
+    }
+
+    /// The resolver walk hands out exactly the index's terms, and a
+    /// foreign index (no entries) resolves every cell to its direct
+    /// prediction.
+    #[test]
+    fn resolve_group_falls_back_to_direct_predictions() {
+        let (hier, index, _) = exact_setup();
+        let mut foreign = index.clone();
+        foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new(&hier);
+        let pair = DecomposedGroup {
+            layer: 0,
+            cells: vec![(0, 0), (0, 1)],
+        };
+        let mut terms: Vec<Term> = Vec::new();
+        index.resolve_group(&pair, &mut terms);
+        assert!(!terms.is_empty());
+        let mut direct: Vec<Term> = Vec::new();
+        assert!(!foreign.resolve_group(&pair, &mut direct));
+        assert_eq!(
+            direct,
+            vec![
+                Term {
+                    cell: LayerCell::new(0, 0, 0),
+                    sign: 1,
+                    member: 0
+                },
+                Term {
+                    cell: LayerCell::new(0, 0, 1),
+                    sign: 1,
+                    member: 0
+                },
+            ]
+        );
     }
 
     #[test]

@@ -185,6 +185,7 @@ pub struct EnsemblePlan {
 
 impl EnsemblePlan {
     /// Looks up the planned combination of a single grid.
+    #[inline]
     pub fn for_cell(&self, cell: LayerCell) -> Option<&ModelCombination> {
         if self.hier.k() == 2 {
             self.tree.get_cell(cell)
@@ -196,6 +197,7 @@ impl EnsemblePlan {
     /// Looks up the planned combination of a multi-grid (same-parent 2–3
     /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
     /// whose tree has no slots.
+    #[inline]
     pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&ModelCombination> {
         self.tree.get_multi(layer, cells)
     }

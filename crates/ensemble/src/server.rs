@@ -3,22 +3,23 @@
 //! An [`EnsemblePlan`] resolves each decomposition tile to a
 //! [`crate::plan::ModelCombination`] whose terms each name the member
 //! store they read. Implementing [`Resolver`] for it puts the ensemble on
-//! the one online path every backend runs — compiled plans, the plan
-//! cache keyed under the plan revision, batch fan-out over one consistent
-//! snapshot per member, the shard leg — so [`EnsembleServer`] is just
-//! [`Engine`] over a plan. What stays here are the plan's own metrics.
+//! the one online path every backend runs — the mask → decomposition
+//! cache, [`o4a_core::server::interpret`] over one consistent snapshot
+//! per member, the shard leg — so [`EnsembleServer`] is just [`Engine`]
+//! over a plan. What stays here are the plan's own metrics.
 //!
 //! A plan whose entries all name one member resolves to exactly the terms
 //! of that member's own index, in the same order, so it answers
 //! bit-identically to the member's [`o4a_core::server::RegionServer`].
 
 use crate::plan::{EnsemblePlan, ModelCombination};
-use o4a_core::compiled::{Resolver, Term};
-use o4a_core::server::Engine;
+use o4a_core::server::{Engine, Resolver, Term};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_obs::Histogram;
 use std::sync::Arc;
 
+/// The retired compiled-plan entry point under its ensemble name, kept
+/// only for the frozen benchmark (see [`o4a_core::compiled`]).
 pub use o4a_core::compiled::compile_groups as compile_egroups;
 
 /// The online ensemble server: an [`EnsemblePlan`] over one
@@ -48,9 +49,7 @@ impl Resolver for EnsemblePlan {
         self.members.len()
     }
 
-    /// A re-plan bumps the revision, so a compiled plan cached under the
-    /// previous plan is never served.
-    fn epoch(&self) -> u64 {
+    fn revision(&self) -> u64 {
         self.revision as u64
     }
 
@@ -269,6 +268,7 @@ mod tests {
         let (timed, _) = server.query_many_timed(&masks);
         assert_eq!(plain, timed);
         assert_eq!(server.plan_cache_stats(), (3, 3, 0));
+        assert_eq!(server.decomp_cache_stats(), (3, 3));
         let backend: &dyn QueryBackend = &server;
         assert_eq!(backend.plan_revision(), 1);
         assert_eq!(backend.hierarchy().w(), 4);

@@ -1,15 +1,15 @@
 //! One engine, two resolvers: a `RegionServer` (combination index) and an
 //! `EnsembleServer` (a hand-mixed two-member plan) both answer through
-//! compiled plans fetched from one cache, and both must equal the
-//! interpreted oracle **bit for bit** — on f32 and f16 stores, through
-//! the batch path (`query_many_timed`, keyed by mask) and through the
-//! shard leg (`query_groups_timed`, keyed by group, folded back in
-//! decompose order), on a cold cache and on a warm one.
+//! `interpret` from one mask → decomposition cache, and both must equal
+//! the oracle **bit for bit** — on f32 and f16 stores, through the batch
+//! path (`query_many_timed`, which caches by mask) and through the shard
+//! leg (`query_groups_timed`, which caches nothing, folded back in
+//! decompose order), on a cold cache and on a warm one. The engine also
+//! reads every snapshot fresh and refuses stores of another hierarchy.
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
-use o4a_core::compiled::Resolver;
 use o4a_core::frames::FrameSet;
-use o4a_core::server::{interpret, PredictionStore, QueryBackend, RegionServer};
+use o4a_core::server::{interpret, PredictionStore, QueryBackend, RegionServer, Resolver};
 use o4a_core::CombinationIndex;
 use o4a_ensemble::{EnsemblePlan, EnsembleServer, ModelCombination, ModelTerm, PlanReport};
 use o4a_grid::decompose::decompose;
@@ -162,8 +162,58 @@ proptest! {
             &snaps,
             &mask,
         )?;
-        // the warm passes hit: one mask plan plus one plan per group
-        let (hits, misses, _) = ensemble.plan_cache_stats();
-        prop_assert_eq!(hits, misses);
+        // the warm pass hits the mask the cold pass cached; the shard
+        // leg touches no cache
+        prop_assert_eq!(ensemble.plan_cache_stats(), (1, 1, 0));
     }
+}
+
+/// `publish_checked` swaps snapshot *values* under a fixed layout; the
+/// engine caches by mask, so the second query must be a cache hit that
+/// nevertheless reads the freshly published values — a stale answer here
+/// would be a correctness bug, not a perf bug.
+#[test]
+fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
+    let (hier, index, _) = fixture();
+    let store = Arc::new(PredictionStore::for_hierarchy(hier));
+    store.publish_checked(seeded_frames(hier, 1)).unwrap();
+    let server = RegionServer::new(index.clone(), store.clone());
+    let mask = Mask::rect(SIDE, SIDE, 0, 1, 6, 7);
+    let groups = decompose(hier, &mask);
+
+    let before = server.query(&mask);
+    let (h0, m0, _) = server.plan_cache_stats();
+
+    let frames2 = seeded_frames(hier, 2);
+    store.publish_checked(frames2.clone()).unwrap();
+    let after = server.query(&mask);
+    let (h1, m1, _) = server.plan_cache_stats();
+
+    assert_eq!(m1, m0, "same mask must not decompose again");
+    assert_eq!(h1, h0 + 1, "second query must hit the cache");
+    let want = interpret(index, &[FrameSet::from_f32(frames2).view()], &groups);
+    assert_eq!(
+        after.to_bits(),
+        want.to_bits(),
+        "a cache hit served stale or wrong values after publish_checked"
+    );
+    assert_ne!(
+        before.to_bits(),
+        after.to_bits(),
+        "fixture snapshots must actually differ for this test to prove anything"
+    );
+}
+
+/// The engine serves only stores built for its index's hierarchy, so a
+/// snapshot without a value for some cell the index names can never
+/// reach a query: a store built for another hierarchy is refused at
+/// construction.
+#[test]
+#[should_panic(expected = "built for another hierarchy")]
+fn engine_rejects_a_store_built_for_another_hierarchy() {
+    let (hier, index, _) = fixture();
+    let other = Hierarchy::new(SIDE, SIDE, 2, hier.num_layers() - 1).unwrap();
+    let store = Arc::new(PredictionStore::for_hierarchy(&other));
+    store.publish_checked(seeded_frames(&other, 3)).unwrap();
+    RegionServer::new(index.clone(), store);
 }

@@ -18,12 +18,12 @@
 //! robin. `--zipf <s>` draws each request's mask from a Zipf(s)
 //! distribution over pool ranks (weight `1/(i+1)^s`), concentrating
 //! traffic on a hot head of regions the way real prediction dashboards
-//! do — this is what makes the server-side plan cache and shard load
-//! split worth measuring. `--hot-masks N` bounds the working set to the
-//! first N pool masks, so the server's compiled-plan cache (and, behind
-//! `--shards`, the router's decomposition memo) converge to a steady hit
-//! rate (reported in the JSON as `plan_cache_hit_rate` /
-//! `decomp_cache_hit_rate` from the final STATS snapshot).
+//! do — this is what makes the server-side decomposition cache and shard
+//! load split worth measuring. `--hot-masks N` bounds the working set to
+//! the first N pool masks, so the server's decomposition cache (the
+//! engine's, or behind `--shards` the router's) converges to a steady hit
+//! rate (reported in the JSON under both `decomp_cache` and `plan_cache`,
+//! which read that one cache, from the final STATS snapshot).
 //!
 //! **Tail reporting.** Bucket percentiles come from the shared
 //! `o4a_obs::Histogram` (√2-geometric buckets: the reported quantile is

@@ -18,8 +18,7 @@
 //!   event-loop thread per core owns its sockets, reassembles their
 //!   frames and answers their queries itself. The queries one wake
 //!   parses **coalesce** into a single
-//!   [`o4a_core::server::QueryBackend::query_many_timed`] call
-//!   (exercising the PR-1 parallel fan-out under real traffic); beyond
+//!   [`o4a_core::server::QueryBackend::query_many_timed`] call; beyond
 //!   the loop's **bounded admission backlog** requests are shed with an
 //!   explicit `BUSY` response instead of unbounded latency, and a
 //!   panicking backend call answers `ERROR` without taking the loop

@@ -25,19 +25,13 @@
 
 use o4a_core::cache::{CacheMetrics, ClockCache};
 use o4a_core::server::{QueryBackend, QueryTiming};
-use o4a_grid::decompose::{decompose, DecomposedGroup};
+use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Masks the router's decomposition memo retains. Serving workloads
-/// query a small working set of regions over and over (every snapshot
-/// refresh re-answers the same masks), so a few hundred entries cover the
-/// common case while bounding memory for adversarial mask streams.
-const DECOMP_CACHE_CAP: usize = 256;
 
 /// Virtual nodes per shard on the hash ring. 32 left arc lengths lumpy
 /// enough that K=2 deployments measured a ~4x per-shard load skew; 128
@@ -99,9 +93,9 @@ pub struct ShardRouter {
     shards: Vec<Arc<dyn QueryBackend>>,
     /// Sorted (hash point, shard) ring.
     ring: Vec<(u64, usize)>,
-    /// Mask → decomposition memo: the router decomposes masks itself
-    /// (the shards only ever see groups), so the STATS memo counters come
-    /// from here.
+    /// Mask → decomposition memo: the router decomposes masks itself and
+    /// its shards only ever see groups, so this is the router's one cache
+    /// and every STATS cache counter comes from here.
     decompositions: ClockCache<Mask, Arc<Vec<DecomposedGroup>>>,
     /// Groups routed to each shard since start.
     loads: Vec<AtomicU64>,
@@ -164,7 +158,7 @@ impl ShardRouter {
         ShardRouter {
             shards,
             ring,
-            decompositions: ClockCache::new(DECOMP_CACHE_CAP, memo_metrics),
+            decompositions: ClockCache::decompositions(memo_metrics),
             loads,
             routed_metrics,
         }
@@ -255,10 +249,7 @@ impl QueryBackend for ShardRouter {
         let t0 = Instant::now();
         let decomps: Vec<Arc<Vec<DecomposedGroup>>> = masks
             .iter()
-            .map(|m| {
-                self.decompositions
-                    .get_or_insert_with(m, 0, || Arc::new(decompose(hier, m)))
-            })
+            .map(|m| self.decompositions.decomposition(hier, m))
             .collect();
         let decompose_t = t0.elapsed();
         // flatten every mask's groups, remembering each mask's span
@@ -272,11 +263,13 @@ impl QueryBackend for ShardRouter {
             })
             .collect();
         let (values, index_t) = self.scatter_gather(&flat);
-        // fold each mask's per-group values in decomposition order — the
-        // exact f32 additions the unsharded path performs
+        // fold each mask's per-group values in decomposition order from
+        // 0.0 — the exact f32 additions the unsharded path performs (an
+        // empty f32 `sum()` is -0.0, which a mask without cells would
+        // answer)
         let out: Vec<f32> = spans
             .iter()
-            .map(|span| values[span.clone()].iter().sum())
+            .map(|span| values[span.clone()].iter().fold(0.0f32, |acc, v| acc + v))
             .collect();
         (
             out,
@@ -303,6 +296,16 @@ impl QueryBackend for ShardRouter {
         (hits, misses)
     }
 
+    /// The memo again: the shards answer the groups they are handed
+    /// without touching their own caches.
+    fn plan_cache_stats(&self) -> (u64, u64, u64) {
+        self.decompositions.stats()
+    }
+
+    fn compiled_terms(&self) -> u64 {
+        self.shards.iter().map(|s| s.compiled_terms()).sum()
+    }
+
     fn plan_revision(&self) -> u64 {
         self.shards[0].plan_revision()
     }
@@ -312,19 +315,6 @@ impl QueryBackend for ShardRouter {
             .iter()
             .map(|l| l.load(Ordering::Relaxed))
             .collect()
-    }
-
-    fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        // the router holds no plan cache of its own; the shards compile
-        // per-group-slice plans — report their totals
-        self.shards.iter().fold((0, 0, 0), |acc, s| {
-            let (h, m, e) = s.plan_cache_stats();
-            (acc.0 + h, acc.1 + m, acc.2 + e)
-        })
-    }
-
-    fn compiled_terms(&self) -> u64 {
-        self.shards.iter().map(|s| s.compiled_terms()).sum()
     }
 }
 

@@ -20,8 +20,8 @@
 //! * Once a wake's readiness events are all handled, the loop **runs its
 //!   pending jobs**: everything that wake parsed coalesces into batches of
 //!   at most [`ServeConfig::max_batch_masks`] masks, each answered by one
-//!   [`QueryBackend::query_many_timed`] call (one snapshot set, parallel
-//!   fan-out across the compute pool). The responses fill their slots and
+//!   [`QueryBackend::query_many_timed`] call (one snapshot set, answered
+//!   on the loop's own thread). The responses fill their slots and
 //!   are flushed before the loop blocks again, so nothing is pending while
 //!   a loop waits. A panicking backend call answers its batch with
 //!   `ERROR` and the loop keeps serving.
@@ -121,8 +121,8 @@ impl ServerStats {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             decompose_ns: self.decompose_ns.load(Ordering::Relaxed),
             index_ns: self.index_ns.load(Ordering::Relaxed),
-            // the decomposition memo, plan revision, shard loads and
-            // plan-cache counters live in the query backend, not here;
+            // the decomposition-cache counters, plan revision, shard
+            // loads and term count live in the query backend, not here;
             // `Shared::stats_snapshot` fills these in
             decomp_cache_hits: 0,
             decomp_cache_misses: 0,
@@ -177,10 +177,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// Serving counters merged with the backend's decomposition-memo
-    /// hit/miss counters (zeros unless it is a shard router), its active
-    /// plan revision (`0` for a single-model backend), its per-shard load
-    /// counters (empty unsharded) and its compiled-plan cache counters.
+    /// Serving counters merged with the backend's decomposition-cache
+    /// counters (in both the decomp- and the plan-cache fields), its
+    /// active plan revision (`0` for a single-model backend), its
+    /// per-shard load counters (empty unsharded) and its term count.
     fn stats_snapshot(&self) -> StatsSnapshot {
         let mut s = self.stats.snapshot();
         let (hits, misses) = self.region.decomp_cache_stats();
@@ -407,7 +407,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
             }
         }
         // backends key their per-stage spans (shard scatter/gather,
-        // lookup/aggregate) off the calling thread's current trace id
+        // aggregate) off the calling thread's current trace id
         trace::set_current(batch_tid);
     }
     let Ok((values, timing)) =
@@ -441,7 +441,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
         // nanosecond values added to the STATS counters below, so a
         // drained trace's decompose/index sums reconcile bit-exactly
         // with STATS (the measured spans above are wall-clock and
-        // include fan-out overhead the backend doesn't attribute).
+        // include overhead the backend doesn't attribute).
         trace::emit(&SpanEvent {
             trace_id: batch_tid,
             span: SpanKind::Decompose as u16,

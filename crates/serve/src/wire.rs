@@ -206,14 +206,15 @@ pub struct StatsSnapshot {
     pub busy_rejections: u64,
     /// Malformed frames received.
     pub protocol_errors: u64,
-    /// Total decomposition CPU time (ns).
+    /// Total decomposition CPU time (ns): the backend's cache probe plus
+    /// the decomposition on a miss.
     pub decompose_ns: u64,
     /// Total lookup + aggregation CPU time (ns).
     pub index_ns: u64,
-    /// Decomposition memo hits (a shard router's mask memo; `0` for an
-    /// unsharded engine, which keys its plans by mask and keeps no memo).
+    /// Hits of the backend's mask → decomposition cache (an engine's, or
+    /// a shard router's).
     pub decomp_cache_hits: u64,
-    /// Decomposition memo misses (`0` for an unsharded engine).
+    /// Misses of the same cache (each miss decomposes its mask).
     pub decomp_cache_misses: u64,
     /// Revision of the active ensemble plan; `0` for a single-model
     /// backend.
@@ -222,13 +223,14 @@ pub struct StatsSnapshot {
     /// order; empty for an unsharded backend. On the wire: a `u16` count
     /// (at most [`MAX_SHARDS`]) and that many `u64`s.
     pub shard_loads: Vec<u64>,
-    /// Compiled-plan cache hits.
+    /// The decomposition cache's hits again (the field predates the
+    /// one-cache engine and stays until STATS is revised).
     pub plan_cache_hits: u64,
-    /// Compiled-plan cache misses (each miss compiles a plan).
+    /// The decomposition cache's misses again.
     pub plan_cache_misses: u64,
-    /// Compiled plans evicted by the cache's CLOCK cap.
+    /// Decompositions evicted by the cache's CLOCK cap.
     pub plan_cache_evictions: u64,
-    /// Total index terms executed through compiled plans.
+    /// Total resolved terms read to answer queries.
     pub compiled_terms: u64,
 }
 

@@ -138,7 +138,7 @@ fn single_mask_served_latency_does_not_regress() {
         median(samples)
     };
 
-    // warmup (fills the plan cache for this mask)
+    // warmup (fills the decomposition cache for this mask)
     for _ in 0..50 {
         let _ = region.query(&mask);
         let _ = region.query_many(std::slice::from_ref(&mask));
@@ -179,8 +179,8 @@ fn single_mask_served_latency_does_not_regress() {
     handle.shutdown();
 }
 
-/// STATS surfaces the decomposition-memo counters of the backend that
-/// keeps the memo — a shard router (here K=1 over the region server): a
+/// STATS surfaces the decomposition-memo counters of the backend, here a
+/// shard router (K=1 over the region server) that keeps its own memo: a
 /// repeated mask hits, a fresh one misses.
 #[test]
 fn stats_surface_decomp_cache_counters() {

@@ -207,8 +207,9 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
     handle.shutdown();
 
     // Cache counters travel both roads too: STATS (per-router atomics)
-    // and the registry (global counters). The decomposition memo lives in
-    // the shard router; one router exists here, so they must agree.
+    // and the registry (global counters). A shard router reports its own
+    // memo under o4a_decomp_cache_*; one router exists here, so they must
+    // agree.
     let router = ShardRouter::new(vec![region as Arc<dyn QueryBackend>]);
     let handle = serve(
         Arc::new(router),

@@ -1,9 +1,9 @@
-//! The compiled-plan cache counters surface twice — as STATS fields
-//! (per-backend atomics, summed across shards by the router) and
-//! as the Prometheus families `o4a_plan_cache_{hits,misses,evictions}_total`
-//! (process-global registry) — and both sides are incremented in
-//! lockstep, so a METRICS scrape must reconcile exactly with the STATS
-//! payload.
+//! An engine's mask → decomposition cache counters surface twice — as
+//! the STATS plan-cache fields (the engine's own atomics) and as the
+//! Prometheus families `o4a_plan_cache_{hits,misses,evictions}_total`
+//! (process-global registry, fed by query engines only) — and both sides
+//! are incremented in lockstep, so a METRICS scrape of an unsharded
+//! engine must reconcile exactly with the STATS payload.
 //!
 //! This file deliberately contains exactly ONE `#[test]`: the counters
 //! live in the process-global registry, so the backend under test must be
@@ -15,12 +15,12 @@ use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
 use o4a_data::synthetic::DatasetKind;
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::{Hierarchy, Mask};
-use o4a_serve::{serve, Client, ClientConfig, ServeConfig, ShardRouter};
+use o4a_serve::{serve, Client, ClientConfig, ServeConfig};
 use std::sync::Arc;
 
 const SIDE: usize = 16;
 
-fn fixture(k: usize) -> Arc<ShardRouter> {
+fn fixture() -> Arc<RegionServer> {
     let hier = Hierarchy::new(SIDE, SIDE, 2, 4).unwrap();
     let flow = DatasetKind::TaxiNycLike
         .config(SIDE, SIDE, 32, 9)
@@ -33,10 +33,7 @@ fn fixture(k: usize) -> Arc<ShardRouter> {
     store
         .publish_checked(truths.iter().map(|layer| layer[0].clone()).collect())
         .unwrap();
-    let shards: Vec<Arc<dyn QueryBackend>> = (0..k)
-        .map(|_| Arc::new(RegionServer::new(index.clone(), store.clone())) as Arc<dyn QueryBackend>)
-        .collect();
-    Arc::new(ShardRouter::new(shards))
+    Arc::new(RegionServer::new(index, store))
 }
 
 fn query_masks() -> Vec<Mask> {
@@ -63,7 +60,7 @@ fn sample(exposition: &str, name: &str) -> u64 {
 #[test]
 fn plan_cache_counters_reconcile_between_stats_and_metrics() {
     let handle = serve(
-        fixture(2) as Arc<dyn QueryBackend>,
+        fixture() as Arc<dyn QueryBackend>,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             ..ServeConfig::default()
@@ -72,7 +69,7 @@ fn plan_cache_counters_reconcile_between_stats_and_metrics() {
     .unwrap();
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
     // two passes over a bounded mask set: the second pass must hit the
-    // per-shard plan caches
+    // engine's cache
     let masks = query_masks();
     for _ in 0..2 {
         for mask in &masks {
@@ -83,19 +80,16 @@ fn plan_cache_counters_reconcile_between_stats_and_metrics() {
     let exposition = client.metrics().unwrap();
     handle.shutdown();
 
-    // the STATS plan-cache fields carry the router's per-shard sums
+    // the STATS plan-cache fields carry the engine's cache counters
     assert!(
         stats.plan_cache_misses > 0,
-        "first pass must have compiled plans"
+        "first pass must have decomposed masks"
     );
     assert!(
         stats.plan_cache_hits > 0,
-        "second pass over the same masks must hit the plan cache"
+        "second pass over the same masks must hit the cache"
     );
-    assert!(
-        stats.compiled_terms > 0,
-        "compiled plans must have executed"
-    );
+    assert!(stats.compiled_terms > 0, "queries must have read terms");
 
     // and they must equal the process-global Prometheus counters exactly
     assert_eq!(

@@ -91,8 +91,10 @@ proptest::proptest! {
     #[test]
     fn random_masks_bit_identical_across_shard_counts(seed in 0u64..1_000_000) {
         let (_, single, routers) = fixture();
+        // plus a mask without cells, which decomposes to no groups
         let masks: Vec<Mask> = (0..1 + seed % 5)
             .map(|i| mask_for(seed.wrapping_mul(97).wrapping_add(i)))
+            .chain([Mask::empty(SIDE, SIDE)])
             .collect();
         let (reference, _) = single.query_many_timed(&masks);
         for (ki, router) in routers.iter().enumerate() {

@@ -70,6 +70,12 @@ fn sharded_answers_bit_match_unsharded_over_the_wire() {
             "K=2 wire answer differs from the unsharded backend"
         );
     }
+    // a mask without cells decomposes to no groups: both sides fold from
+    // 0.0 and answer +0.0
+    let empty = Mask::empty(SIDE, SIDE);
+    let (remote, _) = client.query(&empty).unwrap();
+    assert_eq!(remote.to_bits(), single.query(&empty).to_bits());
+    assert_eq!(remote.to_bits(), 0.0f32.to_bits());
     // batch path too: one frame, one coalesced execution
     let masks = query_masks();
     let (remote, timing) = client.query_batch(&masks).unwrap();

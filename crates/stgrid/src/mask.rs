@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// The bits past cell `h * w - 1` in the last word are always zero. Every
 /// constructor and operation keeps them so, which makes the derived `Eq`
 /// and `Hash` over the words agree with cell-wise equality: masks key the
-/// compiled-plan cache and the shard router's decomposition memo.
+/// query engines' and the shard router's decomposition caches.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Mask {
     h: usize,

@@ -2,7 +2,7 @@
 //! rescanning the remaining region cell by cell at every layer.
 //!
 //! Equal output means equal groups in equal order with equal cells, which
-//! is what keeps every compiled plan, and so every answer, bit-identical.
+//! is what keeps every answer bit-identical.
 
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::queries::{task_queries, TaskSpec};

@@ -114,18 +114,6 @@ pub(crate) type WidenFn = fn(src: &[u16], dst: &mut [f32]);
 /// the exact semantics of the `vcvtps2ph` instruction).
 pub(crate) type NarrowFn = fn(src: &[f32], dst: &mut [u16]);
 
-/// Signed gather over f32 storage: `out[i] = signs[i] * src[offsets[i]]`.
-/// `unsafe`: the hardware-gather tiers cannot bounds-check `offsets`, so
-/// the caller must guarantee every offset indexes into `src` (see
-/// [`crate::gather`] for the public contract).
-pub(crate) type GatherF32Fn =
-    unsafe fn(src: &[f32], offsets: &[u32], signs: &[f32], out: &mut [f32]);
-
-/// Signed gather over f16 bit-pattern storage (values widened losslessly
-/// before the sign multiply). Same safety contract as [`GatherF32Fn`].
-pub(crate) type GatherF16Fn =
-    unsafe fn(src: &[u16], offsets: &[u32], signs: &[f32], out: &mut [f32]);
-
 /// The per-ISA kernel table. One static instance exists per tier; all hot
 /// paths route through [`dispatch`]`()` so the selection is a single atomic
 /// load + indirect call.
@@ -162,10 +150,6 @@ pub(crate) struct Dispatch {
     pub widen_f16: WidenFn,
     /// f32 -> f16 narrowing.
     pub narrow_f16: NarrowFn,
-    /// Signed gather over f32 storage (compiled query plans).
-    pub gather_signed_f32: GatherF32Fn,
-    /// Signed gather over f16 storage (compiled query plans).
-    pub gather_signed_f16: GatherF16Fn,
 }
 
 static SCALAR: Dispatch = Dispatch {
@@ -185,8 +169,6 @@ static SCALAR: Dispatch = Dispatch {
     adam: crate::simd::scalar::adam,
     widen_f16: crate::half::widen_f16_scalar,
     narrow_f16: crate::half::narrow_f16_scalar,
-    gather_signed_f32: crate::simd::scalar::gather_signed_f32,
-    gather_signed_f16: crate::simd::scalar::gather_signed_f16,
 };
 
 /// The AVX2 tier upgrades the GEMM micro-kernel, the A packer and the half
@@ -211,8 +193,6 @@ static AVX2: Dispatch = Dispatch {
     adam: crate::simd::scalar::adam,
     widen_f16: crate::simd::avx2::widen_f16,
     narrow_f16: crate::simd::avx2::narrow_f16,
-    gather_signed_f32: crate::simd::avx2::gather_signed_f32,
-    gather_signed_f16: crate::simd::avx2::gather_signed_f16,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -233,8 +213,6 @@ static AVX512: Dispatch = Dispatch {
     adam: crate::simd::avx512::adam,
     widen_f16: crate::simd::avx512::widen_f16,
     narrow_f16: crate::simd::avx512::narrow_f16,
-    gather_signed_f32: crate::simd::avx512::gather_signed_f32,
-    gather_signed_f16: crate::simd::avx512::gather_signed_f16,
 };
 
 fn table(isa: Isa) -> &'static Dispatch {

@@ -51,7 +51,6 @@
 //! state. `O4A_POOL=0` disables pooling without changing any result bit.
 
 pub mod conv;
-pub mod gather;
 mod gemm;
 pub mod half;
 pub mod init;

@@ -93,38 +93,6 @@ pub(crate) mod scalar {
             pd[i] -= lr * mhat / (vhat.sqrt() + eps);
         }
     }
-
-    /// `out[i] = signs[i] * src[offsets[i]]` — the reference signed-gather
-    /// chain compiled query plans stream through. Per-element, no
-    /// reduction, so any lane width reproduces it bit-exactly.
-    ///
-    /// Declared `unsafe` to share the dispatch-table signature with the
-    /// hardware-gather tiers (whose out-of-bounds offsets would be UB);
-    /// this portable body still bounds-checks, so a contract violation
-    /// panics here instead.
-    pub(crate) unsafe fn gather_signed_f32(
-        src: &[f32],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        for i in 0..out.len() {
-            out[i] = signs[i] * src[offsets[i] as usize];
-        }
-    }
-
-    /// [`gather_signed_f32`] over f16 bit-pattern storage: each gathered
-    /// value is widened (losslessly) before the sign multiply.
-    pub(crate) unsafe fn gather_signed_f16(
-        src: &[u16],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        for i in 0..out.len() {
-            out[i] = signs[i] * crate::half::f16_bits_to_f32(src[offsets[i] as usize]);
-        }
-    }
 }
 
 /// AVX2 + FMA + F16C tier: explicit 256-bit GEMM micro-kernel, 8x8-block
@@ -407,100 +375,6 @@ pub(crate) mod avx2 {
         } else {
             crate::gemm::pack_b_strip_f16_scalar(hb, strip, k, n, c0);
         }
-    }
-
-    /// Hardware `vgatherdps` signed gather, 8 lanes per step: gather the
-    /// addressed values, multiply by the sign lanes (`sign * value`, the
-    /// exact scalar operand order), store. Tails run the scalar
-    /// expression. No reduction happens here, so lanes are bit-identical
-    /// to the scalar reference.
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_signed_f32_inner(
-        src: &[f32],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let n8 = n / 8 * 8;
-        for i in (0..n8).step_by(8) {
-            let idx = _mm256_loadu_si256(offsets.as_ptr().add(i) as *const __m256i);
-            let v = _mm256_i32gather_ps::<4>(src.as_ptr(), idx);
-            let s = _mm256_loadu_ps(signs.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(s, v));
-        }
-        for i in n8..n {
-            *out.get_unchecked_mut(i) =
-                *signs.get_unchecked(i) * *src.get_unchecked(*offsets.get_unchecked(i) as usize);
-        }
-    }
-
-    /// Unchecked signed gather through the AVX2 dispatch table.
-    ///
-    /// # Safety
-    /// Every `offsets[i] as usize` must be `< src.len()`; `offsets`,
-    /// `signs` and `out` must have equal lengths (debug-asserted). The
-    /// compiled-plan builder guarantees both by construction.
-    pub(crate) unsafe fn gather_signed_f32(
-        src: &[f32],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(offsets.len() == out.len() && signs.len() == out.len());
-        // SAFETY: avx2 detected (dispatch table); offsets in bounds per
-        // the caller contract above.
-        gather_signed_f32_inner(src, offsets, signs, out)
-    }
-
-    /// f16-storage signed gather: 8 half words are gathered scalar-wise
-    /// into a stack buffer (a 32-bit hardware gather could read past the
-    /// final element), widened in one `vcvtph2ps`, then sign-multiplied.
-    /// The hardware widening bit-matches the software conversion
-    /// (exhaustively tested in `crates/tensor/tests/half_props.rs`).
-    #[target_feature(enable = "avx2,f16c")]
-    unsafe fn gather_signed_f16_inner(
-        src: &[u16],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let n8 = n / 8 * 8;
-        let mut buf = [0u16; 8];
-        for i in (0..n8).step_by(8) {
-            for (l, b) in buf.iter_mut().enumerate() {
-                *b = *src.get_unchecked(*offsets.get_unchecked(i + l) as usize);
-            }
-            let h = _mm_loadu_si128(buf.as_ptr() as *const __m128i);
-            let s = _mm256_loadu_ps(signs.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_mul_ps(s, _mm256_cvtph_ps(h)),
-            );
-        }
-        for i in n8..n {
-            *out.get_unchecked_mut(i) = *signs.get_unchecked(i)
-                * crate::half::f16_bits_to_f32(
-                    *src.get_unchecked(*offsets.get_unchecked(i) as usize),
-                );
-        }
-    }
-
-    /// Unchecked f16 signed gather through the AVX2 dispatch table.
-    ///
-    /// # Safety
-    /// Same contract as [`gather_signed_f32`].
-    pub(crate) unsafe fn gather_signed_f16(
-        src: &[u16],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(offsets.len() == out.len() && signs.len() == out.len());
-        // SAFETY: avx2+f16c detected (dispatch table); offsets in bounds
-        // per the caller contract above.
-        gather_signed_f16_inner(src, offsets, signs, out)
     }
 }
 
@@ -1025,95 +899,5 @@ pub(crate) mod avx512 {
         // SAFETY: avx512f detected (dispatch table); 16-lane chunks stay
         // within the equal-length slices.
         unsafe { adam_inner(pd, g, md, vd, hp) }
-    }
-
-    /// 16-lane `vgatherdps` signed gather; tails run the scalar
-    /// expression. Per-element only (no reduction), so bit-identical to
-    /// the scalar reference.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gather_signed_f32_inner(
-        src: &[f32],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let n16 = n / 16 * 16;
-        for i in (0..n16).step_by(16) {
-            let idx = _mm512_loadu_si512(offsets.as_ptr().add(i) as *const __m512i);
-            let v = _mm512_i32gather_ps::<4>(idx, src.as_ptr());
-            let s = _mm512_loadu_ps(signs.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_mul_ps(s, v));
-        }
-        for i in n16..n {
-            *out.get_unchecked_mut(i) =
-                *signs.get_unchecked(i) * *src.get_unchecked(*offsets.get_unchecked(i) as usize);
-        }
-    }
-
-    /// Unchecked signed gather through the AVX-512 dispatch table.
-    ///
-    /// # Safety
-    /// Every `offsets[i] as usize` must be `< src.len()`; `offsets`,
-    /// `signs` and `out` must have equal lengths (debug-asserted). The
-    /// compiled-plan builder guarantees both by construction.
-    pub(crate) unsafe fn gather_signed_f32(
-        src: &[f32],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(offsets.len() == out.len() && signs.len() == out.len());
-        // SAFETY: avx512f detected (dispatch table); offsets in bounds per
-        // the caller contract above.
-        gather_signed_f32_inner(src, offsets, signs, out)
-    }
-
-    /// f16-storage signed gather: 16 half words gathered scalar-wise into
-    /// a stack buffer (a 32-bit hardware gather could read past the final
-    /// element), widened in one zmm `vcvtph2ps`, then sign-multiplied.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gather_signed_f16_inner(
-        src: &[u16],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let n16 = n / 16 * 16;
-        let mut buf = [0u16; 16];
-        for i in (0..n16).step_by(16) {
-            for (l, b) in buf.iter_mut().enumerate() {
-                *b = *src.get_unchecked(*offsets.get_unchecked(i + l) as usize);
-            }
-            let h = _mm256_loadu_si256(buf.as_ptr() as *const __m256i);
-            let s = _mm512_loadu_ps(signs.as_ptr().add(i));
-            _mm512_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm512_mul_ps(s, _mm512_cvtph_ps(h)),
-            );
-        }
-        for i in n16..n {
-            *out.get_unchecked_mut(i) = *signs.get_unchecked(i)
-                * crate::half::f16_bits_to_f32(
-                    *src.get_unchecked(*offsets.get_unchecked(i) as usize),
-                );
-        }
-    }
-
-    /// Unchecked f16 signed gather through the AVX-512 dispatch table.
-    ///
-    /// # Safety
-    /// Same contract as [`gather_signed_f32`].
-    pub(crate) unsafe fn gather_signed_f16(
-        src: &[u16],
-        offsets: &[u32],
-        signs: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(offsets.len() == out.len() && signs.len() == out.len());
-        // SAFETY: avx512f detected (dispatch table); offsets in bounds
-        // per the caller contract above.
-        gather_signed_f16_inner(src, offsets, signs, out)
     }
 }
