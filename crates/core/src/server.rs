@@ -620,8 +620,9 @@ impl<R: Resolver> Engine<R> {
     /// Records one answer's term counts (`terms[m]` read from member `m`)
     /// into the term histograms, returning their total.
     fn record_terms(&self, terms: &[u64]) -> u64 {
+        let [_, _, _, terms_h] = stage_histograms();
         let total = terms.iter().sum();
-        stage_histograms()[3].record(total);
+        terms_h.record(total);
         for (hist, &n) in self.member_terms.iter().zip(terms) {
             hist.record(n);
         }
@@ -780,7 +781,8 @@ impl<R: Resolver> QueryBackend for Engine<R> {
                 bytes: groups.len() as u64,
             });
         }
-        stage_histograms()[2].record(index.as_nanos() as u64);
+        let [_, _, aggregate_h, _] = stage_histograms();
+        aggregate_h.record(index.as_nanos() as u64);
         let total_terms = self.record_terms(&terms);
         self.terms_answered
             .fetch_add(total_terms, Ordering::Relaxed);

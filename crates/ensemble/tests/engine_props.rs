@@ -191,6 +191,7 @@ fn publish_checked_never_serves_stale_values_through_the_plan_cache() {
 
     assert_eq!(m1, m0, "same mask must not decompose again");
     assert_eq!(h1, h0 + 1, "second query must hit the cache");
+    assert!(server.compiled_terms() > 0, "queries must have read terms");
     let want = interpret(index, &[FrameSet::from_f32(frames2).view()], &groups);
     assert_eq!(
         after.to_bits(),

@@ -223,10 +223,10 @@ pub struct StatsSnapshot {
     /// order; empty for an unsharded backend. On the wire: a `u16` count
     /// (at most [`MAX_SHARDS`]) and that many `u64`s.
     pub shard_loads: Vec<u64>,
-    /// The decomposition cache's hits again (the field predates the
-    /// one-cache engine and stays until STATS is revised).
+    /// The same cache's hits as `decomp_cache_hits`: STATS carries both
+    /// fields until its next revision.
     pub plan_cache_hits: u64,
-    /// The decomposition cache's misses again.
+    /// The same cache's misses as `decomp_cache_misses`.
     pub plan_cache_misses: u64,
     /// Decompositions evicted by the cache's CLOCK cap.
     pub plan_cache_evictions: u64,

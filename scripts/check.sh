@@ -162,7 +162,8 @@ awk '
 # over the same pre-decomposed groups and snapshot. Both rows come from
 # the kernels run above, in one process, so machine drift cancels; each
 # of their samples spans >= 1 ms of back-to-back calls. The engine read
-# 1.7-2.1x here; decomposing again on every hit reads ~4x and trips it.
+# 1.4-1.9x over 7 runs on a 2-vCPU AVX-512 host; an engine that
+# decomposes again on every hit read 6.5-9.0x there and trips it.
 echo "==> query-path gate (engine query_many <= 2.5x bare interpret)"
 awk '
     /"name": "query_many_batch"/ {
