@@ -177,7 +177,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
     }
 }
 
-impl ClockCache<Mask, Arc<Vec<DecomposedGroup>>> {
+impl ClockCache<Mask, Arc<[DecomposedGroup]>> {
     /// An empty mask → decomposition cache of [`DECOMP_CACHE_CAP`] masks,
     /// reporting through `metrics`.
     pub fn decompositions(metrics: CacheMetrics) -> Self {
@@ -186,8 +186,8 @@ impl ClockCache<Mask, Arc<Vec<DecomposedGroup>>> {
 
     /// `mask`'s decomposition against `hier`: cached, or decomposed and
     /// cached on a miss.
-    pub fn decomposition(&self, hier: &Hierarchy, mask: &Mask) -> Arc<Vec<DecomposedGroup>> {
-        self.get_or_insert_with(mask, || Arc::new(decompose(hier, mask)))
+    pub fn decomposition(&self, hier: &Hierarchy, mask: &Mask) -> Arc<[DecomposedGroup]> {
+        self.get_or_insert_with(mask, || decompose(hier, mask).into())
     }
 }
 

@@ -514,7 +514,7 @@ impl From<Vec<Arc<PredictionStore>>> for MemberStores {
 pub struct Engine<R> {
     resolver: R,
     stores: Vec<Arc<PredictionStore>>,
-    decompositions: ClockCache<Mask, Arc<Vec<DecomposedGroup>>>,
+    decompositions: ClockCache<Mask, Arc<[DecomposedGroup]>>,
     terms_answered: AtomicU64,
     /// Per member: terms read from that member per query (empty when the
     /// resolver registers none). Per-member *time* cannot be measured

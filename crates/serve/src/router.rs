@@ -96,7 +96,7 @@ pub struct ShardRouter {
     /// Mask → decomposition memo: the router decomposes masks itself and
     /// its shards only ever see groups, so this is the router's one cache
     /// and every STATS cache counter comes from here.
-    decompositions: ClockCache<Mask, Arc<Vec<DecomposedGroup>>>,
+    decompositions: ClockCache<Mask, Arc<[DecomposedGroup]>>,
     /// Groups routed to each shard since start.
     loads: Vec<AtomicU64>,
     /// The same counts mirrored into the metrics registry as
@@ -247,7 +247,7 @@ impl QueryBackend for ShardRouter {
     fn query_many_timed(&self, masks: &[Mask]) -> (Vec<f32>, QueryTiming) {
         let hier = self.shards[0].hierarchy();
         let t0 = Instant::now();
-        let decomps: Vec<Arc<Vec<DecomposedGroup>>> = masks
+        let decomps: Vec<Arc<[DecomposedGroup]>> = masks
             .iter()
             .map(|m| self.decompositions.decomposition(hier, m))
             .collect();
