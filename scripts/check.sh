@@ -162,7 +162,7 @@ awk '
 # over the same pre-decomposed groups and snapshot. Both rows come from
 # the kernels run above, in one process, so machine drift cancels; each
 # of their samples spans >= 1 ms of back-to-back calls. The engine read
-# 1.4-1.9x over 7 runs on a 2-vCPU AVX-512 host; an engine that
+# 1.4-2.1x over 16 runs on a 2-vCPU AVX-512 host; an engine that
 # decomposes again on every hit read 6.5-9.0x there and trips it.
 echo "==> query-path gate (engine query_many <= 2.5x bare interpret)"
 awk '
