@@ -195,7 +195,7 @@ fn main() {
     }
     masks.truncate(512);
 
-    // Warm both plan caches, then interleave the rounds so any
+    // Warm both engines' caches, then interleave the rounds so any
     // background-load burst hits both backends equally. The overhead is
     // the median of per-round ratios: each round times the two backends
     // back to back, so a load burst inflates both sides of its ratio and

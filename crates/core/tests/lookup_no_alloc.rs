@@ -1,4 +1,4 @@
-//! A plan-cache miss resolves every decomposed group through
+//! Every query resolves each decomposed group through
 //! `CombinationIndex::{for_cell, for_multi}`. Both read the implicitly
 //! stored quad-tree from the group's coordinates, so a lookup allocates
 //! nothing: this binary counts the allocation events of every lookup an
