@@ -1,5 +1,5 @@
 //! `serve` — cold-start a One4All-ST query server from on-disk artifacts
-//! and answer region queries over the `O4ARPC01` wire protocol.
+//! and answer region queries over the `O4ARPC02` wire protocol.
 //!
 //! Three start modes:
 //!

@@ -124,11 +124,15 @@ impl Client {
     /// Sends a request, redialing once per configured reconnect when the
     /// transport fails.
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let frame = wire::encode_request(req);
+        self.call_frame(&wire::encode_request(req))
+    }
+
+    /// Sends an encoded request frame, with [`Client::call`]'s redials.
+    fn call_frame(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
         let mut attempts_left = self.cfg.reconnects + 1;
         loop {
             attempts_left -= 1;
-            match self.exchange(&frame) {
+            match self.exchange(frame) {
                 Ok(resp) => return Ok(resp),
                 Err(TransportError::Wire(e)) => return Err(ClientError::Wire(e)),
                 Err(TransportError::Closed) | Err(TransportError::Io(_)) if attempts_left > 0 => {
@@ -148,7 +152,7 @@ impl Client {
     /// Predicts one region mask; returns the value and the timing
     /// breakdown of the execution batch the request rode in.
     pub fn query(&mut self, mask: &Mask) -> Result<(f32, TimingNs), ClientError> {
-        match self.call(&Request::Query(mask.clone()))? {
+        match self.call_frame(&wire::encode_query(mask))? {
             Response::Prediction { value, timing } => Ok((value, timing)),
             other => Err(unexpected(other)),
         }
@@ -156,7 +160,7 @@ impl Client {
 
     /// Predicts a batch of masks in one round trip.
     pub fn query_batch(&mut self, masks: &[Mask]) -> Result<(Vec<f32>, TimingNs), ClientError> {
-        match self.call(&Request::Batch(masks.to_vec()))? {
+        match self.call_frame(&wire::encode_batch(masks))? {
             Response::BatchResult { values, timing } => Ok((values, timing)),
             other => Err(unexpected(other)),
         }

@@ -6,11 +6,11 @@
 //! paper's *online* phase being an actual service rather than an
 //! in-process call. The crate gives the reproduction a service boundary:
 //!
-//! * [`wire`] — the `O4ARPC01` little-endian binary protocol (QUERY /
-//!   BATCH / HEALTH / STATS / METRICS / TRACE verbs, checksummed
-//!   frames, a total decoder that can never panic on hostile bytes)
-//!   plus the incremental [`wire::FrameAssembler`] the data plane
-//!   parses TCP fragments with;
+//! * [`wire`] — the `O4ARPC02` little-endian binary protocol (QUERY /
+//!   BATCH / HEALTH / STATS / METRICS / TRACE verbs, frames sealed with a
+//!   word-speed lane checksum that catches every single-bit flip, a total
+//!   decoder that can never panic on hostile bytes) plus the incremental
+//!   [`wire::FrameAssembler`] the data plane parses TCP fragments with;
 //! * [`evio`] — a minimal vendored epoll/eventfd readiness layer over
 //!   raw syscalls (no external deps): edge-triggered [`evio::Poller`],
 //!   cross-thread [`evio::WakeFd`], pooled read buffers;
@@ -18,7 +18,8 @@
 //!   event-loop thread per core owns its sockets, reassembles their
 //!   frames and answers their queries itself. The queries one wake
 //!   parses **coalesce** into a single
-//!   [`o4a_core::server::QueryBackend::query_many_timed`] call; beyond
+//!   [`o4a_core::server::QueryBackend::query_many_timed`] call, which
+//!   reads the decoded masks where the loop keeps them; beyond
 //!   the loop's **bounded admission backlog** requests are shed with an
 //!   explicit `BUSY` response instead of unbounded latency, and a
 //!   panicking backend call answers `ERROR` without taking the loop

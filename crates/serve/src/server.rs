@@ -9,7 +9,7 @@
 //! * Loop 0 owns the listener, accepts until `WouldBlock` and deals the
 //!   accepted sockets out round-robin. Every connection lives on exactly
 //!   one loop as a [`Conn`] state machine: an incremental
-//!   [`wire::FrameAssembler`] parsing `O4ARPC01` frames zero-copy out of a
+//!   [`wire::FrameAssembler`] parsing `O4ARPC02` frames zero-copy out of a
 //!   pooled read buffer, an ordered response-slot window, and a write
 //!   queue with `EPOLLOUT` backpressure.
 //! * `HEALTH`/`STATS`/`METRICS`/`TRACE` are answered inline at parse.
@@ -21,10 +21,13 @@
 //!   pending jobs**: everything that wake parsed coalesces into batches of
 //!   at most [`ServeConfig::max_batch_masks`] masks, each answered by one
 //!   [`QueryBackend::query_many_timed`] call (one snapshot set, answered
-//!   on the loop's own thread). The responses fill their slots and
-//!   are flushed before the loop blocks again, so nothing is pending while
-//!   a loop waits. A panicking backend call answers its batch with
-//!   `ERROR` and the loop keeps serving.
+//!   on the loop's own thread). A request's decoded masks move onto the
+//!   loop's pending mask list at admission and the backend reads each
+//!   batch's masks there, so no mask is copied between the frame and the
+//!   engine. The responses fill their slots and are flushed before the
+//!   loop blocks again, so nothing is pending while a loop waits. A
+//!   panicking backend call answers its batch with `ERROR` and the loop
+//!   keeps serving.
 //!
 //! Responses are paired with requests by order, so each connection keeps
 //! a seq-indexed slot window: inline answers fill their slot at parse
@@ -143,7 +146,9 @@ struct ExecJob {
     token: u64,
     /// Response-slot sequence number on that connection.
     seq: u64,
-    masks: Vec<Mask>,
+    /// Masks the request carries; they sit in the loop's pending mask
+    /// list, in job order.
+    n_masks: usize,
     /// Whether to answer with `Prediction` (single) or `BatchResult`.
     single: bool,
     /// Parse time, for the `serve_request` latency histogram.
@@ -377,11 +382,11 @@ fn batch_masks_histogram() -> &'static o4a_obs::Histogram {
     )
 }
 
-/// Answers one coalesced batch with a single backend call and encodes the
-/// response frames, one per job in job order. A panicking backend call
-/// answers every job with `ERROR` instead.
-fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> {
-    let all: Vec<Mask> = jobs.iter().flat_map(|j| j.masks.iter().cloned()).collect();
+/// Answers one coalesced batch with a single backend call over `all`, the
+/// jobs' masks in job order, and encodes the response frames, one per job
+/// in job order. A panicking backend call answers every job with `ERROR`
+/// instead.
+fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob], all: &[Mask]) -> Vec<Vec<u8>> {
     // A batch's spans are attributed to the first sampled job's trace id
     // (an untraced batch — the common case — skips every clock read
     // below).
@@ -402,7 +407,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
                     lane: loop_id as u32,
                     t_start_ns: job.t_parse_ns,
                     t_end_ns: t_exec_ns,
-                    bytes: job.masks.len() as u64,
+                    bytes: job.n_masks as u64,
                 });
             }
         }
@@ -411,7 +416,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
         trace::set_current(batch_tid);
     }
     let Ok((values, timing)) =
-        catch_unwind(AssertUnwindSafe(|| shared.region.query_many_timed(&all)))
+        catch_unwind(AssertUnwindSafe(|| shared.region.query_many_timed(all)))
     else {
         // the panic hook has already printed the payload
         trace::set_current(0);
@@ -484,8 +489,8 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
     let mut off = 0usize;
     jobs.iter()
         .map(|job| {
-            let slice = &values[off..off + job.masks.len()];
-            off += job.masks.len();
+            let slice = &values[off..off + job.n_masks];
+            off += job.n_masks;
             let resp = if job.single {
                 Response::Prediction {
                     value: slice[0],
@@ -508,7 +513,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
                     lane: loop_id as u32,
                     t_start_ns: job.t_parse_ns,
                     t_end_ns: trace::now_ns(),
-                    bytes: job.masks.len() as u64,
+                    bytes: job.n_masks as u64,
                 });
             }
             if slow_ns != 0 && total_ns >= slow_ns {
@@ -517,7 +522,7 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob]) -> Vec<Vec<u8>> 
                     queue_us = t_exec.saturating_duration_since(job.t_start).as_micros() as u64,
                     decompose_us = timing.decompose_ns / 1_000,
                     index_us = timing.index_ns / 1_000,
-                    masks = job.masks.len(),
+                    masks = job.n_masks,
                     batch_masks = all.len(),
                     loop_id = loop_id,
                     trace_id = job.trace_id,
@@ -614,6 +619,9 @@ struct EventLoop<'a> {
     dealt: usize,
     /// Jobs admitted during the current wake, run before the loop blocks.
     pending: Vec<ExecJob>,
+    /// The masks of `pending`, in job order. A request's decoded masks
+    /// move here at admission, and the backend reads them in place.
+    pending_masks: Vec<Mask>,
     hier: o4a_grid::hierarchy::Hierarchy,
 }
 
@@ -631,6 +639,7 @@ impl EventLoop<'_> {
             next_token: TOK_CONN0,
             dealt: 0,
             pending: Vec::new(),
+            pending_masks: Vec::new(),
             hier: shared.region.hierarchy().clone(),
         };
         // Event-loop internals as first-class metrics, one pair per loop:
@@ -881,7 +890,7 @@ impl EventLoop<'_> {
                 request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
             }
             Request::Query(mask) => {
-                self.enqueue_query(token, conn, seq, vec![mask], true, t_start, t_rx_ns)
+                self.enqueue_query(token, conn, seq, [mask], true, t_start, t_rx_ns)
             }
             Request::Batch(masks) => {
                 self.enqueue_query(token, conn, seq, masks, false, t_start, t_rx_ns)
@@ -889,21 +898,24 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Admits a query into the pending list, or answers `Error`/`BUSY`
-    /// inline (wrong raster / loop backlog at the admission cap).
+    /// Admits a query into the pending list, moving its masks onto the
+    /// pending mask list, or answers `Error`/`BUSY` inline (wrong raster /
+    /// loop backlog at the admission cap).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_query(
         &mut self,
         token: u64,
         conn: &mut Conn,
         seq: u64,
-        masks: Vec<Mask>,
+        masks: impl IntoIterator<Item = Mask>,
         single: bool,
         t_start: Instant,
         t_rx_ns: u64,
     ) {
-        for mask in &masks {
+        let first = self.pending_masks.len();
+        for mask in masks {
             if mask.h() != self.hier.h() || mask.w() != self.hier.w() {
+                self.pending_masks.truncate(first);
                 // well-formed but wrong raster: answer and keep the
                 // connection usable
                 conn.fill(
@@ -919,9 +931,12 @@ impl EventLoop<'_> {
                 request_ns_histogram().record(t_start.elapsed().as_nanos() as u64);
                 return;
             }
+            self.pending_masks.push(mask);
         }
+        let n_masks = self.pending_masks.len() - first;
         let cap = self.shared.cfg.queue_cap;
         if self.pending.len() >= cap {
+            self.pending_masks.truncate(first);
             self.shared
                 .stats
                 .busy_rejections
@@ -947,7 +962,7 @@ impl EventLoop<'_> {
                 // empty span instead of one starting at the epoch
                 t_start_ns: if t_rx_ns != 0 { t_rx_ns } else { now },
                 t_end_ns: now,
-                bytes: masks.len() as u64,
+                bytes: n_masks as u64,
             });
             now
         } else {
@@ -956,7 +971,7 @@ impl EventLoop<'_> {
         self.pending.push(ExecJob {
             token,
             seq,
-            masks,
+            n_masks,
             single,
             t_start,
             trace_id,
@@ -967,34 +982,47 @@ impl EventLoop<'_> {
 
     /// Runs every pending job in batches of at most `max_batch_masks`
     /// masks and flushes the answers, so nothing is pending when the loop
-    /// blocks again.
+    /// blocks again. Each batch hands the backend its jobs' masks in place
+    /// on the pending mask list.
     fn run_pending(&mut self) {
         let max_masks = self.shared.cfg.max_batch_masks.max(1);
-        while !self.pending.is_empty() {
+        // both lists go back, emptied, so their capacity serves the next
+        // wake; `deliver` needs `self` while they are read
+        let mut jobs = std::mem::take(&mut self.pending);
+        let mut masks = std::mem::take(&mut self.pending_masks);
+        let (mut next_job, mut next_mask) = (0usize, 0usize);
+        while next_job < jobs.len() {
             let mut take = 0usize;
             let mut total = 0usize;
-            for job in &self.pending {
-                if take > 0 && total + job.masks.len() > max_masks {
+            for job in &jobs[next_job..] {
+                if take > 0 && total + job.n_masks > max_masks {
                     break;
                 }
-                total += job.masks.len();
+                total += job.n_masks;
                 take += 1;
             }
-            let jobs: Vec<ExecJob> = self.pending.drain(..take).collect();
-            queue_depth_gauge().set(self.pending.len() as f64);
+            let batch = &jobs[next_job..next_job + take];
+            let batch_masks = &masks[next_mask..next_mask + total];
+            next_job += take;
+            next_mask += total;
+            queue_depth_gauge().set((jobs.len() - next_job) as f64);
             batch_masks_histogram().record(total as u64);
             let frames = if self.shared.region.is_ready() {
-                run_batch(self.shared, self.loop_id, &jobs)
+                run_batch(self.shared, self.loop_id, batch, batch_masks)
             } else {
                 let frame = wire::encode_response(&Response::Error(
                     "no prediction snapshot published".into(),
                 ));
-                vec![frame; jobs.len()]
+                vec![frame; batch.len()]
             };
-            for (job, frame) in jobs.iter().zip(frames) {
+            for (job, frame) in batch.iter().zip(frames) {
                 self.deliver(job, frame);
             }
         }
+        jobs.clear();
+        masks.clear();
+        self.pending = jobs;
+        self.pending_masks = masks;
     }
 
     /// Fills a job's response slot and flushes its connection, which may

@@ -4,9 +4,11 @@
 //! The roundtrip properties in `wire_props.rs` cannot see a change made to
 //! encoder and decoder at once, such as packing bits MSB-first or swapping
 //! two counters; that would still roundtrip, and break every deployed
-//! client. These frames pin the wire form itself: row-major cells,
-//! LSB-first within each byte, zero padding bits, and the order and width
-//! of every response field.
+//! client. These frames pin the wire form itself: the revision-02 header,
+//! row-major cells, LSB-first within each byte, zero padding bits, the
+//! order and width of every response field, and the payload checksum,
+//! which each golden also recomputes with [`reference_checksum`], written
+//! here from the protocol's definition rather than taken from the codec.
 
 use o4a_grid::Mask;
 use o4a_serve::wire::{
@@ -48,7 +50,49 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
+/// The revision-02 payload checksum, from its definition: byte `i` of the
+/// whole 32-byte blocks is byte `i % 4` (little-endian) of a word for lane
+/// `(i / 4) % 8`, and each completed word steps its lane with FNV-1a; the
+/// eight lanes are then folded in order into one FNV-1a state, followed by
+/// the remaining bytes one at a time.
+fn reference_checksum(payload: &[u8]) -> u32 {
+    const BASIS: u32 = 0x811c_9dc5;
+    const PRIME: u32 = 0x0100_0193;
+    let whole = payload.len() / 32 * 32;
+    let mut lanes = [BASIS; 8];
+    let mut words = [0u32; 8];
+    for (i, &b) in payload[..whole].iter().enumerate() {
+        let lane = (i / 4) % 8;
+        words[lane] |= u32::from(b) << (8 * (i % 4));
+        if i % 4 == 3 {
+            lanes[lane] = (lanes[lane] ^ words[lane]).wrapping_mul(PRIME);
+            words[lane] = 0;
+        }
+    }
+    let mut h = BASIS;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(PRIME);
+    }
+    for &b in &payload[whole..] {
+        h = (h ^ u32::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// Requires the golden's typed checksum to be the reference checksum of
+/// its typed payload.
+fn assert_checksum_typed_right(golden: &str) {
+    let bytes = unhex(golden);
+    let typed = u32::from_le_bytes(bytes[14..18].try_into().expect("4 bytes"));
+    assert_eq!(
+        typed,
+        reference_checksum(&bytes[18..]),
+        "golden's checksum is not the reference checksum of its payload"
+    );
+}
+
 fn assert_golden(req: Request, golden: &str) {
+    assert_checksum_typed_right(golden);
     assert_eq!(hex(&encode_request(&req)), golden, "encoded bytes moved");
     assert_eq!(
         parse_request_bytes(&unhex(golden)).expect("golden decodes"),
@@ -58,6 +102,7 @@ fn assert_golden(req: Request, golden: &str) {
 }
 
 fn assert_response_golden(resp: Response, golden: &str) {
+    assert_checksum_typed_right(golden);
     assert_eq!(hex(&encode_response(&resp)), golden, "encoded bytes moved");
     assert_eq!(
         parse_response_bytes(&unhex(golden)).expect("golden decodes"),
@@ -71,11 +116,11 @@ fn query_frame_bytes() {
     assert_golden(
         Request::Query(mask_5x7()),
         concat!(
-            "4f34415250433031", // magic "O4ARPC01"
+            "4f34415250433032", // magic "O4ARPC02"
             "01",               // verb QUERY
             "00",               // flags
             "09000000",         // payload length
-            "48facc47",         // payload FNV-1a
+            "0099bffc",         // payload checksum
             "0500",             // h = 5
             "0700",             // w = 7
             "011e8d0704",       // cells, LSB-first; 5 zero padding bits
@@ -88,11 +133,11 @@ fn batch_frame_bytes() {
     assert_golden(
         Request::Batch(vec![mask_5x7(), mask_32x32()]),
         concat!(
-            "4f34415250433031",   // magic "O4ARPC01"
+            "4f34415250433032",   // magic "O4ARPC02"
             "02",                 // verb BATCH
             "00",                 // flags
             "8f000000",           // payload length
-            "2eeed494",           // payload FNV-1a
+            "adf1663d",           // payload checksum
             "0200",               // 2 masks
             "05000700011e8d0704", // the 5x7 mask, as in the QUERY frame
             "20002000",           // h = 32, w = 32
@@ -116,11 +161,11 @@ fn health_ok_frame_bytes() {
             started_unix: 1_700_000_000,
         }),
         concat!(
-            "4f34415250433031", // magic "O4ARPC01"
+            "4f34415250433032", // magic "O4ARPC02"
             "83",               // verb HEALTH_OK
             "00",               // flags
             "1a000000",         // payload length
-            "530aa794",         // payload FNV-1a
+            "8bb376b4",         // payload checksum
             "01",               // ready
             "06",               // layers
             "80000000",         // h = 128
@@ -154,11 +199,11 @@ fn stats_result_frame_bytes() {
             compiled_terms: 91_000,
         }),
         concat!(
-            "4f34415250433031", // magic "O4ARPC01"
+            "4f34415250433032", // magic "O4ARPC02"
             "84",               // verb STATS_RESULT
             "00",               // flags
             "9a000000",         // payload length
-            "c7b3e8c9",         // payload FNV-1a
+            "9363d461",         // payload checksum
             "0500000000000000", // connections = 5
             "e803000000000000", // requests = 1000
             "a00f000000000000", // masks_served = 4000

@@ -1,12 +1,12 @@
-//! Fuzz-hardening properties for the `O4ARPC01` wire codec: the decoder
+//! Fuzz-hardening properties for the `O4ARPC02` wire codec: the decoder
 //! must be total — truncated, bit-flipped, or arbitrary byte streams
-//! return `Err`, never panic, and the payload CRC makes any single-bit
-//! corruption detectable.
+//! return `Err`, never panic, and the payload checksum makes any
+//! single-bit corruption detectable.
 
 use o4a_grid::Mask;
 use o4a_serve::wire::{
     encode_request, encode_response, parse_request_bytes, parse_response_bytes, Request, Response,
-    TimingNs,
+    TimingNs, MAGIC,
 };
 use o4a_tensor::SeededRng;
 
@@ -107,7 +107,7 @@ proptest::proptest! {
         let mut rng = SeededRng::new(seed);
         let mut bytes: Vec<u8> = (0..len).map(|_| rng.uniform(0.0, 256.0) as u8).collect();
         if seed % 2 == 0 && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"O4ARPC01");
+            bytes[..8].copy_from_slice(MAGIC);
         }
         let _ = parse_request_bytes(&bytes);
         let _ = parse_response_bytes(&bytes);
