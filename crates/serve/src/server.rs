@@ -1021,6 +1021,9 @@ impl EventLoop<'_> {
         }
         jobs.clear();
         masks.clear();
+        // a burst of pipelined batches can leave room for millions of
+        // masks; keep at most one full BATCH frame's worth
+        masks.shrink_to(wire::MAX_BATCH_MASKS);
         self.pending = jobs;
         self.pending_masks = masks;
     }

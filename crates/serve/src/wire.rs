@@ -27,12 +27,12 @@
 //!
 //! # Payload checksum
 //!
-//! [`checksum`] is FNV-1a over little-endian `u32` words in [`LANES`]
-//! independent lanes. Word `i` of every whole `4 * LANES`-byte block
-//! steps lane `i` with `h = (h ^ word) * 0x0100_0193`, each lane starting
-//! from the FNV offset basis; the lanes are then folded, in lane order,
-//! into one FNV-1a state the same way, and the bytes after the last whole
-//! block are folded into it one at a time. The lanes are independent
+//! The checksum is FNV-1a over little-endian `u32` words in eight
+//! independent lanes. Word `i` of every whole 32-byte block steps lane
+//! `i` with `h = (h ^ word) * 0x0100_0193`, each lane starting from the
+//! FNV offset basis; the lanes are then folded, in lane order, into one
+//! FNV-1a state the same way, and the bytes after the last whole block
+//! are folded into it one at a time. The lanes are independent
 //! multiply chains, so the sum runs at word speed rather than one
 //! dependent multiply per byte.
 //!
@@ -52,10 +52,11 @@ use std::io::Read;
 /// Protocol magic; the trailing `02` is the protocol revision.
 pub const MAGIC: &[u8; 8] = b"O4ARPC02";
 /// Independent FNV-1a lanes of the payload [`checksum`]. Eight lanes
-/// (32-byte blocks) sum every mask-carrying frame at ~0.15 ns/byte while
-/// keeping the serial lane fold and byte tail short for the 20–132-byte
-/// frames that dominate hot traffic.
-pub const LANES: usize = 8;
+/// (32-byte blocks) sum every mask-carrying frame at ~0.15 ns/byte (four
+/// read ~0.3) while keeping the serial lane fold and byte tail short for
+/// the 20–132-byte frames that dominate hot traffic (sixteen lanes halve
+/// the block cost but lengthen both).
+const LANES: usize = 8;
 /// Bytes in a frame header (magic, verb, flags, payload length, checksum).
 pub const HEADER_LEN: usize = 8 + 1 + 1 + 4 + 4;
 /// Default cap on a frame's payload; larger frames are rejected with an
@@ -404,7 +405,7 @@ fn fnv_step(h: u32, x: u32) -> u32 {
 /// The payload checksum of revision `02`: FNV-1a over little-endian `u32`
 /// words in [`LANES`] lanes, folded, then the tail bytes (see the module
 /// docs for the definition and what it detects).
-pub fn checksum(payload: &[u8]) -> u32 {
+pub(crate) fn checksum(payload: &[u8]) -> u32 {
     let mut lanes = [FNV_OFFSET; LANES];
     let blocks = payload.chunks_exact(4 * LANES);
     let tail = blocks.remainder();
