@@ -28,7 +28,8 @@ use o4a_grid::quadtree::{slot_count, ExtendedQuadTree};
 const MAGIC: &[u8; 8] = b"O4AIDX01";
 
 /// FNV-1a (32-bit) over a byte stream — the integrity hash every on-disk
-/// and on-wire format in this workspace trails its payload with.
+/// format in this workspace trails its payload with. (The wire protocol
+/// sums its frames with a lane-parallel variant, `o4a_serve::wire`.)
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
