@@ -915,9 +915,9 @@ impl EventLoop<'_> {
         let first = self.pending_masks.len();
         for mask in masks {
             if mask.h() != self.hier.h() || mask.w() != self.hier.w() {
+                // well-formed but wrong raster: drop the masks admitted so
+                // far, answer and keep the connection usable
                 self.pending_masks.truncate(first);
-                // well-formed but wrong raster: answer and keep the
-                // connection usable
                 conn.fill(
                     seq,
                     wire::encode_response(&Response::Error(format!(

@@ -268,7 +268,7 @@ fn oversized_frame_rejected_without_panic() {
 
 #[test]
 fn dim_mismatch_is_an_error_but_keeps_the_connection() {
-    let (_region, handle) = start(|_| {});
+    let (region, handle) = start(|_| {});
     let mut client = Client::connect(handle.addr(), ClientConfig::default()).unwrap();
     let wrong = Mask::rect(SIDE * 2, SIDE * 2, 0, 0, 3, 3);
     match client.query(&wrong) {
@@ -279,6 +279,23 @@ fn dim_mismatch_is_an_error_but_keeps_the_connection() {
     }
     // Same connection keeps working.
     client.query(&Mask::rect(SIDE, SIDE, 0, 0, 3, 3)).unwrap();
+    // A batch rejected after its first mask was admitted leaves nothing
+    // behind: the query parsed in the same wake reads its own mask.
+    let (a, b) = (
+        Mask::rect(SIDE, SIDE, 0, 0, 3, 3),
+        Mask::rect(SIDE, SIDE, 4, 4, 9, 9),
+    );
+    assert_ne!(region.query(&a).to_bits(), region.query(&b).to_bits());
+    let frames = [
+        encode_request(&Request::Batch(vec![a, wrong])),
+        encode_request(&Request::Query(b.clone())),
+    ];
+    match &pipeline(&handle, &frames)[..] {
+        [Response::Error(_), Response::Prediction { value, .. }] => {
+            assert_eq!(value.to_bits(), region.query(&b).to_bits())
+        }
+        other => panic!("expected an error then a prediction, got {other:?}"),
+    }
     handle.shutdown();
 }
 
