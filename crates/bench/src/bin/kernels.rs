@@ -1,11 +1,16 @@
-//! Thread-scaling table for the parallel compute runtime: times matmul,
-//! the f16 packed-B inference GEMM, conv2d forward/backward, the Adam
-//! step, a full ST-ResNet training step and batched region queries at
-//! One4All-ST shapes (32x32 atomic grid, K = 2 pyramid, batch 16) for
-//! `O4A_THREADS ∈ {1, 2, 4}`, prints the table (with GFLOP/s for the
-//! flop-countable kernels, the dispatched-vs-forced-scalar speedup, and a
-//! speedup vs the previously committed results, when present) and dumps it
-//! to `BENCH_kernels.json`.
+//! Thread-scaling table for the parallel compute runtime: times matmul at
+//! two shapes, conv2d forward/backward, the Adam step, a full ST-ResNet
+//! training step and batched region queries at One4All-ST shapes (32x32
+//! atomic grid, K = 2 pyramid, batch 16) for `O4A_THREADS ∈ {1, 2, 4}`,
+//! prints the table (with GFLOP/s for the flop-countable kernels, the
+//! dispatched-vs-forced-scalar speedup, and a speedup vs the previously
+//! committed results, when present) and dumps it to `BENCH_kernels.json`.
+//!
+//! The JSON also carries `query_path_ratio`: the engine's warm
+//! `query_many` over bare `interpret`, as the median of per-pair ratios
+//! from samples of the two loops taken in alternation at one thread, so a
+//! burst of host load lands on both sides of a pair rather than on one
+//! row's median (see [`paired_ratio`]).
 //!
 //! Each ISA-sensitive row is re-timed once under `isa::force(Scalar)` at
 //! one thread; `vs_scalar` is that time over the dispatched t1 time —
@@ -76,6 +81,36 @@ fn time_it(iters: usize, mut f: impl FnMut()) -> f64 {
     } else {
         samples[mid]
     }
+}
+
+/// Sample pairs behind `query_path_ratio`; odd, so the median is one
+/// pair's ratio.
+const QUERY_PAIRS: usize = 31;
+
+/// Median over `pairs` of one sample of `a` divided by the sample of `b`
+/// taken right after it, at one thread. Timing the two loops in
+/// alternation pairs each `a` sample with a `b` sample from the same
+/// moment, so host load that slows one sample of a pair mostly slows the
+/// other, and the median drops the pairs where it did not.
+fn paired_ratio(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> f64 {
+    parallel::set_threads(1);
+    for _ in 0..WARMUP {
+        a();
+        b();
+    }
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let t0 = Instant::now();
+            a();
+            let ta = t0.elapsed().as_secs_f64();
+            let t1 = Instant::now();
+            b();
+            ta / t1.elapsed().as_secs_f64()
+        })
+        .collect();
+    parallel::set_threads(0);
+    ratios.sort_by(f64::total_cmp);
+    ratios[pairs / 2]
 }
 
 /// Back-to-back calls of `f` that span at least a millisecond, timed
@@ -185,15 +220,11 @@ fn main() {
         },
     ));
 
-    // f16 packed-storage inference GEMM at an online-serving shape: a thin
-    // activation panel (m = 16) against a large resident weight matrix, so
-    // the kernel is bound by streaming B. The f32 row is the same shape
-    // through the ordinary GEMM; the f16 row streams half the weight bytes
-    // (B held as binary16, widened to f32 strips during packing) — the
-    // storage win shows up directly as the wall-time gap between the rows.
+    // Thin-panel GEMM at an online-serving shape: an activation panel of
+    // m = 16 rows against a large resident weight matrix, so the kernel is
+    // bound by streaming B rather than by the register tile.
     let inf_a = rng.uniform_tensor(&[16, 2048], -1.0, 1.0);
     let inf_b = rng.uniform_tensor(&[2048, 2048], -1.0, 1.0);
-    let inf_hb = inf_b.to_f16();
     let inf_flops = 2.0 * 16.0 * 2048.0 * 2048.0;
     rows.push(measure(
         "matmul_f32w_16x2048x2048",
@@ -203,16 +234,6 @@ fn main() {
         IsaPath::Dispatched,
         || {
             black_box(inf_a.matmul(&inf_b).expect("matmul shapes"));
-        },
-    ));
-    rows.push(measure(
-        "matmul_f16w_16x2048x2048",
-        iters,
-        Some(inf_flops),
-        prev_t1("matmul_f16w_16x2048x2048"),
-        IsaPath::Dispatched,
-        || {
-            black_box(inf_a.matmul_f16b(&inf_hb).expect("matmul shapes"));
         },
     ));
 
@@ -273,8 +294,9 @@ fn main() {
     // Batched region queries on a 32x32, K = 2 pyramid: the engine's warm
     // `query_many` (a cache hit per mask, then `interpret`) against bare
     // `interpret` over the same pre-decomposed groups and the same
-    // snapshot. scripts/check.sh bounds their ratio. The two must be
-    // bit-identical (asserted before any timing).
+    // snapshot. scripts/check.sh bounds `query_path_ratio`, measured from
+    // the same two loops after their rows. The two must be bit-identical
+    // (asserted before any timing).
     let hier = Hierarchy::new(32, 32, 2, 6).expect("hierarchy");
     let flow = DatasetKind::TaxiNycLike.config(32, 32, 24, 1).generate();
     let slots: Vec<usize> = (16..24).collect();
@@ -301,6 +323,11 @@ fn main() {
     let engine_reps = calls_per_ms(|| {
         black_box(server.query_many(&masks));
     });
+    let mut engine_sample = || {
+        for _ in 0..engine_reps {
+            black_box(server.query_many(&masks));
+        }
+    };
     rows.push(per_call(
         measure(
             "query_many_batch",
@@ -308,17 +335,18 @@ fn main() {
             None,
             prev_t1("query_many_batch"),
             IsaPath::None,
-            || {
-                for _ in 0..engine_reps {
-                    black_box(server.query_many(&masks));
-                }
-            },
+            &mut engine_sample,
         ),
         engine_reps,
     ));
     let interp_reps = calls_per_ms(|| {
         black_box(interp_many());
     });
+    let mut interp_sample = || {
+        for _ in 0..interp_reps {
+            black_box(interp_many());
+        }
+    };
     rows.push(per_call(
         measure(
             "query_many_interpreted",
@@ -326,14 +354,13 @@ fn main() {
             None,
             prev_t1("query_many_interpreted"),
             IsaPath::None,
-            || {
-                for _ in 0..interp_reps {
-                    black_box(interp_many());
-                }
-            },
+            &mut interp_sample,
         ),
         interp_reps,
     ));
+    let query_path_ratio = paired_ratio(QUERY_PAIRS, engine_sample, interp_sample)
+        * interp_reps as f64
+        / engine_reps as f64;
 
     // Direct measurement of the per-call observability cost on the kernel
     // hot path: exactly the span + FLOP-counter prologue the GEMM kernel
@@ -354,7 +381,11 @@ fn main() {
 
     print!("{}", render(&rows));
     println!("\ninstrumentation: {instr_ns:.1} ns per kernel call (span + flop counter)");
-    let json = to_json(&rows, instr_ns);
+    println!(
+        "query path: engine query_many / bare interpret = {query_path_ratio:.3} \
+         (median of {QUERY_PAIRS} alternating pairs, 1 thread)"
+    );
+    let json = to_json(&rows, instr_ns, query_path_ratio);
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {} ({} kernels)", out_path, rows.len());
 }
@@ -461,14 +492,15 @@ fn render(rows: &[Row]) -> String {
     out
 }
 
-fn to_json(rows: &[Row], instr_ns: f64) -> String {
+fn to_json(rows: &[Row], instr_ns: f64, query_path_ratio: f64) -> String {
     let hw = parallel::hw_threads();
     let effective: Vec<String> = THREADS.iter().map(|&t| t.min(hw).to_string()).collect();
     let isa_name = isa::active().name();
     let mut json = format!(
         "{{\n  \"threads\": [1, 2, 4],\n  \"hw_threads\": {hw},\n  \
          \"effective_threads\": [{}],\n  \"isa\": \"{isa_name}\",\n  \
-         \"instrumentation_ns_per_call\": {instr_ns:.1},\n  \"kernels\": [\n",
+         \"instrumentation_ns_per_call\": {instr_ns:.1},\n  \
+         \"query_path_ratio\": {query_path_ratio:.3},\n  \"kernels\": [\n",
         effective.join(", ")
     );
     let opt = |v: Option<f64>| match v {

@@ -469,16 +469,12 @@ impl PredictionStore {
 }
 
 /// The query-stage histograms (registered on first use): decompose,
-/// lookup, aggregate, then terms per answer.
-fn stage_histograms() -> [&'static Histogram; 4] {
+/// aggregate (which includes the index lookups), then terms per answer.
+fn stage_histograms() -> [&'static Histogram; 3] {
     [
         o4a_obs::histogram!(
             "o4a_query_decompose_ns",
             "per-query decomposition-cache probe, plus the decomposition on a miss"
-        ),
-        o4a_obs::histogram!(
-            "o4a_query_lookup_ns",
-            "takes no samples: index lookups run inside the aggregate walk"
         ),
         o4a_obs::histogram!(
             "o4a_query_aggregate_ns",
@@ -620,7 +616,7 @@ impl<R: Resolver> Engine<R> {
     /// Records one answer's term counts (`terms[m]` read from member `m`)
     /// into the term histograms, returning their total.
     fn record_terms(&self, terms: &[u64]) -> u64 {
-        let [_, _, _, terms_h] = stage_histograms();
+        let [_, _, terms_h] = stage_histograms();
         let total = terms.iter().sum();
         terms_h.record(total);
         for (hist, &n) in self.member_terms.iter().zip(terms) {
@@ -720,7 +716,7 @@ impl<R: Resolver> QueryBackend for Engine<R> {
         let snaps = self.snapshots();
         let views: Vec<FrameView<'_>> = snaps.iter().map(|s| s.view()).collect();
         let hier = self.resolver.hierarchy();
-        let [decompose_h, _, aggregate_h, _] = stage_histograms();
+        let [decompose_h, aggregate_h, _] = stage_histograms();
         let mut terms = vec![0u64; views.len()];
         let mut total_terms = 0u64;
         let mut timing = QueryTiming {
@@ -781,7 +777,7 @@ impl<R: Resolver> QueryBackend for Engine<R> {
                 bytes: groups.len() as u64,
             });
         }
-        let [_, _, aggregate_h, _] = stage_histograms();
+        let [_, aggregate_h, _] = stage_histograms();
         aggregate_h.record(index.as_nanos() as u64);
         let total_terms = self.record_terms(&terms);
         self.terms_answered

@@ -108,14 +108,6 @@ impl DeepGridModel {
         self.net.as_mut()
     }
 
-    /// Switches the wrapped network between f32 weights and frozen f16
-    /// weight storage for online inference (see
-    /// [`Module::set_infer_half`]). Enable only after training: half mode
-    /// freezes a narrowed weight copy and disables the backward pass.
-    pub fn set_infer_half(&mut self, on: bool) {
-        self.net.set_infer_half(on);
-    }
-
     /// Runs one training epoch over the (already-normalized) samples,
     /// returning the mean batch loss.
     ///

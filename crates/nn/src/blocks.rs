@@ -81,10 +81,6 @@ impl Module for ConvBlock {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.conv.visit_params(f);
     }
-
-    fn set_infer_half(&mut self, on: bool) {
-        self.conv.set_infer_half(on);
-    }
 }
 
 /// Pre-activation residual block: `y = x + conv(ReLU(conv(ReLU(x))))`.
@@ -134,11 +130,6 @@ impl Module for ResBlock {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.conv1.visit_params(f);
         self.conv2.visit_params(f);
-    }
-
-    fn set_infer_half(&mut self, on: bool) {
-        self.conv1.set_infer_half(on);
-        self.conv2.set_infer_half(on);
     }
 }
 
@@ -298,13 +289,6 @@ impl Module for SeBlock {
         self.conv2.visit_params(f);
         self.fc1.visit_params(f);
         self.fc2.visit_params(f);
-    }
-
-    fn set_infer_half(&mut self, on: bool) {
-        self.conv1.set_infer_half(on);
-        self.conv2.set_infer_half(on);
-        self.fc1.set_infer_half(on);
-        self.fc2.set_infer_half(on);
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::module::Module;
 use crate::param::Param;
 use o4a_tensor::{
-    conv2d_bwd_into, conv2d_f16w_into, conv2d_into, glorot_uniform, upsample_nearest,
-    upsample_nearest_backward, Conv2dGrads, HalfTensor, SeededRng, Tensor,
+    conv2d_bwd_into, conv2d_into, glorot_uniform, upsample_nearest, upsample_nearest_backward,
+    Conv2dGrads, SeededRng, Tensor,
 };
 
 // Layers keep their backward caches and gradient outputs in persistent
@@ -32,9 +32,6 @@ pub struct Conv2d {
     cache: Tensor,
     primed: bool,
     grads: Conv2dGrads,
-    // Frozen f16 copy of the weight for half-storage inference
-    // (`Module::set_infer_half`); `None` = standard f32 path.
-    weight_f16: Option<HalfTensor>,
 }
 
 impl Conv2d {
@@ -55,7 +52,6 @@ impl Conv2d {
             cache: Tensor::empty(),
             primed: false,
             grads: Conv2dGrads::default(),
-            weight_f16: None,
         }
     }
 
@@ -79,14 +75,6 @@ impl Conv2d {
 impl Module for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut out = Tensor::empty();
-        if let Some(hw) = &self.weight_f16 {
-            // Inference-only half path: no backward cache is primed, so a
-            // stray `backward` panics instead of training against the
-            // frozen narrowed weights.
-            conv2d_f16w_into(input, hw, &self.bias.value, self.stride, self.pad, &mut out)
-                .expect("Conv2d forward: invalid shapes");
-            return out;
-        }
         conv2d_into(
             input,
             &self.weight.value,
@@ -129,11 +117,6 @@ impl Module for Conv2d {
         f(&mut self.weight);
         f(&mut self.bias);
     }
-
-    fn set_infer_half(&mut self, on: bool) {
-        self.weight_f16 = on.then(|| self.weight.value.to_f16());
-        self.primed = false;
-    }
 }
 
 /// Fully connected layer: `y = x W^T + b` with `x: [n, in]`, `W: [out, in]`.
@@ -147,11 +130,6 @@ pub struct Linear {
     gyt: Tensor,
     gw: Tensor,
     gb: Tensor,
-    // Frozen f16 copy of W^T for half-storage inference: the forward
-    // matmul streams it half-width through the f16 GEMM
-    // (`Tensor::matmul_f16b_into`), halving the weight traffic of the
-    // memory-bound single-query shape.
-    wt_f16: Option<HalfTensor>,
 }
 
 impl Linear {
@@ -166,7 +144,6 @@ impl Linear {
             gyt: Tensor::empty(),
             gw: Tensor::empty(),
             gb: Tensor::empty(),
-            wt_f16: None,
         }
     }
 
@@ -180,18 +157,11 @@ impl Linear {
 impl Module for Linear {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 2, "Linear expects [n, d_in]");
-        let mut out;
-        if let Some(hwt) = &self.wt_f16 {
-            // Inference-only half path (no backward cache primed): W^T is
-            // streamed from f16 storage, widened tile-by-tile in cache.
-            out = input.matmul_f16b(hwt).expect("Linear forward shapes");
-        } else {
-            self.weight
-                .value
-                .transpose2_into(&mut self.wt)
-                .expect("weight is rank 2");
-            out = input.matmul(&self.wt).expect("Linear forward shapes");
-        }
+        self.weight
+            .value
+            .transpose2_into(&mut self.wt)
+            .expect("weight is rank 2");
+        let mut out = input.matmul(&self.wt).expect("Linear forward shapes");
         let (n, d_out) = (out.shape()[0], out.shape()[1]);
         let b = self.bias.value.data();
         for i in 0..n {
@@ -199,9 +169,6 @@ impl Module for Linear {
             for (o, &bv) in row.iter_mut().zip(b) {
                 *o += bv;
             }
-        }
-        if self.wt_f16.is_some() {
-            return out;
         }
         self.cache.copy_from(input);
         self.primed = true;
@@ -235,17 +202,6 @@ impl Module for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
-    }
-
-    fn set_infer_half(&mut self, on: bool) {
-        self.wt_f16 = on.then(|| {
-            self.weight
-                .value
-                .transpose2()
-                .expect("weight is rank 2")
-                .to_f16()
-        });
-        self.primed = false;
     }
 }
 

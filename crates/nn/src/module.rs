@@ -49,22 +49,6 @@ pub trait Module: Send {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
-    /// Switches the module's *forward* pass between f32 weights (the
-    /// default, used for training) and a frozen f16 copy of the weights
-    /// (IEEE binary16 storage, f32 compute — see `o4a_tensor::half`) for
-    /// online inference.
-    ///
-    /// Enabling narrows the current weights once (call again to re-freeze
-    /// after a parameter update); disabling drops the f16 copy and restores
-    /// the exact f32 path. Half mode is inference-only: a half-mode
-    /// `forward` does not prime the backward cache, so a subsequent
-    /// `backward` panics rather than silently training against stale
-    /// narrowed weights. Layers without weights inherit this no-op;
-    /// containers delegate to their children.
-    fn set_infer_half(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Total number of trainable scalars.
     fn num_params(&mut self) -> usize {
         let mut total = 0usize;
@@ -139,12 +123,6 @@ impl Module for Sequential {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
-        }
-    }
-
-    fn set_infer_half(&mut self, on: bool) {
-        for layer in &mut self.layers {
-            layer.set_infer_half(on);
         }
     }
 }

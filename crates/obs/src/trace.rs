@@ -65,8 +65,8 @@ pub enum SpanKind {
     Decompose = 5,
     /// Index lookup + aggregation (derived from `QueryTiming::index`).
     Index = 6,
-    /// Group-plan lookup inside a backend shard.
-    Lookup = 7,
+    // 7 is retired (a lookup stage that nothing emitted); it stays
+    // unassigned so the kinds after it keep their wire values.
     /// Plan evaluation against the prediction snapshot.
     Aggregate = 8,
     /// One shard's slice of a scattered query (`lane` = shard id).
@@ -87,7 +87,6 @@ impl SpanKind {
             SpanKind::ExecBatch => "exec_batch",
             SpanKind::Decompose => "decompose",
             SpanKind::Index => "index",
-            SpanKind::Lookup => "lookup",
             SpanKind::Aggregate => "aggregate",
             SpanKind::ShardScatter => "shard_scatter",
             SpanKind::Gather => "gather",
@@ -106,7 +105,6 @@ impl SpanKind {
             4 => SpanKind::ExecBatch,
             5 => SpanKind::Decompose,
             6 => SpanKind::Index,
-            7 => SpanKind::Lookup,
             8 => SpanKind::Aggregate,
             9 => SpanKind::ShardScatter,
             10 => SpanKind::Gather,
@@ -580,13 +578,14 @@ mod tests {
 
     #[test]
     fn span_kind_names_roundtrip() {
-        for v in 1..=11u16 {
+        for v in (1..=6u16).chain(8..=11) {
             let k = SpanKind::from_u16(v).unwrap();
             assert_eq!(k as u16, v);
             assert!(!k.name().is_empty());
         }
-        assert_eq!(SpanKind::from_u16(0), None);
-        assert_eq!(SpanKind::from_u16(12), None);
+        for v in [0, 7, 12] {
+            assert_eq!(SpanKind::from_u16(v), None);
+        }
     }
 
     #[test]

@@ -168,7 +168,6 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
         "o4a_serve_protocol_errors_total",
         "o4a_serve_connections_total",
         "o4a_query_decompose_ns_count",
-        "o4a_query_lookup_ns_count",
         "o4a_query_aggregate_ns_count",
         "o4a_kernel_gemm_ns_count",
         "o4a_kernel_conv2d_ns_count",
@@ -190,19 +189,18 @@ fn metrics_scrape_is_complete_and_reconciles_with_stats() {
 
     // Span sums must reconcile exactly with the end-to-end QueryTiming
     // totals STATS reports: both sides accumulate the identical per-mask
-    // nanosecond measurements, and `index` = lookup + aggregate.
+    // nanosecond measurements, and `index` = aggregate (the index lookups
+    // run inside the aggregate walk).
     let stats = client.stats().unwrap();
     let decompose_sum = samples["o4a_query_decompose_ns_sum"] as u64;
-    let lookup_sum = samples["o4a_query_lookup_ns_sum"] as u64;
     let aggregate_sum = samples["o4a_query_aggregate_ns_sum"] as u64;
     assert_eq!(
         stats.decompose_ns, decompose_sum,
         "decompose stage histogram sum diverged from STATS total"
     );
     assert_eq!(
-        stats.index_ns,
-        lookup_sum + aggregate_sum,
-        "lookup+aggregate stage sums diverged from STATS index total"
+        stats.index_ns, aggregate_sum,
+        "aggregate stage sum diverged from STATS index total"
     );
     handle.shutdown();
 

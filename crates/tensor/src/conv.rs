@@ -370,48 +370,6 @@ pub fn conv2d_into(
     pad: usize,
     out: &mut Tensor,
 ) -> Result<()> {
-    conv2d_fwd_impl(input, weight, bias, stride, pad, out)
-}
-
-/// [`conv2d_into`] with the weight held in f16 storage.
-///
-/// The weight is widened to f32 (losslessly) into a pool-backed scratch
-/// tensor and runs the standard forward path, so the result is
-/// bit-identical to `conv2d_into(input, &weight.to_tensor(), ...)`: all
-/// error relative to an f32 pipeline comes from the one-time storage
-/// narrowing ([`crate::Tensor::to_f16`]), bounded in [`crate::half`].
-/// Conv weights are small (`c_out x c_in*kh*kw`), so unlike the GEMM path
-/// the win here is model residency, not per-call DRAM traffic.
-pub fn conv2d_f16w_into(
-    input: &Tensor,
-    weight: &crate::HalfTensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-    out: &mut Tensor,
-) -> Result<()> {
-    FWD_F16_WEIGHT_SCRATCH.with(|cell| {
-        let mut wt = cell.borrow_mut();
-        wt.reset_uninit(weight.shape());
-        (crate::isa::dispatch().widen_f16)(weight.bits(), wt.data_mut());
-        conv2d_fwd_impl(input, &wt, bias, stride, pad, out)
-    })
-}
-
-thread_local! {
-    // Widened-weight scratch for [`conv2d_f16w_into`]; pool-backed and
-    // reused across calls so the inference path stays allocation-free.
-    static FWD_F16_WEIGHT_SCRATCH: RefCell<Tensor> = RefCell::new(Tensor::empty());
-}
-
-fn conv2d_fwd_impl(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-    out: &mut Tensor,
-) -> Result<()> {
     let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input.shape(), weight, bias, stride)?;
     let out_h = conv_out_size(h, kh, stride, pad);
     let out_w = conv_out_size(w, kw, stride, pad);

@@ -71,10 +71,6 @@ thread_local! {
     // Per-worker packed-A scratch for matmul row bands, reused across
     // calls so the parallel band loop allocates nothing per task.
     static BAND_PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    // Two-strip f32 window (`2 * k * NR` floats) that [`matmul_f16b_into`]
-    // widens each pair of f16 B strips into before driving the kernel —
-    // cache-resident, so the only DRAM-sized stream stays half-width.
-    static F16_WINDOW_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Length of the packed buffer for an `m x k` left operand.
@@ -179,29 +175,6 @@ pub(crate) fn pack_b_strip_scalar(b: &[f32], strip: &mut [f32], k: usize, n: usi
     for p in 0..k {
         let row = &mut strip[p * NR..(p + 1) * NR];
         row[..cols_v].copy_from_slice(&b[p * n + c0..p * n + c0 + cols_v]);
-        for slot in &mut row[cols_v..] {
-            *slot = 0.0;
-        }
-    }
-}
-
-/// [`pack_b_strip_scalar`] for an f16-stored source: values are widened to
-/// f32 while packing (widening is lossless, so the packed strip is
-/// bit-identical to packing the pre-widened matrix).
-pub(crate) fn pack_b_strip_f16_scalar(
-    hb: &[u16],
-    strip: &mut [f32],
-    k: usize,
-    n: usize,
-    c0: usize,
-) {
-    let cols_v = NR.min(n - c0);
-    for p in 0..k {
-        let row = &mut strip[p * NR..(p + 1) * NR];
-        let src = &hb[p * n + c0..p * n + c0 + cols_v];
-        for (slot, &h) in row[..cols_v].iter_mut().zip(src) {
-            *slot = crate::half::f16_bits_to_f32(h);
-        }
         for slot in &mut row[cols_v..] {
             *slot = 0.0;
         }
@@ -333,92 +306,6 @@ pub(crate) fn gemm_panel_scalar_over(
     gemm_packed_impl::<false>(pa, pb, out, rows, k, n);
 }
 
-/// Scalar-tier column-window drive (dispatch table entry): a window of
-/// one or two B strips starting at output column `c0`, across every A
-/// strip, overwrite form.
-pub(crate) fn colwindow_scalar_over(
-    pa: &[f32],
-    pbw: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    c0: usize,
-) {
-    for (sjw, pb_strip) in pbw.chunks_exact(k * NR).enumerate() {
-        let cw = c0 + sjw * NR;
-        let cols_v = NR.min(n - cw);
-        for (si, pa_strip) in pa.chunks_exact(k * MR).enumerate() {
-            let r0 = si * MR;
-            let rows_v = MR.min(rows - r0);
-            micro_tile::<false>(pa_strip, pb_strip, out, r0 * n + cw, n, rows_v, cols_v);
-        }
-    }
-}
-
-/// `out[m,n] = a[m,k] x b16[k,n]` where the right operand is stored as f16
-/// bit patterns — the streaming half-storage GEMM of the online inference
-/// path.
-///
-/// A is packed once in full (it is small on the inference path); B is then
-/// consumed one two-strip window at a time: each window is widened to f32
-/// *into a cache-resident scratch* and immediately driven through the
-/// micro-kernel, so the only DRAM-sized stream is the half-width source —
-/// roughly halving the memory traffic of the memory-bound `m << n` shape
-/// versus [`matmul_into`] on an f32 operand.
-///
-/// **Bit-identity:** widening f16 to f32 is lossless and the tile kernels
-/// accumulate each element in the same ascending-`p` `mul_add` chain, so
-/// the result equals `matmul_into(a, widen(b16))` (and therefore the naive
-/// oracle on the widened operand) bit for bit, on every dispatch tier. All
-/// rounding difference versus an f32 pipeline comes from the *storage*
-/// narrowing, bounded in [`crate::half`].
-pub(crate) fn matmul_f16b_into(
-    a: &[f32],
-    hb: &[u16],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(hb.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let _span = o4a_obs::span!("kernel_gemm");
-    o4a_obs::counter!(
-        "o4a_kernel_gemm_flops_total",
-        "floating-point operations issued by the GEMM kernel (2*m*k*n per call)"
-    )
-    .add(2 * (m * k * n) as u64);
-    let d = crate::isa::dispatch();
-    let mut pa = crate::pool::scratch(packed_a_len(m, k));
-    (d.pack_a)(a, &mut pa, m, k, k, 1);
-    let nstrips = n.div_ceil(NR);
-    F16_WINDOW_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < 2 * k * NR {
-            buf.resize(2 * k * NR, 0.0);
-        }
-        let buf = &mut buf[..2 * k * NR];
-        let mut sj = 0usize;
-        while sj < nstrips {
-            let w = 2.min(nstrips - sj);
-            for (j, strip) in buf[..w * k * NR].chunks_exact_mut(k * NR).enumerate() {
-                (d.pack_b_strip_f16)(hb, strip, k, n, (sj + j) * NR);
-            }
-            (d.colwindow_over)(&pa, &buf[..w * k * NR], out, m, k, n, sj * NR);
-            sj += w;
-        }
-    });
-}
-
 /// `out[m,n] += a[m,k] x b[k,n]` — the serial `ikj` reference loop.
 ///
 /// This is the accumulation-order oracle for the packed kernel: every
@@ -546,42 +433,6 @@ mod tests {
             let ab: Vec<u32> = accum.iter().map(|v| v.to_bits()).collect();
             let ob: Vec<u32> = over.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, ob, "overwrite != accumulate for ({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn f16b_matmul_matches_f32_on_widened_operand() {
-        // The streaming f16 GEMM must equal the f32 GEMM run on the
-        // widened operand bit for bit, on every available dispatch tier —
-        // storage narrowing is the *only* source of error in the f16 path.
-        for (m, k, n) in [
-            (MR, 64, NR),
-            (3, 17, 2 * NR + 5),
-            (MR + 1, 33, 4 * NR), // even strip count: two-strip windows
-            (2 * MR, 40, 3 * NR), // odd strip count: trailing single strip
-            (1, 1, 1),
-            (5, 0, 7), // k == 0 must zero the output
-        ] {
-            let a = seq(m * k, 0.37);
-            let hb: Vec<u16> = seq(k * n, 0.53)
-                .iter()
-                .map(|&v| crate::half::f32_to_f16_bits(v))
-                .collect();
-            let wide: Vec<f32> = hb
-                .iter()
-                .map(|&h| crate::half::f16_bits_to_f32(h))
-                .collect();
-            let mut reference = vec![0.0f32; m * n];
-            matmul_into(&a, &wide, &mut reference, m, k, n);
-            for isa in crate::isa::available() {
-                crate::isa::force(Some(isa));
-                let mut out = vec![f32::NAN; m * n]; // overwrite form: garbage in
-                matmul_f16b_into(&a, &hb, &mut out, m, k, n);
-                crate::isa::force(None);
-                let ob: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                let rb: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ob, rb, "f16b != widened f32 for ({m},{k},{n}) on {:?}", isa);
-            }
         }
     }
 

@@ -1,15 +1,17 @@
-//! IEEE binary16 ("f16") storage for the inference path.
+//! IEEE binary16 ("f16") conversions for the prediction store's half-width
+//! storage.
 //!
-//! The crate computes **exclusively in f32** — f16 is a *storage* format:
-//! model weights and prediction-store panels can be held half-width and are
-//! widened back to f32 tiles while packing, halving the memory traffic of
-//! the memory-bound online kernels. Accumulation is always f32.
+//! The workspace computes **exclusively in f32** — f16 is a *storage*
+//! format: `o4a-core`'s `FrameSet` can hold the stored multi-scale
+//! predictions half-width, narrowed once per publish through
+//! [`narrow_f16`] and widened value by value through [`f16_bits_to_f32`]
+//! as queries read them. Accumulation is always f32.
 //!
 //! # Conversion semantics
 //!
 //! The software conversions here implement exactly the semantics of the
-//! x86 `F16C` instructions, so hardware (`vcvtps2ph`/`vcvtph2ps`, used by
-//! the Avx2/Avx512 dispatch tiers) and software tiers are bit-identical:
+//! x86 `F16C` instructions, so the hardware narrowing (`vcvtps2ph`, used by
+//! the Avx2/Avx512 dispatch tiers) and the software tier are bit-identical:
 //!
 //! * narrowing rounds to nearest, ties to even (`RNE`); overflow goes to
 //!   infinity; f32 subnormals (< 2^-126) narrow to signed zero; NaNs keep
@@ -17,9 +19,9 @@
 //! * widening is exact for every non-NaN value (every f16 value is exactly
 //!   representable in f32); signalling NaNs are quieted.
 //!
-//! Verified against the hardware instructions exhaustively over all 2^16
-//! f16 bit patterns (widen) and by proptest (narrow) in
-//! `crates/tensor/tests/half_props.rs`.
+//! `crates/tensor/tests/half_props.rs` checks widening exhaustively over
+//! all 2^16 f16 bit patterns against an independent decoding, and
+//! narrowing on every dispatch tier by proptest and on edge cases.
 //!
 //! # Error bound
 //!
@@ -30,16 +32,13 @@
 //!   at most half an ulp = 2^-11;
 //! * `|v' - v| <= 2^-25` when the result is f16-subnormal or zero
 //!   (`|v| < 2^-14`): absolute error of half the subnormal ulp `2^-24`;
-//! * values with `|v| >= 65520` overflow to infinity (the callers store
-//!   bounded activations/weights, far inside the finite range).
+//! * values with `|v| >= 65520` overflow to infinity (the prediction store
+//!   holds bounded flow predictions, far inside the finite range).
 //!
 //! This per-value bound is what the end-to-end f16 query tolerance test in
 //! `o4a-core` asserts (a query summing `T` stored values `v_t` is within
 //! `sum_t 2^-11 |v_t| + T * 2^-25` of the f32 answer, up to f32 summation
 //! rounding of the perturbed terms).
-
-use crate::tensor::Tensor;
-use crate::{Result, TensorError};
 
 /// Narrows one f32 to f16 bits: round-to-nearest-even, overflow to
 /// infinity, subnormal-aware, NaN payload truncated with the quiet bit
@@ -114,14 +113,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Widens a slice of f16 bit patterns into f32 through the active ISA
-/// tier (`vcvtph2ps` on Avx2/Avx512). Lossless. `src` and `dst` must have
-/// equal lengths.
-pub fn widen_f16(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len());
-    (crate::isa::dispatch().widen_f16)(src, dst);
-}
-
 /// Narrows a slice of f32 into f16 bit patterns through the active ISA
 /// tier (`vcvtps2ph` on Avx2/Avx512) — round-to-nearest-even, see the
 /// module docs for semantics and the error bound. `src` and `dst` must
@@ -131,82 +122,10 @@ pub fn narrow_f16(src: &[f32], dst: &mut [u16]) {
     (crate::isa::dispatch().narrow_f16)(src, dst);
 }
 
-/// Widens a slice of f16 bit patterns into f32 (scalar tier entry).
-pub(crate) fn widen_f16_scalar(src: &[u16], dst: &mut [f32]) {
-    for (d, &h) in dst.iter_mut().zip(src) {
-        *d = f16_bits_to_f32(h);
-    }
-}
-
 /// Narrows a slice of f32 into f16 bit patterns (scalar tier entry).
 pub(crate) fn narrow_f16_scalar(src: &[f32], dst: &mut [u16]) {
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = f32_to_f16_bits(v);
-    }
-}
-
-/// A tensor stored as IEEE binary16 bit patterns.
-///
-/// Produced by [`Tensor::to_f16`] (round-to-nearest-even); consumed by the
-/// f16 GEMM/conv paths, which widen tiles back to f32 during packing. See
-/// the module docs for the storage error bound.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HalfTensor {
-    bits: Vec<u16>,
-    shape: Vec<usize>,
-}
-
-impl HalfTensor {
-    /// Narrows an f32 tensor (through the active ISA tier's converter).
-    pub fn from_tensor(t: &Tensor) -> Self {
-        let mut bits = vec![0u16; t.len()];
-        (crate::isa::dispatch().narrow_f16)(t.data(), &mut bits);
-        HalfTensor {
-            bits,
-            shape: t.shape().to_vec(),
-        }
-    }
-
-    /// Builds a half tensor from raw f16 bit patterns.
-    pub fn from_bits(bits: Vec<u16>, shape: &[usize]) -> Result<Self> {
-        let len: usize = shape.iter().product();
-        if len != bits.len() {
-            return Err(TensorError::InvalidReshape {
-                len: bits.len(),
-                shape: shape.to_vec(),
-            });
-        }
-        Ok(HalfTensor {
-            bits,
-            shape: shape.to_vec(),
-        })
-    }
-
-    /// Widens back to an f32 tensor (lossless).
-    pub fn to_tensor(&self) -> Tensor {
-        let mut out = Tensor::uninit(&self.shape);
-        (crate::isa::dispatch().widen_f16)(&self.bits, out.data_mut());
-        out
-    }
-
-    /// The tensor shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the tensor has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// The raw f16 bit patterns.
-    pub fn bits(&self) -> &[u16] {
-        &self.bits
     }
 }
 
@@ -270,8 +189,10 @@ mod tests {
     fn roundtrip_error_is_within_documented_bound() {
         let mut rng = crate::SeededRng::new(7);
         let t = rng.uniform_tensor(&[4096], -100.0, 100.0);
-        let back = HalfTensor::from_tensor(&t).to_tensor();
-        for (&v, &w) in t.data().iter().zip(back.data()) {
+        let mut bits = vec![0u16; t.len()];
+        narrow_f16(t.data(), &mut bits);
+        for (&v, &h) in t.data().iter().zip(&bits) {
+            let w = f16_bits_to_f32(h);
             let bound = if v.abs() >= f32::from_bits(0x38800000) {
                 v.abs() * f32::from_bits(0x3a000000) // 2^-11 relative
             } else {
@@ -279,17 +200,5 @@ mod tests {
             };
             assert!((w - v).abs() <= bound, "v={v} w={w} bound={bound}");
         }
-    }
-
-    #[test]
-    fn half_tensor_shape_and_bits_roundtrip() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let h = HalfTensor::from_tensor(&t);
-        assert_eq!(h.shape(), &[2, 3]);
-        assert_eq!(h.len(), 6);
-        assert_eq!(h.to_tensor(), t); // small integers are f16-exact
-        let h2 = HalfTensor::from_bits(h.bits().to_vec(), &[3, 2]).unwrap();
-        assert_eq!(h2.shape(), &[3, 2]);
-        assert!(HalfTensor::from_bits(vec![0; 5], &[2, 3]).is_err());
     }
 }

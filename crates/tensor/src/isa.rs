@@ -1,33 +1,35 @@
 //! Runtime ISA detection and kernel dispatch.
 //!
 //! Every hot kernel in the crate (the GEMM micro-kernel family, the panel
-//! packers, the fused elementwise / Adam sweeps, and the f16 conversions)
-//! exists in up to three implementations:
+//! packers, the fused elementwise / Adam sweeps, and the f16 narrowing that
+//! fills the prediction store's half-width frames) exists in up to three
+//! implementations:
 //!
 //! * **Scalar** — the portable Rust loops. With `target-cpu=native` the
 //!   compiler still autovectorizes them, so "scalar" here means *no
 //!   `std::arch` intrinsics*, not "no SIMD instructions"; it is the tier
 //!   that runs on any x86-64 and on every other architecture.
 //! * **Avx2** — explicit AVX2+FMA kernels (`_mm256_fmadd_ps` tiles, the
-//!   8x8-block transpose A-packer) plus hardware `F16C` half conversions.
+//!   8x8-block transpose A-packer) plus hardware `F16C` narrowing.
 //! * **Avx512** — explicit AVX-512F kernels: the two-strip `8x32` GEMM
 //!   micro-kernel (16 zmm accumulators, `k` unrolled by 4), zmm panel
-//!   packers, 16-lane fused elementwise/Adam sweeps, and `vcvtph2ps` /
-//!   `vcvtps2ph` half conversions.
+//!   packers, 16-lane fused elementwise/Adam sweeps, and `vcvtps2ph`
+//!   narrowing.
 //!
 //! The implementation family is chosen **once**, on first use, via
 //! [`std::is_x86_feature_detected!`], and cached in a [`OnceLock`] as a
 //! table of plain function pointers ([`Dispatch`]). The choice can be
 //! overridden for testing with `O4A_ISA=scalar|avx2|avx512` (requesting a
 //! tier the CPU lacks falls back to the best available with a warning), or
-//! programmatically with [`force`] (which panics on an unavailable tier, so
-//! tests cannot silently pass on the wrong path).
+//! programmatically with [`force`] (which panics on an unavailable tier;
+//! tests that force tiers on parallel threads must serialize, see its
+//! docs).
 //!
 //! **Bit-identity.** Dispatch never changes results: every tier computes
 //! each output element through the *same* exactly-rounded operation chain
 //! (see the `gemm` module docs), so `O4A_ISA=scalar` is bit-for-bit
 //! identical to the dispatched run. This is property-tested per tier in
-//! `crates/tensor/tests/gemm_props.rs` / `into_props.rs`.
+//! `crates/tensor/tests/gemm_props.rs` / `into_props.rs` / `half_props.rs`.
 //!
 //! The selected tier and the detected CPU features are exported through
 //! `o4a-obs` as plain gauges (`o4a_isa_active`, `o4a_isa_feature_*`) and
@@ -74,13 +76,6 @@ impl Isa {
 pub(crate) type GemmPanelFn =
     fn(pa: &[f32], pb: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize);
 
-/// Drives the micro-kernel for a window of one or two adjacent B strips
-/// (packed contiguously in `pbw`, first output column `c0`) across every
-/// packed A strip — overwrite form. The streaming f16 GEMM uses this to
-/// keep only a cache-resident slice of B in f32 at a time.
-pub(crate) type ColWindowFn =
-    fn(pa: &[f32], pbw: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize, c0: usize);
-
 /// Packs a strided `m x k` view into `MR`-high row strips
 /// (see [`crate::gemm::pack_a_strided`] for the layout contract).
 pub(crate) type PackAFn =
@@ -89,10 +84,6 @@ pub(crate) type PackAFn =
 /// Packs one `NR`-wide column strip (strip index implied by `c0 / NR`) of a
 /// row-major `k x n` matrix, zero-padding columns past `n`.
 pub(crate) type PackBStripFn = fn(b: &[f32], strip: &mut [f32], k: usize, n: usize, c0: usize);
-
-/// Same as [`PackBStripFn`] but the source matrix holds f16 bit patterns;
-/// values are widened to f32 while packing (widening is lossless).
-pub(crate) type PackBStripF16Fn = fn(hb: &[u16], strip: &mut [f32], k: usize, n: usize, c0: usize);
 
 /// Elementwise binary kernel over equal-length slices.
 pub(crate) type BinFn = fn(a: &[f32], b: &[f32], out: &mut [f32]);
@@ -106,9 +97,6 @@ pub(crate) type AffineFn = fn(src: &[f32], out: &mut [f32], s: f32, t: f32);
 /// Fused Adam moment + parameter update over one chunk.
 pub(crate) type AdamFn =
     fn(pd: &mut [f32], g: &[f32], md: &mut [f32], vd: &mut [f32], hp: AdamUpdate);
-
-/// f16 -> f32 slice widening (lossless).
-pub(crate) type WidenFn = fn(src: &[u16], dst: &mut [f32]);
 
 /// f32 -> f16 slice narrowing (IEEE round-to-nearest-even, NaNs quieted —
 /// the exact semantics of the `vcvtps2ph` instruction).
@@ -124,14 +112,10 @@ pub(crate) struct Dispatch {
     pub gemm_panel_acc: GemmPanelFn,
     /// Overwriting GEMM panel drive (`out = A*B`, `out` may be garbage).
     pub gemm_panel_over: GemmPanelFn,
-    /// One/two-strip column-window overwrite drive (streaming f16 GEMM).
-    pub colwindow_over: ColWindowFn,
     /// Strided A packer.
     pub pack_a: PackAFn,
     /// Row-major B strip packer.
     pub pack_b_strip: PackBStripFn,
-    /// f16-source B strip packer (widen while packing).
-    pub pack_b_strip_f16: PackBStripF16Fn,
     /// `out = a + b`.
     pub add: BinFn,
     /// `out = a - b`.
@@ -146,8 +130,6 @@ pub(crate) struct Dispatch {
     pub affine: AffineFn,
     /// Fused Adam update chunk.
     pub adam: AdamFn,
-    /// f16 -> f32 widening.
-    pub widen_f16: WidenFn,
     /// f32 -> f16 narrowing.
     pub narrow_f16: NarrowFn,
 }
@@ -156,10 +138,8 @@ static SCALAR: Dispatch = Dispatch {
     isa: Isa::Scalar,
     gemm_panel_acc: crate::gemm::gemm_panel_scalar_acc,
     gemm_panel_over: crate::gemm::gemm_panel_scalar_over,
-    colwindow_over: crate::gemm::colwindow_scalar_over,
     pack_a: crate::gemm::pack_a_strided_scalar,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
-    pack_b_strip_f16: crate::gemm::pack_b_strip_f16_scalar,
     add: crate::simd::scalar::add,
     sub: crate::simd::scalar::sub,
     mul: crate::simd::scalar::mul,
@@ -167,12 +147,11 @@ static SCALAR: Dispatch = Dispatch {
     relu: crate::simd::scalar::relu,
     affine: crate::simd::scalar::affine,
     adam: crate::simd::scalar::adam,
-    widen_f16: crate::half::widen_f16_scalar,
     narrow_f16: crate::half::narrow_f16_scalar,
 };
 
-/// The AVX2 tier upgrades the GEMM micro-kernel, the A packer and the half
-/// conversions (F16C); the streaming elementwise sweeps stay on the
+/// The AVX2 tier upgrades the GEMM micro-kernel, the A packer and the f16
+/// narrowing (F16C); the streaming elementwise sweeps stay on the
 /// autovectorized scalar path, which measures at parity for memory-bound
 /// kernels on AVX2-only hardware.
 #[cfg(target_arch = "x86_64")]
@@ -180,10 +159,8 @@ static AVX2: Dispatch = Dispatch {
     isa: Isa::Avx2,
     gemm_panel_acc: crate::simd::avx2::gemm_panel_acc,
     gemm_panel_over: crate::simd::avx2::gemm_panel_over,
-    colwindow_over: crate::simd::avx2::colwindow_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
-    pack_b_strip_f16: crate::simd::avx2::pack_b_strip_f16,
     add: crate::simd::scalar::add,
     sub: crate::simd::scalar::sub,
     mul: crate::simd::scalar::mul,
@@ -191,7 +168,6 @@ static AVX2: Dispatch = Dispatch {
     relu: crate::simd::scalar::relu,
     affine: crate::simd::scalar::affine,
     adam: crate::simd::scalar::adam,
-    widen_f16: crate::simd::avx2::widen_f16,
     narrow_f16: crate::simd::avx2::narrow_f16,
 };
 
@@ -200,10 +176,8 @@ static AVX512: Dispatch = Dispatch {
     isa: Isa::Avx512,
     gemm_panel_acc: crate::simd::avx512::gemm_panel_acc,
     gemm_panel_over: crate::simd::avx512::gemm_panel_over,
-    colwindow_over: crate::simd::avx512::colwindow_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::simd::avx512::pack_b_strip,
-    pack_b_strip_f16: crate::simd::avx512::pack_b_strip_f16,
     add: crate::simd::avx512::add,
     sub: crate::simd::avx512::sub,
     mul: crate::simd::avx512::mul,
@@ -211,7 +185,6 @@ static AVX512: Dispatch = Dispatch {
     relu: crate::simd::avx512::relu,
     affine: crate::simd::avx512::affine,
     adam: crate::simd::avx512::adam,
-    widen_f16: crate::simd::avx512::widen_f16,
     narrow_f16: crate::simd::avx512::narrow_f16,
 };
 
@@ -321,13 +294,17 @@ pub fn active() -> Isa {
 
 /// Forces a specific tier (`Some`) or restores startup dispatch (`None`).
 ///
-/// Test/bench hook, mirroring `pool::set_enabled`: the override is global
-/// and racy across threads, which is harmless for correctness because every
-/// tier is bit-identical — it only changes which instructions run.
+/// Test/bench hook, mirroring `pool::set_enabled`: the override is global,
+/// so it changes the tier of every thread's kernels. Results stay correct
+/// whatever the interleaving, because every tier is bit-identical; but a
+/// test binary whose tests force tiers on parallel threads must serialize
+/// those sections (one test's `force(None)` would otherwise hand another
+/// the resolved tier mid-loop, and it would pass without running the tier
+/// it names).
 ///
 /// # Panics
 /// If the requested tier is not available on this CPU, so a forced-tier
-/// test can never silently pass on the wrong path.
+/// test cannot pass on a tier the CPU lacks.
 pub fn force(isa: Option<Isa>) {
     if let Some(i) = isa {
         assert!(

@@ -39,8 +39,8 @@
 //! results. `unsafe` in the crate is confined to the lifetime/aliasing
 //! bookkeeping in [`parallel`] and the `target_feature` intrinsics in the
 //! `simd` module, each behind a safety argument tied to the dispatch
-//! tables. Half-precision *storage* (f16 weights and panels, f32 compute)
-//! for the memory-bound inference path lives in [`half`].
+//! tables. The f16 conversions behind the prediction store's half-width
+//! storage live in [`half`]; all compute stays f32.
 //!
 //! Tensor storage and kernel scratch come from a thread-aware buffer pool
 //! ([`pool`]): dropping a tensor recycles its buffer, `_into` kernel
@@ -62,10 +62,9 @@ mod simd;
 pub mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_f16w_into, conv2d_into, upsample_nearest,
+    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_into, upsample_nearest,
     upsample_nearest_backward, Conv2dGrads,
 };
-pub use half::HalfTensor;
 pub use init::{glorot_uniform, he_normal, SeededRng};
 pub use ops::{adam_update_into, AdamUpdate};
 pub use tensor::Tensor;

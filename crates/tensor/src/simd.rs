@@ -96,7 +96,7 @@ pub(crate) mod scalar {
 }
 
 /// AVX2 + FMA + F16C tier: explicit 256-bit GEMM micro-kernel, 8x8-block
-/// transpose A packer, and hardware half conversions.
+/// transpose A packer, and hardware f16 narrowing.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use crate::gemm::{micro_tile, packed_a_len, MR, NR};
@@ -165,7 +165,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    // SAFETY (all three wrappers): only installed in the Avx2/Avx512
+    // SAFETY (both wrappers): only installed in the Avx2/Avx512
     // dispatch tables, which are selected after runtime detection of
     // avx2+fma (see module docs).
     pub(crate) fn gemm_panel_acc(
@@ -188,31 +188,6 @@ pub(crate) mod avx2 {
         n: usize,
     ) {
         unsafe { panel::<false>(pa, pb, out, rows, k, n) }
-    }
-
-    pub(crate) fn colwindow_over(
-        pa: &[f32],
-        pbw: &[f32],
-        out: &mut [f32],
-        rows: usize,
-        k: usize,
-        n: usize,
-        c0: usize,
-    ) {
-        for (sjw, pb_strip) in pbw.chunks_exact(k * NR).enumerate() {
-            let cw = c0 + sjw * NR;
-            let cols_v = NR.min(n - cw);
-            for (si, pa_strip) in pa.chunks_exact(k * MR).enumerate() {
-                let r0 = si * MR;
-                let rows_v = MR.min(rows - r0);
-                if rows_v == MR && cols_v == NR {
-                    // SAFETY: full tile; avx2+fma detected (dispatch table).
-                    unsafe { tile::<false>(pa_strip, pb_strip, out, r0 * n + cw, n, k) };
-                } else {
-                    micro_tile::<false>(pa_strip, pb_strip, out, r0 * n + cw, n, rows_v, cols_v);
-                }
-            }
-        }
     }
 
     /// In-register 8x8 f32 transpose (unpack / shuffle / permute2f128).
@@ -315,21 +290,9 @@ pub(crate) mod avx2 {
         unsafe { pack_a_contig(src, dst, m, k, row_stride) }
     }
 
-    /// F16C half conversions, 8 lanes per step; tails use the software
-    /// conversions, which bit-match the hardware (tested exhaustively in
+    /// F16C narrowing, 8 lanes per step; tails use the software
+    /// conversion, which bit-matches the hardware (proptested in
     /// `crates/tensor/tests/half_props.rs`).
-    #[target_feature(enable = "f16c")]
-    unsafe fn widen_inner(src: &[u16], dst: &mut [f32]) {
-        let n8 = src.len() / 8 * 8;
-        for i in (0..n8).step_by(8) {
-            let h = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(h));
-        }
-        for i in n8..src.len() {
-            dst[i] = crate::half::f16_bits_to_f32(src[i]);
-        }
-    }
-
     #[target_feature(enable = "f16c")]
     unsafe fn narrow_inner(src: &[f32], dst: &mut [u16]) {
         let n8 = src.len() / 8 * 8;
@@ -343,43 +306,15 @@ pub(crate) mod avx2 {
         }
     }
 
-    pub(crate) fn widen_f16(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        // SAFETY: f16c detected (dispatch table); in-bounds 8-lane chunks.
-        unsafe { widen_inner(src, dst) }
-    }
-
     pub(crate) fn narrow_f16(src: &[f32], dst: &mut [u16]) {
         debug_assert_eq!(src.len(), dst.len());
         // SAFETY: f16c detected (dispatch table); in-bounds 8-lane chunks.
         unsafe { narrow_inner(src, dst) }
     }
-
-    /// f16-source B strip packer: widen each `NR`-wide panel row with two
-    /// F16C conversions. Ragged strips use the software conversion + pad.
-    pub(crate) fn pack_b_strip_f16(hb: &[u16], strip: &mut [f32], k: usize, n: usize, c0: usize) {
-        let cols_v = NR.min(n - c0);
-        if cols_v == NR {
-            // SAFETY: f16c detected; row p spans hb[p*n+c0 .. +16] and
-            // strip[p*NR .. +16], both in bounds for full strips.
-            unsafe {
-                for p in 0..k {
-                    let sp = hb.as_ptr().add(p * n + c0);
-                    let dp = strip.as_mut_ptr().add(p * NR);
-                    let h0 = _mm_loadu_si128(sp as *const __m128i);
-                    let h1 = _mm_loadu_si128(sp.add(8) as *const __m128i);
-                    _mm256_storeu_ps(dp, _mm256_cvtph_ps(h0));
-                    _mm256_storeu_ps(dp.add(8), _mm256_cvtph_ps(h1));
-                }
-            }
-        } else {
-            crate::gemm::pack_b_strip_f16_scalar(hb, strip, k, n, c0);
-        }
-    }
 }
 
 /// AVX-512F tier: two-strip `8 x 32` GEMM micro-kernel, zmm panel packers,
-/// 16-lane fused elementwise / Adam sweeps, and zmm half conversions.
+/// 16-lane fused elementwise / Adam sweeps, and zmm f16 narrowing.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::AdamUpdate;
@@ -601,62 +536,6 @@ pub(crate) mod avx512 {
         unsafe { panel::<false>(pa, pb, out, rows, k, n) }
     }
 
-    #[target_feature(enable = "avx512f")]
-    unsafe fn colwindow(
-        pa: &[f32],
-        pbw: &[f32],
-        out: &mut [f32],
-        rows: usize,
-        k: usize,
-        n: usize,
-        c0: usize,
-    ) {
-        let w = pbw.len() / (k * NR);
-        let row_strips = rows.div_ceil(MR);
-        let full_rows = rows / MR;
-        let strip_a = |si: usize| &pa[si * k * MR..(si + 1) * k * MR];
-        if w == 2 && c0 + 2 * NR <= n {
-            let (pb0, pb1) = pbw.split_at(k * NR);
-            for si in 0..row_strips {
-                let r0 = si * MR;
-                if si < full_rows {
-                    tile_x2::<false>(strip_a(si), pb0, pb1, out, r0 * n + c0, n, k);
-                } else {
-                    let rows_v = rows - r0;
-                    micro_tile::<false>(strip_a(si), pb0, out, r0 * n + c0, n, rows_v, NR);
-                    micro_tile::<false>(strip_a(si), pb1, out, r0 * n + c0 + NR, n, rows_v, NR);
-                }
-            }
-            return;
-        }
-        for (sjw, pb_strip) in pbw.chunks_exact(k * NR).enumerate() {
-            let cw = c0 + sjw * NR;
-            let cols_v = NR.min(n - cw);
-            for si in 0..row_strips {
-                let r0 = si * MR;
-                let rows_v = MR.min(rows - r0);
-                if rows_v == MR && cols_v == NR {
-                    tile_x1::<false>(strip_a(si), pb_strip, out, r0 * n + cw, n, k);
-                } else {
-                    micro_tile::<false>(strip_a(si), pb_strip, out, r0 * n + cw, n, rows_v, cols_v);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn colwindow_over(
-        pa: &[f32],
-        pbw: &[f32],
-        out: &mut [f32],
-        rows: usize,
-        k: usize,
-        n: usize,
-        c0: usize,
-    ) {
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { colwindow(pa, pbw, out, rows, k, n, c0) }
-    }
-
     /// B strip packer: one zmm load + store per panel row; ragged strips
     /// use a masked (zero-filling) load so padding is zeroed in the same
     /// store. Pure data movement.
@@ -691,40 +570,8 @@ pub(crate) mod avx512 {
         unsafe { pack_b_strip_inner(b, strip, k, n, c0) }
     }
 
-    /// f16-source B strip packer: one `vcvtph2ps` per panel row.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn pack_b_strip_f16_inner(hb: &[u16], strip: &mut [f32], k: usize, n: usize, c0: usize) {
-        for p in 0..k {
-            let h = _mm256_loadu_si256(hb.as_ptr().add(p * n + c0) as *const __m256i);
-            _mm512_storeu_ps(strip.as_mut_ptr().add(p * NR), _mm512_cvtph_ps(h));
-        }
-    }
-
-    pub(crate) fn pack_b_strip_f16(hb: &[u16], strip: &mut [f32], k: usize, n: usize, c0: usize) {
-        let cols_v = NR.min(n - c0);
-        if cols_v == NR {
-            // SAFETY: avx512f detected; full strips only (16 u16 per row
-            // in bounds).
-            unsafe { pack_b_strip_f16_inner(hb, strip, k, n, c0) }
-        } else {
-            crate::gemm::pack_b_strip_f16_scalar(hb, strip, k, n, c0);
-        }
-    }
-
-    /// 16-lane half conversions; tails use the software conversions,
-    /// which bit-match the hardware.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn widen_inner(src: &[u16], dst: &mut [f32]) {
-        let n16 = src.len() / 16 * 16;
-        for i in (0..n16).step_by(16) {
-            let h = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_cvtph_ps(h));
-        }
-        for i in n16..src.len() {
-            dst[i] = crate::half::f16_bits_to_f32(src[i]);
-        }
-    }
-
+    /// 16-lane f16 narrowing; tails use the software conversion, which
+    /// bit-matches the hardware.
     #[target_feature(enable = "avx512f")]
     unsafe fn narrow_inner(src: &[f32], dst: &mut [u16]) {
         let n16 = src.len() / 16 * 16;
@@ -736,12 +583,6 @@ pub(crate) mod avx512 {
         for i in n16..src.len() {
             dst[i] = crate::half::f32_to_f16_bits(src[i]);
         }
-    }
-
-    pub(crate) fn widen_f16(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { widen_inner(src, dst) }
     }
 
     pub(crate) fn narrow_f16(src: &[f32], dst: &mut [u16]) {

@@ -326,56 +326,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Narrows the tensor to IEEE binary16 storage (round-to-nearest-even).
-    ///
-    /// The inverse widening ([`crate::HalfTensor::to_tensor`]) is lossless;
-    /// the narrowing error bound is documented in [`crate::half`].
-    pub fn to_f16(&self) -> crate::HalfTensor {
-        crate::HalfTensor::from_tensor(self)
-    }
-
-    /// Matrix multiplication with an f16-stored right operand:
-    /// `[m,k] x [k,n] -> [m,n]`, `rhs` held as binary16 bit patterns.
-    ///
-    /// The inference-path GEMM: `rhs` is streamed from half-width storage
-    /// and widened to f32 in cache-resident tiles during packing, so the
-    /// DRAM traffic of the memory-bound `m << n` shape is roughly halved.
-    /// Accumulation is f32 and bit-identical to
-    /// `self.matmul(&rhs.to_tensor())` — all error relative to an f32
-    /// pipeline comes from the one-time storage narrowing
-    /// ([`Tensor::to_f16`]), bounded in [`crate::half`].
-    pub fn matmul_f16b(&self, rhs: &crate::HalfTensor) -> Result<Tensor> {
-        let mut out = Tensor::empty();
-        self.matmul_f16b_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::matmul_f16b`] into a reusable output workspace (resized as
-    /// needed; previous contents discarded).
-    pub fn matmul_f16b_into(&self, rhs: &crate::HalfTensor, out: &mut Tensor) -> Result<()> {
-        if self.rank() != 2 || rhs.shape().len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    rhs.shape().len()
-                },
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
-        }
-        out.reset_uninit(&[m, n]);
-        crate::gemm::matmul_f16b_into(self.data(), rhs.bits(), out.data_mut(), m, k, n);
-        Ok(())
-    }
-
     /// Serial reference matrix multiplication: the plain `ikj` triple loop,
     /// no packing, no parallelism.
     ///

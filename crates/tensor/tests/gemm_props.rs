@@ -138,33 +138,6 @@ proptest! {
             );
         }
     }
-
-    /// The f16 packed-B GEMM equals the f32 GEMM on the widened operand
-    /// bit for bit on every tier: half storage may only change where bytes
-    /// live, never the accumulation chain.
-    #[test]
-    fn f16b_matmul_matches_widened_on_every_isa_tier(
-        seed in 0u64..10_000,
-        m in 1usize..20,
-        k in 0usize..40,
-        n in 1usize..40,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let a = rng.uniform_tensor(&[m, k], -1.0, 1.0);
-        let hb = rng.uniform_tensor(&[k, n], -1.0, 1.0).to_f16();
-        let want = bits(&a.matmul(&hb.to_tensor()).unwrap());
-        for tier in isa::available() {
-            isa::force(Some(tier));
-            let got = bits(&a.matmul_f16b(&hb).unwrap());
-            isa::force(None);
-            prop_assert_eq!(
-                &want,
-                &got,
-                "{} tier f16b GEMM diverged for {}x{}x{}",
-                tier.name(), m, k, n
-            );
-        }
-    }
 }
 
 /// The explicit degenerate case the issue calls out.

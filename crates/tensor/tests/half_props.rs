@@ -1,30 +1,67 @@
 //! f16 conversion identity and error-bound contract.
 //!
-//! The dispatched converters (hardware `F16C` `vcvtph2ps`/`vcvtps2ph` on
-//! the AVX2/AVX-512 tiers) must equal the software reference in
-//! `o4a_tensor::half` **bit for bit** on every tier — widening checked
-//! exhaustively over all 2^16 f16 patterns, narrowing by proptest over the
-//! f32 space (NaNs, infinities and subnormals included). The round-trip
-//! error must stay inside the bound documented in `half`'s module docs.
+//! Widening (`f16_bits_to_f32`, which every half-width prediction-store
+//! read goes through) is checked exhaustively over all 2^16 f16 patterns
+//! against a decoding written here. The dispatched narrowing (hardware
+//! `F16C` `vcvtps2ph` on the AVX2/AVX-512 tiers) must equal the software
+//! reference in `o4a_tensor::half` **bit for bit** on every tier, checked
+//! by proptest over the f32 space (NaNs, infinities and subnormals
+//! included). The round-trip error must stay inside the bound documented
+//! in `half`'s module docs.
 
-use o4a_tensor::half::{f16_bits_to_f32, f32_to_f16_bits, narrow_f16, widen_f16};
+use o4a_tensor::half::{f16_bits_to_f32, f32_to_f16_bits, narrow_f16};
 use o4a_tensor::isa;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// All 2^16 f16 bit patterns widen identically through every tier's
-/// converter and the software reference (hardware-vs-software equality on
-/// CPUs with F16C).
+/// `isa::force` sets one process-wide tier and the harness runs tests on
+/// parallel threads, so every forced section holds this lock: otherwise
+/// one test's `force(None)` could reset another's tier mid-loop, and that
+/// test would run the resolved tier instead of the one it names.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+fn force_lock() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock reports its own
+    // failure; the lock guards no data, and each holder forces its tier
+    // afresh.
+    FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The value of f16 bit pattern `h` by the binary16 definition, in `f64`:
+/// sign × mantissa × 2^exp for zeros, subnormals and normals, ±∞ for the
+/// all-ones exponent with a zero mantissa; `None` for NaNs.
+fn decode_f16(h: u16) -> Option<f64> {
+    let sign = if h & 0x8000 != 0 { -1.0 } else { 1.0 };
+    let exp = i32::from((h >> 10) & 0x1f);
+    let man = f64::from(h & 0x3ff);
+    match exp {
+        0 => Some(sign * man * 2f64.powi(-24)),
+        31 if man == 0.0 => Some(sign * f64::INFINITY),
+        31 => None,
+        _ => Some(sign * (1024.0 + man) * 2f64.powi(exp - 25)),
+    }
+}
+
+/// All 2^16 f16 bit patterns widen to the value the format defines:
+/// exactly, sign of zero and of infinity included; a NaN to the f32 NaN
+/// with the same sign, its 10-bit payload in the top mantissa bits and
+/// the quiet bit forced (`vcvtph2ps` semantics).
 #[test]
-fn widen_matches_software_exhaustively_on_every_tier() {
-    let src: Vec<u16> = (0..=u16::MAX).collect();
-    let want: Vec<u32> = src.iter().map(|&h| f16_bits_to_f32(h).to_bits()).collect();
-    for tier in isa::available() {
-        isa::force(Some(tier));
-        let mut dst = vec![0.0f32; src.len()];
-        widen_f16(&src, &mut dst);
-        isa::force(None);
-        let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(want, got, "{} widen diverged from software", tier.name());
+fn widen_matches_binary16_definition_exhaustively() {
+    for h in 0..=u16::MAX {
+        let got = f16_bits_to_f32(h);
+        match decode_f16(h) {
+            Some(want) => assert_eq!(
+                f64::from(got).to_bits(),
+                want.to_bits(),
+                "h={h:#06x}: got {got}, want {want}"
+            ),
+            None => {
+                let payload = u32::from(h & 0x3ff) << 13;
+                let want = (u32::from(h & 0x8000) << 16) | 0x7fc0_0000 | payload;
+                assert_eq!(got.to_bits(), want, "h={h:#06x}: NaN payload");
+            }
+        }
     }
 }
 
@@ -55,6 +92,7 @@ fn narrow_edge_cases_match_on_every_tier() {
         -1e-9,
     ];
     let want: Vec<u16> = src.iter().map(|&v| f32_to_f16_bits(v)).collect();
+    let _forced = force_lock();
     for tier in isa::available() {
         isa::force(Some(tier));
         let mut dst = vec![0u16; src.len()];
@@ -76,6 +114,7 @@ proptest! {
     ) {
         let src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
         let want: Vec<u16> = src.iter().map(|&v| f32_to_f16_bits(v)).collect();
+        let _forced = force_lock();
         for tier in isa::available() {
             isa::force(Some(tier));
             let mut dst = vec![0u16; src.len()];

@@ -61,12 +61,14 @@ cargo fmt --check
 
 # Lint the crates touched by the parallel compute runtime and the
 # serving layer, the grid crate, whose packed-mask bit manipulation runs
-# on every decomposition-cache miss, and the synthetic-data crate with the rand
-# shim it draws from (`-p rand` lints the shim although it is not a
-# workspace member).
-echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid, data, rand)"
+# on every decomposition-cache miss, the model crate and the root package
+# with its examples and integration tests, and the synthetic-data crate
+# with the rand shim it draws from (`-p rand` lints the shim although it
+# is not a workspace member).
+echo "==> cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid, data, models, root, rand)"
 cargo clippy --release -p o4a-tensor -p o4a-nn -p o4a-core -p o4a-bench \
-    -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid -p o4a-data -p rand \
+    -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid -p o4a-data \
+    -p o4a-models -p one4all-st -p rand \
     --all-targets -- -D warnings
 
 # Kernel smoke: quick bench run to a scratch path (the committed
@@ -163,26 +165,21 @@ awk '
 
 # Query-path gate: the engine's warm `query_many` (a decomposition-cache
 # hit per mask, then `interpret`) may cost at most 2.5x bare `interpret`
-# over the same pre-decomposed groups and snapshot. Both rows come from
-# the kernels run above, in one process, so machine drift cancels; each
-# of their samples spans >= 1 ms of back-to-back calls. The engine read
-# 1.4-2.1x over 16 runs on a 2-vCPU AVX-512 host; an engine that
-# decomposes again on every hit read 6.5-9.0x there and trips it.
+# over the same pre-decomposed groups and snapshot. The kernels run above
+# times the two loops in alternation at one thread, one >= 1 ms sample of
+# each per pair, and reports the median of 31 per-pair ratios as
+# `query_path_ratio`, so host load that hits one side of a pair hits the
+# other too. Dividing the two rows' separately timed medians instead read
+# above 2.5 in 3 of 54 runs against medians of 1.70-1.72, with no query
+# code changed. An engine that decomposes again on every hit reads
+# 6.5-9.0x and trips it.
 echo "==> query-path gate (engine query_many <= 2.5x bare interpret)"
 awk '
-    /"name": "query_many_batch"/ {
-        match($0, /"median_secs": \[[0-9.e+-]+/)
-        eng = substr($0, RSTART + 16, RLENGTH - 16) + 0
-    }
-    /"name": "query_many_interpreted"/ {
-        match($0, /"median_secs": \[[0-9.e+-]+/)
-        bare = substr($0, RSTART + 16, RLENGTH - 16) + 0
-    }
+    /"query_path_ratio"/ { gsub(/[^0-9.]/, "", $2); ratio = $2 + 0; seen = 1 }
     END {
-        if (eng <= 0 || bare <= 0) { print "FAIL: no query rows in bench json"; exit 1 }
-        printf "engine query_many %.3f us vs bare interpret %.3f us: %.3fx\n", \
-            eng * 1e6, bare * 1e6, eng / bare
-        if (eng / bare > 2.5) { print "FAIL: engine hit path > 2.5x bare interpret"; exit 1 }
+        if (!seen || ratio <= 0) { print "FAIL: no query_path_ratio in bench json"; exit 1 }
+        printf "engine query_many / bare interpret: %.3fx\n", ratio
+        if (ratio > 2.5) { print "FAIL: engine hit path > 2.5x bare interpret"; exit 1 }
     }
 ' "$KSMOKE_DIR/BENCH_kernels.json"
 
@@ -327,8 +324,7 @@ done
 echo "==> METRICS exposition smoke"
 for metric in o4a_serve_requests_total o4a_serve_busy_total \
     o4a_serve_protocol_errors_total o4a_query_decompose_ns_bucket \
-    o4a_query_lookup_ns_count o4a_query_aggregate_ns_sum \
-    o4a_plan_cache_hits_total \
+    o4a_query_aggregate_ns_sum o4a_plan_cache_hits_total \
     o4a_plan_cache_misses_total o4a_plan_cache_evictions_total \
     o4a_plan_cache_entries o4a_compiled_terms_bucket \
     o4a_isa_active o4a_isa_feature_avx2 \
@@ -356,8 +352,8 @@ test -f "$SMOKE_DIR/ens-artifacts/plan.o4aens" \
     || { echo "ensemble serve did not persist plan.o4aens"; exit 1; }
 for metric in o4a_ensemble_members o4a_ensemble_plan_cost \
     o4a_ensemble_plan_revision o4a_ensemble_plan_cells_stripe0 \
-    o4a_query_decompose_ns_bucket o4a_query_lookup_ns_count \
-    o4a_query_aggregate_ns_sum o4a_ensemble_model_terms_stripe1; do
+    o4a_query_decompose_ns_bucket o4a_query_aggregate_ns_sum \
+    o4a_ensemble_model_terms_stripe1; do
     grep -q "^$metric" "$SMOKE_DIR/emetrics.prom" \
         || { echo "emetrics.prom is missing $metric"; exit 1; }
 done
