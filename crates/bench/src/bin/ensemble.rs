@@ -8,6 +8,7 @@
 //!
 //! Usage: `cargo run -p o4a-bench --release --bin ensemble [-- --quick] [--out PATH]`
 
+use o4a_core::codec::{decode_index, encode_index};
 use o4a_core::combination::search_optimal_combinations;
 use o4a_core::frames::FrameView;
 use o4a_core::one4all::truth_pyramid;
@@ -150,7 +151,7 @@ fn main() {
     // ensemble chooses to read for its accuracy win. The 2-member
     // ensemble's latency on the same masks is reported as an
     // informational row. All backends serve the last validation sample's
-    // snapshot; the ensemble sides run off decoded artifacts (the
+    // snapshot, and every side runs off a decoded artifact (the
     // cold-start path).
     let s_last = val_slots.len() - 1;
     let member_frames = |m: usize| -> Vec<Vec<f32>> {
@@ -176,15 +177,13 @@ fn main() {
     single_store
         .publish_checked(member_frames(best_m))
         .expect("snapshot");
-    let single = RegionServer::new(single_index, single_store.clone());
-    let solo_plan = plan_ensemble(
+    let single_bytes = encode_index(&single_index);
+    let solo_bytes = encode_plan(&plan_ensemble(
         &hier,
         std::slice::from_ref(&profiles[best_m]),
         &truths,
         &opts,
-    );
-    let solo_plan = decode_plan(&encode_plan(&solo_plan)).expect("decode solo plan");
-    let ensemble = EnsembleServer::new(solo_plan, vec![single_store]);
+    ));
 
     let mut masks: Vec<Mask> = Vec::new();
     for seed in [4, 5, 6] {
@@ -194,6 +193,19 @@ fn main() {
         }
     }
     masks.truncate(512);
+
+    // The gated pair is decoded here, back to back, just before timing: a
+    // hit walks the resolver's entries, so where they sit on the heap moves
+    // the ratio, and a side built or decoded earlier would sit in a heap
+    // the set-up above has fragmented.
+    let single = RegionServer::new(
+        decode_index(&single_bytes).expect("decode single-model index"),
+        single_store.clone(),
+    );
+    let ensemble = EnsembleServer::new(
+        decode_plan(&solo_bytes).expect("decode solo plan"),
+        vec![single_store],
+    );
 
     // Warm both engines' caches, then interleave the rounds so any
     // background-load burst hits both backends equally. The overhead is

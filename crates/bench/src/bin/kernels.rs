@@ -14,11 +14,7 @@
 //!
 //! Each ISA-sensitive row is re-timed once under `isa::force(Scalar)` at
 //! one thread; `vs_scalar` is that time over the dispatched t1 time —
-//! measured in the same process, so machine drift cancels. Rows whose code
-//! path contains no dispatched kernel (the two query rows: a cache probe,
-//! index lookups and signed aggregation only) share the dispatched
-//! measurement, so their `vs_scalar` is 1.000 by construction rather than
-//! re-measured noise.
+//! measured in the same process, so machine drift cancels.
 //!
 //! Requested thread counts are capped at the hardware parallelism, exactly
 //! as the runtime caps them: on a machine with fewer cores than a column,
@@ -26,6 +22,13 @@
 //! so its measurement is shared rather than re-timed (speedup 1.000 by
 //! construction, not by noisy re-measurement). The JSON records both the
 //! requested and effective thread counts.
+//!
+//! The two query rows (a cache probe, index lookups and signed
+//! aggregation) contain no dispatched kernel and run on the calling
+//! thread, never on the pool. Re-timing them under a forced scalar tier or
+//! another thread count would re-run identical code, so they share their
+//! t1 measurement across `vs_scalar` and the t2/t4 columns: 1.000 by
+//! construction rather than re-measured noise.
 //!
 //! Outputs are bit-identical across thread counts by construction (the
 //! runtime's determinism contract); this binary also spot-checks that on
@@ -150,12 +153,14 @@ struct Row {
     scalar_t1: f64,
 }
 
-/// Whether a row's code path goes through the ISA-dispatched kernels (and
-/// so gets a real forced-scalar re-measurement for its `vs_scalar`).
+/// Where a row's code runs: through the ISA-dispatched kernels on the
+/// parallel pool (re-timed per thread count and under the forced scalar
+/// tier), or on the calling thread alone with no dispatched kernel (t1
+/// shared by every column).
 #[derive(Clone, Copy, PartialEq)]
-enum IsaPath {
-    Dispatched,
-    None,
+enum RowPath {
+    Kernels,
+    CallingThread,
 }
 
 fn main() {
@@ -190,7 +195,7 @@ fn main() {
         iters,
         Some(conv_flops),
         prev_t1("conv2d_fwd_b16_c16_32x32"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             black_box(conv2d(&x, &w, &bias, 1, 1).expect("conv shapes"));
         },
@@ -200,7 +205,7 @@ fn main() {
         iters,
         Some(2.0 * conv_flops),
         prev_t1("conv2d_bwd_b16_c16_32x32"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             black_box(conv2d_backward(&x, &w, &bias, 1, 1, &go).expect("conv shapes"));
         },
@@ -214,7 +219,7 @@ fn main() {
         iters,
         Some(2.0 * 256.0 * 1024.0 * 1024.0),
         prev_t1("matmul_256x1024x1024"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             black_box(a.matmul(&b_mat).expect("matmul shapes"));
         },
@@ -231,7 +236,7 @@ fn main() {
         iters,
         Some(inf_flops),
         prev_t1("matmul_f32w_16x2048x2048"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             black_box(inf_a.matmul(&inf_b).expect("matmul shapes"));
         },
@@ -246,7 +251,7 @@ fn main() {
         iters,
         None,
         prev_t1("adam_step_1m_params"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             let mut p = Param::new(init.clone());
             let mut opt = Adam::new(1e-3);
@@ -279,7 +284,7 @@ fn main() {
         iters,
         None,
         prev_t1("train_step_stresnet_32x32"),
-        IsaPath::Dispatched,
+        RowPath::Kernels,
         || {
             let pred = net.forward(&step_x);
             let (loss, grad) = mse_loss(&pred, &step_y);
@@ -334,7 +339,7 @@ fn main() {
             iters,
             None,
             prev_t1("query_many_batch"),
-            IsaPath::None,
+            RowPath::CallingThread,
             &mut engine_sample,
         ),
         engine_reps,
@@ -353,7 +358,7 @@ fn main() {
             iters,
             None,
             prev_t1("query_many_interpreted"),
-            IsaPath::None,
+            RowPath::CallingThread,
             &mut interp_sample,
         ),
         interp_reps,
@@ -395,7 +400,7 @@ fn measure(
     iters: usize,
     flops: Option<f64>,
     prev_t1: Option<f64>,
-    isa_path: IsaPath,
+    path: RowPath,
     mut f: impl FnMut(),
 ) -> Row {
     let hw = parallel::hw_threads();
@@ -404,8 +409,13 @@ fn measure(
     for &t in &THREADS {
         let eff = t.min(hw);
         // A capped column runs the identical code path as the earlier
-        // column with the same effective count — share the measurement.
-        if let Some(i) = effective.iter().position(|&e| e == eff) {
+        // column with the same effective count, and a calling-thread row
+        // the same code at every count — share the measurement.
+        let same = match path {
+            RowPath::Kernels => effective.iter().position(|&e| e == eff),
+            RowPath::CallingThread => (!secs.is_empty()).then_some(0),
+        };
+        if let Some(i) = same {
             secs.push(secs[i]);
         } else {
             parallel::set_threads(eff);
@@ -416,7 +426,7 @@ fn measure(
     // Re-time t1 on the forced-scalar tier for the vs_scalar column. A row
     // that never enters a dispatched kernel would re-run identical code, so
     // its dispatched measurement is shared instead of re-measured.
-    let scalar_t1 = if isa_path == IsaPath::Dispatched && isa::active() != isa::Isa::Scalar {
+    let scalar_t1 = if path == RowPath::Kernels && isa::active() != isa::Isa::Scalar {
         parallel::set_threads(1);
         isa::force(Some(isa::Isa::Scalar));
         let s = time_it(iters, &mut f);

@@ -17,17 +17,22 @@
 //!   unreferenced one is evicted. Every swept bit was set by an earlier
 //!   hit or insert, so eviction is O(1) amortized.
 //!
+//! A decomposition miss decomposes into a per-thread buffer of groups
+//! ([`decompose_into`]), and groups are heap-free `Copy` values, so a
+//! miss allocates twice: the key's clone and the one cached slice.
+//!
 //! A decomposition depends only on the mask and the hierarchy, never on
 //! the resolver or the published snapshot, so nothing ever invalidates an
 //! entry. One slot exists per key hash. Two keys whose 64-bit hashes
 //! collide share (and thrash) that slot; the full-key compare keeps the
 //! answer exact.
 
-use o4a_grid::decompose::{decompose, DecomposedGroup};
+use o4a_grid::decompose::{decompose_into, DecomposedGroup};
 use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use o4a_obs::metrics::{Counter, Gauge};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -187,8 +192,19 @@ impl ClockCache<Mask, Arc<[DecomposedGroup]>> {
     /// `mask`'s decomposition against `hier`: cached, or decomposed and
     /// cached on a miss.
     pub fn decomposition(&self, hier: &Hierarchy, mask: &Mask) -> Arc<[DecomposedGroup]> {
-        self.get_or_insert_with(mask, || decompose(hier, mask).into())
+        self.get_or_insert_with(mask, || {
+            GROUPS.with_borrow_mut(|groups| {
+                decompose_into(hier, mask, groups);
+                Arc::from(&groups[..])
+            })
+        })
     }
+}
+
+thread_local! {
+    /// The groups of the thread's last decomposition miss, copied into
+    /// the cached slice; kept so a miss allocates only that slice.
+    static GROUPS: RefCell<Vec<DecomposedGroup>> = const { RefCell::new(Vec::new()) };
 }
 
 impl<K, V> Ring<K, V> {

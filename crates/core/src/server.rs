@@ -77,9 +77,9 @@ pub trait Resolver: Send + Sync {
     /// The entry of a single grid, if the index has one.
     fn cell_entry(&self, cell: LayerCell) -> Option<&Self::Entry>;
 
-    /// The entry of a multi-grid (a same-parent 2–3 cell group at
-    /// `layer`), if the index has one.
-    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Self::Entry>;
+    /// The entry of a multi-grid (a same-parent 2–3 cell group of a
+    /// `K = 2` hierarchy), if the index has one.
+    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&Self::Entry>;
 
     /// An entry's terms, in evaluation order.
     fn entry_terms(entry: &Self::Entry) -> impl Iterator<Item = Term> + '_;
@@ -97,15 +97,16 @@ pub trait Resolver: Send + Sync {
     /// direct prediction (member 0) when the index has none, which only
     /// happens on a foreign index.
     fn resolve_group(&self, group: &DecomposedGroup, sink: &mut impl TermSink) -> bool {
-        if group.cells.len() >= 2 && self.hierarchy().k() == 2 {
-            if let Some(entry) = self.multi_entry(group.layer, &group.cells) {
+        if group.len() >= 2 {
+            if let Some(entry) = self.multi_entry(group) {
                 Self::entry_terms(entry).for_each(|t| sink.term(t));
                 sink.end_run();
                 return true;
             }
         }
-        for &(r, c) in &group.cells {
-            let cell = LayerCell::new(group.layer, r, c);
+        let layer = group.layer();
+        for (r, c) in group.cells() {
+            let cell = LayerCell::new(layer, r, c);
             match self.cell_entry(cell) {
                 Some(entry) => Self::entry_terms(entry).for_each(|t| sink.term(t)),
                 None => sink.term(Term {
@@ -139,8 +140,8 @@ impl Resolver for CombinationIndex {
         self.for_cell(cell)
     }
 
-    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
-        self.for_multi(layer, cells)
+    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&Combination> {
+        self.tree.get_multi_group(group)
     }
 
     fn entry_terms(entry: &Combination) -> impl Iterator<Item = Term> + '_ {
@@ -1032,10 +1033,8 @@ mod tests {
         let (hier, index, _) = exact_setup();
         let mut foreign = index.clone();
         foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new(&hier);
-        let pair = DecomposedGroup {
-            layer: 0,
-            cells: vec![(0, 0), (0, 1)],
-        };
+        let pair = decompose(&hier, &Mask::rect(4, 4, 0, 0, 1, 2))[0];
+        assert_eq!(pair.cells().collect::<Vec<_>>(), vec![(0, 0), (0, 1)]);
         let mut terms: Vec<Term> = Vec::new();
         index.resolve_group(&pair, &mut terms);
         assert!(!terms.is_empty());

@@ -127,7 +127,7 @@ fn query_cost(hier: &Hierarchy, queries: &[Mask]) -> (f64, f64) {
     for q in queries {
         let groups = decompose(hier, q);
         groups_total += groups.len();
-        cells_total += groups.iter().map(|g| g.cells.len()).sum::<usize>();
+        cells_total += groups.iter().map(|g| g.len()).sum::<usize>();
     }
     (
         groups_total as f64 / queries.len() as f64,
@@ -214,6 +214,43 @@ mod tests {
         assert_eq!(best.hier.k(), 2, "got {:?}", best.hier);
         assert!(best.hier.num_layers() >= 4, "got {:?}", best.hier);
         assert!((best.mean_cells - 1.0).abs() < 1e-9);
+    }
+
+    /// The Fig. 14 windows {2, 3, 4} enumerate the same structures, with
+    /// the same decomposed groups and cells per query, as before groups
+    /// became block bitmaps (totals over the 58 sampled queries).
+    #[test]
+    fn standard_windows_enumerate_unchanged() {
+        let search = StructureSearch::standard(net_cfg());
+        let mut rng = SeededRng::new(3);
+        let queries = road_segment_queries(48, 48, 40.0, &mut rng);
+        let n = queries.len() as f64;
+        let mut got: Vec<(usize, usize, usize, usize)> = search
+            .enumerate(48, 48, &queries)
+            .iter()
+            .map(|c| {
+                (
+                    c.hier.k(),
+                    c.hier.num_layers(),
+                    (c.mean_groups * n).round() as usize,
+                    (c.mean_cells * n).round() as usize,
+                )
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(queries.len(), 58);
+        assert_eq!(
+            got,
+            vec![
+                (2, 2, 775, 1083),
+                (2, 3, 543, 945),
+                (2, 4, 537, 945),
+                (2, 5, 537, 945),
+                (3, 2, 401, 1168),
+                (4, 2, 287, 1614),
+                (4, 3, 278, 1614),
+            ]
+        );
     }
 
     #[test]

@@ -54,14 +54,15 @@ fn test_frames(hier: &Hierarchy) -> Vec<Vec<f32>> {
 fn query_terms(hier: &Hierarchy, index: &CombinationIndex, mask: &Mask) -> Vec<SignedCell> {
     let mut terms = Vec::new();
     for g in decompose(hier, mask) {
-        if g.cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = index.for_multi(g.layer, &g.cells) {
+        let cells: Vec<(usize, usize)> = g.cells().collect();
+        if cells.len() >= 2 && hier.k() == 2 {
+            if let Some(comb) = index.for_multi(g.layer(), &cells) {
                 terms.extend(comb.terms.iter().cloned());
                 continue;
             }
         }
-        for &(r, c) in &g.cells {
-            let cell = LayerCell::new(g.layer, r, c);
+        for (r, c) in cells {
+            let cell = LayerCell::new(g.layer(), r, c);
             match index.for_cell(cell) {
                 Some(comb) => terms.extend(comb.terms.iter().cloned()),
                 None => terms.push(SignedCell { cell, sign: 1 }),

@@ -1,15 +1,19 @@
 //! Every query resolves each decomposed group through
-//! `CombinationIndex::{for_cell, for_multi}`. Both read the implicitly
-//! stored quad-tree from the group's coordinates, so a lookup allocates
-//! nothing: this binary counts the allocation events of every lookup an
-//! index can answer and requires none.
+//! `CombinationIndex::for_cell` and, for a multi-grid, the quad-tree's
+//! `get_multi_group`; `CombinationIndex::for_multi` answers the same
+//! lookup from a cell list. All read the implicitly stored quad-tree
+//! from the group's coordinates, so a lookup allocates nothing: this
+//! binary counts the allocation events of every lookup an index can
+//! answer, and of the multi-grid lookups of decomposed groups, and
+//! requires none.
 //!
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one test.
 
 use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
 use o4a_grid::coding::ChildCode;
-use o4a_grid::{Hierarchy, LayerCell};
+use o4a_grid::decompose::{decompose, DecomposedGroup};
+use o4a_grid::{Hierarchy, LayerCell, Mask};
 use o4a_obs::CountingAlloc;
 
 #[global_allocator]
@@ -52,6 +56,10 @@ fn cell_and_multi_lookups_allocate_nothing() {
         }
     }
 
+    let groups: Vec<DecomposedGroup> = (0..6)
+        .flat_map(|i| decompose(&hier, &Mask::rect(16, 16, i, i + 1, 9 + i, 14 - i)))
+        .collect();
+
     let before = A.allocations();
     let mut found = 0usize;
     for &cell in &cells {
@@ -60,8 +68,18 @@ fn cell_and_multi_lookups_allocate_nothing() {
     for (layer, members) in &multis {
         found += index.for_multi(*layer, members).is_some() as usize;
     }
+    let mut found_groups = 0usize;
+    for group in &groups {
+        found_groups += index.tree.get_multi_group(group).is_some() as usize;
+    }
     let allocated = A.allocations() - before;
 
     assert_eq!(found, index.len(), "every entry is reachable");
-    assert_eq!(allocated, 0, "{found} lookups allocated {allocated} times");
+    assert!(found_groups > 0, "no decomposed group is a multi-grid");
+    assert_eq!(
+        allocated,
+        0,
+        "{} lookups allocated {allocated} times",
+        found + groups.len()
+    );
 }

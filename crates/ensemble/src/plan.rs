@@ -194,14 +194,6 @@ impl EnsemblePlan {
         }
     }
 
-    /// Looks up the planned combination of a multi-grid (same-parent 2–3
-    /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
-    /// whose tree has no slots.
-    #[inline]
-    pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&ModelCombination> {
-        self.tree.get_multi(layer, cells)
-    }
-
     /// Number of stored combinations.
     pub fn len(&self) -> usize {
         self.tree.len() + self.flat.len()

@@ -14,6 +14,7 @@
 
 use crate::plan::{EnsemblePlan, ModelCombination};
 use o4a_core::server::{Engine, Resolver, Term};
+use o4a_grid::decompose::DecomposedGroup;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_obs::Histogram;
 use std::sync::Arc;
@@ -57,8 +58,8 @@ impl Resolver for EnsemblePlan {
         self.for_cell(cell)
     }
 
-    fn multi_entry(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&ModelCombination> {
-        self.for_multi(layer, cells)
+    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&ModelCombination> {
+        self.tree.get_multi_group(group)
     }
 
     fn entry_terms(entry: &ModelCombination) -> impl Iterator<Item = Term> + '_ {

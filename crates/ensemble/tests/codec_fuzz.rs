@@ -170,7 +170,7 @@ fn crafted_codes_outside_the_hierarchy_are_corrupt() {
     assert!(plan.for_cell(LayerCell::new(0, 0, 0)).is_some());
     let multi = crafted_plan(2, 2, 2, 2, &[((0, 0), &[E], atomic)]);
     let plan = decode_plan(&multi).expect("in-hierarchy multi-grid decodes");
-    assert!(plan.for_multi(0, &[(0, 0), (0, 1)]).is_some());
+    assert!(plan.tree.get_multi(0, &[(0, 0), (0, 1)]).is_some());
 
     let cases: [(&str, Vec<u8>, &str); 5] = [
         (

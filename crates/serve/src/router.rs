@@ -167,8 +167,8 @@ impl ShardRouter {
     /// Which shard owns a decomposed group: successor of the anchor
     /// cell's hash point on the ring.
     pub fn shard_for(&self, group: &DecomposedGroup) -> usize {
-        let (r, c) = group.cells.first().copied().unwrap_or((0, 0));
-        let h = anchor_hash(group.layer, r, c);
+        let (r, c) = group.cells().next().unwrap_or((0, 0));
+        let h = anchor_hash(group.layer(), r, c);
         let idx = self.ring.partition_point(|&(p, _)| p < h);
         self.ring[idx % self.ring.len()].1
     }
@@ -185,7 +185,7 @@ impl ShardRouter {
             .iter()
             .map(|g| {
                 let s = self.shard_for(g);
-                per_shard[s].push(g.clone());
+                per_shard[s].push(*g);
                 (s, per_shard[s].len() - 1)
             })
             .collect();
@@ -258,7 +258,7 @@ impl QueryBackend for ShardRouter {
             .iter()
             .map(|groups| {
                 let start = flat.len();
-                flat.extend(groups.iter().cloned());
+                flat.extend_from_slice(groups);
                 start..flat.len()
             })
             .collect();

@@ -622,6 +622,9 @@ struct EventLoop<'a> {
     /// The masks of `pending`, in job order. A request's decoded masks
     /// move here at admission, and the backend reads them in place.
     pending_masks: Vec<Mask>,
+    /// The requests one read chunk completed, in arrival order; empty
+    /// between chunks.
+    parsed: Vec<Result<Request, wire::WireError>>,
     hier: o4a_grid::hierarchy::Hierarchy,
 }
 
@@ -640,6 +643,7 @@ impl EventLoop<'_> {
             dealt: 0,
             pending: Vec::new(),
             pending_masks: Vec::new(),
+            parsed: Vec::new(),
             hier: shared.region.hierarchy().clone(),
         };
         // Event-loop internals as first-class metrics, one pair per loop:
@@ -804,11 +808,13 @@ impl EventLoop<'_> {
         } else {
             0
         };
-        let mut parsed: Vec<Result<Request, wire::WireError>> = Vec::new();
+        // the list goes back emptied, so its capacity serves the next
+        // chunk; handling a request needs `self` while it is read
+        let mut parsed = std::mem::take(&mut self.parsed);
         let fed = conn.assembler.feed(chunk, |verb, payload| {
             parsed.push(wire::decode_request(verb, payload));
         });
-        for req in parsed {
+        for req in parsed.drain(..) {
             if conn.closing {
                 break;
             }
@@ -817,6 +823,7 @@ impl EventLoop<'_> {
                 Err(e) => self.protocol_error(conn, &e),
             }
         }
+        self.parsed = parsed;
         if let Err(e) = fed {
             if !conn.closing {
                 self.protocol_error(conn, &e);

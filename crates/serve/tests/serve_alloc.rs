@@ -72,11 +72,11 @@ fn server_allocations(f: impl FnOnce()) -> usize {
 
 const SIDE: usize = 16;
 
-/// Allocations of a warm QUERY: the loop's parsed-request list, the
-/// mask's words, the engine's four per-call buffers (snapshots, frame
-/// views, term counts, values), the batch's response list and the
-/// response frame.
-const QUERY_ALLOCS: usize = 8;
+/// Allocations of a warm QUERY: the mask's words, the engine's four
+/// per-call buffers (snapshots, frame views, term counts, values), the
+/// batch's response list and the response frame. The loop's
+/// parsed-request list is kept across chunks and allocates nothing.
+const QUERY_ALLOCS: usize = 7;
 /// Allocations of a warm BATCH of one mask: a QUERY's, plus the batch's
 /// mask list and its response values.
 const BATCH_ALLOCS: usize = QUERY_ALLOCS + 2;

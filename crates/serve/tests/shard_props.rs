@@ -143,8 +143,8 @@ struct FakeShard {
 }
 
 fn fake_value(g: &DecomposedGroup) -> f32 {
-    let (r, c) = g.cells[0];
-    (g.layer * 10_000 + r * 100 + c) as f32 * 0.5 + g.cells.len() as f32
+    let (r, c) = g.cells().next().expect("a group has a cell");
+    (g.layer() * 10_000 + r * 100 + c) as f32 * 0.5 + g.len() as f32
 }
 
 /// Deterministic per-group cost the fake shard charges to `index` time.

@@ -8,6 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The largest merging window: a `K x K` block must fit one `u64`.
+const MAX_K: usize = 8;
+
 /// A cell within a specific layer of the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayerCell {
@@ -32,7 +35,9 @@ impl LayerCell {
 /// * `h` and `w` are divisible by `k^(layers-1)` so every layer tiles the
 ///   raster exactly (the paper zero-pads instead; we require divisibility
 ///   and let callers pad their data),
-/// * `k >= 2`, `layers >= 1`.
+/// * `2 <= k <= 8`, so a `K x K` block's cells fit one 64-bit word (a
+///   [`crate::DecomposedGroup`] is such a word), and `layers >= 1`,
+/// * `h` and `w` fit in 32 bits.
 ///
 /// ```
 /// use o4a_grid::Hierarchy;
@@ -83,9 +88,9 @@ impl Hierarchy {
     /// Creates a hierarchy over an `h x w` atomic raster with merging
     /// window `k` and `layers` layers (including the atomic one).
     pub fn new(h: usize, w: usize, k: usize, layers: usize) -> Result<Self, HierarchyError> {
-        if k < 2 {
+        if !(2..=MAX_K).contains(&k) {
             return Err(HierarchyError::BadConfig(format!(
-                "merging window must be >= 2, got {k}"
+                "merging window must be in 2..={MAX_K}, got {k}"
             )));
         }
         if layers == 0 {
@@ -93,6 +98,11 @@ impl Hierarchy {
         }
         if h == 0 || w == 0 {
             return Err(HierarchyError::BadConfig("raster must be non-empty".into()));
+        }
+        if u32::try_from(h.max(w)).is_err() {
+            return Err(HierarchyError::BadConfig(format!(
+                "raster {h}x{w} exceeds 32-bit coordinates"
+            )));
         }
         let Some(coarsest) = k.checked_pow(layers as u32 - 1) else {
             return Err(HierarchyError::BadConfig(format!(
@@ -295,6 +305,20 @@ mod tests {
         assert!(Hierarchy::new(8, 8, 1, 2).is_err());
         assert!(Hierarchy::new(8, 8, 2, 0).is_err());
         assert!(Hierarchy::new(0, 8, 2, 1).is_err());
+    }
+
+    #[test]
+    fn window_is_at_most_eight() {
+        let h = Hierarchy::new(64, 64, 8, 3).unwrap();
+        assert_eq!(h.scales(), vec![1, 8, 64]);
+        assert!(matches!(
+            Hierarchy::new(81, 81, 9, 2),
+            Err(HierarchyError::BadConfig(_))
+        ));
+        assert!(matches!(
+            Hierarchy::with_max_scale(81, 81, 9, 81),
+            Err(HierarchyError::BadConfig(_))
+        ));
     }
 
     #[test]

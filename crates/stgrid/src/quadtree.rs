@@ -16,9 +16,11 @@
 //! and [`ExtendedQuadTree::get_multi`] reach a grid's or a multi-grid's slot
 //! from its coordinates with a little arithmetic: `O(1)` and allocation-free,
 //! against `O(HW)` for a linear table scan (both timed by `o4a-bench`'s
-//! `fig17`).
+//! `fig17`). [`ExtendedQuadTree::get_multi_group`] reaches a decomposed
+//! group's multi-grid slot from its member bitmap without a cell list.
 
 use crate::coding::{ChildCode, GridCode};
+use crate::decompose::DecomposedGroup;
 use crate::hierarchy::{Hierarchy, LayerCell};
 
 /// Slots a coarser-layer cell owns: its payload, then `E`–`L`.
@@ -222,6 +224,21 @@ impl<T> ExtendedQuadTree<T> {
         self.slots[multi_slot(parent, code)].as_ref()
     }
 
+    /// The payload of a decomposed group's multi-grid: what
+    /// [`ExtendedQuadTree::get_multi`] returns for the group's cells, read
+    /// from its member bitmap, which for `K = 2` is the 4-bit set of
+    /// child positions that [`CODE_BY_MEMBERS`] maps to a code. `None`
+    /// unless `K = 2` and the group has 2 or 3 cells with a code.
+    pub fn get_multi_group(&self, group: &DecomposedGroup) -> Option<&T> {
+        let (layer, (r0, c0, k, members)) = (group.layer(), group.block());
+        if k != 2 || layer + 1 >= self.layers.len() || !(2..=3).contains(&members.count_ones()) {
+            return None;
+        }
+        let code = CODE_BY_MEMBERS[members as usize]?;
+        let parent = self.node(layer + 1, r0 / 2, c0 / 2)?;
+        self.slots[multi_slot(parent, code)].as_ref()
+    }
+
     /// Visits every stored `(code, payload)` pair depth-first: roots in
     /// `(row, col)` order, then each node's payload, its children `A`–`D`
     /// recursively, then its multi-grids `E`–`L`. The order is fixed by the
@@ -282,6 +299,8 @@ fn multi_slot(node: usize, m: ChildCode) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::decompose;
+    use crate::mask::Mask;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -621,6 +640,34 @@ mod tests {
         }
     }
 
+    /// A decomposed group's bitmap lookup reads what `get_multi` reads
+    /// for the group's cells, over random masks of several densities.
+    fn assert_group_lookups_match_cells(hier: &Hierarchy, tree: &ExtendedQuadTree<usize>) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut found = 0;
+        for sixteenths in [2, 5, 8, 11, 14] {
+            for _ in 0..20 {
+                let bits = (0..hier.h() * hier.w())
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        state >> 60 < sixteenths
+                    })
+                    .collect();
+                for g in decompose(hier, &Mask::from_bits(hier.h(), hier.w(), bits)) {
+                    let cells: Vec<(usize, usize)> = g.cells().collect();
+                    let want = (cells.len() >= 2)
+                        .then(|| tree.get_multi(g.layer(), &cells))
+                        .flatten();
+                    assert_eq!(tree.get_multi_group(&g), want, "{g:?}");
+                    found += want.is_some() as usize;
+                }
+            }
+        }
+        assert!(found > 0 || tree.is_empty(), "no multi-grid was looked up");
+    }
+
     #[test]
     fn coordinate_lookups_match_code_lookups() {
         for hier in [Hierarchy::new(8, 8, 2, 4), Hierarchy::new(16, 16, 2, 5)] {
@@ -637,7 +684,12 @@ mod tests {
             assert_eq!(full.len(), codes.len());
             assert_lookups_match_codes(&hier, &full);
             assert_lookups_match_codes(&hier, &sparse);
+            assert_group_lookups_match_cells(&hier, &full);
+            assert_group_lookups_match_cells(&hier, &sparse);
         }
+        // a K = 3 tree has no slots, so no group finds a multi-grid
+        let hier = Hierarchy::new(27, 27, 3, 3).unwrap();
+        assert_group_lookups_match_cells(&hier, &ExtendedQuadTree::new(&hier));
     }
 
     proptest! {

@@ -2,17 +2,22 @@
 //! rescanning the remaining region cell by cell at every layer.
 //!
 //! Equal output means equal groups in equal order with equal cells, which
-//! is what keeps every answer bit-identical.
+//! is what keeps every answer bit-identical. Both sides are compared as
+//! `(layer, cells)` lists, so the comparison does not depend on how a
+//! group stores its cells.
 
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::queries::{task_queries, TaskSpec};
-use o4a_grid::{decompose, DecomposedGroup, Mask};
+use o4a_grid::{decompose, Mask};
 use o4a_tensor::SeededRng;
+
+/// A group as `(layer, cells)`, its cells row-major.
+type Group = (usize, Vec<(usize, usize)>);
 
 // ---------------------------------------------------------------------------
 // the oracle: Algorithm 1, cell by cell
 
-fn oracle(hier: &Hierarchy, region: &Mask) -> Vec<DecomposedGroup> {
+fn oracle(hier: &Hierarchy, region: &Mask) -> Vec<Group> {
     assert!(
         region.h() == hier.h() && region.w() == hier.w(),
         "region {}x{} does not match raster {}x{}",
@@ -37,7 +42,7 @@ fn oracle(hier: &Hierarchy, region: &Mask) -> Vec<DecomposedGroup> {
                 let (r0, c0, r1, c1) = hier.atomic_rect(LayerCell::new(layer, r, c));
                 remaining.clear_rect(r0, c0, r1, c1);
             }
-            out.push(DecomposedGroup { layer, cells });
+            out.push((layer, cells));
         }
     }
     debug_assert!(remaining.is_empty(), "decomposition must cover the region");
@@ -110,13 +115,18 @@ fn group_cells(
 // ---------------------------------------------------------------------------
 // masks
 
-fn assert_same(hier: &Hierarchy, region: &Mask, what: &str) {
-    let got = decompose(hier, region);
+/// Checks `decompose` against the oracle and returns its groups.
+fn assert_same(hier: &Hierarchy, region: &Mask, what: &str) -> Vec<Group> {
+    let got: Vec<Group> = decompose(hier, region)
+        .iter()
+        .map(|g| (g.layer(), g.cells().collect()))
+        .collect();
     let want = oracle(hier, region);
     assert!(
         got == want,
         "{what}: decompose differs from Algorithm 1 on\n{region}\ngot  {got:?}\nwant {want:?}"
     );
+    got
 }
 
 /// Each cell set with one density drawn per mask.
@@ -137,17 +147,28 @@ fn random_rects(h: usize, w: usize, rng: &mut SeededRng) -> Mask {
     m
 }
 
-fn check_random(hier: &Hierarchy, n: usize, seed: u64) {
-    let (h, w) = (hier.h(), hier.w());
+/// Checks `n` random masks and returns the positions `dr * K + dc`
+/// within their `K x K` blocks that some multi-cell group's cells took,
+/// as a bitmap.
+fn check_random(hier: &Hierarchy, n: usize, seed: u64) -> u64 {
+    let (h, w, k) = (hier.h(), hier.w(), hier.k());
     let mut rng = SeededRng::new(seed);
+    let mut positions = 0u64;
     for i in 0..n {
         let m = if i % 2 == 0 {
             random_density(h, w, &mut rng)
         } else {
             random_rects(h, w, &mut rng)
         };
-        assert_same(hier, &m, &format!("random {h}x{w} K={} #{i}", hier.k()));
+        for (_, cells) in assert_same(hier, &m, &format!("random {h}x{w} K={k} #{i}")) {
+            if cells.len() > 1 {
+                for (r, c) in cells {
+                    positions |= 1 << ((r % k) * k + c % k);
+                }
+            }
+        }
     }
+    positions
 }
 
 /// Masks any client can send that maximize the output: the checkerboard,
@@ -209,6 +230,25 @@ fn random_masks_81x81_k3() {
 }
 
 // ---------------------------------------------------------------------------
+// K = 4 and K = 8: a block bitmap of 16 and of all 64 bits
+
+#[test]
+fn random_masks_64x64_k4() {
+    let positions = check_random(&Hierarchy::new(64, 64, 4, 4).unwrap(), 200, 8);
+    assert_eq!(
+        positions,
+        u16::MAX as u64,
+        "a K = 4 block position went unused"
+    );
+}
+
+#[test]
+fn random_masks_64x64_k8() {
+    let positions = check_random(&Hierarchy::new(64, 64, 8, 3).unwrap(), 200, 9);
+    assert_eq!(positions, u64::MAX, "a K = 8 block position went unused");
+}
+
+// ---------------------------------------------------------------------------
 // the paper's task masks and the hostile masks
 
 fn check_tasks(hier: &Hierarchy, seed: u64, hex_task1: bool, every: usize) {
@@ -245,6 +285,8 @@ fn hostile_masks() {
         Hierarchy::new(128, 128, 2, 6).unwrap(),
         Hierarchy::new(48, 80, 2, 5).unwrap(),
         Hierarchy::new(81, 81, 3, 5).unwrap(),
+        Hierarchy::new(64, 64, 4, 4).unwrap(),
+        Hierarchy::new(64, 64, 8, 3).unwrap(),
     ] {
         for (name, m) in hostile(hier.h(), hier.w()) {
             assert_same(&hier, &m, name);

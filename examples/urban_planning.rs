@@ -51,10 +51,10 @@ fn main() {
     for g in &groups {
         println!(
             "  layer {} (scale {}): {} cell(s) {:?}",
-            g.layer,
-            hier.scale(g.layer),
-            g.cells.len(),
-            &g.cells[..g.cells.len().min(4)]
+            g.layer(),
+            hier.scale(g.layer()),
+            g.len(),
+            g.cells().take(4).collect::<Vec<_>>()
         );
     }
 

@@ -76,7 +76,10 @@ cargo clippy --release -p o4a-tensor -p o4a-nn -p o4a-core -p o4a-bench \
 # got slower with more threads — every speedup_t2/speedup_t4 must be
 # >= 1.0. On a box with fewer cores than a column, the bench reuses the
 # serial measurement for capped columns, so the ratios are exactly
-# 1.000 there rather than timing noise.
+# 1.000 there rather than timing noise. The two query rows never enter
+# the pool (their loops run on the calling thread), so the bench reuses
+# their t1 measurement for t2 and t4 as well and they read exactly 1.000;
+# the query-path gate below covers them.
 echo "==> kernels smoke (quick bench, t1/t2/t4 no-regression)"
 KSMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$KSMOKE_DIR"' EXIT

@@ -56,13 +56,13 @@ proptest! {
     fn decomposition_groups_cannot_merge_coarser(region in arb_region()) {
         let hier = hier();
         for g in decompose(&hier, &region) {
-            if g.layer + 1 >= hier.num_layers() {
+            if g.layer() + 1 >= hier.num_layers() {
                 continue;
             }
             // within each parent, a group never holds all K^2 children
             use std::collections::HashMap;
             let mut by_parent: HashMap<(usize, usize), usize> = HashMap::new();
-            for &(r, c) in &g.cells {
+            for (r, c) in g.cells() {
                 *by_parent.entry((r / 2, c / 2)).or_insert(0) += 1;
             }
             for (_, count) in by_parent {
@@ -77,7 +77,7 @@ proptest! {
         // may fragment it: total group count is at most the atomic count
         let hier = hier();
         let groups = decompose(&hier, &region);
-        let cells: usize = groups.iter().map(|g| g.cells.len()).sum();
+        let cells: usize = groups.iter().map(|g| g.len()).sum();
         prop_assert!(cells <= region.area());
     }
 
