@@ -1,31 +1,53 @@
-//! Binary codec for the combination index.
+//! Binary codec for the combination-tree artifacts.
 //!
 //! The paper ships the extended quad-tree to HBase; this reproduction
 //! serializes it to a compact little-endian byte stream instead. The
 //! serialized size is what Fig. 17 measures (66 MB / 64 MB for the two
 //! datasets at 128x128, P = {1,...,32}).
 //!
-//! Layout:
+//! Two artifacts hold such a tree: the combination index (`O4AIDX01`,
+//! [`encode_index`]) and the ensemble plan (`O4AENS01`,
+//! `o4a_ensemble::codec`). They share one layout, written and checked
+//! only here by [`Writer`] and [`Reader`]; the plan adds the fields
+//! marked `[plan]`:
 //!
 //! ```text
-//! magic "O4AIDX01"  | h u32 | w u32 | k u8 | layers u8 | strategy u8
+//! magic (8 bytes)  | h u32 | w u32 | k u8 | layers u8 | strategy u8
+//! [plan] revision u32 | member count u16
+//! [plan] per member: name_len u16 | UTF-8 name bytes
 //! entry count u32
 //! per entry: root_row u16 | root_col u16 | path_len u8 | path bytes
 //!            term_count u16
-//!            per term: layer u8 | row u16 | col u16 | sign i8
+//!            per term: [plan] model u16 | layer u8 | row u16 | col u16 | sign i8
+//! [plan] plan_cost f64 (LE bits)
 //! checksum u32 (FNV-1a over everything before it)
 //! ```
 //!
-//! The trailing checksum makes any single-bit corruption of a persisted
-//! index detectable: [`decode_index`] rejects a stream whose recomputed
-//! hash disagrees before trusting any decoded field.
+//! Entries follow `ExtendedQuadTree::for_each` order (sorted roots,
+//! `ChildCode` index order, payload before children), so re-encoding a
+//! decoded artifact reproduces its bytes exactly. The trailing checksum
+//! makes any single-bit corruption detectable: [`Reader::open`] rejects a
+//! stream whose recomputed hash disagrees before trusting any decoded
+//! field, and decoding is total: a malformed stream is an `Err`, never a
+//! panic.
 
 use crate::combination::{Combination, CombinationIndex, SearchReport, SearchStrategy, SignedCell};
 use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::{slot_count, ExtendedQuadTree};
 
-const MAGIC: &[u8; 8] = b"O4AIDX01";
+/// What tells one combination-tree artifact from another.
+pub struct Artifact {
+    /// The first eight bytes of the stream.
+    pub magic: &'static [u8; 8],
+    /// The [`CodecError::Corrupt`] reason for a header whose K is not 2.
+    pub k_rule: &'static str,
+}
+
+const INDEX: Artifact = Artifact {
+    magic: b"O4AIDX01",
+    k_rule: "index artifact requires K = 2",
+};
 
 /// FNV-1a (32-bit) over a byte stream — the integrity hash every on-disk
 /// format in this workspace trails its payload with. (The wire protocol
@@ -39,7 +61,7 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Errors decoding an index byte stream.
+/// Errors decoding an artifact byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The stream does not start with the expected magic.
@@ -51,40 +73,177 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "bad index magic"),
-            CodecError::Corrupt(what) => write!(f, "corrupt index stream: {what}"),
+            CodecError::BadMagic => write!(f, "bad artifact magic"),
+            CodecError::Corrupt(what) => write!(f, "corrupt artifact stream: {what}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-struct Writer {
+/// Writes an artifact: [`Writer::new`] starts it with the magic and the
+/// header, [`Writer::entries`] writes the tree and [`Writer::finish`] the
+/// trailer; an artifact's own fields go between them. The field methods
+/// are `#[inline]` because the plan codec calls them from another crate.
+pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
+    /// Starts an artifact with its magic and the header of `hier` and
+    /// `strategy`.
+    ///
+    /// # Panics
+    /// Panics for `K != 2` hierarchies — the format is keyed by the grid
+    /// coding rule, which the paper only defines for a 2x2 window (such
+    /// trees hold their combinations in a `flat` map instead).
+    /// [`Reader::open`] rejects a `K != 2` header for the same reason.
+    pub fn new(artifact: &Artifact, hier: &Hierarchy, strategy: SearchStrategy) -> Writer {
+        assert_eq!(
+            hier.k(),
+            2,
+            "the artifact codec is defined for K = 2 hierarchies"
+        );
+        let mut w = Writer {
+            buf: artifact.magic.to_vec(),
+        };
+        w.u32(hier.h() as u32);
+        w.u32(hier.w() as u32);
+        w.u8(hier.k() as u8);
+        w.u8(hier.num_layers() as u8);
+        w.u8(strategy_tag(strategy));
+        w
+    }
+    #[inline]
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
-    }
-    fn u16(&mut self, v: u16) {
+    /// Writes a `u16`.
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u32(&mut self, v: u32) {
+    /// Writes a `u32`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Writes an `f64`'s bits.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Writes raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Writes the entry count, then every entry of `tree` in `for_each`
+    /// order: its code, its term count, and each of its `terms` through
+    /// `term`.
+    ///
+    /// # Panics
+    /// Panics on an entry with more terms than its `u16` count can hold.
+    pub fn entries<C, T>(
+        &mut self,
+        tree: &ExtendedQuadTree<C>,
+        terms: impl Fn(&C) -> &[T],
+        mut term: impl FnMut(&mut Writer, &T),
+    ) {
+        self.u32(tree.len() as u32);
+        tree.for_each(|code, comb| {
+            self.u16(code.root.0 as u16);
+            self.u16(code.root.1 as u16);
+            self.u8(code.path.len() as u8);
+            for &c in &code.path {
+                self.u8(c.index() as u8);
+            }
+            let terms = terms(comb);
+            let count = u16::try_from(terms.len()).unwrap_or_else(|_| {
+                panic!(
+                    "entry {code} holds {} terms, more than a u16 count",
+                    terms.len()
+                )
+            });
+            self.u16(count);
+            for t in terms {
+                term(self, t);
+            }
+        });
+    }
+
+    /// Writes one term's grid cell and sign.
+    #[inline]
+    pub fn term(&mut self, t: &SignedCell) {
+        self.u8(t.cell.layer as u8);
+        self.u16(t.cell.row as u16);
+        self.u16(t.cell.col as u16);
+        self.u8(t.sign as u8);
+    }
+
+    /// Appends the FNV-1a trailer and returns the artifact.
+    pub fn finish(mut self) -> Vec<u8> {
+        let sum = fnv1a32(&self.buf);
+        self.u32(sum);
+        self.buf
     }
 }
 
-struct Reader<'a> {
+/// Reads an artifact: [`Reader::open`] checks it and reads the header,
+/// [`Reader::entries`] reads the tree and [`Reader::finish`] checks that
+/// nothing follows; an artifact's own fields go between them. The field
+/// methods are `#[inline]`, as [`Writer`]'s are.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Opens an artifact: checks `artifact`'s magic
+    /// ([`CodecError::BadMagic`]) and the FNV-1a trailer before trusting
+    /// any field, then reads the header. A `K != 2` header is
+    /// `Corrupt(artifact.k_rule)`. Returns a reader positioned after the
+    /// header, with the header's hierarchy and strategy.
+    pub fn open(
+        bytes: &'a [u8],
+        artifact: &Artifact,
+    ) -> Result<(Reader<'a>, Hierarchy, SearchStrategy), CodecError> {
+        if bytes.len() < 8 || &bytes[..8] != artifact.magic {
+            return Err(CodecError::BadMagic);
+        }
+        if bytes.len() < 12 {
+            return Err(CodecError::Corrupt("unexpected end of stream"));
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        if fnv1a32(body) != u32::from_le_bytes(trailer.try_into().expect("4 bytes")) {
+            return Err(CodecError::Corrupt("checksum mismatch"));
+        }
+        let mut r = Reader { buf: body, pos: 8 };
+        let h = r.u32()? as usize;
+        let w = r.u32()? as usize;
+        let k = r.u8()? as usize;
+        let layers = r.u8()? as usize;
+        let strategy = strategy_from(r.u8()?)?;
+        if k != 2 {
+            return Err(CodecError::Corrupt(artifact.k_rule));
+        }
+        let hier = Hierarchy::new(h, w, k, layers)
+            .map_err(|_| CodecError::Corrupt("invalid hierarchy header"))?;
+        // The tree holds a slot for every grid and multi-grid of the
+        // header's hierarchy. A searched tree fills every slot, with at
+        // least 7 bytes an entry, so a stream shorter than the slot count
+        // is corrupt; the check keeps a crafted header from forcing a huge
+        // allocation.
+        if slot_count(&hier) > body.len() {
+            return Err(CodecError::Corrupt("hierarchy larger than the stream"));
+        }
+        Ok((r, hier, strategy))
+    }
+
+    /// Reads the next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.pos + n > self.buf.len() {
             return Err(CodecError::Corrupt("unexpected end of stream"));
         }
@@ -92,19 +251,103 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
+    #[inline]
     fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
-    fn i8(&mut self) -> Result<i8, CodecError> {
-        Ok(self.take(1)?[0] as i8)
-    }
-    fn u16(&mut self) -> Result<u16, CodecError> {
+    /// Reads a `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
         let s = self.take(2)?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    /// Reads a `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         let s = self.take(4)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+    }
+    /// Reads an `f64` from its bits.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        let s = self.take(8)?;
+        Ok(f64::from_le_bytes(s.try_into().expect("8 bytes")))
+    }
+
+    /// Reads the entry count, then each entry: its code, which must lie
+    /// in `hier` (a root inside the coarsest layer, a path shallower than
+    /// the layers, a multi code only at the path's end), and its terms,
+    /// reserved at their count and each read by `term`; `comb` makes the
+    /// entry's combination of them.
+    pub fn entries<C, T>(
+        &mut self,
+        hier: &Hierarchy,
+        mut term: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+        comb: impl Fn(Vec<T>) -> C,
+    ) -> Result<ExtendedQuadTree<C>, CodecError> {
+        let layers = hier.num_layers();
+        let (top_rows, top_cols) = hier.layer_dims(layers - 1);
+        let count = self.u32()? as usize;
+        let mut tree = ExtendedQuadTree::new(hier);
+        for _ in 0..count {
+            let root = (self.u16()? as usize, self.u16()? as usize);
+            if root.0 >= top_rows || root.1 >= top_cols {
+                return Err(CodecError::Corrupt("entry root outside the coarsest layer"));
+            }
+            let path_len = self.u8()? as usize;
+            if path_len >= layers {
+                return Err(CodecError::Corrupt("entry path deeper than the hierarchy"));
+            }
+            let mut path = Vec::with_capacity(path_len);
+            for step in 0..path_len {
+                let code = *ChildCode::ALL
+                    .get(self.u8()? as usize)
+                    .ok_or(CodecError::Corrupt("invalid child code"))?;
+                // multi codes are leaves of the extended quad-tree; a stream
+                // placing one mid-path is corrupt (inserting it would panic)
+                if code.is_multi() && step + 1 != path_len {
+                    return Err(CodecError::Corrupt("multi code not at path end"));
+                }
+                path.push(code);
+            }
+            let term_count = self.u16()? as usize;
+            let mut terms = Vec::with_capacity(term_count);
+            for _ in 0..term_count {
+                terms.push(term(self)?);
+            }
+            tree.insert(&GridCode { root, path }, comb(terms));
+        }
+        Ok(tree)
+    }
+
+    /// Reads one term's grid cell and sign: a layer of `hier`, a cell
+    /// inside that layer and a sign of +1 or -1.
+    #[inline]
+    pub fn term(&mut self, hier: &Hierarchy) -> Result<SignedCell, CodecError> {
+        let layer = self.u8()? as usize;
+        let row = self.u16()? as usize;
+        let col = self.u16()? as usize;
+        let sign = self.u8()? as i8;
+        if layer >= hier.num_layers() || !(sign == 1 || sign == -1) {
+            return Err(CodecError::Corrupt("invalid combination term"));
+        }
+        let (rows, cols) = hier.layer_dims(layer);
+        if row >= rows || col >= cols {
+            return Err(CodecError::Corrupt("combination term out of raster"));
+        }
+        Ok(SignedCell {
+            cell: LayerCell::new(layer, row, col),
+            sign,
+        })
+    }
+
+    /// Ends the artifact: every byte before the trailer must have been
+    /// read.
+    pub fn finish(self) -> Result<(), CodecError> {
+        if self.pos != self.buf.len() {
+            return Err(CodecError::Corrupt("trailing bytes after the last field"));
+        }
+        Ok(())
     }
 }
 
@@ -128,42 +371,12 @@ fn strategy_from(tag: u8) -> Result<SearchStrategy, CodecError> {
 /// Serializes an index to bytes.
 ///
 /// # Panics
-/// Panics for `K != 2` hierarchies — the on-disk format is keyed by the
-/// grid coding rule, which the paper only defines for a 2x2 window (such
-/// indexes hold their combinations in `flat` instead). [`decode_index`]
-/// rejects a `K != 2` header for the same reason.
+/// Panics for `K != 2` hierarchies (see [`Writer::new`]) and on an entry
+/// of more than 65,535 terms.
 pub fn encode_index(index: &CombinationIndex) -> Vec<u8> {
-    assert_eq!(
-        index.hier.k(),
-        2,
-        "the index codec is defined for K = 2 hierarchies"
-    );
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(index.hier.h() as u32);
-    w.u32(index.hier.w() as u32);
-    w.u8(index.hier.k() as u8);
-    w.u8(index.hier.num_layers() as u8);
-    w.u8(strategy_tag(index.strategy));
-    w.u32(index.tree.len() as u32);
-    index.tree.for_each(|code, comb| {
-        w.u16(code.root.0 as u16);
-        w.u16(code.root.1 as u16);
-        w.u8(code.path.len() as u8);
-        for &c in &code.path {
-            w.u8(c.index() as u8);
-        }
-        w.u16(comb.terms.len() as u16);
-        for t in &comb.terms {
-            w.u8(t.cell.layer as u8);
-            w.u16(t.cell.row as u16);
-            w.u16(t.cell.col as u16);
-            w.i8(t.sign);
-        }
-    });
-    let sum = fnv1a32(&w.buf);
-    w.u32(sum);
-    w.buf
+    let mut w = Writer::new(&INDEX, &index.hier, index.strategy);
+    w.entries(&index.tree, |c| &c.terms, Writer::term);
+    w.finish()
 }
 
 /// Deserializes an index from bytes. The search report is not persisted
@@ -172,88 +385,9 @@ pub fn encode_index(index: &CombinationIndex) -> Vec<u8> {
 /// the coarsest layer, a path deeper than the layers), is
 /// [`CodecError::Corrupt`].
 pub fn decode_index(bytes: &[u8]) -> Result<CombinationIndex, CodecError> {
-    if bytes.len() < 8 || &bytes[..8] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    // verify the integrity trailer before trusting any decoded field
-    if bytes.len() < 12 {
-        return Err(CodecError::Corrupt("unexpected end of stream"));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if fnv1a32(body) != stored {
-        return Err(CodecError::Corrupt("checksum mismatch"));
-    }
-    let mut r = Reader { buf: body, pos: 0 };
-    if r.take(8)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let h = r.u32()? as usize;
-    let w = r.u32()? as usize;
-    let k = r.u8()? as usize;
-    let layers = r.u8()? as usize;
-    let strategy = strategy_from(r.u8()?)?;
-    if k != 2 {
-        return Err(CodecError::Corrupt("index artifact requires K = 2"));
-    }
-    let hier = Hierarchy::new(h, w, k, layers)
-        .map_err(|_| CodecError::Corrupt("invalid hierarchy header"))?;
-    // The tree holds a slot for every grid and multi-grid of the header's
-    // hierarchy. A searched index fills every slot, with at least 7 bytes
-    // an entry, so a stream shorter than the slot count is corrupt; the
-    // check keeps a crafted header from forcing a huge allocation.
-    if slot_count(&hier) > body.len() {
-        return Err(CodecError::Corrupt("hierarchy larger than the stream"));
-    }
-    let (top_rows, top_cols) = hier.layer_dims(layers - 1);
-    let count = r.u32()? as usize;
-    let mut tree = ExtendedQuadTree::new(&hier);
-    for _ in 0..count {
-        let root = (r.u16()? as usize, r.u16()? as usize);
-        if root.0 >= top_rows || root.1 >= top_cols {
-            return Err(CodecError::Corrupt("entry root outside the coarsest layer"));
-        }
-        let path_len = r.u8()? as usize;
-        if path_len >= layers {
-            return Err(CodecError::Corrupt("entry path deeper than the hierarchy"));
-        }
-        let mut path = Vec::with_capacity(path_len);
-        for step in 0..path_len {
-            let idx = r.u8()? as usize;
-            let code = *ChildCode::ALL
-                .get(idx)
-                .ok_or(CodecError::Corrupt("invalid child code"))?;
-            // multi codes are leaves of the extended quad-tree; a stream
-            // placing one mid-path is corrupt (inserting it would panic)
-            if code.is_multi() && step + 1 != path_len {
-                return Err(CodecError::Corrupt("multi code not at path end"));
-            }
-            path.push(code);
-        }
-        let term_count = r.u16()? as usize;
-        let mut terms = Vec::with_capacity(term_count);
-        for _ in 0..term_count {
-            let layer = r.u8()? as usize;
-            let row = r.u16()? as usize;
-            let col = r.u16()? as usize;
-            let sign = r.i8()?;
-            if layer >= layers || !(sign == 1 || sign == -1) {
-                return Err(CodecError::Corrupt("invalid combination term"));
-            }
-            let (rows, cols) = hier.layer_dims(layer);
-            if row >= rows || col >= cols {
-                return Err(CodecError::Corrupt("combination term out of raster"));
-            }
-            terms.push(SignedCell {
-                cell: LayerCell::new(layer, row, col),
-                sign,
-            });
-        }
-        tree.insert(&GridCode { root, path }, Combination { terms });
-    }
-    if r.pos != body.len() {
-        return Err(CodecError::Corrupt("trailing bytes after last entry"));
-    }
+    let (mut r, hier, strategy) = Reader::open(bytes, &INDEX)?;
+    let tree = r.entries(&hier, |r| r.term(&hier), |terms| Combination { terms })?;
+    r.finish()?;
     Ok(CombinationIndex {
         hier,
         tree,
@@ -263,7 +397,7 @@ pub fn decode_index(bytes: &[u8]) -> Result<CombinationIndex, CodecError> {
     })
 }
 
-/// Errors cold-starting an index from disk.
+/// Errors cold-starting an artifact (an index or a plan) from disk.
 #[derive(Debug)]
 pub enum IndexLoadError {
     /// The artifact could not be read.
@@ -275,8 +409,8 @@ pub enum IndexLoadError {
 impl std::fmt::Display for IndexLoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IndexLoadError::Io(e) => write!(f, "reading index artifact: {e}"),
-            IndexLoadError::Codec(e) => write!(f, "decoding index artifact: {e}"),
+            IndexLoadError::Io(e) => write!(f, "reading artifact: {e}"),
+            IndexLoadError::Codec(e) => write!(f, "decoding artifact: {e}"),
         }
     }
 }
@@ -365,6 +499,34 @@ mod tests {
         let mut bytes = encode_index(&index);
         bytes[0] = b'X';
         assert!(matches!(decode_index(&bytes), Err(CodecError::BadMagic)));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 65537 terms, more than a u16 count")]
+    fn encoder_refuses_a_term_count_over_u16() {
+        let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
+        let mut tree = ExtendedQuadTree::new(&hier);
+        let term = SignedCell {
+            cell: LayerCell::new(0, 0, 0),
+            sign: 1,
+        };
+        let root = GridCode {
+            root: (0, 0),
+            path: Vec::new(),
+        };
+        tree.insert(
+            &root,
+            Combination {
+                terms: vec![term; 65_537],
+            },
+        );
+        encode_index(&CombinationIndex {
+            hier,
+            tree,
+            flat: Default::default(),
+            strategy: SearchStrategy::Union,
+            report: SearchReport::default(),
+        });
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!    optimizer state are warm, additional training epochs perform *zero*
 //!    heap allocations — fitting for `E + K` epochs allocates exactly as
 //!    many times as fitting for `E` epochs.
-//! 2. **Pool invisibility**: disabling the pool (`O4A_POOL=0` /
-//!    [`o4a_tensor::pool::set_enabled`]) changes where buffers come from
+//! 2. **Pool invisibility**: disabling the pool
+//!    ([`o4a_tensor::pool::set_enabled`]) changes where buffers come from
 //!    but not a single output bit.
 //!
 //! This file deliberately contains exactly ONE `#[test]`: the counting

@@ -9,10 +9,6 @@
 //! syscall wrappers, the same no-new-deps policy as the repo's `vendor/`
 //! stand-ins. Everything is Linux-only, like the rest of the serving
 //! tier's bench tooling.
-//!
-//! Read buffers come from the `o4a_tensor::pool` size-class free lists
-//! via [`PooledBuf`], so steady-state request parsing allocates nothing:
-//! the pool hands back the same few buffers per event-loop thread.
 
 use std::io;
 use std::os::raw::{c_int, c_void};
@@ -257,39 +253,6 @@ impl Drop for WakeFd {
 unsafe impl Send for WakeFd {}
 unsafe impl Sync for WakeFd {}
 
-/// A pooled byte buffer for socket reads, viewing an
-/// [`o4a_tensor::pool`] `f32` scratch buffer as bytes. Returned to the
-/// thread-local size-class free list on drop, so each event-loop thread
-/// recycles the same few buffers across all reads.
-pub struct PooledBuf {
-    guard: o4a_tensor::pool::PoolGuard,
-}
-
-impl PooledBuf {
-    /// Takes a buffer of at least `bytes` bytes from the pool. Contents
-    /// are unspecified (reads overwrite before parsing).
-    pub fn with_capacity(bytes: usize) -> PooledBuf {
-        PooledBuf {
-            guard: o4a_tensor::pool::scratch(bytes.div_ceil(4)),
-        }
-    }
-
-    /// The buffer as a mutable byte slice.
-    pub fn as_mut_bytes(&mut self) -> &mut [u8] {
-        let s: &mut [f32] = &mut self.guard;
-        let len = s.len() * 4;
-        // SAFETY: f32 storage is initialized, u8 has alignment 1 and no
-        // invalid bit patterns; len covers exactly the f32 allocation.
-        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), len) }
-    }
-}
-
-impl std::fmt::Debug for PooledBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PooledBuf({} bytes)", self.guard.len() * 4)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +316,5 @@ mod tests {
         assert!(events[0].readable, "peer close must surface as readable");
         assert_eq!(r.read(&mut buf).unwrap(), 0, "EOF after hangup");
         poller.delete(conn.as_raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn pooled_buf_views_bytes() {
-        let mut b = PooledBuf::with_capacity(100);
-        let bytes = b.as_mut_bytes();
-        assert!(bytes.len() >= 100);
-        bytes[0] = 0xAB;
-        bytes[99] = 0xCD;
-        assert_eq!(b.as_mut_bytes()[0], 0xAB);
-        assert_eq!(b.as_mut_bytes()[99], 0xCD);
     }
 }

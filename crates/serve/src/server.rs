@@ -51,7 +51,7 @@
 //! STATS), per-shard scatter, gather, write flush — lands in the
 //! `o4a_obs::trace` flight recorder, drained by the `TRACE` verb.
 
-use crate::evio::{Interest, Poller, PooledBuf, WakeFd};
+use crate::evio::{Interest, Poller, WakeFd};
 use crate::wire::{self, HealthInfo, Request, Response, StatsSnapshot, TimingNs};
 use o4a_core::server::QueryBackend;
 use o4a_grid::mask::Mask;
@@ -383,10 +383,16 @@ fn batch_masks_histogram() -> &'static o4a_obs::Histogram {
 }
 
 /// Answers one coalesced batch with a single backend call over `all`, the
-/// jobs' masks in job order, and encodes the response frames, one per job
-/// in job order. A panicking backend call answers every job with `ERROR`
-/// instead.
-fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob], all: &[Mask]) -> Vec<Vec<u8>> {
+/// jobs' masks in job order, and hands each job's response frame to
+/// `deliver` as soon as it is encoded, in job order. A panicking backend
+/// call answers every job with `ERROR` instead.
+fn run_batch(
+    shared: &Shared,
+    loop_id: usize,
+    jobs: &[ExecJob],
+    all: &[Mask],
+    mut deliver: impl FnMut(&ExecJob, Vec<u8>),
+) {
     // A batch's spans are attributed to the first sampled job's trace id
     // (an untraced batch — the common case — skips every clock read
     // below).
@@ -424,7 +430,10 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob], all: &[Mask]) ->
         o4a_obs::warn_limited!("serve", "query backend panicked, answering its batch with ERROR";
             jobs = jobs.len(), masks = all.len(), loop_id = loop_id);
         let frame = wire::encode_response(&Response::Error("query backend panicked".into()));
-        return vec![frame; jobs.len()];
+        for job in jobs {
+            deliver(job, frame.clone());
+        }
+        return;
     };
     let timing = TimingNs {
         decompose_ns: timing.decompose.as_nanos() as u64,
@@ -487,51 +496,46 @@ fn run_batch(shared: &Shared, loop_id: usize, jobs: &[ExecJob], all: &[Mask]) ->
         .fetch_add(timing.index_ns, Ordering::Relaxed);
     let slow_ns = trace::slow_threshold_ns();
     let mut off = 0usize;
-    jobs.iter()
-        .map(|job| {
-            let slice = &values[off..off + job.n_masks];
-            off += job.n_masks;
-            let resp = if job.single {
-                Response::Prediction {
-                    value: slice[0],
-                    timing,
-                }
-            } else {
-                Response::BatchResult {
-                    values: slice.to_vec(),
-                    timing,
-                }
-            };
-            let total_ns = job.t_start.elapsed().as_nanos() as u64;
-            if job.trace_id != 0 {
-                // root span: parse to response-encode, matching the
-                // `o4a_serve_request_ns` histogram's interval
-                trace::emit(&SpanEvent {
-                    trace_id: job.trace_id,
-                    span: SpanKind::Request as u16,
-                    parent: 0,
-                    lane: loop_id as u32,
-                    t_start_ns: job.t_parse_ns,
-                    t_end_ns: trace::now_ns(),
-                    bytes: job.n_masks as u64,
-                });
-            }
-            if slow_ns != 0 && total_ns >= slow_ns {
-                o4a_obs::warn_limited!("serve", "slow request";
-                    total_us = total_ns / 1_000,
-                    queue_us = t_exec.saturating_duration_since(job.t_start).as_micros() as u64,
-                    decompose_us = timing.decompose_ns / 1_000,
-                    index_us = timing.index_ns / 1_000,
-                    masks = job.n_masks,
-                    batch_masks = all.len(),
-                    loop_id = loop_id,
-                    trace_id = job.trace_id,
-                );
-            }
-            request_ns_histogram().record(total_ns);
-            wire::encode_response(&resp)
-        })
-        .collect()
+    for job in jobs {
+        let slice = &values[off..off + job.n_masks];
+        off += job.n_masks;
+        let total_ns = job.t_start.elapsed().as_nanos() as u64;
+        if job.trace_id != 0 {
+            // root span: parse to response-encode, matching the
+            // `o4a_serve_request_ns` histogram's interval
+            trace::emit(&SpanEvent {
+                trace_id: job.trace_id,
+                span: SpanKind::Request as u16,
+                parent: 0,
+                lane: loop_id as u32,
+                t_start_ns: job.t_parse_ns,
+                t_end_ns: trace::now_ns(),
+                bytes: job.n_masks as u64,
+            });
+        }
+        if slow_ns != 0 && total_ns >= slow_ns {
+            o4a_obs::warn_limited!("serve", "slow request";
+                total_us = total_ns / 1_000,
+                queue_us = t_exec.saturating_duration_since(job.t_start).as_micros() as u64,
+                decompose_us = timing.decompose_ns / 1_000,
+                index_us = timing.index_ns / 1_000,
+                masks = job.n_masks,
+                batch_masks = all.len(),
+                loop_id = loop_id,
+                trace_id = job.trace_id,
+            );
+        }
+        request_ns_histogram().record(total_ns);
+        let frame = if job.single {
+            wire::encode_response(&Response::Prediction {
+                value: slice[0],
+                timing,
+            })
+        } else {
+            wire::encode_batch_result(slice, timing)
+        };
+        deliver(job, frame);
+    }
 }
 
 /// Per-connection state machine on an event loop.
@@ -605,8 +609,8 @@ const TOK_WAKE: u64 = 1;
 /// First connection token.
 const TOK_CONN0: u64 = 2;
 
-/// Socket read scratch per loop: one pooled buffer recycled across every
-/// read on the loop thread.
+/// Socket read scratch per loop: one buffer, allocated before the loop's
+/// first request and reused for every read on the loop thread.
 const READ_BUF_BYTES: usize = 16 * 1024;
 
 struct EventLoop<'a> {
@@ -657,7 +661,7 @@ impl EventLoop<'_> {
             &format!("o4a_loop{loop_id}_ready_events"),
             "readiness events delivered per epoll wake on this event loop",
         );
-        let mut rbuf = PooledBuf::with_capacity(READ_BUF_BYTES);
+        let mut rbuf = Box::new([0u8; READ_BUF_BYTES]);
         let mut events = Vec::new();
         loop {
             let t_wait = Instant::now();
@@ -687,7 +691,7 @@ impl EventLoop<'_> {
                             el.adopt(stream);
                         }
                     }
-                    token => el.conn_ready(token, ev.readable, ev.writable, &mut rbuf),
+                    token => el.conn_ready(token, ev.readable, ev.writable, &mut rbuf[..]),
                 }
             }
             el.run_pending();
@@ -748,7 +752,7 @@ impl EventLoop<'_> {
     }
 
     /// Handles readiness on a connection token.
-    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool, rbuf: &mut PooledBuf) {
+    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool, rbuf: &mut [u8]) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
@@ -776,18 +780,17 @@ impl EventLoop<'_> {
 
     /// Drains the socket until `WouldBlock`/EOF, feeding every chunk to
     /// the frame assembler. Returns `false` when the connection died.
-    fn read_ready(&mut self, token: u64, conn: &mut Conn, rbuf: &mut PooledBuf) -> bool {
+    fn read_ready(&mut self, token: u64, conn: &mut Conn, rbuf: &mut [u8]) -> bool {
         loop {
             if conn.closing {
                 // a protocol error desynchronized the stream: ignore
                 // further input and let the queued error frame drain
                 return true;
             }
-            let buf = rbuf.as_mut_bytes();
-            match (&conn.stream).read(buf) {
+            match (&conn.stream).read(rbuf) {
                 Ok(0) => return false,
                 Ok(n) => {
-                    let chunk = &buf[..n];
+                    let chunk = &rbuf[..n];
                     self.process_bytes(token, conn, chunk);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
@@ -1014,16 +1017,21 @@ impl EventLoop<'_> {
             next_mask += total;
             queue_depth_gauge().set((jobs.len() - next_job) as f64);
             batch_masks_histogram().record(total as u64);
-            let frames = if self.shared.region.is_ready() {
-                run_batch(self.shared, self.loop_id, batch, batch_masks)
+            if self.shared.region.is_ready() {
+                run_batch(
+                    self.shared,
+                    self.loop_id,
+                    batch,
+                    batch_masks,
+                    |job, frame| self.deliver(job, frame),
+                );
             } else {
                 let frame = wire::encode_response(&Response::Error(
                     "no prediction snapshot published".into(),
                 ));
-                vec![frame; batch.len()]
-            };
-            for (job, frame) in batch.iter().zip(frames) {
-                self.deliver(job, frame);
+                for job in batch {
+                    self.deliver(job, frame.clone());
+                }
             }
         }
         jobs.clear();

@@ -646,6 +646,18 @@ pub fn decode_request(verb: Verb, payload: &[u8]) -> Result<Request, WireError> 
     Ok(req)
 }
 
+/// Encodes a `BATCH_RESULT` frame from borrowed values.
+pub(crate) fn encode_batch_result(values: &[f32], timing: TimingNs) -> Vec<u8> {
+    build_frame(Verb::BatchResult, 2 + 4 * values.len() + 16, |p| {
+        put_u16(p, values.len() as u16);
+        for v in values {
+            put_f32(p, *v);
+        }
+        put_u64(p, timing.decompose_ns);
+        put_u64(p, timing.index_ns);
+    })
+}
+
 /// Encodes a response as a complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
@@ -654,16 +666,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(p, timing.decompose_ns);
             put_u64(p, timing.index_ns);
         }),
-        Response::BatchResult { values, timing } => {
-            build_frame(Verb::BatchResult, 2 + 4 * values.len() + 16, |p| {
-                put_u16(p, values.len() as u16);
-                for v in values {
-                    put_f32(p, *v);
-                }
-                put_u64(p, timing.decompose_ns);
-                put_u64(p, timing.index_ns);
-            })
-        }
+        Response::BatchResult { values, timing } => encode_batch_result(values, *timing),
         Response::Health(info) => build_frame(Verb::HealthOk, 2 + 8 + 16, |p| {
             p.push(info.ready as u8);
             p.push(info.layers);

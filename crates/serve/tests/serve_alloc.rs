@@ -73,13 +73,15 @@ fn server_allocations(f: impl FnOnce()) -> usize {
 const SIDE: usize = 16;
 
 /// Allocations of a warm QUERY: the mask's words, the engine's four
-/// per-call buffers (snapshots, frame views, term counts, values), the
-/// batch's response list and the response frame. The loop's
-/// parsed-request list is kept across chunks and allocates nothing.
-const QUERY_ALLOCS: usize = 7;
+/// per-call buffers (snapshots, frame views, term counts, values) and the
+/// response frame. The loop's parsed-request list is kept across chunks,
+/// and each frame goes to its connection as it is encoded, so neither
+/// allocates.
+const QUERY_ALLOCS: usize = 6;
 /// Allocations of a warm BATCH of one mask: a QUERY's, plus the batch's
-/// mask list and its response values.
-const BATCH_ALLOCS: usize = QUERY_ALLOCS + 2;
+/// mask list. Its response frame is encoded from the batch's values in
+/// place.
+const BATCH_ALLOCS: usize = QUERY_ALLOCS + 1;
 
 #[test]
 fn warm_requests_allocate_per_request_and_per_mask_words_only() {

@@ -48,7 +48,8 @@
 //! into caller-owned workspaces, and fused elementwise kernels
 //! ([`Tensor::add_relu_into`], [`ops::adam_update_into`]) collapse the
 //! remaining temporaries — so a training step allocates nothing at steady
-//! state. `O4A_POOL=0` disables pooling without changing any result bit.
+//! state. Disabling the pool (`pool::set_enabled`, a test hook) changes no
+//! result bit.
 
 pub mod conv;
 mod gemm;

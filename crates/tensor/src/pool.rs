@@ -11,8 +11,9 @@
 //! Contract: [`take`] hands out a buffer of exactly `len` elements with
 //! **unspecified contents** — callers either fully overwrite it or ask for
 //! [`take_zeroed`]. Because of that contract, results are bit-identical with
-//! the pool disabled (`O4A_POOL=0`, or [`set_enabled`] in tests): disabling
-//! only changes where the bytes live, never what gets computed.
+//! the pool disabled ([`set_enabled`], which tests use to prove it):
+//! disabling only changes where the bytes live, never what gets computed.
+//! The pool serves tensor storage and kernel scratch only.
 //!
 //! Observability: hits, misses, and bytes outstanding (taken but not yet
 //! returned) are mirrored into the global `o4a-obs` registry as
@@ -21,8 +22,7 @@
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 /// Smallest size class, in elements. Requests below this share one class.
 const MIN_CLASS: usize = 16;
@@ -38,26 +38,20 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static OUTSTANDING_BYTES: AtomicI64 = AtomicI64::new(0);
 
-/// Runtime enable override: 0 = follow `O4A_POOL`, 1 = force on, 2 = force
-/// off. Only tests flip this (to prove bit-identity with the pool disabled).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
+/// Set while pooling is off. Only tests turn it off (to prove bit-identity
+/// with the pool disabled).
+static DISABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether pooling is active. `O4A_POOL=0` is the kill switch; any other
-/// value (or the variable being unset) leaves the pool on.
+/// Whether pooling is active: on unless [`set_enabled`] turned it off.
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => *ENV_ENABLED.get_or_init(|| std::env::var("O4A_POOL").map_or(true, |v| v != "0")),
-    }
+    !DISABLED.load(Ordering::Relaxed)
 }
 
-/// Test hook: force the pool on or off for the current process, overriding
-/// `O4A_POOL`. Also drains the current thread's free lists so a disabled
-/// pool holds no memory.
+/// Test hook: turn the pool on or off for the current process. Also
+/// drains the current thread's free lists so a disabled pool holds no
+/// memory.
 pub fn set_enabled(on: bool) {
-    OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    DISABLED.store(!on, Ordering::Relaxed);
     if !on {
         FREE.with(|f| f.borrow_mut().clear());
     }
