@@ -5,9 +5,9 @@
 //! decomposed region queries, the index entries and bytes per scale, and
 //! the per-scale ACF. The query generators behind Fig. 15 and the
 //! benchmark's mask pools run on `Mask` set operations. `table3 --quick`
-//! trains a model, so its RMSEs carry a stated tolerance. A change that
-//! moves any of these moves an answer, and fails here instead of drifting
-//! unnoticed into the committed `results_*.txt`.
+//! and `fig14 --quick` train a model, so their RMSEs carry a stated
+//! tolerance. A change that moves any of these moves an answer, and fails
+//! here instead of drifting unnoticed into the committed `results_*.txt`.
 
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_tensor::SeededRng;
@@ -171,11 +171,7 @@ fn table3_search_counts_and_rmses() {
             "table3: Prop.% moved"
         );
         for (got, want) in [f[2], f[6], f[10]].iter().zip(rmses) {
-            let got: f64 = got.parse().expect("an RMSE");
-            assert!(
-                (got - want).abs() <= 5e-3 * want,
-                "table3 {label}: RMSE {got} vs golden {want}"
-            );
+            assert_rmse("table3", label, got, want);
         }
     }
     let report: Vec<&str> = stdout
@@ -189,6 +185,54 @@ fn table3_search_counts_and_rmses() {
           73/680 multi-grids use subtraction"
         ],
         "table3: search counts moved"
+    );
+}
+
+/// Fig. 14's variants are the only searched and served K = 3 and K = 4
+/// hierarchies among the bins: their indexes hold single grids only and
+/// their multi-cell groups resolve cell by cell. Each row's window,
+/// scales and parameter count are compared exactly, its four task RMSEs
+/// within table3's 0.5% for the reason given there.
+#[test]
+fn fig14_window_rows() {
+    let stdout = run_quick(env!("CARGO_BIN_EXE_fig14"));
+    // per window: (label up to the RMSEs, [Task 1, .., Task 4])
+    let want: [(&str, [f64; 4]); 3] = [
+        (
+            "2x2 P=[1, 2, 4, 8, 16] (0.03M params):",
+            [10.439, 17.012, 24.534, 27.201],
+        ),
+        (
+            "3x3 P=[1, 3, 9] (0.02M params):",
+            [19.020, 23.040, 27.721, 25.735],
+        ),
+        (
+            "4x4 P=[1, 4, 16] (0.02M params):",
+            [13.121, 19.760, 39.269, 38.499],
+        ),
+    ];
+    let rows: Vec<(&str, Vec<&str>)> = stdout
+        .lines()
+        .filter_map(|l| l.split_once("params):"))
+        .map(|(head, rmses)| (head, rmses.split_whitespace().collect()))
+        .collect();
+    assert_eq!(rows.len(), want.len(), "fig14: window rows moved");
+    for ((head, got), (label, rmses)) in rows.iter().zip(want) {
+        assert_eq!(format!("{head}params):"), label, "fig14: row label moved");
+        assert_eq!(got.len(), rmses.len(), "fig14 {label}: task columns moved");
+        for (got, want) in got.iter().zip(rmses) {
+            assert_rmse("fig14", label, got, want);
+        }
+    }
+}
+
+/// Parses `got` and checks it within a relative 0.5% of `want` (see
+/// [`table3_search_counts_and_rmses`] for why RMSEs get a tolerance).
+fn assert_rmse(bin: &str, label: &str, got: &str, want: f64) {
+    let got: f64 = got.parse().expect("an RMSE");
+    assert!(
+        (got - want).abs() <= 5e-3 * want,
+        "{bin} {label}: RMSE {got} vs golden {want}"
     );
 }
 

@@ -123,17 +123,18 @@ mod tests {
         Hierarchy::new(4, 4, 2, 3).unwrap()
     }
 
-    /// An exact multi-scale pyramid frame set for the 4x4 hierarchy.
+    /// An exact multi-scale pyramid frame set for `hier`.
     fn exact_frames(hier: &Hierarchy) -> Vec<Vec<f32>> {
-        let atomic: Vec<f32> = (0..16).map(|v| v as f32 + 0.25).collect();
+        let (h, w) = (hier.h(), hier.w());
+        let atomic: Vec<f32> = (0..h * w).map(|v| v as f32 + 0.25).collect();
         let mut frames = vec![atomic.clone()];
-        for layer in 1..3 {
+        for layer in 1..hier.num_layers() {
             let s = hier.scale(layer);
             let (lh, lw) = hier.layer_dims(layer);
             let mut f = vec![0.0f32; lh * lw];
-            for r in 0..4 {
-                for c in 0..4 {
-                    f[(r / s) * lw + c / s] += atomic[r * 4 + c];
+            for r in 0..h {
+                for c in 0..w {
+                    f[(r / s) * lw + c / s] += atomic[r * w + c];
                 }
             }
             frames.push(f);
@@ -150,13 +151,15 @@ mod tests {
         }
     }
 
-    fn all_rect_masks() -> Vec<Mask> {
+    /// Every rectangle of `hier`'s raster.
+    fn all_rect_masks(hier: &Hierarchy) -> Vec<Mask> {
+        let (h, w) = (hier.h(), hier.w());
         let mut masks = Vec::new();
-        for r0 in 0..4 {
-            for c0 in 0..4 {
-                for r1 in (r0 + 1)..=4 {
-                    for c1 in (c0 + 1)..=4 {
-                        masks.push(Mask::rect(4, 4, r0, c0, r1, c1));
+        for r0 in 0..h {
+            for c0 in 0..w {
+                for r1 in (r0 + 1)..=h {
+                    for c1 in (c0 + 1)..=w {
+                        masks.push(Mask::rect(h, w, r0, c0, r1, c1));
                     }
                 }
             }
@@ -164,33 +167,74 @@ mod tests {
         masks
     }
 
+    /// A one-member plan answers with the bits of the member's own region
+    /// server: on a K = 2 hierarchy, and on K = 3 and K = 4 ones, whose
+    /// plans hold single grids only and resolve multi-cell groups cell by
+    /// cell. The member's noisy pyramid makes the searches compose.
     #[test]
     fn single_member_is_bit_identical_to_region_server() {
-        let hier = hier4();
-        let frames = exact_frames(&hier);
-        let preds: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
-        let truths = preds.clone();
-        let index =
-            search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::UnionSubtraction);
-        let plan = plan_ensemble(
-            &hier,
-            &[profile("solo", preds)],
-            &truths,
-            &PlanOptions::default(),
-        );
-        let store = Arc::new(PredictionStore::for_hierarchy(&hier));
-        store.publish(frames.clone());
-        let region = RegionServer::new(index, store.clone());
-        let ensemble = EnsembleServer::new(plan, vec![store]);
-        let masks = all_rect_masks();
-        let single = region.query_many(&masks);
-        let ens = ensemble.query_many(&masks);
-        for (i, (a, b)) in single.iter().zip(&ens).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "mask {i}: ensemble {b} != region {a}"
+        for (hier, strategy, step) in [
+            (hier4(), SearchStrategy::UnionSubtraction, 1),
+            (
+                Hierarchy::new(9, 9, 3, 3).unwrap(),
+                SearchStrategy::Union,
+                5,
+            ),
+            (
+                Hierarchy::new(16, 16, 4, 3).unwrap(),
+                SearchStrategy::Union,
+                5,
+            ),
+        ] {
+            let frames = exact_frames(&hier);
+            let truths: Vec<Vec<Vec<f32>>> = frames.iter().map(|f| vec![f.clone(); 2]).collect();
+            let preds: Vec<Vec<Vec<f32>>> = truths
+                .iter()
+                .enumerate()
+                .map(|(layer, samples)| {
+                    samples
+                        .iter()
+                        .enumerate()
+                        .map(|(s, f)| {
+                            f.iter()
+                                .enumerate()
+                                .map(|(i, &v)| {
+                                    let noise = ((i * 7 + s * 3 + layer * 5) % 9) as f32 - 4.0;
+                                    v + noise * hier.scale(layer) as f32
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let index = search_optimal_combinations(&hier, &preds, &truths, strategy);
+            assert!(index.report.composed_cells > 0, "K = {}", hier.k());
+            let plan = plan_ensemble(
+                &hier,
+                &[profile("solo", preds)],
+                &truths,
+                &PlanOptions {
+                    strategy,
+                    ..PlanOptions::default()
+                },
             );
+            assert_eq!(plan.len(), index.len(), "K = {}", hier.k());
+            assert_eq!(plan.cells_per_model(), vec![hier.total_cells()]);
+            let store = Arc::new(PredictionStore::for_hierarchy(&hier));
+            store.publish(frames.clone());
+            let region = RegionServer::new(index, store.clone());
+            let ensemble = EnsembleServer::new(plan, vec![store]);
+            let masks: Vec<Mask> = all_rect_masks(&hier).into_iter().step_by(step).collect();
+            let single = region.query_many(&masks);
+            let ens = ensemble.query_many(&masks);
+            for (i, (a, b)) in single.iter().zip(&ens).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "K = {}, mask {i}: ensemble {b} != region {a}",
+                    hier.k()
+                );
+            }
         }
     }
 

@@ -157,18 +157,33 @@ proptest! {
         let _ = decode_index(&bytes);
     }
 
+    /// Eq. 5 over the K = 2 raster, whose groups may hit multi-grid
+    /// entries, and over a K = 3 (9x9) and a K = 4 (16x16) one, whose
+    /// multi-cell groups resolve to the union of their cells' entries.
     #[test]
-    fn query_combination_covers_exactly(region in arb_region(), seed in 0u64..100) {
-        let hier = hier();
+    fn query_combination_covers_exactly(
+        shape in 0usize..3,
+        bits in prop::collection::vec(any::<bool>(), 16 * 16),
+        seed in 0u64..100,
+    ) {
+        let hier = [
+            Hierarchy::new(H, W, 2, 4),
+            Hierarchy::new(9, 9, 3, 3),
+            Hierarchy::new(16, 16, 4, 3),
+        ][shape]
+            .clone()
+            .unwrap();
+        let (h, w) = (hier.h(), hier.w());
+        let region = Mask::from_bits(h, w, bits[..h * w].to_vec());
         if region.is_empty() {
             return Ok(());
         }
         let index = random_index(&hier, seed);
         let comb = one4all_st::core::server::query_combination(&hier, &index, &region);
         let cov = comb.signed_coverage(&hier);
-        for r in 0..H {
-            for c in 0..W {
-                prop_assert_eq!(cov[r * W + c], i32::from(region.get(r, c)));
+        for r in 0..h {
+            for c in 0..w {
+                prop_assert_eq!(cov[r * w + c], i32::from(region.get(r, c)));
             }
         }
     }
