@@ -18,10 +18,13 @@
 //! entry count u32
 //! per entry: root_row u16 | root_col u16 | path_len u8 | path bytes
 //!            term_count u16
-//!            per term: [plan] model u16 | layer u8 | row u16 | col u16 | sign i8
+//!            per term: [plan] member u16 | layer u8 | row u16 | col u16 | sign i8
 //! [plan] plan_cost f64 (LE bits)
 //! checksum u32 (FNV-1a over everything before it)
 //! ```
+//!
+//! An index stores no member: its terms all read member 0, and
+//! [`encode_index`] refuses any other.
 //!
 //! Entries follow `ExtendedQuadTree::for_each` order (sorted roots,
 //! `ChildCode` index order, payload before children), so re-encoding a
@@ -31,7 +34,7 @@
 //! field, and decoding is total: a malformed stream is an `Err`, never a
 //! panic.
 
-use crate::combination::{Combination, CombinationIndex, SearchReport, SearchStrategy, SignedCell};
+use crate::combination::{Combination, CombinationIndex, SearchReport, SearchStrategy, Term};
 use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::{slot_count, ExtendedQuadTree};
@@ -95,8 +98,7 @@ impl Writer {
     ///
     /// # Panics
     /// Panics for `K != 2` hierarchies — the format is keyed by the grid
-    /// coding rule, which the paper only defines for a 2x2 window (such
-    /// trees hold their combinations in a `flat` map instead).
+    /// coding rule, which the paper only defines for a 2x2 window.
     /// [`Reader::open`] rejects a `K != 2` header for the same reason.
     pub fn new(artifact: &Artifact, hier: &Hierarchy, strategy: SearchStrategy) -> Writer {
         assert_eq!(
@@ -140,16 +142,15 @@ impl Writer {
     }
 
     /// Writes the entry count, then every entry of `tree` in `for_each`
-    /// order: its code, its term count, and each of its `terms` through
+    /// order: its code, its term count, and each of its terms through
     /// `term`.
     ///
     /// # Panics
     /// Panics on an entry with more terms than its `u16` count can hold.
-    pub fn entries<C, T>(
+    pub fn entries(
         &mut self,
-        tree: &ExtendedQuadTree<C>,
-        terms: impl Fn(&C) -> &[T],
-        mut term: impl FnMut(&mut Writer, &T),
+        tree: &ExtendedQuadTree<Combination>,
+        mut term: impl FnMut(&mut Writer, &Term),
     ) {
         self.u32(tree.len() as u32);
         tree.for_each(|code, comb| {
@@ -159,23 +160,23 @@ impl Writer {
             for &c in &code.path {
                 self.u8(c.index() as u8);
             }
-            let terms = terms(comb);
-            let count = u16::try_from(terms.len()).unwrap_or_else(|_| {
+            let count = u16::try_from(comb.terms.len()).unwrap_or_else(|_| {
                 panic!(
                     "entry {code} holds {} terms, more than a u16 count",
-                    terms.len()
+                    comb.terms.len()
                 )
             });
             self.u16(count);
-            for t in terms {
+            for t in &comb.terms {
                 term(self, t);
             }
         });
     }
 
-    /// Writes one term's grid cell and sign.
+    /// Writes one term's grid cell and sign; an artifact that stores the
+    /// member writes it first.
     #[inline]
-    pub fn term(&mut self, t: &SignedCell) {
+    pub fn term(&mut self, t: &Term) {
         self.u8(t.cell.layer as u8);
         self.u16(t.cell.row as u16);
         self.u16(t.cell.col as u16);
@@ -277,14 +278,12 @@ impl<'a> Reader<'a> {
     /// Reads the entry count, then each entry: its code, which must lie
     /// in `hier` (a root inside the coarsest layer, a path shallower than
     /// the layers, a multi code only at the path's end), and its terms,
-    /// reserved at their count and each read by `term`; `comb` makes the
-    /// entry's combination of them.
-    pub fn entries<C, T>(
+    /// reserved at their count and each read by `term`.
+    pub fn entries(
         &mut self,
         hier: &Hierarchy,
-        mut term: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-        comb: impl Fn(Vec<T>) -> C,
-    ) -> Result<ExtendedQuadTree<C>, CodecError> {
+        mut term: impl FnMut(&mut Reader<'a>) -> Result<Term, CodecError>,
+    ) -> Result<ExtendedQuadTree<Combination>, CodecError> {
         let layers = hier.num_layers();
         let (top_rows, top_cols) = hier.layer_dims(layers - 1);
         let count = self.u32()? as usize;
@@ -315,15 +314,16 @@ impl<'a> Reader<'a> {
             for _ in 0..term_count {
                 terms.push(term(self)?);
             }
-            tree.insert(&GridCode { root, path }, comb(terms));
+            tree.insert(&GridCode { root, path }, Combination { terms });
         }
         Ok(tree)
     }
 
     /// Reads one term's grid cell and sign: a layer of `hier`, a cell
-    /// inside that layer and a sign of +1 or -1.
+    /// inside that layer and a sign of +1 or -1. The term reads member 0;
+    /// an artifact that stores the member reads it first.
     #[inline]
-    pub fn term(&mut self, hier: &Hierarchy) -> Result<SignedCell, CodecError> {
+    pub fn term(&mut self, hier: &Hierarchy) -> Result<Term, CodecError> {
         let layer = self.u8()? as usize;
         let row = self.u16()? as usize;
         let col = self.u16()? as usize;
@@ -335,9 +335,10 @@ impl<'a> Reader<'a> {
         if row >= rows || col >= cols {
             return Err(CodecError::Corrupt("combination term out of raster"));
         }
-        Ok(SignedCell {
+        Ok(Term {
             cell: LayerCell::new(layer, row, col),
             sign,
+            member: 0,
         })
     }
 
@@ -371,27 +372,35 @@ fn strategy_from(tag: u8) -> Result<SearchStrategy, CodecError> {
 /// Serializes an index to bytes.
 ///
 /// # Panics
-/// Panics for `K != 2` hierarchies (see [`Writer::new`]) and on an entry
-/// of more than 65,535 terms.
+/// Panics for `K != 2` hierarchies (see [`Writer::new`]), on an entry of
+/// more than 65,535 terms and on a term that reads a member other than 0,
+/// which the index format cannot store.
 pub fn encode_index(index: &CombinationIndex) -> Vec<u8> {
     let mut w = Writer::new(&INDEX, &index.hier, index.strategy);
-    w.entries(&index.tree, |c| &c.terms, Writer::term);
+    w.entries(&index.tree, |w, t| {
+        assert_eq!(
+            t.member, 0,
+            "an index term reads member {}; the index artifact stores member 0 only",
+            t.member
+        );
+        w.term(t)
+    });
     w.finish()
 }
 
-/// Deserializes an index from bytes. The search report is not persisted
-/// (it is a build-time statistic) and comes back zeroed. A `K != 2`
+/// Deserializes an index from bytes; every term reads member 0. The
+/// search report is not persisted (it is a build-time statistic) and
+/// comes back zeroed. A `K != 2`
 /// header, or an entry code outside the header's hierarchy (a root past
 /// the coarsest layer, a path deeper than the layers), is
 /// [`CodecError::Corrupt`].
 pub fn decode_index(bytes: &[u8]) -> Result<CombinationIndex, CodecError> {
     let (mut r, hier, strategy) = Reader::open(bytes, &INDEX)?;
-    let tree = r.entries(&hier, |r| r.term(&hier), |terms| Combination { terms })?;
+    let tree = r.entries(&hier, |r| r.term(&hier))?;
     r.finish()?;
     Ok(CombinationIndex {
         hier,
         tree,
-        flat: Default::default(),
         strategy,
         report: SearchReport::default(),
     })
@@ -501,32 +510,31 @@ mod tests {
         assert!(matches!(decode_index(&bytes), Err(CodecError::BadMagic)));
     }
 
+    /// An index whose root entry is `terms`.
+    fn root_index(terms: Vec<Term>) -> CombinationIndex {
+        let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
+        let mut tree = ExtendedQuadTree::new(&hier);
+        tree.insert_cell(LayerCell::new(2, 0, 0), Combination { terms });
+        CombinationIndex {
+            hier,
+            tree,
+            strategy: SearchStrategy::Union,
+            report: SearchReport::default(),
+        }
+    }
+
     #[test]
     #[should_panic(expected = "holds 65537 terms, more than a u16 count")]
     fn encoder_refuses_a_term_count_over_u16() {
-        let hier = Hierarchy::new(4, 4, 2, 3).unwrap();
-        let mut tree = ExtendedQuadTree::new(&hier);
-        let term = SignedCell {
-            cell: LayerCell::new(0, 0, 0),
-            sign: 1,
-        };
-        let root = GridCode {
-            root: (0, 0),
-            path: Vec::new(),
-        };
-        tree.insert(
-            &root,
-            Combination {
-                terms: vec![term; 65_537],
-            },
-        );
-        encode_index(&CombinationIndex {
-            hier,
-            tree,
-            flat: Default::default(),
-            strategy: SearchStrategy::Union,
-            report: SearchReport::default(),
-        });
+        let term = Combination::single(LayerCell::new(0, 0, 0)).terms[0];
+        encode_index(&root_index(vec![term; 65_537]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reads member 1; the index artifact stores member 0 only")]
+    fn encoder_refuses_a_term_of_another_member() {
+        let comb = Combination::single(LayerCell::new(0, 0, 0)).for_member(1);
+        encode_index(&root_index(comb.terms));
     }
 
     #[test]

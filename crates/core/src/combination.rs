@@ -12,35 +12,56 @@
 //! cells, coded `E`–`L`) additionally consider *subtracting the
 //! complementary area from the parent grid* (Eq. 14) — never worse than
 //! union alone (Theorem 4.3).
+//!
+//! A [`Combination`] is the one representation of Λ in the workspace: each
+//! [`Term`] also names the member store it reads, so the same type holds a
+//! single-model index entry (every term reads member 0) and a per-region
+//! ensemble plan entry (`o4a_ensemble`), and both evaluate through
+//! [`Combination::evaluate`] and [`term_value`].
 
+use crate::frames::FrameView;
 use o4a_grid::coding::GridCode;
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::ExtendedQuadTree;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// A signed grid term of a combination: `+1` union, `-1` subtraction.
+/// A signed grid term of a combination: `sign ×` member `member`'s
+/// prediction at `cell`, where `+1` is union and `-1` subtraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SignedCell {
+pub struct Term {
     /// The grid cell.
     pub cell: LayerCell,
     /// `+1` or `-1`.
     pub sign: i8,
+    /// The member store read (always `0` in a single-model index).
+    pub member: u16,
 }
 
 /// A combination Λ: a signed set of hierarchical grids whose signed sum
 /// covers a target area (Eq. 5).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Combination {
-    /// Signed terms.
-    pub terms: Vec<SignedCell>,
+    /// Signed terms, in evaluation order.
+    pub terms: Vec<Term>,
 }
 
 impl Combination {
-    /// The trivial combination: the grid itself.
+    /// The trivial combination: the grid itself, read from member 0.
     pub fn single(cell: LayerCell) -> Self {
         Combination {
-            terms: vec![SignedCell { cell, sign: 1 }],
+            terms: vec![Term {
+                cell,
+                sign: 1,
+                member: 0,
+            }],
+        }
+    }
+
+    /// The combination with every term read from `member`, in the same
+    /// order (and hence with the same accumulation order).
+    pub fn for_member(&self, member: u16) -> Self {
+        Combination {
+            terms: self.terms.iter().map(|&t| Term { member, ..t }).collect(),
         }
     }
 
@@ -56,10 +77,7 @@ impl Combination {
     /// `base - negated`: appends the negated combination with flipped signs.
     pub fn subtract(base: &Combination, negated: &Combination) -> Self {
         let mut terms = base.terms.clone();
-        terms.extend(negated.terms.iter().map(|t| SignedCell {
-            cell: t.cell,
-            sign: -t.sign,
-        }));
+        terms.extend(negated.terms.iter().map(|&t| Term { sign: -t.sign, ..t }));
         Combination { terms }
     }
 
@@ -68,23 +86,31 @@ impl Combination {
         self.terms.iter().any(|t| t.sign < 0)
     }
 
-    /// Evaluates the combination against per-layer flat frames
-    /// (`frames[layer]` has `h_l * w_l` values), reducing through
-    /// [`signed_sum`] over [`term_value`] contributions — the chain the
-    /// ensemble planner's `ModelCombination::evaluate` shares, so the two
-    /// stay bit-identical.
-    pub fn evaluate(&self, hier: &Hierarchy, frames: &[Vec<f32>]) -> f32 {
-        let view = crate::frames::FrameView::F32(frames);
-        signed_sum(
-            self.terms
-                .iter()
-                .map(|t| term_value(hier, &view, t.cell, t.sign)),
-        )
+    /// Sorted, deduplicated members the combination reads from.
+    pub fn members_used(&self) -> Vec<u16> {
+        let mut m: Vec<u16> = self.terms.iter().map(|t| t.member).collect();
+        m.sort_unstable();
+        m.dedup();
+        m
+    }
+
+    /// Evaluates the combination against one snapshot view per member
+    /// (`views[m]` holds member `m`'s per-layer frames): a plain
+    /// left-to-right f32 sum of [`term_value`] contributions, in term
+    /// order. The offline search, the ensemble planner and the experiments
+    /// evaluate through it; the online query path folds from `0.0` instead
+    /// (see [`crate::server::interpret`]).
+    pub fn evaluate(&self, hier: &Hierarchy, views: &[FrameView<'_>]) -> f32 {
+        self.terms
+            .iter()
+            .map(|t| term_value(hier, &views[t.member as usize], t.cell, t.sign))
+            .sum()
     }
 
     /// The net atomic coverage of the combination as a signed count per
     /// atomic cell (used to verify Eq. 5: the signed sum must equal the
-    /// region's assignment matrix).
+    /// region's assignment matrix). The member axis does not change areal
+    /// coverage.
     pub fn signed_coverage(&self, hier: &Hierarchy) -> Vec<i32> {
         let mut cov = vec![0i32; hier.h() * hier.w()];
         for t in &self.terms {
@@ -104,23 +130,9 @@ impl Combination {
 /// applied. Every aggregation path reads terms through this helper so a
 /// term contributes the same f32 everywhere.
 #[inline]
-pub fn term_value(
-    hier: &Hierarchy,
-    frames: &crate::frames::FrameView<'_>,
-    cell: LayerCell,
-    sign: i8,
-) -> f32 {
+pub fn term_value(hier: &Hierarchy, frames: &FrameView<'_>, cell: LayerCell, sign: i8) -> f32 {
     let (_, lw) = hier.layer_dims(cell.layer);
     sign as f32 * frames.value(cell.layer, cell.row * lw + cell.col)
-}
-
-/// The combination-evaluation chain the offline search and the ensemble
-/// planner share: a plain left-to-right f32 sum of term contributions, in
-/// iteration order. (The online query path folds explicitly from `0.0`;
-/// see [`crate::server::interpret`].)
-#[inline]
-pub fn signed_sum(values: impl Iterator<Item = f32>) -> f32 {
-    values.sum()
 }
 
 /// Which combination candidates the offline search considers (Table III).
@@ -161,20 +173,17 @@ pub struct SearchReport {
 /// The searched index: an extended quad-tree of optimal combinations plus
 /// the report.
 ///
-/// The grid coding rule (and hence the quad-tree and multi-grid entries)
-/// is defined for `K = 2` hierarchies; for other merging windows the
-/// single-grid combinations live in a flat map instead and multi-grid
-/// lookups return `None` (the server then unions the member cells'
-/// combinations, as documented in Sec. IV-C2 of the paper, which only
-/// defines the coding rule for a window of 2).
+/// The grid coding rule (and hence multi-grid entries) is defined for
+/// `K = 2` hierarchies only, as in Sec. IV-C2 of the paper. For other
+/// merging windows the tree holds the single grids alone, multi-grid
+/// lookups return `None`, and the server unions the member cells'
+/// combinations.
 #[derive(Debug, Clone)]
 pub struct CombinationIndex {
     /// The hierarchy the index covers.
     pub hier: Hierarchy,
-    /// Optimal combination per grid code (`K = 2` hierarchies).
+    /// Optimal combination per grid and, for `K = 2`, per multi-grid.
     pub tree: ExtendedQuadTree<Combination>,
-    /// Fallback single-grid store for `K != 2` hierarchies.
-    pub flat: HashMap<LayerCell, Combination>,
     /// The strategy that produced the index.
     pub strategy: SearchStrategy,
     /// Search statistics.
@@ -185,16 +194,12 @@ impl CombinationIndex {
     /// Looks up the optimal combination of a single grid.
     #[inline]
     pub fn for_cell(&self, cell: LayerCell) -> Option<&Combination> {
-        if self.hier.k() == 2 {
-            self.tree.get_cell(cell)
-        } else {
-            self.flat.get(&cell)
-        }
+        self.tree.get_cell(cell)
     }
 
     /// Looks up the optimal combination of a multi-grid (same-parent 2–3
     /// cell group at `layer`). Always `None` for `K != 2` hierarchies,
-    /// whose tree has no slots.
+    /// which have no multi-grids.
     #[inline]
     pub fn for_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&Combination> {
         self.tree.get_multi(layer, cells)
@@ -202,7 +207,7 @@ impl CombinationIndex {
 
     /// Number of stored combinations.
     pub fn len(&self) -> usize {
-        self.tree.len() + self.flat.len()
+        self.tree.len()
     }
 
     /// Whether the index is empty.
@@ -212,7 +217,7 @@ impl CombinationIndex {
 }
 
 /// Sum of squared errors between two sample series.
-fn sse(a: &[f32], b: &[f32]) -> f64 {
+pub fn sse(a: &[f32], b: &[f32]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| {
@@ -223,7 +228,7 @@ fn sse(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Adds `src` into `dst` elementwise.
-fn add_into(dst: &mut [f32], src: &[f32]) {
+pub fn add_into(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s;
     }
@@ -269,9 +274,7 @@ pub fn search_optimal_combinations_margin(
     assert!(n_samples > 0, "search needs at least one validation sample");
 
     let mut tree = ExtendedQuadTree::new(hier);
-    let mut flat: HashMap<LayerCell, Combination> = HashMap::new();
     let mut report = SearchReport::default();
-    let coded = hier.k() == 2;
 
     // per-cell optimal series/combination of the previous layer
     // (cell-major: opt_series[cell][sample])
@@ -313,11 +316,7 @@ pub fn search_optimal_combinations_margin(
                             (child_sum, Combination::union_of(&child_parts))
                         }
                     };
-                if coded {
-                    tree.insert(&GridCode::for_cell(hier, cell), chosen_comb.clone());
-                } else {
-                    flat.insert(cell, chosen_comb.clone());
-                }
+                tree.insert_cell(cell, chosen_comb.clone());
                 series.push(chosen_series);
                 combs.push(chosen_comb);
             }
@@ -325,7 +324,7 @@ pub fn search_optimal_combinations_margin(
 
         // multi-grid entries for the previous layer (codes need K = 2 and a
         // parent, i.e. this layer)
-        if layer >= 1 && coded {
+        if layer >= 1 && hier.k() == 2 {
             index_multi_grids(
                 hier,
                 layer - 1,
@@ -348,7 +347,6 @@ pub fn search_optimal_combinations_margin(
     CombinationIndex {
         hier: hier.clone(),
         tree,
-        flat,
         strategy,
         report,
     }
@@ -628,24 +626,54 @@ mod tests {
     #[test]
     fn evaluate_applies_signs() {
         let hier = hier4();
-        let comb = Combination {
-            terms: vec![
-                SignedCell {
-                    cell: LayerCell::new(1, 0, 0),
-                    sign: 1,
-                },
-                SignedCell {
-                    cell: LayerCell::new(0, 0, 0),
-                    sign: -1,
-                },
-            ],
-        };
+        let comb = Combination::subtract(
+            &Combination::single(LayerCell::new(1, 0, 0)),
+            &Combination::single(LayerCell::new(0, 0, 0)),
+        );
         let frames = vec![
             vec![2.0; 16], // layer 0
             vec![10.0; 4], // layer 1
             vec![40.0; 1], // layer 2
         ];
-        assert_eq!(comb.evaluate(&hier, &frames), 8.0);
+        assert_eq!(comb.evaluate(&hier, &[FrameView::F32(&frames)]), 8.0);
+    }
+
+    #[test]
+    fn a_term_stays_32_bytes() {
+        // the member rides in the padding after the sign, so naming it
+        // costs the index no memory and the walk no extra loads
+        assert_eq!(std::mem::size_of::<Term>(), 32);
+    }
+
+    #[test]
+    fn evaluate_reads_the_right_member_snapshot() {
+        let hier = hier4();
+        // member 0: all twos at layer 0; member 1: all tens at layer 1
+        let m0 = vec![vec![2.0f32; 16], vec![-1.0; 4], vec![0.0; 1]];
+        let m1 = vec![vec![9.0f32; 16], vec![10.0; 4], vec![0.0; 1]];
+        let views = [FrameView::F32(&m0), FrameView::F32(&m1)];
+        let comb = Combination::subtract(
+            &Combination::single(LayerCell::new(1, 0, 0)).for_member(1),
+            &Combination::single(LayerCell::new(0, 0, 0)),
+        );
+        assert_eq!(comb.evaluate(&hier, &views), 8.0);
+        assert!(comb.uses_subtraction());
+        assert_eq!(comb.members_used(), vec![0, 1]);
+    }
+
+    #[test]
+    fn coverage_ignores_the_model_axis() {
+        let hier = hier4();
+        let a = Combination::single(LayerCell::new(1, 0, 0));
+        let b = a.for_member(1);
+        assert_eq!(a.signed_coverage(&hier), b.signed_coverage(&hier));
+        let sub = Combination::subtract(
+            &a,
+            &Combination::single(LayerCell::new(0, 0, 0)).for_member(1),
+        );
+        let cov = sub.signed_coverage(&hier);
+        assert_eq!(cov[0], 0); // 2x2 block minus its first atomic cell
+        assert_eq!(cov[1], 1);
     }
 
     #[test]
@@ -715,7 +743,8 @@ mod tests {
     #[test]
     fn window3_search_uses_flat_store() {
         // regression: K != 2 hierarchies must not touch the coding rule
-        // (Fig. 14's 3x3 and 4x4 variants crashed here before)
+        // (Fig. 14's 3x3 and 4x4 variants crashed here before); the tree
+        // holds one entry per grid and no multi-grids
         let hier = Hierarchy::new(9, 9, 3, 3).unwrap();
         let mut preds = Vec::new();
         let mut truths = Vec::new();
@@ -744,8 +773,7 @@ mod tests {
             preds.push(pl);
         }
         let index = search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::Union);
-        assert!(index.tree.is_empty());
-        assert_eq!(index.flat.len(), 81 + 9 + 1);
+        assert_eq!(index.tree.len(), 81 + 9 + 1);
         // noisy coarse layers compose from the exact atomic layer
         let top = index.for_cell(LayerCell::new(2, 0, 0)).unwrap();
         assert!(top.terms.len() > 1);

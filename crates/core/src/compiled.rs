@@ -5,7 +5,7 @@
 //! resolver and the groups, and executing it interprets them.
 
 use crate::frames::{FrameSet, FrameView};
-use crate::server::{group_value, interpret, Resolver, Term};
+use crate::server::{group_value, interpret, Resolver};
 use o4a_grid::decompose::DecomposedGroup;
 
 /// A resolver and the decomposed groups it answers.
@@ -31,11 +31,11 @@ pub fn with_scratch<T>(f: impl FnOnce(&mut Vec<f32>) -> T) -> T {
 impl<R: Resolver> CompiledPlan<'_, R> {
     /// Terms the groups resolve to.
     pub fn num_terms(&self) -> usize {
-        let mut terms: Vec<Term> = Vec::new();
-        self.groups.iter().for_each(|g| {
-            self.resolver.resolve_group(g, &mut terms);
-        });
-        terms.len()
+        let mut terms = 0;
+        for g in &self.groups {
+            self.resolver.resolve_group(g, |run| terms += run.len());
+        }
+        terms
     }
 
     /// [`interpret`]'s answer over `snaps` (member `m` reads `snaps[m]`).
@@ -84,10 +84,10 @@ mod tests {
             folded += with_scratch(|s| one.execute_one(&[&fs], s)).unwrap();
         }
         assert_eq!(folded.to_bits(), want.to_bits());
-        let mut terms: Vec<Term> = Vec::new();
-        groups.iter().for_each(|g| {
-            index.resolve_group(g, &mut terms);
-        });
+        let mut terms = Vec::new();
+        for g in &groups {
+            index.resolve_group(g, |run| terms.extend_from_slice(run));
+        }
         assert_eq!(plan.num_terms(), terms.len());
     }
 }

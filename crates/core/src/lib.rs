@@ -44,7 +44,7 @@ pub mod one4all;
 pub mod server;
 pub mod structure;
 
-pub use combination::{Combination, CombinationIndex, SearchStrategy, SignedCell};
+pub use combination::{Combination, CombinationIndex, SearchStrategy, Term};
 pub use network::{NetworkConfig, One4AllNet};
 pub use one4all::One4AllSt;
 pub use server::{Engine, PredictionStore, PublishError, QueryBackend, QueryTiming, RegionServer};

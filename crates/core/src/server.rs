@@ -11,16 +11,19 @@
 //! times in the low milliseconds (Fig. 15). One [`Engine`] runs that path
 //! for every backend: a [`RegionServer`] resolves groups through a
 //! [`CombinationIndex`], an ensemble server through a per-region model
-//! plan (any [`Resolver`]). Either way a query's decomposition comes from
+//! plan. Both hold the same [`Combination`] tree, so a [`Resolver`] gives
+//! little more than that tree, and [`Resolver::resolve_group`] walks it
+//! the same way for both. Either way a query's decomposition comes from
 //! the engine's one [`ClockCache`] (decomposed only on a miss), and
 //! [`interpret`] walks it against the member snapshots.
 
 use crate::cache::{CacheMetrics, ClockCache};
-use crate::combination::{term_value, Combination, CombinationIndex, SignedCell};
+use crate::combination::{term_value, Combination, CombinationIndex, Term};
 use crate::frames::{FrameSet, FrameView};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::mask::Mask;
+use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_obs::trace::{self, SpanEvent, SpanKind};
 use o4a_obs::Histogram;
 use parking_lot::RwLock;
@@ -28,44 +31,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One resolved term: `sign ×` member `member`'s snapshot value at `cell`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Term {
-    /// The grid cell read.
-    pub cell: LayerCell,
-    /// `+1` or `-1`.
-    pub sign: i8,
-    /// The member store read (always `0` for a single-model index).
-    pub member: u16,
-}
-
-/// Receives one group's resolution: its terms in evaluation order, each
-/// run (one combination's terms) closed by [`TermSink::end_run`].
-pub trait TermSink {
-    /// The next term of the current run.
-    fn term(&mut self, t: Term);
-    /// Closes the current run.
-    fn end_run(&mut self);
-}
-
-/// Collects the terms alone, dropping the run structure.
-impl TermSink for Vec<Term> {
-    fn term(&mut self, t: Term) {
-        self.push(t);
-    }
-
-    fn end_run(&mut self) {}
-}
-
 /// What the query engine resolves decomposed groups through: a
-/// single-model [`CombinationIndex`], or an ensemble plan whose terms
-/// each name the member store they read.
+/// single-model [`CombinationIndex`], or an ensemble plan. Both keep one
+/// [`Combination`] per grid (and, for `K = 2`, per multi-grid) in one
+/// [`ExtendedQuadTree`]; they differ only in the member axis their terms
+/// index, which is what this trait asks for besides the tree.
 pub trait Resolver: Send + Sync {
-    /// One index entry: a combination of signed terms.
-    type Entry;
-
     /// The hierarchy queries are decomposed against.
     fn hierarchy(&self) -> &Hierarchy;
+
+    /// The combinations groups resolve to.
+    fn tree(&self) -> &ExtendedQuadTree<Combination>;
 
     /// Member stores the terms read from (`1` for a single model).
     fn members(&self) -> usize;
@@ -74,16 +50,6 @@ pub trait Resolver: Send + Sync {
     /// for a combination index, the plan revision for an ensemble).
     fn revision(&self) -> u64;
 
-    /// The entry of a single grid, if the index has one.
-    fn cell_entry(&self, cell: LayerCell) -> Option<&Self::Entry>;
-
-    /// The entry of a multi-grid (a same-parent 2–3 cell group of a
-    /// `K = 2` hierarchy), if the index has one.
-    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&Self::Entry>;
-
-    /// An entry's terms, in evaluation order.
-    fn entry_terms(entry: &Self::Entry) -> impl Iterator<Item = Term> + '_;
-
     /// Registers the resolver's own gauges and returns one served-terms
     /// histogram per member for the engine to sample per query; empty
     /// (the default) records none.
@@ -91,41 +57,43 @@ pub trait Resolver: Send + Sync {
         Vec::new()
     }
 
-    /// Resolves one decomposed group into `sink`, returning whether it hit
-    /// a multi-grid entry (whose single run *is* the group value).
+    /// Resolves one decomposed group, handing each run of terms (one
+    /// combination's, in evaluation order) to `run`, and returns whether
+    /// it hit a multi-grid entry (whose single run *is* the group value).
     /// Otherwise each member cell contributes one run — its entry, or the
-    /// direct prediction (member 0) when the index has none, which only
+    /// direct prediction (member 0) when the tree has none, which only
     /// happens on a foreign index.
-    fn resolve_group(&self, group: &DecomposedGroup, sink: &mut impl TermSink) -> bool {
+    fn resolve_group(&self, group: &DecomposedGroup, mut run: impl FnMut(&[Term])) -> bool {
+        let tree = self.tree();
         if group.len() >= 2 {
-            if let Some(entry) = self.multi_entry(group) {
-                Self::entry_terms(entry).for_each(|t| sink.term(t));
-                sink.end_run();
+            if let Some(comb) = tree.get_multi_group(group) {
+                run(&comb.terms);
                 return true;
             }
         }
         let layer = group.layer();
         for (r, c) in group.cells() {
             let cell = LayerCell::new(layer, r, c);
-            match self.cell_entry(cell) {
-                Some(entry) => Self::entry_terms(entry).for_each(|t| sink.term(t)),
-                None => sink.term(Term {
+            match tree.get_cell(cell) {
+                Some(comb) => run(&comb.terms),
+                None => run(&[Term {
                     cell,
                     sign: 1,
                     member: 0,
-                }),
+                }]),
             }
-            sink.end_run();
         }
         false
     }
 }
 
 impl Resolver for CombinationIndex {
-    type Entry = Combination;
-
     fn hierarchy(&self) -> &Hierarchy {
         &self.hier
+    }
+
+    fn tree(&self) -> &ExtendedQuadTree<Combination> {
+        &self.tree
     }
 
     fn members(&self) -> usize {
@@ -134,22 +102,6 @@ impl Resolver for CombinationIndex {
 
     fn revision(&self) -> u64 {
         0
-    }
-
-    fn cell_entry(&self, cell: LayerCell) -> Option<&Combination> {
-        self.for_cell(cell)
-    }
-
-    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&Combination> {
-        self.tree.get_multi_group(group)
-    }
-
-    fn entry_terms(entry: &Combination) -> impl Iterator<Item = Term> + '_ {
-        entry.terms.iter().map(|t| Term {
-            cell: t.cell,
-            sign: t.sign,
-            member: 0,
-        })
     }
 }
 
@@ -168,47 +120,30 @@ pub(crate) fn group_value<R: Resolver>(
     group: &DecomposedGroup,
     terms: &mut [u64],
 ) -> f32 {
-    struct Fold<'a, 'v> {
-        hier: &'a Hierarchy,
-        views: &'a [FrameView<'v>],
-        terms: &'a mut [u64],
-        run: f32,
-        runs: f32,
-        last: f32,
-    }
-    impl TermSink for Fold<'_, '_> {
-        fn term(&mut self, t: Term) {
+    let hier = resolver.hierarchy();
+    let (mut runs, mut last) = (0.0f32, 0.0f32);
+    let multi = resolver.resolve_group(group, |run| {
+        let mut value = 0.0f32;
+        for t in run {
             // with one view every term is member 0's: matching on the
             // slice shape instead of indexing by `t.member` keeps the
             // view's loads out of the per-term path
-            let (view, m) = match self.views {
+            let (view, m) = match views {
                 [only] => (only, 0),
                 views => (&views[t.member as usize], t.member as usize),
             };
-            if let Some(n) = self.terms.get_mut(m) {
+            if let Some(n) = terms.get_mut(m) {
                 *n += 1;
             }
-            self.run += term_value(self.hier, view, t.cell, t.sign);
+            value += term_value(hier, view, t.cell, t.sign);
         }
-
-        fn end_run(&mut self) {
-            self.runs += self.run;
-            self.last = self.run;
-            self.run = 0.0;
-        }
-    }
-    let mut fold = Fold {
-        hier: resolver.hierarchy(),
-        views,
-        terms,
-        run: 0.0,
-        runs: 0.0,
-        last: 0.0,
-    };
-    if resolver.resolve_group(group, &mut fold) {
-        fold.last
+        runs += value;
+        last = value;
+    });
+    if multi {
+        last
     } else {
-        fold.runs
+        runs
     }
 }
 
@@ -254,19 +189,11 @@ pub fn predict_query(
 /// (concatenation over its decomposed groups). Lets experiments compare
 /// how different strategies decompose the same query (Table III).
 pub fn query_combination(hier: &Hierarchy, index: &CombinationIndex, mask: &Mask) -> Combination {
-    let mut terms: Vec<Term> = Vec::new();
+    let mut terms = Vec::new();
     for group in decompose(hier, mask) {
-        index.resolve_group(&group, &mut terms);
+        index.resolve_group(&group, |run| terms.extend_from_slice(run));
     }
-    Combination {
-        terms: terms
-            .into_iter()
-            .map(|t| SignedCell {
-                cell: t.cell,
-                sign: t.sign,
-            })
-            .collect(),
-    }
+    Combination { terms }
 }
 
 /// Timing breakdown of one online query (Fig. 15 reports decomposition +
@@ -1035,11 +962,11 @@ mod tests {
         foreign.tree = o4a_grid::quadtree::ExtendedQuadTree::new(&hier);
         let pair = decompose(&hier, &Mask::rect(4, 4, 0, 0, 1, 2))[0];
         assert_eq!(pair.cells().collect::<Vec<_>>(), vec![(0, 0), (0, 1)]);
-        let mut terms: Vec<Term> = Vec::new();
-        index.resolve_group(&pair, &mut terms);
+        let mut terms = Vec::new();
+        index.resolve_group(&pair, |run| terms.extend_from_slice(run));
         assert!(!terms.is_empty());
-        let mut direct: Vec<Term> = Vec::new();
-        assert!(!foreign.resolve_group(&pair, &mut direct));
+        let mut direct = Vec::new();
+        assert!(!foreign.resolve_group(&pair, |run| direct.extend_from_slice(run)));
         assert_eq!(
             direct,
             vec![

@@ -6,13 +6,9 @@
 //! widening is exact, so both paths add the same f32 sequence).
 
 use o4a_core::frames::f16_storage_roundtrip;
-use o4a_core::server::RegionServer;
-use o4a_core::{
-    combination::search_optimal_combinations, CombinationIndex, PredictionStore, SearchStrategy,
-    SignedCell,
-};
-use o4a_grid::decompose::decompose;
-use o4a_grid::hierarchy::{Hierarchy, LayerCell};
+use o4a_core::server::{query_combination, RegionServer};
+use o4a_core::{combination::search_optimal_combinations, PredictionStore, SearchStrategy};
+use o4a_grid::hierarchy::Hierarchy;
 use o4a_grid::mask::Mask;
 use std::sync::Arc;
 
@@ -47,29 +43,6 @@ fn test_frames(hier: &Hierarchy) -> Vec<Vec<f32>> {
         frames.push(f);
     }
     frames
-}
-
-/// Mirrors the server's group resolution to collect the signed terms a
-/// query actually reads — the `v_t` of the documented bound.
-fn query_terms(hier: &Hierarchy, index: &CombinationIndex, mask: &Mask) -> Vec<SignedCell> {
-    let mut terms = Vec::new();
-    for g in decompose(hier, mask) {
-        let cells: Vec<(usize, usize)> = g.cells().collect();
-        if cells.len() >= 2 && hier.k() == 2 {
-            if let Some(comb) = index.for_multi(g.layer(), &cells) {
-                terms.extend(comb.terms.iter().cloned());
-                continue;
-            }
-        }
-        for (r, c) in cells {
-            let cell = LayerCell::new(g.layer(), r, c);
-            match index.for_cell(cell) {
-                Some(comb) => terms.extend(comb.terms.iter().cloned()),
-                None => terms.push(SignedCell { cell, sign: 1 }),
-            }
-        }
-    }
-    terms
 }
 
 #[test]
@@ -123,8 +96,9 @@ fn half_storage_queries_stay_within_documented_bound() {
         );
 
         // the documented bound: sum_t 2^-11 |v_t| + T * 2^-25, plus the
-        // f32 summation rounding of the perturbed terms
-        let terms = query_terms(&hier, server.index(), mask);
+        // f32 summation rounding of the perturbed terms, over the signed
+        // terms `v_t` the query reads
+        let terms = query_combination(&hier, server.index(), mask).terms;
         assert!(!terms.is_empty());
         let mut bound = 0.0f64;
         let mut sum_abs = 0.0f64;

@@ -5,16 +5,16 @@
 //! layout: the magic and trailer checks, the header, the entry walk and
 //! its bounds checks, the decode and load errors. This module writes only
 //! what a plan adds: the revision and the member names after the header,
-//! a `u16` member index before each term, and `plan_cost` before the
+//! each term's `u16` member before the term, and `plan_cost` before the
 //! trailer.
 //!
 //! The entries follow `ExtendedQuadTree::for_each` order, so
 //! `encode_plan(&decode_plan(bytes)?) == bytes` — the round-trip is
 //! bit-identical, which the bench and check gates assert.
 
-use crate::plan::{EnsemblePlan, ModelCombination, ModelTerm, PlanReport};
+use crate::plan::{EnsemblePlan, PlanReport};
 use o4a_core::codec::{Artifact, Reader, Writer};
-use o4a_core::combination::SignedCell;
+use o4a_core::combination::Term;
 
 /// Errors decoding a plan byte stream: the shared artifact decode error.
 pub use o4a_core::codec::CodecError as PlanCodecError;
@@ -42,17 +42,10 @@ pub fn encode_plan(plan: &EnsemblePlan) -> Vec<u8> {
         w.u16(name.len() as u16);
         w.bytes(name.as_bytes());
     }
-    w.entries(
-        &plan.tree,
-        |c| &c.terms,
-        |w, t| {
-            w.u16(t.model);
-            w.term(&SignedCell {
-                cell: t.cell,
-                sign: t.sign,
-            });
-        },
-    );
+    w.entries(&plan.tree, |w, t| {
+        w.u16(t.member);
+        w.term(t);
+    });
     w.f64(plan.report.plan_cost);
     w.finish()
 }
@@ -77,18 +70,16 @@ pub fn decode_plan(bytes: &[u8]) -> Result<EnsemblePlan, PlanCodecError> {
             .map_err(|_| PlanCodecError::Corrupt("member name is not UTF-8"))?;
         members.push(name.to_string());
     }
-    let tree = r.entries(
-        &hier,
-        |r| {
-            let model = r.u16()?;
-            if model as usize >= member_count {
-                return Err(PlanCodecError::Corrupt("term model out of member range"));
-            }
-            let SignedCell { cell, sign } = r.term(&hier)?;
-            Ok(ModelTerm { model, cell, sign })
-        },
-        |terms| ModelCombination { terms },
-    )?;
+    let tree = r.entries(&hier, |r| {
+        let member = r.u16()?;
+        if member as usize >= member_count {
+            return Err(PlanCodecError::Corrupt("term model out of member range"));
+        }
+        Ok(Term {
+            member,
+            ..r.term(&hier)?
+        })
+    })?;
     let plan_cost = r.f64()?;
     if !plan_cost.is_finite() || plan_cost < 0.0 {
         return Err(PlanCodecError::Corrupt(
@@ -101,7 +92,6 @@ pub fn decode_plan(bytes: &[u8]) -> Result<EnsemblePlan, PlanCodecError> {
         strategy,
         revision,
         tree,
-        flat: Default::default(),
         report: PlanReport {
             direct_cells: vec![0; member_count],
             delegated_cells: vec![0; member_count],

@@ -14,9 +14,10 @@
 //!   of the member models' own optimal combinations plus ensemble-level
 //!   compositions of its children (which may mix models). The result is an
 //!   [`plan::EnsemblePlan`] mapping every hierarchical grid (and, for
-//!   `K = 2`, every multi-grid) to its cheapest `(model, Combination)`
-//!   piece on the validation window, with a [`plan::PlanReport`] cost
-//!   breakdown.
+//!   `K = 2`, every multi-grid) to its cheapest
+//!   [`o4a_core::combination::Combination`] on the validation window,
+//!   whose terms may read different members, with a [`plan::PlanReport`]
+//!   cost breakdown.
 //! * [`codec`] persists the plan as a versioned `O4AENS01` artifact with
 //!   the workspace's usual FNV-1a integrity trailer and a total,
 //!   never-panicking decoder.
@@ -35,7 +36,7 @@ pub mod server;
 pub mod synthetic;
 
 pub use codec::{decode_plan, encode_plan, load_plan, save_plan, PlanCodecError, PlanLoadError};
-pub use plan::{EnsemblePlan, ModelCombination, ModelTerm, PlanReport};
+pub use plan::{EnsemblePlan, PlanReport};
 pub use planner::{plan_ensemble, profile_members, MemberProfile, PlanOptions};
 pub use server::EnsembleServer;
 pub use synthetic::HotspotExpert;

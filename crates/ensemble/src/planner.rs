@@ -24,10 +24,12 @@
 //! [`SearchStrategy::UnionSubtraction`], the ensemble parent optimum minus
 //! the complementary children's ensemble optima (Eq. 14 with models).
 
-use crate::plan::{EnsemblePlan, ModelCombination, PlanReport};
+use crate::plan::{EnsemblePlan, PlanReport};
 use o4a_core::combination::{
-    search_optimal_combinations_margin, Combination, CombinationIndex, SearchStrategy,
+    add_into, search_optimal_combinations_margin, sse, Combination, CombinationIndex,
+    SearchStrategy,
 };
+use o4a_core::frames::FrameView;
 use o4a_data::features::TemporalConfig;
 use o4a_data::flow::FlowSeries;
 use o4a_data::metrics::MetricAccumulator;
@@ -35,7 +37,6 @@ use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_models::multiscale::PyramidPredictor;
-use std::collections::HashMap;
 
 /// Planner knobs.
 #[derive(Debug, Clone, Copy)]
@@ -103,24 +104,6 @@ pub fn profile_members(
         .collect()
 }
 
-/// Sum of squared errors between two sample series.
-fn sse(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum()
-}
-
-/// Adds `src` into `dst` elementwise.
-fn add_into(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// A member's validation pyramid transposed to per-sample frames, so a
 /// [`Combination`] can be evaluated against sample `s` directly.
 fn sample_frames(preds: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
@@ -130,9 +113,13 @@ fn sample_frames(preds: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
         .collect()
 }
 
-/// Evaluates a member's combination on every validation sample.
+/// Evaluates a member's combination (its own index's, reading member 0)
+/// on every validation sample.
 fn series_of(hier: &Hierarchy, frames: &[Vec<Vec<f32>>], comb: &Combination) -> Vec<f32> {
-    frames.iter().map(|f| comb.evaluate(hier, f)).collect()
+    frames
+        .iter()
+        .map(|f| comb.evaluate(hier, &[FrameView::F32(f)]))
+        .collect()
 }
 
 /// Runs the ensemble planning DP.
@@ -180,23 +167,21 @@ pub fn plan_ensemble(
     let frames: Vec<Vec<Vec<Vec<f32>>>> = members.iter().map(|m| sample_frames(&m.preds)).collect();
 
     let mut tree = ExtendedQuadTree::new(hier);
-    let mut flat: HashMap<LayerCell, ModelCombination> = HashMap::new();
     let mut report = PlanReport {
         direct_cells: vec![0; n_members],
         delegated_cells: vec![0; n_members],
         model_costs: vec![0.0; n_members],
         ..PlanReport::default()
     };
-    let coded = hier.k() == 2;
 
     // previous layer's ensemble optima, cell-major
     let mut prev_series: Vec<Vec<f32>> = Vec::new();
-    let mut prev_combs: Vec<ModelCombination> = Vec::new();
+    let mut prev_combs: Vec<Combination> = Vec::new();
 
     for layer in 0..n_layers {
         let (rows, cols) = hier.layer_dims(layer);
         let mut series: Vec<Vec<f32>> = Vec::with_capacity(rows * cols);
-        let mut combs: Vec<ModelCombination> = Vec::with_capacity(rows * cols);
+        let mut combs: Vec<Combination> = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 let cell = LayerCell::new(layer, r, c);
@@ -220,10 +205,10 @@ pub fn plan_ensemble(
                         best_series = s;
                     }
                 }
-                let primary_comb = ModelCombination::from_combination(
-                    best_m as u16,
-                    indexes[best_m].for_cell(cell).unwrap(),
-                );
+                let primary_comb = indexes[best_m]
+                    .for_cell(cell)
+                    .unwrap()
+                    .for_member(best_m as u16);
 
                 // alternative: ensemble-composed from children's ensemble optima
                 let (chosen_series, chosen_comb, chosen_sse) =
@@ -232,7 +217,7 @@ pub fn plan_ensemble(
                     } else {
                         let prev_cols = hier.layer_dims(layer - 1).1;
                         let mut child_sum = vec![0.0f32; n_samples];
-                        let mut child_parts: Vec<&ModelCombination> = Vec::with_capacity(4);
+                        let mut child_parts: Vec<&Combination> = Vec::with_capacity(4);
                         for ch in hier.children(cell) {
                             let chi = ch.row * prev_cols + ch.col;
                             add_into(&mut child_sum, &prev_series[chi]);
@@ -241,7 +226,7 @@ pub fn plan_ensemble(
                         let sse_alt = sse(&child_sum, &truth);
                         if sse_alt < (1.0 - opts.margin) * best_sse {
                             report.fused_cells += 1;
-                            (child_sum, ModelCombination::union_of(&child_parts), sse_alt)
+                            (child_sum, Combination::union_of(&child_parts), sse_alt)
                         } else {
                             (best_series, primary_comb, best_sse)
                         }
@@ -251,29 +236,26 @@ pub fn plan_ensemble(
                     && chosen_comb.terms[0].cell == cell
                     && chosen_comb.terms[0].sign == 1
                 {
-                    report.direct_cells[chosen_comb.terms[0].model as usize] += 1;
+                    report.direct_cells[chosen_comb.terms[0].member as usize] += 1;
                 } else if layer > 0
                     && chosen_comb
-                        == ModelCombination::from_combination(
-                            best_m as u16,
-                            indexes[best_m].for_cell(cell).unwrap(),
-                        )
+                        == indexes[best_m]
+                            .for_cell(cell)
+                            .unwrap()
+                            .for_member(best_m as u16)
                 {
                     report.delegated_cells[best_m] += 1;
                 }
                 report.plan_cost += chosen_sse;
 
-                if coded {
-                    tree.insert(&GridCode::for_cell(hier, cell), chosen_comb.clone());
-                } else {
-                    flat.insert(cell, chosen_comb.clone());
-                }
+                tree.insert_cell(cell, chosen_comb.clone());
                 series.push(chosen_series);
                 combs.push(chosen_comb);
             }
         }
 
-        if layer >= 1 && coded {
+        // multi-grids exist for K = 2 only
+        if layer >= 1 && hier.k() == 2 {
             plan_multi_grids(
                 hier,
                 layer - 1,
@@ -301,7 +283,6 @@ pub fn plan_ensemble(
         strategy: opts.strategy,
         revision: opts.revision,
         tree,
-        flat,
         report,
     }
 }
@@ -312,15 +293,15 @@ fn plan_multi_grids(
     hier: &Hierarchy,
     layer: usize,
     child_series: &[Vec<f32>],
-    child_combs: &[ModelCombination],
+    child_combs: &[Combination],
     parent_series: &[Vec<f32>],
-    parent_combs: &[ModelCombination],
+    parent_combs: &[Combination],
     indexes: &[CombinationIndex],
     frames: &[Vec<Vec<Vec<f32>>>],
     truths: &[Vec<Vec<f32>>],
     opts: &PlanOptions,
     n_samples: usize,
-    tree: &mut ExtendedQuadTree<ModelCombination>,
+    tree: &mut ExtendedQuadTree<Combination>,
     report: &mut PlanReport,
 ) {
     let (_, child_cols) = hier.layer_dims(layer);
@@ -357,27 +338,27 @@ fn plan_multi_grids(
                         best_m = m;
                     }
                 }
-                let primary = ModelCombination::from_combination(
-                    best_m as u16,
-                    indexes[best_m].for_multi(layer, &members_rc).unwrap(),
-                );
+                let primary = indexes[best_m]
+                    .for_multi(layer, &members_rc)
+                    .unwrap()
+                    .for_member(best_m as u16);
 
                 // ensemble union of the member cells' ensemble optima
                 let mut union_series = vec![0.0f32; n_samples];
-                let mut union_parts: Vec<&ModelCombination> = Vec::with_capacity(3);
+                let mut union_parts: Vec<&Combination> = Vec::with_capacity(3);
                 for &(r, c) in &members_rc {
                     let ci = r * child_cols + c;
                     add_into(&mut union_series, &child_series[ci]);
                     union_parts.push(&child_combs[ci]);
                 }
                 let mut alt_sse = sse(&union_series, &truth);
-                let mut alt = ModelCombination::union_of(&union_parts);
+                let mut alt = Combination::union_of(&union_parts);
 
                 if opts.strategy == SearchStrategy::UnionSubtraction {
                     // ensemble subtraction: parent ensemble optimum minus
                     // the complementary children's ensemble optima
                     let mut comp_series = vec![0.0f32; n_samples];
-                    let mut comp_parts: Vec<&ModelCombination> = Vec::new();
+                    let mut comp_parts: Vec<&Combination> = Vec::new();
                     let member_set: std::collections::HashSet<(usize, usize)> =
                         members_rc.iter().copied().collect();
                     for ch in hier.children(LayerCell::new(layer + 1, pr, pc)) {
@@ -392,8 +373,8 @@ fn plan_multi_grids(
                         .collect();
                     let sub_sse = sse(&sub_series, &truth);
                     if sub_sse < (1.0 - opts.margin) * alt_sse {
-                        let comp = ModelCombination::union_of(&comp_parts);
-                        alt = ModelCombination::subtract(&parent_combs[parent_idx], &comp);
+                        let comp = Combination::union_of(&comp_parts);
+                        alt = Combination::subtract(&parent_combs[parent_idx], &comp);
                         alt_sse = sub_sse;
                     }
                 }
@@ -494,11 +475,7 @@ mod tests {
             assert_eq!(plan.len(), base.len());
             base.tree.for_each(|code, comb| {
                 let got = plan.tree.get(code).expect("plan misses a base entry");
-                assert_eq!(
-                    got,
-                    &ModelCombination::from_combination(0, comb),
-                    "mismatch at {code:?} ({strategy:?})"
-                );
+                assert_eq!(got, comb, "mismatch at {code:?} ({strategy:?})");
             });
         }
     }
@@ -601,7 +578,7 @@ mod tests {
                 for j in 0..c {
                     let cell = LayerCell::new(layer, i, j);
                     let comb = plan.for_cell(cell).unwrap();
-                    let direct = ModelCombination::single(0, cell).signed_coverage(&hier);
+                    let direct = Combination::single(cell).signed_coverage(&hier);
                     assert_eq!(comb.signed_coverage(&hier), direct, "broken at {cell:?}");
                 }
             }

@@ -1,21 +1,23 @@
 //! The ensemble as a query-engine resolver.
 //!
-//! An [`EnsemblePlan`] resolves each decomposition tile to a
-//! [`crate::plan::ModelCombination`] whose terms each name the member
-//! store they read. Implementing [`Resolver`] for it puts the ensemble on
-//! the one online path every backend runs — the mask → decomposition
-//! cache, [`o4a_core::server::interpret`] over one consistent snapshot
-//! per member, the shard leg — so [`EnsembleServer`] is just [`Engine`]
-//! over a plan. What stays here are the plan's own metrics.
+//! An [`EnsemblePlan`] keeps its combinations in the same tree a
+//! single-model index does, with terms that each name the member store
+//! they read. Implementing [`Resolver`] for it puts the ensemble on the
+//! one online path every backend runs — the resolution walk, the mask →
+//! decomposition cache, [`o4a_core::server::interpret`] over one
+//! consistent snapshot per member, the shard leg — so [`EnsembleServer`]
+//! is just [`Engine`] over a plan. What stays here is the member axis:
+//! the member count, the revision and the plan's own metrics.
 //!
 //! A plan whose entries all name one member resolves to exactly the terms
 //! of that member's own index, in the same order, so it answers
 //! bit-identically to the member's [`o4a_core::server::RegionServer`].
 
-use crate::plan::{EnsemblePlan, ModelCombination};
-use o4a_core::server::{Engine, Resolver, Term};
-use o4a_grid::decompose::DecomposedGroup;
-use o4a_grid::hierarchy::{Hierarchy, LayerCell};
+use crate::plan::EnsemblePlan;
+use o4a_core::combination::Combination;
+use o4a_core::server::{Engine, Resolver};
+use o4a_grid::hierarchy::Hierarchy;
+use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_obs::Histogram;
 use std::sync::Arc;
 
@@ -40,10 +42,12 @@ fn sanitize_metric_suffix(name: &str) -> String {
 }
 
 impl Resolver for EnsemblePlan {
-    type Entry = ModelCombination;
-
     fn hierarchy(&self) -> &Hierarchy {
         &self.hier
+    }
+
+    fn tree(&self) -> &ExtendedQuadTree<Combination> {
+        &self.tree
     }
 
     fn members(&self) -> usize {
@@ -52,22 +56,6 @@ impl Resolver for EnsemblePlan {
 
     fn revision(&self) -> u64 {
         self.revision as u64
-    }
-
-    fn cell_entry(&self, cell: LayerCell) -> Option<&ModelCombination> {
-        self.for_cell(cell)
-    }
-
-    fn multi_entry(&self, group: &DecomposedGroup) -> Option<&ModelCombination> {
-        self.tree.get_multi_group(group)
-    }
-
-    fn entry_terms(entry: &ModelCombination) -> impl Iterator<Item = Term> + '_ {
-        entry.terms.iter().map(|t| Term {
-            cell: t.cell,
-            sign: t.sign,
-            member: t.model,
-        })
     }
 
     /// Publishes the plan gauges (`o4a_ensemble_members`, `_plan_cost`,

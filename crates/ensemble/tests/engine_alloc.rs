@@ -8,14 +8,13 @@
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one test.
 
-use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
+use o4a_core::combination::{search_optimal_combinations, Combination, SearchStrategy, Term};
 use o4a_core::server::{PredictionStore, QueryBackend, RegionServer};
-use o4a_ensemble::{EnsemblePlan, EnsembleServer, ModelCombination, ModelTerm, PlanReport};
+use o4a_ensemble::{EnsemblePlan, EnsembleServer, PlanReport};
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_grid::{Hierarchy, Mask};
 use o4a_obs::CountingAlloc;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -51,13 +50,12 @@ fn warm_calls_allocate_per_call_not_per_query() {
             .terms
             .iter()
             .enumerate()
-            .map(|(i, t)| ModelTerm {
-                model: (i % 2) as u16,
-                cell: t.cell,
-                sign: t.sign,
+            .map(|(i, t)| Term {
+                member: (i % 2) as u16,
+                ..*t
             })
             .collect();
-        tree.insert(code, ModelCombination { terms });
+        tree.insert(code, Combination { terms });
     });
     let plan = EnsemblePlan {
         hier: hier.clone(),
@@ -65,7 +63,6 @@ fn warm_calls_allocate_per_call_not_per_query() {
         strategy: SearchStrategy::UnionSubtraction,
         revision: 1,
         tree,
-        flat: HashMap::new(),
         report: PlanReport::default(),
     };
     let store = || {

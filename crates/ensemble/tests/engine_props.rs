@@ -7,16 +7,15 @@
 //! decompose order), on a cold cache and on a warm one. The engine also
 //! reads every snapshot fresh and refuses stores of another hierarchy.
 
-use o4a_core::combination::{search_optimal_combinations, SearchStrategy};
+use o4a_core::combination::{search_optimal_combinations, Combination, SearchStrategy, Term};
 use o4a_core::frames::FrameSet;
 use o4a_core::server::{interpret, PredictionStore, QueryBackend, RegionServer, Resolver};
 use o4a_core::CombinationIndex;
-use o4a_ensemble::{EnsemblePlan, EnsembleServer, ModelCombination, ModelTerm, PlanReport};
+use o4a_ensemble::{EnsemblePlan, EnsembleServer, PlanReport};
 use o4a_grid::decompose::decompose;
 use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_grid::{Hierarchy, Mask};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 const SIDE: usize = 8;
@@ -70,13 +69,12 @@ fn fixture() -> &'static (Hierarchy, CombinationIndex, EnsemblePlan) {
                 .terms
                 .iter()
                 .enumerate()
-                .map(|(i, t)| ModelTerm {
-                    model: ((i + t.cell.row + t.cell.col) % 2) as u16,
-                    cell: t.cell,
-                    sign: t.sign,
+                .map(|(i, t)| Term {
+                    member: ((i + t.cell.row + t.cell.col) % 2) as u16,
+                    ..*t
                 })
                 .collect();
-            tree.insert(code, ModelCombination { terms });
+            tree.insert(code, Combination { terms });
         });
         let plan = EnsemblePlan {
             hier: hier.clone(),
@@ -84,7 +82,6 @@ fn fixture() -> &'static (Hierarchy, CombinationIndex, EnsemblePlan) {
             strategy: SearchStrategy::UnionSubtraction,
             revision: 3,
             tree,
-            flat: HashMap::new(),
             report: PlanReport::default(),
         };
         (hier, index, plan)

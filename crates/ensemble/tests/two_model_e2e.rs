@@ -50,7 +50,7 @@ fn planner_routes_each_half_to_its_expert() {
             let comb = plan.for_cell(cell).expect("atomic cell planned");
             let owner = u16::from(col >= SIDE / 2);
             assert_eq!(
-                comb.models_used(),
+                comb.members_used(),
                 vec![owner],
                 "cell ({row},{col}) must be served by member {owner}"
             );

@@ -9,7 +9,7 @@
 //!   [`metrics::Gauge`]s and power-of-√2 log-bucketed latency
 //!   [`metrics::Histogram`]s, rendered as Prometheus text exposition for
 //!   the serve layer's `METRICS` verb.
-//! * [`span`] — RAII timing guards ([`span!`]) that record elapsed
+//! * [`span`](mod@span) — RAII timing guards ([`span!`]) that record elapsed
 //!   nanoseconds into a registry histogram on drop; the
 //!   `span!(debug: ...)` form compiles to a branch + no allocation when
 //!   the `Debug` level is off.

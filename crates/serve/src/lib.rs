@@ -13,7 +13,7 @@
 //!   [`wire::FrameAssembler`] the data plane parses TCP fragments with;
 //! * [`evio`] — a minimal vendored epoll/eventfd readiness layer over
 //!   raw syscalls (no external deps): edge-triggered [`evio::Poller`],
-//!   cross-thread [`evio::WakeFd`], pooled read buffers;
+//!   cross-thread [`evio::WakeFd`];
 //! * [`server`] — a **nonblocking epoll event loop** data plane: one
 //!   event-loop thread per core owns its sockets, reassembles their
 //!   frames and answers their queries itself. The queries one wake

@@ -8,10 +8,10 @@
 //!
 //! * Loop 0 owns the listener, accepts until `WouldBlock` and deals the
 //!   accepted sockets out round-robin. Every connection lives on exactly
-//!   one loop as a [`Conn`] state machine: an incremental
-//!   [`wire::FrameAssembler`] parsing `O4ARPC02` frames zero-copy out of a
-//!   pooled read buffer, an ordered response-slot window, and a write
-//!   queue with `EPOLLOUT` backpressure.
+//!   one loop as a `Conn` state machine: an incremental
+//!   [`wire::FrameAssembler`] parsing `O4ARPC02` frames zero-copy out of
+//!   the loop's one read buffer, an ordered response-slot window, and a
+//!   write queue with `EPOLLOUT` backpressure.
 //! * `HEALTH`/`STATS`/`METRICS`/`TRACE` are answered inline at parse.
 //!   `QUERY`/`BATCH` pass the loop's **admission cap**: with
 //!   [`ServeConfig::queue_cap`] jobs already pending on the loop the

@@ -9,15 +9,21 @@
 //!
 //! The combination search fills every node (65,488 entries at 128×128,
 //! P = {1,…,32}), so the tree is stored implicitly: one slot array, laid
-//! out layer by layer in row-major cell order.
-//! A layer-0 cell owns one slot; a cell of a coarser layer owns nine — its
-//! own payload, then the multi-grids `E`–`L` of its four children. A
-//! [`GridCode`] still addresses every slot, and [`ExtendedQuadTree::get_cell`]
-//! and [`ExtendedQuadTree::get_multi`] reach a grid's or a multi-grid's slot
-//! from its coordinates with a little arithmetic: `O(1)` and allocation-free,
+//! out layer by layer in row-major cell order. Every grid of every layer
+//! owns a slot, whatever the merging window K, and
+//! [`ExtendedQuadTree::insert_cell`] and [`ExtendedQuadTree::get_cell`]
+//! reach it from the grid's coordinates. Multi-grids exist only where the
+//! grid coding rule does, for `K = 2`: there a cell of a coarser layer owns
+//! nine slots — its own payload, then the multi-grids `E`–`L` of its four
+//! children. A [`GridCode`] addresses every slot of a `K = 2` tree, and
+//! [`ExtendedQuadTree::get_multi`] reaches a multi-grid's slot from its
+//! coordinates with a little arithmetic: `O(1)` and allocation-free,
 //! against `O(HW)` for a linear table scan (both timed by `o4a-bench`'s
 //! `fig17`). [`ExtendedQuadTree::get_multi_group`] reaches a decomposed
 //! group's multi-grid slot from its member bitmap without a cell list.
+//! The operations addressed by a code and the multi-grid lookups are
+//! `K = 2` only: on another K they miss, and [`ExtendedQuadTree::for_each`]
+//! refuses to walk.
 
 use crate::coding::{ChildCode, GridCode};
 use crate::decompose::DecomposedGroup;
@@ -60,17 +66,19 @@ struct Layer {
 }
 
 /// The layer table of a tree over `hier` and the slot count it needs,
-/// saturating on hierarchies too large to allocate. Empty for `K != 2`,
-/// where the grid coding rule is undefined.
+/// saturating on hierarchies too large to allocate. Coarser-layer cells
+/// own multi-grid slots only for `K = 2`, where the grid coding rule is
+/// defined.
 fn layout(hier: &Hierarchy) -> (Vec<Layer>, usize) {
-    if hier.k() != 2 {
-        return (Vec::new(), 0);
-    }
     let mut total = 0usize;
     let layers = (0..hier.num_layers())
         .map(|layer| {
             let (rows, cols) = hier.layer_dims(layer);
-            let stride = if layer == 0 { 1 } else { PARENT_SLOTS };
+            let stride = if layer > 0 && hier.k() == 2 {
+                PARENT_SLOTS
+            } else {
+                1
+            };
             let base = total;
             total = total.saturating_add(rows.saturating_mul(cols).saturating_mul(stride));
             Layer {
@@ -84,9 +92,9 @@ fn layout(hier: &Hierarchy) -> (Vec<Layer>, usize) {
     (layers, total)
 }
 
-/// Slots a tree over `hier` allocates: one per grid of every layer plus
-/// eight per grid that has children (`0` for `K != 2`). Decoders compare
-/// it with the stream length before building a tree.
+/// Slots a tree over `hier` allocates: one per grid of every layer plus,
+/// for `K = 2`, eight per grid that has children. Decoders compare it with
+/// the stream length before building a tree.
 pub fn slot_count(hier: &Hierarchy) -> usize {
     layout(hier).1
 }
@@ -98,18 +106,21 @@ pub struct ExtendedQuadTree<T> {
     layers: Vec<Layer>,
     slots: Vec<Option<T>>,
     len: usize,
+    /// Whether the grid coding rule applies (`K = 2`): only then do codes
+    /// address slots and multi-grids own some.
+    coded: bool,
 }
 
 impl<T> ExtendedQuadTree<T> {
-    /// Creates an empty tree with a slot for every grid and multi-grid of
-    /// `hier`. A `K != 2` hierarchy has no codes, so its tree has no slots:
-    /// it stays empty and every lookup misses.
+    /// Creates an empty tree with a slot for every grid of `hier` and, for
+    /// `K = 2`, every multi-grid.
     pub fn new(hier: &Hierarchy) -> Self {
         let (layers, total) = layout(hier);
         ExtendedQuadTree {
             layers,
             slots: std::iter::repeat_with(|| None).take(total).collect(),
             len: 0,
+            coded: hier.k() == 2,
         }
     }
 
@@ -129,9 +140,12 @@ impl<T> ExtendedQuadTree<T> {
         (row < l.rows && col < l.cols).then(|| l.base + (row * l.cols + col) * l.stride)
     }
 
-    /// The slot a code path addresses, if it lies inside the hierarchy and
-    /// any multi code ends the path.
+    /// The slot a code path addresses, if the tree is coded, the path lies
+    /// inside the hierarchy and any multi code ends it.
     fn slot(&self, code: &GridCode) -> Option<usize> {
+        if !self.coded {
+            return None;
+        }
         let mut layer = self.layers.len().checked_sub(1)?;
         let (mut row, mut col) = code.root;
         self.node(layer, row, col)?;
@@ -159,7 +173,7 @@ impl<T> ExtendedQuadTree<T> {
     /// # Panics
     /// Panics if a non-terminal path element is a multi code — multi-grids
     /// are leaves by construction — or if the code lies outside the
-    /// tree's hierarchy.
+    /// tree's hierarchy, as every code does for `K != 2`.
     pub fn insert(&mut self, code: &GridCode, payload: T) -> Option<T> {
         for (i, &c) in code.path.iter().enumerate() {
             assert!(
@@ -170,6 +184,23 @@ impl<T> ExtendedQuadTree<T> {
         let slot = self
             .slot(code)
             .unwrap_or_else(|| panic!("code {code} lies outside the tree's hierarchy"));
+        self.put(slot, payload)
+    }
+
+    /// Inserts (or replaces) the payload of a single grid, for any K: what
+    /// `insert(&GridCode::for_cell(..), ..)` does for `K = 2`. Returns the
+    /// previous payload if one existed.
+    ///
+    /// # Panics
+    /// Panics if the cell lies outside the tree's hierarchy.
+    pub fn insert_cell(&mut self, cell: LayerCell, payload: T) -> Option<T> {
+        let slot = self
+            .node(cell.layer, cell.row, cell.col)
+            .unwrap_or_else(|| panic!("cell {cell:?} lies outside the tree's hierarchy"));
+        self.put(slot, payload)
+    }
+
+    fn put(&mut self, slot: usize, payload: T) -> Option<T> {
         let old = self.slots[slot].replace(payload);
         if old.is_none() {
             self.len += 1;
@@ -193,19 +224,20 @@ impl<T> ExtendedQuadTree<T> {
         self.get(code).is_some()
     }
 
-    /// The payload of a single grid: what `get(&GridCode::for_cell(..))`
-    /// returns, without building the code. `None` for a cell outside the
-    /// hierarchy.
+    /// The payload of a single grid, for any K: what
+    /// `get(&GridCode::for_cell(..))` returns for `K = 2`, without building
+    /// the code. `None` for a cell outside the hierarchy.
     pub fn get_cell(&self, cell: LayerCell) -> Option<&T> {
         self.slots[self.node(cell.layer, cell.row, cell.col)?].as_ref()
     }
 
     /// The payload of the multi-grid `cells` (positions at `layer`): what
     /// `get(&GridCode::for_multi_grid(..)?)` returns, without building the
-    /// code. That is `None` unless the cells are 2 or 3 of one parent's
-    /// children with a code; cells repeated down to one name that cell.
+    /// code. That is `None` unless `K = 2` and the cells are 2 or 3 of one
+    /// parent's children with a code; cells repeated down to one name that
+    /// cell.
     pub fn get_multi(&self, layer: usize, cells: &[(usize, usize)]) -> Option<&T> {
-        if !(2..=3).contains(&cells.len()) || layer + 1 >= self.layers.len() {
+        if !self.coded || !(2..=3).contains(&cells.len()) || layer + 1 >= self.layers.len() {
             return None;
         }
         let (r0, c0) = cells[0];
@@ -227,11 +259,15 @@ impl<T> ExtendedQuadTree<T> {
     /// The payload of a decomposed group's multi-grid: what
     /// [`ExtendedQuadTree::get_multi`] returns for the group's cells, read
     /// from its member bitmap, which for `K = 2` is the 4-bit set of
-    /// child positions that [`CODE_BY_MEMBERS`] maps to a code. `None`
-    /// unless `K = 2` and the group has 2 or 3 cells with a code.
+    /// child positions that the coding rule maps to a code. `None` unless
+    /// `K = 2` and the group has 2 or 3 cells with a code.
     pub fn get_multi_group(&self, group: &DecomposedGroup) -> Option<&T> {
         let (layer, (r0, c0, k, members)) = (group.layer(), group.block());
-        if k != 2 || layer + 1 >= self.layers.len() || !(2..=3).contains(&members.count_ones()) {
+        if k != 2
+            || !self.coded
+            || layer + 1 >= self.layers.len()
+            || !(2..=3).contains(&members.count_ones())
+        {
             return None;
         }
         let code = CODE_BY_MEMBERS[members as usize]?;
@@ -244,7 +280,11 @@ impl<T> ExtendedQuadTree<T> {
     /// recursively, then its multi-grids `E`–`L`. The order is fixed by the
     /// codes alone, so the index and plan codecs write byte-identical
     /// artifacts for equal trees.
+    ///
+    /// # Panics
+    /// Panics for `K != 2`, whose grids have no codes.
     pub fn for_each(&self, mut f: impl FnMut(&GridCode, &T)) {
+        assert!(self.coded, "for_each walks K = 2 trees only");
         let Some(top) = self.layers.len().checked_sub(1) else {
             return;
         };
@@ -347,16 +387,32 @@ mod tests {
             let (rows, cols) = hier.layer_dims(layer);
             for r in 0..rows {
                 for c in 0..cols {
-                    let code = GridCode::for_cell(&hier, LayerCell::new(layer, r, c));
-                    tree.insert(&code, (layer, r, c));
+                    // by code and by coordinates alike
+                    let cell = LayerCell::new(layer, r, c);
+                    if n.is_multiple_of(2) {
+                        tree.insert(&GridCode::for_cell(&hier, cell), (layer, r, c));
+                    } else {
+                        tree.insert_cell(cell, (layer, r, c));
+                    }
                     n += 1;
                 }
             }
         }
         assert_eq!(tree.len(), n);
-        // spot check retrieval
-        let code = GridCode::for_cell(&hier, LayerCell::new(2, 1, 1));
-        assert_eq!(tree.get(&code), Some(&(2, 1, 1)));
+        for layer in 0..hier.num_layers() {
+            let (rows, cols) = hier.layer_dims(layer);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let code = GridCode::for_cell(&hier, LayerCell::new(layer, r, c));
+                    assert_eq!(tree.get(&code), Some(&(layer, r, c)));
+                }
+            }
+        }
+        assert_eq!(
+            tree.insert_cell(LayerCell::new(2, 1, 1), (0, 0, 0)),
+            Some((2, 1, 1))
+        );
+        assert_eq!(tree.len(), n);
     }
 
     #[test]
@@ -552,12 +608,37 @@ mod tests {
             assert!(full.insert(code, i).is_none(), "{code} shares a slot");
         }
         assert_eq!(full.len(), 65_488);
-        // no codes, hence no slots, without a 2x2 window
+        // without a 2x2 window: one slot per grid, none for multi-grids
         let window3 = Hierarchy::new(9, 9, 3, 3).unwrap();
-        assert_eq!(slot_count(&window3), 0);
-        let tree: ExtendedQuadTree<u8> = ExtendedQuadTree::new(&window3);
-        assert_eq!(tree.get_cell(LayerCell::new(0, 0, 0)), None);
+        assert_eq!(slot_count(&window3), 81 + 9 + 1);
+        let mut tree = ExtendedQuadTree::new(&window3);
+        let cells: Vec<LayerCell> = (0..3)
+            .flat_map(|layer| {
+                let (rows, cols) = window3.layer_dims(layer);
+                (0..rows * cols).map(move |i| LayerCell::new(layer, i / cols, i % cols))
+            })
+            .collect();
+        for (i, &cell) in cells.iter().enumerate() {
+            assert!(
+                tree.insert_cell(cell, i).is_none(),
+                "{cell:?} shares a slot"
+            );
+        }
+        assert_eq!(tree.len(), 91);
+        for (i, &cell) in cells.iter().enumerate() {
+            assert_eq!(tree.get_cell(cell), Some(&i));
+        }
+        assert_eq!(tree.get_cell(LayerCell::new(1, 3, 0)), None);
         assert_eq!(tree.get_multi(0, &[(0, 0), (0, 1)]), None);
+        assert_eq!(tree.get_multi(0, &[(0, 0), (0, 0)]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each walks K = 2 trees only")]
+    fn for_each_refuses_a_window3_tree() {
+        let tree: ExtendedQuadTree<u8> =
+            ExtendedQuadTree::new(&Hierarchy::new(9, 9, 3, 3).unwrap());
+        tree.for_each(|_, _| {});
     }
 
     #[test]
@@ -687,7 +768,7 @@ mod tests {
             assert_group_lookups_match_cells(&hier, &full);
             assert_group_lookups_match_cells(&hier, &sparse);
         }
-        // a K = 3 tree has no slots, so no group finds a multi-grid
+        // a K = 3 tree has no multi-grid slots, so no group finds one
         let hier = Hierarchy::new(27, 27, 3, 3).unwrap();
         assert_group_lookups_match_cells(&hier, &ExtendedQuadTree::new(&hier));
     }

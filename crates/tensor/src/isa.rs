@@ -18,7 +18,7 @@
 //!
 //! The implementation family is chosen **once**, on first use, via
 //! [`std::is_x86_feature_detected!`], and cached in a [`OnceLock`] as a
-//! table of plain function pointers ([`Dispatch`]). The choice can be
+//! table of plain function pointers (`Dispatch`). The choice can be
 //! overridden for testing with `O4A_ISA=scalar|avx2|avx512` (requesting a
 //! tier the CPU lacks falls back to the best available with a warning), or
 //! programmatically with [`force`] (which panics on an unavailable tier;

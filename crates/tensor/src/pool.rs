@@ -5,12 +5,12 @@
 //! gradients, im2col panels, packed GEMM operands), so after a warm-up step
 //! the allocator should drop out of the hot loop entirely. The pool keeps
 //! per-thread free lists keyed by size class (next power of two of the
-//! element count, min [`MIN_CLASS`]), capped at [`MAX_PER_CLASS`] buffers per
+//! element count, min `MIN_CLASS`), capped at `MAX_PER_CLASS` buffers per
 //! class. Returning a buffer never crosses threads and never takes a lock.
 //!
-//! Contract: [`take`] hands out a buffer of exactly `len` elements with
+//! Contract: `take` hands out a buffer of exactly `len` elements with
 //! **unspecified contents** — callers either fully overwrite it or ask for
-//! [`take_zeroed`]. Because of that contract, results are bit-identical with
+//! `take_zeroed`. Because of that contract, results are bit-identical with
 //! the pool disabled ([`set_enabled`], which tests use to prove it):
 //! disabling only changes where the bytes live, never what gets computed.
 //! The pool serves tensor storage and kernel scratch only.

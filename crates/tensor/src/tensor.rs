@@ -303,7 +303,7 @@ impl Tensor {
 
     /// Matrix multiplication of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
     ///
-    /// Runs the packed, register-tiled GEMM in [`crate::gemm`]: both
+    /// Runs the packed, register-tiled GEMM in `crate::gemm`: both
     /// operands are packed into cache-friendly panels and an `MR x NR`
     /// register tile is driven down `k`, with output rows split into fixed
     /// disjoint bands across the pool in [`crate::parallel`]. Every output

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example urban_planning`
 
 use one4all_st::core::combination::SearchStrategy;
+use one4all_st::core::frames::FrameView;
 use one4all_st::core::one4all::{truth_pyramid, One4AllSt};
 use one4all_st::core::server::query_combination;
 use one4all_st::data::acf::{acf_map, acf_stats};
@@ -97,7 +98,7 @@ fn main() {
     println!("\nper-tract predictions at slot {t}:");
     for (i, tract) in tracts.iter().take(6).enumerate() {
         let comb = query_combination(&hier, &index, tract);
-        let pred = comb.evaluate(&hier, &frames);
+        let pred = comb.evaluate(&hier, &[FrameView::F32(&frames)]);
         let truth = flow.region_flow(t, tract);
         println!(
             "  tract {i}: {} terms{}  predicted {pred:6.1}  actual {truth:6.1}",

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repository gate: release build, full test suite, formatting, and lints
-# on the crates the parallel runtime touches. Run from anywhere; the
-# script cd's to the repo root. Every step runs even when an earlier one
-# fails: the failed steps are listed at the end, and the script then
-# exits non-zero.
+# Repository gate: release build, full test suite, formatting, lints on
+# the crates the parallel runtime touches, and warning-free rustdoc. Run
+# from anywhere; the script cd's to the repo root. Every step runs even
+# when an earlier one fails: the failed steps are listed at the end, and
+# the script then exits non-zero.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -95,6 +95,12 @@ step "cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, g
     -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid -p o4a-data \
     -p o4a-models -p one4all-st -p rand \
     --all-targets -- -D warnings
+
+# Rustdoc must build without a warning: a public item renamed or removed
+# leaves every intra-doc link to it dangling, and a public doc linking a
+# private item renders a dead link.
+step "cargo doc -D warnings (rustdoc, whole workspace)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Kernel smoke: quick bench run to a scratch path (the committed
 # BENCH_kernels.json is NOT overwritten), then require that no kernel

@@ -9,6 +9,7 @@
 //!   the queried region (signed coverage = assignment matrix).
 
 use one4all_st::core::combination::{search_optimal_combinations, Combination, SearchStrategy};
+use one4all_st::core::frames::FrameView;
 use one4all_st::core::server::query_combination;
 use one4all_st::grid::{Hierarchy, LayerCell, Mask};
 use one4all_st::tensor::SeededRng;
@@ -189,7 +190,7 @@ fn dp_sse(
     (0..samples)
         .map(|s| {
             let frames: Vec<Vec<f32>> = preds.iter().map(|l| l[s].clone()).collect();
-            let pred = comb.evaluate(hier, &frames);
+            let pred = comb.evaluate(hier, &[FrameView::F32(&frames)]);
             let truth: f32 = region
                 .iter_set()
                 .map(|(r, c)| truths[0][s][r * hier.w() + c])
@@ -280,7 +281,8 @@ fn theorem_4_3_subtraction_never_worse_on_multigrids() {
                         .map(|s| {
                             let frames: Vec<Vec<f32>> =
                                 preds.iter().map(|l| l[s].clone()).collect();
-                            ((comb.evaluate(&hier, &frames) - truth[s]) as f64).powi(2)
+                            ((comb.evaluate(&hier, &[FrameView::F32(&frames)]) - truth[s]) as f64)
+                                .powi(2)
                         })
                         .sum()
                 };
