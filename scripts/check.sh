@@ -77,10 +77,18 @@ step "engine_props + serving suites x20 (determinism)" determinism
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
 # every host (the O4A_ISA contract). Re-run the kernel identity proptests
 # with the env override so the resolved-at-startup path itself is pinned,
-# not just the per-test force() loops.
-step "O4A_ISA=scalar kernel identity proptests" \
-    env O4A_ISA=scalar cargo test -q --release -p o4a-tensor \
-    --test gemm_props --test into_props --test half_props
+# not just the per-test force() loops. The training pins hold the whole
+# training stack to the same contract end to end: the same final-loss
+# bits and prediction digests on the scalar tier, and again on one
+# thread.
+scalar_identity() {
+    O4A_ISA=scalar cargo test -q --release -p o4a-tensor \
+        --test gemm_props --test into_props --test half_props
+    O4A_ISA=scalar cargo test -q --release --test training_pins
+    O4A_ISA=scalar O4A_THREADS=1 cargo test -q --release --test training_pins
+}
+step "O4A_ISA=scalar kernel identity proptests + training pins (and O4A_THREADS=1)" \
+    scalar_identity
 
 step "cargo fmt --check" cargo fmt --check
 
