@@ -43,10 +43,10 @@ use o4a_data::synthetic::DatasetKind;
 use o4a_grid::decompose::{decompose, DecomposedGroup};
 use o4a_grid::queries::{task_queries, TaskSpec};
 use o4a_grid::Hierarchy;
+use o4a_models::predictor::{TrainConfig, TrainStep};
 use o4a_nn::blocks::ResBlock;
 use o4a_nn::layers::{Conv2d, Relu};
-use o4a_nn::loss::mse_loss;
-use o4a_nn::optim::{clip_grad_norm_module, Adam};
+use o4a_nn::optim::Adam;
 use o4a_nn::param::Param;
 use o4a_nn::{Module, Sequential};
 use o4a_tensor::{conv2d, conv2d_backward, isa, parallel, SeededRng, Tensor};
@@ -263,22 +263,23 @@ fn main() {
 
     // End-to-end training step of ST-ResNet-lite at paper scale: batch 8,
     // 17 temporal channels, 32x32 atomic grid, hidden width 16, 3 residual
-    // blocks. One call = forward + MSE loss + zero_grad + backward + grad
-    // clip + Adam step — exactly the per-batch work `models::fit` does, so
-    // this row tracks the throughput of the whole training stack (kernels
-    // *and* the allocation/workspace behaviour around them), not just one
-    // GEMM.
+    // blocks. One call = `TrainStep::run`, the per-batch step of the
+    // training loop every deep model's `fit` runs (forward + MSE loss +
+    // zero_grad + backward + grad clip + Adam step), so this row tracks
+    // the throughput of the whole training stack (kernels *and* the
+    // allocation/workspace behaviour around them), not just one GEMM.
     let mut step_rng = SeededRng::new(12);
-    let mut net = Sequential::new()
+    let mut seq = Sequential::new()
         .push(Conv2d::same3x3(&mut step_rng, 17, 16))
         .push(Relu::new());
     for _ in 0..3 {
-        net.push_boxed(Box::new(ResBlock::new(&mut step_rng, 16)));
+        seq.push_boxed(Box::new(ResBlock::new(&mut step_rng, 16)));
     }
-    net.push_boxed(Box::new(Conv2d::pointwise(&mut step_rng, 16, 1)));
+    seq.push_boxed(Box::new(Conv2d::pointwise(&mut step_rng, 16, 1)));
+    let mut net: Box<dyn Module> = Box::new(seq);
     let step_x = step_rng.uniform_tensor(&[8, 17, 32, 32], -1.0, 1.0);
-    let step_y = step_rng.uniform_tensor(&[8, 1, 32, 32], -1.0, 1.0);
-    let mut step_opt = Adam::new(1e-3);
+    let step_y = [step_rng.uniform_tensor(&[8, 1, 32, 32], -1.0, 1.0)];
+    let mut step = TrainStep::new(&TrainConfig::default(), &[1.0]);
     rows.push(measure(
         "train_step_stresnet_32x32",
         iters,
@@ -286,13 +287,7 @@ fn main() {
         prev_t1("train_step_stresnet_32x32"),
         RowPath::Kernels,
         || {
-            let pred = net.forward(&step_x);
-            let (loss, grad) = mse_loss(&pred, &step_y);
-            net.zero_grad();
-            net.backward(&grad);
-            clip_grad_norm_module(&mut net, 5.0);
-            step_opt.step_module(&mut net);
-            black_box(loss);
+            black_box(step.run(&mut net, &step_x, &step_y));
         },
     ));
 

@@ -15,9 +15,12 @@
 //! The scale-merging layer is a `K x K` convolution with stride `K`; the
 //! spatial modeling block defaults to the SE block and can be swapped
 //! (Fig. 16). Training applies per-scale normalization (Eq. 11) so the
-//! summed multi-task loss (Eq. 12) weighs every scale equally.
+//! summed multi-task loss (Eq. 12) weighs every scale equally; the network
+//! trains through the shared loop of `o4a-models` as a [`TrainNet`] with
+//! one output per layer.
 
 use o4a_grid::Hierarchy;
+use o4a_models::predictor::TrainNet;
 use o4a_nn::blocks::BlockKind;
 use o4a_nn::layers::{Conv2d, Relu, Upsample};
 use o4a_nn::module::Module;
@@ -243,7 +246,45 @@ impl One4AllNet {
 
     /// Total trainable parameters of the active architecture.
     pub fn num_params(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+        let mut total = 0usize;
+        self.visit_params(&mut |p| total += p.len());
+        total
+    }
+}
+
+/// One output per hierarchy layer, finest first.
+impl TrainNet for One4AllNet {
+    fn forward_batch(&mut self, x: &Tensor, outs: &mut Vec<Tensor>) {
+        outs.extend(self.forward_multi(x));
+    }
+
+    fn backward_batch(&mut self, grads: &[Tensor]) {
+        self.backward_multi(grads);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for conv in [
+            &mut self.conv_c,
+            &mut self.conv_p,
+            &mut self.conv_t,
+            &mut self.fuse,
+        ] {
+            conv.visit_params(f);
+        }
+        let downsamplers = if self.cfg.hierarchical {
+            &mut self.merges
+        } else {
+            &mut self.directs
+        };
+        for m in downsamplers {
+            m.visit_params(f);
+        }
+        for b in &mut self.blocks {
+            b.visit_params(f);
+        }
+        for h in &mut self.heads {
+            h.visit_params(f);
+        }
     }
 }
 

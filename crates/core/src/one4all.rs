@@ -1,5 +1,11 @@
 //! The One4All-ST predictor: one network, every scale, plus the offline
 //! index construction.
+//!
+//! Training builds one target tensor per hierarchy layer, normalizes each
+//! with its own transformation (Eq. 11; one shared transformation in the
+//! w/o-SN ablation) and runs the shared loop of `o4a-models`
+//! ([`o4a_models::predictor::train`]) with weight 1 on every scale's MSE,
+//! the plain sum of Eq. 12.
 
 use crate::combination::{search_optimal_combinations, CombinationIndex, SearchStrategy};
 use crate::network::{NetworkConfig, One4AllNet};
@@ -8,11 +14,8 @@ use o4a_data::flow::FlowSeries;
 use o4a_data::norm::Normalizer;
 use o4a_grid::Hierarchy;
 use o4a_models::multiscale::PyramidPredictor;
-use o4a_models::predictor::{TrainConfig, TrainStats};
-use o4a_nn::loss::mse_loss;
-use o4a_nn::optim::{clip_grad_norm, Adam};
+use o4a_models::predictor::{train, TrainConfig, TrainStats};
 use o4a_tensor::{SeededRng, Tensor};
-use std::time::Instant;
 
 /// The One4All-ST model: a single hierarchical multi-scale network trained
 /// with scale-normalized multi-task learning (Eq. 11–12).
@@ -179,73 +182,15 @@ impl PyramidPredictor for One4AllSt {
             .map(|(t, n)| n.normalize(t))
             .collect();
 
-        let mut opt = Adam::new(self.train_cfg.lr);
-        let mut rng = SeededRng::new(self.train_cfg.seed);
-        let n = set.len();
-        let batch = self.train_cfg.batch.min(n).max(1);
-        let in_stride: usize = inputs.shape()[1..].iter().product();
-        let t_strides: Vec<usize> = targets
-            .iter()
-            .map(|t| t.shape()[1..].iter().product())
-            .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-
-        let start = Instant::now();
-        let mut final_loss = 0.0f32;
-        for _ in 0..self.train_cfg.epochs {
-            for i in (1..n).rev() {
-                order.swap(i, rng.index(i + 1));
-            }
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            let mut bi = 0usize;
-            while bi < n {
-                let idx = &order[bi..(bi + batch).min(n)];
-                let bn = idx.len();
-                let mut xin = Vec::with_capacity(bn * in_stride);
-                for &s in idx {
-                    xin.extend_from_slice(&inputs.data()[s * in_stride..(s + 1) * in_stride]);
-                }
-                let mut in_shape = inputs.shape().to_vec();
-                in_shape[0] = bn;
-                let x = Tensor::from_vec(xin, &in_shape).expect("batch input shape");
-
-                let preds = self.net.forward_multi(&x);
-                // multi-task loss: plain sum over scales (Eq. 12)
-                let mut grads = Vec::with_capacity(n_layers);
-                let mut loss_sum = 0.0f32;
-                for (l, pred) in preds.iter().enumerate() {
-                    let stride = t_strides[l];
-                    let mut yb = Vec::with_capacity(bn * stride);
-                    for &s in idx {
-                        yb.extend_from_slice(&targets[l].data()[s * stride..(s + 1) * stride]);
-                    }
-                    let mut shape = targets[l].shape().to_vec();
-                    shape[0] = bn;
-                    let y = Tensor::from_vec(yb, &shape).expect("batch target shape");
-                    let (loss, grad) = mse_loss(pred, &y);
-                    loss_sum += loss;
-                    grads.push(grad);
-                }
-                for p in self.net.params_mut() {
-                    p.zero_grad();
-                }
-                self.net.backward_multi(&grads);
-                clip_grad_norm(&mut self.net.params_mut(), self.train_cfg.clip);
-                opt.step(&mut self.net.params_mut());
-                total += loss_sum;
-                batches += 1;
-                bi += batch;
-            }
-            final_loss = total / batches.max(1) as f32;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        TrainStats {
-            epochs: self.train_cfg.epochs,
-            sec_per_epoch: elapsed / self.train_cfg.epochs.max(1) as f64,
-            final_loss,
-            num_params: self.net.num_params(),
-        }
+        // multi-task loss: plain sum over scales (Eq. 12)
+        train(
+            &mut self.net,
+            "One4All-ST",
+            &self.train_cfg,
+            &inputs,
+            &targets,
+            &vec![1.0; n_layers],
+        )
     }
 
     fn predict_pyramid(

@@ -13,22 +13,22 @@
 //!
 //! For region queries MC-STGCN uses cluster predictions where whole
 //! clusters fit inside the query and atomic predictions for the remainder
-//! (implemented by [`McStgcnLite::predict_region`]).
+//! (implemented by [`McStgcnLite::region_from_frames`]).
+//!
+//! Training runs the shared loop ([`crate::predictor::train`]) over the two
+//! outputs `(fine, coarse)`, weighted by [`McStgcnLite::task_weights`].
 
 use crate::graph_models::{GridToNodes, NodeLinear, NodesToGrid};
-use crate::predictor::{Predictor, TrainConfig, TrainStats};
+use crate::predictor::{train, Predictor, TrainConfig, TrainNet, TrainStats};
 use o4a_data::features::{SampleSet, TemporalConfig};
 use o4a_data::flow::FlowSeries;
 use o4a_data::norm::Normalizer;
 use o4a_grid::Mask;
 use o4a_nn::graph::{grid_adjacency, GraphConv};
 use o4a_nn::layers::{Conv2d, Relu, Upsample};
-use o4a_nn::loss::mse_loss;
 use o4a_nn::module::Module;
-use o4a_nn::optim::{clip_grad_norm, Adam};
 use o4a_nn::param::Param;
 use o4a_tensor::{SeededRng, Tensor};
-use std::time::Instant;
 
 /// Adapter: `[n, v, f] -> [n, f, h, w]` (node features back onto the grid).
 struct NodesToGridFeat {
@@ -195,17 +195,31 @@ impl McStgcnNet {
             .expect("input grads align")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.fine_gc.params_mut();
-        p.extend(self.merge.params_mut());
-        p.extend(self.coarse_gc.params_mut());
-        p.extend(self.fine_head.params_mut());
-        p.extend(self.coarse_head.params_mut());
-        p
+    fn num_params(&mut self) -> usize {
+        let mut total = 0usize;
+        self.visit_params(&mut |p| total += p.len());
+        total
+    }
+}
+
+/// Outputs `(fine, coarse)`, in that order.
+impl TrainNet for McStgcnNet {
+    fn forward_batch(&mut self, x: &Tensor, outs: &mut Vec<Tensor>) {
+        let (fine, coarse) = self.forward2(x);
+        outs.push(fine);
+        outs.push(coarse);
     }
 
-    fn num_params(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+    fn backward_batch(&mut self, grads: &[Tensor]) {
+        self.backward2(&grads[0], &grads[1]);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.fine_gc.visit_params(f);
+        self.merge.visit_params(f);
+        self.coarse_gc.visit_params(f);
+        self.fine_head.visit_params(f);
+        self.coarse_head.visit_params(f);
     }
 }
 
@@ -289,23 +303,9 @@ impl McStgcnLite {
         out
     }
 
-    /// The paper's MC-STGCN region-query strategy: use cluster predictions
-    /// for clusters fully inside the query, atomic predictions for the
-    /// complementary cells.
-    pub fn predict_region(
-        &mut self,
-        flow: &FlowSeries,
-        cfg: &TemporalConfig,
-        t: usize,
-        mask: &Mask,
-    ) -> f32 {
-        let fine = self.predict(flow, cfg, &[t]).remove(0);
-        let coarse = self.predict_coarse(flow, cfg, &[t]).remove(0);
-        Self::region_from_frames(flow.h(), flow.w(), self.factor, &fine, &coarse, mask)
-    }
-
-    /// Region strategy over precomputed frames (lets harnesses reuse one
-    /// inference pass across many queries).
+    /// The paper's MC-STGCN region-query strategy over one slot's fine and
+    /// cluster frames: cluster predictions for clusters fully inside the
+    /// query, atomic predictions for the complementary cells.
     pub fn region_from_frames(
         h: usize,
         w: usize,
@@ -358,72 +358,15 @@ impl Predictor for McStgcnLite {
         let fine_t = self.norm_fine.normalize(&set.targets);
         let coarse_t = self.norm_coarse.normalize(&coarse_targets);
 
-        let mut opt = Adam::new(self.train_cfg.lr);
-        let mut rng = SeededRng::new(self.train_cfg.seed);
-        let n = set.len();
-        let batch = self.train_cfg.batch.min(n).max(1);
-        let in_stride: usize = inputs.shape()[1..].iter().product();
-        let fine_stride: usize = fine_t.shape()[1..].iter().product();
-        let coarse_stride: usize = coarse_t.shape()[1..].iter().product();
-        let mut order: Vec<usize> = (0..n).collect();
         let (wf, wc) = self.task_weights;
-
-        let start = Instant::now();
-        let mut final_loss = 0.0f32;
-        for _ in 0..self.train_cfg.epochs {
-            for i in (1..n).rev() {
-                order.swap(i, rng.index(i + 1));
-            }
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            let mut bi = 0usize;
-            while bi < n {
-                let idx = &order[bi..(bi + batch).min(n)];
-                let bn = idx.len();
-                let mut xin = Vec::with_capacity(bn * in_stride);
-                let mut yf = Vec::with_capacity(bn * fine_stride);
-                let mut yc = Vec::with_capacity(bn * coarse_stride);
-                for &s in idx {
-                    xin.extend_from_slice(&inputs.data()[s * in_stride..(s + 1) * in_stride]);
-                    yf.extend_from_slice(&fine_t.data()[s * fine_stride..(s + 1) * fine_stride]);
-                    yc.extend_from_slice(
-                        &coarse_t.data()[s * coarse_stride..(s + 1) * coarse_stride],
-                    );
-                }
-                let mut in_shape = inputs.shape().to_vec();
-                in_shape[0] = bn;
-                let mut f_shape = fine_t.shape().to_vec();
-                f_shape[0] = bn;
-                let mut c_shape = coarse_t.shape().to_vec();
-                c_shape[0] = bn;
-                let x = Tensor::from_vec(xin, &in_shape).expect("batch input");
-                let tf = Tensor::from_vec(yf, &f_shape).expect("batch fine target");
-                let tc = Tensor::from_vec(yc, &c_shape).expect("batch coarse target");
-
-                let (pf, pc) = self.net.forward2(&x);
-                let (lf, mut gf) = mse_loss(&pf, &tf);
-                let (lc, mut gc) = mse_loss(&pc, &tc);
-                gf.scale_in_place(wf);
-                gc.scale_in_place(wc);
-                for p in self.net.params_mut() {
-                    p.zero_grad();
-                }
-                self.net.backward2(&gf, &gc);
-                clip_grad_norm(&mut self.net.params_mut(), self.train_cfg.clip);
-                opt.step(&mut self.net.params_mut());
-                total += wf * lf + wc * lc;
-                batches += 1;
-                bi += batch;
-            }
-            final_loss = total / batches.max(1) as f32;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        TrainStats {
-            epochs: self.train_cfg.epochs,
-            sec_per_epoch: elapsed / self.train_cfg.epochs.max(1) as f64,
-            final_loss,
-            num_params: self.net.num_params(),
-        }
+        train(
+            &mut self.net,
+            "MC-STGCN",
+            &self.train_cfg,
+            &inputs,
+            &[fine_t, coarse_t],
+            &[wf, wc],
+        )
     }
 
     fn predict(
@@ -497,14 +440,18 @@ mod tests {
         let mut net = McStgcnNet::new(&mut rng, 3, 4, 4, 2, 4);
         let x = rng.uniform_tensor(&[1, 3, 4, 4], -1.0, 1.0);
         let (f, c) = net.forward2(&x);
-        for p in net.params_mut() {
-            p.zero_grad();
-        }
+        net.visit_params(&mut |p| p.zero_grad());
         net.backward2(&Tensor::ones(f.shape()), &Tensor::ones(c.shape()));
         // every parameter group should receive gradient
-        for (i, p) in net.params_mut().into_iter().enumerate() {
+        let mut i = 0usize;
+        net.visit_params(&mut |p| {
             assert!(p.grad.norm_sq() > 0.0, "param group {i} got no gradient");
-        }
+            i += 1;
+        });
+        assert_eq!(
+            i, 8,
+            "the walk visits every parameter group of the five layers"
+        );
     }
 
     #[test]
@@ -558,16 +505,15 @@ mod tests {
         );
         let train: Vec<usize> = (cfg.min_target()..40).collect();
         model.fit(&flow, &cfg, &train);
+        let fine = model.predict(&flow, &cfg, &[42]).remove(0);
+        let coarse = model.predict_coarse(&flow, &cfg, &[42]).remove(0);
+        let region = |mask: &Mask| McStgcnLite::region_from_frames(4, 4, 2, &fine, &coarse, mask);
         // query covering exactly one cluster -> prediction equals the
         // cluster output
-        let mask = Mask::rect(4, 4, 0, 0, 2, 2);
-        let pred = model.predict_region(&flow, &cfg, 42, &mask);
-        let coarse = model.predict_coarse(&flow, &cfg, &[42]);
-        assert!((pred - coarse[0][0]).abs() < 1e-5);
+        let pred = region(&Mask::rect(4, 4, 0, 0, 2, 2));
+        assert!((pred - coarse[0]).abs() < 1e-5);
         // query of one atomic cell -> equals fine output
-        let single = Mask::rect(4, 4, 1, 1, 2, 2);
-        let pred_single = model.predict_region(&flow, &cfg, 42, &single);
-        let fine = model.predict(&flow, &cfg, &[42]);
-        assert!((pred_single - fine[0][5]).abs() < 1e-5);
+        let pred_single = region(&Mask::rect(4, 4, 1, 1, 2, 2));
+        assert!((pred_single - fine[5]).abs() < 1e-5);
     }
 }

@@ -1,17 +1,25 @@
-//! The common [`Predictor`] interface and the shared deep-model trainer.
+//! The common [`Predictor`] interface and the one training loop of every
+//! deep model.
 //!
 //! Every baseline consumes the same temporal inputs (Eq. 6, 17 historical
-//! observations by default) and predicts the next-slot atomic raster. Deep
-//! models share [`DeepGridModel`], which wraps any `o4a-nn` [`Module`]
-//! mapping `[n, channels, h, w]` to `[n, 1, h, w]` and handles
-//! normalization, mini-batch Adam training and timing.
+//! observations by default) and predicts the next-slot atomic raster.
+//! Every deep model trains through [`train`]: shuffled mini-batches, a
+//! weighted sum of per-output MSE losses, gradient-norm clipping and Adam,
+//! over any network that implements [`TrainNet`]. The models differ only in
+//! how they build and normalize their targets and in each output's loss
+//! weight. [`DeepGridModel`] wraps any `o4a-nn` [`Module`] mapping
+//! `[n, channels, h, w]` to `[n, 1, h, w]` (one output, weight 1);
+//! MC-STGCN ([`crate::mc_stgcn`]) weighs its two scales by hand, and
+//! One4All-ST (`o4a-core`) sums one output per hierarchy layer with
+//! weight 1 (Eq. 12).
 
 use o4a_data::features::{SampleSet, TemporalConfig};
 use o4a_data::flow::FlowSeries;
 use o4a_data::norm::Normalizer;
 use o4a_nn::loss::mse_loss;
 use o4a_nn::module::Module;
-use o4a_nn::optim::{clip_grad_norm_module, Adam};
+use o4a_nn::optim::{clip_grad_norm_walk, Adam};
+use o4a_nn::param::Param;
 use o4a_tensor::{SeededRng, Tensor};
 use std::time::Instant;
 
@@ -83,6 +91,184 @@ impl Default for TrainConfig {
     }
 }
 
+/// A network [`train`] can drive.
+///
+/// One forward pass yields one prediction per output, the backward pass
+/// takes one upstream gradient per output, and the parameter walk visits
+/// every trainable parameter in the order of the network's `params_mut`
+/// (Adam's state is positional).
+pub trait TrainNet {
+    /// Forward pass over a batch: pushes one prediction per output onto
+    /// `outs`, in output order.
+    fn forward_batch(&mut self, x: &Tensor, outs: &mut Vec<Tensor>);
+
+    /// Backward pass: accumulates parameter gradients from one upstream
+    /// gradient per output, in output order.
+    fn backward_batch(&mut self, grads: &[Tensor]);
+
+    /// Calls `f` once per trainable parameter, in `params_mut` order.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+}
+
+/// A single-output `o4a-nn` network.
+impl TrainNet for Box<dyn Module> {
+    fn forward_batch(&mut self, x: &Tensor, outs: &mut Vec<Tensor>) {
+        outs.push(self.forward(x));
+    }
+
+    fn backward_batch(&mut self, grads: &[Tensor]) {
+        self.backward(&grads[0]);
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        Module::visit_params(self.as_mut(), f);
+    }
+}
+
+/// The per-batch step of [`train`]: forward, the weighted sum of
+/// per-output MSE losses, zero-grad, backward, global gradient-norm clip
+/// and an Adam step.
+///
+/// It owns the optimizer state and reuses its output and gradient
+/// workspaces, so with a network whose layers reuse theirs a steady-state
+/// step allocates nothing.
+pub struct TrainStep {
+    opt: Adam,
+    clip: f32,
+    weights: Vec<f32>,
+    outs: Vec<Tensor>,
+    grads: Vec<Tensor>,
+}
+
+impl TrainStep {
+    /// A step with fresh Adam state at `cfg.lr`, clipping at `cfg.clip`,
+    /// and loss weight `weights[i]` for output `i`.
+    pub fn new(cfg: &TrainConfig, weights: &[f32]) -> Self {
+        TrainStep {
+            opt: Adam::new(cfg.lr),
+            clip: cfg.clip,
+            weights: weights.to_vec(),
+            outs: Vec::with_capacity(weights.len()),
+            grads: Vec::with_capacity(weights.len()),
+        }
+    }
+
+    /// Trains `net` on batch `x` with one target per output and returns
+    /// the batch loss, `0.0 + w_0·mse_0 + w_1·mse_1 + …`. Each output's
+    /// gradient is scaled by its weight before the backward pass.
+    ///
+    /// # Panics
+    /// Unless the network's outputs, the targets and the weights are as
+    /// many, and each prediction has its target's shape.
+    pub fn run<N: TrainNet + ?Sized>(&mut self, net: &mut N, x: &Tensor, ys: &[Tensor]) -> f32 {
+        net.forward_batch(x, &mut self.outs);
+        assert!(
+            self.outs.len() == self.weights.len() && ys.len() == self.weights.len(),
+            "one target and one loss weight per network output"
+        );
+        let mut loss = 0.0f32;
+        for ((pred, y), &w) in self.outs.iter().zip(ys).zip(&self.weights) {
+            let (l, mut grad) = mse_loss(pred, y);
+            grad.scale_in_place(w);
+            loss += w * l;
+            self.grads.push(grad);
+        }
+        self.outs.clear();
+        net.visit_params(&mut |p| p.zero_grad());
+        net.backward_batch(&self.grads);
+        self.grads.clear();
+        clip_grad_norm_walk(|f| net.visit_params(f), self.clip);
+        self.opt.step_walk(|f| net.visit_params(f));
+        loss
+    }
+}
+
+/// Trains `net` for `cfg.epochs` epochs and returns the run's statistics.
+///
+/// `inputs` holds one sample per index of its first axis; `targets` holds
+/// one tensor per network output, sample-aligned with `inputs`, and output
+/// `i`'s MSE enters the loss with weight `weights[i]`. Each epoch shuffles
+/// the sample order (Fisher–Yates, drawn from `SeededRng::new(cfg.seed)`),
+/// gathers each mini-batch of `cfg.batch` samples into reused workspaces
+/// and runs one [`TrainStep`]. The epoch's loss is the mean of its batch
+/// losses; it is recorded in `o4a_train_epoch_loss`, the epoch's wall time
+/// in `o4a_train_epoch_ns`, and both in a debug line naming `name`.
+pub fn train<N: TrainNet + ?Sized>(
+    net: &mut N,
+    name: &str,
+    cfg: &TrainConfig,
+    inputs: &Tensor,
+    targets: &[Tensor],
+    weights: &[f32],
+) -> TrainStats {
+    let mut step = TrainStep::new(cfg, weights);
+    let mut rng = SeededRng::new(cfg.seed);
+    let n = inputs.shape()[0];
+    let batch = cfg.batch.min(n).max(1);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut x = Tensor::empty();
+    let mut ys: Vec<Tensor> = targets.iter().map(|_| Tensor::empty()).collect();
+    let mut shape = Vec::new();
+    let start = Instant::now();
+    let mut final_loss = 0.0f32;
+    for epoch in 0..cfg.epochs {
+        let epoch_start = Instant::now();
+        for i in (1..n).rev() {
+            order.swap(i, rng.index(i + 1));
+        }
+        let mut total = 0.0f32;
+        let mut batches = 0usize;
+        for idx in order.chunks(batch) {
+            gather(inputs, idx, &mut x, &mut shape);
+            for (y, t) in ys.iter_mut().zip(targets) {
+                gather(t, idx, y, &mut shape);
+            }
+            total += step.run(net, &x, &ys);
+            batches += 1;
+        }
+        final_loss = total / batches.max(1) as f32;
+        o4a_obs::gauge!(
+            "o4a_train_epoch_loss",
+            "mean training loss of the most recent epoch"
+        )
+        .set(f64::from(final_loss));
+        o4a_obs::histogram!(
+            "o4a_train_epoch_ns",
+            "wall time per training epoch in nanoseconds"
+        )
+        .record(epoch_start.elapsed().as_nanos() as u64);
+        o4a_obs::debug!(
+            "models", "epoch {}/{} done", epoch + 1, cfg.epochs;
+            model = name,
+            loss = final_loss,
+            ms = epoch_start.elapsed().as_millis(),
+        );
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    let mut num_params = 0usize;
+    net.visit_params(&mut |p| num_params += p.len());
+    TrainStats {
+        epochs: cfg.epochs,
+        sec_per_epoch: elapsed / cfg.epochs.max(1) as f64,
+        final_loss,
+        num_params,
+    }
+}
+
+/// Copies samples `idx` of `src` (indices of its first axis) into `dst`,
+/// shaped `[idx.len(), ..]`; `shape` is a reused workspace.
+fn gather(src: &Tensor, idx: &[usize], dst: &mut Tensor, shape: &mut Vec<usize>) {
+    shape.clear();
+    shape.extend_from_slice(src.shape());
+    shape[0] = idx.len();
+    dst.reset_uninit(shape);
+    let stride: usize = src.shape()[1..].iter().product();
+    for (b, &s) in idx.iter().enumerate() {
+        dst.data_mut()[b * stride..(b + 1) * stride]
+            .copy_from_slice(&src.data()[s * stride..(s + 1) * stride]);
+    }
+}
+
 /// A deep model over the raster: any module mapping
 /// `[n, channels, h, w] -> [n, 1, h, w]`, plus normalization and training.
 pub struct DeepGridModel {
@@ -107,81 +293,6 @@ impl DeepGridModel {
     pub fn net_mut(&mut self) -> &mut dyn Module {
         self.net.as_mut()
     }
-
-    /// Runs one training epoch over the (already-normalized) samples,
-    /// returning the mean batch loss.
-    ///
-    /// Mini-batches are gathered into the caller's persistent
-    /// [`EpochScratch`]; together with the layer workspaces, the module
-    /// parameter walker and the `o4a-tensor` buffer pool, steady-state
-    /// steps perform no heap allocation at all (see the
-    /// `train_steady_state_allocates_nothing` integration test).
-    fn run_epoch(
-        &mut self,
-        inputs: &Tensor,
-        targets: &Tensor,
-        order: &[usize],
-        opt: &mut Adam,
-        scratch: &mut EpochScratch,
-    ) -> f32 {
-        let n = inputs.shape()[0];
-        let in_stride: usize = inputs.shape()[1..].iter().product();
-        let out_stride: usize = targets.shape()[1..].iter().product();
-        let batch = self.train_cfg.batch.min(n).max(1);
-        let mut total = 0.0f32;
-        let mut batches = 0usize;
-        let mut bi = 0usize;
-        while bi < n {
-            let idx = &order[bi..(bi + batch).min(n)];
-            let bn = idx.len();
-            // gather the batch into the reusable workspaces
-            scratch.in_shape.clear();
-            scratch.in_shape.extend_from_slice(inputs.shape());
-            scratch.in_shape[0] = bn;
-            scratch.out_shape.clear();
-            scratch.out_shape.extend_from_slice(targets.shape());
-            scratch.out_shape[0] = bn;
-            scratch.x.reset_uninit(&scratch.in_shape);
-            scratch.y.reset_uninit(&scratch.out_shape);
-            for (b, &s) in idx.iter().enumerate() {
-                scratch.x.data_mut()[b * in_stride..(b + 1) * in_stride]
-                    .copy_from_slice(&inputs.data()[s * in_stride..(s + 1) * in_stride]);
-                scratch.y.data_mut()[b * out_stride..(b + 1) * out_stride]
-                    .copy_from_slice(&targets.data()[s * out_stride..(s + 1) * out_stride]);
-            }
-
-            let pred = self.net.forward(&scratch.x);
-            let (loss, grad) = mse_loss(&pred, &scratch.y);
-            self.net.zero_grad();
-            self.net.backward(&grad);
-            clip_grad_norm_module(self.net.as_mut(), self.train_cfg.clip);
-            opt.step_module(self.net.as_mut());
-            total += loss;
-            batches += 1;
-            bi += batch;
-        }
-        total / batches.max(1) as f32
-    }
-}
-
-/// Persistent mini-batch gather workspaces, created once per `fit` and
-/// reused by every epoch.
-struct EpochScratch {
-    x: Tensor,
-    y: Tensor,
-    in_shape: Vec<usize>,
-    out_shape: Vec<usize>,
-}
-
-impl EpochScratch {
-    fn new() -> Self {
-        EpochScratch {
-            x: Tensor::empty(),
-            y: Tensor::empty(),
-            in_shape: Vec::new(),
-            out_shape: Vec::new(),
-        }
-    }
 }
 
 impl Predictor for DeepGridModel {
@@ -201,44 +312,14 @@ impl Predictor for DeepGridModel {
         let inputs = self.norm.normalize(&set.inputs);
         let targets = self.norm.normalize(&set.targets);
 
-        let mut opt = Adam::new(self.train_cfg.lr);
-        let mut rng = SeededRng::new(self.train_cfg.seed);
-        let n = set.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let start = Instant::now();
-        let mut final_loss = 0.0f32;
-        let mut scratch = EpochScratch::new();
-        for epoch in 0..self.train_cfg.epochs {
-            let epoch_start = Instant::now();
-            // Fisher-Yates shuffle
-            for i in (1..n).rev() {
-                order.swap(i, rng.index(i + 1));
-            }
-            final_loss = self.run_epoch(&inputs, &targets, &order, &mut opt, &mut scratch);
-            o4a_obs::gauge!(
-                "o4a_train_epoch_loss",
-                "mean training loss of the most recent epoch"
-            )
-            .set(f64::from(final_loss));
-            o4a_obs::histogram!(
-                "o4a_train_epoch_ns",
-                "wall time per training epoch in nanoseconds"
-            )
-            .record(epoch_start.elapsed().as_nanos() as u64);
-            o4a_obs::debug!(
-                "models", "epoch {}/{} done", epoch + 1, self.train_cfg.epochs;
-                model = self.name,
-                loss = final_loss,
-                ms = epoch_start.elapsed().as_millis(),
-            );
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        TrainStats {
-            epochs: self.train_cfg.epochs,
-            sec_per_epoch: elapsed / self.train_cfg.epochs.max(1) as f64,
-            final_loss,
-            num_params: self.net.num_params(),
-        }
+        train(
+            &mut self.net,
+            &self.name,
+            &self.train_cfg,
+            &inputs,
+            &[targets],
+            &[1.0],
+        )
     }
 
     fn predict(

@@ -17,8 +17,8 @@
 //!   Fig. 7 of the paper),
 //! * graph layers for the graph-based baselines ([`graph::GraphConv`],
 //!   [`graph::AdaptiveGraphConv`], [`graph::NodeAttention`]),
-//! * losses ([`loss::mse_loss`], [`loss::mae_loss`]) and optimizers
-//!   ([`optim::Sgd`], [`optim::Adam`]),
+//! * losses ([`loss::mse_loss`], [`loss::mae_loss`]), the
+//!   [`optim::Adam`] optimizer and gradient-norm clipping,
 //! * weight persistence for trained models ([`persist`]),
 //! * finite-difference gradient checking ([`gradcheck`]) used throughout the
 //!   test suite to certify every backward pass.

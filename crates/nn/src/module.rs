@@ -33,8 +33,8 @@ pub trait Module: Send {
     /// Visits every trainable parameter in the same fixed order as
     /// [`Module::params_mut`] without materialising a `Vec`.
     ///
-    /// Per-step optimizer sweeps ([`crate::optim::Adam::step_module`],
-    /// [`crate::optim::clip_grad_norm_module`]) run through this so the
+    /// Per-step optimizer sweeps ([`crate::optim::Adam::step_walk`],
+    /// [`crate::optim::clip_grad_norm_walk`]) run through this so the
     /// training loop allocates nothing at steady state; hot-path layers and
     /// containers override it, everything else inherits the
     /// `params_mut`-backed default.

@@ -1,82 +1,17 @@
-//! First-order optimizers: SGD with momentum and Adam.
+//! The Adam optimizer and global gradient-norm clipping.
 //!
-//! Optimizers hold per-parameter state keyed by position, so they must be
-//! applied to the same parameter list (same order, same shapes) every step.
+//! Each has one body, driven by a parameter walk: a closure that calls its
+//! argument once per trainable parameter, in a fixed order. The slice entry
+//! points ([`Adam::step`], [`clip_grad_norm`]) walk a `&mut [&mut Param]`;
+//! a training loop passes a network's own walk (such as
+//! [`Module::visit_params`](crate::module::Module::visit_params)) to
+//! [`Adam::step_walk`] and [`clip_grad_norm_walk`], so it builds no `Vec`
+//! of parameters per step. Adam holds per-parameter state keyed by
+//! position, so every step must walk the same parameters (same order, same
+//! shapes).
 
-use crate::module::Module;
 use crate::param::Param;
-use o4a_tensor::parallel::{self, SendPtr};
 use o4a_tensor::{adam_update_into, AdamUpdate, Tensor};
-
-/// Fixed chunk size for the parallel elementwise update sweeps. Chunk
-/// boundaries are independent of the thread count, and every element is
-/// updated independently, so the updates are bit-identical to the serial
-/// loop at any `O4A_THREADS`.
-const OPT_CHUNK: usize = 4096;
-
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and momentum coefficient
-    /// (`momentum = 0` disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step to the parameters and clears their gradients.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "optimizer applied to a different parameter list"
-        );
-        let (lr, momentum) = (self.lr, self.momentum);
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            assert_eq!(v.shape(), p.value.shape(), "velocity shape");
-            let g = p.grad.data();
-            let len = g.len();
-            let vd_ptr = SendPtr(v.data_mut().as_mut_ptr());
-            let pd_ptr = SendPtr(p.value.data_mut().as_mut_ptr());
-            // ~4 flops per element (momentum path); small tensors stay
-            // inline under the pool's adaptive cutoff.
-            parallel::par_range(len, OPT_CHUNK, 4, |r| {
-                // SAFETY: `par_range` chunks are disjoint; the buffers
-                // outlive the blocking call.
-                let vd = unsafe { vd_ptr.slice_mut(r.start, r.end - r.start) };
-                let pd = unsafe { pd_ptr.slice_mut(r.start, r.end - r.start) };
-                let g = &g[r];
-                if momentum > 0.0 {
-                    for i in 0..g.len() {
-                        vd[i] = momentum * vd[i] + g[i];
-                        pd[i] += -lr * vd[i];
-                    }
-                } else {
-                    for i in 0..g.len() {
-                        pd[i] += -lr * g[i];
-                    }
-                }
-            });
-            p.zero_grad();
-        }
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
 pub struct Adam {
@@ -93,16 +28,11 @@ impl Adam {
     /// Creates Adam with standard hyper-parameters (`beta1 = 0.9`,
     /// `beta2 = 0.999`, `eps = 1e-8`).
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with custom beta coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Adam {
             lr,
-            beta1,
-            beta2,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: Vec::new(),
@@ -112,42 +42,31 @@ impl Adam {
 
     /// Applies one update step to the parameters and clears their gradients.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        let _span = o4a_obs::span!("nn_adam_step");
-        if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-            self.v = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-        assert_eq!(
-            self.m.len(),
-            params.len(),
-            "optimizer applied to a different parameter list"
-        );
-        self.t += 1;
-        let hp = self.hyper_params();
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let Param { value, grad } = &mut **p;
-            adam_update_into(value, grad, m, v, &hp).expect("Adam moment shapes");
-            p.zero_grad();
-        }
+        self.step_walk(|f| params.iter_mut().for_each(|p| f(p)));
     }
 
-    /// One [`Module`]-walking update step: same math and parameter order as
-    /// [`Adam::step`], but without materialising a `Vec<&mut Param>` — the
-    /// steady-state training loop stays allocation-free.
-    pub fn step_module(&mut self, net: &mut dyn Module) {
+    /// [`Adam::step`] over a parameter walk: `walk` calls its argument once
+    /// per parameter. The moments are created on the first step, one per
+    /// visited parameter.
+    ///
+    /// # Panics
+    /// If a later step visits a different number of parameters, or a
+    /// parameter of another shape than at the same position before.
+    pub fn step_walk(&mut self, walk: impl FnOnce(&mut dyn FnMut(&mut Param))) {
         let _span = o4a_obs::span!("nn_adam_step");
         self.t += 1;
-        let hp = self.hyper_params();
+        let hp = AdamUpdate {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         let fresh = self.m.is_empty();
         let (m, v) = (&mut self.m, &mut self.v);
         let mut idx = 0usize;
-        net.visit_params(&mut |p| {
+        walk(&mut |p| {
             if m.len() == idx {
                 assert!(fresh, "optimizer applied to a different parameter list");
                 m.push(Tensor::zeros(p.value.shape()));
@@ -164,17 +83,6 @@ impl Adam {
             "optimizer applied to a different parameter list"
         );
     }
-
-    fn hyper_params(&self) -> AdamUpdate {
-        AdamUpdate {
-            lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
-            bc1: 1.0 - self.beta1.powi(self.t as i32),
-            bc2: 1.0 - self.beta2.powi(self.t as i32),
-        }
-    }
 }
 
 /// Clips the global L2 norm of all gradients to at most `max_norm`.
@@ -182,28 +90,15 @@ impl Adam {
 /// Returns the pre-clip norm. Useful when training the deeper hierarchical
 /// networks on normalized inputs.
 pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params.iter().map(|p| p.grad.norm_sq()).sum();
-    let norm = total.sqrt();
-    o4a_obs::gauge!(
-        "o4a_nn_grad_norm",
-        "pre-clip global L2 gradient norm of the latest training step"
-    )
-    .set(f64::from(norm));
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.grad.scale_in_place(scale);
-        }
-    }
-    norm
+    clip_grad_norm_walk(|f| params.iter_mut().for_each(|p| f(p)), max_norm)
 }
 
-/// [`Module`]-walking variant of [`clip_grad_norm`]: identical math and
-/// parameter order (the norm is accumulated serially in visit order), but
-/// no `Vec<&mut Param>` per step.
-pub fn clip_grad_norm_module(net: &mut dyn Module, max_norm: f32) -> f32 {
+/// [`clip_grad_norm`] over a parameter walk: `walk` calls its argument
+/// once per parameter, and runs twice when the norm is clipped. The norm is
+/// accumulated serially in walk order.
+pub fn clip_grad_norm_walk(mut walk: impl FnMut(&mut dyn FnMut(&mut Param)), max_norm: f32) -> f32 {
     let mut total = 0.0f32;
-    net.visit_params(&mut |p| total += p.grad.norm_sq());
+    walk(&mut |p| total += p.grad.norm_sq());
     let norm = total.sqrt();
     o4a_obs::gauge!(
         "o4a_nn_grad_norm",
@@ -212,7 +107,7 @@ pub fn clip_grad_norm_module(net: &mut dyn Module, max_norm: f32) -> f32 {
     .set(f64::from(norm));
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        net.visit_params(&mut |p| p.grad.scale_in_place(scale));
+        walk(&mut |p| p.grad.scale_in_place(scale));
     }
     norm
 }
@@ -220,33 +115,12 @@ pub fn clip_grad_norm_module(net: &mut dyn Module, max_norm: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::Module;
 
     fn quadratic_grad(p: &mut Param) {
         // loss = 0.5 * ||x||^2 => grad = x
         let g = p.value.clone();
         p.grad = g;
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let mut p = Param::new(Tensor::from_slice(&[10.0, -10.0]));
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..100 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.norm_sq() < 1e-6, "did not converge: {:?}", p.value);
-    }
-
-    #[test]
-    fn sgd_momentum_still_converges() {
-        let mut p = Param::new(Tensor::from_slice(&[5.0]));
-        let mut opt = Sgd::new(0.05, 0.9);
-        for _ in 0..300 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.norm_sq() < 1e-4);
     }
 
     #[test]
@@ -264,7 +138,7 @@ mod tests {
     fn step_clears_gradients() {
         let mut p = Param::new(Tensor::from_slice(&[1.0]));
         p.grad = Tensor::from_slice(&[1.0]);
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut [&mut p]);
         assert_eq!(p.grad.data(), &[0.0]);
     }
@@ -278,8 +152,11 @@ mod tests {
         assert!((p.grad.norm_sq().sqrt() - 1.0).abs() < 1e-5);
     }
 
+    /// A module's walk visits its parameters in `params_mut` order, so
+    /// stepping through the walk and through the collected slice updates
+    /// every weight alike.
     #[test]
-    fn step_module_matches_step_bitwise() {
+    fn walk_matches_slice_step_bitwise() {
         use crate::layers::{Conv2d, Relu};
         use crate::module::Sequential;
         use o4a_tensor::SeededRng;
@@ -305,10 +182,10 @@ mod tests {
             let _yb = b.forward(&x);
             b.backward(&g);
             let na = clip_grad_norm(&mut a.params_mut(), 1.0);
-            let nb = clip_grad_norm_module(&mut b, 1.0);
+            let nb = clip_grad_norm_walk(|f| b.visit_params(f), 1.0);
             assert_eq!(na.to_bits(), nb.to_bits(), "clip norm diverged");
             opt_a.step(&mut a.params_mut());
-            opt_b.step_module(&mut b);
+            opt_b.step_walk(|f| b.visit_params(f));
             for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
                 assert_eq!(
                     pa.value
@@ -321,7 +198,7 @@ mod tests {
                         .iter()
                         .map(|v| v.to_bits())
                         .collect::<Vec<_>>(),
-                    "step_module diverged from step"
+                    "walked step diverged from the slice step"
                 );
             }
         }
