@@ -40,14 +40,6 @@ pub struct PlanReport {
     pub model_costs: Vec<f64>,
 }
 
-impl PlanReport {
-    /// Validation RMSE equivalent of a cost total (`cost` summed over
-    /// `samples` windows of `total_cells` grids).
-    pub fn cost_rmse(cost: f64, samples: usize, total_cells: usize) -> f64 {
-        (cost / (samples.max(1) * total_cells.max(1)) as f64).sqrt()
-    }
-}
-
 /// The planned ensemble: every hierarchical grid (and multi-grid, for
 /// `K = 2`) mapped to its cheapest [`Combination`], plus the member list
 /// its terms' `member` indices refer to.

@@ -242,11 +242,6 @@ impl Gbdt {
         }
         v
     }
-
-    /// Number of fitted trees.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Predictor for Gbdt {
@@ -385,7 +380,7 @@ mod tests {
         let train: Vec<usize> = (cfg.min_target()..36).collect();
         let mut gbdt = Gbdt::standard();
         gbdt.fit(&flow, &cfg, &train);
-        assert!(gbdt.num_trees() > 0);
+        assert!(!gbdt.trees.is_empty());
         let preds = gbdt.predict(&flow, &cfg, &[40, 41]);
         // the flow is a deterministic function of its history -> near-exact
         for (p, &t) in preds.iter().zip(&[40usize, 41]) {

@@ -103,11 +103,6 @@ impl MultiScaleEnsemble {
             }
         })
     }
-
-    /// Access to a single layer's model (for inspection).
-    pub fn layer_model(&mut self, layer: usize) -> &mut DeepGridModel {
-        &mut self.models[layer]
-    }
 }
 
 impl PyramidPredictor for MultiScaleEnsemble {
@@ -293,7 +288,7 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let mut ens =
             MultiScaleEnsemble::m_st_resnet(hier, &mut rng, cfg.channels(), TrainConfig::default());
-        let single = ens.layer_model(0).num_params();
+        let single = ens.models[0].num_params();
         assert_eq!(ens.num_params(), 3 * single);
     }
 

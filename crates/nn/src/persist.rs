@@ -1,4 +1,6 @@
-//! Weight persistence: serialize and restore any [`Module`]'s parameters.
+//! Weight persistence: serialize and restore a parameter list, such as a
+//! [`Module`](crate::module::Module)'s or a multi-output network's
+//! `params_mut()`.
 //!
 //! The format is a little-endian stream of raw `f32` parameter buffers,
 //! prefixed by per-parameter lengths so loading validates that the target
@@ -10,8 +12,6 @@
 //!
 //! Only values are stored — optimizer state and gradients are training
 //! artifacts and are not part of a deployable model.
-
-use crate::module::Module;
 
 const MAGIC: &[u8; 8] = b"O4ANN001";
 
@@ -53,13 +53,7 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Serializes every parameter value of a module.
-pub fn save_params(module: &mut dyn Module) -> Vec<u8> {
-    save_param_values(&module.params_mut())
-}
-
-/// Serializes a raw parameter list (for multi-output networks that expose
-/// parameters without implementing [`Module`]).
+/// Serializes the values of a parameter list.
 pub fn save_param_values(params: &[&mut crate::param::Param]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + params.iter().map(|p| 4 + 4 * p.len()).sum::<usize>());
     buf.extend_from_slice(MAGIC);
@@ -75,12 +69,8 @@ pub fn save_param_values(params: &[&mut crate::param::Param]) -> Vec<u8> {
     buf
 }
 
-/// Restores parameter values into a module with the same architecture.
-pub fn load_params(module: &mut dyn Module, bytes: &[u8]) -> Result<(), PersistError> {
-    load_param_values(&mut module.params_mut(), bytes)
-}
-
-/// Restores a raw parameter list (counterpart of [`save_param_values`]).
+/// Restores a parameter list of the same architecture (counterpart of
+/// [`save_param_values`]).
 pub fn load_param_values(
     params: &mut [&mut crate::param::Param],
     bytes: &[u8],
@@ -127,6 +117,7 @@ pub fn load_param_values(
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Linear, Relu};
+    use crate::module::Module;
     use crate::Sequential;
     use o4a_tensor::SeededRng;
 
@@ -147,7 +138,7 @@ mod tests {
             Sequential::new().push(Conv2d::same3x3(&mut rng, 2, 1))
         };
         let ya = a.forward(&x);
-        let bytes = save_params(&mut a);
+        let bytes = save_param_values(&a.params_mut());
         let mut b = {
             let mut rng = SeededRng::new(2);
             Sequential::new().push(Conv2d::same3x3(&mut rng, 2, 1))
@@ -156,38 +147,44 @@ mod tests {
             !b.forward(&x).allclose(&ya, 1e-6),
             "nets differ before load"
         );
-        load_params(&mut b, &bytes).unwrap();
+        load_param_values(&mut b.params_mut(), &bytes).unwrap();
         assert!(b.forward(&x).allclose(&ya, 1e-6), "weights must transfer");
     }
 
     #[test]
     fn rejects_bad_magic() {
         let mut n = net(1);
-        let mut bytes = save_params(&mut n);
+        let mut bytes = save_param_values(&n.params_mut());
         bytes[0] = b'X';
-        assert_eq!(load_params(&mut n, &bytes), Err(PersistError::BadMagic));
+        assert_eq!(
+            load_param_values(&mut n.params_mut(), &bytes),
+            Err(PersistError::BadMagic)
+        );
     }
 
     #[test]
     fn rejects_truncation() {
         let mut n = net(1);
-        let bytes = save_params(&mut n);
+        let bytes = save_param_values(&n.params_mut());
         for cut in [10usize, 14, bytes.len() - 2] {
-            assert!(load_params(&mut n, &bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                load_param_values(&mut n.params_mut(), &bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 
     #[test]
     fn rejects_architecture_mismatch() {
         let mut small = net(1);
-        let bytes = save_params(&mut small);
+        let bytes = save_param_values(&small.params_mut());
         let mut rng = SeededRng::new(3);
         let mut bigger = Sequential::new()
             .push(Conv2d::same3x3(&mut rng, 2, 8)) // wider conv
             .push(Relu::new())
             .push(Linear::new(&mut rng, 4, 3));
         assert!(matches!(
-            load_params(&mut bigger, &bytes),
+            load_param_values(&mut bigger.params_mut(), &bytes),
             Err(PersistError::ArchitectureMismatch { .. })
         ));
     }
@@ -204,13 +201,13 @@ mod tests {
             let mut conv = Conv2d::same3x3(&mut rng, 2, 2);
             let y = conv.forward(&x);
             conv.backward(&o4a_tensor::Tensor::ones(y.shape()));
-            let bytes = save_params(&mut conv);
+            let bytes = save_param_values(&conv.params_mut());
             let grads_before: Vec<f32> = conv
                 .params_mut()
                 .iter()
                 .flat_map(|p| p.grad.data().to_vec())
                 .collect();
-            load_params(&mut conv, &bytes).unwrap();
+            load_param_values(&mut conv.params_mut(), &bytes).unwrap();
             let grads_after: Vec<f32> = conv
                 .params_mut()
                 .iter()

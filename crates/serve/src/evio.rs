@@ -109,6 +109,9 @@ pub struct Event {
     pub hangup: bool,
 }
 
+/// The most readiness events one [`Poller::wait`] delivers.
+pub const MAX_EVENTS: usize = 256;
+
 /// An `epoll` interest list plus its reusable event buffer.
 #[derive(Debug)]
 pub struct Poller {
@@ -154,9 +157,11 @@ impl Poller {
     /// Blocks until at least one registered fd is ready or `timeout`
     /// elapses (`None` blocks indefinitely), appending the readiness
     /// events to `events` (which is cleared first) and returning how
-    /// many were delivered — `0` means the timeout fired. Sub-millisecond
-    /// timeouts round **up** to 1ms so a short timeout never degenerates
-    /// into a busy spin. EINTR retries transparently.
+    /// many were delivered — `0` means the timeout fired, and never more
+    /// than [`MAX_EVENTS`], so a buffer created with that capacity never
+    /// grows. Sub-millisecond timeouts round **up** to 1ms so a short
+    /// timeout never degenerates into a busy spin. EINTR retries
+    /// transparently.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
         let ms: c_int = match timeout {
@@ -170,11 +175,10 @@ impl Poller {
                 }
             }
         };
-        const CAP: usize = 256;
-        let mut raw: [EpollEvent; CAP] = unsafe { std::mem::zeroed() };
+        let mut raw: [EpollEvent; MAX_EVENTS] = unsafe { std::mem::zeroed() };
         let n = loop {
-            // SAFETY: `raw` provides CAP valid epoll_event slots.
-            match cvt(unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as c_int, ms) }) {
+            // SAFETY: `raw` provides MAX_EVENTS valid epoll_event slots.
+            match cvt(unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as c_int, ms) }) {
                 Ok(n) => break n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),

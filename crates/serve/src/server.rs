@@ -51,7 +51,7 @@
 //! STATS), per-shard scatter, gather, write flush — lands in the
 //! `o4a_obs::trace` flight recorder, drained by the `TRACE` verb.
 
-use crate::evio::{Interest, Poller, WakeFd};
+use crate::evio::{Interest, Poller, WakeFd, MAX_EVENTS};
 use crate::wire::{self, HealthInfo, Request, Response, StatsSnapshot, TimingNs};
 use o4a_core::server::QueryBackend;
 use o4a_grid::mask::Mask;
@@ -662,7 +662,10 @@ impl EventLoop<'_> {
             "readiness events delivered per epoll wake on this event loop",
         );
         let mut rbuf = Box::new([0u8; READ_BUF_BYTES]);
-        let mut events = Vec::new();
+        // Full capacity up front: a buffer grown on the first wake with
+        // more events than any before would allocate at a time that
+        // depends on the clients' timing.
+        let mut events = Vec::with_capacity(MAX_EVENTS);
         loop {
             let t_wait = Instant::now();
             let n_ready = match el.poller.wait(&mut events, None) {

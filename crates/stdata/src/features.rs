@@ -113,12 +113,6 @@ impl SampleSet {
         self.times.is_empty()
     }
 
-    /// Extracts every valid sample of `flow` under `cfg`, in time order.
-    pub fn extract(flow: &FlowSeries, cfg: &TemporalConfig) -> SampleSet {
-        let targets: Vec<usize> = (cfg.min_target()..flow.len_t()).collect();
-        Self::extract_at(flow, cfg, &targets)
-    }
-
     /// Extracts samples for the given target slots.
     pub fn extract_at(flow: &FlowSeries, cfg: &TemporalConfig, targets: &[usize]) -> SampleSet {
         let (h, w) = (flow.h(), flow.w());
@@ -261,6 +255,11 @@ mod tests {
         TemporalConfig::paper().history_slots(10);
     }
 
+    /// Every slot of `flow` with a full history under `cfg`, in time order.
+    fn every_target(flow: &FlowSeries, cfg: &TemporalConfig) -> Vec<usize> {
+        (cfg.min_target()..flow.len_t()).collect()
+    }
+
     #[test]
     fn extract_shapes_and_values() {
         let cfg = TemporalConfig {
@@ -271,7 +270,7 @@ mod tests {
             days_per_week: 2,
         };
         let flow = series(12);
-        let set = SampleSet::extract(&flow, &cfg);
+        let set = SampleSet::extract_at(&flow, &cfg, &every_target(&flow, &cfg));
         assert_eq!(set.inputs.shape()[1], 4);
         assert_eq!(set.times.first(), Some(&cfg.min_target()));
         // first sample's closeness channels hold frames t-2, t-1
@@ -292,7 +291,7 @@ mod tests {
             days_per_week: 2,
         };
         let flow = series(16);
-        let set = SampleSet::extract(&flow, &cfg);
+        let set = SampleSet::extract_at(&flow, &cfg, &every_target(&flow, &cfg));
         let sl = set.slice(2, 5);
         assert_eq!(sl.len(), 3);
         assert_eq!(sl.times, &set.times[2..5]);
@@ -312,7 +311,7 @@ mod tests {
             days_per_week: 2,
         };
         let flow = series(10);
-        let set = SampleSet::extract(&flow, &cfg);
+        let set = SampleSet::extract_at(&flow, &cfg, &every_target(&flow, &cfg));
         let (rows, ys) = set.to_rows();
         assert_eq!(rows.len(), set.len() * 4);
         assert_eq!(rows.len(), ys.len());

@@ -5,7 +5,6 @@
 //! and stores a series as a dense `[T, H, W]` buffer.
 
 use o4a_grid::Hierarchy;
-use o4a_tensor::Tensor;
 
 /// A citywide crowd-flow series over an `h x w` raster with `t` time slots.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,12 +72,6 @@ impl FlowSeries {
     pub fn frame(&self, t: usize) -> &[f32] {
         debug_assert!(t < self.t);
         &self.data[t * self.h * self.w..(t + 1) * self.h * self.w]
-    }
-
-    /// The raster at time `t` as a `[1, 1, H, W]` tensor (NCHW).
-    pub fn frame_tensor(&self, t: usize) -> Tensor {
-        Tensor::from_vec(self.frame(t).to_vec(), &[1, 1, self.h, self.w])
-            .expect("frame shape invariant")
     }
 
     /// The time series of a single grid cell.
@@ -152,18 +145,6 @@ impl FlowSeries {
     pub fn mean(&self) -> f32 {
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
-
-    /// Truncates the series to `[t0, t1)` time slots.
-    pub fn slice_time(&self, t0: usize, t1: usize) -> FlowSeries {
-        assert!(t0 < t1 && t1 <= self.t, "invalid time slice");
-        let plane = self.h * self.w;
-        FlowSeries {
-            t: t1 - t0,
-            h: self.h,
-            w: self.w,
-            data: self.data[t0 * plane..t1 * plane].to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +170,6 @@ mod tests {
         let s = small_series();
         assert_eq!(s.get(1, 2, 3), 111.0);
         assert_eq!(s.frame(0)[5], 5.0);
-        assert_eq!(s.frame_tensor(0).shape(), &[1, 1, 4, 4]);
     }
 
     #[test]
@@ -239,19 +219,5 @@ mod tests {
     fn cell_series_extracts_time() {
         let s = small_series();
         assert_eq!(s.cell_series(1, 1), vec![5.0, 105.0]);
-    }
-
-    #[test]
-    fn slice_time_windows() {
-        let s = small_series();
-        let sl = s.slice_time(1, 2);
-        assert_eq!(sl.len_t(), 1);
-        assert_eq!(sl.get(0, 0, 0), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid time slice")]
-    fn bad_slice_panics() {
-        small_series().slice_time(1, 1);
     }
 }

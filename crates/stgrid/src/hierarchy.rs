@@ -241,12 +241,6 @@ impl Hierarchy {
         )
     }
 
-    /// The cell of `layer` containing the atomic grid `(row, col)`.
-    pub fn cell_containing(&self, layer: usize, row: usize, col: usize) -> LayerCell {
-        let s = self.scale(layer);
-        LayerCell::new(layer, row / s, col / s)
-    }
-
     /// The position of a cell within its parent: `(row % K, col % K)`.
     #[inline]
     pub fn position_in_parent(&self, cell: LayerCell) -> (usize, usize) {
@@ -350,20 +344,6 @@ mod tests {
         let h = Hierarchy::new(16, 16, 2, 4).unwrap();
         let (r0, c0, r1, c1) = h.atomic_rect(LayerCell::new(2, 1, 2));
         assert_eq!((r0, c0, r1, c1), (4, 8, 8, 12));
-    }
-
-    #[test]
-    fn cell_containing_inverts_rect() {
-        let h = Hierarchy::new(16, 16, 2, 4).unwrap();
-        for layer in 0..4 {
-            for row in 0..16 {
-                for col in 0..16 {
-                    let cell = h.cell_containing(layer, row, col);
-                    let (r0, c0, r1, c1) = h.atomic_rect(cell);
-                    assert!(row >= r0 && row < r1 && col >= c0 && col < c1);
-                }
-            }
-        }
     }
 
     #[test]

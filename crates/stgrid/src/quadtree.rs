@@ -213,17 +213,6 @@ impl<T> ExtendedQuadTree<T> {
         self.slots[self.slot(code)?].as_ref()
     }
 
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, code: &GridCode) -> Option<&mut T> {
-        let slot = self.slot(code)?;
-        self.slots[slot].as_mut()
-    }
-
-    /// Whether a payload exists at the code path.
-    pub fn contains(&self, code: &GridCode) -> bool {
-        self.get(code).is_some()
-    }
-
     /// The payload of a single grid, for any K: what
     /// `get(&GridCode::for_cell(..))` returns for `K = 2`, without building
     /// the code. `None` for a cell outside the hierarchy.
@@ -375,7 +364,6 @@ mod tests {
         let tree: ExtendedQuadTree<u32> = ExtendedQuadTree::new(&hier);
         let code = GridCode::for_cell(&hier, LayerCell::new(0, 7, 7));
         assert_eq!(tree.get(&code), None);
-        assert!(!tree.contains(&code));
     }
 
     #[test]
@@ -515,14 +503,6 @@ mod tests {
                 node = node.children[c.index()].as_deref()?;
             }
             node.payload.as_ref()
-        }
-
-        fn get_mut(&mut self, code: &GridCode) -> Option<&mut T> {
-            let mut node = self.roots.get_mut(&code.root)?;
-            for &c in &code.path {
-                node = node.children[c.index()].as_deref_mut()?;
-            }
-            node.payload.as_mut()
         }
 
         fn for_each(&self, mut f: impl FnMut(&GridCode, &T)) {
@@ -776,7 +756,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random insert, replace and in-place update sequences, singles at
+        /// Random insert, replace and lookup sequences, singles at
         /// every depth and multi-grids E-L, leave the implicit tree and the
         /// boxed oracle with equal lookups, length and visiting order.
         #[test]
@@ -797,16 +777,8 @@ mod tests {
             for &(kind, pick, value) in &ops {
                 let code = &codes[pick % codes.len()];
                 if kind == 3 {
-                    // in-place update of an existing entry, if any
-                    let got = tree.get_mut(code).map(|v| {
-                        *v += value;
-                        *v
-                    });
-                    let want = oracle.get_mut(code).map(|v| {
-                        *v += value;
-                        *v
-                    });
-                    prop_assert_eq!(got, want);
+                    // a lookup between writes
+                    prop_assert_eq!(tree.get(code), oracle.get(code));
                 } else {
                     prop_assert_eq!(tree.insert(code, value), oracle.insert(code, value));
                 }
@@ -814,7 +786,6 @@ mod tests {
             prop_assert_eq!(tree.len(), oracle.len);
             for code in &codes {
                 prop_assert_eq!(tree.get(code), oracle.get(code));
-                prop_assert_eq!(tree.contains(code), oracle.get(code).is_some());
             }
             prop_assert_eq!(
                 entries(|f| tree.for_each(f)),

@@ -1,9 +1,9 @@
 //! Runtime ISA detection and kernel dispatch.
 //!
 //! Every hot kernel in the crate (the GEMM micro-kernel family, the panel
-//! packers, the fused elementwise / Adam sweeps, and the f16 narrowing that
-//! fills the prediction store's half-width frames) exists in up to three
-//! implementations:
+//! packers, the `add` and `relu` sweeps the layers run, the fused Adam
+//! update, and the f16 narrowing that fills the prediction store's
+//! half-width frames) exists in up to three implementations:
 //!
 //! * **Scalar** — the portable Rust loops. With `target-cpu=native` the
 //!   compiler still autovectorizes them, so "scalar" here means *no
@@ -13,7 +13,7 @@
 //!   8x8-block transpose A-packer) plus hardware `F16C` narrowing.
 //! * **Avx512** — explicit AVX-512F kernels: the two-strip `8x32` GEMM
 //!   micro-kernel (16 zmm accumulators, `k` unrolled by 4), zmm panel
-//!   packers, 16-lane fused elementwise/Adam sweeps, and `vcvtps2ph`
+//!   packers, 16-lane `add`/`relu`/Adam sweeps, and `vcvtps2ph`
 //!   narrowing.
 //!
 //! The implementation family is chosen **once**, on first use, via
@@ -91,9 +91,6 @@ pub(crate) type BinFn = fn(a: &[f32], b: &[f32], out: &mut [f32]);
 /// Elementwise unary kernel.
 pub(crate) type UnaryFn = fn(a: &[f32], out: &mut [f32]);
 
-/// Per-channel affine `out = src * s + t` over one channel plane.
-pub(crate) type AffineFn = fn(src: &[f32], out: &mut [f32], s: f32, t: f32);
-
 /// Fused Adam moment + parameter update over one chunk.
 pub(crate) type AdamFn =
     fn(pd: &mut [f32], g: &[f32], md: &mut [f32], vd: &mut [f32], hp: AdamUpdate);
@@ -118,16 +115,8 @@ pub(crate) struct Dispatch {
     pub pack_b_strip: PackBStripFn,
     /// `out = a + b`.
     pub add: BinFn,
-    /// `out = a - b`.
-    pub sub: BinFn,
-    /// `out = a * b`.
-    pub mul: BinFn,
-    /// `out = max(a + b, 0)` (fused residual join).
-    pub add_relu: BinFn,
     /// `out = max(a, 0)`.
     pub relu: UnaryFn,
-    /// `out = src * s + t` (BN-style per-channel affine).
-    pub affine: AffineFn,
     /// Fused Adam update chunk.
     pub adam: AdamFn,
     /// f32 -> f16 narrowing.
@@ -141,11 +130,7 @@ static SCALAR: Dispatch = Dispatch {
     pack_a: crate::gemm::pack_a_strided_scalar,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
     add: crate::simd::scalar::add,
-    sub: crate::simd::scalar::sub,
-    mul: crate::simd::scalar::mul,
-    add_relu: crate::simd::scalar::add_relu,
     relu: crate::simd::scalar::relu,
-    affine: crate::simd::scalar::affine,
     adam: crate::simd::scalar::adam,
     narrow_f16: crate::half::narrow_f16_scalar,
 };
@@ -162,11 +147,7 @@ static AVX2: Dispatch = Dispatch {
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
     add: crate::simd::scalar::add,
-    sub: crate::simd::scalar::sub,
-    mul: crate::simd::scalar::mul,
-    add_relu: crate::simd::scalar::add_relu,
     relu: crate::simd::scalar::relu,
-    affine: crate::simd::scalar::affine,
     adam: crate::simd::scalar::adam,
     narrow_f16: crate::simd::avx2::narrow_f16,
 };
@@ -179,11 +160,7 @@ static AVX512: Dispatch = Dispatch {
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::simd::avx512::pack_b_strip,
     add: crate::simd::avx512::add,
-    sub: crate::simd::avx512::sub,
-    mul: crate::simd::avx512::mul,
-    add_relu: crate::simd::avx512::add_relu,
     relu: crate::simd::avx512::relu,
-    affine: crate::simd::avx512::affine,
     adam: crate::simd::avx512::adam,
     narrow_f16: crate::simd::avx512::narrow_f16,
 };

@@ -45,10 +45,9 @@
 //! Tensor storage and kernel scratch come from a thread-aware buffer pool
 //! ([`pool`]): dropping a tensor recycles its buffer, `_into` kernel
 //! variants (e.g. [`Tensor::matmul_into`], [`conv::conv2d_into`]) write
-//! into caller-owned workspaces, and fused elementwise kernels
-//! ([`Tensor::add_relu_into`], [`ops::adam_update_into`]) collapse the
-//! remaining temporaries — so a training step allocates nothing at steady
-//! state. Disabling the pool (`pool::set_enabled`, a test hook) changes no
+//! into caller-owned workspaces, and the fused Adam update
+//! ([`ops::adam_update_into`]) sweeps parameters and moments in place —
+//! so a training step allocates nothing at steady state. Disabling the pool (`pool::set_enabled`, a test hook) changes no
 //! result bit.
 
 pub mod conv;

@@ -3,18 +3,17 @@
 //! All binary operations require identical shapes — the network code works on
 //! fixed grid sizes, so implicit broadcasting would only hide bugs.
 //!
-//! Every allocating op has an `_into` twin that writes into a caller-owned
-//! workspace tensor (resized through the buffer pool as needed), plus fused
-//! kernels for the compositions the network blocks actually execute
-//! ([`Tensor::add_relu_into`] for residual joins, [`Tensor::scale_shift_into`]
-//! for BN-style per-channel affines, and [`adam_update_into`] for the
-//! optimizer's moment update). The allocating forms delegate to the `_into`
-//! forms, so there is exactly one code path and the results are bit-identical.
+//! The ops the layers run have an `_into` twin that writes into a
+//! caller-owned workspace tensor (resized through the buffer pool as
+//! needed); the allocating forms delegate to the `_into` forms, so there is
+//! exactly one code path and the results are bit-identical.
+//! [`adam_update_into`] fuses the optimizer's moment update and parameter
+//! step into one pass over memory.
 //!
-//! The hot elementwise kernels (`add`/`sub`/`mul`/`add_relu`/`relu`, the
-//! per-channel affine, and the fused Adam sweep) route through the
-//! [`crate::isa`] dispatch table; every SIMD tier computes each lane with
-//! the exact scalar expression, so the active ISA is bit-invisible.
+//! The hot elementwise kernels (`add`, `relu` and the fused Adam sweep)
+//! route through the [`crate::isa`] dispatch table; every SIMD tier
+//! computes each lane with the exact scalar expression, so the active ISA
+//! is bit-invisible.
 
 use crate::parallel::{self, SendPtr};
 use crate::tensor::Tensor;
@@ -27,22 +26,6 @@ use crate::Result;
 const OPT_CHUNK: usize = 4096;
 
 impl Tensor {
-    /// Shared body of the binary `_into` kernels: shape-check, resize the
-    /// workspace, and run the active ISA tier's whole-slice kernel over
-    /// both operands.
-    #[inline]
-    fn binary_dispatch_into(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        f: crate::isa::BinFn,
-    ) -> Result<()> {
-        self.check_same_shape(rhs)?;
-        out.reset_uninit(self.shape());
-        f(self.data(), rhs.data(), out.data_mut());
-        Ok(())
-    }
-
     /// Elementwise addition.
     pub fn add(&self, rhs: &Tensor) -> Result<Tensor> {
         let mut out = Tensor::empty();
@@ -52,31 +35,10 @@ impl Tensor {
 
     /// Elementwise addition into a reusable output workspace.
     pub fn add_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_dispatch_into(rhs, out, crate::isa::dispatch().add)
-    }
-
-    /// Elementwise subtraction.
-    pub fn sub(&self, rhs: &Tensor) -> Result<Tensor> {
-        let mut out = Tensor::empty();
-        self.sub_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Elementwise subtraction into a reusable output workspace.
-    pub fn sub_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_dispatch_into(rhs, out, crate::isa::dispatch().sub)
-    }
-
-    /// Elementwise (Hadamard) multiplication.
-    pub fn mul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let mut out = Tensor::empty();
-        self.mul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Elementwise multiplication into a reusable output workspace.
-    pub fn mul_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_dispatch_into(rhs, out, crate::isa::dispatch().mul)
+        self.check_same_shape(rhs)?;
+        out.reset_uninit(self.shape());
+        (crate::isa::dispatch().add)(self.data(), rhs.data(), out.data_mut());
+        Ok(())
     }
 
     /// Elementwise ReLU (`max(v, 0)`).
@@ -90,60 +52,6 @@ impl Tensor {
     pub fn relu_into(&self, out: &mut Tensor) {
         out.reset_uninit(self.shape());
         (crate::isa::dispatch().relu)(self.data(), out.data_mut());
-    }
-
-    /// Fused residual join: `out = relu(self + rhs)`, one pass over memory
-    /// instead of an `add` temporary followed by a `relu`. Bit-identical to
-    /// the two-step composition.
-    pub fn add_relu_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.binary_dispatch_into(rhs, out, crate::isa::dispatch().add_relu)
-    }
-
-    /// Fused BN-style per-channel affine on a rank-4 `[n, c, h, w]` tensor:
-    /// `out[n, ch, ...] = self[n, ch, ...] * scale[ch] + shift[ch]`.
-    ///
-    /// `scale` and `shift` are rank-1 `[c]` tensors.
-    pub fn scale_shift_into(&self, scale: &Tensor, shift: &Tensor, out: &mut Tensor) -> Result<()> {
-        if self.rank() != 4 {
-            return Err(crate::TensorError::RankMismatch {
-                expected: 4,
-                actual: self.rank(),
-            });
-        }
-        let (n, c, h, w) = (
-            self.shape()[0],
-            self.shape()[1],
-            self.shape()[2],
-            self.shape()[3],
-        );
-        if scale.shape() != [c] || shift.shape() != [c] {
-            return Err(crate::TensorError::ShapeMismatch {
-                lhs: vec![c],
-                rhs: if scale.shape() != [c] {
-                    scale.shape().to_vec()
-                } else {
-                    shift.shape().to_vec()
-                },
-            });
-        }
-        out.reset_uninit(self.shape());
-        let plane = h * w;
-        let src = self.data();
-        let (sc, sh) = (scale.data(), shift.data());
-        let dst = out.data_mut();
-        let affine = crate::isa::dispatch().affine;
-        for b in 0..n {
-            for ch in 0..c {
-                let off = (b * c + ch) * plane;
-                affine(
-                    &src[off..off + plane],
-                    &mut dst[off..off + plane],
-                    sc[ch],
-                    sh[ch],
-                );
-            }
-        }
-        Ok(())
     }
 
     /// In-place elementwise addition (`self += rhs`).
@@ -172,16 +80,8 @@ impl Tensor {
         }
     }
 
-    /// Sum along the first axis of a rank-2 tensor, producing shape `[cols]`.
-    ///
-    /// Used to reduce per-sample bias gradients.
-    pub fn sum_axis0(&self) -> Result<Tensor> {
-        let mut out = Tensor::empty();
-        self.sum_axis0_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::sum_axis0`] into a reusable output workspace.
+    /// Sum along the first axis of a rank-2 tensor into a reusable output
+    /// workspace of shape `[cols]` (reduces per-sample bias gradients).
     pub fn sum_axis0_into(&self, out: &mut Tensor) -> Result<()> {
         if self.rank() != 2 {
             return Err(crate::TensorError::RankMismatch {
@@ -363,12 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_div() {
+    fn add_elementwise() {
         let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = t(&[4.0, 3.0, 2.0, 1.0], &[2, 2]);
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 5.0, 5.0, 5.0]);
-        assert_eq!(a.sub(&b).unwrap().data(), &[-3.0, -1.0, 1.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 6.0, 6.0, 4.0]);
     }
 
     #[test]
@@ -381,23 +279,6 @@ mod tests {
         assert_eq!(out.data(), &[4.0, -1.0]);
         a.relu_into(&mut out);
         assert_eq!(out.data(), &[1.0, 0.0]);
-        a.add_relu_into(&b, &mut out).unwrap();
-        assert_eq!(out.data(), &[4.0, 0.0]);
-    }
-
-    #[test]
-    fn scale_shift_applies_per_channel() {
-        // [n=1, c=2, h=1, w=2]
-        let x = t(&[1.0, 2.0, 3.0, 4.0], &[1, 2, 1, 2]);
-        let scale = t(&[2.0, -1.0], &[2]);
-        let shift = t(&[0.5, 1.0], &[2]);
-        let mut out = Tensor::empty();
-        x.scale_shift_into(&scale, &shift, &mut out).unwrap();
-        assert_eq!(out.data(), &[2.5, 4.5, -2.0, -3.0]);
-        // wrong scale shape rejected
-        assert!(x
-            .scale_shift_into(&shift, &t(&[1.0], &[1]), &mut out)
-            .is_err());
     }
 
     #[test]
@@ -405,7 +286,7 @@ mod tests {
         let a = Tensor::zeros(&[2, 2]);
         let b = Tensor::zeros(&[4]);
         assert!(a.add(&b).is_err());
-        assert!(a.mul(&b).is_err());
+        assert!(a.add_into(&b, &mut Tensor::empty()).is_err());
     }
 
     #[test]
@@ -417,7 +298,8 @@ mod tests {
     #[test]
     fn sum_axis0_reduces_rows() {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let s = a.sum_axis0().unwrap();
+        let mut s = Tensor::full(&[4], 9.0);
+        a.sum_axis0_into(&mut s).unwrap();
         assert_eq!(s.shape(), &[3]);
         assert_eq!(s.data(), &[5.0, 7.0, 9.0]);
     }

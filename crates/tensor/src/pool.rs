@@ -228,7 +228,8 @@ pub fn stats() -> PoolStats {
 /// RAII scratch buffer: a pooled `[f32]` that returns to the pool on drop.
 ///
 /// ```
-/// let mut s = o4a_tensor::pool::scratch_zeroed(128);
+/// let mut s = o4a_tensor::pool::scratch(128); // contents unspecified
+/// s.fill(0.0);
 /// s[0] = 1.0;
 /// assert_eq!(s.len(), 128);
 /// drop(s); // back to the pool
@@ -275,13 +276,6 @@ impl Drop for PoolGuard {
 /// Pooled scratch of `len` elements with **unspecified contents**.
 pub fn scratch(len: usize) -> PoolGuard {
     PoolGuard { vec: take(len) }
-}
-
-/// Pooled scratch of `len` elements, zeroed.
-pub fn scratch_zeroed(len: usize) -> PoolGuard {
-    PoolGuard {
-        vec: take_zeroed(len),
-    }
 }
 
 /// Pool-backed storage for [`crate::tensor::Tensor`]: a `Vec<f32>` that
@@ -447,7 +441,7 @@ mod tests {
         let _g = ENABLE_LOCK.lock().unwrap();
         set_enabled(true);
         {
-            let mut s = scratch_zeroed(48);
+            let mut s = scratch(48);
             s[47] = 1.0;
             assert_eq!(s.len(), 48);
         }

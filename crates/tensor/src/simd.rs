@@ -44,33 +44,9 @@ pub(crate) mod scalar {
         }
     }
 
-    pub(crate) fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x - y;
-        }
-    }
-
-    pub(crate) fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x * y;
-        }
-    }
-
-    pub(crate) fn add_relu(a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = (x + y).max(0.0);
-        }
-    }
-
     pub(crate) fn relu(a: &[f32], out: &mut [f32]) {
         for (o, &v) in out.iter_mut().zip(a) {
             *o = v.max(0.0);
-        }
-    }
-
-    pub(crate) fn affine(src: &[f32], out: &mut [f32], s: f32, t: f32) {
-        for (o, &v) in out.iter_mut().zip(src) {
-            *o = v * s + t;
         }
     }
 
@@ -314,7 +290,7 @@ pub(crate) mod avx2 {
 }
 
 /// AVX-512F tier: two-strip `8 x 32` GEMM micro-kernel, zmm panel packers,
-/// 16-lane fused elementwise / Adam sweeps, and zmm f16 narrowing.
+/// 16-lane `add`/`relu`/Adam sweeps, and zmm f16 narrowing.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::AdamUpdate;
@@ -592,57 +568,27 @@ pub(crate) mod avx512 {
     }
 
     /// Streaming 16-lane elementwise kernels. Each lane applies exactly
-    /// the scalar expression (exactly-rounded add/sub/mul; `vmaxps(v, 0)`
-    /// matches `f32::max(0.0)`'s `maxss` on NaN/signed-zero inputs because
-    /// both return the second operand on ties/NaN), tails run the scalar
+    /// the scalar expression (exactly-rounded add; `vmaxps(v, 0)` matches
+    /// `f32::max(0.0)`'s `maxss` on NaN/signed-zero inputs because both
+    /// return the second operand on ties/NaN), tails run the scalar
     /// reference.
-    macro_rules! binary16 {
-        ($name:ident, $inner:ident, $combine:expr, $scalar:path) => {
-            #[target_feature(enable = "avx512f")]
-            unsafe fn $inner(a: &[f32], b: &[f32], out: &mut [f32]) {
-                let n16 = out.len() / 16 * 16;
-                for i in (0..n16).step_by(16) {
-                    let x = _mm512_loadu_ps(a.as_ptr().add(i));
-                    let y = _mm512_loadu_ps(b.as_ptr().add(i));
-                    #[allow(clippy::redundant_closure_call)]
-                    _mm512_storeu_ps(out.as_mut_ptr().add(i), ($combine)(x, y));
-                }
-                $scalar(&a[n16..], &b[n16..], &mut out[n16..]);
-            }
-
-            pub(crate) fn $name(a: &[f32], b: &[f32], out: &mut [f32]) {
-                debug_assert!(a.len() == out.len() && b.len() == out.len());
-                // SAFETY: avx512f detected (dispatch table); 16-lane
-                // chunks stay within the equal-length slices.
-                unsafe { $inner(a, b, out) }
-            }
-        };
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add_inner(a: &[f32], b: &[f32], out: &mut [f32]) {
+        let n16 = out.len() / 16 * 16;
+        for i in (0..n16).step_by(16) {
+            let x = _mm512_loadu_ps(a.as_ptr().add(i));
+            let y = _mm512_loadu_ps(b.as_ptr().add(i));
+            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(x, y));
+        }
+        super::scalar::add(&a[n16..], &b[n16..], &mut out[n16..]);
     }
 
-    binary16!(
-        add,
-        add_inner,
-        |x, y| _mm512_add_ps(x, y),
-        super::scalar::add
-    );
-    binary16!(
-        sub,
-        sub_inner,
-        |x, y| _mm512_sub_ps(x, y),
-        super::scalar::sub
-    );
-    binary16!(
-        mul,
-        mul_inner,
-        |x, y| _mm512_mul_ps(x, y),
-        super::scalar::mul
-    );
-    binary16!(
-        add_relu,
-        add_relu_inner,
-        |x, y| _mm512_max_ps(_mm512_add_ps(x, y), _mm512_setzero_ps()),
-        super::scalar::add_relu
-    );
+    pub(crate) fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
+        debug_assert!(a.len() == out.len() && b.len() == out.len());
+        // SAFETY: avx512f detected (dispatch table); 16-lane chunks stay
+        // within the equal-length slices.
+        unsafe { add_inner(a, b, out) }
+    }
 
     #[target_feature(enable = "avx512f")]
     unsafe fn relu_inner(a: &[f32], out: &mut [f32]) {
@@ -659,30 +605,6 @@ pub(crate) mod avx512 {
         debug_assert_eq!(a.len(), out.len());
         // SAFETY: avx512f detected (dispatch table).
         unsafe { relu_inner(a, out) }
-    }
-
-    /// Per-channel affine: `v * s + t` as separate exactly-rounded mul
-    /// then add — deliberately **not** an FMA, matching the scalar
-    /// expression's two roundings.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn affine_inner(src: &[f32], out: &mut [f32], s: f32, t: f32) {
-        let n16 = out.len() / 16 * 16;
-        let sv = _mm512_set1_ps(s);
-        let tv = _mm512_set1_ps(t);
-        for i in (0..n16).step_by(16) {
-            let v = _mm512_loadu_ps(src.as_ptr().add(i));
-            _mm512_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm512_add_ps(_mm512_mul_ps(v, sv), tv),
-            );
-        }
-        super::scalar::affine(&src[n16..], &mut out[n16..], s, t);
-    }
-
-    pub(crate) fn affine(src: &[f32], out: &mut [f32], s: f32, t: f32) {
-        debug_assert_eq!(src.len(), out.len());
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { affine_inner(src, out, s, t) }
     }
 
     /// Fused Adam update, 16 lanes per step. Lane chains replicate the

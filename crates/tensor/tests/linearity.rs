@@ -36,8 +36,9 @@ proptest! {
         );
     }
 
-    /// conv(x1 + x2) == conv(x1) + conv(x2) - conv(0) (affine in x because
-    /// of the bias; subtracting the zero response isolates linearity).
+    /// conv(x1 + x2) + conv(0) == conv(x1) + conv(x2) (affine in x because
+    /// of the bias; adding the zero response on the left isolates
+    /// linearity).
     #[test]
     fn conv2d_linear_in_input(seed in 0u64..10_000) {
         let mut rng = SeededRng::new(seed);
@@ -47,12 +48,13 @@ proptest! {
         let b = rng.uniform_tensor(&[3], -0.5, 0.5);
         let zero = Tensor::zeros(&[1, 2, 5, 5]);
         let sum_in = x1.add(&x2).unwrap();
-        let lhs = conv2d(&sum_in, &w, &b, 1, 1).unwrap();
+        let lhs = conv2d(&sum_in, &w, &b, 1, 1)
+            .unwrap()
+            .add(&conv2d(&zero, &w, &b, 1, 1).unwrap())
+            .unwrap();
         let rhs = conv2d(&x1, &w, &b, 1, 1)
             .unwrap()
             .add(&conv2d(&x2, &w, &b, 1, 1).unwrap())
-            .unwrap()
-            .sub(&conv2d(&zero, &w, &b, 1, 1).unwrap())
             .unwrap();
         prop_assert!(lhs.allclose(&rhs, 1e-4));
     }
