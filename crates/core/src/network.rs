@@ -243,13 +243,6 @@ impl One4AllNet {
         }
         p
     }
-
-    /// Total trainable parameters of the active architecture.
-    pub fn num_params(&mut self) -> usize {
-        let mut total = 0usize;
-        self.visit_params(&mut |p| total += p.len());
-        total
-    }
 }
 
 /// One output per hierarchy layer, finest first.

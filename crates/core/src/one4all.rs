@@ -14,7 +14,7 @@ use o4a_data::flow::FlowSeries;
 use o4a_data::norm::Normalizer;
 use o4a_grid::Hierarchy;
 use o4a_models::multiscale::PyramidPredictor;
-use o4a_models::predictor::{train, TrainConfig, TrainStats};
+use o4a_models::predictor::{train, TrainConfig, TrainNet, TrainStats};
 use o4a_tensor::{SeededRng, Tensor};
 
 /// The One4All-ST model: a single hierarchical multi-scale network trained

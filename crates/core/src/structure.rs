@@ -21,6 +21,7 @@
 use crate::network::{NetworkConfig, One4AllNet};
 use o4a_grid::decompose::decompose;
 use o4a_grid::{Hierarchy, Mask};
+use o4a_models::predictor::TrainNet;
 use o4a_tensor::SeededRng;
 
 /// One evaluated candidate structure.

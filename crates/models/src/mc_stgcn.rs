@@ -194,12 +194,6 @@ impl McStgcnNet {
             .add(&g_input_coarse)
             .expect("input grads align")
     }
-
-    fn num_params(&mut self) -> usize {
-        let mut total = 0usize;
-        self.visit_params(&mut |p| total += p.len());
-        total
-    }
 }
 
 /// Outputs `(fine, coarse)`, in that order.

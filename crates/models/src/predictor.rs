@@ -108,6 +108,13 @@ pub trait TrainNet {
 
     /// Calls `f` once per trainable parameter, in `params_mut` order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+
+    /// Total number of trainable scalars.
+    fn num_params(&mut self) -> usize {
+        let mut total = 0usize;
+        self.visit_params(&mut |p| total += p.len());
+        total
+    }
 }
 
 /// A single-output `o4a-nn` network.
@@ -245,13 +252,11 @@ pub fn train<N: TrainNet + ?Sized>(
         );
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let mut num_params = 0usize;
-    net.visit_params(&mut |p| num_params += p.len());
     TrainStats {
         epochs: cfg.epochs,
         sec_per_epoch: elapsed / cfg.epochs.max(1) as f64,
         final_loss,
-        num_params,
+        num_params: net.num_params(),
     }
 }
 
@@ -287,11 +292,6 @@ impl DeepGridModel {
             norm: Normalizer::identity(),
             train_cfg,
         }
-    }
-
-    /// Direct access to the wrapped network (for ablation inspection).
-    pub fn net_mut(&mut self) -> &mut dyn Module {
-        self.net.as_mut()
     }
 }
 
