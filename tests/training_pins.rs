@@ -2,13 +2,15 @@
 //!
 //! Each case trains one model for 3 epochs on an 8×8 synthetic taxi
 //! flow (K = 2, 3 layers, `TemporalConfig::compact()`, chronological
-//! split) and pins two numbers: the bits of `TrainStats::final_loss` and
-//! an FNV-1a digest over the little-endian bits of its predictions on the
-//! first 4 test slots (every layer's for One4All-ST, the atomic ones for
-//! the others). Any change to the shuffle, the batch gather, the
-//! loss, the gradient clip, the Adam update or the parameter order moves
-//! at least one of them, so a refactor of the training stack that keeps
-//! these pins keeps every trained weight.
+//! split; one One4All-ST case on a 16×16 flow, whose finest rows fill a
+//! whole 16-lane strip of the convolution kernels) and pins two numbers:
+//! the bits of `TrainStats::final_loss` and an FNV-1a digest over the
+//! little-endian bits of its predictions on the first 4 test slots
+//! (every layer's for One4All-ST, the atomic ones for the others). Any
+//! change to the shuffle, the batch gather, the loss, the gradient clip,
+//! the Adam update or the parameter order moves at least one of them, so
+//! a refactor of the training stack that keeps these pins keeps every
+//! trained weight.
 //!
 //! The values hold under every `O4A_ISA` tier and every `O4A_THREADS`
 //! count (the kernels' bit-identity contract), and `scripts/check.sh`
@@ -35,9 +37,16 @@ struct Setup {
 }
 
 fn setup() -> Setup {
-    let hier = Hierarchy::new(8, 8, 2, 3).expect("8x8 raster, K = 2, 3 layers");
+    setup_at(8)
+}
+
+/// The shared setup on a `side × side` raster.
+fn setup_at(side: usize) -> Setup {
+    let hier = Hierarchy::new(side, side, 2, 3).expect("square raster, K = 2, 3 layers");
     let cfg = TemporalConfig::compact();
-    let flow = DatasetKind::TaxiNycLike.config(8, 8, 216, 5).generate();
+    let flow = DatasetKind::TaxiNycLike
+        .config(side, side, 216, 5)
+        .generate();
     let split = chronological_split(&flow, &cfg);
     Setup {
         hier,
@@ -95,6 +104,13 @@ fn one4all_st_standard() {
     let s = setup();
     let (stats, preds) = one4all(&s, NetworkConfig::standard(views(&s)), true);
     check("One4All-ST", stats, &preds, 0x3fd8_5836, 0x8b35_4585);
+}
+
+#[test]
+fn one4all_st_standard_16x16() {
+    let s = setup_at(16);
+    let (stats, preds) = one4all(&s, NetworkConfig::standard(views(&s)), true);
+    check("One4All-ST 16x16", stats, &preds, 0x3fdd_6dd5, 0xc146_4ccd);
 }
 
 #[test]
