@@ -1,15 +1,31 @@
 //! 2-D convolution (forward + backward) and nearest-neighbour upsampling.
 //!
-//! Convolution is implemented with the classic `im2col`/`col2im` lowering:
-//! each input window is unrolled into a column so the convolution becomes a
-//! single matrix multiplication. This is the same lowering used by reference
-//! CPU implementations of the conv layers in the paper's network (temporal
-//! convs, scale-merging layers with `kernel = stride = K`, and the spatial
-//! modeling blocks).
+//! Convolution is a matrix multiplication over unrolled input windows:
+//! with `krows = c_in*kh*kw` and one column per output pixel, each sample's
+//! output is `W [c_out x krows] x col [krows x pixels]` plus the bias. The
+//! network's convs are temporal convs, scale-merging layers with
+//! `kernel = stride = K`, and the spatial modeling blocks.
+//!
+//! Two lowerings compute that product, with the same bits:
+//!
+//! * **Packed** (`im2col` + the packed GEMM): the windows are unrolled
+//!   straight into the GEMM's right-operand panel, and the input gradient
+//!   goes through a `col_grad = W^T x grad_output` matrix and `col2im`.
+//!   The scalar tier runs it for every conv, and every tier runs it for
+//!   strided convs.
+//! * **Implicit GEMM** (stride 1, `pad < kernel`, on the AVX-512 tier): the
+//!   kernel reads each 16-pixel strip of a window straight from a
+//!   zero-padded copy of the input, and the input gradient strip from a
+//!   column-padded copy of `grad_output`, so neither the `[krows x
+//!   pixels]` panel nor `col_grad` nor `col2im` exists. The `isa`
+//!   module's `Dispatch` table documents why the two agree bit for bit.
+//!
+//! The weight gradient is `gw^T = col x grad_output^T` on every tier: the
+//! unrolled columns go through the contiguous A-panel packer.
 //!
 //! Tensors use NCHW layout: `[batch, channels, height, width]`.
 
-use crate::gemm;
+use crate::gemm::{self, NR};
 use crate::parallel::{self, SendPtr};
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
@@ -17,13 +33,14 @@ use std::cell::RefCell;
 use std::thread::LocalKey;
 
 thread_local! {
-    // Per-worker column-gradient scratch, reused across batch samples so
-    // the parallel loops allocate nothing per task.
-    static COL_GRAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    // Per-worker packed-operand scratches for the GEMM lowering (left and
-    // right panels of the per-sample products).
-    static PACK_LHS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_RHS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    // Per-worker scratches, reused across batch samples so the parallel
+    // loops allocate nothing per task: the plain column matrix (and the
+    // packed path's `col_grad`), a packed GEMM panel, the packed
+    // `grad_output`, and the implicit kernels' zero-padded operand.
+    static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static PANEL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static GO_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static PAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with a thread-local scratch buffer of at least `len` elements.
@@ -39,6 +56,39 @@ fn with_scratch<R>(
             buf.resize(len, 0.0);
         }
         f(&mut buf[..len])
+    })
+}
+
+/// Runs `f` on `src` (`planes` planes of `rows x cols`) zero-padded by
+/// `pad_r` rows above and below and `pad_c` columns left and right, copied
+/// into a per-worker scratch; on `src` itself when there is no padding.
+pub(crate) fn with_padded<R>(
+    src: &[f32],
+    planes: usize,
+    (rows, cols): (usize, usize),
+    (pad_r, pad_c): (usize, usize),
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    if pad_r == 0 && pad_c == 0 {
+        return f(src);
+    }
+    let (rows_p, cols_p) = (rows + 2 * pad_r, cols + 2 * pad_c);
+    with_scratch(&PAD_SCRATCH, planes * rows_p * cols_p, |buf| {
+        for (dst, plane) in buf
+            .chunks_exact_mut(rows_p * cols_p)
+            .zip(src.chunks_exact(rows * cols))
+        {
+            let (top, rest) = dst.split_at_mut(pad_r * cols_p);
+            let (body, bottom) = rest.split_at_mut(rows * cols_p);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for (drow, srow) in body.chunks_exact_mut(cols_p).zip(plane.chunks_exact(cols)) {
+                drow[..pad_c].fill(0.0);
+                drow[pad_c..pad_c + cols].copy_from_slice(srow);
+                drow[pad_c + cols..].fill(0.0);
+            }
+        }
+        f(buf)
     })
 }
 
@@ -71,12 +121,100 @@ pub fn conv_out_size(input: usize, kernel: usize, stride: usize, pad: usize) -> 
     (input + 2 * pad).saturating_sub(kernel) / stride + 1
 }
 
-fn check_conv_args(
+/// One sample's convolution shape: input `[c_in, h, w]`, weights
+/// `[c_out, c_in, kh, kw]`, output `[c_out, out_h, out_w]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvGeom {
+    pub c_in: usize,
+    pub h: usize,
+    pub w: usize,
+    pub c_out: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub stride: usize,
+    pub pad: usize,
+    pub out_h: usize,
+    pub out_w: usize,
+}
+
+impl ConvGeom {
+    /// The geometry of one sample of `[c_in, h, w]` under a
+    /// `[c_out, c_in, kh, kw]` kernel.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        c_in: usize,
+        h: usize,
+        w: usize,
+        c_out: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
+        ConvGeom {
+            c_in,
+            h,
+            w,
+            c_out,
+            kh,
+            kw,
+            stride,
+            pad,
+            out_h: conv_out_size(h, kh, stride, pad),
+            out_w: conv_out_size(w, kw, stride, pad),
+        }
+    }
+
+    /// Output pixels per channel: the columns of the unrolled matrix.
+    pub fn cols(&self) -> usize {
+        self.out_h * self.out_w
+    }
+
+    /// Rows of the unrolled matrix, one per `(c, ki, kj)`.
+    pub fn krows(&self) -> usize {
+        self.c_in * self.kh * self.kw
+    }
+
+    /// Whether the dispatched per-sample kernels apply: stride 1, a
+    /// nonempty input the kernel fits once padded, and padding narrower
+    /// than the kernel, so every output pixel's window lies inside the
+    /// padded input and every input pixel's taps cover the column-padded
+    /// `grad_output`. Strided convs (the scale merges) always take the
+    /// packed path.
+    pub fn dispatched(&self) -> bool {
+        self.stride == 1
+            && self.h > 0
+            && self.w > 0
+            && self.pad < self.kh.min(self.kw)
+            && self.h + 2 * self.pad >= self.kh
+            && self.w + 2 * self.pad >= self.kw
+    }
+
+    /// Whether the output size is the one the other fields give, so the
+    /// implicit kernels' pointer arithmetic stays inside the buffers.
+    pub fn is_consistent(&self) -> bool {
+        *self
+            == ConvGeom::new(
+                self.c_in,
+                self.h,
+                self.w,
+                self.c_out,
+                self.kh,
+                self.kw,
+                self.stride,
+                self.pad,
+            )
+    }
+}
+
+/// Checks the shapes and returns the batch size and one sample's geometry.
+fn geometry(
     input_shape: &[usize],
     weight: &Tensor,
     bias: &Tensor,
     stride: usize,
-) -> Result<(usize, usize, usize, usize, usize, usize, usize)> {
+    pad: usize,
+) -> Result<(usize, ConvGeom)> {
     if input_shape.len() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -114,33 +252,30 @@ fn check_conv_args(
             rhs: bias.shape().to_vec(),
         });
     }
-    Ok((n, c_in, h, w, c_out, kh, kw))
+    Ok((n, ConvGeom::new(c_in, h, w, c_out, kh, kw, stride, pad)))
 }
 
 /// Unrolls one batch image `[c_in, h, w]` into a column matrix
 /// `[c_in*kh*kw, out_h*out_w]` (zero padding applied implicitly).
 ///
 /// The forward path uses the fused [`im2col_packed_b`] form below, which
-/// writes the GEMM panel layout directly. The uncached backward re-unrolls
-/// through this materialized form instead: the weight-gradient GEMM wants
-/// the *transpose* of the column matrix, and packing a transposed view of
-/// the plain matrix is cheaper than unrolling straight into panel layout
-/// and re-repacking inside the kernel.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    img: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out_h: usize,
-    out_w: usize,
-    col: &mut [f32],
-) {
-    let cols = out_h * out_w;
+/// writes the GEMM panel layout directly. The weight gradient unrolls
+/// through this materialized form and packs it as the left operand of
+/// `col x grad_output^T`, whose rows are contiguous.
+fn im2col(img: &[f32], g: &ConvGeom, col: &mut [f32]) {
+    let ConvGeom {
+        c_in,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+        out_h,
+        out_w,
+        ..
+    } = *g;
+    let cols = g.cols();
     for c in 0..c_in {
         let chan = &img[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
@@ -234,23 +369,21 @@ fn fill_unrolled_run(
 /// without a separate 2x-sweep packing pass over the materialized matrix.
 /// `packed` (length `packed_b_len(krows, cols)`) is fully initialized,
 /// including the zero pad columns of the tail strip.
-#[allow(clippy::too_many_arguments)]
-fn im2col_packed_b(
-    img: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out_h: usize,
-    out_w: usize,
-    packed: &mut [f32],
-) {
-    use crate::gemm::NR;
-    let cols = out_h * out_w;
-    let krows = c_in * kh * kw;
+fn im2col_packed_b(img: &[f32], g: &ConvGeom, packed: &mut [f32]) {
+    let ConvGeom {
+        c_in,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+        out_h,
+        out_w,
+        ..
+    } = *g;
+    let cols = g.cols();
+    let krows = g.krows();
     debug_assert_eq!(packed.len(), gemm::packed_b_len(krows, cols));
     let tail_v = cols - (cols.div_ceil(NR) - 1) * NR;
     if tail_v < NR {
@@ -301,21 +434,20 @@ fn im2col_packed_b(
 }
 
 /// Scatters a column matrix back into an image (the adjoint of [`im2col`]).
-#[allow(clippy::too_many_arguments)]
-fn col2im(
-    col: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out_h: usize,
-    out_w: usize,
-    img: &mut [f32],
-) {
-    let cols = out_h * out_w;
+fn col2im(col: &[f32], g: &ConvGeom, img: &mut [f32]) {
+    let ConvGeom {
+        c_in,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+        out_h,
+        out_w,
+        ..
+    } = *g;
+    let cols = g.cols();
     for c in 0..c_in {
         let chan = &mut img[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
@@ -338,6 +470,60 @@ fn col2im(
                 }
             }
         }
+    }
+}
+
+/// Packed forward of one sample: the unrolled windows are written straight
+/// into the GEMM's right-operand panel, `out` is seeded with the bias and
+/// the GEMM accumulates `W x col` into it. The scalar tier's
+/// [`crate::isa::Dispatch::conv_fwd`] and every tier's strided path.
+pub(crate) fn conv_fwd_packed(
+    img: &[f32],
+    packed_w: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    g: &ConvGeom,
+) {
+    let (cols, krows) = (g.cols(), g.krows());
+    with_scratch(&PANEL_SCRATCH, gemm::packed_b_len(krows, cols), |pcol| {
+        im2col_packed_b(img, g, pcol);
+        for (row, &b) in out.chunks_exact_mut(cols).zip(bias) {
+            row.fill(b);
+        }
+        gemm::gemm_packed(packed_w, pcol, out, g.c_out, krows, cols);
+    });
+}
+
+/// Packed input gradient of one sample: `col_grad = W^T x grad_output`
+/// (`[krows, c_out] x [c_out, cols]`, from the shared packed `W^T` panel),
+/// then [`col2im`] adds it into `gi`, which must start at zero. The overwrite
+/// GEMM seeds its register tile at zero, so `col_grad` needs no zero-fill
+/// pass. The scalar tier's [`crate::isa::Dispatch::conv_bwd_data`] and
+/// every tier's strided path.
+pub(crate) fn conv_bwd_data_packed(go: &[f32], packed_wt: &[f32], gi: &mut [f32], g: &ConvGeom) {
+    let (cols, krows, c_out) = (g.cols(), g.krows(), g.c_out);
+    with_scratch(&COL_SCRATCH, krows * cols, |col_grad| {
+        with_scratch(&GO_SCRATCH, gemm::packed_b_len(c_out, cols), |pgo| {
+            gemm::pack_b_strided(go, pgo, c_out, cols, cols, 1);
+            gemm::gemm_packed_overwrite(packed_wt, pgo, col_grad, krows, c_out, cols);
+        });
+        col2im(col_grad, g, gi);
+    });
+}
+
+/// Per-channel sums of `grad_output`, read from its packed transpose
+/// `pgot` (`[cols, c_out]` in `NR`-wide channel strips) so the channels'
+/// chains run side by side, one lane each. Each chain adds the pixels in
+/// ascending order starting from -0.0, as `Iterator::sum` does.
+fn channel_sums(pgot: &[f32], cols: usize, sums: &mut [f32]) {
+    for (strip, out) in pgot.chunks_exact(cols * NR).zip(sums.chunks_mut(NR)) {
+        let mut acc = [-0.0f32; NR];
+        for row in strip.chunks_exact(NR) {
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += v;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
     }
 }
 
@@ -370,11 +556,8 @@ pub fn conv2d_into(
     pad: usize,
     out: &mut Tensor,
 ) -> Result<()> {
-    let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input.shape(), weight, bias, stride)?;
-    let out_h = conv_out_size(h, kh, stride, pad);
-    let out_w = conv_out_size(w, kw, stride, pad);
-    let cols = out_h * out_w;
-    let krows = c_in * kh * kw;
+    let (n, g) = geometry(input.shape(), weight, bias, stride, pad)?;
+    let (c_in, c_out, cols, krows) = (g.c_in, g.c_out, g.cols(), g.krows());
     let _span = o4a_obs::span!("kernel_conv2d");
     o4a_obs::counter!(
         "o4a_kernel_conv2d_flops_total",
@@ -382,10 +565,9 @@ pub fn conv2d_into(
     )
     .add(2 * (n * c_out * krows * cols) as u64);
 
-    // Every output element is bias-seeded before the GEMM accumulates into
-    // it, so an uninitialized (pool-recycled) workspace is safe.
-    out.reset_uninit(&[n, c_out, out_h, out_w]);
-    let wdata = weight.data();
+    // Every output element is bias-seeded before the products accumulate
+    // into it, so an uninitialized (pool-recycled) workspace is safe.
+    out.reset_uninit(&[n, c_out, g.out_h, g.out_w]);
     let bdata = bias.data();
     let idata = input.data();
     let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
@@ -395,32 +577,25 @@ pub fn conv2d_into(
     // of re-reading the strided weight view per sample. (`pack_a_strided`
     // fully initializes the panel, so pool scratch is safe here too.)
     let mut packed_w = crate::pool::scratch(gemm::packed_a_len(c_out, krows));
-    gemm::pack_a_strided(wdata, &mut packed_w, c_out, krows, krows, 1);
+    gemm::pack_a_strided(weight.data(), &mut packed_w, c_out, krows, krows, 1);
     let packed_w = &packed_w[..];
+    let sample = if g.dispatched() {
+        crate::isa::dispatch().conv_fwd
+    } else {
+        conv_fwd_packed
+    };
 
     // Batch samples are independent: each task owns one sample's disjoint
-    // output slice, with the unrolled windows written straight into the
-    // GEMM panel layout in a per-worker scratch — no materialized column
-    // matrix, no separate packing sweep. Each output element is seeded
-    // with its bias and accumulates its k products in ascending order —
-    // exactly the serial loop — so results are bit-identical at any
-    // thread count.
-    let panel_len = gemm::packed_b_len(krows, cols);
+    // output slice. Each output element is seeded with its bias and
+    // accumulates its k products in ascending order — exactly the serial
+    // loop — so results are bit-identical at any thread count.
+    let in_len = c_in * g.h * g.w;
     parallel::run(n, 2 * c_out * krows * cols, |b| {
-        with_scratch(&PACK_RHS_SCRATCH, panel_len, |pcol| {
-            let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
-            // SAFETY: batch index `b` owns `out[b * c_out * cols ..]`
-            // alone, and `out` outlives the blocking `run` call.
-            let out_b = unsafe { out_ptr.slice_mut(b * c_out * cols, c_out * cols) };
-            im2col_packed_b(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, pcol);
-            // out_b = bias broadcast + W x col
-            for oc in 0..c_out {
-                for v in out_b[oc * cols..(oc + 1) * cols].iter_mut() {
-                    *v = bdata[oc];
-                }
-            }
-            gemm::gemm_packed(packed_w, pcol, out_b, c_out, krows, cols);
-        });
+        let img = &idata[b * in_len..(b + 1) * in_len];
+        // SAFETY: batch index `b` owns `out[b * c_out * cols ..]`
+        // alone, and `out` outlives the blocking `run` call.
+        let out_b = unsafe { out_ptr.slice_mut(b * c_out * cols, c_out * cols) };
+        sample(img, packed_w, bdata, out_b, &g);
     });
     Ok(())
 }
@@ -455,17 +630,15 @@ pub fn conv2d_bwd_into(
     grad_output: &Tensor,
     grads: &mut Conv2dGrads,
 ) -> Result<()> {
-    let (n, c_in, h, w, c_out, kh, kw) = check_conv_args(input.shape(), weight, bias, stride)?;
-    let out_h = conv_out_size(h, kh, stride, pad);
-    let out_w = conv_out_size(w, kw, stride, pad);
-    if grad_output.shape() != [n, c_out, out_h, out_w] {
+    let (n, g) = geometry(input.shape(), weight, bias, stride, pad)?;
+    let (c_in, h, w, c_out, kh, kw) = (g.c_in, g.h, g.w, g.c_out, g.kh, g.kw);
+    if grad_output.shape() != [n, c_out, g.out_h, g.out_w] {
         return Err(TensorError::ShapeMismatch {
-            lhs: vec![n, c_out, out_h, out_w],
+            lhs: vec![n, c_out, g.out_h, g.out_w],
             rhs: grad_output.shape().to_vec(),
         });
     }
-    let cols = out_h * out_w;
-    let krows = c_in * kh * kw;
+    let (cols, krows) = (g.cols(), g.krows());
     let _span = o4a_obs::span!("kernel_conv2d_bwd");
     o4a_obs::counter!(
         "o4a_kernel_conv2d_bwd_flops_total",
@@ -473,17 +646,17 @@ pub fn conv2d_bwd_into(
     )
     .add(6 * (n * c_out * krows * cols) as u64);
 
-    // `col2im` accumulates into grad_input, so the workspace must start at
-    // zero (pool scratch is dirty; a fresh `vec![0.0; ..]` used to
-    // guarantee this implicitly).
+    // The packed input-gradient kernel adds each tap into grad_input
+    // (`col2im`), so the workspace must start at zero (pool scratch is
+    // dirty).
     grads.grad_input.reset_zeroed(&[n, c_in, h, w]);
     // Per-sample partials for the cross-sample reductions; folded serially
     // in batch order below, reproducing the serial accumulation order
     // exactly (gradients stay bit-identical at any thread count). Both
     // partial buffers are fully overwritten; dirty pool scratch is safe.
-    let mut gw_partial = crate::pool::scratch(n * c_out * krows);
+    // The weight partials are `gw^T`, `[krows, c_out]` per sample.
+    let mut gw_partial = crate::pool::scratch(n * krows * c_out);
     let mut gb_partial = crate::pool::scratch(n * c_out);
-    let wdata = weight.data();
     let idata = input.data();
     let godata = grad_output.data();
     let gi_ptr = SendPtr(grads.grad_input.data_mut().as_mut_ptr());
@@ -491,59 +664,42 @@ pub fn conv2d_bwd_into(
     let gb_ptr = SendPtr(gb_partial.as_mut_ptr());
 
     // Pack W-transpose (`[krows, c_out]`, via strides — no materialized
-    // transpose) once; every sample's col_grad GEMM reuses the panel
-    // (`pack_a_strided` fully initializes it).
+    // transpose) once; every sample's input-gradient kernel reads the
+    // panel (`pack_a_strided` fully initializes it).
     let mut packed_wt = crate::pool::scratch(gemm::packed_a_len(krows, c_out));
-    gemm::pack_a_strided(wdata, &mut packed_wt, krows, c_out, 1, krows);
+    gemm::pack_a_strided(weight.data(), &mut packed_wt, krows, c_out, 1, krows);
     let packed_wt = &packed_wt[..];
+    let bwd_data = if g.dispatched() {
+        crate::isa::dispatch().conv_bwd_data
+    } else {
+        conv_bwd_data_packed
+    };
 
     parallel::run(n, 5 * c_out * krows * cols, |b| {
         let go = &godata[b * c_out * cols..(b + 1) * c_out * cols];
         // SAFETY: batch index `b` owns disjoint slices of grad_input and
         // the partial buffers; all outlive the blocking `run` call.
         let gi = unsafe { gi_ptr.slice_mut(b * c_in * h * w, c_in * h * w) };
-        let gw_b = unsafe { gw_ptr.slice_mut(b * c_out * krows, c_out * krows) };
+        let gwt_b = unsafe { gw_ptr.slice_mut(b * krows * c_out, krows * c_out) };
         let gb_b = unsafe { gb_ptr.slice_mut(b * c_out, c_out) };
 
-        // gb_b[oc] = sum(go[oc])
-        for (oc, gb) in gb_b.iter_mut().enumerate() {
-            *gb = go[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
-        }
-        // gw_b = go x col^T: [c_out, cols] x [cols, krows], written
-        // directly in grad_weight's layout. The column matrix is unrolled
-        // in plain form and packed through its transposed view — cheaper
-        // than unrolling into panel layout and re-repacking strips inside
-        // the kernel.
+        // gw^T = col x go^T: [krows, cols] x [cols, c_out]. Each element is
+        // the ascending-pixel fma chain from zero of `go x col^T`, since
+        // fma(a, b, c) == fma(b, a, c). The column matrix's rows are
+        // contiguous, so it packs through the fast A packer.
         let img = &idata[b * c_in * h * w..(b + 1) * c_in * h * w];
-        with_scratch(&PACK_LHS_SCRATCH, krows * cols, |col| {
-            im2col(img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, col);
-            with_scratch(
-                &COL_GRAD_SCRATCH,
-                gemm::packed_b_len(cols, krows),
-                |pcolt| {
-                    gemm::pack_b_strided(col, pcolt, cols, krows, 1, cols);
-                    with_scratch(&PACK_RHS_SCRATCH, gemm::packed_a_len(c_out, cols), |pgo| {
-                        gemm::pack_a_strided(go, pgo, c_out, cols, cols, 1);
-                        gemm::gemm_packed_overwrite(pgo, pcolt, gw_b, c_out, cols, krows);
-                    });
-                },
-            );
+        with_scratch(&COL_SCRATCH, krows * cols, |col| {
+            im2col(img, &g, col);
+            with_scratch(&PANEL_SCRATCH, gemm::packed_a_len(krows, cols), |pcol| {
+                gemm::pack_a_strided(col, pcol, krows, cols, cols, 1);
+                with_scratch(&GO_SCRATCH, gemm::packed_b_len(cols, c_out), |pgot| {
+                    gemm::pack_b_strided(go, pgot, cols, c_out, 1, cols);
+                    channel_sums(pgot, cols, gb_b);
+                    gemm::gemm_packed_overwrite(pcol, pgot, gwt_b, krows, cols, c_out);
+                });
+            });
         });
-        // col_grad = W^T x go: [krows, c_out] x [c_out, cols], with the
-        // packed W^T panel shared across all samples. The overwrite GEMM
-        // seeds its register tile at zero, so the scratch needs no
-        // zero-fill pass (bit-identical to zeroing then accumulating).
-        with_scratch(&COL_GRAD_SCRATCH, krows * cols, |col_grad| {
-            with_scratch(
-                &PACK_RHS_SCRATCH,
-                gemm::packed_b_len(c_out, cols),
-                |pgo_b| {
-                    gemm::pack_b_strided(go, pgo_b, c_out, cols, cols, 1);
-                    gemm::gemm_packed_overwrite(packed_wt, pgo_b, col_grad, krows, c_out, cols);
-                },
-            );
-            col2im(col_grad, c_in, h, w, kh, kw, stride, pad, out_h, out_w, gi);
-        });
+        bwd_data(go, packed_wt, gi, &g);
     });
 
     // Fold the per-sample partials serially, in batch index order — the
@@ -553,9 +709,11 @@ pub fn conv2d_bwd_into(
     let grad_weight = grads.grad_weight.data_mut();
     let grad_bias = grads.grad_bias.data_mut();
     for b in 0..n {
-        let gw_b = &gw_partial[b * c_out * krows..(b + 1) * c_out * krows];
-        for (gw, &p) in grad_weight.iter_mut().zip(gw_b) {
-            *gw += p;
+        let gwt_b = &gw_partial[b * krows * c_out..(b + 1) * krows * c_out];
+        for (oc, gw_row) in grad_weight.chunks_exact_mut(krows).enumerate() {
+            for (gw, p) in gw_row.iter_mut().zip(gwt_b[oc..].iter().step_by(c_out)) {
+                *gw += p;
+            }
         }
         let gb_b = &gb_partial[b * c_out..(b + 1) * c_out];
         for (gb, &p) in grad_bias.iter_mut().zip(gb_b) {
@@ -803,33 +961,18 @@ mod tests {
             (2, 9, 9, 3, 3, 2, 1),
             (17, 6, 6, 3, 3, 1, 1), // krows = 153: ragged MR strip
         ] {
-            let out_h = conv_out_size(h, kh, stride, pad);
-            let out_w = conv_out_size(w, kw, stride, pad);
-            let (cols, krows) = (out_h * out_w, c_in * kh * kw);
+            let g = ConvGeom::new(c_in, h, w, 1, kh, kw, stride, pad);
+            let (cols, krows) = (g.cols(), g.krows());
             let img: Vec<f32> = (0..c_in * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
             let mut col = vec![0.0f32; krows * cols];
-            im2col(
-                &img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, &mut col,
-            );
+            im2col(&img, &g, &mut col);
 
             let mut pb_ref = vec![0.0f32; gemm::packed_b_len(krows, cols)];
             gemm::pack_b_strided(&col, &mut pb_ref, krows, cols, cols, 1);
             // NaN prefill: any slot the fused form fails to write shows up
             // as a NaN-vs-number bit mismatch against the reference.
             let mut pb_fused = vec![f32::NAN; pb_ref.len()];
-            im2col_packed_b(
-                &img,
-                c_in,
-                h,
-                w,
-                kh,
-                kw,
-                stride,
-                pad,
-                out_h,
-                out_w,
-                &mut pb_fused,
-            );
+            im2col_packed_b(&img, &g, &mut pb_fused);
             let rb: Vec<u32> = pb_ref.iter().map(|v| v.to_bits()).collect();
             let fb: Vec<u32> = pb_fused.iter().map(|v| v.to_bits()).collect();
             assert_eq!(
@@ -886,87 +1029,97 @@ mod tests {
         }
     }
 
-    // Micro-timing of the conv pipeline pieces (unrolling, packing, the
-    // three GEMMs, col2im) at the 16-channel 32x32 training shape — the
-    // numbers behind the path choices documented on `conv2d_bwd_into`.
-    // Run with: `cargo test --release -p o4a-tensor --lib --
-    // --ignored conv_piece_timings --nocapture`
+    // Micro-timing of the conv pipeline pieces at the 16-channel 32x32
+    // training shape, per sample: unrolling, packing, the GEMMs, col2im,
+    // and the per-sample kernels of the packed path and of each ISA tier —
+    // the numbers behind the path choices documented on the `isa` module's
+    // `Dispatch` table. Run with: `cargo test --release -p o4a-tensor
+    // --lib -- --ignored conv_piece_timings --nocapture`
     #[test]
     #[ignore]
     fn conv_piece_timings() {
         use std::time::Instant;
-        let (c_in, h, w, kh, kw, stride, pad, c_out) = (16usize, 32, 32, 3, 3, 1, 1, 16);
-        let out_h = conv_out_size(h, kh, stride, pad);
-        let out_w = conv_out_size(w, kw, stride, pad);
-        let (cols, krows) = (out_h * out_w, c_in * kh * kw);
-        let img: Vec<f32> = (0..c_in * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
-        let go: Vec<f32> = (0..c_out * cols).map(|i| (i as f32 * 0.53).sin()).collect();
-        let wgt: Vec<f32> = (0..c_out * krows)
-            .map(|i| (i as f32 * 0.71).sin())
-            .collect();
+        for side in [32usize, 16, 8, 4, 2, 1] {
+            let g = ConvGeom::new(16, side, side, 16, 3, 3, 1, 1);
+            let (c_in, c_out) = (g.c_in, g.c_out);
+            let (cols, krows) = (g.cols(), g.krows());
+            let img: Vec<f32> = (0..c_in * side * side)
+                .map(|i| (i as f32 * 0.37).sin())
+                .collect();
+            let go: Vec<f32> = (0..c_out * cols).map(|i| (i as f32 * 0.53).sin()).collect();
+            let wgt: Vec<f32> = (0..c_out * krows)
+                .map(|i| (i as f32 * 0.71).sin())
+                .collect();
+            let bias = vec![0.25f32; c_out];
 
-        let mut col = vec![0.0f32; krows * cols];
-        let mut pb = vec![0.0f32; gemm::packed_b_len(krows, cols)];
-        let mut pgo_b = vec![0.0f32; gemm::packed_b_len(c_out, cols)];
-        let mut pw = vec![0.0f32; gemm::packed_a_len(c_out, krows)];
-        let mut pwt = vec![0.0f32; gemm::packed_a_len(krows, c_out)];
-        gemm::pack_a_strided(&wgt, &mut pw, c_out, krows, krows, 1);
-        gemm::pack_a_strided(&wgt, &mut pwt, krows, c_out, 1, krows);
-        let mut out = vec![0.0f32; c_out * cols];
-        let mut col_grad = vec![0.0f32; krows * cols];
-        let mut gi = vec![0.0f32; c_in * h * w];
+            let mut col = vec![0.0f32; krows * cols];
+            let mut pb = vec![0.0f32; gemm::packed_b_len(krows, cols)];
+            let mut pcol = vec![0.0f32; gemm::packed_a_len(krows, cols)];
+            let mut pgot = vec![0.0f32; gemm::packed_b_len(cols, c_out)];
+            let mut pw = vec![0.0f32; gemm::packed_a_len(c_out, krows)];
+            let mut pwt = vec![0.0f32; gemm::packed_a_len(krows, c_out)];
+            gemm::pack_a_strided(&wgt, &mut pw, c_out, krows, krows, 1);
+            gemm::pack_a_strided(&wgt, &mut pwt, krows, c_out, 1, krows);
+            let mut out = vec![0.0f32; c_out * cols];
+            let mut gwt = vec![0.0f32; krows * c_out];
+            let mut gb = vec![0.0f32; c_out];
+            let mut gi = vec![0.0f32; c_in * side * side];
 
-        let reps = 200u32;
-        let time = |label: &str, f: &mut dyn FnMut()| {
-            let mut best = f64::MAX;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    f();
+            let reps = (200 * 1024 / cols).min(5000) as u32;
+            let time = |label: &str, f: &mut dyn FnMut()| {
+                let mut best = f64::MAX;
+                for _ in 0..5 {
+                    let t0 = Instant::now();
+                    for _ in 0..reps {
+                        f();
+                    }
+                    best = best.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
                 }
-                best = best.min(t0.elapsed().as_secs_f64() / reps as f64 * 1e6);
-            }
-            println!("{label:26} {best:9.1} us");
-        };
+                println!("{side:2}x{side:<2} {label:28} {best:9.2} us");
+            };
 
-        time("im2col plain", &mut || {
-            im2col(
-                &img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, &mut col,
-            )
-        });
-        time("im2col_packed_b", &mut || {
-            im2col_packed_b(&img, c_in, h, w, kh, kw, stride, pad, out_h, out_w, &mut pb)
-        });
-        time("pack_b(col)", &mut || {
-            gemm::pack_b_strided(&col, &mut pb, krows, cols, cols, 1)
-        });
-        time("pack_b(go)", &mut || {
-            gemm::pack_b_strided(&go, &mut pgo_b, c_out, cols, cols, 1)
-        });
-        time("gemm fwd W*col", &mut || {
-            gemm::gemm_packed(&pw, &pb, &mut out, c_out, krows, cols)
-        });
-        let mut pcolt = vec![0.0f32; gemm::packed_b_len(cols, krows)];
-        let mut pgo_a = vec![0.0f32; gemm::packed_a_len(c_out, cols)];
-        let mut gw = vec![0.0f32; c_out * krows];
-        time("pack_b(col^T) strided", &mut || {
-            gemm::pack_b_strided(&col, &mut pcolt, cols, krows, 1, cols)
-        });
-        time("pack_a(go)", &mut || {
-            gemm::pack_a_strided(&go, &mut pgo_a, c_out, cols, cols, 1)
-        });
-        time("gemm gw go*col^T", &mut || {
-            gemm::gemm_packed_overwrite(&pgo_a, &pcolt, &mut gw, c_out, cols, krows)
-        });
-        time("gemm gi W^T*go", &mut || {
-            gemm::gemm_packed_overwrite(&pwt, &pgo_b, &mut col_grad, krows, c_out, cols)
-        });
-        time("col2im", &mut || {
-            gi.iter_mut().for_each(|v| *v = 0.0);
-            col2im(
-                &col_grad, c_in, h, w, kh, kw, stride, pad, out_h, out_w, &mut gi,
-            )
-        });
+            time("im2col plain", &mut || im2col(&img, &g, &mut col));
+            time("im2col_packed_b", &mut || {
+                im2col_packed_b(&img, &g, &mut pb)
+            });
+            time("pack_a(col) contiguous", &mut || {
+                gemm::pack_a_strided(&col, &mut pcol, krows, cols, cols, 1)
+            });
+            time("pack_b(go^T) strided", &mut || {
+                gemm::pack_b_strided(&go, &mut pgot, cols, c_out, 1, cols)
+            });
+            time("channel sums", &mut || channel_sums(&pgot, cols, &mut gb));
+            time("gemm fwd W*col", &mut || {
+                gemm::gemm_packed(&pw, &pb, &mut out, c_out, krows, cols)
+            });
+            time("gemm gw^T col*go^T", &mut || {
+                gemm::gemm_packed_overwrite(&pcol, &pgot, &mut gwt, krows, cols, c_out)
+            });
+            let mut pgo = vec![0.0f32; gemm::packed_b_len(c_out, cols)];
+            let mut col_grad = vec![0.0f32; krows * cols];
+            time("pack_b(go)", &mut || {
+                gemm::pack_b_strided(&go, &mut pgo, c_out, cols, cols, 1)
+            });
+            time("gemm col_grad W^T*go", &mut || {
+                gemm::gemm_packed_overwrite(&pwt, &pgo, &mut col_grad, krows, c_out, cols)
+            });
+            time("col2im", &mut || {
+                gi.fill(0.0);
+                col2im(&col_grad, &g, &mut gi)
+            });
+            for isa in crate::isa::available() {
+                crate::isa::force(Some(isa));
+                let d = crate::isa::dispatch();
+                time(&format!("fwd sample ({})", isa.name()), &mut || {
+                    (d.conv_fwd)(&img, &pw, &bias, &mut out, &g)
+                });
+                time(&format!("bwd-data sample ({})", isa.name()), &mut || {
+                    gi.fill(0.0);
+                    (d.conv_bwd_data)(&go, &pwt, &mut gi, &g)
+                });
+            }
+            crate::isa::force(None);
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::conv::ConvGeom;
 use crate::ops::AdamUpdate;
 
 /// Instruction-set tier of a kernel implementation family.
@@ -99,6 +100,15 @@ pub(crate) type AdamFn =
 /// the exact semantics of the `vcvtps2ph` instruction).
 pub(crate) type NarrowFn = fn(src: &[f32], dst: &mut [u16]);
 
+/// One sample's stride-1 convolution: `out = bias + W x unrolled(img)`,
+/// from the packed `[c_out, krows]` weight panel.
+pub(crate) type ConvFwdFn =
+    fn(img: &[f32], packed_w: &[f32], bias: &[f32], out: &mut [f32], g: &ConvGeom);
+
+/// One sample's stride-1 input gradient into `gi`, which starts at zero,
+/// from the packed `[krows, c_out]` `W^T` panel.
+pub(crate) type ConvBwdDataFn = fn(go: &[f32], packed_wt: &[f32], gi: &mut [f32], g: &ConvGeom);
+
 /// The per-ISA kernel table. One static instance exists per tier; all hot
 /// paths route through [`dispatch`]`()` so the selection is a single atomic
 /// load + indirect call.
@@ -121,6 +131,29 @@ pub(crate) struct Dispatch {
     pub adam: AdamFn,
     /// f32 -> f16 narrowing.
     pub narrow_f16: NarrowFn,
+    /// Per-sample forward of a stride-1 conv with `pad < kernel`.
+    ///
+    /// The packed body (`im2col` into the GEMM panel, then the packed
+    /// GEMM) is the reference. The AVX-512 body is an implicit GEMM: an
+    /// `8 x 32` tile of 8 output channels over two 16-pixel strips reads
+    /// each strip of a window straight from a zero-padded copy of the
+    /// input. Each output element is seeded with its bias and takes the
+    /// fma chain over `p = (c, ki, kj)` in ascending order, as the packed
+    /// GEMM does, and a padding tap reads the 0.0 that `im2col` writes.
+    pub conv_fwd: ConvFwdFn,
+    /// Per-sample input gradient of a stride-1 conv with `pad < kernel`.
+    ///
+    /// The packed body (`col_grad = W^T x grad_output`, then `col2im`) is
+    /// the reference. The AVX-512 body is an implicit GEMM over 4 input
+    /// channels and two 16-pixel strips: for each input-gradient element
+    /// it takes the taps `(ki, kj)` in lexicographic order (`col2im`'s
+    /// order), forms the tap's sum as an fma chain over `oc` ascending
+    /// from +0 (`col_grad`'s element) and adds it into the element, which
+    /// starts at +0 (held in a register until its last tap). A tap
+    /// whose `grad_output` pixel lies outside the output is skipped, by row
+    /// or by lane mask, as `col2im` skips it: a sum computed from padding
+    /// would turn an infinite weight into NaN there.
+    pub conv_bwd_data: ConvBwdDataFn,
 }
 
 static SCALAR: Dispatch = Dispatch {
@@ -133,12 +166,15 @@ static SCALAR: Dispatch = Dispatch {
     relu: crate::simd::scalar::relu,
     adam: crate::simd::scalar::adam,
     narrow_f16: crate::half::narrow_f16_scalar,
+    conv_fwd: crate::conv::conv_fwd_packed,
+    conv_bwd_data: crate::conv::conv_bwd_data_packed,
 };
 
 /// The AVX2 tier upgrades the GEMM micro-kernel, the A packer and the f16
 /// narrowing (F16C); the streaming elementwise sweeps stay on the
 /// autovectorized scalar path, which measures at parity for memory-bound
-/// kernels on AVX2-only hardware.
+/// kernels on AVX2-only hardware. Its convs take the packed path, through
+/// its GEMM micro-kernel and A packer.
 #[cfg(target_arch = "x86_64")]
 static AVX2: Dispatch = Dispatch {
     isa: Isa::Avx2,
@@ -150,6 +186,8 @@ static AVX2: Dispatch = Dispatch {
     relu: crate::simd::scalar::relu,
     adam: crate::simd::scalar::adam,
     narrow_f16: crate::simd::avx2::narrow_f16,
+    conv_fwd: crate::conv::conv_fwd_packed,
+    conv_bwd_data: crate::conv::conv_bwd_data_packed,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -163,6 +201,8 @@ static AVX512: Dispatch = Dispatch {
     relu: crate::simd::avx512::relu,
     adam: crate::simd::avx512::adam,
     narrow_f16: crate::simd::avx512::narrow_f16,
+    conv_fwd: crate::simd::avx512::conv_fwd,
+    conv_bwd_data: crate::simd::avx512::conv_bwd_data,
 };
 
 fn table(isa: Isa) -> &'static Dispatch {

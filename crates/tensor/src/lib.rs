@@ -12,8 +12,9 @@
 //! * broadcast-free elementwise arithmetic (shapes must match; the network
 //!   code is explicit about alignment, mirroring the paper's fixed grids),
 //! * 2-D matrix multiplication for linear and graph-convolution layers,
-//! * `im2col`-based 2-D convolution forward *and* backward passes
-//!   ([`conv`]), the workhorse of every spatial-modeling block,
+//! * 2-D convolution forward *and* backward passes ([`conv`]) — `im2col`
+//!   onto the packed GEMM, or an implicit GEMM for stride-1 convs on
+//!   AVX-512 — the workhorse of every spatial-modeling block,
 //! * nearest-neighbour upsampling used by the cross-scale top-down pathway
 //!   (Eq. 9 of the paper), and
 //! * seeded random initialisation ([`init`]).
@@ -22,8 +23,10 @@
 //! packed, register-tiled GEMM micro-kernel (`gemm` module): operands are
 //! packed into cache-resident panels and an `MR x NR` accumulator tile is
 //! driven down `k` in one streaming pass, with conv's weight matrix packed
-//! once per call and reused across every batch sample. On top of that
-//! serial floor the kernels run on the work-parallel runtime in
+//! once per call and reused across every batch sample. Stride-1 convs on
+//! AVX-512 instead run implicit-GEMM tiles that read the input windows in
+//! place, with the same per-element chains. On top of that serial floor
+//! the kernels run on the work-parallel runtime in
 //! [`parallel`] — sized by the `O4A_THREADS` environment variable, with
 //! adaptive cutoffs that keep small jobs inline — and results are
 //! guaranteed bit-identical to the serial naive reference at any thread
@@ -37,10 +40,11 @@
 //! preserves the exact per-element accumulation chain — so the chosen ISA
 //! (overridable with `O4A_ISA=scalar|avx2|avx512`) is bit-invisible in the
 //! results. `unsafe` in the crate is confined to the lifetime/aliasing
-//! bookkeeping in [`parallel`] and the `target_feature` intrinsics in the
-//! `simd` module, each behind a safety argument tied to the dispatch
-//! tables. The f16 conversions behind the prediction store's half-width
-//! storage live in [`half`]; all compute stays f32.
+//! bookkeeping in [`parallel`] (and the batch loops in [`conv`] that use
+//! it) and the `target_feature` intrinsics in the `simd` module, each
+//! behind a safety argument tied to the dispatch tables. The f16
+//! conversions behind the prediction store's half-width storage live in
+//! [`half`]; all compute stays f32.
 //!
 //! Tensor storage and kernel scratch come from a thread-aware buffer pool
 //! ([`pool`]): dropping a tensor recycles its buffer, `_into` kernel

@@ -294,7 +294,8 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::AdamUpdate;
-    use crate::gemm::{micro_tile, MR, NR};
+    use crate::conv::{with_padded, ConvGeom};
+    use crate::gemm::{micro_tile, packed_a_len, MR, NR};
     use std::arch::x86_64::*;
 
     /// Two adjacent `NR`-wide B strips per pass: 16 zmm accumulators
@@ -510,6 +511,281 @@ pub(crate) mod avx512 {
         n: usize,
     ) {
         unsafe { panel::<false>(pa, pb, out, rows, k, n) }
+    }
+
+    /// One row segment of up to 16 pixels of a plane: its row, its first
+    /// column and the mask of its valid lanes (empty for the partner of
+    /// an odd last strip).
+    #[derive(Clone, Copy)]
+    struct Strip {
+        row: usize,
+        col: usize,
+        lanes: __mmask16,
+    }
+
+    /// Mask of the first `n` of 16 lanes.
+    fn lane_mask(n: usize) -> __mmask16 {
+        if n >= 16 {
+            u16::MAX
+        } else {
+            (1u16 << n) - 1
+        }
+    }
+
+    /// The 16-pixel strips of a `rows x width` plane, row by row, paired
+    /// for the two-strip conv tiles. A row narrower than 16 pixels, or a
+    /// row's last partial strip, is a masked strip; the pair of an odd
+    /// last strip is an empty copy of it.
+    fn strip_pairs(rows: usize, width: usize) -> impl Iterator<Item = (Strip, Strip)> {
+        let per_row = width.div_ceil(16);
+        let strip = move |i: usize| {
+            let col = i % per_row * 16;
+            Strip {
+                row: i / per_row,
+                col,
+                lanes: lane_mask(width - col),
+            }
+        };
+        let n = rows * per_row;
+        (0..n).step_by(2).map(move |i| {
+            let a = strip(i);
+            let b = if i + 1 < n {
+                strip(i + 1)
+            } else {
+                Strip { lanes: 0, ..a }
+            };
+            (a, b)
+        })
+    }
+
+    /// Implicit-GEMM conv forward of one sample (see
+    /// `Dispatch::conv_fwd`). `xp` is the input zero-padded by `pad` on
+    /// every side, `[c_in, h + 2*pad, w + 2*pad]`. Per strip pair and
+    /// 8-channel row strip of the packed weights, 16 zmm accumulators
+    /// (8 channels x 2 strips) are seeded with the bias and take one fma
+    /// per `p = (c, ki, kj)`, in ascending order.
+    ///
+    /// # Safety
+    /// avx512f must be available, `xp` must hold the padded input of
+    /// geometry `g` (stride 1, `pad < kh, kw`), `packed_w` the packed
+    /// `[c_out, krows]` weights, `bias` `c_out` values and `out`
+    /// `c_out * out_h * out_w` values.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn conv_fwd_inner(
+        xp: &[f32],
+        packed_w: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+        g: &ConvGeom,
+    ) {
+        let (kh, kw, out_w) = (g.kh, g.kw, g.out_w);
+        let wp = g.w + 2 * g.pad;
+        let plane = (g.h + 2 * g.pad) * wp;
+        let (cols, krows) = (g.cols(), g.krows());
+        debug_assert_eq!(xp.len(), g.c_in * plane);
+        debug_assert_eq!(out.len(), g.c_out * cols);
+        for (a, b) in strip_pairs(g.out_h, out_w) {
+            // each strip's window origin (c = ki = kj = 0) in `xp`
+            let xa = xp.as_ptr().add(a.row * wp + a.col);
+            let xb = xp.as_ptr().add(b.row * wp + b.col);
+            for (si, pa) in packed_w.chunks_exact(krows * MR).enumerate() {
+                let r0 = si * MR;
+                let rows_v = MR.min(g.c_out - r0);
+                // Fixed-trip loops over all MR rows (a dead row's lanes are
+                // never stored) keep the accumulators in registers.
+                let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    if r < rows_v {
+                        *acc_r = [_mm512_set1_ps(bias[r0 + r]); 2];
+                    }
+                }
+                let mut ap = pa.as_ptr();
+                for c in 0..g.c_in {
+                    for ki in 0..kh {
+                        let off = c * plane + ki * wp;
+                        let (ra, rb) = (xa.add(off), xb.add(off));
+                        for kj in 0..kw {
+                            let b0 = _mm512_maskz_loadu_ps(a.lanes, ra.add(kj));
+                            let b1 = _mm512_maskz_loadu_ps(b.lanes, rb.add(kj));
+                            for (r, acc_r) in acc.iter_mut().enumerate() {
+                                let av = _mm512_set1_ps(*ap.add(r));
+                                acc_r[0] = _mm512_fmadd_ps(av, b0, acc_r[0]);
+                                acc_r[1] = _mm512_fmadd_ps(av, b1, acc_r[1]);
+                            }
+                            ap = ap.add(MR);
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate() {
+                    if r < rows_v {
+                        let orow = out.as_mut_ptr().add((r0 + r) * cols);
+                        _mm512_mask_storeu_ps(orow.add(a.row * out_w + a.col), a.lanes, acc_r[0]);
+                        _mm512_mask_storeu_ps(orow.add(b.row * out_w + b.col), b.lanes, acc_r[1]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 `Dispatch::conv_fwd` entry.
+    pub(crate) fn conv_fwd(
+        img: &[f32],
+        packed_w: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+        g: &ConvGeom,
+    ) {
+        assert!(
+            g.dispatched()
+                && g.is_consistent()
+                && img.len() == g.c_in * g.h * g.w
+                && packed_w.len() == packed_a_len(g.c_out, g.krows())
+                && bias.len() == g.c_out
+                && out.len() == g.c_out * g.cols(),
+            "conv_fwd called outside its geometry"
+        );
+        with_padded(img, g.c_in, (g.h, g.w), (g.pad, g.pad), |xp| {
+            // SAFETY: only installed in the Avx512 dispatch table
+            // (avx512f detected); the assert above pins stride 1,
+            // `pad < kh, kw` and every length. A lane its strip's mask
+            // enables reads padded row `row + ki <= out_h - 1 + kh - 1
+            // < h + 2*pad` and column `col + lane + kj <= out_w - 1 +
+            // kw - 1 < w + 2*pad`, inside `xp`; stores touch only the
+            // strip's own output pixels.
+            unsafe { conv_fwd_inner(xp, packed_w, bias, out, g) }
+        });
+    }
+
+    /// Input channels per backward-data tile: with two strips, 4 channels
+    /// keep both the tap sums and the input-gradient elements in 16 zmm
+    /// registers.
+    const BWD_CH: usize = 4;
+
+    /// Implicit-GEMM input gradient of one sample (see
+    /// `Dispatch::conv_bwd_data`), written into `gi`. `gp` is `grad_output`
+    /// padded by `kw - 1 - pad` columns on each side,
+    /// `[c_out, out_h, w + kw - 1]`, so every tap column of an input strip
+    /// reads inside it. Per strip pair and group of 4 input channels, each
+    /// tap's sums take one fma per `oc` from `W^T` rows `(c, ki, kj)` of
+    /// the packed panel, and are added into the group's input-gradient
+    /// elements, held in registers from +0 until the last tap.
+    ///
+    /// # Safety
+    /// avx512f must be available, `gp` must hold the padded
+    /// `grad_output` of geometry `g` (stride 1, `pad < kh, kw`),
+    /// `packed_wt` the packed `[krows, c_out]` `W^T` panel and `gi`
+    /// `c_in * h * w` values.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn conv_bwd_data_inner(gp: &[f32], packed_wt: &[f32], gi: &mut [f32], g: &ConvGeom) {
+        let ConvGeom {
+            c_in,
+            h,
+            w,
+            c_out,
+            kh,
+            kw,
+            pad,
+            out_h,
+            out_w,
+            ..
+        } = *g;
+        let taps = kh * kw;
+        let gw = w + kw - 1;
+        let plane = out_h * gw;
+        debug_assert_eq!(gp.len(), c_out * plane);
+        debug_assert_eq!(gi.len(), c_in * h * w);
+        // The grad_output row tap row `ki` of a strip reads, if inside.
+        let tap_row = |s: Strip, ki: usize| {
+            (s.row + pad)
+                .checked_sub(ki)
+                .filter(|&oi| oi < out_h && s.lanes != 0)
+        };
+        // The lanes of a strip whose tap column `kj` reads a grad_output
+        // pixel: `0 <= col + lane + pad - kj < out_w`.
+        let tap_lanes = |s: Strip, kj: usize| {
+            let first = (kj as isize - pad as isize - s.col as isize).clamp(0, 16) as usize;
+            let end = (out_w as isize + kj as isize - pad as isize - s.col as isize).clamp(0, 16);
+            s.lanes & lane_mask(end as usize) & !lane_mask(first)
+        };
+        for (a, b) in strip_pairs(h, w) {
+            for c0 in (0..c_in).step_by(BWD_CH) {
+                let rows_v = BWD_CH.min(c_in - c0);
+                let mut acc = [[_mm512_setzero_ps(); 2]; BWD_CH];
+                for ki in 0..kh {
+                    let (oa, ob) = (tap_row(a, ki), tap_row(b, ki));
+                    if oa.is_none() && ob.is_none() {
+                        continue;
+                    }
+                    // Each strip's origin in `gp` for the last tap column;
+                    // a strip whose tap row lies outside loads nothing.
+                    let origin = |s: Strip, oi: Option<usize>| match oi {
+                        Some(oi) => (s.lanes, gp.as_ptr().add(oi * gw + s.col)),
+                        None => (0, gp.as_ptr()),
+                    };
+                    let ((la, ga), (lb, gb)) = (origin(a, oa), origin(b, ob));
+                    for kj in 0..kw {
+                        let t = ki * kw + kj;
+                        // W^T row (c, t) of each channel of the group; rows
+                        // past c_in repeat the last channel's and are never
+                        // stored.
+                        let mut wr = [packed_wt.as_ptr(); BWD_CH];
+                        for (r, p) in wr.iter_mut().enumerate() {
+                            let row = (c0 + r.min(rows_v - 1)) * taps + t;
+                            *p = packed_wt.as_ptr().add(row / MR * c_out * MR + row % MR);
+                        }
+                        let shift = kw - 1 - kj;
+                        let mut sum = [[_mm512_setzero_ps(); 2]; BWD_CH];
+                        for oc in 0..c_out {
+                            let b0 = _mm512_maskz_loadu_ps(la, ga.add(oc * plane + shift));
+                            let b1 = _mm512_maskz_loadu_ps(lb, gb.add(oc * plane + shift));
+                            for (sum_r, wr_r) in sum.iter_mut().zip(&wr) {
+                                let av = _mm512_set1_ps(*wr_r.add(oc * MR));
+                                sum_r[0] = _mm512_fmadd_ps(av, b0, sum_r[0]);
+                                sum_r[1] = _mm512_fmadd_ps(av, b1, sum_r[1]);
+                            }
+                        }
+                        // Add each sum where the tap reads a grad_output
+                        // pixel, as col2im does.
+                        let (ma, mb) = (la & tap_lanes(a, kj), lb & tap_lanes(b, kj));
+                        for (acc_r, sum_r) in acc.iter_mut().zip(&sum) {
+                            acc_r[0] = _mm512_mask_add_ps(acc_r[0], ma, acc_r[0], sum_r[0]);
+                            acc_r[1] = _mm512_mask_add_ps(acc_r[1], mb, acc_r[1], sum_r[1]);
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate() {
+                    if r < rows_v {
+                        let chan = gi.as_mut_ptr().add((c0 + r) * h * w);
+                        _mm512_mask_storeu_ps(chan.add(a.row * w + a.col), a.lanes, acc_r[0]);
+                        _mm512_mask_storeu_ps(chan.add(b.row * w + b.col), b.lanes, acc_r[1]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 `Dispatch::conv_bwd_data` entry.
+    pub(crate) fn conv_bwd_data(go: &[f32], packed_wt: &[f32], gi: &mut [f32], g: &ConvGeom) {
+        assert!(
+            g.dispatched()
+                && g.is_consistent()
+                && go.len() == g.c_out * g.cols()
+                && packed_wt.len() == packed_a_len(g.krows(), g.c_out)
+                && gi.len() == g.c_in * g.h * g.w,
+            "conv_bwd_data called outside its geometry"
+        );
+        let pad_c = g.kw - 1 - g.pad;
+        with_padded(go, g.c_out, (g.out_h, g.out_w), (0, pad_c), |gp| {
+            // SAFETY: only installed in the Avx512 dispatch table
+            // (avx512f detected); the assert above pins stride 1,
+            // `pad < kh, kw` and every length. A lane its mask enables
+            // reads grad_output row `oi < out_h` and padded column
+            // `col + lane + kw - 1 - kj <= w - 1 + kw - 1 < w + kw - 1`,
+            // inside `gp`; weight rows stay below `krows`, inside the
+            // packed panel; stores touch only the strip's own `gi`
+            // pixels.
+            unsafe { conv_bwd_data_inner(gp, packed_wt, gi, g) }
+        });
     }
 
     /// B strip packer: one zmm load + store per panel row; ragged strips

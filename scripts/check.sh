@@ -83,7 +83,7 @@ step "engine_props + serving suites x20 (determinism)" determinism
 # thread.
 scalar_identity() {
     O4A_ISA=scalar cargo test -q --release -p o4a-tensor \
-        --test gemm_props --test into_props --test half_props
+        --test gemm_props --test into_props --test half_props --test conv_props
     O4A_ISA=scalar cargo test -q --release --test training_pins
     O4A_ISA=scalar O4A_THREADS=1 cargo test -q --release --test training_pins
 }
