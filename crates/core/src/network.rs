@@ -74,8 +74,9 @@ pub struct One4AllNet {
     ups: Vec<Upsample>, // n-1 upsamplers (factor K)
     // scale-specific heads
     heads: Vec<Conv2d>,
-    // caches
-    cache_pre: Option<Tensor>,
+    // shape of the fused temporal features `pre`, kept by forward_multi
+    // for backward_multi's gradient buffer
+    cache_pre_shape: Option<[usize; 4]>,
 }
 
 impl One4AllNet {
@@ -112,7 +113,7 @@ impl One4AllNet {
             blocks,
             ups,
             heads,
-            cache_pre: None,
+            cache_pre_shape: None,
         }
     }
 
@@ -138,7 +139,7 @@ impl One4AllNet {
         let tt = self.conv_t.forward(&views[2]);
         let cat = Tensor::concat_channels(&[&tc, &tp, &tt]).expect("temporal concat");
         let pre = self.fuse_relu.forward(&self.fuse.forward(&cat));
-        self.cache_pre = Some(pre.clone());
+        self.cache_pre_shape = Some(pre.shape().try_into().expect("pre is [n, d, H, W]"));
 
         // hierarchical spatial modeling (Eq. 8)
         let mut h: Vec<Tensor> = Vec::with_capacity(self.num_layers);
@@ -153,7 +154,7 @@ impl One4AllNet {
         }
 
         // cross-scale top-down pathway (Eq. 9)
-        let mut big_h: Vec<Tensor> = h.clone();
+        let mut big_h: Vec<Tensor> = h;
         for i in (0..self.num_layers - 1).rev() {
             let up = self.ups[i].forward(&big_h[i + 1]);
             big_h[i] = big_h[i].add(&up).expect("lateral shapes align");
@@ -188,10 +189,10 @@ impl One4AllNet {
         // hierarchical chain: process coarse→fine, pushing gradients down
         // through SM and Merge into the previous layer's h.
         let mut g_pre = Tensor::zeros(
-            self.cache_pre
+            &self
+                .cache_pre_shape
                 .take()
-                .expect("backward_multi before forward_multi")
-                .shape(),
+                .expect("backward_multi before forward_multi"),
         );
         let mut gh: Vec<Tensor> = g_big; // gradient wrt h[i]
         for i in (1..n).rev() {
