@@ -13,7 +13,7 @@ use o4a_data::features::{SampleSet, TemporalConfig};
 use o4a_data::flow::FlowSeries;
 use o4a_data::norm::Normalizer;
 use o4a_grid::Hierarchy;
-use o4a_models::multiscale::PyramidPredictor;
+use o4a_models::multiscale::{block_sum, PyramidPredictor};
 use o4a_models::predictor::{train, TrainConfig, TrainNet, TrainStats};
 use o4a_tensor::{SeededRng, Tensor};
 
@@ -94,22 +94,6 @@ impl One4AllSt {
         self.hier.num_layers()
     }
 
-    /// Aggregates atomic targets `[n, 1, H, W]` to a layer's resolution.
-    fn aggregate_targets(&self, targets: &Tensor, layer: usize) -> Tensor {
-        let (n, h, w) = (targets.shape()[0], targets.shape()[2], targets.shape()[3]);
-        let s = self.hier.scale(layer);
-        let (lh, lw) = self.hier.layer_dims(layer);
-        let mut out = vec![0.0f32; n * lh * lw];
-        for b in 0..n {
-            for r in 0..h {
-                for c in 0..w {
-                    out[(b * lh + r / s) * lw + c / s] += targets.data()[(b * h + r) * w + c];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, 1, lh, lw]).expect("aggregated target shape")
-    }
-
     /// Builds the optimal-combination index from validation-window
     /// predictions (the offline search of Sec. IV-C).
     pub fn build_index(
@@ -164,7 +148,7 @@ impl PyramidPredictor for One4AllSt {
 
         // per-layer targets + normalizers (Eq. 11)
         let raw_targets: Vec<Tensor> = (0..n_layers)
-            .map(|l| self.aggregate_targets(&set.targets, l))
+            .map(|l| block_sum(&set.targets, self.hier.scale(l)))
             .collect();
         self.norms = raw_targets
             .iter()

@@ -19,6 +19,7 @@
 //! outputs `(fine, coarse)`, weighted by [`McStgcnLite::task_weights`].
 
 use crate::graph_models::{GridToNodes, NodeLinear, NodesToGrid};
+use crate::multiscale::block_sum;
 use crate::predictor::{train, Predictor, TrainConfig, TrainNet, TrainStats};
 use o4a_data::features::{SampleSet, TemporalConfig};
 use o4a_data::flow::FlowSeries;
@@ -255,22 +256,6 @@ impl McStgcnLite {
         self.factor
     }
 
-    fn aggregate_targets(&self, targets: &Tensor) -> Tensor {
-        // [n, 1, h, w] -> [n, 1, h/f, w/f] by block sum
-        let (n, h, w) = (targets.shape()[0], targets.shape()[2], targets.shape()[3]);
-        let f = self.factor;
-        let (hc, wc) = (h / f, w / f);
-        let mut out = vec![0.0f32; n * hc * wc];
-        for b in 0..n {
-            for r in 0..h {
-                for c in 0..w {
-                    out[(b * hc + r / f) * wc + c / f] += targets.data()[(b * h + r) * w + c];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, 1, hc, wc]).expect("coarse target shape")
-    }
-
     /// Predicts cluster-scale frames (`h/f * w/f` values per target).
     pub fn predict_coarse(
         &mut self,
@@ -345,7 +330,7 @@ impl Predictor for McStgcnLite {
         train_targets: &[usize],
     ) -> TrainStats {
         let set = SampleSet::extract_at(flow, cfg, train_targets);
-        let coarse_targets = self.aggregate_targets(&set.targets);
+        let coarse_targets = block_sum(&set.targets, self.factor);
         self.norm_fine = Normalizer::fit(set.targets.data());
         self.norm_coarse = Normalizer::fit(coarse_targets.data());
         let inputs = self.norm_fine.normalize(&set.inputs);
@@ -453,7 +438,7 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let model = McStgcnLite::new(&mut rng, 5, 4, 4, 2, TrainConfig::default());
         let t = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let agg = model.aggregate_targets(&t);
+        let agg = block_sum(&t, model.factor());
         assert_eq!(agg.shape(), &[1, 1, 2, 2]);
         assert_eq!(agg.data()[0], 0.0 + 1.0 + 4.0 + 5.0);
     }

@@ -13,7 +13,26 @@ use crate::strn::StrnLite;
 use o4a_data::features::TemporalConfig;
 use o4a_data::flow::FlowSeries;
 use o4a_grid::Hierarchy;
-use o4a_tensor::SeededRng;
+use o4a_tensor::{SeededRng, Tensor};
+
+/// Sums each `factor x factor` block of a target batch `[n, 1, H, W]`
+/// into one cell of `[n, 1, H / factor, W / factor]`, adding the fine
+/// cells in row-major order (`H` and `W` are multiples of `factor`). This
+/// is how the multi-scale models aggregate atomic targets to a coarser
+/// scale.
+pub fn block_sum(targets: &Tensor, factor: usize) -> Tensor {
+    let (n, h, w) = (targets.shape()[0], targets.shape()[2], targets.shape()[3]);
+    let (hc, wc) = (h / factor, w / factor);
+    let mut out = vec![0.0f32; n * hc * wc];
+    for b in 0..n {
+        for r in 0..h {
+            for c in 0..w {
+                out[(b * hc + r / factor) * wc + c / factor] += targets.data()[(b * h + r) * w + c];
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n, 1, hc, wc]).expect("block-summed target shape")
+}
 
 /// A predictor producing one frame per hierarchy layer for each target slot.
 pub trait PyramidPredictor {

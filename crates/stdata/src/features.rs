@@ -135,31 +135,6 @@ impl SampleSet {
         }
     }
 
-    /// Selects a contiguous sample range `[a, b)` (for mini-batching).
-    pub fn slice(&self, a: usize, b: usize) -> SampleSet {
-        assert!(a < b && b <= self.len(), "invalid sample slice");
-        let shape_in = self.inputs.shape();
-        let per_in: usize = shape_in[1..].iter().product();
-        let per_out: usize = self.targets.shape()[1..].iter().product();
-        let mut in_shape = shape_in.to_vec();
-        in_shape[0] = b - a;
-        let mut out_shape = self.targets.shape().to_vec();
-        out_shape[0] = b - a;
-        SampleSet {
-            inputs: Tensor::from_vec(
-                self.inputs.data()[a * per_in..b * per_in].to_vec(),
-                &in_shape,
-            )
-            .expect("slice input shape"),
-            targets: Tensor::from_vec(
-                self.targets.data()[a * per_out..b * per_out].to_vec(),
-                &out_shape,
-            )
-            .expect("slice target shape"),
-            times: self.times[a..b].to_vec(),
-        }
-    }
-
     /// Converts to per-cell feature rows for tabular models (GBDT, HM):
     /// returns `(features [n*h*w, channels], targets [n*h*w])`.
     pub fn to_rows(&self) -> (Vec<Vec<f32>>, Vec<f32>) {
@@ -279,26 +254,6 @@ mod tests {
         assert_eq!(set.inputs.get(&[0, 1, 0, 0]).unwrap(), (t0 - 1) as f32);
         // target holds frame t
         assert_eq!(set.targets.get(&[0, 0, 0, 0]).unwrap(), t0 as f32);
-    }
-
-    #[test]
-    fn slice_is_contiguous_subset() {
-        let cfg = TemporalConfig {
-            closeness: 1,
-            period: 1,
-            trend: 1,
-            steps_per_day: 2,
-            days_per_week: 2,
-        };
-        let flow = series(16);
-        let set = SampleSet::extract_at(&flow, &cfg, &every_target(&flow, &cfg));
-        let sl = set.slice(2, 5);
-        assert_eq!(sl.len(), 3);
-        assert_eq!(sl.times, &set.times[2..5]);
-        assert_eq!(
-            sl.targets.get(&[0, 0, 0, 0]).unwrap(),
-            set.targets.get(&[2, 0, 0, 0]).unwrap()
-        );
     }
 
     #[test]
