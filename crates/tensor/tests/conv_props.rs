@@ -5,7 +5,8 @@
 //! and `grad_bias` are all compared. Geometries cover stride-1 convs,
 //! which the AVX-512 tier lowers as an implicit GEMM, with widths that
 //! are multiples of its 16-lane strips and widths that are not, and
-//! strided convs, which every tier lowers through `im2col`.
+//! strided convs, which every tier lowers through `im2col`; two fixed
+//! cases pin an infinite weight beside the padding and signed zeros.
 
 use o4a_tensor::{conv2d_bwd_into, conv2d_into, isa, parallel, Conv2dGrads, SeededRng, Tensor};
 use proptest::prelude::*;
@@ -157,6 +158,32 @@ fn infinite_weight_beside_the_padding_matches_the_scalar_tier() {
         assert!(
             f32::from_bits(gi[last]).is_finite(),
             "k {k} pad {pad}: the skipped tap reached grad_input"
+        );
+    }
+}
+
+/// Signed zeros survive every tier: with a -0.0 bias, a zero input and
+/// negative weights, each product is -0.0 and every output stays -0.0 on
+/// the packed path, so a tier that seeded its accumulators with anything
+/// but the bias itself (+0.0, say) diverges.
+#[test]
+fn signed_zeros_match_the_scalar_tier() {
+    for (k, pad, w) in [(3usize, 1usize, 20usize), (1, 0, 16), (3, 1, 1)] {
+        let (c_in, c_out, h) = (3, 5, 4);
+        let x = Tensor::zeros(&[2, c_in, h, w]);
+        let mut rng = SeededRng::new(23);
+        let wt = rng.uniform_tensor(&[c_out, c_in, k, k], -0.5, -0.1);
+        let b = Tensor::full(&[c_out], -0.0);
+        let go = Tensor::full(&[2, c_out, h + 2 * pad - k + 1, w + 2 * pad - k + 1], -0.0);
+        assert_tiers_match(&x, &wt, &b, 1, pad, &go);
+
+        let _forced = force_lock();
+        isa::force(Some(isa::Isa::Scalar));
+        let [y, _, _, _] = run(&x, &wt, &b, 1, pad, &go);
+        isa::force(None);
+        assert!(
+            y.iter().all(|&v| v == (-0.0f32).to_bits()),
+            "k {k} pad {pad}: the packed path lost a -0.0"
         );
     }
 }
