@@ -454,29 +454,55 @@ mod tests {
 
     #[test]
     fn single_member_reduces_to_base_index() {
-        let hier = hier4();
-        let (preds, truths) = make_series(&hier, 4, &[0], 5.0);
-        for strategy in [
-            SearchStrategy::Direct,
-            SearchStrategy::Union,
-            SearchStrategy::UnionSubtraction,
+        // K = 3 and K = 4 grids have no codes (`for_each` walks K = 2
+        // trees only), so every hierarchy compares each grid's entry
+        // through `for_cell`, and K = 2 also compares every multi-grid
+        for hier in [
+            hier4(),
+            Hierarchy::new(9, 9, 3, 3).unwrap(),
+            Hierarchy::new(16, 16, 4, 3).unwrap(),
         ] {
-            let base = search_optimal_combinations_margin(&hier, &preds, &truths, strategy, 0.0);
-            let plan = plan_ensemble(
-                &hier,
-                &[profile("solo", preds.clone())],
-                &truths,
-                &PlanOptions {
-                    strategy,
-                    margin: 0.0,
-                    revision: 1,
-                },
-            );
-            assert_eq!(plan.len(), base.len());
-            base.tree.for_each(|code, comb| {
-                let got = plan.tree.get(code).expect("plan misses a base entry");
-                assert_eq!(got, comb, "mismatch at {code:?} ({strategy:?})");
-            });
+            let (preds, truths) = make_series(&hier, 4, &[0], 5.0);
+            for strategy in [
+                SearchStrategy::Direct,
+                SearchStrategy::Union,
+                SearchStrategy::UnionSubtraction,
+            ] {
+                for margin in [0.0, 0.05] {
+                    let base = search_optimal_combinations_margin(
+                        &hier, &preds, &truths, strategy, margin,
+                    );
+                    let plan = plan_ensemble(
+                        &hier,
+                        &[profile("solo", preds.clone())],
+                        &truths,
+                        &PlanOptions {
+                            strategy,
+                            margin,
+                            revision: 1,
+                        },
+                    );
+                    assert_eq!(plan.len(), base.len());
+                    for layer in 0..hier.num_layers() {
+                        let (rows, cols) = hier.layer_dims(layer);
+                        for i in 0..rows * cols {
+                            let cell = LayerCell::new(layer, i / cols, i % cols);
+                            assert_eq!(
+                                plan.for_cell(cell),
+                                base.for_cell(cell),
+                                "mismatch at {cell:?} (K = {}, {strategy:?}, margin {margin})",
+                                hier.k()
+                            );
+                        }
+                    }
+                    if hier.k() == 2 {
+                        base.tree.for_each(|code, comb| {
+                            let got = plan.tree.get(code).expect("plan misses a base entry");
+                            assert_eq!(got, comb, "mismatch at {code:?} ({strategy:?}, {margin})");
+                        });
+                    }
+                }
+            }
         }
     }
 
