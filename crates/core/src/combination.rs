@@ -13,6 +13,13 @@
 //! complementary area from the parent grid* (Eq. 14) — never worse than
 //! union alone (Theorem 4.3).
 //!
+//! [`combination_dp`] is that DP, written once for the search and the
+//! ensemble planner (`o4a_ensemble::plan_ensemble`). They differ only in
+//! the [`Primaries`] they pass: the search's primary for a grid is the
+//! grid's own prediction and it has none for a multi-grid, while the
+//! planner's are the best member optima. Every comparison goes through
+//! [`beats`], so a NaN SSE never wins over a number.
+//!
 //! A [`Combination`] is the one representation of Λ in the workspace: each
 //! [`Term`] also names the member store it reads, so the same type holds a
 //! single-model index entry (every term reads member 0) and a per-region
@@ -20,7 +27,7 @@
 //! [`Combination::evaluate`] and [`term_value`].
 
 use crate::frames::FrameView;
-use o4a_grid::coding::GridCode;
+use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
 use o4a_grid::quadtree::ExtendedQuadTree;
 use serde::{Deserialize, Serialize};
@@ -228,9 +235,230 @@ pub fn sse(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Adds `src` into `dst` elementwise.
-pub fn add_into(dst: &mut [f32], src: &[f32]) {
+fn add_into(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s;
+    }
+}
+
+/// Whether a candidate with SSE `alt` replaces one with SSE `base` under
+/// the relative selection `margin`: `alt < (1 - margin) * base`, except
+/// that a NaN never replaces a number and any number replaces a NaN.
+pub fn beats(alt: f64, base: f64, margin: f64) -> bool {
+    !alt.is_nan() && (base.is_nan() || alt < (1.0 - margin) * base)
+}
+
+/// Asserts that `pyramid[layer][sample]` holds `n_samples` frames on every
+/// layer of `hier`, each `hier.layer_len(layer)` cells long, naming `what`
+/// and the layer on a mismatch.
+pub fn assert_pyramid(hier: &Hierarchy, pyramid: &[Vec<Vec<f32>>], n_samples: usize, what: &str) {
+    assert_eq!(
+        pyramid.len(),
+        hier.num_layers(),
+        "one {what} series per layer"
+    );
+    for (layer, frames) in pyramid.iter().enumerate() {
+        assert_eq!(
+            frames.len(),
+            n_samples,
+            "{what} sample count at layer {layer}"
+        );
+        let cells = hier.layer_len(layer);
+        for frame in frames {
+            assert_eq!(frame.len(), cells, "{what} frame length at layer {layer}");
+        }
+    }
+}
+
+/// One candidate answer for a grid: its value on every search sample, the
+/// combination that yields it, and its SSE against the grid's truth.
+#[derive(Debug, Clone)]
+pub struct Candidate {
+    /// The value per search sample.
+    pub series: Vec<f32>,
+    /// The combination whose value `series` holds.
+    pub comb: Combination,
+    /// `sse(&series, truth)`.
+    pub sse: f64,
+}
+
+impl Candidate {
+    /// Scores `series` against the grid's `truth`.
+    pub fn new(series: Vec<f32>, comb: Combination, truth: &[f32]) -> Self {
+        let sse = sse(&series, truth);
+        Candidate { series, comb, sse }
+    }
+}
+
+/// The union of `parts`: their series summed per sample from zero, in
+/// order, and their terms concatenated.
+fn union<'a>(parts: impl IntoIterator<Item = &'a Candidate>, n: usize) -> (Vec<f32>, Combination) {
+    let mut series = vec![0.0f32; n];
+    let mut terms = Vec::new();
+    for p in parts {
+        add_into(&mut series, &p.series);
+        terms.extend_from_slice(&p.comb.terms);
+    }
+    (series, Combination { terms })
+}
+
+/// How [`combination_dp`] resolved a single grid.
+#[derive(Debug, Clone, Copy)]
+pub enum Choice<'a> {
+    /// The primary was the only candidate: the atomic layer, or
+    /// [`SearchStrategy::Direct`].
+    Only,
+    /// The primary beat the union of the children's optima.
+    Primary,
+    /// This union of the children's optima beat the primary.
+    Children(&'a Candidate),
+}
+
+/// What [`combination_dp`] asks of its caller and tells it, grid by grid.
+/// The search supplies each grid's own prediction and no multi-grid
+/// primary; the ensemble planner supplies the best member optimum of
+/// both.
+pub trait Primaries {
+    /// The primary candidate of single grid `cell`, scored against `truth`.
+    fn cell(&mut self, cell: LayerCell, truth: &[f32]) -> Candidate;
+    /// The primary candidate of the multi-grid of `members` (cells of
+    /// `layer`), scored against `truth`, if the caller has one.
+    fn multi(
+        &mut self,
+        layer: usize,
+        members: &[(usize, usize)],
+        truth: &[f32],
+    ) -> Option<Candidate> {
+        let _ = (layer, members, truth);
+        None
+    }
+    /// How single grid `cell` with the given primary was resolved.
+    fn chose(&mut self, cell: LayerCell, primary: &Candidate, choice: Choice<'_>);
+    /// The combination a multi-grid resolved to.
+    fn chose_multi(&mut self, chosen: &Combination);
+}
+
+/// The bottom-up combination DP (Lemma 4.2) over the validation window
+/// `truths[layer][sample]`, shared by the search and the ensemble planner.
+///
+/// Layer by layer, each grid's primary candidate from `caller` competes
+/// with the union of its children's optima, except on the atomic layer
+/// and under [`SearchStrategy::Direct`]. For `K = 2`, each multi-grid of
+/// the layer below then takes the union of its members' optima; under
+/// [`SearchStrategy::UnionSubtraction`], the parent's optimum minus its
+/// other children's optima (Eq. 14) if that [`beats`] the union; and the
+/// caller's primary, if any, unless the result beats it. An alternative
+/// replaces what it competes with only when it [`beats`] it by `margin`.
+pub fn combination_dp(
+    hier: &Hierarchy,
+    truths: &[Vec<Vec<f32>>],
+    strategy: SearchStrategy,
+    margin: f64,
+    caller: &mut impl Primaries,
+) -> ExtendedQuadTree<Combination> {
+    assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1)");
+    let n = truths.first().map_or(0, Vec::len);
+    assert!(n > 0, "search needs at least one validation sample");
+    assert_pyramid(hier, truths, n, "truth");
+    let mut tree = ExtendedQuadTree::new(hier);
+    // the previous layer's optima, cell-major
+    let mut prev: Vec<Candidate> = Vec::new();
+    for layer in 0..hier.num_layers() {
+        let (rows, cols) = hier.layer_dims(layer);
+        let prev_cols = cols * hier.k();
+        let mut opt = Vec::with_capacity(rows * cols);
+        for ci in 0..rows * cols {
+            let cell = LayerCell::new(layer, ci / cols, ci % cols);
+            let truth: Vec<f32> = truths[layer].iter().map(|f| f[ci]).collect();
+            let primary = caller.cell(cell, &truth);
+            let chosen = if layer == 0 || strategy == SearchStrategy::Direct {
+                caller.chose(cell, &primary, Choice::Only);
+                primary
+            } else {
+                let parts = hier.children(cell).into_iter();
+                let (series, comb) = union(parts.map(|ch| &prev[ch.row * prev_cols + ch.col]), n);
+                let children = Candidate::new(series, comb, &truth);
+                if beats(children.sse, primary.sse, margin) {
+                    caller.chose(cell, &primary, Choice::Children(&children));
+                    children
+                } else {
+                    caller.chose(cell, &primary, Choice::Primary);
+                    primary
+                }
+            };
+            tree.insert_cell(cell, chosen.comb.clone());
+            opt.push(chosen);
+        }
+        // the multi-grids of the previous layer, under this layer's grids
+        if layer > 0 && hier.k() == 2 {
+            for (pi, parent) in opt.iter().enumerate() {
+                let at = |&(dr, dc): &(usize, usize)| (2 * (pi / cols) + dr, 2 * (pi % cols) + dc);
+                let child = |&(r, c): &(usize, usize)| &prev[r * prev_cols + c];
+                for code in ChildCode::ALL.into_iter().filter(|c| c.is_multi()) {
+                    let members: Vec<(usize, usize)> = code.members().iter().map(at).collect();
+                    let truth: Vec<f32> = truths[layer - 1]
+                        .iter()
+                        .map(|f| members.iter().map(|&(r, c)| f[r * prev_cols + c]).sum())
+                        .collect();
+                    let (series, comb) = union(members.iter().map(child), n);
+                    let mut best = Candidate::new(series, comb, &truth);
+                    // Eq. 14: the parent's optimum minus its other children's
+                    if strategy == SearchStrategy::UnionSubtraction {
+                        let others = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                            .iter()
+                            .filter(|p| !code.members().contains(p))
+                            .map(at);
+                        let (rest, rest_comb) = union(others.map(|rc| child(&rc)), n);
+                        let diff = parent.series.iter().zip(&rest).map(|(p, r)| p - r);
+                        let comb = Combination::subtract(&parent.comb, &rest_comb);
+                        let sub = Candidate::new(diff.collect(), comb, &truth);
+                        if beats(sub.sse, best.sse, margin) {
+                            best = sub;
+                        }
+                    }
+                    if let Some(primary) = caller.multi(layer - 1, &members, &truth) {
+                        if !beats(best.sse, primary.sse, margin) {
+                            best = primary;
+                        }
+                    }
+                    caller.chose_multi(&best.comb);
+                    let code = GridCode::for_multi_grid(hier, layer - 1, &members)
+                        .expect("members form a valid multi-grid");
+                    tree.insert(&code, best.comb);
+                }
+            }
+        }
+        prev = opt;
+    }
+    tree
+}
+
+/// The search's side of [`combination_dp`]: each grid's own prediction is
+/// its primary.
+struct OwnScale<'a> {
+    hier: &'a Hierarchy,
+    preds: &'a [Vec<Vec<f32>>],
+    report: SearchReport,
+}
+
+impl Primaries for OwnScale<'_> {
+    fn cell(&mut self, cell: LayerCell, truth: &[f32]) -> Candidate {
+        let ci = cell.row * self.hier.layer_dims(cell.layer).1 + cell.col;
+        let series = self.preds[cell.layer].iter().map(|f| f[ci]).collect();
+        Candidate::new(series, Combination::single(cell), truth)
+    }
+
+    fn chose(&mut self, _: LayerCell, _: &Candidate, choice: Choice<'_>) {
+        match choice {
+            Choice::Only => {}
+            Choice::Primary => self.report.direct_cells += 1,
+            Choice::Children(_) => self.report.composed_cells += 1,
+        }
+    }
+
+    fn chose_multi(&mut self, chosen: &Combination) {
+        self.report.multi_entries += 1;
+        self.report.subtraction_multis += usize::from(chosen.uses_subtraction());
     }
 }
 
@@ -266,167 +494,19 @@ pub fn search_optimal_combinations_margin(
     strategy: SearchStrategy,
     margin: f64,
 ) -> CombinationIndex {
-    assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1)");
-    let n_layers = hier.num_layers();
-    assert_eq!(preds.len(), n_layers, "one prediction series per layer");
-    assert_eq!(truths.len(), n_layers, "one truth series per layer");
-    let n_samples = preds[0].len();
-    assert!(n_samples > 0, "search needs at least one validation sample");
-
-    let mut tree = ExtendedQuadTree::new(hier);
-    let mut report = SearchReport::default();
-
-    // per-cell optimal series/combination of the previous layer
-    // (cell-major: opt_series[cell][sample])
-    let mut prev_series: Vec<Vec<f32>> = Vec::new();
-    let mut prev_combs: Vec<Combination> = Vec::new();
-
-    for layer in 0..n_layers {
-        let (rows, cols) = hier.layer_dims(layer);
-        let cells = rows * cols;
-        let mut series: Vec<Vec<f32>> = Vec::with_capacity(cells);
-        let mut combs: Vec<Combination> = Vec::with_capacity(cells);
-        for r in 0..rows {
-            for c in 0..cols {
-                let cell = LayerCell::new(layer, r, c);
-                let ci = r * cols + c;
-                // direct candidate
-                let direct: Vec<f32> = (0..n_samples).map(|s| preds[layer][s][ci]).collect();
-                let truth: Vec<f32> = (0..n_samples).map(|s| truths[layer][s][ci]).collect();
-                let (chosen_series, chosen_comb) =
-                    if layer == 0 || strategy == SearchStrategy::Direct {
-                        (direct, Combination::single(cell))
-                    } else {
-                        // composed candidate: sum of children's optima
-                        let (prev_cols,) = (hier.layer_dims(layer - 1).1,);
-                        let mut child_sum = vec![0.0f32; n_samples];
-                        let mut child_parts: Vec<&Combination> = Vec::with_capacity(4);
-                        for ch in hier.children(cell) {
-                            let chi = ch.row * prev_cols + ch.col;
-                            add_into(&mut child_sum, &prev_series[chi]);
-                            child_parts.push(&prev_combs[chi]);
-                        }
-                        let sse_direct = sse(&direct, &truth);
-                        let sse_children = sse(&child_sum, &truth);
-                        if sse_children >= (1.0 - margin) * sse_direct {
-                            report.direct_cells += 1;
-                            (direct, Combination::single(cell))
-                        } else {
-                            report.composed_cells += 1;
-                            (child_sum, Combination::union_of(&child_parts))
-                        }
-                    };
-                tree.insert_cell(cell, chosen_comb.clone());
-                series.push(chosen_series);
-                combs.push(chosen_comb);
-            }
-        }
-
-        // multi-grid entries for the previous layer (codes need K = 2 and a
-        // parent, i.e. this layer)
-        if layer >= 1 && hier.k() == 2 {
-            index_multi_grids(
-                hier,
-                layer - 1,
-                &prev_series,
-                &prev_combs,
-                &series,
-                &combs,
-                truths,
-                strategy,
-                margin,
-                &mut tree,
-                &mut report,
-            );
-        }
-
-        prev_series = series;
-        prev_combs = combs;
-    }
-
+    let n = truths.first().map_or(0, Vec::len);
+    assert_pyramid(hier, preds, n, "prediction");
+    let mut own = OwnScale {
+        hier,
+        preds,
+        report: SearchReport::default(),
+    };
+    let tree = combination_dp(hier, truths, strategy, margin, &mut own);
     CombinationIndex {
         hier: hier.clone(),
         tree,
         strategy,
-        report,
-    }
-}
-
-/// Inserts optimal combinations for every multi-grid of `layer` (whose
-/// parents live at `layer + 1`).
-#[allow(clippy::too_many_arguments)]
-fn index_multi_grids(
-    hier: &Hierarchy,
-    layer: usize,
-    child_series: &[Vec<f32>],
-    child_combs: &[Combination],
-    parent_series: &[Vec<f32>],
-    parent_combs: &[Combination],
-    truths: &[Vec<Vec<f32>>],
-    strategy: SearchStrategy,
-    margin: f64,
-    tree: &mut ExtendedQuadTree<Combination>,
-    report: &mut SearchReport,
-) {
-    use o4a_grid::coding::ChildCode;
-    let n_samples = child_series.first().map_or(0, |s| s.len());
-    let (_, child_cols) = hier.layer_dims(layer);
-    let (prows, pcols) = hier.layer_dims(layer + 1);
-    for pr in 0..prows {
-        for pc in 0..pcols {
-            let parent_idx = pr * pcols + pc;
-            for code in ChildCode::ALL.into_iter().filter(|c| c.is_multi()) {
-                let members: Vec<(usize, usize)> = code
-                    .members()
-                    .iter()
-                    .map(|&(dr, dc)| (pr * 2 + dr, pc * 2 + dc))
-                    .collect();
-                let grid_code = GridCode::for_multi_grid(hier, layer, &members)
-                    .expect("members form a valid multi-grid");
-                // truth series = sum of member truths
-                let mut truth = vec![0.0f32; n_samples];
-                let mut union_series = vec![0.0f32; n_samples];
-                let mut union_parts: Vec<&Combination> = Vec::with_capacity(3);
-                for &(r, c) in &members {
-                    let ci = r * child_cols + c;
-                    for s in 0..n_samples {
-                        truth[s] += truths[layer][s][ci];
-                    }
-                    add_into(&mut union_series, &child_series[ci]);
-                    union_parts.push(&child_combs[ci]);
-                }
-                let union_comb = Combination::union_of(&union_parts);
-                report.multi_entries += 1;
-                let chosen = if strategy == SearchStrategy::UnionSubtraction {
-                    // subtraction candidate: parent optimum minus the
-                    // complementary children's optima (Eq. 14)
-                    let mut comp_series = vec![0.0f32; n_samples];
-                    let mut comp_parts: Vec<&Combination> = Vec::new();
-                    let member_set: std::collections::HashSet<(usize, usize)> =
-                        members.iter().copied().collect();
-                    for ch in hier.children(LayerCell::new(layer + 1, pr, pc)) {
-                        if !member_set.contains(&(ch.row, ch.col)) {
-                            let ci = ch.row * child_cols + ch.col;
-                            add_into(&mut comp_series, &child_series[ci]);
-                            comp_parts.push(&child_combs[ci]);
-                        }
-                    }
-                    let sub_series: Vec<f32> = (0..n_samples)
-                        .map(|s| parent_series[parent_idx][s] - comp_series[s])
-                        .collect();
-                    if sse(&sub_series, &truth) < (1.0 - margin) * sse(&union_series, &truth) {
-                        report.subtraction_multis += 1;
-                        let comp = Combination::union_of(&comp_parts);
-                        Combination::subtract(&parent_combs[parent_idx], &comp)
-                    } else {
-                        union_comb
-                    }
-                } else {
-                    union_comb
-                };
-                tree.insert(&grid_code, chosen);
-            }
-        }
+        report: own.report,
     }
 }
 
@@ -738,6 +818,51 @@ mod tests {
         let hier = hier4();
         let (preds, truths) = make_series(&hier, 2, &[0], 1.0);
         search_optimal_combinations_margin(&hier, &preds, &truths, SearchStrategy::Union, 1.5);
+    }
+
+    #[test]
+    fn a_nan_child_never_beats_an_exact_parent() {
+        // exact everywhere but atomic (0, 0), which is NaN on every
+        // sample: its parent keeps its own exact prediction
+        let hier = hier4();
+        let (mut preds, truths) = make_series(&hier, 3, &[0, 1, 2], 0.0);
+        for frame in &mut preds[0] {
+            frame[0] = f32::NAN;
+        }
+        let sample0: Vec<Vec<f32>> = preds.iter().map(|layer| layer[0].clone()).collect();
+        let cell = LayerCell::new(1, 0, 0);
+        for strategy in [SearchStrategy::Union, SearchStrategy::UnionSubtraction] {
+            let index = search_optimal_combinations(&hier, &preds, &truths, strategy);
+            let comb = index.for_cell(cell).unwrap();
+            assert_eq!(comb, &Combination::single(cell), "{strategy:?}");
+            assert_eq!(comb.evaluate(&hier, &[FrameView::F32(&sample0)]), 4.0);
+        }
+    }
+
+    /// A 16x16 hierarchy at max scale 16 and a 32x32 pyramid at the same
+    /// max scale: both have five layers, but the pyramid's frames hold
+    /// four times the hierarchy's cells.
+    fn wide_pyramid() -> (Hierarchy, PyramidSeries, PyramidSeries) {
+        let hier = Hierarchy::with_max_scale(16, 16, 2, 16).unwrap();
+        let wide = Hierarchy::with_max_scale(32, 32, 2, 16).unwrap();
+        assert_eq!(hier.num_layers(), wide.num_layers());
+        let (preds, truths) = make_series(&wide, 2, &[0], 1.0);
+        (hier, preds, truths)
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction frame length at layer 0")]
+    fn a_wider_raster_is_rejected() {
+        let (hier, preds, truths) = wide_pyramid();
+        search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::Union);
+    }
+
+    #[test]
+    #[should_panic(expected = "truth frame length at layer 0")]
+    fn a_wider_truth_raster_is_rejected() {
+        let (hier, _, truths) = wide_pyramid();
+        let (preds, _) = make_series(&hier, 2, &[0], 1.0);
+        search_optimal_combinations(&hier, &preds, &truths, SearchStrategy::Union);
     }
 
     #[test]

@@ -2,40 +2,39 @@
 //!
 //! [`profile_members`] runs every member model on a held-out validation
 //! window and records its per-layer prediction pyramid plus atomic-layer
-//! RMSE/MAPE. [`plan_ensemble`] then generalizes the paper's
-//! optimal-combination DP (Sec. IV-C) with a *which model* axis:
+//! RMSE/MAPE. [`plan_ensemble`] then runs the paper's optimal-combination
+//! DP (Sec. IV-C), [`combination_dp`], with a *which model* axis in the
+//! primaries it passes:
 //!
-//! * **Primary candidates** of a grid are each member's own optimal
-//!   combination from [`search_optimal_combinations_margin`] run on that
-//!   member's pyramid — the best single-model answers. The baseline pick
-//!   is the strict SSE minimum (ties break to the lowest member index, so
-//!   planning is deterministic).
-//! * **Alternative candidates** compose the grid from its children's
-//!   *ensemble* optima, which may mix members. Like the base DP's margin
-//!   rule, an alternative replaces the primary baseline only when
-//!   `sse_alt < (1 - margin) * sse_primary` — so for any margin the plan's
-//!   cost never exceeds any single member's own optimum (the primary
-//!   candidate set contains every member), and with a single member the
-//!   plan reduces exactly to that member's [`o4a_core::CombinationIndex`].
+//! * A grid's **primary** is the least-SSE member optimum: each member's
+//!   own optimal combination from [`search_optimal_combinations_margin`]
+//!   on its pyramid, evaluated per sample and read from that member. Ties
+//!   go to the lowest member index, so planning is deterministic, and a
+//!   NaN SSE never wins over a number.
+//! * The DP sets it against the union of the children's *ensemble*
+//!   optima, which may mix members, and keeps the primary unless the
+//!   union beats it by the margin. So for any margin the plan's cost never
+//!   exceeds any single member's own optimum (every member is a primary
+//!   candidate), and with a single member the plan reduces exactly to
+//!   that member's [`o4a_core::CombinationIndex`].
 //!
-//! Multi-grids (`K = 2`) get the same treatment: primaries are the member
-//! indexes' multi optima; alternatives are the ensemble union of the
-//! member cells' ensemble optima and, under
+//! Multi-grids (`K = 2`) get the same treatment: the primary is the best
+//! member's multi optimum; the alternative is the ensemble union of the
+//! member cells' ensemble optima or, under
 //! [`SearchStrategy::UnionSubtraction`], the ensemble parent optimum minus
-//! the complementary children's ensemble optima (Eq. 14 with models).
+//! the complementary children's ensemble optima (Eq. 14 with models),
+//! whichever wins.
 
 use crate::plan::{EnsemblePlan, PlanReport};
 use o4a_core::combination::{
-    add_into, search_optimal_combinations_margin, sse, Combination, CombinationIndex,
-    SearchStrategy,
+    beats, combination_dp, search_optimal_combinations_margin, sse, Candidate, Choice, Combination,
+    CombinationIndex, Primaries, SearchStrategy, Term,
 };
 use o4a_core::frames::FrameView;
 use o4a_data::features::TemporalConfig;
 use o4a_data::flow::FlowSeries;
 use o4a_data::metrics::MetricAccumulator;
-use o4a_grid::coding::{ChildCode, GridCode};
 use o4a_grid::hierarchy::{Hierarchy, LayerCell};
-use o4a_grid::quadtree::ExtendedQuadTree;
 use o4a_models::multiscale::PyramidPredictor;
 
 /// Planner knobs.
@@ -113,15 +112,6 @@ fn sample_frames(preds: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
         .collect()
 }
 
-/// Evaluates a member's combination (its own index's, reading member 0)
-/// on every validation sample.
-fn series_of(hier: &Hierarchy, frames: &[Vec<Vec<f32>>], comb: &Combination) -> Vec<f32> {
-    frames
-        .iter()
-        .map(|f| comb.evaluate(hier, &[FrameView::F32(f)]))
-        .collect()
-}
-
 /// Runs the ensemble planning DP.
 ///
 /// * `members` — validation profiles from [`profile_members`] (their
@@ -139,258 +129,126 @@ pub fn plan_ensemble(
         members.len() <= u16::MAX as usize,
         "member index must fit u16"
     );
-    let n_layers = hier.num_layers();
-    assert_eq!(truths.len(), n_layers, "one truth series per layer");
-    let n_samples = truths[0].len();
-    assert!(
-        n_samples > 0,
-        "planning needs at least one validation sample"
-    );
-    for m in members {
-        assert_eq!(
-            m.preds.len(),
-            n_layers,
-            "member pyramid mismatches hierarchy"
-        );
-        assert_eq!(m.preds[0].len(), n_samples, "member sample count mismatch");
-    }
-    let n_members = members.len();
-
-    // each member's own optimal index — the primary candidate source
-    let indexes: Vec<CombinationIndex> = members
+    // each member's own optimal index: the source of every primary
+    let indexes = members
         .iter()
         .map(|m| {
             search_optimal_combinations_margin(hier, &m.preds, truths, opts.strategy, opts.margin)
         })
         .collect();
-    // per-member per-sample frames for combination evaluation
-    let frames: Vec<Vec<Vec<Vec<f32>>>> = members.iter().map(|m| sample_frames(&m.preds)).collect();
-
-    let mut tree = ExtendedQuadTree::new(hier);
-    let mut report = PlanReport {
-        direct_cells: vec![0; n_members],
-        delegated_cells: vec![0; n_members],
-        model_costs: vec![0.0; n_members],
-        ..PlanReport::default()
+    let n_members = members.len();
+    let mut optima = MemberOptima {
+        hier,
+        indexes,
+        frames: members.iter().map(|m| sample_frames(&m.preds)).collect(),
+        report: PlanReport {
+            direct_cells: vec![0; n_members],
+            delegated_cells: vec![0; n_members],
+            model_costs: vec![0.0; n_members],
+            ..PlanReport::default()
+        },
     };
-
-    // previous layer's ensemble optima, cell-major
-    let mut prev_series: Vec<Vec<f32>> = Vec::new();
-    let mut prev_combs: Vec<Combination> = Vec::new();
-
-    for layer in 0..n_layers {
-        let (rows, cols) = hier.layer_dims(layer);
-        let mut series: Vec<Vec<f32>> = Vec::with_capacity(rows * cols);
-        let mut combs: Vec<Combination> = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let cell = LayerCell::new(layer, r, c);
-                let ci = r * cols + c;
-                let truth: Vec<f32> = (0..n_samples).map(|s| truths[layer][s][ci]).collect();
-
-                // primary candidates: each member's own optimum
-                let mut best_m = 0usize;
-                let mut best_sse = f64::INFINITY;
-                let mut best_series: Vec<f32> = Vec::new();
-                for (m, index) in indexes.iter().enumerate() {
-                    let comb = index
-                        .for_cell(cell)
-                        .expect("member index covers every grid");
-                    let s = series_of(hier, &frames[m], comb);
-                    let e = sse(&s, &truth);
-                    report.model_costs[m] += e;
-                    if e < best_sse {
-                        best_sse = e;
-                        best_m = m;
-                        best_series = s;
-                    }
-                }
-                let primary_comb = indexes[best_m]
-                    .for_cell(cell)
-                    .unwrap()
-                    .for_member(best_m as u16);
-
-                // alternative: ensemble-composed from children's ensemble optima
-                let (chosen_series, chosen_comb, chosen_sse) =
-                    if layer == 0 || opts.strategy == SearchStrategy::Direct {
-                        (best_series, primary_comb, best_sse)
-                    } else {
-                        let prev_cols = hier.layer_dims(layer - 1).1;
-                        let mut child_sum = vec![0.0f32; n_samples];
-                        let mut child_parts: Vec<&Combination> = Vec::with_capacity(4);
-                        for ch in hier.children(cell) {
-                            let chi = ch.row * prev_cols + ch.col;
-                            add_into(&mut child_sum, &prev_series[chi]);
-                            child_parts.push(&prev_combs[chi]);
-                        }
-                        let sse_alt = sse(&child_sum, &truth);
-                        if sse_alt < (1.0 - opts.margin) * best_sse {
-                            report.fused_cells += 1;
-                            (child_sum, Combination::union_of(&child_parts), sse_alt)
-                        } else {
-                            (best_series, primary_comb, best_sse)
-                        }
-                    };
-                // classify the surviving primaries for the report
-                if chosen_comb.terms.len() == 1
-                    && chosen_comb.terms[0].cell == cell
-                    && chosen_comb.terms[0].sign == 1
-                {
-                    report.direct_cells[chosen_comb.terms[0].member as usize] += 1;
-                } else if layer > 0
-                    && chosen_comb
-                        == indexes[best_m]
-                            .for_cell(cell)
-                            .unwrap()
-                            .for_member(best_m as u16)
-                {
-                    report.delegated_cells[best_m] += 1;
-                }
-                report.plan_cost += chosen_sse;
-
-                tree.insert_cell(cell, chosen_comb.clone());
-                series.push(chosen_series);
-                combs.push(chosen_comb);
-            }
-        }
-
-        // multi-grids exist for K = 2 only
-        if layer >= 1 && hier.k() == 2 {
-            plan_multi_grids(
-                hier,
-                layer - 1,
-                &prev_series,
-                &prev_combs,
-                &series,
-                &combs,
-                &indexes,
-                &frames,
-                truths,
-                opts,
-                n_samples,
-                &mut tree,
-                &mut report,
-            );
-        }
-
-        prev_series = series;
-        prev_combs = combs;
-    }
-
+    let tree = combination_dp(hier, truths, opts.strategy, opts.margin, &mut optima);
     EnsemblePlan {
         hier: hier.clone(),
         members: members.iter().map(|m| m.name.clone()).collect(),
         strategy: opts.strategy,
         revision: opts.revision,
         tree,
-        report,
+        report: optima.report,
     }
 }
 
-/// Plans every multi-grid of `layer` (parents at `layer + 1`).
-#[allow(clippy::too_many_arguments)]
-fn plan_multi_grids(
-    hier: &Hierarchy,
-    layer: usize,
-    child_series: &[Vec<f32>],
-    child_combs: &[Combination],
-    parent_series: &[Vec<f32>],
-    parent_combs: &[Combination],
-    indexes: &[CombinationIndex],
-    frames: &[Vec<Vec<Vec<f32>>>],
-    truths: &[Vec<Vec<f32>>],
-    opts: &PlanOptions,
-    n_samples: usize,
-    tree: &mut ExtendedQuadTree<Combination>,
-    report: &mut PlanReport,
-) {
-    let (_, child_cols) = hier.layer_dims(layer);
-    let (prows, pcols) = hier.layer_dims(layer + 1);
-    for pr in 0..prows {
-        for pc in 0..pcols {
-            let parent_idx = pr * pcols + pc;
-            for code in ChildCode::ALL.into_iter().filter(|c| c.is_multi()) {
-                let members_rc: Vec<(usize, usize)> = code
-                    .members()
-                    .iter()
-                    .map(|&(dr, dc)| (pr * 2 + dr, pc * 2 + dc))
-                    .collect();
-                let grid_code = GridCode::for_multi_grid(hier, layer, &members_rc)
-                    .expect("members form a valid multi-grid");
-                let mut truth = vec![0.0f32; n_samples];
-                for &(r, c) in &members_rc {
-                    let ci = r * child_cols + c;
-                    for s in 0..n_samples {
-                        truth[s] += truths[layer][s][ci];
-                    }
-                }
+/// The planner's side of [`combination_dp`]: a grid's primary is the
+/// least-SSE member optimum, and its choice fills the [`PlanReport`].
+struct MemberOptima<'a> {
+    hier: &'a Hierarchy,
+    indexes: Vec<CombinationIndex>,
+    /// Per member, its pyramid as per-sample frames.
+    frames: Vec<Vec<Vec<Vec<f32>>>>,
+    report: PlanReport,
+}
 
-                // primary candidates: each member's own multi optimum
-                let mut best_m = 0usize;
-                let mut best_sse = f64::INFINITY;
-                for (m, index) in indexes.iter().enumerate() {
-                    let comb = index
-                        .for_multi(layer, &members_rc)
-                        .expect("member index covers every multi-grid");
-                    let e = sse(&series_of(hier, &frames[m], comb), &truth);
-                    if e < best_sse {
-                        best_sse = e;
-                        best_m = m;
-                    }
-                }
-                let primary = indexes[best_m]
-                    .for_multi(layer, &members_rc)
-                    .unwrap()
-                    .for_member(best_m as u16);
-
-                // ensemble union of the member cells' ensemble optima
-                let mut union_series = vec![0.0f32; n_samples];
-                let mut union_parts: Vec<&Combination> = Vec::with_capacity(3);
-                for &(r, c) in &members_rc {
-                    let ci = r * child_cols + c;
-                    add_into(&mut union_series, &child_series[ci]);
-                    union_parts.push(&child_combs[ci]);
-                }
-                let mut alt_sse = sse(&union_series, &truth);
-                let mut alt = Combination::union_of(&union_parts);
-
-                if opts.strategy == SearchStrategy::UnionSubtraction {
-                    // ensemble subtraction: parent ensemble optimum minus
-                    // the complementary children's ensemble optima
-                    let mut comp_series = vec![0.0f32; n_samples];
-                    let mut comp_parts: Vec<&Combination> = Vec::new();
-                    let member_set: std::collections::HashSet<(usize, usize)> =
-                        members_rc.iter().copied().collect();
-                    for ch in hier.children(LayerCell::new(layer + 1, pr, pc)) {
-                        if !member_set.contains(&(ch.row, ch.col)) {
-                            let ci = ch.row * child_cols + ch.col;
-                            add_into(&mut comp_series, &child_series[ci]);
-                            comp_parts.push(&child_combs[ci]);
-                        }
-                    }
-                    let sub_series: Vec<f32> = (0..n_samples)
-                        .map(|s| parent_series[parent_idx][s] - comp_series[s])
-                        .collect();
-                    let sub_sse = sse(&sub_series, &truth);
-                    if sub_sse < (1.0 - opts.margin) * alt_sse {
-                        let comp = Combination::union_of(&comp_parts);
-                        alt = Combination::subtract(&parent_combs[parent_idx], &comp);
-                        alt_sse = sub_sse;
-                    }
-                }
-
-                let chosen = if alt_sse < (1.0 - opts.margin) * best_sse {
-                    alt
-                } else {
-                    primary
-                };
-                report.multi_entries += 1;
-                if chosen.uses_subtraction() {
-                    report.subtraction_multis += 1;
-                }
-                tree.insert(&grid_code, chosen);
+impl MemberOptima<'_> {
+    /// The member optimum `entry` picks from each member's index with the
+    /// least SSE against `truth`, read from that member: starting from
+    /// member 0, a member replaces the best so far when it [`beats`] it
+    /// with no margin, so ties go to the lower member. Each member's
+    /// combination is evaluated per sample through
+    /// [`Combination::evaluate`]; with `charge`, each member's SSE is
+    /// added to its `model_costs`.
+    fn best(
+        &mut self,
+        truth: &[f32],
+        charge: bool,
+        entry: impl Fn(&CombinationIndex) -> Option<&Combination>,
+    ) -> Candidate {
+        let mut best: Option<(u16, &Combination, Vec<f32>, f64)> = None;
+        for (m, index) in self.indexes.iter().enumerate() {
+            let comb = entry(index).expect("member index covers every grid");
+            let series: Vec<f32> = self.frames[m]
+                .iter()
+                .map(|f| comb.evaluate(self.hier, &[FrameView::F32(f)]))
+                .collect();
+            let e = sse(&series, truth);
+            if charge {
+                self.report.model_costs[m] += e;
+            }
+            if best.as_ref().is_none_or(|&(.., b)| beats(e, b, 0.0)) {
+                best = Some((m as u16, comb, series, e));
             }
         }
+        let (m, comb, series, sse) = best.expect("ensemble has a member");
+        Candidate {
+            series,
+            comb: comb.for_member(m),
+            sse,
+        }
+    }
+}
+
+impl Primaries for MemberOptima<'_> {
+    fn cell(&mut self, cell: LayerCell, truth: &[f32]) -> Candidate {
+        self.best(truth, true, |index| index.for_cell(cell))
+    }
+
+    fn multi(
+        &mut self,
+        layer: usize,
+        members: &[(usize, usize)],
+        truth: &[f32],
+    ) -> Option<Candidate> {
+        Some(self.best(truth, false, |index| index.for_multi(layer, members)))
+    }
+
+    /// A grid served as its primary's single own-scale term counts as
+    /// direct for that member; one served as the member's composed
+    /// optimum, term for term, counts as delegated, fused or not.
+    fn chose(&mut self, cell: LayerCell, primary: &Candidate, choice: Choice<'_>) {
+        let m = primary.comb.terms[0].member;
+        let chosen = match choice {
+            Choice::Children(children) => {
+                self.report.fused_cells += 1;
+                children
+            }
+            Choice::Only | Choice::Primary => primary,
+        };
+        let own = Term {
+            cell,
+            sign: 1,
+            member: m,
+        };
+        if chosen.comb.terms == [own] {
+            self.report.direct_cells[m as usize] += 1;
+        } else if chosen.comb == primary.comb {
+            self.report.delegated_cells[m as usize] += 1;
+        }
+        self.report.plan_cost += chosen.sse;
+    }
+
+    fn chose_multi(&mut self, chosen: &Combination) {
+        self.report.multi_entries += 1;
+        self.report.subtraction_multis += usize::from(chosen.uses_subtraction());
     }
 }
 
@@ -609,6 +467,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_nan_member_grid_never_beats_a_number() {
+        // member 0 is exact everywhere but atomic (0, 0), which is NaN on
+        // every sample; member 1 is noisy everywhere. The NaN cell goes to
+        // member 1, and its parent to member 0's own exact prediction.
+        let hier = hier4();
+        let (mut nan, truths) = make_series(&hier, 3, &[0, 1, 2], 0.0);
+        for frame in &mut nan[0] {
+            frame[0] = f32::NAN;
+        }
+        let (noisy, _) = make_series(&hier, 3, &[], 1.0);
+        let views: Vec<Vec<Vec<f32>>> = [&nan, &noisy]
+            .iter()
+            .map(|p| p.iter().map(|layer| layer[0].clone()).collect())
+            .collect();
+        let views: Vec<FrameView<'_>> = views.iter().map(|v| FrameView::F32(v)).collect();
+        for strategy in [SearchStrategy::Union, SearchStrategy::UnionSubtraction] {
+            let plan = plan_ensemble(
+                &hier,
+                &[profile("nan", nan.clone()), profile("noisy", noisy.clone())],
+                &truths,
+                &PlanOptions {
+                    strategy,
+                    ..PlanOptions::default()
+                },
+            );
+            let atom = LayerCell::new(0, 0, 0);
+            let own = Combination::single(atom).for_member(1);
+            assert_eq!(plan.for_cell(atom), Some(&own), "{strategy:?}");
+            let cell = LayerCell::new(1, 0, 0);
+            let comb = plan.for_cell(cell).unwrap();
+            assert_eq!(comb, &Combination::single(cell), "{strategy:?}");
+            assert_eq!(comb.evaluate(&hier, &views), 4.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction frame length at layer 0")]
+    fn a_wider_member_raster_is_rejected() {
+        // a 32x32 member pyramid against a 16x16 hierarchy, both five
+        // layers deep at max scale 16
+        let hier = Hierarchy::with_max_scale(16, 16, 2, 16).unwrap();
+        let wide = Hierarchy::with_max_scale(32, 32, 2, 16).unwrap();
+        let (preds, _) = make_series(&wide, 2, &[0], 1.0);
+        let (_, truths) = make_series(&hier, 2, &[0], 1.0);
+        plan_ensemble(
+            &hier,
+            &[profile("wide", preds)],
+            &truths,
+            &PlanOptions::default(),
+        );
     }
 
     #[test]
