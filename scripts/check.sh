@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repository gate: release build, full test suite, formatting, lints on
-# the crates the parallel runtime touches, and warning-free rustdoc. Run
-# from anywhere; the script cd's to the repo root. Every step runs even
-# when an earlier one fails: the failed steps are listed at the end, and
-# the script then exits non-zero.
+# every workspace crate, the root package and the vendored rand shim, and
+# warning-free rustdoc. Run from anywhere; the script cd's to the repo
+# root. Every step runs even when an earlier one fails: the failed steps
+# are listed at the end, and the script then exits non-zero.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -92,12 +92,9 @@ step "O4A_ISA=scalar kernel identity proptests + training pins (and O4A_THREADS=
 
 step "cargo fmt --check" cargo fmt --check
 
-# Lint the crates touched by the parallel compute runtime and the
-# serving layer, the grid crate, whose packed-mask bit manipulation runs
-# on every decomposition-cache miss, the model crate and the root package
-# with its examples and integration tests, and the synthetic-data crate
-# with the rand shim it draws from (`-p rand` lints the shim although it
-# is not a workspace member).
+# Lint every workspace crate, the root package with its examples and
+# integration tests, and the rand shim the synthetic data draws from
+# (`-p rand` lints the shim although it is not a workspace member).
 step "cargo clippy -D warnings (tensor, nn, core, bench, serve, obs, ensemble, grid, data, models, root, rand)" \
     cargo clippy --release -p o4a-tensor -p o4a-nn -p o4a-core -p o4a-bench \
     -p o4a-serve -p o4a-obs -p o4a-ensemble -p o4a-grid -p o4a-data \
@@ -240,7 +237,10 @@ step "query-path gate (engine query_many <= 2.5x bare interpret)" query_path_gat
 # member's, and (3) plan-resolved lookup within 5% of single-model
 # lookup (the bench gates on a single-member plan that provably serves
 # identical terms, so the ratio is pure plan-machinery overhead, and it
-# asserts bit-identity between the two backends before timing).
+# asserts bit-identity between the two backends before timing). The
+# summary line also prints the plan build time, with no bound, so every
+# log shows what planning costs; the bench writes it in exponent form
+# (`1.767716e-2`), which the digit filter below would mangle.
 ensemble_gate() {
     cargo test -q -p o4a-ensemble --test two_model_e2e
     ./target/release/ensemble --quick --out "$KSMOKE_DIR/BENCH_ensemble.json" \
@@ -251,8 +251,10 @@ ensemble_gate() {
         /"best_single_rmse"/  { gsub(/[^0-9.]/, "", $2); best = $2 + 0 }
         /"ensemble_rmse"/     { gsub(/[^0-9.]/, "", $2); ens = $2 + 0 }
         /"overhead_vs_single"/ { gsub(/[^0-9.]/, "", $2); ovh = $2 + 0 }
+        /"plan_build_secs"/   { sub(/,$/, "", $2); plan = $2 + 0 }
         END {
-            printf "ensemble rmse %.4f vs best single %.4f, lookup overhead %.3fx\n", ens, best, ovh
+            printf "ensemble rmse %.4f vs best single %.4f, lookup overhead %.3fx, plan build %.2f ms\n", \
+                ens, best, ovh, plan * 1e3
             if (ens > best) { print "FAIL: ensemble rmse worse than best single member"; exit 1 }
             if (ovh > 1.05) { print "FAIL: plan-resolved lookup >5% over single-model"; exit 1 }
         }
