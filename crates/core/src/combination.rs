@@ -251,7 +251,7 @@ pub fn beats(alt: f64, base: f64, margin: f64) -> bool {
 /// Asserts that `pyramid[layer][sample]` holds `n_samples` frames on every
 /// layer of `hier`, each `hier.layer_len(layer)` cells long, naming `what`
 /// and the layer on a mismatch.
-pub fn assert_pyramid(hier: &Hierarchy, pyramid: &[Vec<Vec<f32>>], n_samples: usize, what: &str) {
+fn assert_pyramid(hier: &Hierarchy, pyramid: &[Vec<Vec<f32>>], n_samples: usize, what: &str) {
     assert_eq!(
         pyramid.len(),
         hier.num_layers(),
@@ -284,7 +284,7 @@ pub struct Candidate {
 
 impl Candidate {
     /// Scores `series` against the grid's `truth`.
-    pub fn new(series: Vec<f32>, comb: Combination, truth: &[f32]) -> Self {
+    fn new(series: Vec<f32>, comb: Combination, truth: &[f32]) -> Self {
         let sse = sse(&series, truth);
         Candidate { series, comb, sse }
     }
