@@ -9,15 +9,14 @@
 //!
 //! This crate combines the two ideas:
 //!
-//! * [`planner::plan_ensemble`] generalizes the combination DP with a
-//!   "which model" axis: every tile's candidate set is the cross product
-//!   of the member models' own optimal combinations plus ensemble-level
-//!   compositions of its children (which may mix models). The result is an
-//!   [`plan::EnsemblePlan`] mapping every hierarchical grid (and, for
-//!   `K = 2`, every multi-grid) to its cheapest
-//!   [`o4a_core::combination::Combination`] on the validation window,
-//!   whose terms may read different members, with a [`plan::PlanReport`]
-//!   cost breakdown.
+//! * [`planner::plan_ensemble`] runs the combination DP with a "which
+//!   model" axis: a tile's candidates are each member model's own
+//!   optimal combination plus the ensemble compositions of its children
+//!   (which may mix models). The result is an [`plan::EnsemblePlan`]
+//!   mapping every hierarchical grid (and, for `K = 2`, every
+//!   multi-grid) to its cheapest [`o4a_core::combination::Combination`]
+//!   on the validation window, whose terms may read different members,
+//!   with a [`plan::PlanReport`] cost breakdown.
 //! * [`codec`] persists the plan as a versioned `O4AENS01` artifact with
 //!   the workspace's usual FNV-1a integrity trailer and a total,
 //!   never-panicking decoder.
