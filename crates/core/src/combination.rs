@@ -72,15 +72,6 @@ impl Combination {
         }
     }
 
-    /// Concatenates combinations (set union of their terms).
-    pub fn union_of(parts: &[&Combination]) -> Self {
-        let mut terms = Vec::with_capacity(parts.iter().map(|p| p.terms.len()).sum());
-        for p in parts {
-            terms.extend_from_slice(&p.terms);
-        }
-        Combination { terms }
-    }
-
     /// `base - negated`: appends the negated combination with flipped signs.
     pub fn subtract(base: &Combination, negated: &Combination) -> Self {
         let mut terms = base.terms.clone();
@@ -234,13 +225,6 @@ pub fn sse(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// Adds `src` into `dst` elementwise.
-fn add_into(dst: &mut [f32], src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// Whether a candidate with SSE `alt` replaces one with SSE `base` under
 /// the relative selection `margin`: `alt < (1 - margin) * base`, except
 /// that a NaN never replaces a number and any number replaces a NaN.
@@ -296,22 +280,12 @@ fn union<'a>(parts: impl IntoIterator<Item = &'a Candidate>, n: usize) -> (Vec<f
     let mut series = vec![0.0f32; n];
     let mut terms = Vec::new();
     for p in parts {
-        add_into(&mut series, &p.series);
+        for (s, &x) in series.iter_mut().zip(&p.series) {
+            *s += x;
+        }
         terms.extend_from_slice(&p.comb.terms);
     }
     (series, Combination { terms })
-}
-
-/// How [`combination_dp`] resolved a single grid.
-#[derive(Debug, Clone, Copy)]
-pub enum Choice<'a> {
-    /// The primary was the only candidate: the atomic layer, or
-    /// [`SearchStrategy::Direct`].
-    Only,
-    /// The primary beat the union of the children's optima.
-    Primary,
-    /// This union of the children's optima beat the primary.
-    Children(&'a Candidate),
 }
 
 /// What [`combination_dp`] asks of its caller and tells it, grid by grid.
@@ -332,10 +306,11 @@ pub trait Primaries {
         let _ = (layer, members, truth);
         None
     }
-    /// How single grid `cell` with the given primary was resolved.
-    fn chose(&mut self, cell: LayerCell, primary: &Candidate, choice: Choice<'_>);
-    /// The combination a multi-grid resolved to.
-    fn chose_multi(&mut self, chosen: &Combination);
+    /// Single grid `cell` with this primary resolved to `chosen`: the
+    /// primary itself or the union of the children's optima.
+    fn chose(&mut self, cell: LayerCell, primary: &Candidate, chosen: &Candidate) {
+        let _ = (cell, primary, chosen);
+    }
 }
 
 /// The bottom-up combination DP (Lemma 4.2) over the validation window
@@ -349,18 +324,25 @@ pub trait Primaries {
 /// other children's optima (Eq. 14) if that [`beats`] the union; and the
 /// caller's primary, if any, unless the result beats it. An alternative
 /// replaces what it competes with only when it [`beats`] it by `margin`.
+///
+/// Returns the tree of optima and the count of its choices: the grids
+/// that kept their primary over the children's union (`direct_cells`) or
+/// took the union (`composed_cells`), neither counting the atomic layer
+/// or [`SearchStrategy::Direct`], and the multi-grid entries, of which
+/// `subtraction_multis` subtract.
 pub fn combination_dp(
     hier: &Hierarchy,
     truths: &[Vec<Vec<f32>>],
     strategy: SearchStrategy,
     margin: f64,
     caller: &mut impl Primaries,
-) -> ExtendedQuadTree<Combination> {
+) -> (ExtendedQuadTree<Combination>, SearchReport) {
     assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1)");
     let n = truths.first().map_or(0, Vec::len);
     assert!(n > 0, "search needs at least one validation sample");
     assert_pyramid(hier, truths, n, "truth");
     let mut tree = ExtendedQuadTree::new(hier);
+    let mut report = SearchReport::default();
     // the previous layer's optima, cell-major
     let mut prev: Vec<Candidate> = Vec::new();
     for layer in 0..hier.num_layers() {
@@ -371,21 +353,20 @@ pub fn combination_dp(
             let cell = LayerCell::new(layer, ci / cols, ci % cols);
             let truth: Vec<f32> = truths[layer].iter().map(|f| f[ci]).collect();
             let primary = caller.cell(cell, &truth);
-            let chosen = if layer == 0 || strategy == SearchStrategy::Direct {
-                caller.chose(cell, &primary, Choice::Only);
-                primary
-            } else {
+            let mut fused = None;
+            if layer > 0 && strategy != SearchStrategy::Direct {
                 let parts = hier.children(cell).into_iter();
                 let (series, comb) = union(parts.map(|ch| &prev[ch.row * prev_cols + ch.col]), n);
                 let children = Candidate::new(series, comb, &truth);
                 if beats(children.sse, primary.sse, margin) {
-                    caller.chose(cell, &primary, Choice::Children(&children));
-                    children
+                    report.composed_cells += 1;
+                    fused = Some(children);
                 } else {
-                    caller.chose(cell, &primary, Choice::Primary);
-                    primary
+                    report.direct_cells += 1;
                 }
-            };
+            }
+            caller.chose(cell, &primary, fused.as_ref().unwrap_or(&primary));
+            let chosen = fused.unwrap_or(primary);
             tree.insert_cell(cell, chosen.comb.clone());
             opt.push(chosen);
         }
@@ -421,7 +402,8 @@ pub fn combination_dp(
                             best = primary;
                         }
                     }
-                    caller.chose_multi(&best.comb);
+                    report.multi_entries += 1;
+                    report.subtraction_multis += usize::from(best.comb.uses_subtraction());
                     let code = GridCode::for_multi_grid(hier, layer - 1, &members)
                         .expect("members form a valid multi-grid");
                     tree.insert(&code, best.comb);
@@ -430,7 +412,7 @@ pub fn combination_dp(
         }
         prev = opt;
     }
-    tree
+    (tree, report)
 }
 
 /// The search's side of [`combination_dp`]: each grid's own prediction is
@@ -438,7 +420,6 @@ pub fn combination_dp(
 struct OwnScale<'a> {
     hier: &'a Hierarchy,
     preds: &'a [Vec<Vec<f32>>],
-    report: SearchReport,
 }
 
 impl Primaries for OwnScale<'_> {
@@ -446,19 +427,6 @@ impl Primaries for OwnScale<'_> {
         let ci = cell.row * self.hier.layer_dims(cell.layer).1 + cell.col;
         let series = self.preds[cell.layer].iter().map(|f| f[ci]).collect();
         Candidate::new(series, Combination::single(cell), truth)
-    }
-
-    fn chose(&mut self, _: LayerCell, _: &Candidate, choice: Choice<'_>) {
-        match choice {
-            Choice::Only => {}
-            Choice::Primary => self.report.direct_cells += 1,
-            Choice::Children(_) => self.report.composed_cells += 1,
-        }
-    }
-
-    fn chose_multi(&mut self, chosen: &Combination) {
-        self.report.multi_entries += 1;
-        self.report.subtraction_multis += usize::from(chosen.uses_subtraction());
     }
 }
 
@@ -496,17 +464,18 @@ pub fn search_optimal_combinations_margin(
 ) -> CombinationIndex {
     let n = truths.first().map_or(0, Vec::len);
     assert_pyramid(hier, preds, n, "prediction");
-    let mut own = OwnScale {
+    let (tree, report) = combination_dp(
         hier,
-        preds,
-        report: SearchReport::default(),
-    };
-    let tree = combination_dp(hier, truths, strategy, margin, &mut own);
+        truths,
+        strategy,
+        margin,
+        &mut OwnScale { hier, preds },
+    );
     CombinationIndex {
         hier: hier.clone(),
         tree,
         strategy,
-        report: own.report,
+        report,
     }
 }
 

@@ -27,7 +27,7 @@
 
 use crate::plan::{EnsemblePlan, PlanReport};
 use o4a_core::combination::{
-    beats, combination_dp, search_optimal_combinations_margin, sse, Candidate, Choice, Combination,
+    beats, combination_dp, search_optimal_combinations_margin, sse, Candidate, Combination,
     CombinationIndex, Primaries, SearchStrategy, Term,
 };
 use o4a_core::frames::FrameView;
@@ -148,19 +148,25 @@ pub fn plan_ensemble(
             ..PlanReport::default()
         },
     };
-    let tree = combination_dp(hier, truths, opts.strategy, opts.margin, &mut optima);
+    let (tree, counts) = combination_dp(hier, truths, opts.strategy, opts.margin, &mut optima);
     EnsemblePlan {
         hier: hier.clone(),
         members: members.iter().map(|m| m.name.clone()).collect(),
         strategy: opts.strategy,
         revision: opts.revision,
         tree,
-        report: optima.report,
+        report: PlanReport {
+            fused_cells: counts.composed_cells,
+            multi_entries: counts.multi_entries,
+            subtraction_multis: counts.subtraction_multis,
+            ..optima.report
+        },
     }
 }
 
 /// The planner's side of [`combination_dp`]: a grid's primary is the
-/// least-SSE member optimum, and its choice fills the [`PlanReport`].
+/// least-SSE member optimum, and its choices fill the per-member fields
+/// and the cost of the [`PlanReport`].
 struct MemberOptima<'a> {
     hier: &'a Hierarchy,
     indexes: Vec<CombinationIndex>,
@@ -224,15 +230,8 @@ impl Primaries for MemberOptima<'_> {
     /// A grid served as its primary's single own-scale term counts as
     /// direct for that member; one served as the member's composed
     /// optimum, term for term, counts as delegated, fused or not.
-    fn chose(&mut self, cell: LayerCell, primary: &Candidate, choice: Choice<'_>) {
+    fn chose(&mut self, cell: LayerCell, primary: &Candidate, chosen: &Candidate) {
         let m = primary.comb.terms[0].member;
-        let chosen = match choice {
-            Choice::Children(children) => {
-                self.report.fused_cells += 1;
-                children
-            }
-            Choice::Only | Choice::Primary => primary,
-        };
         let own = Term {
             cell,
             sign: 1,
@@ -244,11 +243,6 @@ impl Primaries for MemberOptima<'_> {
             self.report.delegated_cells[m as usize] += 1;
         }
         self.report.plan_cost += chosen.sse;
-    }
-
-    fn chose_multi(&mut self, chosen: &Combination) {
-        self.report.multi_entries += 1;
-        self.report.subtraction_multis += usize::from(chosen.uses_subtraction());
     }
 }
 
