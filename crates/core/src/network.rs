@@ -219,30 +219,14 @@ impl One4AllNet {
         Tensor::concat_channels(&[&gc, &gp, &gt]).expect("input grads concat")
     }
 
-    /// All trainable parameters. In hierarchical mode the direct
+    /// All trainable parameters, collected from the network's one walk
+    /// ([`TrainNet::visit_params`]). In hierarchical mode the direct
     /// downsamplers are excluded (they are unused), and vice versa, so
     /// parameter counts reflect the active architecture.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv_c.params_mut();
-        p.extend(self.conv_p.params_mut());
-        p.extend(self.conv_t.params_mut());
-        p.extend(self.fuse.params_mut());
-        if self.cfg.hierarchical {
-            for m in &mut self.merges {
-                p.extend(m.params_mut());
-            }
-        } else {
-            for m in &mut self.directs {
-                p.extend(m.params_mut());
-            }
-        }
-        for b in &mut self.blocks {
-            p.extend(b.params_mut());
-        }
-        for h in &mut self.heads {
-            p.extend(h.params_mut());
-        }
-        p
+        let mut params = Vec::new();
+        self.visit_params(&mut |p| params.push(p));
+        params
     }
 }
 
@@ -256,7 +240,7 @@ impl TrainNet for One4AllNet {
         self.backward_multi(grads);
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         for conv in [
             &mut self.conv_c,
             &mut self.conv_p,

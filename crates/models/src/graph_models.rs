@@ -78,9 +78,7 @@ impl Module for GridToNodes {
         Tensor::from_vec(out, &shape).expect("grid view shape")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Reinterprets `[n, h*w, 1]` back to `[n, 1, h, w]`.
@@ -114,9 +112,7 @@ impl Module for NodesToGrid {
             .expect("node reshape")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Applies a shared [`Linear`] to every node: `[n, v, f_in] -> [n, v, f_out]`.
@@ -155,8 +151,8 @@ impl Module for NodeLinear {
         gi.reshape(&[n, v, f_in]).expect("unflatten grads")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.lin.params_mut()
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.lin.visit_params(f);
     }
 }
 
@@ -190,10 +186,9 @@ impl Module for MultiGraphConv {
         ga.add(&gb).expect("multi-graph grads align")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.g1.params_mut();
-        p.extend(self.g2.params_mut());
-        p
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.g1.visit_params(f);
+        self.g2.visit_params(f);
     }
 }
 
@@ -282,10 +277,9 @@ impl Module for HybridGraphConv {
         ga.add(&gb).expect("hybrid grads align")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.fixed.params_mut();
-        p.extend(self.adaptive.params_mut());
-        p
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.fixed.visit_params(f);
+        self.adaptive.visit_params(f);
     }
 }
 

@@ -75,9 +75,7 @@ impl Module for NodesToGridFeat {
         Tensor::from_vec(out, &[n, v, f]).expect("node feat shape")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// The bi-scale network. `forward2` returns `(fine, coarse)` predictions.
@@ -209,7 +207,7 @@ impl TrainNet for McStgcnNet {
         self.backward2(&grads[0], &grads[1]);
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         self.fine_gc.visit_params(f);
         self.merge.visit_params(f);
         self.coarse_gc.visit_params(f);

@@ -95,8 +95,8 @@ impl Default for TrainConfig {
 ///
 /// One forward pass yields one prediction per output, the backward pass
 /// takes one upstream gradient per output, and the parameter walk visits
-/// every trainable parameter in the order of the network's `params_mut`
-/// (Adam's state is positional).
+/// every trainable parameter in one fixed order (Adam's state is
+/// positional).
 pub trait TrainNet {
     /// Forward pass over a batch: pushes one prediction per output onto
     /// `outs`, in output order.
@@ -106,8 +106,10 @@ pub trait TrainNet {
     /// gradient per output, in output order.
     fn backward_batch(&mut self, grads: &[Tensor]);
 
-    /// Calls `f` once per trainable parameter, in `params_mut` order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+    /// Calls `f` once per trainable parameter, in a fixed order, without
+    /// allocating: the network's one parameter walk, which its saved
+    /// weights and gradient checks read too.
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
 
     /// Total number of trainable scalars.
     fn num_params(&mut self) -> usize {
@@ -127,7 +129,7 @@ impl TrainNet for Box<dyn Module> {
         self.backward(&grads[0]);
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         Module::visit_params(self.as_mut(), f);
     }
 }

@@ -85,14 +85,13 @@ impl Module for StMetaNet {
         Tensor::concat_channels(&[&gc, &gp, &gt]).expect("view grads concat")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.enc_c.params_mut();
-        p.extend(self.enc_p.params_mut());
-        p.extend(self.enc_t.params_mut());
-        p.extend(self.se.params_mut());
-        p.extend(self.gc.params_mut());
-        p.extend(self.head.params_mut());
-        p
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.enc_c.visit_params(f);
+        self.enc_p.visit_params(f);
+        self.enc_t.visit_params(f);
+        self.se.visit_params(f);
+        self.gc.visit_params(f);
+        self.head.visit_params(f);
     }
 }
 

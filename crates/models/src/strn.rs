@@ -67,13 +67,12 @@ impl Module for StrnNet {
         self.conv_in.backward(&self.relu.backward(&g_h))
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv_in.params_mut();
-        p.extend(self.se_fine.params_mut());
-        p.extend(self.merge.params_mut());
-        p.extend(self.se_coarse.params_mut());
-        p.extend(self.head.params_mut());
-        p
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.conv_in.visit_params(f);
+        self.se_fine.visit_params(f);
+        self.merge.visit_params(f);
+        self.se_coarse.visit_params(f);
+        self.head.visit_params(f);
     }
 }
 

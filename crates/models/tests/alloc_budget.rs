@@ -10,6 +10,13 @@
 //!    ([`o4a_tensor::pool::set_enabled`]) changes where buffers come from
 //!    but not a single output bit.
 //!
+//! A third holds for every layer type, not only the ones this `fit()`
+//! runs: **the parameter walk allocates nothing**, so `zero_grad()` and
+//! `num_params()` over a `Sequential` holding every layer type of
+//! `o4a-nn` and `o4a-models` make zero allocations. Each training step
+//! walks the parameters up to four times (zero-grad, the clip norm, the
+//! clip scale, Adam).
+//!
 //! This file deliberately contains exactly ONE `#[test]`: the counting
 //! global allocator is process-wide, and a concurrently running test
 //! would pollute the delta.
@@ -22,6 +29,9 @@ use o4a_nn::module::Module;
 use o4a_nn::Sequential;
 use o4a_obs::CountingAlloc;
 use o4a_tensor::{parallel, pool, SeededRng};
+
+#[path = "support/every_layer.rs"]
+mod every_layer;
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc::new();
@@ -111,6 +121,18 @@ fn train_steady_state_allocates_nothing() {
         bits(&preds_long),
         bits(&preds_nopool),
         "disabling the pool changed training results"
+    );
+
+    let mut net = every_layer::every_layer(&mut SeededRng::new(9));
+    net.zero_grad();
+    let before = A.allocations();
+    net.zero_grad();
+    let scalars = net.num_params();
+    let walk_allocs = A.allocations() - before;
+    assert!(scalars > 0);
+    assert_eq!(
+        walk_allocs, 0,
+        "zero_grad + num_params over every layer type allocated {walk_allocs} times"
     );
 
     parallel::set_threads(0);

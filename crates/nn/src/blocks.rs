@@ -74,11 +74,7 @@ impl Module for ConvBlock {
         self.conv.backward(&g)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.conv.params_mut()
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         self.conv.visit_params(f);
     }
 }
@@ -121,13 +117,7 @@ impl Module for ResBlock {
         g.add(grad_output).expect("ResBlock grad shapes")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv1.params_mut();
-        p.extend(self.conv2.params_mut());
-        p
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         self.conv1.visit_params(f);
         self.conv2.visit_params(f);
     }
@@ -276,15 +266,7 @@ impl Module for SeBlock {
         g.add(grad_output).expect("SeBlock grad shapes")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv1.params_mut();
-        p.extend(self.conv2.params_mut());
-        p.extend(self.fc1.params_mut());
-        p.extend(self.fc2.params_mut());
-        p
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         self.conv1.visit_params(f);
         self.conv2.visit_params(f);
         self.fc1.visit_params(f);

@@ -127,8 +127,8 @@ mod tests {
             self.w.accumulate(&Tensor::from_slice(&[gw]));
             grad_output.scale(self.w.value.data()[0])
         }
-        fn params_mut(&mut self) -> Vec<&mut Param> {
-            vec![&mut self.w]
+        fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+            f(&mut self.w);
         }
     }
 
@@ -151,9 +151,7 @@ mod tests {
         fn backward(&mut self, grad_output: &Tensor) -> Tensor {
             Tensor::zeros(grad_output.shape())
         }
-        fn params_mut(&mut self) -> Vec<&mut Param> {
-            Vec::new()
-        }
+        fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
     }
 
     #[test]

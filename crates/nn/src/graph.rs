@@ -128,8 +128,8 @@ impl Module for GraphConv {
         Tensor::from_vec(grad_in, &[n, v, f]).expect("graph conv grad")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.weight);
     }
 }
 
@@ -267,8 +267,10 @@ impl Module for AdaptiveGraphConv {
         Tensor::from_vec(grad_in, &[n, v, f]).expect("adaptive grad")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.e1, &mut self.e2, &mut self.weight]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.e1);
+        f(&mut self.e2);
+        f(&mut self.weight);
     }
 }
 
@@ -413,8 +415,10 @@ impl Module for NodeAttention {
         Tensor::from_vec(grad_in, &[n, nodes, f]).expect("attention grad")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.wq, &mut self.wk, &mut self.wv]
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.wq);
+        f(&mut self.wk);
+        f(&mut self.wv);
     }
 }
 

@@ -109,11 +109,7 @@ impl Module for Conv2d {
         std::mem::replace(&mut self.grads.grad_input, Tensor::empty())
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -195,11 +191,7 @@ impl Module for Linear {
             .expect("Linear dX shapes")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -250,9 +242,7 @@ impl Module for Relu {
         out
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Logistic sigmoid activation.
@@ -300,9 +290,7 @@ impl Module for Sigmoid {
         g
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Hyperbolic tangent activation.
@@ -350,9 +338,7 @@ impl Module for Tanh {
         g
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
@@ -420,9 +406,7 @@ impl Module for GlobalAvgPool {
         out
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Nearest-neighbour upsampling by an integer factor (the cross-scale
@@ -448,9 +432,7 @@ impl Module for Upsample {
         upsample_nearest_backward(grad_output, self.factor).expect("Upsample backward")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 /// Flattens `[n, ...]` to `[n, prod(...)]` (and unflattens on backward).
@@ -493,9 +475,7 @@ impl Module for Flatten {
             .expect("unflatten reshape")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
+    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
 #[cfg(test)]

@@ -15,6 +15,10 @@ use o4a_tensor::Tensor;
 ///    respect to the module input.
 /// 3. `backward` must be preceded by a matching `forward`; modules panic on
 ///    a missing cache because that is a programming error in the caller.
+/// 4. [`Module::visit_params`] is the module's one parameter walk. Training
+///    ([`crate::optim`]), gradient checks ([`crate::gradcheck`]) and saved
+///    weights ([`crate::persist`]) all read the parameters through it, so
+///    they agree on the order by construction.
 ///
 /// Modules are `Send` so multi-scale ensembles can train one model per
 /// hierarchy layer on worker threads (crossbeam scoped threads in
@@ -27,21 +31,19 @@ pub trait Module: Send {
     /// gradient.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
-    /// Mutable access to all trainable parameters (used by optimizers).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
+    /// Calls `f` once per trainable parameter, in a fixed order, without
+    /// allocating. It has no default, so a layer with parameters cannot
+    /// leave them untrained by omission; a parameterless layer writes an
+    /// empty body.
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
 
-    /// Visits every trainable parameter in the same fixed order as
-    /// [`Module::params_mut`] without materialising a `Vec`.
-    ///
-    /// Per-step optimizer sweeps ([`crate::optim::Adam::step_walk`],
-    /// [`crate::optim::clip_grad_norm_walk`]) run through this so the
-    /// training loop allocates nothing at steady state; hot-path layers and
-    /// containers override it, everything else inherits the
-    /// `params_mut`-backed default.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
+    /// Every trainable parameter in [`Module::visit_params`] order,
+    /// collected for callers that index them (gradient checks,
+    /// [`crate::persist`]). Implementations keep this default.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = Vec::new();
+        self.visit_params(&mut |p| params.push(p));
+        params
     }
 
     /// Clears every parameter gradient.
@@ -113,14 +115,7 @@ impl Module for Sequential {
         g
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
         }

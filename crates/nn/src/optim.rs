@@ -152,9 +152,8 @@ mod tests {
         assert!((p.grad.norm_sq().sqrt() - 1.0).abs() < 1e-5);
     }
 
-    /// A module's walk visits its parameters in `params_mut` order, so
-    /// stepping through the walk and through the collected slice updates
-    /// every weight alike.
+    /// Stepping through a module's walk and through the slice that
+    /// `params_mut` collects from it updates every weight alike.
     #[test]
     fn walk_matches_slice_step_bitwise() {
         use crate::layers::{Conv2d, Relu};

@@ -1,6 +1,7 @@
-//! Weight persistence: serialize and restore a parameter list, such as a
-//! [`Module`](crate::module::Module)'s or a multi-output network's
-//! `params_mut()`.
+//! Weight persistence: serialize and restore a parameter list, such as
+//! the one [`Module::params_mut`](crate::module::Module::params_mut)
+//! collects from a network's parameter walk, so the stream holds the
+//! parameters in the order training visits them.
 //!
 //! The format is a little-endian stream of raw `f32` parameter buffers,
 //! prefixed by per-parameter lengths so loading validates that the target
