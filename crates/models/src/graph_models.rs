@@ -18,6 +18,24 @@ use o4a_nn::param::Param;
 use o4a_nn::Sequential;
 use o4a_tensor::{SeededRng, Tensor};
 
+/// Transposes each of the `[a, b]` matrices that tile `t`'s buffer and
+/// shapes the result `shape`.
+fn transpose_each(t: &Tensor, a: usize, b: usize, shape: &[usize]) -> Tensor {
+    let mut out = vec![0.0f32; t.len()];
+    for (src, dst) in t
+        .data()
+        .chunks_exact(a * b)
+        .zip(out.chunks_exact_mut(a * b))
+    {
+        for i in 0..a {
+            for j in 0..b {
+                dst[j * a + i] = src[i * b + j];
+            }
+        }
+    }
+    Tensor::from_vec(out, shape).expect("transposed shape")
+}
+
 /// Reinterprets `[n, c, h, w]` as `[n, h*w, c]` (nodes x features).
 pub struct GridToNodes {
     shape: Option<Vec<usize>>,
@@ -46,17 +64,7 @@ impl Module for GridToNodes {
             input.shape()[3],
         );
         self.shape = Some(input.shape().to_vec());
-        let plane = h * w;
-        let mut out = vec![0.0f32; n * plane * c];
-        for b in 0..n {
-            for ch in 0..c {
-                let src = &input.data()[(b * c + ch) * plane..(b * c + ch + 1) * plane];
-                for (p, &v) in src.iter().enumerate() {
-                    out[(b * plane + p) * c + ch] = v;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, plane, c]).expect("node view shape")
+        transpose_each(input, c, h * w, &[n, h * w, c])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -64,24 +72,14 @@ impl Module for GridToNodes {
             .shape
             .take()
             .expect("GridToNodes backward before forward");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let plane = h * w;
-        let mut out = vec![0.0f32; n * c * plane];
-        for b in 0..n {
-            for p in 0..plane {
-                let src = &grad_output.data()[(b * plane + p) * c..(b * plane + p + 1) * c];
-                for (ch, &v) in src.iter().enumerate() {
-                    out[(b * c + ch) * plane + p] = v;
-                }
-            }
-        }
-        Tensor::from_vec(out, &shape).expect("grid view shape")
+        transpose_each(grad_output, shape[2] * shape[3], shape[1], &shape)
     }
 
     fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
-/// Reinterprets `[n, h*w, 1]` back to `[n, 1, h, w]`.
+/// Puts node features back onto the raster: `[n, h*w, f] -> [n, f, h, w]`,
+/// the inverse of [`GridToNodes`].
 pub struct NodesToGrid {
     h: usize,
     w: usize,
@@ -99,17 +97,13 @@ impl Module for NodesToGrid {
         assert_eq!(input.rank(), 3, "NodesToGrid expects [n, v, f]");
         let (n, v, f) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         assert_eq!(v, self.h * self.w, "node count mismatch");
-        assert_eq!(f, 1, "NodesToGrid expects a single output feature");
-        input
-            .reshape(&[n, 1, self.h, self.w])
-            .expect("grid reshape")
+        transpose_each(input, v, f, &[n, f, self.h, self.w])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let n = grad_output.shape()[0];
-        grad_output
-            .reshape(&[n, self.h * self.w, 1])
-            .expect("node reshape")
+        let (n, f) = (grad_output.shape()[0], grad_output.shape()[1]);
+        let v = self.h * self.w;
+        transpose_each(grad_output, f, v, &[n, v, f])
     }
 
     fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
@@ -395,6 +389,8 @@ mod tests {
         );
         let back = to_nodes.backward(&nodes);
         assert!(back.allclose(&x, 1e-6), "adapter must be an isometry");
+        let grid = NodesToGrid::new(2, 2).forward(&nodes);
+        assert!(grid.allclose(&x, 1e-6), "NodesToGrid inverts GridToNodes");
     }
 
     #[test]
@@ -403,6 +399,7 @@ mod tests {
         let x = rng.uniform_tensor(&[2, 3, 2, 2], -1.0, 1.0);
         check_module_gradients(GridToNodes::new(), &x, 1e-3, 2e-2);
         let nodes = rng.uniform_tensor(&[2, 4, 3], -1.0, 1.0);
+        check_module_gradients(NodesToGrid::new(2, 2), &nodes, 1e-3, 2e-2);
         check_module_gradients(NodeLinear::new(&mut rng, 3, 5), &nodes, 1e-3, 2e-2);
     }
 

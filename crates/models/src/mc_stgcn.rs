@@ -31,53 +31,6 @@ use o4a_nn::module::Module;
 use o4a_nn::param::Param;
 use o4a_tensor::{SeededRng, Tensor};
 
-/// Adapter: `[n, v, f] -> [n, f, h, w]` (node features back onto the grid).
-struct NodesToGridFeat {
-    h: usize,
-    w: usize,
-    f: Option<usize>,
-}
-
-impl NodesToGridFeat {
-    fn new(h: usize, w: usize) -> Self {
-        NodesToGridFeat { h, w, f: None }
-    }
-}
-
-impl Module for NodesToGridFeat {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (n, v, f) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        assert_eq!(v, self.h * self.w);
-        self.f = Some(f);
-        let mut out = vec![0.0f32; n * f * v];
-        for b in 0..n {
-            for p in 0..v {
-                for ch in 0..f {
-                    out[(b * f + ch) * v + p] = input.data()[(b * v + p) * f + ch];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, f, self.h, self.w]).expect("grid feat shape")
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let f = self.f.take().expect("backward before forward");
-        let n = grad_output.shape()[0];
-        let v = self.h * self.w;
-        let mut out = vec![0.0f32; n * v * f];
-        for b in 0..n {
-            for ch in 0..f {
-                for p in 0..v {
-                    out[(b * v + p) * f + ch] = grad_output.data()[(b * f + ch) * v + p];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, v, f]).expect("node feat shape")
-    }
-
-    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
-}
-
 /// The bi-scale network. `forward2` returns `(fine, coarse)` predictions.
 struct McStgcnNet {
     // fine branch
@@ -90,7 +43,7 @@ struct McStgcnNet {
     coarse_gc: GraphConv,
     coarse_relu: Relu,
     // cross-scale pathway
-    coarse_to_grid: NodesToGridFeat,
+    coarse_to_grid: NodesToGrid,
     up: Upsample,
     fused_to_nodes: GridToNodes,
     // heads
@@ -125,7 +78,7 @@ impl McStgcnNet {
             coarse_nodes: GridToNodes::new(),
             coarse_gc: GraphConv::new(rng, grid_adjacency(hc, wc), channels, d),
             coarse_relu: Relu::new(),
-            coarse_to_grid: NodesToGridFeat::new(hc, wc),
+            coarse_to_grid: NodesToGrid::new(hc, wc),
             up: Upsample::new(factor),
             fused_to_nodes: GridToNodes::new(),
             fine_head: NodeLinear::new(rng, d, 1),
