@@ -293,54 +293,6 @@ impl Module for Sigmoid {
     fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
-/// Hyperbolic tangent activation.
-pub struct Tanh {
-    out: Tensor,
-    primed: bool,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Tanh {
-            out: Tensor::empty(),
-            primed: false,
-        }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Module for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.out.copy_from(&out);
-        self.primed = true;
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(self.primed, "Tanh backward before forward");
-        self.primed = false;
-        let mut g = Tensor::uninit(grad_output.shape());
-        for ((o, &gv), &y) in g
-            .data_mut()
-            .iter_mut()
-            .zip(grad_output.data())
-            .zip(self.out.data())
-        {
-            *o = gv * (1.0 - y * y);
-        }
-        g
-    }
-
-    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
-}
-
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
 ///
 /// The *squeeze* step of the SE block.
@@ -435,49 +387,6 @@ impl Module for Upsample {
     fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
 }
 
-/// Flattens `[n, ...]` to `[n, prod(...)]` (and unflattens on backward).
-pub struct Flatten {
-    in_shape: Vec<usize>,
-    primed: bool,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new() -> Self {
-        Flatten {
-            in_shape: Vec::new(),
-            primed: false,
-        }
-    }
-}
-
-impl Default for Flatten {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Module for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let n = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        self.in_shape.clear();
-        self.in_shape.extend_from_slice(input.shape());
-        self.primed = true;
-        input.reshape(&[n, rest]).expect("flatten reshape")
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(self.primed, "Flatten backward before forward");
-        self.primed = false;
-        grad_output
-            .reshape(&self.in_shape)
-            .expect("unflatten reshape")
-    }
-
-    fn visit_params<'a>(&'a mut self, _: &mut dyn FnMut(&'a mut Param)) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,16 +454,6 @@ mod tests {
         assert_eq!(g.data(), &[1.0; 4]);
     }
 
-    #[test]
-    fn flatten_roundtrip() {
-        let mut f = Flatten::new();
-        let x = Tensor::zeros(&[2, 3, 4]);
-        let y = f.forward(&x);
-        assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&Tensor::ones(&[2, 12]));
-        assert_eq!(g.shape(), &[2, 3, 4]);
-    }
-
     // ---- gradient checks certify every layer's backward pass ----
 
     #[test]
@@ -582,11 +481,10 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_sigmoid_tanh() {
+    fn gradcheck_sigmoid() {
         let mut rng = SeededRng::new(14);
         let x = rng.uniform_tensor(&[4, 3], -2.0, 2.0);
         check_module_gradients(Sigmoid::new(), &x, 1e-3, 2e-2);
-        check_module_gradients(Tanh::new(), &x, 1e-3, 2e-2);
     }
 
     #[test]

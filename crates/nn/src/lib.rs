@@ -9,16 +9,19 @@
 //! is available offline, so this crate implements the required subset from
 //! scratch:
 //!
-//! * a [`Module`] trait with `forward`/`backward` and parameter access,
-//! * primitive layers: [`layers::Conv2d`], [`layers::Linear`], activations,
-//!   [`layers::GlobalAvgPool`], [`layers::Upsample`], [`layers::Flatten`],
+//! * a [`Module`] trait with `forward`/`backward` and one parameter walk
+//!   ([`Module::visit_params`]) that training, gradient checks and weight
+//!   persistence all read,
+//! * primitive layers: [`layers::Conv2d`], [`layers::Linear`], the
+//!   [`layers::Relu`] and [`layers::Sigmoid`] activations,
+//!   [`layers::GlobalAvgPool`], [`layers::Upsample`],
 //! * composite spatial-modeling blocks used by the paper
 //!   ([`blocks::ConvBlock`], [`blocks::ResBlock`], [`blocks::SeBlock`] —
 //!   Fig. 7 of the paper),
 //! * graph layers for the graph-based baselines ([`graph::GraphConv`],
 //!   [`graph::AdaptiveGraphConv`], [`graph::NodeAttention`]),
-//! * losses ([`loss::mse_loss`], [`loss::mae_loss`]), the
-//!   [`optim::Adam`] optimizer and gradient-norm clipping,
+//! * the [`loss::mse_loss`] loss, the [`optim::Adam`] optimizer and
+//!   gradient-norm clipping,
 //! * weight persistence for trained models ([`persist`]),
 //! * finite-difference gradient checking ([`gradcheck`]) used throughout the
 //!   test suite to certify every backward pass.

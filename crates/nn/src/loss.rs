@@ -25,26 +25,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Mean absolute error loss and its (sub)gradient.
-pub fn mae_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    pred.check_same_shape(target)
-        .expect("mae_loss shape mismatch");
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0f32;
-    let mut grad = Tensor::uninit(pred.shape());
-    for ((g, &p), &t) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(pred.data())
-        .zip(target.data())
-    {
-        let d = p - t;
-        loss += d.abs();
-        *g = d.signum() / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,13 +45,6 @@ mod tests {
         let (l, g) = mse_loss(&t(&[3.0, 1.0]), &t(&[1.0, 1.0]));
         assert_eq!(l, 2.0);
         assert_eq!(g.data(), &[2.0, 0.0]);
-    }
-
-    #[test]
-    fn mae_known_values() {
-        let (l, g) = mae_loss(&t(&[3.0, -1.0]), &t(&[1.0, 1.0]));
-        assert_eq!(l, 2.0);
-        assert_eq!(g.data(), &[0.5, -0.5]);
     }
 
     #[test]

@@ -123,13 +123,6 @@ pub fn glorot_uniform(rng: &mut SeededRng, shape: &[usize]) -> Tensor {
     rng.uniform_tensor(shape, -limit, limit)
 }
 
-/// He (Kaiming) normal initialisation, suited to ReLU networks.
-pub fn he_normal(rng: &mut SeededRng, shape: &[usize]) -> Tensor {
-    let (fan_in, _) = fans(shape);
-    let std = (2.0 / fan_in as f32).sqrt();
-    rng.normal_tensor(shape, std)
-}
-
 fn fans(shape: &[usize]) -> (usize, usize) {
     match shape.len() {
         1 => (shape[0], shape[0]),
@@ -210,15 +203,6 @@ mod tests {
         let w = glorot_uniform(&mut rng, &[16, 8]);
         let limit = (6.0f32 / 24.0).sqrt();
         assert!(w.data().iter().all(|v| v.abs() <= limit));
-    }
-
-    #[test]
-    fn he_std_scales_with_fan_in() {
-        let mut rng = SeededRng::new(5);
-        let w = he_normal(&mut rng, &[8, 128, 3, 3]);
-        // fan_in = 128*9 = 1152, expected std ~ sqrt(2/1152) ~ 0.0417
-        let std = w.variance().sqrt();
-        assert!((std - 0.0417).abs() < 0.01, "std={std}");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use conv::{
     conv2d, conv2d_backward, conv2d_bwd_into, conv2d_into, upsample_nearest,
     upsample_nearest_backward, Conv2dGrads,
 };
-pub use init::{glorot_uniform, he_normal, SeededRng};
+pub use init::{glorot_uniform, SeededRng};
 pub use ops::{adam_update_into, AdamUpdate};
 pub use tensor::Tensor;
 
