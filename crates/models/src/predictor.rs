@@ -107,8 +107,7 @@ pub trait TrainNet {
     fn backward_batch(&mut self, grads: &[Tensor]);
 
     /// Calls `f` once per trainable parameter, in a fixed order, without
-    /// allocating: the network's one parameter walk, which its saved
-    /// weights and gradient checks read too.
+    /// allocating.
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
 
     /// Total number of trainable scalars.
