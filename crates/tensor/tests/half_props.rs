@@ -3,11 +3,11 @@
 //! Widening (`f16_bits_to_f32`, which every half-width prediction-store
 //! read goes through) is checked exhaustively over all 2^16 f16 patterns
 //! against a decoding written here. The dispatched narrowing (hardware
-//! `F16C` `vcvtps2ph` on the AVX2/AVX-512 tiers) must equal the software
-//! reference in `o4a_tensor::half` **bit for bit** on every tier, checked
-//! by proptest over the f32 space (NaNs, infinities and subnormals
-//! included). The round-trip error must stay inside the bound documented
-//! in `half`'s module docs.
+//! `F16C` `vcvtps2ph` on the AVX2/AVX-512 tiers) is checked on every tier
+//! against the same decoding, by proptest over the f32 space (NaNs,
+//! infinities, subnormals and RNE midpoints included), and against edge
+//! cases pinned as bit patterns. The round-trip error must stay inside
+//! the bound documented in `half`'s module docs.
 
 use o4a_tensor::half::{f16_bits_to_f32, f32_to_f16_bits, narrow_f16};
 use o4a_tensor::isa;
@@ -65,33 +65,41 @@ fn widen_matches_binary16_definition_exhaustively() {
     }
 }
 
-/// Narrowing edge cases every tier must agree on: signed zeros, signed
-/// infinities, NaN (quieted, payload truncated), the f16 subnormal range,
-/// RNE midpoints, and the overflow threshold 65520.
+/// Narrowing edge cases, pinned as bit patterns on every tier: signed
+/// zeros, signed infinities, NaNs (quieted, top 10 payload bits kept),
+/// the f16 subnormal range, RNE midpoints (each resolved to the even
+/// mantissa, one of them by a carry into the next exponent), and the
+/// overflow threshold 65520. The patterns are those `vcvtps2ph` produces.
 #[test]
-fn narrow_edge_cases_match_on_every_tier() {
-    let src: Vec<f32> = vec![
-        0.0,
-        -0.0,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        f32::from_bits(0x7f80_0001), // signalling NaN
-        f32::MIN_POSITIVE,           // f32 smallest normal -> f16 subnormal range
-        f32::from_bits(1),           // f32 smallest subnormal -> signed zero
-        -f32::from_bits(1),
-        f32::from_bits(0x3380_0000), // 2^-24, smallest f16 subnormal
-        f32::from_bits(0x3300_0000), // 2^-25, the subnormal RNE midpoint
-        f32::from_bits(0x3880_0000), // 2^-14, smallest f16 normal
-        1.0 + f32::from_bits(0x3a00_0000), // 1 + 2^-11, normal RNE midpoint
-        65504.0,                     // f16 max
-        65519.9,                     // below overflow threshold
-        65520.0,                     // rounds to infinity
-        -65520.0,
-        1e9,
-        -1e-9,
+fn narrow_edge_cases_match_pinned_bits() {
+    let cases: &[(f32, u16)] = &[
+        (0.0, 0x0000),
+        (-0.0, 0x8000),
+        (f32::INFINITY, 0x7c00),
+        (f32::NEG_INFINITY, 0xfc00),
+        (f32::NAN, 0x7e00),
+        (f32::from_bits(0x7f80_0001), 0x7e00), // signalling NaN, low payload
+        (f32::from_bits(0x7fbf_e000), 0x7fff), // signalling NaN, top payload
+        (f32::from_bits(0xffc0_1234), 0xfe00), // negative quiet NaN
+        (f32::MIN_POSITIVE, 0x0000),           // 2^-126 -> zero
+        (f32::from_bits(1), 0x0000),           // f32 smallest subnormal
+        (-f32::from_bits(1), 0x8000),
+        (f32::from_bits(0x3380_0000), 0x0001), // 2^-24, smallest f16 subnormal
+        (f32::from_bits(0x3300_0000), 0x0000), // 2^-25, subnormal midpoint -> even
+        (f32::from_bits(0x387f_e000), 0x0400), // 1023.5 * 2^-24 -> carry to 2^-14
+        (f32::from_bits(0x3880_0000), 0x0400), // 2^-14, smallest f16 normal
+        (1.0 + f32::from_bits(0x3a00_0000), 0x3c00), // 1 + 2^-11, midpoint -> even
+        (2046.5, 0x67fe),                      // midpoint, even below
+        (2047.5, 0x6800),                      // midpoint, carry to 2048
+        (65504.0, 0x7bff),                     // f16 max
+        (65519.9, 0x7bff),                     // below the overflow threshold
+        (65520.0, 0x7c00),                     // rounds to infinity
+        (-65520.0, 0xfc00),
+        (1e9, 0x7c00),
+        (-1e-9, 0x8000),
     ];
-    let want: Vec<u16> = src.iter().map(|&v| f32_to_f16_bits(v)).collect();
+    let src: Vec<f32> = cases.iter().map(|&(v, _)| v).collect();
+    let want: Vec<u16> = cases.iter().map(|&(_, h)| h).collect();
     let _forced = force_lock();
     for tier in isa::available() {
         isa::force(Some(tier));
@@ -102,25 +110,67 @@ fn narrow_edge_cases_match_on_every_tier() {
     }
 }
 
+/// Whether `h` is the binary16 narrowing of `v` by the format's
+/// definition: a NaN becomes a quiet NaN with `v`'s sign and the top 10
+/// bits of its payload; `|v| >= 65520` a signed infinity; any other `v`
+/// the f16 nearest to it, ties to an even mantissa, with `v`'s sign.
+fn is_binary16_narrowing(v: f32, h: u16) -> bool {
+    let bits = v.to_bits();
+    if (h & 0x8000 != 0) != (bits >> 31 == 1) {
+        return false;
+    }
+    let m = h & 0x7fff;
+    if v.is_nan() {
+        return m == 0x7e00 | ((bits >> 13) & 0x3ff) as u16;
+    }
+    let a = f64::from(v.abs());
+    if a >= 65520.0 {
+        return m == 0x7c00;
+    }
+    if m >= 0x7c00 {
+        return false;
+    }
+    // f16 magnitudes ascend with their bit patterns, so the nearest value
+    // is the one no farther than either neighbour.
+    let dist = |m: u16| (decode_f16(m).expect("finite pattern") - a).abs();
+    let d = dist(m);
+    [m.checked_sub(1), Some(m + 1)]
+        .into_iter()
+        .flatten()
+        .all(|n| d < dist(n) || (d == dist(n) && m & 1 == 0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dispatched narrowing equals the software reference bit for bit on
-    /// every tier, over arbitrary f32 bit patterns and ragged lengths
-    /// (exercising each tier's masked remainder path).
+    /// Dispatched narrowing is the binary16 narrowing on every tier, over
+    /// arbitrary f32 bit patterns, ragged lengths (each tier's remainder
+    /// path) and the midpoints between adjacent finite f16 values.
     #[test]
-    fn narrow_matches_software(
+    fn narrow_matches_binary16_definition(
         raw in proptest::collection::vec(any::<u32>(), 1..257),
+        mids in proptest::collection::vec(0u16..0x7bff, 0..33),
     ) {
-        let src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
-        let want: Vec<u16> = src.iter().map(|&v| f32_to_f16_bits(v)).collect();
+        let mut src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
+        for &m in &mids {
+            // exact in f32: two adjacent f16 values need 12 bits
+            let mid = (f16_bits_to_f32(m) + f16_bits_to_f32(m + 1)) / 2.0;
+            src.extend([mid, -mid]);
+        }
         let _forced = force_lock();
         for tier in isa::available() {
             isa::force(Some(tier));
             let mut dst = vec![0u16; src.len()];
             narrow_f16(&src, &mut dst);
             isa::force(None);
-            prop_assert_eq!(&want, &dst, "{} narrow diverged", tier.name());
+            for (&v, &h) in src.iter().zip(&dst) {
+                prop_assert!(
+                    is_binary16_narrowing(v, h),
+                    "{} narrowed {v:e} ({:#010x}) to {h:#06x}",
+                    tier.name(),
+                    v.to_bits()
+                );
+            }
         }
     }
 
