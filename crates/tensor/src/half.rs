@@ -9,9 +9,10 @@
 //!
 //! # Conversion semantics
 //!
-//! The software conversions here implement exactly the semantics of the
-//! x86 `F16C` instructions, so the hardware narrowing (`vcvtps2ph`, used by
-//! the Avx2/Avx512 dispatch tiers) and the software tier are bit-identical:
+//! The conversions here are software loops on every ISA tier (narrowing
+//! runs once per publish, and only when half storage is on), and they
+//! implement exactly the semantics of the x86 `F16C` instructions (`vcvtps2ph`,
+//! `vcvtph2ps`):
 //!
 //! * narrowing rounds to nearest, ties to even (`RNE`); overflow goes to
 //!   infinity; f32 subnormals (< 2^-126) narrow to signed zero; NaNs keep
@@ -21,7 +22,9 @@
 //!
 //! `crates/tensor/tests/half_props.rs` checks widening exhaustively over
 //! all 2^16 f16 bit patterns against an independent decoding, and
-//! narrowing on every dispatch tier by proptest and on edge cases.
+//! narrowing by proptest against the binary16 definition (nearest value,
+//! ties to even, through the same decoding) and on edge cases pinned as
+//! the bit patterns `vcvtps2ph` produces.
 //!
 //! # Error bound
 //!
@@ -113,17 +116,11 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Narrows a slice of f32 into f16 bit patterns through the active ISA
-/// tier (`vcvtps2ph` on Avx2/Avx512) — round-to-nearest-even, see the
-/// module docs for semantics and the error bound. `src` and `dst` must
-/// have equal lengths.
+/// Narrows a slice of f32 into f16 bit patterns through
+/// [`f32_to_f16_bits`] — round-to-nearest-even, see the module docs for
+/// semantics and the error bound. `src` and `dst` must have equal lengths.
 pub fn narrow_f16(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len());
-    (crate::isa::dispatch().narrow_f16)(src, dst);
-}
-
-/// Narrows a slice of f32 into f16 bit patterns (scalar tier entry).
-pub(crate) fn narrow_f16_scalar(src: &[f32], dst: &mut [u16]) {
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = f32_to_f16_bits(v);
     }

@@ -1,20 +1,24 @@
 //! Runtime ISA detection and kernel dispatch.
 //!
-//! Every hot kernel in the crate (the GEMM micro-kernel family, the panel
-//! packers, the `add` and `relu` sweeps the layers run, the fused Adam
-//! update, and the f16 narrowing that fills the prediction store's
-//! half-width frames) exists in up to three implementations:
+//! The kernels that carry the training workload's time (the GEMM
+//! micro-kernel family, the panel packers and the stride-1 convolutions)
+//! exist in up to three implementations:
 //!
 //! * **Scalar** — the portable Rust loops. With `target-cpu=native` the
 //!   compiler still autovectorizes them, so "scalar" here means *no
 //!   `std::arch` intrinsics*, not "no SIMD instructions"; it is the tier
 //!   that runs on any x86-64 and on every other architecture.
 //! * **Avx2** — explicit AVX2+FMA kernels (`_mm256_fmadd_ps` tiles, the
-//!   8x8-block transpose A-packer) plus hardware `F16C` narrowing.
+//!   8x8-block transpose A-packer).
 //! * **Avx512** — explicit AVX-512F kernels: the two-strip `8x32` GEMM
 //!   micro-kernel (16 zmm accumulators, `k` unrolled by 4), zmm panel
-//!   packers, 16-lane `add`/`relu`/Adam sweeps, and `vcvtps2ph`
-//!   narrowing.
+//!   packers and the implicit-GEMM convolutions.
+//!
+//! A kernel gets an explicit-SIMD body only where an end-to-end workload
+//! measurably pays for it; every other slot of a SIMD tier points at the
+//! scalar body. The memory-bound sweeps (`add`, `relu`, the fused Adam
+//! update) and the f16 narrowing are not dispatched at all: each is one
+//! portable loop (`ops`, [`crate::half`]) on every tier.
 //!
 //! The implementation family is chosen **once**, on first use, via
 //! [`std::is_x86_feature_detected!`], and cached in a [`OnceLock`] as a
@@ -29,7 +33,7 @@
 //! each output element through the *same* exactly-rounded operation chain
 //! (see the `gemm` module docs), so `O4A_ISA=scalar` is bit-for-bit
 //! identical to the dispatched run. This is property-tested per tier in
-//! `crates/tensor/tests/gemm_props.rs` / `into_props.rs` / `half_props.rs`.
+//! `crates/tensor/tests/gemm_props.rs` / `conv_props.rs`.
 //!
 //! The selected tier and the detected CPU features are exported through
 //! `o4a-obs` as plain gauges (`o4a_isa_active`, `o4a_isa_feature_*`) and
@@ -40,14 +44,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::conv::ConvGeom;
-use crate::ops::AdamUpdate;
 
 /// Instruction-set tier of a kernel implementation family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable Rust loops (autovectorized by the compiler, no intrinsics).
     Scalar,
-    /// Explicit AVX2 + FMA + F16C kernels.
+    /// Explicit AVX2 + FMA kernels.
     Avx2,
     /// Explicit AVX-512F kernels (implies the AVX2 tier's features).
     Avx512,
@@ -86,20 +89,6 @@ pub(crate) type PackAFn =
 /// row-major `k x n` matrix, zero-padding columns past `n`.
 pub(crate) type PackBStripFn = fn(b: &[f32], strip: &mut [f32], k: usize, n: usize, c0: usize);
 
-/// Elementwise binary kernel over equal-length slices.
-pub(crate) type BinFn = fn(a: &[f32], b: &[f32], out: &mut [f32]);
-
-/// Elementwise unary kernel.
-pub(crate) type UnaryFn = fn(a: &[f32], out: &mut [f32]);
-
-/// Fused Adam moment + parameter update over one chunk.
-pub(crate) type AdamFn =
-    fn(pd: &mut [f32], g: &[f32], md: &mut [f32], vd: &mut [f32], hp: AdamUpdate);
-
-/// f32 -> f16 slice narrowing (IEEE round-to-nearest-even, NaNs quieted —
-/// the exact semantics of the `vcvtps2ph` instruction).
-pub(crate) type NarrowFn = fn(src: &[f32], dst: &mut [u16]);
-
 /// One sample's stride-1 convolution: `out = bias + W x unrolled(img)`,
 /// from the packed `[c_out, krows]` weight panel.
 pub(crate) type ConvFwdFn =
@@ -123,14 +112,6 @@ pub(crate) struct Dispatch {
     pub pack_a: PackAFn,
     /// Row-major B strip packer.
     pub pack_b_strip: PackBStripFn,
-    /// `out = a + b`.
-    pub add: BinFn,
-    /// `out = max(a, 0)`.
-    pub relu: UnaryFn,
-    /// Fused Adam update chunk.
-    pub adam: AdamFn,
-    /// f32 -> f16 narrowing.
-    pub narrow_f16: NarrowFn,
     /// Per-sample forward of a stride-1 conv with `pad < kernel`.
     ///
     /// The packed body (`im2col` into the GEMM panel, then the packed
@@ -162,18 +143,12 @@ static SCALAR: Dispatch = Dispatch {
     gemm_panel_over: crate::gemm::gemm_panel_scalar_over,
     pack_a: crate::gemm::pack_a_strided_scalar,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
-    add: crate::simd::scalar::add,
-    relu: crate::simd::scalar::relu,
-    adam: crate::simd::scalar::adam,
-    narrow_f16: crate::half::narrow_f16_scalar,
     conv_fwd: crate::conv::conv_fwd_packed,
     conv_bwd_data: crate::conv::conv_bwd_data_packed,
 };
 
-/// The AVX2 tier upgrades the GEMM micro-kernel, the A packer and the f16
-/// narrowing (F16C); the streaming elementwise sweeps stay on the
-/// autovectorized scalar path, which measures at parity for memory-bound
-/// kernels on AVX2-only hardware. Its convs take the packed path, through
+/// The AVX2 tier upgrades the GEMM micro-kernel and the A packer; its B
+/// packer is the scalar one, and its convs take the packed path, through
 /// its GEMM micro-kernel and A packer.
 #[cfg(target_arch = "x86_64")]
 static AVX2: Dispatch = Dispatch {
@@ -182,10 +157,6 @@ static AVX2: Dispatch = Dispatch {
     gemm_panel_over: crate::simd::avx2::gemm_panel_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::gemm::pack_b_strip_scalar,
-    add: crate::simd::scalar::add,
-    relu: crate::simd::scalar::relu,
-    adam: crate::simd::scalar::adam,
-    narrow_f16: crate::simd::avx2::narrow_f16,
     conv_fwd: crate::conv::conv_fwd_packed,
     conv_bwd_data: crate::conv::conv_bwd_data_packed,
 };
@@ -197,10 +168,6 @@ static AVX512: Dispatch = Dispatch {
     gemm_panel_over: crate::simd::avx512::gemm_panel_over,
     pack_a: crate::simd::avx2::pack_a_strided,
     pack_b_strip: crate::simd::avx512::pack_b_strip,
-    add: crate::simd::avx512::add,
-    relu: crate::simd::avx512::relu,
-    adam: crate::simd::avx512::adam,
-    narrow_f16: crate::simd::avx512::narrow_f16,
     conv_fwd: crate::simd::avx512::conv_fwd,
     conv_bwd_data: crate::simd::avx512::conv_bwd_data,
 };
@@ -223,8 +190,7 @@ pub fn detected() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         let avx2_tier = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-            && std::arch::is_x86_feature_detected!("f16c");
+            && std::arch::is_x86_feature_detected!("fma");
         if avx2_tier && std::arch::is_x86_feature_detected!("avx512f") {
             return Isa::Avx512;
         }
@@ -284,7 +250,6 @@ fn export(chosen: Isa, best: Isa) {
     let feats: &[(&str, bool)] = &[
         ("avx2", best.level() >= 1),
         ("fma", best.level() >= 1),
-        ("f16c", best.level() >= 1),
         ("avx512f", best.level() >= 2),
     ];
     for &(name, on) in feats {

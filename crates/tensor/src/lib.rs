@@ -34,12 +34,12 @@
 //! accumulation per element, index-ordered reductions; see
 //! [`Tensor::matmul_naive`]).
 //!
-//! Hot kernels additionally dispatch at startup onto explicit-SIMD
-//! variants ([`isa`]): the CPU is probed once, a function-pointer table
-//! selects scalar / AVX2+FMA / AVX-512 micro-kernels, and every tier
-//! preserves the exact per-element accumulation chain — so the chosen ISA
-//! (overridable with `O4A_ISA=scalar|avx2|avx512`) is bit-invisible in the
-//! results. `unsafe` in the crate is confined to the lifetime/aliasing
+//! The GEMM and convolution kernels additionally dispatch at startup onto
+//! explicit-SIMD variants ([`isa`]): the CPU is probed once, a
+//! function-pointer table selects scalar / AVX2+FMA / AVX-512
+//! micro-kernels, and every tier preserves the exact per-element
+//! accumulation chain — so the chosen ISA (overridable with
+//! `O4A_ISA=scalar|avx2|avx512`) is bit-invisible in the results. `unsafe` in the crate is confined to the lifetime/aliasing
 //! bookkeeping in [`parallel`] (and the batch loops in [`conv`] that use
 //! it) and the `target_feature` intrinsics in the `simd` module, each
 //! behind a safety argument tied to the dispatch tables. The f16

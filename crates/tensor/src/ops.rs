@@ -10,10 +10,8 @@
 //! [`adam_update_into`] fuses the optimizer's moment update and parameter
 //! step into one pass over memory.
 //!
-//! The hot elementwise kernels (`add`, `relu` and the fused Adam sweep)
-//! route through the [`crate::isa`] dispatch table; every SIMD tier
-//! computes each lane with the exact scalar expression, so the active ISA
-//! is bit-invisible.
+//! These sweeps are memory-bound and are not dispatched on the ISA tier:
+//! each is one portable loop, which the compiler autovectorizes.
 
 use crate::parallel::{self, SendPtr};
 use crate::tensor::Tensor;
@@ -37,7 +35,9 @@ impl Tensor {
     pub fn add_into(&self, rhs: &Tensor, out: &mut Tensor) -> Result<()> {
         self.check_same_shape(rhs)?;
         out.reset_uninit(self.shape());
-        (crate::isa::dispatch().add)(self.data(), rhs.data(), out.data_mut());
+        for ((o, &x), &y) in out.data_mut().iter_mut().zip(self.data()).zip(rhs.data()) {
+            *o = x + y;
+        }
         Ok(())
     }
 
@@ -51,7 +51,9 @@ impl Tensor {
     /// Elementwise ReLU into a reusable output workspace.
     pub fn relu_into(&self, out: &mut Tensor) {
         out.reset_uninit(self.shape());
-        (crate::isa::dispatch().relu)(self.data(), out.data_mut());
+        for (o, &v) in out.data_mut().iter_mut().zip(self.data()) {
+            *o = v.max(0.0);
+        }
     }
 
     /// In-place elementwise addition (`self += rhs`).
@@ -239,8 +241,14 @@ pub fn adam_update_into(
     let md_ptr = SendPtr(m.data_mut().as_mut_ptr());
     let vd_ptr = SendPtr(v.data_mut().as_mut_ptr());
     let pd_ptr = SendPtr(param.data_mut().as_mut_ptr());
-    let hp = *hp;
-    let adam = crate::isa::dispatch().adam;
+    let AdamUpdate {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        bc1,
+        bc2,
+    } = *hp;
     // ~12 flops per element (two EMAs, bias correction, rsqrt); small
     // tensors stay inline under the runtime's adaptive cutoff.
     parallel::par_range(len, OPT_CHUNK, 12, |r| {
@@ -249,7 +257,13 @@ pub fn adam_update_into(
         let md = unsafe { md_ptr.slice_mut(r.start, r.end - r.start) };
         let vd = unsafe { vd_ptr.slice_mut(r.start, r.end - r.start) };
         let pd = unsafe { pd_ptr.slice_mut(r.start, r.end - r.start) };
-        adam(pd, &g[r], md, vd, hp);
+        for (((pi, mi), vi), &gi) in pd.iter_mut().zip(md).zip(vd).zip(&g[r]) {
+            *mi = beta1 * *mi + (1.0 - beta1) * gi;
+            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+            let mhat = *mi / bc1;
+            let vhat = *vi / bc2;
+            *pi -= lr * mhat / (vhat.sqrt() + eps);
+        }
     });
     Ok(())
 }

@@ -1,14 +1,17 @@
 //! Explicit-SIMD kernel implementations behind the [`crate::isa`] dispatch.
 //!
+//! Only the kernels a workload measurably pays for have a body here: the
+//! GEMM panel drives, the panel packers and the AVX-512 convolutions.
+//! The elementwise sweeps, the fused Adam update and the f16 narrowing
+//! are single portable loops (`ops`, `half`) on every tier.
+//!
 //! Every function here computes **bit-for-bit** the same result as its
-//! scalar reference in [`scalar`] / [`crate::gemm`]: vector lanes map to
-//! independent output elements, each lane's operation chain is the same
-//! sequence of exactly-rounded IEEE operations (`vfmadd` ≡ `f32::mul_add`,
-//! `vaddps`/`vmulps`/`vdivps`/`vsqrtps` are exactly rounded per lane, and
-//! `vmaxps(v, 0)` has the same NaN/zero semantics as the `maxss` the scalar
-//! `f32::max(0.0)` compiles to), and no vectorization step reorders any
-//! element's accumulation. The per-tier proptests in
-//! `crates/tensor/tests/gemm_props.rs` / `into_props.rs` pin this.
+//! scalar reference in [`crate::gemm`] / [`crate::conv`]: vector lanes
+//! map to independent output elements, each lane's operation chain is the
+//! same sequence of exactly-rounded IEEE operations (`vfmadd` ≡
+//! `f32::mul_add`), and no vectorization step reorders any element's
+//! accumulation. The per-tier proptests in
+//! `crates/tensor/tests/gemm_props.rs` / `conv_props.rs` pin this.
 //!
 //! # Safety argument (shared by every `unsafe` block in this module)
 //!
@@ -29,50 +32,8 @@
 //!   slices; packed-panel edge strips are zero-padded by the packers, so the
 //!   vector kernels may always read full `NR`-wide panel rows.
 
-use crate::ops::AdamUpdate;
-
-/// Portable reference implementations (the "scalar" tier — autovectorized
-/// by the compiler, but free of `std::arch`). These are also the exact
-/// expressions the SIMD tiers must reproduce bitwise, and serve as the
-/// tail/ragged-edge fallbacks inside the vector kernels.
-pub(crate) mod scalar {
-    use super::AdamUpdate;
-
-    pub(crate) fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x + y;
-        }
-    }
-
-    pub(crate) fn relu(a: &[f32], out: &mut [f32]) {
-        for (o, &v) in out.iter_mut().zip(a) {
-            *o = v.max(0.0);
-        }
-    }
-
-    /// The serial Adam expression, element order and operation order fixed
-    /// (see [`crate::ops::adam_update_into`]).
-    pub(crate) fn adam(pd: &mut [f32], g: &[f32], md: &mut [f32], vd: &mut [f32], hp: AdamUpdate) {
-        let AdamUpdate {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            bc1,
-            bc2,
-        } = hp;
-        for i in 0..g.len() {
-            md[i] = beta1 * md[i] + (1.0 - beta1) * g[i];
-            vd[i] = beta2 * vd[i] + (1.0 - beta2) * g[i] * g[i];
-            let mhat = md[i] / bc1;
-            let vhat = vd[i] / bc2;
-            pd[i] -= lr * mhat / (vhat.sqrt() + eps);
-        }
-    }
-}
-
-/// AVX2 + FMA + F16C tier: explicit 256-bit GEMM micro-kernel, 8x8-block
-/// transpose A packer, and hardware f16 narrowing.
+/// AVX2 + FMA tier: explicit 256-bit GEMM micro-kernel and 8x8-block
+/// transpose A packer.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use crate::gemm::{micro_tile, packed_a_len, MR, NR};
@@ -265,35 +226,12 @@ pub(crate) mod avx2 {
         // SAFETY: avx2 detected (dispatch table); bounds per pack_a_contig.
         unsafe { pack_a_contig(src, dst, m, k, row_stride) }
     }
-
-    /// F16C narrowing, 8 lanes per step; tails use the software
-    /// conversion, which bit-matches the hardware (proptested in
-    /// `crates/tensor/tests/half_props.rs`).
-    #[target_feature(enable = "f16c")]
-    unsafe fn narrow_inner(src: &[f32], dst: &mut [u16]) {
-        let n8 = src.len() / 8 * 8;
-        for i in (0..n8).step_by(8) {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, h);
-        }
-        for i in n8..src.len() {
-            dst[i] = crate::half::f32_to_f16_bits(src[i]);
-        }
-    }
-
-    pub(crate) fn narrow_f16(src: &[f32], dst: &mut [u16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        // SAFETY: f16c detected (dispatch table); in-bounds 8-lane chunks.
-        unsafe { narrow_inner(src, dst) }
-    }
 }
 
-/// AVX-512F tier: two-strip `8 x 32` GEMM micro-kernel, zmm panel packers,
-/// 16-lane `add`/`relu`/Adam sweeps, and zmm f16 narrowing.
+/// AVX-512F tier: two-strip `8 x 32` GEMM micro-kernel, zmm panel packers
+/// and the implicit-GEMM convolutions.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
-    use super::AdamUpdate;
     use crate::conv::{with_padded, ConvGeom};
     use crate::gemm::{micro_tile, packed_a_len, MR, NR};
     use std::arch::x86_64::*;
@@ -820,123 +758,5 @@ pub(crate) mod avx512 {
         // spans b[p*n+c0 ..] with cols_v lanes in bounds (masked when
         // ragged), destination rows are NR-wide within the strip.
         unsafe { pack_b_strip_inner(b, strip, k, n, c0) }
-    }
-
-    /// 16-lane f16 narrowing; tails use the software conversion, which
-    /// bit-matches the hardware.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn narrow_inner(src: &[f32], dst: &mut [u16]) {
-        let n16 = src.len() / 16 * 16;
-        for i in (0..n16).step_by(16) {
-            let v = _mm512_loadu_ps(src.as_ptr().add(i));
-            let h = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, h);
-        }
-        for i in n16..src.len() {
-            dst[i] = crate::half::f32_to_f16_bits(src[i]);
-        }
-    }
-
-    pub(crate) fn narrow_f16(src: &[f32], dst: &mut [u16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { narrow_inner(src, dst) }
-    }
-
-    /// Streaming 16-lane elementwise kernels. Each lane applies exactly
-    /// the scalar expression (exactly-rounded add; `vmaxps(v, 0)` matches
-    /// `f32::max(0.0)`'s `maxss` on NaN/signed-zero inputs because both
-    /// return the second operand on ties/NaN), tails run the scalar
-    /// reference.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn add_inner(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n16 = out.len() / 16 * 16;
-        for i in (0..n16).step_by(16) {
-            let x = _mm512_loadu_ps(a.as_ptr().add(i));
-            let y = _mm512_loadu_ps(b.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(x, y));
-        }
-        super::scalar::add(&a[n16..], &b[n16..], &mut out[n16..]);
-    }
-
-    pub(crate) fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
-        debug_assert!(a.len() == out.len() && b.len() == out.len());
-        // SAFETY: avx512f detected (dispatch table); 16-lane chunks stay
-        // within the equal-length slices.
-        unsafe { add_inner(a, b, out) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn relu_inner(a: &[f32], out: &mut [f32]) {
-        let n16 = out.len() / 16 * 16;
-        let zero = _mm512_setzero_ps();
-        for i in (0..n16).step_by(16) {
-            let v = _mm512_loadu_ps(a.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_max_ps(v, zero));
-        }
-        super::scalar::relu(&a[n16..], &mut out[n16..]);
-    }
-
-    pub(crate) fn relu(a: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(a.len(), out.len());
-        // SAFETY: avx512f detected (dispatch table).
-        unsafe { relu_inner(a, out) }
-    }
-
-    /// Fused Adam update, 16 lanes per step. Lane chains replicate the
-    /// scalar expression operation-for-operation (`vdivps`, `vsqrtps` are
-    /// exactly rounded), so the update is bit-identical.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn adam_inner(
-        pd: &mut [f32],
-        g: &[f32],
-        md: &mut [f32],
-        vd: &mut [f32],
-        hp: AdamUpdate,
-    ) {
-        let n16 = g.len() / 16 * 16;
-        let b1 = _mm512_set1_ps(hp.beta1);
-        let omb1 = _mm512_set1_ps(1.0 - hp.beta1);
-        let b2 = _mm512_set1_ps(hp.beta2);
-        let omb2 = _mm512_set1_ps(1.0 - hp.beta2);
-        let bc1 = _mm512_set1_ps(hp.bc1);
-        let bc2 = _mm512_set1_ps(hp.bc2);
-        let lr = _mm512_set1_ps(hp.lr);
-        let eps = _mm512_set1_ps(hp.eps);
-        for i in (0..n16).step_by(16) {
-            let gv = _mm512_loadu_ps(g.as_ptr().add(i));
-            let m = _mm512_add_ps(
-                _mm512_mul_ps(b1, _mm512_loadu_ps(md.as_ptr().add(i))),
-                _mm512_mul_ps(omb1, gv),
-            );
-            _mm512_storeu_ps(md.as_mut_ptr().add(i), m);
-            let v = _mm512_add_ps(
-                _mm512_mul_ps(b2, _mm512_loadu_ps(vd.as_ptr().add(i))),
-                _mm512_mul_ps(_mm512_mul_ps(omb2, gv), gv),
-            );
-            _mm512_storeu_ps(vd.as_mut_ptr().add(i), v);
-            let mhat = _mm512_div_ps(m, bc1);
-            let vhat = _mm512_div_ps(v, bc2);
-            let step = _mm512_div_ps(
-                _mm512_mul_ps(lr, mhat),
-                _mm512_add_ps(_mm512_sqrt_ps(vhat), eps),
-            );
-            let p = _mm512_sub_ps(_mm512_loadu_ps(pd.as_ptr().add(i)), step);
-            _mm512_storeu_ps(pd.as_mut_ptr().add(i), p);
-        }
-        super::scalar::adam(
-            &mut pd[n16..],
-            &g[n16..],
-            &mut md[n16..],
-            &mut vd[n16..],
-            hp,
-        );
-    }
-
-    pub(crate) fn adam(pd: &mut [f32], g: &[f32], md: &mut [f32], vd: &mut [f32], hp: AdamUpdate) {
-        debug_assert!(pd.len() == g.len() && md.len() == g.len() && vd.len() == g.len());
-        // SAFETY: avx512f detected (dispatch table); 16-lane chunks stay
-        // within the equal-length slices.
-        unsafe { adam_inner(pd, g, md, vd, hp) }
     }
 }

@@ -2,30 +2,15 @@
 //!
 //! Widening (`f16_bits_to_f32`, which every half-width prediction-store
 //! read goes through) is checked exhaustively over all 2^16 f16 patterns
-//! against a decoding written here. The dispatched narrowing (hardware
-//! `F16C` `vcvtps2ph` on the AVX2/AVX-512 tiers) is checked on every tier
-//! against the same decoding, by proptest over the f32 space (NaNs,
-//! infinities, subnormals and RNE midpoints included), and against edge
-//! cases pinned as bit patterns. The round-trip error must stay inside
-//! the bound documented in `half`'s module docs.
+//! against a decoding written here. Narrowing (`narrow_f16`, one software
+//! loop on every ISA tier) is checked against the same decoding, by
+//! proptest over the f32 space (NaNs, infinities, subnormals and RNE
+//! midpoints included), and against edge cases pinned as the bit patterns
+//! the `F16C` instruction `vcvtps2ph` produces. The round-trip error must
+//! stay inside the bound documented in `half`'s module docs.
 
 use o4a_tensor::half::{f16_bits_to_f32, f32_to_f16_bits, narrow_f16};
-use o4a_tensor::isa;
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// `isa::force` sets one process-wide tier and the harness runs tests on
-/// parallel threads, so every forced section holds this lock: otherwise
-/// one test's `force(None)` could reset another's tier mid-loop, and that
-/// test would run the resolved tier instead of the one it names.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_lock() -> MutexGuard<'static, ()> {
-    // A test that panicked while holding the lock reports its own
-    // failure; the lock guards no data, and each holder forces its tier
-    // afresh.
-    FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The value of f16 bit pattern `h` by the binary16 definition, in `f64`:
 /// sign × mantissa × 2^exp for zeros, subnormals and normals, ±∞ for the
@@ -65,11 +50,11 @@ fn widen_matches_binary16_definition_exhaustively() {
     }
 }
 
-/// Narrowing edge cases, pinned as bit patterns on every tier: signed
-/// zeros, signed infinities, NaNs (quieted, top 10 payload bits kept),
-/// the f16 subnormal range, RNE midpoints (each resolved to the even
-/// mantissa, one of them by a carry into the next exponent), and the
-/// overflow threshold 65520. The patterns are those `vcvtps2ph` produces.
+/// Narrowing edge cases, pinned as bit patterns: signed zeros, signed
+/// infinities, NaNs (quieted, top 10 payload bits kept), the f16
+/// subnormal range, RNE midpoints (each resolved to the even mantissa, one
+/// of them by a carry into the next exponent), and the overflow threshold
+/// 65520. The patterns are those `vcvtps2ph` produces.
 #[test]
 fn narrow_edge_cases_match_pinned_bits() {
     let cases: &[(f32, u16)] = &[
@@ -100,14 +85,9 @@ fn narrow_edge_cases_match_pinned_bits() {
     ];
     let src: Vec<f32> = cases.iter().map(|&(v, _)| v).collect();
     let want: Vec<u16> = cases.iter().map(|&(_, h)| h).collect();
-    let _forced = force_lock();
-    for tier in isa::available() {
-        isa::force(Some(tier));
-        let mut dst = vec![0u16; src.len()];
-        narrow_f16(&src, &mut dst);
-        isa::force(None);
-        assert_eq!(want, dst, "{} narrow diverged on edge cases", tier.name());
-    }
+    let mut dst = vec![0u16; src.len()];
+    narrow_f16(&src, &mut dst);
+    assert_eq!(want, dst, "narrow diverged on edge cases");
 }
 
 /// Whether `h` is the binary16 narrowing of `v` by the format's
@@ -143,9 +123,8 @@ fn is_binary16_narrowing(v: f32, h: u16) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dispatched narrowing is the binary16 narrowing on every tier, over
-    /// arbitrary f32 bit patterns, ragged lengths (each tier's remainder
-    /// path) and the midpoints between adjacent finite f16 values.
+    /// Narrowing is the binary16 narrowing over arbitrary f32 bit patterns
+    /// and the midpoints between adjacent finite f16 values.
     #[test]
     fn narrow_matches_binary16_definition(
         raw in proptest::collection::vec(any::<u32>(), 1..257),
@@ -157,20 +136,14 @@ proptest! {
             let mid = (f16_bits_to_f32(m) + f16_bits_to_f32(m + 1)) / 2.0;
             src.extend([mid, -mid]);
         }
-        let _forced = force_lock();
-        for tier in isa::available() {
-            isa::force(Some(tier));
-            let mut dst = vec![0u16; src.len()];
-            narrow_f16(&src, &mut dst);
-            isa::force(None);
-            for (&v, &h) in src.iter().zip(&dst) {
-                prop_assert!(
-                    is_binary16_narrowing(v, h),
-                    "{} narrowed {v:e} ({:#010x}) to {h:#06x}",
-                    tier.name(),
-                    v.to_bits()
-                );
-            }
+        let mut dst = vec![0u16; src.len()];
+        narrow_f16(&src, &mut dst);
+        for (&v, &h) in src.iter().zip(&dst) {
+            prop_assert!(
+                is_binary16_narrowing(v, h),
+                "narrowed {v:e} ({:#010x}) to {h:#06x}",
+                v.to_bits()
+            );
         }
     }
 
