@@ -51,9 +51,6 @@ struct McStgcnNet {
     fine_grid: NodesToGrid,
     coarse_head: NodeLinear,
     coarse_grid: NodesToGrid,
-    // cache for backward
-    fine_feat: Option<Tensor>,
-    coarse_feat: Option<Tensor>,
 }
 
 impl McStgcnNet {
@@ -85,8 +82,6 @@ impl McStgcnNet {
             fine_grid: NodesToGrid::new(h, w),
             coarse_head: NodeLinear::new(rng, d, 1),
             coarse_grid: NodesToGrid::new(hc, wc),
-            fine_feat: None,
-            coarse_feat: None,
         }
     }
 
@@ -106,8 +101,6 @@ impl McStgcnNet {
         let up = self.up.forward(&coarse_grid_feat);
         let up_nodes = self.fused_to_nodes.forward(&up);
         let fused = fine.add(&up_nodes).expect("cross-scale shapes align");
-        self.fine_feat = Some(fused.clone());
-        self.coarse_feat = Some(coarse.clone());
         let fine_pred = self.fine_grid.forward(&self.fine_head.forward(&fused));
         let coarse_pred = self.coarse_grid.forward(&self.coarse_head.forward(&coarse));
         (fine_pred, coarse_pred)
@@ -119,10 +112,8 @@ impl McStgcnNet {
         let g_coarse_head = self
             .coarse_head
             .backward(&self.coarse_grid.backward(grad_coarse));
-        // fused = fine + up_nodes
-        let g_fine_feat = g_fused.clone();
-        let g_up_nodes = g_fused;
-        let g_up = self.fused_to_nodes.backward(&g_up_nodes);
+        // fused = fine + up_nodes: both branches take g_fused
+        let g_up = self.fused_to_nodes.backward(&g_fused);
         let g_coarse_grid_feat = self.up.backward(&g_up);
         let g_coarse_cross = self.coarse_to_grid.backward(&g_coarse_grid_feat);
         // total coarse feature grad: head + cross-scale
@@ -140,7 +131,7 @@ impl McStgcnNet {
         let g_input_fine = self.fine_nodes.backward(
             &self
                 .fine_gc
-                .backward(&self.fine_relu.backward(&g_fine_feat)),
+                .backward(&self.fine_relu.backward(&g_fused)),
         );
         g_input_fine
             .add(&g_input_coarse)
