@@ -16,13 +16,15 @@
 //! The pool serves tensor storage and kernel scratch only.
 //!
 //! Observability: hits, misses, and bytes outstanding (taken but not yet
-//! returned) are mirrored into the global `o4a-obs` registry as
+//! returned) are recorded in the global `o4a-obs` registry as
 //! `o4a_pool_hits_total`, `o4a_pool_misses_total`, and
-//! `o4a_pool_bytes_outstanding`, so they show up in the METRICS verb.
+//! `o4a_pool_bytes_outstanding`, so they show up in the METRICS verb. The
+//! two counters exist only there; the gauge is set from the pool's own
+//! running byte count.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 /// Smallest size class, in elements. Requests below this share one class.
 const MIN_CLASS: usize = 16;
@@ -34,8 +36,6 @@ thread_local! {
     static FREE: RefCell<Vec<Vec<Vec<f32>>>> = const { RefCell::new(Vec::new()) };
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 static OUTSTANDING_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// Set while pooling is off. Only tests turn it off (to prove bit-identity
@@ -92,17 +92,15 @@ fn publish_outstanding() {
     .set(OUTSTANDING_BYTES.load(Ordering::Relaxed) as f64);
 }
 
-fn note_hit() {
-    HITS.fetch_add(1, Ordering::Relaxed);
+/// The registry counter of takes served from a free list.
+fn hits() -> &'static o4a_obs::metrics::Counter {
     o4a_obs::counter!(
         "o4a_pool_hits_total",
         "tensor buffer pool takes served from a free list"
     )
-    .inc();
 }
 
 fn note_miss() {
-    MISSES.fetch_add(1, Ordering::Relaxed);
     o4a_obs::counter!(
         "o4a_pool_misses_total",
         "tensor buffer pool takes that fell back to the system allocator"
@@ -143,7 +141,7 @@ fn take_impl(len: usize) -> (Vec<f32>, bool) {
             .ok()
             .flatten();
         if let Some(mut v) = recycled {
-            note_hit();
+            hits().inc();
             note_taken(v.capacity() * 4);
             // Capacity is at least class_capacity(class) >= len, so this
             // never reallocates; growth zero-fills only the delta.
@@ -202,27 +200,6 @@ pub(crate) fn give(v: Vec<f32>) {
             list.push(v);
         }
     });
-}
-
-/// Snapshot of pool counters, for tests and diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Takes served from a free list.
-    pub hits: u64,
-    /// Takes that fell back to the system allocator.
-    pub misses: u64,
-    /// Bytes handed out and not yet returned (may go negative transiently
-    /// if buffers migrate across threads; advisory only).
-    pub bytes_outstanding: i64,
-}
-
-/// Reads the global pool counters.
-pub fn stats() -> PoolStats {
-    PoolStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        bytes_outstanding: OUTSTANDING_BYTES.load(Ordering::Relaxed),
-    }
 }
 
 /// RAII scratch buffer: a pooled `[f32]` that returns to the pool on drop.
@@ -407,7 +384,7 @@ mod tests {
         let _g = ENABLE_LOCK.lock().unwrap();
         // Serialize against other tests poking the override.
         set_enabled(true);
-        let before = stats();
+        let before = hits().get();
         let v = take(100);
         assert_eq!(v.len(), 100);
         let cap = v.capacity();
@@ -417,8 +394,7 @@ mod tests {
         // Same class (128): the recycled buffer must come back.
         assert_eq!(v2.capacity(), cap);
         assert_eq!(v2.len(), 120);
-        let after = stats();
-        assert!(after.hits > before.hits, "expected a pool hit");
+        assert!(hits().get() > before, "expected a pool hit");
         give(v2);
         set_enabled(false);
         set_enabled(true);
