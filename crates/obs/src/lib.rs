@@ -10,9 +10,7 @@
 //!   [`metrics::Histogram`]s, rendered as Prometheus text exposition for
 //!   the serve layer's `METRICS` verb.
 //! * [`span`](mod@span) — RAII timing guards ([`span!`]) that record elapsed
-//!   nanoseconds into a registry histogram on drop; the
-//!   `span!(debug: ...)` form compiles to a branch + no allocation when
-//!   the `Debug` level is off.
+//!   nanoseconds into a registry histogram on drop.
 //! * [`trace`] — a per-request flight recorder: sampled 64-bit trace
 //!   ids (`O4A_TRACE=n` traces one request in `n`), fixed-size
 //!   [`trace::SpanEvent`]s in per-thread seqlock ring buffers, drained

@@ -8,12 +8,9 @@
 //! } // records elapsed ns into o4a_doc_example_ns on drop
 //! ```
 //!
-//! Spans are *not* gated on the log level by default: the metrics registry
-//! must stay populated even under `O4A_LOG=error`, otherwise a `METRICS`
-//! scrape of a quiet server would be empty. The `span!(debug: "name")`
-//! form is gated — when the `Debug` level is disabled it evaluates to an
-//! inert guard: one atomic load, one branch, no clock read, no allocation
-//! (proven by `tests/no_alloc.rs`).
+//! Spans are *not* gated on the log level: the metrics registry must stay
+//! populated even under `O4A_LOG=error`, otherwise a `METRICS` scrape of a
+//! quiet server would be empty.
 
 use std::time::Instant;
 
@@ -26,7 +23,8 @@ use crate::metrics::Histogram;
 #[must_use = "a span records on drop; binding it to _ discards it immediately"]
 #[derive(Debug)]
 pub struct Span<'a> {
-    state: Option<(&'a Histogram, Instant)>,
+    hist: &'a Histogram,
+    t0: Instant,
 }
 
 impl<'a> Span<'a> {
@@ -34,32 +32,23 @@ impl<'a> Span<'a> {
     #[inline]
     pub fn enter(hist: &'a Histogram) -> Span<'a> {
         Span {
-            state: Some((hist, Instant::now())),
+            hist,
+            t0: Instant::now(),
         }
-    }
-
-    /// A disabled span: drop does nothing, construction does nothing.
-    #[inline]
-    pub fn inert() -> Span<'static> {
-        Span { state: None }
     }
 }
 
 impl Drop for Span<'_> {
     #[inline]
     fn drop(&mut self) {
-        if let Some((hist, t0)) = self.state.take() {
-            hist.record(t0.elapsed().as_nanos() as u64);
-        }
+        self.hist.record(self.t0.elapsed().as_nanos() as u64);
     }
 }
 
 /// Opens a timing [`Span`] over the enclosing scope.
 ///
 /// `span!("name")` registers (once) and records into the global histogram
-/// `o4a_<name>_ns`. `span!(debug: "name")` additionally checks the log
-/// level first and yields an inert, allocation-free guard when `Debug` is
-/// disabled — use it on paths too hot to pay even the histogram insert.
+/// `o4a_<name>_ns`.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
@@ -67,13 +56,6 @@ macro_rules! span {
             ::std::concat!("o4a_", $name, "_ns"),
             ::std::concat!("latency of the `", $name, "` span in nanoseconds"),
         ))
-    };
-    (debug: $name:literal) => {
-        if $crate::logger::enabled($crate::Level::Debug) {
-            $crate::span!($name)
-        } else {
-            $crate::span::Span::inert()
-        }
     };
 }
 
@@ -93,12 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_span_records_nothing() {
-        let s = Span::inert();
-        drop(s);
-    }
-
-    #[test]
     fn span_macro_registers_global_histogram() {
         {
             let _s = crate::span!("span_macro_test");
@@ -108,23 +84,5 @@ mod tests {
             "latency of the `span_macro_test` span in nanoseconds",
         );
         assert!(h.count() >= 1);
-    }
-
-    #[test]
-    fn debug_gated_span_is_inert_below_debug() {
-        crate::logger::set_max_level(crate::Level::Info);
-        {
-            let _s = crate::span!(debug: "span_gated_test");
-        }
-        crate::logger::set_max_level(crate::Level::Debug);
-        {
-            let _s = crate::span!(debug: "span_gated_test");
-        }
-        crate::logger::set_max_level(crate::Level::Info);
-        let h = crate::metrics::global().histogram(
-            "o4a_span_gated_test_ns",
-            "latency of the `span_gated_test` span in nanoseconds",
-        );
-        assert_eq!(h.count(), 1, "only the Debug-enabled span should record");
     }
 }
