@@ -12,9 +12,14 @@
 //! burst of host load lands on both sides of a pair rather than on one
 //! row's median (see [`paired_ratio`]).
 //!
-//! Each ISA-sensitive row is re-timed once under `isa::force(Scalar)` at
-//! one thread; `vs_scalar` is that time over the dispatched t1 time —
-//! measured in the same process, so machine drift cancels.
+//! The ISA-sensitive rows are the ones that reach a dispatched kernel: the
+//! two convs, the two matmuls and the training step. Each is re-timed once
+//! under `isa::force(Scalar)` at one thread; `vs_scalar` is that time over
+//! the dispatched t1 time — measured in the same process, so machine drift
+//! cancels. The Adam row runs on the pool but reaches no dispatched kernel
+//! (its sweep is one portable loop on every tier), so it shares its t1
+//! measurement for `vs_scalar` (1.000 by construction) while its thread
+//! columns are still timed.
 //!
 //! Requested thread counts are capped at the hardware parallelism, exactly
 //! as the runtime caps them: on a machine with fewer cores than a column,
@@ -155,11 +160,13 @@ struct Row {
 
 /// Where a row's code runs: through the ISA-dispatched kernels on the
 /// parallel pool (re-timed per thread count and under the forced scalar
-/// tier), or on the calling thread alone with no dispatched kernel (t1
-/// shared by every column).
+/// tier), on the pool with no dispatched kernel (re-timed per thread
+/// count, t1 shared with `vs_scalar`), or on the calling thread alone with
+/// no dispatched kernel (t1 shared by every column).
 #[derive(Clone, Copy, PartialEq)]
 enum RowPath {
     Kernels,
+    Pool,
     CallingThread,
 }
 
@@ -251,7 +258,7 @@ fn main() {
         iters,
         None,
         prev_t1("adam_step_1m_params"),
-        RowPath::Kernels,
+        RowPath::Pool,
         || {
             let mut p = Param::new(init.clone());
             let mut opt = Adam::new(1e-3);
@@ -407,7 +414,7 @@ fn measure(
         // column with the same effective count, and a calling-thread row
         // the same code at every count — share the measurement.
         let same = match path {
-            RowPath::Kernels => effective.iter().position(|&e| e == eff),
+            RowPath::Kernels | RowPath::Pool => effective.iter().position(|&e| e == eff),
             RowPath::CallingThread => (!secs.is_empty()).then_some(0),
         };
         if let Some(i) = same {

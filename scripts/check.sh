@@ -75,12 +75,14 @@ determinism() {
 step "engine_props + serving suites x20 (determinism)" determinism
 
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
-# every host (the O4A_ISA contract). Re-run the kernel identity proptests
-# with the env override so the resolved-at-startup path itself is pinned,
-# not just the per-test force() loops. The training pins hold the whole
-# training stack to the same contract end to end: the same final-loss
-# bits and prediction digests on the scalar tier, and again on one
-# thread.
+# every host (the O4A_ISA contract). Re-run the kernel proptests with the
+# env override, so every test in them runs on the tier resolved at
+# startup: gemm_props and conv_props also force each tier per test, but
+# into_props (matmul_into and the conv _into kernels, which dispatch)
+# and half_props (f16 conversions, one loop on every tier) run only on
+# the resolved tier. The training pins hold the whole training stack to
+# the same contract end to end: the same final-loss bits and prediction
+# digests on the scalar tier, and again on one thread.
 scalar_identity() {
     O4A_ISA=scalar cargo test -q --release -p o4a-tensor \
         --test gemm_props --test into_props --test half_props --test conv_props
