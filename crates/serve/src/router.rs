@@ -18,7 +18,7 @@
 //! and K>1 produce identical bits (`tests/shard_props.rs`).
 //!
 //! Ownership is a consistent-hash ring over each group's *anchor cell*
-//! (its layer plus first — row-major smallest — cell): 32 virtual nodes
+//! (its layer plus first — row-major smallest — cell): 128 virtual nodes
 //! per shard, FNV-1a 64 points, successor lookup. Anchoring on a cell
 //! rather than the whole group keeps assignment stable when neighboring
 //! masks decompose into overlapping group sets.
