@@ -128,11 +128,9 @@ impl McStgcnNet {
         );
         let g_input_coarse = self.merge.backward(&g_merge_out);
         // fine branch
-        let g_input_fine = self.fine_nodes.backward(
-            &self
-                .fine_gc
-                .backward(&self.fine_relu.backward(&g_fused)),
-        );
+        let g_input_fine = self
+            .fine_nodes
+            .backward(&self.fine_gc.backward(&self.fine_relu.backward(&g_fused)));
         g_input_fine
             .add(&g_input_coarse)
             .expect("input grads align")
