@@ -11,8 +11,8 @@
 //!
 //! The conversions here are software loops on every ISA tier (narrowing
 //! runs once per publish, and only when half storage is on), and they
-//! implement exactly the semantics of the x86 `F16C` instructions (`vcvtps2ph`,
-//! `vcvtph2ps`):
+//! implement exactly the semantics of the x86 `F16C` instructions
+//! (`vcvtps2ph`, `vcvtph2ps`):
 //!
 //! * narrowing rounds to nearest, ties to even (`RNE`); overflow goes to
 //!   infinity; f32 subnormals (< 2^-126) narrow to signed zero; NaNs keep
