@@ -112,7 +112,7 @@ fn is_binary16_narrowing(v: f32, h: u16) -> bool {
     }
     // f16 magnitudes ascend with their bit patterns, so the nearest value
     // is the one no farther than either neighbour.
-    let dist = |m: u16| (decode_f16(m).expect("finite pattern") - a).abs();
+    let dist = |m: u16| (decode_f16(m).expect("not a NaN pattern") - a).abs();
     let d = dist(m);
     [m.checked_sub(1), Some(m + 1)]
         .into_iter()
