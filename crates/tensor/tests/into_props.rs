@@ -6,8 +6,8 @@
 
 use o4a_tensor::ops::{adam_update_into, AdamUpdate};
 use o4a_tensor::{
-    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_into, parallel, pool, Conv2dGrads, SeededRng,
-    Tensor,
+    conv2d, conv2d_backward, conv2d_bwd_into, conv2d_into, isa, parallel, pool, Conv2dGrads,
+    SeededRng, Tensor,
 };
 use proptest::prelude::*;
 
@@ -171,6 +171,61 @@ proptest! {
             prop_assert_eq!(&bits(&v), &want_v, "v diverged at step {}", t);
         }
         parallel::set_hw_threads(0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The elementwise and Adam `_into` kernels against their serial
+    /// references on every available ISA dispatch tier. They run one
+    /// portable loop whatever the tier, so forcing a tier must not change
+    /// a bit of their output (including the tails at awkward lengths); a
+    /// tier that gains its own body for them is held to the same bits.
+    #[test]
+    fn into_kernels_match_reference_on_every_isa_tier(
+        seed in 0u64..10_000,
+        len in 1usize..200,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let a = rng.uniform_tensor(&[len], -2.0, 2.0);
+        let b = rng.uniform_tensor(&[len], -2.0, 2.0);
+        let g = rng.uniform_tensor(&[len], -1.0, 1.0);
+        let p0 = rng.uniform_tensor(&[len], -1.0, 1.0);
+        let hp = AdamUpdate {
+            lr: 1e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8,
+            bc1: 0.1, bc2: 1e-3,
+        };
+
+        // serial references, computed once
+        let want_add: Vec<u32> =
+            a.data().iter().zip(b.data()).map(|(&x, &y)| (x + y).to_bits()).collect();
+        let want_relu: Vec<u32> = a.data().iter().map(|&v| v.max(0.0).to_bits()).collect();
+        let mut pr = p0.data().to_vec();
+        let mut mr = vec![0.0f32; len];
+        let mut vr = vec![0.0f32; len];
+        for i in 0..len {
+            let gi = g.data()[i];
+            mr[i] = hp.beta1 * mr[i] + (1.0 - hp.beta1) * gi;
+            vr[i] = hp.beta2 * vr[i] + (1.0 - hp.beta2) * gi * gi;
+            pr[i] -= hp.lr * (mr[i] / hp.bc1) / ((vr[i] / hp.bc2).sqrt() + hp.eps);
+        }
+        let want_p: Vec<u32> = pr.iter().map(|v| v.to_bits()).collect();
+
+        for tier in isa::available() {
+            isa::force(Some(tier));
+            let mut out = dirty();
+            a.add_into(&b, &mut out).unwrap();
+            prop_assert_eq!(&bits(&out), &want_add, "{} add diverged", tier.name());
+            a.relu_into(&mut out);
+            prop_assert_eq!(&bits(&out), &want_relu, "{} relu diverged", tier.name());
+            let mut p = p0.clone();
+            let mut m = Tensor::zeros(&[len]);
+            let mut v = Tensor::zeros(&[len]);
+            adam_update_into(&mut p, &g, &mut m, &mut v, &hp).unwrap();
+            prop_assert_eq!(&bits(&p), &want_p, "{} adam diverged", tier.name());
+            isa::force(None);
+        }
     }
 }
 

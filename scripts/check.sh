@@ -77,10 +77,10 @@ step "engine_props + serving suites x20 (determinism)" determinism
 # The scalar dispatch tier must stay bit-identical to the SIMD tiers on
 # every host (the O4A_ISA contract). Re-run the kernel proptests with the
 # env override, so every test in them runs on the tier resolved at
-# startup: gemm_props and conv_props also force each tier per test, but
-# into_props (matmul_into and the conv _into kernels, which dispatch)
-# and half_props (f16 conversions, one loop on every tier) run only on
-# the resolved tier. The training pins hold the whole training stack to
+# startup: gemm_props, conv_props and into_props' add/relu/Adam test
+# also force each tier per test, but into_props' matmul_into and conv
+# _into tests (kernels which dispatch) and half_props (f16 conversions,
+# one loop on every tier) run only on the resolved tier. The training pins hold the whole training stack to
 # the same contract end to end: the same final-loss bits and prediction
 # digests on the scalar tier, and again on one thread.
 scalar_identity() {
